@@ -14,7 +14,11 @@
 //! * **The setup cache retires the refactorization.** Warm-cache block
 //!   solves skip the per-solve block-Jacobi LU entirely; the headline
 //!   assert pins warm batched throughput ≥ 2× the k-sequential cold
-//!   baseline at k = 8 on ≥ 2 ranks.
+//!   baseline at k = 8 on ≥ 2 ranks. With the band LU the factorization
+//!   is well under 1 % of a cold solve from 2 ranks up, so that headline
+//!   is the batching's; what the cache itself buys is the gap between
+//!   the `block cold` and `block warm` columns (largest on 1 rank, where
+//!   the solve is one iteration and setup is most of it).
 //!
 //! Output: a table plus one `JSON:` line per cell (hand-rolled — the
 //! workspace carries no JSON dependency). Pass `--json` to emit a single

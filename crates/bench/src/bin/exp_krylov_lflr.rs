@@ -153,13 +153,14 @@ fn main() {
                 assert_eq!(f2, 1, "the failure must be injected");
                 assert!(ok1, "resumed solve must converge");
                 assert!(ok2, "restarted solve must converge");
-                // The headline claim, machine-checked where the iteration
-                // stream dominates the one-time factorization charge (at 2
-                // ranks the per-rank LU setup swallows early failure times,
-                // and a failure landing inside setup predates the first
-                // snapshot — restart-from-scratch is then the correct and
-                // honest outcome).
-                if ranks >= 4 && frac >= 0.5 {
+                // The headline claim, machine-checked at every rank count
+                // (the band LU setup is a sliver of the clean solve, so a
+                // failure time always lands in the iteration stream): from
+                // halfway on, the iterations a resume saves outweigh its
+                // checkpoint tax. Earlier than that few snapshots exist to
+                // save anything, and a wash or a small loss is the honest
+                // outcome.
+                if frac >= 0.5 {
                     assert!(
                         resumed_at > 0,
                         "the resumed solve must re-enter mid-stream (failure at {frac} of clean)"

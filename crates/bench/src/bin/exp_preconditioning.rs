@@ -11,13 +11,13 @@
 //! iterations-to-tolerance by one to three orders of magnitude on a
 //! problem where unpreconditioned CG needs hundreds of iterations and
 //! unpreconditioned GMRES thousands, at every rank count. The virtual
-//! wall-clock column includes the honest local-work bill — `2·n_local²`
-//! FLOPs per apply plus the one-time `2·n_local³⁄3` factorization charged
-//! at first apply — so it also shows where the trade *loses*: on a single
-//! rank, factoring the whole matrix for one solve is a direct solve in
-//! disguise and CG-family time gets worse, while from 2 ranks up the
-//! shrinking blocks and collapsed iteration counts pay for themselves
-//! many times over under a realistic latency model.
+//! wall-clock column includes the honest local-work bill — the band LU's
+//! `≈ 2·n_local·(2kl+ku)` FLOPs per apply plus the one-time
+//! `≈ 2·n_local·kl·(kl+ku)` factorization charged at first apply — so the
+//! trade is priced, not assumed: on a single rank block-Jacobi is a direct
+//! band solve in disguise (one iteration), and at every rank count the
+//! collapsed iteration counts pay for the local work many times over under
+//! a realistic latency model.
 //!
 //! Pass `--smoke` for a CI-sized run.
 

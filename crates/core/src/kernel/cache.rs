@@ -2,7 +2,8 @@
 //!
 //! The "millions of users" workload solves many right-hand sides against a
 //! small set of operators, so the dominant repeated cost after the SpMVs is
-//! [`BlockJacobi`] setup: a dense `2n³⁄3` LU factorization per rank per
+//! [`BlockJacobi`] setup: a band LU factorization (`≈ 2·n·kl·(kl+ku)`
+//! FLOPs; `2n³⁄3` when the block has no band to exploit) per rank per
 //! solve. [`SetupCache`] memoizes those local factors keyed by the
 //! operator's per-rank [`DistCsr::fingerprint`] — a checksum over structure
 //! *and* values, so any drift in the matrix (new nonzeros, updated
@@ -22,6 +23,7 @@
 //! own instance, exactly like the [`BlockJacobi`] instances it feeds.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use resilient_linalg::LuFactors;
 
@@ -31,7 +33,7 @@ use crate::distributed::DistCsr;
 /// One memoized factorization with the tick it was stored (or refreshed) at.
 #[derive(Debug, Clone)]
 struct CacheEntry {
-    lu: LuFactors,
+    lu: Arc<LuFactors>,
     stamp: u64,
 }
 
@@ -77,9 +79,9 @@ impl SetupCache {
         self.clock += 1;
     }
 
-    /// A [`BlockJacobi`] for `a`'s diagonal block: cache hit returns the
-    /// memoized factors (zero factorization work, **zero setup FLOPs
-    /// charged** at first apply); miss or an expired entry factors fresh,
+    /// A [`BlockJacobi`] for `a`'s diagonal block: cache hit shares the
+    /// memoized factors (a reference-count bump — zero factorization work,
+    /// **zero setup FLOPs charged** at first apply); miss or an expired entry factors fresh,
     /// stores the result stamped with the current tick, and returns a
     /// preconditioner that charges full setup like [`BlockJacobi::new`].
     pub fn block_jacobi(&mut self, a: &DistCsr) -> BlockJacobi {
@@ -87,7 +89,7 @@ impl SetupCache {
         if let Some(entry) = self.entries.get(&key) {
             if self.clock.saturating_sub(entry.stamp) < self.ttl {
                 self.hits += 1;
-                return BlockJacobi::from_factors(entry.lu.clone());
+                return BlockJacobi::from_factors(Arc::clone(&entry.lu));
             }
             // Expired: drop the stale factors and fall through to refactor.
             self.entries.remove(&key);
@@ -98,7 +100,7 @@ impl SetupCache {
         self.entries.insert(
             key,
             CacheEntry {
-                lu: bj.factors().clone(),
+                lu: Arc::clone(bj.factors()),
                 stamp: self.clock,
             },
         );

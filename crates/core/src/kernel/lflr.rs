@@ -19,7 +19,9 @@
 //!    (`r = b − A·x`, the same rebuild hook policy restarts use), the GMRES
 //!    cycle from the restart iterate, and the [`BlockJacobi`]
 //!    preconditioner locally from [`DistCsr::local_diagonal_block`] — zero
-//!    extra collectives.
+//!    extra collectives, and a band factorization (`≈ 2·n·kl·(kl+ku)`
+//!    FLOPs; `2n³⁄3` only for a block with no band) that is cheap next to
+//!    the iterations a resume saves.
 //! 2. **Detect.** When a rank dies, the survivors' next collective returns a
 //!    failure error that unwinds out of `run_cg`/`run_gmres`; under the
 //!    `ReplaceRank` policy the launcher spawns a replacement incarnation.

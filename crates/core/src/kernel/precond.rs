@@ -17,11 +17,13 @@
 //! * [`SerialPrecond`] — adapts any legacy [`Preconditioner`] to the
 //!   serial space, through the allocation-free `apply_into` path.
 //! * [`BlockJacobi`] — the distributed workhorse: each rank factors its
-//!   own diagonal block of the [`DistCsr`] once (dense LU with partial
-//!   pivoting) and back-substitutes per apply. Both setup and apply are
-//!   purely local — block-Jacobi adds **zero** collectives per iteration,
-//!   which is exactly why it is the preconditioner of choice for the
-//!   latency-sensitive RBSP solvers.
+//!   own diagonal block of the [`DistCsr`] once (partial-pivot LU clipped
+//!   to the block's band — `≈ 2·n·kl·(kl+ku)` FLOPs, dense being the
+//!   degenerate `kl = ku = n−1`) and back-substitutes per apply
+//!   (`≈ 2·n·(2kl+ku)`). Both setup and apply are purely local —
+//!   block-Jacobi adds **zero** collectives per iteration, which is exactly
+//!   why it is the preconditioner of choice for the latency-sensitive RBSP
+//!   solvers.
 //! * [`RightPrecond`] — exposes any `SpacePreconditioner` through the
 //!   GMRES kernel's flexible right-preconditioning slot
 //!   ([`FlexibleRight`]), which is how `CgsOrtho`/`PipelinedOrtho` presets
@@ -59,8 +61,10 @@
 //! Distributed solves swap in [`BlockJacobi`] the same way — see the
 //! `rbsp::dist_pcg` preset and `crates/core/tests/preconditioning.rs`.
 
+use std::sync::Arc;
+
 use resilient_linalg::LuFactors;
-use resilient_runtime::Result;
+use resilient_runtime::{Result, RuntimeError};
 
 use super::gmres::FlexibleRight;
 use super::space::{DistSpace, KrylovSpace, SerialSpace};
@@ -160,15 +164,21 @@ where
 /// strong couplings inside each block (and, on one rank, the whole matrix)
 /// are solved exactly.
 ///
-/// Each apply charges `2·n_local²` FLOPs through the space, and the
-/// one-time factorization cost (`2·n_local³⁄3` FLOPs) is charged through
-/// the space at the *first* apply — so a solve's virtual time honestly
-/// includes setup, while re-solves with the same instance (multiple
-/// right-hand sides, time stepping) amortize it: the trade the paper's
-/// §II-B describes, local work bought for global synchronization.
+/// The factorization is clipped to the block's band `(kl, ku)`
+/// ([`LuFactors`]; a block without band structure is the degenerate
+/// `kl = ku = n_local − 1`). Each apply charges the multiply–adds it
+/// performs (`≈ 2·n_local·(2kl+ku)` FLOPs) through the space, and the
+/// one-time factorization cost (`≈ 2·n_local·kl·(kl+ku)` FLOPs, as counted
+/// by [`LuFactors::factor_flops`]) is charged through the space at the
+/// *first* apply — so a solve's virtual time honestly includes setup, while
+/// re-solves with the same instance (multiple right-hand sides, time
+/// stepping) amortize it: the trade the paper's §II-B describes, local work
+/// bought for global synchronization.
 #[derive(Debug, Clone)]
 pub struct BlockJacobi {
-    lu: LuFactors,
+    /// Shared with the [`SetupCache`](crate::kernel::SetupCache) entry it
+    /// came from or went into.
+    lu: Arc<LuFactors>,
     /// Factorization FLOPs still to be charged (consumed at first apply).
     setup_flops: usize,
 }
@@ -179,11 +189,10 @@ impl BlockJacobi {
     /// distributed matrix, or the preconditioner is not a well-defined
     /// global operator.
     pub fn new(a: &DistCsr) -> Self {
-        let n = a.local_rows();
+        let lu = LuFactors::factor_csr(&a.local_diagonal_block());
         Self {
-            lu: LuFactors::factor(&a.local_diagonal_block().to_dense()),
-            // Dense partial-pivot LU: 2n³/3 FLOPs.
-            setup_flops: 2 * n * n * n / 3,
+            setup_flops: lu.factor_flops(),
+            lu: Arc::new(lu),
         }
     }
 
@@ -192,13 +201,13 @@ impl BlockJacobi {
     /// factors were paid for by the solve that produced them.
     ///
     /// [`SetupCache`]: crate::kernel::SetupCache
-    pub fn from_factors(lu: LuFactors) -> Self {
+    pub fn from_factors(lu: Arc<LuFactors>) -> Self {
         Self { lu, setup_flops: 0 }
     }
 
     /// The local LU factors (what a [`SetupCache`](crate::kernel::SetupCache)
     /// memoizes).
-    pub fn factors(&self) -> &LuFactors {
+    pub fn factors(&self) -> &Arc<LuFactors> {
         &self.lu
     }
 
@@ -226,20 +235,17 @@ impl<'a, 'b, C: resilient_runtime::CommBackend> SpacePreconditioner<DistSpace<'a
         r: &DistVector,
         z: &mut DistVector,
     ) -> Result<()> {
-        // Hard check even in release: `solve_into` accepts longer vectors,
-        // so a preconditioner factored for a different distribution (wrong
-        // matrix, rebuilt communicator) would otherwise silently solve a
-        // prefix and zero the tail.
-        assert_eq!(
-            r.local_len(),
-            self.lu.dim(),
-            "block-Jacobi applied to a vector of a different distribution"
-        );
-        assert_eq!(
-            z.local_len(),
-            self.lu.dim(),
-            "block-Jacobi output buffer built for a different distribution"
-        );
+        // `solve_with` accepts longer vectors, so a preconditioner factored
+        // for a different distribution (wrong matrix, rebuilt communicator)
+        // would otherwise silently solve a prefix and leave the tail.
+        for (what, len) in [("input", r.local_len()), ("output", z.local_len())] {
+            if len != self.lu.dim() {
+                return Err(RuntimeError::InvalidArgument(format!(
+                    "block-Jacobi factored for {} local rows applied to an {what} vector of {len}",
+                    self.lu.dim()
+                )));
+            }
+        }
         // Through the space's device-op backend (bit-identical to
         // `solve_into`; pinned by the linalg parity proptests), so the
         // whole preconditioned hot path runs on one backend choice.
@@ -336,6 +342,34 @@ mod tests {
             assert!(err < 1e-9, "local block solve error {err}");
             assert!(elapsed > 0.0, "the apply must charge virtual time");
             assert!(flops > 0);
+        }
+    }
+
+    #[test]
+    fn block_jacobi_rejects_vectors_of_another_distribution() {
+        let rt = Runtime::new(RuntimeConfig::fast());
+        let result = rt.run(2, move |comm| {
+            let a = poisson2d(4, 4);
+            let da = DistCsr::from_global(comm, &a)?;
+            let mut bj = BlockJacobi::new(&da);
+            let right = DistVector::from_fn(comm, a.nrows(), |i| i as f64);
+            let wrong = DistVector::zeros(comm, a.nrows() + 6);
+            let t0 = comm.now();
+            let mut space = DistSpace::new(comm, &da);
+            let as_input = bj.apply_into(&mut space, &wrong, &mut right.clone());
+            let as_output = bj.apply_into(&mut space, &right, &mut wrong.clone());
+            let charged = space.comm().now() - t0;
+            Ok((as_input, as_output, charged, bj.pending_setup_flops()))
+        });
+        for (as_input, as_output, charged, pending) in result.unwrap_all() {
+            for (what, res) in [("input", as_input), ("output", as_output)] {
+                match res {
+                    Err(RuntimeError::InvalidArgument(msg)) => assert!(msg.contains(what), "{msg}"),
+                    other => panic!("{what}: expected InvalidArgument, got {other:?}"),
+                }
+            }
+            assert_eq!(charged, 0.0, "a rejected apply charges nothing");
+            assert!(pending > 0, "and leaves the setup charge owed");
         }
     }
 }

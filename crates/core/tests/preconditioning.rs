@@ -388,3 +388,53 @@ fn block_jacobi_reduces_iterations_at_every_rank_count() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// 5. Block-Jacobi iteration counts are pinned
+// ---------------------------------------------------------------------------
+
+/// The band-clipped LU is specified bit-identical to the dense elimination
+/// it replaced, so the block-Jacobi presets must take exactly the
+/// iterations they took with dense factors: the constants were read from
+/// the last dense-LU commit (fused CG, pipelined CG, CGS GMRES, p(1) GMRES).
+#[test]
+fn block_jacobi_iteration_counts_on_poisson2d_are_pinned() {
+    for (ranks, pinned) in [
+        (2usize, [14usize, 14, 14, 13]),
+        (3, [20, 20, 19, 60]),
+        (8, [30, 30, 30, 27]),
+    ] {
+        let rt = Runtime::new(RuntimeConfig::fast());
+        let rows = rt
+            .run(ranks, move |comm| {
+                let a = resilient_linalg::poisson2d(24, 24);
+                let da = DistCsr::from_global(comm, &a)?;
+                let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 3) as f64);
+                let opts = DistSolveOptions::default()
+                    .with_tol(1e-8)
+                    .with_max_iters(400)
+                    .with_restart(30);
+                let fused = dist_pcg(comm, &da, &b, &mut BlockJacobi::new(&da), &opts)?;
+                let piped = pipelined_pcg(comm, &da, &b, &mut BlockJacobi::new(&da), &opts)?;
+                let gm = dist_pgmres(comm, &da, &b, &mut BlockJacobi::new(&da), &opts)?;
+                let pgm = pipelined_pgmres(
+                    comm,
+                    &da,
+                    &b,
+                    &mut BlockJacobi::new(&da),
+                    &opts.with_tol(1e-7),
+                )?;
+                assert!(fused.converged && piped.converged && gm.converged && pgm.converged);
+                Ok([
+                    fused.iterations,
+                    piped.iterations,
+                    gm.iterations,
+                    pgm.iterations,
+                ])
+            })
+            .unwrap_all();
+        for row in rows {
+            assert_eq!(row, pinned, "{ranks} ranks");
+        }
+    }
+}

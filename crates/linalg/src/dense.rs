@@ -1,10 +1,13 @@
 //! Dense matrices (column-major) with the level-2/3 kernels the resilient
-//! algorithms need: GEMV, GEMM, small QR-style helpers.
+//! algorithms need: GEMV, GEMM, small QR-style helpers — and [`LuFactors`],
+//! the partial-pivot LU clipped to its input's band that block-Jacobi
+//! factors once and applies every iteration.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::ops::LocalOps;
+use crate::sparse::CsrMatrix;
 
 /// A dense column-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,8 +217,61 @@ impl DenseMatrix {
     }
 }
 
-/// A dense LU factorization with partial pivoting, `P·A = L·U`, stored
-/// packed (unit-diagonal `L` below, `U` on and above the diagonal).
+/// Row-wise working storage of the band elimination: row `i` holds columns
+/// `i−kl ..= i+kl+ku` clipped to the matrix — the input band plus the `kl`
+/// super-diagonals of fill that partial pivoting can create. A full matrix
+/// (`kl = ku = n−1`) clips to exactly `n²` entries.
+struct BandRows {
+    n: usize,
+    kl: usize,
+    ku: usize,
+    /// Row `i` is `data[off[i]..off[i + 1]]`.
+    off: Vec<usize>,
+    data: Vec<f64>,
+}
+
+impl BandRows {
+    fn zeros(n: usize, kl: usize, ku: usize) -> Self {
+        let mut off = Vec::with_capacity(n + 1);
+        off.push(0);
+        for i in 0..n {
+            let hi = (i + kl + ku).min(n - 1);
+            off.push(off[i] + hi + 1 - i.saturating_sub(kl));
+        }
+        let data = vec![0.0; off[n]];
+        Self {
+            n,
+            kl,
+            ku,
+            off,
+            data,
+        }
+    }
+
+    /// Position of the in-band element (i, j) in `data`.
+    fn idx(&self, i: usize, j: usize) -> usize {
+        self.off[i] + j - i.saturating_sub(self.kl)
+    }
+}
+
+/// An LU factorization with partial pivoting, `P·A = L·U`, clipped to the
+/// band of `A`.
+///
+/// The constructors detect the lower and upper bandwidths `(kl, ku)` of
+/// their input and eliminate only inside them: step `k` touches rows
+/// `k+1..=k+kl` and columns `k+1..=k+kl+ku` (a row swap can push `U` out by
+/// at most `kl` super-diagonals), so factoring costs `≈ 2·n·kl·(kl+ku)`
+/// FLOPs and a solve `≈ 2·n·(2kl+ku)`. A full matrix is the degenerate band
+/// `kl = ku = n−1` — the same code, `≈ 2n³⁄3` and exactly `2n²`. Every
+/// entry inside the band sees the arithmetic of the textbook dense
+/// algorithm in the same order, and the terms the clipping skips are
+/// `x += −m·0.0`, so solutions are bit-identical to it on finite inputs (a
+/// `−0.0` in the right-hand side aside).
+///
+/// `L` keeps each step's multipliers where the step computed them — row
+/// swaps are not applied to earlier columns, which is what bounds a column
+/// of `L` to `kl` entries — so the solves apply swap `k` just before
+/// eliminating with column `k`.
 ///
 /// Built once, then applied repeatedly through the allocation-free
 /// [`LuFactors::solve_into`] — the shape a block-Jacobi preconditioner
@@ -223,16 +279,20 @@ impl DenseMatrix {
 /// iteration.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
-    lu: DenseMatrix,
+    n: usize,
     /// Row swapped with row `k` at elimination step `k`.
     pivots: Vec<usize>,
-    n: usize,
-    /// `U` packed row-major (row `i` = `u_rows[u_off[i]..u_off[i+1]]`,
-    /// diagonal first): back substitution walks rows, and walking rows of
-    /// the column-major `lu` strides by `n` per element — this copy makes
-    /// the hot preconditioner path read contiguously.
+    /// Unit-diagonal `L` packed by column (column `j` =
+    /// `l_cols[l_off[j]..l_off[j+1]]`, rows `j+1..=j+kl` clipped): forward
+    /// substitution is one contiguous `axpy` per column.
+    l_cols: Vec<f64>,
+    l_off: Vec<usize>,
+    /// `U` packed by row (row `i` = `u_rows[u_off[i]..u_off[i+1]]`, diagonal
+    /// first, columns `i..=i+kl+ku` clipped): back substitution reads each
+    /// row contiguously.
     u_rows: Vec<f64>,
     u_off: Vec<usize>,
+    factor_flops: usize,
 }
 
 impl LuFactors {
@@ -247,14 +307,75 @@ impl LuFactors {
     pub fn factor(a: &DenseMatrix) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "LU requires a square matrix");
         let n = a.nrows();
-        let mut lu = a.clone();
+        let (mut kl, mut ku) = (0, 0);
+        for j in 0..n {
+            for (i, v) in a.col(j).iter().enumerate() {
+                // Anything but `+0.0` is in the band, so the clipped region
+                // holds only what the skipped updates leave unchanged.
+                if v.to_bits() != 0 {
+                    kl = kl.max(i.saturating_sub(j));
+                    ku = ku.max(j.saturating_sub(i));
+                }
+            }
+        }
+        let mut w = BandRows::zeros(n, kl, ku);
+        for i in 0..n {
+            for j in i.saturating_sub(kl)..(i + ku + 1).min(n) {
+                let at = w.idx(i, j);
+                w.data[at] = a.get(i, j);
+            }
+        }
+        Self::eliminate(w)
+    }
+
+    /// Factor a square sparse matrix straight from its rows, taking the
+    /// band from the stored structure: the factors of
+    /// `factor(&a.to_dense())` without the `n²` copy.
+    ///
+    /// # Panics
+    /// Panics if `a` is not square.
+    pub fn factor_csr(a: &CsrMatrix) -> Self {
+        assert_eq!(a.nrows(), a.ncols(), "LU requires a square matrix");
+        let n = a.nrows();
+        let (mut kl, mut ku) = (0, 0);
+        for i in 0..n {
+            for &j in a.row(i).0 {
+                kl = kl.max(i.saturating_sub(j));
+                ku = ku.max(j.saturating_sub(i));
+            }
+        }
+        let mut w = BandRows::zeros(n, kl, ku);
+        for i in 0..n {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                // Accumulate like `CsrMatrix::to_dense`: duplicates sum.
+                let at = w.idx(i, j);
+                w.data[at] += v;
+            }
+        }
+        Self::eliminate(w)
+    }
+
+    /// Partial-pivot Gaussian elimination inside the band.
+    fn eliminate(mut w: BandRows) -> Self {
+        let (n, kl, ku) = (w.n, w.kl, w.ku);
         let mut pivots = vec![0usize; n];
+        let mut l_cols = Vec::with_capacity((0..n).map(|j| kl.min(n - 1 - j)).sum());
+        let mut l_off = Vec::with_capacity(n + 1);
+        l_off.push(0);
+        let mut factor_flops = 0;
         for (k, pivot_slot) in pivots.iter_mut().enumerate() {
-            // Partial pivoting: largest |entry| in column k, rows k..n.
+            let last_row = (k + kl).min(n - 1);
+            // Rows k..=last_row, each from column k to the last one any of
+            // them reaches: `width` entries starting at `w.idx(i, k)`.
+            let width = (k + kl + ku).min(n - 1) - k + 1;
+            // Partial pivoting: largest |entry| in column k; below
+            // `last_row` the column is structurally zero.
+            let start_k = w.idx(k, k);
             let mut piv = k;
-            let mut best = lu.get(k, k).abs();
-            for i in k + 1..n {
-                let v = lu.get(i, k).abs();
+            let mut best = w.data[start_k].abs();
+            for i in k + 1..=last_row {
+                let v = w.data[w.idx(i, k)].abs();
                 if v > best {
                     best = v;
                     piv = i;
@@ -262,43 +383,44 @@ impl LuFactors {
             }
             *pivot_slot = piv;
             if piv != k {
-                for j in 0..n {
-                    let tmp = lu.get(k, j);
-                    lu.set(k, j, lu.get(piv, j));
-                    lu.set(piv, j, tmp);
-                }
+                let start_piv = w.idx(piv, k);
+                let (head, tail) = w.data.split_at_mut(start_piv);
+                head[start_k..start_k + width].swap_with_slice(&mut tail[..width]);
             }
-            let mut pivot = lu.get(k, k);
-            if pivot == 0.0 {
+            if w.data[start_k] == 0.0 {
                 // Structurally singular column: unit pivot, zero multipliers.
-                pivot = 1.0;
-                lu.set(k, k, pivot);
+                w.data[start_k] = 1.0;
             }
-            for i in k + 1..n {
-                let m = lu.get(i, k) / pivot;
-                lu.set(i, k, m);
+            for i in k + 1..=last_row {
+                let start_i = w.idx(i, k);
+                let (head, tail) = w.data.split_at_mut(start_i);
+                let (row_k, row_i) = (&head[start_k..start_k + width], &mut tail[..width]);
+                let m = row_i[0] / row_k[0];
+                l_cols.push(m);
                 if m != 0.0 {
-                    for j in k + 1..n {
-                        lu.add_to(i, j, -m * lu.get(k, j));
+                    for (x, u) in row_i[1..].iter_mut().zip(&row_k[1..]) {
+                        *x += -m * u;
                     }
+                    factor_flops += 2 * (width - 1);
                 }
             }
+            l_off.push(l_cols.len());
         }
+        let mut u_rows = Vec::with_capacity((0..n).map(|i| (kl + ku).min(n - 1 - i) + 1).sum());
         let mut u_off = Vec::with_capacity(n + 1);
-        let mut u_rows = Vec::with_capacity(n * (n + 1) / 2);
         u_off.push(0);
         for i in 0..n {
-            for j in i..n {
-                u_rows.push(lu.get(i, j));
-            }
+            u_rows.extend_from_slice(&w.data[w.idx(i, i)..w.off[i + 1]]);
             u_off.push(u_rows.len());
         }
         Self {
-            lu,
-            pivots,
             n,
+            pivots,
+            l_cols,
+            l_off,
             u_rows,
             u_off,
+            factor_flops,
         }
     }
 
@@ -307,14 +429,29 @@ impl LuFactors {
         self.n
     }
 
-    /// FLOPs of one [`LuFactors::solve_into`] (two triangular solves,
-    /// `n²` multiply–adds).
-    pub fn flops_per_solve(&self) -> usize {
-        2 * self.n * self.n
+    /// FLOPs the factorization performed: one multiply–add per in-band
+    /// entry a nonzero multiplier updated (`≈ 2n³⁄3` for a full matrix).
+    pub fn factor_flops(&self) -> usize {
+        self.factor_flops
     }
 
-    /// Solve `A·x = b` in place of `x` (allocation-free): apply the row
-    /// permutation, forward-substitute `L`, back-substitute `U`.
+    /// FLOPs of one [`LuFactors::solve_into`]: a multiply–add per stored
+    /// factor entry (`2n²` for a full matrix).
+    pub fn flops_per_solve(&self) -> usize {
+        2 * (self.l_cols.len() + self.u_rows.len())
+    }
+
+    fn l_col(&self, j: usize) -> &[f64] {
+        &self.l_cols[self.l_off[j]..self.l_off[j + 1]]
+    }
+
+    fn u_row(&self, i: usize) -> &[f64] {
+        &self.u_rows[self.u_off[i]..self.u_off[i + 1]]
+    }
+
+    /// Solve `A·x = b` in place of `x` (allocation-free): forward-substitute
+    /// `L` column by column, applying each step's row swap first, then
+    /// back-substitute `U`.
     ///
     /// # Panics
     /// Panics if `b` or `x` is shorter than the factored dimension.
@@ -322,24 +459,20 @@ impl LuFactors {
         let n = self.n;
         assert!(b.len() >= n && x.len() >= n, "LU solve: length mismatch");
         x[..n].copy_from_slice(&b[..n]);
-        for (k, &piv) in self.pivots.iter().enumerate() {
-            if piv != k {
-                x.swap(k, piv);
+        for (j, &piv) in self.pivots.iter().enumerate() {
+            x.swap(j, piv);
+            let xj = x[j];
+            for (l, xi) in self.l_col(j).iter().zip(&mut x[j + 1..]) {
+                *xi -= l * xj;
             }
-        }
-        for i in 1..n {
-            let mut s = x[i];
-            for (j, &xj) in x[..i].iter().enumerate() {
-                s -= self.lu.get(i, j) * xj;
-            }
-            x[i] = s;
         }
         for i in (0..n).rev() {
+            let row = self.u_row(i);
             let mut s = x[i];
-            for (j, &xj) in x[i + 1..n].iter().enumerate() {
-                s -= self.lu.get(i, i + 1 + j) * xj;
+            for (u, xj) in row[1..].iter().zip(&x[i + 1..]) {
+                s -= u * xj;
             }
-            x[i] = s / self.lu.get(i, i);
+            x[i] = s / row[0];
         }
     }
 
@@ -354,14 +487,10 @@ impl LuFactors {
     /// the form the block-Jacobi preconditioner applies every iteration.
     ///
     /// Bit-identical to [`LuFactors::solve_into`] (pinned by the parity
-    /// proptests): the forward substitution is re-expressed
-    /// column-oriented — each finalized `x[j]` is eliminated from all
-    /// later rows at once via `ops.axpy` over the **contiguous**
-    /// column-major `L` column, which applies the same updates to each
-    /// `x[i]` in the same ascending-`j` order as the row-oriented loop —
-    /// and the back substitution keeps its order-sensitive sequential
-    /// recurrence ([`LocalOps::msub_seq`]) but reads `U` from the packed
-    /// row-major copy instead of striding across columns.
+    /// proptests): each finalized `x[j]` is eliminated from the rows below
+    /// it via `ops.axpy` over the contiguous `L` column, and the back
+    /// substitution keeps its order-sensitive sequential recurrence
+    /// ([`LocalOps::msub_seq`]) over the packed `U` row.
     ///
     /// # Panics
     /// Panics if `b` or `x` is shorter than the factored dimension.
@@ -369,22 +498,18 @@ impl LuFactors {
         let n = self.n;
         assert!(b.len() >= n && x.len() >= n, "LU solve: length mismatch");
         x[..n].copy_from_slice(&b[..n]);
-        for (k, &piv) in self.pivots.iter().enumerate() {
-            if piv != k {
-                x.swap(k, piv);
-            }
-        }
-        let xs = &mut x[..n];
-        for j in 0..n {
-            let (head, tail) = xs.split_at_mut(j + 1);
-            // y += (-x_j)·L[j+1.., j]; (-x_j)·l ≡ -(l·x_j) bitwise, so this
-            // is the row loop's `s -= l·x_j` for every remaining row.
-            ops.axpy(-head[j], &self.lu.col(j)[j + 1..n], tail);
+        for (j, &piv) in self.pivots.iter().enumerate() {
+            x.swap(j, piv);
+            let (head, tail) = x.split_at_mut(j + 1);
+            let col = self.l_col(j);
+            // y += (-x_j)·l; (-x_j)·l ≡ -(l·x_j) bitwise, so this is
+            // `solve_into`'s `x_i -= l·x_j` for every row of the column.
+            ops.axpy(-head[j], col, &mut tail[..col.len()]);
         }
         for i in (0..n).rev() {
-            let row = &self.u_rows[self.u_off[i]..self.u_off[i + 1]];
-            let (head, tail) = xs.split_at_mut(i + 1);
-            head[i] = ops.msub_seq(head[i], &row[1..], tail) / row[0];
+            let row = self.u_row(i);
+            let (head, tail) = x.split_at_mut(i + 1);
+            head[i] = ops.msub_seq(head[i], &row[1..], &tail[..row.len() - 1]) / row[0];
         }
     }
 }
@@ -482,6 +607,36 @@ mod tests {
                 assert!((got - want).abs() < 1e-10, "n={n}: {got} vs {want}");
             }
         }
+    }
+
+    #[test]
+    fn lu_work_follows_the_band() {
+        // A full matrix is the degenerate band: 2n² per solve, 2·Σm² to factor.
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let n = 17;
+        let full = LuFactors::factor(&DenseMatrix::random(n, n, &mut rng));
+        assert_eq!(full.flops_per_solve(), 2 * n * n);
+        assert_eq!(full.factor_flops(), (n - 1) * n * (2 * n - 1) / 3);
+
+        // poisson2d(8, 8): n = 64, kl = ku = 8 — L keeps 8 sub-diagonals, U
+        // the diagonal plus 16 super-diagonals, both clipped at the corner.
+        let a = crate::poisson2d(8, 8);
+        let n = a.nrows();
+        let band = LuFactors::factor_csr(&a);
+        let stored: usize = (0..n)
+            .map(|i| 8.min(n - 1 - i) + 16.min(n - 1 - i) + 1)
+            .sum();
+        assert_eq!(band.flops_per_solve(), 2 * stored);
+        assert!(band.flops_per_solve() < 2 * n * n);
+        assert!(band.factor_flops() < 2 * n * 8 * 16);
+
+        // The CSR route and the dense route are the same factorization.
+        let dense = LuFactors::factor(&a.to_dense());
+        assert_eq!(dense.flops_per_solve(), band.flops_per_solve());
+        assert_eq!(dense.factor_flops(), band.factor_flops());
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).cos()).collect();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(dense.solve(&b)), bits(band.solve(&b)));
     }
 
     #[test]
