@@ -444,6 +444,7 @@ const LOCALOPS_METHODS: &[&str] = &[
     "axpy_blocks",
     "xpby_blocks",
     "waxpby_blocks",
+    "pipelined_pcg_sweep",
 ];
 
 /// Backend constructors: wired through solver/space options only.
@@ -588,24 +589,36 @@ impl Rule for ChargedArithmetic {
 /// buffers (`Vec::new`, `vec![…]`, `.to_vec()`, `.clone()`): the PR 7
 /// allocation audit moved every hot-path buffer into reusable scratch, and
 /// this rule keeps it that way. Constructor/factory paths (`new`,
-/// `with_*`, `from_*`, `persist_*`, `zeros_like`, `residual`) are exempt —
-/// they are the sanctioned allocation sites.
+/// `with_*`, `from_*`, `persist_*`, `zeros_like`, `residual`) and the
+/// per-file setup paths of `SETUP_FNS` are exempt — they are the
+/// sanctioned allocation sites.
 pub struct HotLoopAllocation;
 
 /// Modules whose non-setup paths run once per Krylov iteration.
 const HOT_FILES: &[&str] = &[
     "crates/core/src/kernel/space.rs",
     "crates/core/src/kernel/precond.rs",
+    "crates/core/src/kernel/block.rs",
 ];
 const HOT_PREFIXES: &[&str] = &["crates/core/src/rbsp/"];
 
-fn exempt_fn(name: &str) -> bool {
+/// Per-file setup paths on top of the constructor names: functions that run
+/// once per solve or per (re)start of a recurrence, never per iteration.
+const SETUP_FNS: &[(&str, &[&str])] = &[(
+    "crates/core/src/kernel/block.rs",
+    &["build_state", "run_block_cg", "zeroed"],
+)];
+
+fn exempt_fn(path: &str, name: &str) -> bool {
     name == "new"
         || name == "zeros_like"
         || name == "residual"
         || name.starts_with("with_")
         || name.starts_with("from_")
         || name.starts_with("persist_")
+        || SETUP_FNS
+            .iter()
+            .any(|(file, fns)| *file == path && fns.contains(&name))
 }
 
 impl Rule for HotLoopAllocation {
@@ -616,7 +629,7 @@ impl Rule for HotLoopAllocation {
         "no per-iteration vector-buffer allocation in the designated hot-loop modules"
     }
     fn scope(&self) -> &'static str {
-        "kernel/space.rs, kernel/precond.rs, rbsp/* (non-test, non-constructor paths)"
+        "kernel/space.rs, kernel/precond.rs, kernel/block.rs, rbsp/* (non-test, non-setup paths)"
     }
 
     fn check(&self, f: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -653,7 +666,7 @@ impl Rule for HotLoopAllocation {
             let in_exempt = stack
                 .last()
                 .and_then(|n| n.as_deref())
-                .is_some_and(exempt_fn);
+                .is_some_and(|name| exempt_fn(&f.path, name));
             if in_exempt {
                 continue;
             }

@@ -72,6 +72,25 @@ fn waiver_on_preceding_line_is_honored() {
     assert_eq!(waived, 1);
 }
 
+/// The block kernel is a hot-loop module whose setup paths are sanctioned
+/// per file: the same allocation is fine in `build_state`, a finding in a
+/// step function, and `build_state` is no magic name anywhere else.
+#[test]
+fn block_kernel_setup_paths_may_allocate_but_its_steps_may_not() {
+    let src = "fn build_state() -> Vec<f64> {\n    vec![0.0; 8]\n}\n\
+               fn step_pipelined() -> Vec<f64> {\n    vec![0.0; 8]\n}\n";
+    let (findings, _) = analyze_source("crates/core/src/kernel/block.rs", src);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!((findings[0].rule, findings[0].line), ("hot-loop-alloc", 5));
+    let (elsewhere, _) = analyze_source("crates/core/src/kernel/space.rs", src);
+    assert_eq!(elsewhere.len(), 2, "{elsewhere:?}");
+    // The fused sweep is a device op: only the charging boundary calls it.
+    let raw = "fn f(ops: &dyn LocalOps) {\n    ops.pipelined_pcg_sweep(a, b, aw, mw, v);\n}\n";
+    let (findings, _) = analyze_source("crates/core/src/kernel/block.rs", raw);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "charged-arithmetic");
+}
+
 #[test]
 fn waiver_without_reason_does_not_silence() {
     let src = "fn f() -> u128 {\n    \

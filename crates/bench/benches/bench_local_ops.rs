@@ -5,11 +5,14 @@
 //! The interesting comparisons: `dot` (SIMD wins while data fits in
 //! cache, converges to the memory wall at 1M), `dot_pairs` (the fused
 //! multi-dot reads shared vectors once, so it beats separate dots even
-//! when bandwidth-bound), and SELL vs CSR SpMV (gather-vectorisable
-//! layout on ragged rows).
+//! when bandwidth-bound), SELL vs CSR SpMV (gather-vectorisable layout on
+//! ragged rows), and `pcg_sweep` (one fused pass over the ten vectors of a
+//! pipelined-PCG iteration against the eight updates and three dots it
+//! replaces — level with them in cache, ahead once the vectors stream from
+//! memory).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use resilient_linalg::{poisson2d, scalar_ops, simd_ops, LocalOps, SellMatrix};
+use resilient_linalg::{poisson2d, scalar_ops, simd_ops, LocalOps, PcgSweep, SellMatrix};
 use std::time::Duration;
 
 const SIZES: [usize; 3] = [1_000, 100_000, 1_000_000];
@@ -120,6 +123,64 @@ fn bench_level1(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_pcg_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("local_ops/pcg_sweep");
+    group
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_millis(800))
+        .sample_size(10);
+    // Ten vectors of 4 096 doubles sit in L2; ten of 1 Mi doubles (80 MB)
+    // stream from memory.
+    for &n in &[4_096usize, 1 << 20] {
+        let (aw, mw) = vectors(n);
+        for (name, ops) in backends() {
+            // α and β small enough that repeated sweeps stay finite.
+            let (alpha, beta) = (1.0e-3, 0.5);
+            let mut st: Vec<Vec<f64>> = (0..8).map(|_| vectors(n).1).collect();
+            let fused_id = format!("fused/{name}");
+            group.bench_with_input(BenchmarkId::new(&fused_id, n), &n, |b, _| {
+                b.iter(|| {
+                    let [z, q, s, p, x, r, u, w] = &mut st[..] else {
+                        unreachable!("eight state vectors")
+                    };
+                    let v = PcgSweep {
+                        z,
+                        q,
+                        s,
+                        p,
+                        x,
+                        r,
+                        u,
+                        w,
+                    };
+                    std::hint::black_box(ops.pipelined_pcg_sweep(alpha, beta, &aw, &mw, v))
+                })
+            });
+            let mut st: Vec<Vec<f64>> = (0..8).map(|_| vectors(n).1).collect();
+            let split_id = format!("8ops+3dots/{name}");
+            group.bench_with_input(BenchmarkId::new(&split_id, n), &n, |b, _| {
+                b.iter(|| {
+                    let [z, q, s, p, x, r, u, w] = &mut st[..] else {
+                        unreachable!("eight state vectors")
+                    };
+                    ops.xpby(&aw, beta, z);
+                    ops.xpby(&mw, beta, q);
+                    ops.xpby(w, beta, s);
+                    ops.xpby(u, beta, p);
+                    ops.axpy(alpha, p, x);
+                    ops.axpy(-alpha, s, r);
+                    ops.axpy(-alpha, q, u);
+                    ops.axpy(-alpha, z, w);
+                    let mut dots = [0.0; 3];
+                    ops.dot_pairs(&[(&*r, &*u), (&*w, &*u), (&*r, &*r)], &mut dots);
+                    std::hint::black_box(dots)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_spmv_layouts(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_ops/spmv");
     group
@@ -152,5 +213,5 @@ fn bench_spmv_layouts(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_level1, bench_spmv_layouts);
+criterion_group!(benches, bench_level1, bench_pcg_sweep, bench_spmv_layouts);
 criterion_main!(benches);

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use resilient_linalg::ops::LocalOps;
 use resilient_linalg::{CooMatrix, CsrMatrix, SellMatrix};
-use resilient_runtime::{BlockDistribution, CommBackend, Result};
+use resilient_runtime::{BlockDistribution, CommBackend, Result, RuntimeError};
 
 /// Tag space used by the SpMV ghost exchange.
 const GHOST_TAG: i32 = 1 << 18;
@@ -222,6 +222,18 @@ impl DistMultiVector {
     pub fn set_column(&mut self, c: usize, v: &DistVector) {
         self.col_mut(c).copy_from_slice(&v.local);
     }
+}
+
+/// The reusable buffers of a distributed operator application: the ghosted
+/// input (owned entries followed by ghost entries, per column) and one
+/// neighbour's outgoing boundary values.
+#[derive(Debug, Default)]
+pub struct HaloScratch {
+    /// Ghost-assembled input of the local sweep; single-vector applies use
+    /// it directly as [`DistCsr::apply_with`]'s buffer.
+    pub ghosted: Vec<f64>,
+    /// Packing buffer for the message to one neighbour.
+    pub payload: Vec<f64>,
 }
 
 /// A block-row distributed CSR matrix with precomputed ghost-exchange lists.
@@ -547,26 +559,56 @@ impl DistCsr {
     /// matrix sweep feeding all `k` outputs. Each output column is
     /// bit-identical to [`DistCsr::apply_with`] on that column alone.
     ///
+    /// Nothing is allocated here: the product lands in the caller's `y`
+    /// (every entry overwritten) and the [`HaloScratch`] buffers keep their
+    /// capacity across calls. A block solve calls this once per iteration.
+    ///
     /// `active` is the number of columns still charged for arithmetic:
     /// converged columns in a masked block solve stop paying FLOPs but keep
     /// their slot in the sweep (and in every collective), so the charge is
     /// `flops_per_apply × active`, not `× k`.
-    pub fn apply_block_with<C: CommBackend>(
+    ///
+    /// # Errors
+    /// [`RuntimeError::InvalidArgument`], before anything is sent, if `x`
+    /// is not distributed like the operator's columns or `y` is not shaped
+    /// like `x`.
+    pub fn apply_block_into<C: CommBackend>(
         &self,
         comm: &mut C,
         x: &DistMultiVector,
         ops: &dyn LocalOps,
-        scratch: &mut Vec<f64>,
+        scratch: &mut HaloScratch,
         active: usize,
-    ) -> Result<DistMultiVector> {
-        assert_eq!(
-            x.global_len(),
-            self.global_dim(),
-            "spmm: dimension mismatch"
-        );
+        y: &mut DistMultiVector,
+    ) -> Result<()> {
+        if x.distribution() != self.dist || x.local_rows() != self.n_local {
+            return Err(RuntimeError::InvalidArgument(format!(
+                "spmm: input `x` has global length {} ({} local rows) but the operator is \
+                 {} x {} ({} local rows)",
+                x.global_len(),
+                x.local_rows(),
+                self.global_dim(),
+                self.global_dim(),
+                self.n_local
+            )));
+        }
+        if y.k() != x.k() || y.local.len() != x.local.len() {
+            return Err(RuntimeError::InvalidArgument(format!(
+                "spmm: output `y` holds {} columns of {} local rows, input `x` {} of {}",
+                y.k(),
+                y.local_rows(),
+                x.k(),
+                x.local_rows()
+            )));
+        }
         let k = x.k();
         let stride = self.n_local + self.ghost_globals.len();
-        scratch.clear();
+        let HaloScratch {
+            ghosted: scratch,
+            payload,
+        } = scratch;
+        // Every entry is overwritten below (owned rows here, each ghost slot
+        // by exactly one neighbour's message), so stale contents are fine.
         scratch.resize(k * stride, 0.0);
         for c in 0..k {
             scratch[c * stride..c * stride + self.n_local].copy_from_slice(x.col(c));
@@ -576,12 +618,12 @@ impl DistCsr {
         let my_rank = comm.rank();
         for (idx, &peer) in self.neighbors.iter().enumerate() {
             let list = &self.send_lists[idx];
-            let mut payload = Vec::with_capacity(k * list.len());
+            payload.clear();
             for c in 0..k {
                 let col = x.col(c);
                 payload.extend(list.iter().map(|&i| col[i]));
             }
-            comm.send_f64(peer, GHOST_TAG + my_rank as i32, &payload)?;
+            comm.send_f64(peer, GHOST_TAG + my_rank as i32, payload)?;
         }
         for (idx, &peer) in self.neighbors.iter().enumerate() {
             let (_, data) = comm.recv_f64(peer, GHOST_TAG + peer as i32)?;
@@ -595,17 +637,11 @@ impl DistCsr {
             }
         }
         comm.charge_flops(self.flops * active);
-        let mut y_local = vec![0.0; k * self.n_local];
         match &self.sell {
-            Some(sell) => ops.spmm_sell(sell, k, scratch, &mut y_local),
-            None => ops.spmm_csr(&self.local, k, scratch, &mut y_local),
+            Some(sell) => ops.spmm_sell(sell, k, scratch, &mut y.local),
+            None => ops.spmm_csr(&self.local, k, scratch, &mut y.local),
         }
-        Ok(DistMultiVector {
-            local: y_local,
-            k,
-            dist: self.dist,
-            rank: comm.rank(),
-        })
+        Ok(())
     }
 }
 
@@ -783,7 +819,8 @@ mod tests {
                 let xb =
                     DistMultiVector::from_fn(comm, n, k, |c, i| ((i + 3 * c) as f64 * 0.29).sin());
                 let ops = resilient_linalg::scalar_ops();
-                let yb = da.apply_block_with(comm, &xb, ops, &mut Vec::new(), k)?;
+                let mut yb = DistMultiVector::zeros(comm, n, k);
+                da.apply_block_into(comm, &xb, ops, &mut HaloScratch::default(), k, &mut yb)?;
                 let mut singles = Vec::new();
                 for c in 0..k {
                     let y = da.apply_with(comm, &xb.column(c), ops, &mut Vec::new())?;
@@ -797,6 +834,39 @@ mod tests {
                     assert_eq!(bits(yb.col(c)), bits(want), "ranks={ranks} c={c}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn apply_block_rejects_mismatched_shapes_before_sending() {
+        let rt = Runtime::new(RuntimeConfig::fast());
+        let result = rt.run(2, move |comm| {
+            let a = poisson2d(5, 4);
+            let n = a.nrows();
+            let da = DistCsr::from_global(comm, &a)?;
+            let ops = resilient_linalg::scalar_ops();
+            let mut scratch = HaloScratch::default();
+            let x = DistMultiVector::zeros(comm, n, 2);
+            let sent = comm.snapshot_stats().messages_sent;
+            let wrong_x = DistMultiVector::zeros(comm, n + 3, 2);
+            let mut y = DistMultiVector::zeros(comm, n, 2);
+            let as_input = da.apply_block_into(comm, &wrong_x, ops, &mut scratch, 2, &mut y);
+            let mut wrong_y = DistMultiVector::zeros(comm, n, 3);
+            let as_output = da.apply_block_into(comm, &x, ops, &mut scratch, 2, &mut wrong_y);
+            Ok((
+                as_input,
+                as_output,
+                comm.snapshot_stats().messages_sent - sent,
+            ))
+        });
+        for (as_input, as_output, sent) in result.unwrap_all() {
+            for (what, res) in [("input `x`", as_input), ("output `y`", as_output)] {
+                match res {
+                    Err(RuntimeError::InvalidArgument(msg)) => assert!(msg.contains(what), "{msg}"),
+                    other => panic!("{what}: expected InvalidArgument, got {other:?}"),
+                }
+            }
+            assert_eq!(sent, 0, "a rejected product exchanges no ghosts");
         }
     }
 

@@ -29,6 +29,12 @@
 //! partials: the freeze decision is made from globally reduced scalars,
 //! hence rank-symmetric.
 //!
+//! **One pass per pipelined iteration.** The eight recurrence updates of a
+//! column run as one backend sweep that also leaves the column's next dot
+//! partials behind; the following step posts those carried partials instead
+//! of re-reading `r`, `u`, `w`. Every `build_state` drops them (the first
+//! step after it recomputes); frozen columns keep theirs.
+//!
 //! **Policy integration.** The same [`PolicyStack`] hooks run at the same
 //! points as in the single-RHS kernel. Hooks operate on single vectors, so
 //! the block kernel presents *guard* views of column 0 (bitwise the whole
@@ -43,14 +49,14 @@
 //! Single-event-upset injection ([`SpmvFault`](super::SpmvFault)) targets
 //! the single-vector apply path and does not fire inside blocked applies.
 
-use resilient_runtime::{CommBackend, Result};
+use resilient_runtime::{CommBackend, Result, RuntimeError};
 
 use super::policy::{
-    CheckVectors, DetectionResponse, FailureEvent, PolicyStack, RecoveryAction, SolutionProbe,
-    StackOutcome,
+    CheckDotBatch, CheckVectors, DetectionResponse, FailureEvent, IterCtx, PolicyStack,
+    RecoveryAction, SolutionProbe, StackOutcome,
 };
 use super::precond::SpacePreconditioner;
-use super::space::{DistSpace, KrylovSpace};
+use super::space::{BlockPcgSweep, DistSpace, KrylovSpace};
 use super::{KernelReport, SolveProgress};
 use crate::distributed::{DistMultiVector, DistVector};
 use crate::solvers::common::{SolveOptions, StopReason};
@@ -127,18 +133,16 @@ enum Lane {
 }
 
 /// The recurrence vectors and scalars of one block solve. Fused mode uses
-/// `r`, `z = M⁻¹r`, `p` and the per-column `rz`/`rr`; pipelined mode
-/// additionally maintains `u = M⁻¹r`, `w = A·u`, `mw = M⁻¹w`, `q = M⁻¹s`
-/// and `s` (tracking `A·p`), with `z` tracking the `A·(M⁻¹s)` chain.
+/// `r`, `z = M⁻¹r`, `p` and the per-column `rz`/`rr`; pipelined mode adds
+/// [`PipelinedState`], with `z` tracking the `A·(M⁻¹s)` chain.
 struct BlockState {
     r: DistMultiVector,
     z: DistMultiVector,
     p: DistMultiVector,
-    u: Option<DistMultiVector>,
-    w: Option<DistMultiVector>,
-    mw: Option<DistMultiVector>,
-    q: Option<DistMultiVector>,
-    s: Option<DistMultiVector>,
+    /// The SpMM product of the current step — `A·p` (fused) or `A·mw`
+    /// (pipelined) — written in place every iteration.
+    ap: DistMultiVector,
+    pipe: Option<PipelinedState>,
     /// `r·z` per column (fused mode) — drives α and β.
     rz: Vec<f64>,
     /// `r·r` per column (fused mode) — drives the convergence test.
@@ -146,8 +150,26 @@ struct BlockState {
     gamma_old: Vec<f64>,
     alpha_old: Vec<f64>,
     /// True until the first completed step after a (re-)initialization:
-    /// every column takes the β = 0 branch again after a rebuild.
+    /// every column takes the β = 0 branch again after a rebuild, and a
+    /// pipelined step has no carried dot partials yet.
     fresh: bool,
+}
+
+/// What the pipelined recurrence maintains on top of `r`, `z`, `p`:
+/// `u = M⁻¹r`, `w = A·u`, `mw = M⁻¹w`, `q = M⁻¹s` and `s` (tracking `A·p`).
+struct PipelinedState {
+    u: DistMultiVector,
+    w: DistMultiVector,
+    mw: DistMultiVector,
+    q: DistMultiVector,
+    s: DistMultiVector,
+    /// Local partials `[r·u | w·u | r·r]`, `k` each, of the *current*
+    /// `r`, `u`, `w`: the sweep that last updated a column left that
+    /// column's three slots behind, so the next step posts them without
+    /// re-reading the vectors. Recomputed from the vectors on the first
+    /// step after every `build_state` (`fresh`); a frozen column's vectors
+    /// stop changing, so its slots stay valid as they are.
+    dots: Vec<f64>,
 }
 
 /// A zero multi-vector with the shape and distribution of `proto`.
@@ -187,6 +209,29 @@ impl<'g, 'a, 'b, C: CommBackend> SolutionProbe<DistSpace<'a, 'b, C>> for BlockPr
     }
 }
 
+/// Negotiate the policy check tail of a batched reduction against the
+/// column-0 guard views: the bookkeeping for `consume_check_dots` and the
+/// pairs to reduce. The stack stays borrowed until the pairs are dropped.
+fn check_tail<'v, S: KrylovSpace<Vector = DistVector>>(
+    policies: &'v mut PolicyStack<'_, S>,
+    space: &S,
+    ctx: &IterCtx,
+    in_g: &'v DistVector,
+    out_g: &'v DistVector,
+) -> (CheckDotBatch, Vec<(&'v DistVector, &'v DistVector)>) {
+    let avail = CheckVectors {
+        spmv_input: Some(in_g),
+        spmv_product: Some(out_g),
+        basis_pair: None,
+    };
+    // lint:allow(hot-loop-alloc): O(#check pairs) list of references into the
+    // guards and the policies, so it cannot outlive the step; it stays empty
+    // (no heap) under an empty stack.
+    let mut pairs = Vec::new();
+    let batch = policies.collect_check_dots(space, ctx, &avail, &mut pairs);
+    (batch, pairs)
+}
+
 /// The driver: the space, the preconditioner, per-column bookkeeping and
 /// every reusable scratch buffer of the solve (guards, preconditioner
 /// single-vector views, reduction partials, per-column coefficient
@@ -205,17 +250,27 @@ struct BlockCg<'s, 'a, 'b, 'm, C: CommBackend> {
     /// Local-partials buffer handed to the batched reductions.
     partials: Vec<f64>,
     alphas: Vec<f64>,
-    neg_alphas: Vec<f64>,
     betas: Vec<f64>,
-    /// Preconditioner single-vector views: `rc` in, `zc` out.
+    /// Staging views for preconditioners without a slice-level apply:
+    /// `rc` in, `zc` out.
     rc: DistVector,
     zc: DistVector,
+    /// Is anybody looking at the guards? With an empty policy stack the
+    /// hooks are no-ops and the per-iteration guard copies are skipped.
+    guarded: bool,
     /// Guard views of column 0 for the policy hooks (SpMV input/product).
     in_g: DistVector,
     out_g: DistVector,
     /// Guard views of column 0 of `x` and `b` for probes and recovery.
     xg: DistVector,
     bg: DistVector,
+}
+
+/// Refresh a column-0 guard view (skipped when no policy will read it).
+fn guard(on: bool, view: &mut DistVector, col: &[f64]) {
+    if on {
+        view.local.copy_from_slice(col);
+    }
 }
 
 impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
@@ -258,17 +313,24 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         }
     }
 
-    /// `z[c] ← M⁻¹·r[c]` for every **active** column, through the
-    /// single-vector scratch views (each apply charges exactly like the
-    /// single-RHS preconditioner path; frozen columns skip theirs).
+    /// `z[c] ← M⁻¹·r[c]` for every **active** column, column slice to
+    /// column slice where the preconditioner can, through the
+    /// single-vector staging views where it cannot (each apply charges
+    /// exactly like the single-RHS preconditioner path; frozen columns skip
+    /// theirs).
     fn precond_active_into(&mut self, r: &DistMultiVector, z: &mut DistMultiVector) -> Result<()> {
         for c in 0..self.k {
             if self.lanes[c] != Lane::Active {
                 continue;
             }
-            self.rc.local.copy_from_slice(r.col(c));
-            self.m.apply_into(self.space, &self.rc, &mut self.zc)?;
-            z.col_mut(c).copy_from_slice(&self.zc.local);
+            if !self
+                .m
+                .apply_local_into(self.space, r.col(c), z.col_mut(c))?
+            {
+                self.rc.local.copy_from_slice(r.col(c));
+                self.m.apply_into(self.space, &self.rc, &mut self.zc)?;
+                z.col_mut(c).copy_from_slice(&self.zc.local);
+            }
         }
         Ok(())
     }
@@ -286,78 +348,114 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     ) -> Result<BlockState> {
         let k = self.k;
         let active = self.active_count();
-        let ax = self.space.apply_block(x, active)?;
+        let mut ap = zeroed(b);
+        self.space.apply_block_into(x, active, &mut ap)?;
         let mut r = b.clone();
         for c in 0..k {
-            self.space.axpy_col(-1.0, &ax, &mut r, c);
+            self.space.axpy_col(-1.0, &ap, &mut r, c);
         }
+        let mut state = BlockState {
+            r,
+            z: zeroed(b),
+            p: zeroed(b),
+            ap,
+            pipe: None,
+            rz: Vec::new(),
+            rr: Vec::new(),
+            gamma_old: vec![0.0; k],
+            alpha_old: vec![0.0; k],
+            fresh: true,
+        };
         match mode {
             BlockCgMode::Fused => {
-                let mut z = zeroed(b);
-                self.precond_active_into(&r, &mut z)?;
+                self.precond_active_into(&state.r, &mut state.z)?;
                 // One batched reduction for every column's r·z and r·r —
                 // the same single collective as the single-RHS init.
                 let vals = self.space.block_dots(
                     k,
-                    &[(&r, &z), (&r, &r)],
+                    &[(&state.r, &state.z), (&state.r, &state.r)],
                     &[],
                     active,
                     &mut self.partials,
                 )?;
-                let rz = vals[..k].to_vec();
-                let rr = vals[k..2 * k].to_vec();
-                let p = z.clone();
-                for (c, &rr_c) in rr.iter().enumerate() {
+                state.rz = vals[..k].to_vec();
+                state.rr = vals[k..2 * k].to_vec();
+                state.p.local.copy_from_slice(&state.z.local);
+                for c in 0..k {
                     if self.lanes[c] == Lane::Active {
-                        self.relres[c] = rr_c.sqrt() / self.bn[c];
+                        self.relres[c] = state.rr[c].sqrt() / self.bn[c];
                         self.histories[c].push(self.relres[c]);
                     }
                 }
-                st.relres = self.worst_relres();
-                Ok(BlockState {
-                    r,
-                    z,
-                    p,
-                    u: None,
-                    w: None,
-                    mw: None,
-                    q: None,
-                    s: None,
-                    rz,
-                    rr,
-                    gamma_old: vec![0.0; k],
-                    alpha_old: vec![0.0; k],
-                    fresh: true,
-                })
             }
             BlockCgMode::Pipelined => {
                 let mut u = zeroed(b);
-                self.precond_active_into(&r, &mut u)?;
-                let w = self.space.apply_block(&u, active)?;
-                let zeros = zeroed(b);
+                self.precond_active_into(&state.r, &mut u)?;
+                let mut w = zeroed(b);
+                self.space.apply_block_into(&u, active, &mut w)?;
                 for c in 0..k {
                     if self.lanes[c] == Lane::Active {
                         self.relres[c] = f64::INFINITY;
                     }
                 }
-                st.relres = self.worst_relres();
-                Ok(BlockState {
-                    r,
-                    z: zeros.clone(),
-                    p: zeros.clone(),
-                    u: Some(u),
-                    w: Some(w),
-                    mw: Some(zeros.clone()),
-                    q: Some(zeros),
-                    s: Some(zeroed(b)),
-                    rz: Vec::new(),
-                    rr: Vec::new(),
-                    gamma_old: vec![0.0; k],
-                    alpha_old: vec![0.0; k],
-                    fresh: true,
-                })
+                state.pipe = Some(PipelinedState {
+                    u,
+                    w,
+                    mw: zeroed(b),
+                    q: zeroed(b),
+                    s: zeroed(b),
+                    dots: vec![0.0; 3 * k],
+                });
             }
         }
+        st.relres = self.worst_relres();
+        Ok(state)
+    }
+
+    /// [`build_state`](Self::build_state) plus what follows every (re)start
+    /// of the recurrence: the `on_cycle_start` hook on the column-0 guard
+    /// and the shell's pre-loop convergence check, per column. Returns the
+    /// state and whether any column is still active.
+    fn start_cycle(
+        &mut self,
+        mode: BlockCgMode,
+        st: &mut SolveProgress,
+        x: &DistMultiVector,
+        b: &DistMultiVector,
+        policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
+    ) -> Result<(BlockState, bool)> {
+        let state = self.build_state(mode, st, x, b)?;
+        guard(self.guarded, &mut self.xg, x.col(0));
+        policies.on_cycle_start(self.space, &st.ctx(), &self.xg)?;
+        for c in 0..self.k {
+            if self.lanes[c] == Lane::Active && self.relres[c] <= st.tol {
+                self.freeze(c, Lane::Converged, st.iterations);
+            }
+        }
+        Ok((state, self.active_count() > 0))
+    }
+
+    /// The `on_iteration` hook at the end of a completed step, on the
+    /// column-0 guard of the iterate.
+    fn end_of_iteration(
+        &mut self,
+        st: &SolveProgress,
+        x: &DistMultiVector,
+        policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
+    ) -> Result<BlockStep> {
+        guard(self.guarded, &mut self.xg, x.col(0));
+        let mut probe = BlockProbe {
+            b: &self.bg,
+            x: &self.xg,
+            bn: self.bn[0],
+            iteration: st.iterations,
+        };
+        Ok(
+            match policies.on_iteration(self.space, &st.ctx(), &mut probe)? {
+                StackOutcome::Act(resp) => BlockStep::Detected(resp),
+                StackOutcome::Recorded | StackOutcome::Continue => BlockStep::Continue,
+            },
+        )
     }
 
     /// One fused-mode iteration: batched reduction #1 carries every
@@ -387,27 +485,22 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             return Ok(BlockStep::AllFrozen);
         }
         self.space.advance_extra_work()?;
-        self.in_g.local.copy_from_slice(state.p.col(0));
+        guard(self.guarded, &mut self.in_g, state.p.col(0));
         match policies.before_spmv(self.space, &st.ctx(), &self.in_g)? {
             StackOutcome::Act(resp) => return Ok(BlockStep::Detected(resp)),
             StackOutcome::Recorded | StackOutcome::Continue => {}
         }
-        let ap = self.space.apply_block(&state.p, active)?;
-        self.out_g.local.copy_from_slice(ap.col(0));
+        self.space
+            .apply_block_into(&state.p, active, &mut state.ap)?;
+        guard(self.guarded, &mut self.out_g, state.ap.col(0));
         // Batched reduction #1, always fused: [p·Ap per column] + the
         // policy check tail in one collective.
         let vals = {
-            let avail = CheckVectors {
-                spmv_input: Some(&self.in_g),
-                spmv_product: Some(&self.out_g),
-                basis_pair: None,
-            };
-            let mut check_pairs: Vec<(&DistVector, &DistVector)> = Vec::new();
-            let batch =
-                policies.collect_check_dots(self.space, &st.ctx(), &avail, &mut check_pairs);
+            let (batch, check_pairs) =
+                check_tail(policies, &*self.space, &st.ctx(), &self.in_g, &self.out_g);
             let vals = self.space.block_dots(
                 k,
-                &[(&state.p, &ap)],
+                &[(&state.p, &state.ap)],
                 &check_pairs,
                 active,
                 &mut self.partials,
@@ -439,21 +532,10 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             return Ok(BlockStep::AllFrozen);
         }
         let n = state.r.local_rows();
-        if active == k {
-            // No column frozen yet: one blocked pass per update.
-            for c in 0..k {
-                self.neg_alphas[c] = -self.alphas[c];
-            }
-            self.space.axpy_block(&self.alphas, &state.p, x);
-            self.space.axpy_block(&self.neg_alphas, &ap, &mut state.r);
-        } else {
-            for c in 0..k {
-                if self.lanes[c] != Lane::Active {
-                    continue;
-                }
-                self.space.axpy_col(self.alphas[c], &state.p, x, c);
-                self.space.axpy_col(-self.alphas[c], &ap, &mut state.r, c);
-            }
+        for c in (0..k).filter(|&c| self.lanes[c] == Lane::Active) {
+            self.space.axpy_col(self.alphas[c], &state.p, x, c);
+            self.space
+                .axpy_col(-self.alphas[c], &state.ap, &mut state.r, c);
         }
         self.space.charge_flops(4 * n * active);
         // Batched reduction #2: z ← M⁻¹r on the active columns, then every
@@ -466,54 +548,29 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             active,
             &mut self.partials,
         )?;
-        for c in 0..k {
-            if self.lanes[c] != Lane::Active {
-                continue;
-            }
+        for c in (0..k).filter(|&c| self.lanes[c] == Lane::Active) {
             let rz_new = vals2[c];
             self.betas[c] = rz_new / state.rz[c];
             state.rz[c] = rz_new;
             state.rr[c] = vals2[k + c];
-        }
-        if active == k {
-            self.space.xpby_block(&state.z, &self.betas, &mut state.p);
-        } else {
-            for c in 0..k {
-                if self.lanes[c] != Lane::Active {
-                    continue;
-                }
-                self.space
-                    .xpby_col(&state.z, self.betas[c], &mut state.p, c);
-            }
+            self.space
+                .xpby_col(&state.z, self.betas[c], &mut state.p, c);
         }
         self.space.charge_flops(2 * n * active);
         st.iterations += 1;
-        for c in 0..k {
-            if self.lanes[c] != Lane::Active {
-                continue;
-            }
+        for c in (0..k).filter(|&c| self.lanes[c] == Lane::Active) {
             self.relres[c] = state.rr[c].sqrt() / self.bn[c];
             self.histories[c].push(self.relres[c]);
         }
         st.relres = self.worst_relres();
-        self.xg.local.copy_from_slice(x.col(0));
-        let mut probe = BlockProbe {
-            b: &self.bg,
-            x: &self.xg,
-            bn: self.bn[0],
-            iteration: st.iterations,
-        };
-        match policies.on_iteration(self.space, &st.ctx(), &mut probe)? {
-            StackOutcome::Act(resp) => return Ok(BlockStep::Detected(resp)),
-            StackOutcome::Recorded | StackOutcome::Continue => {}
-        }
-        Ok(BlockStep::Continue)
+        self.end_of_iteration(st, x, policies)
     }
 
     /// One pipelined-mode iteration: a single nonblocking batched
     /// reduction — [γ per column, δ per column, ‖r‖² per column] + the
     /// check tail — posted before the preconditioner applies and the SpMM
-    /// it overlaps.
+    /// it overlaps. The partials it posts were left behind by the previous
+    /// iteration's sweep; each state vector is streamed once per iteration.
     fn step_pipelined(
         &mut self,
         st: &mut SolveProgress,
@@ -523,25 +580,29 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     ) -> Result<BlockStep> {
         let k = self.k;
         let active = self.active_count();
-        let (pending, batch) = {
-            let r = &state.r;
-            let u = state.u.as_ref().expect("pipelined state");
-            let w = state.w.as_ref().expect("pipelined state");
-            // The resolved input/product pair lags the overlapped SpMV by
-            // one step, exactly like the single-RHS pipelined strategy.
-            self.in_g.local.copy_from_slice(u.col(0));
-            self.out_g.local.copy_from_slice(w.col(0));
-            let avail = CheckVectors {
-                spmv_input: Some(&self.in_g),
-                spmv_product: Some(&self.out_g),
-                basis_pair: None,
-            };
-            let mut check_pairs: Vec<(&DistVector, &DistVector)> = Vec::new();
-            let batch =
-                policies.collect_check_dots(self.space, &st.ctx(), &avail, &mut check_pairs);
-            let pending = self.space.start_block_dots(
+        let pipe = state.pipe.as_mut().expect("pipelined state");
+        if state.fresh {
+            self.space.block_dot_partials(
                 k,
-                &[(r, u), (w, u), (r, r)],
+                &[
+                    (&state.r, &pipe.u),
+                    (&pipe.w, &pipe.u),
+                    (&state.r, &state.r),
+                ],
+                &mut pipe.dots,
+            );
+        }
+        // The resolved input/product pair lags the overlapped SpMV by one
+        // step, exactly like the single-RHS pipelined strategy.
+        guard(self.guarded, &mut self.in_g, pipe.u.col(0));
+        guard(self.guarded, &mut self.out_g, pipe.w.col(0));
+        let (pending, batch) = {
+            let (batch, check_pairs) =
+                check_tail(policies, &*self.space, &st.ctx(), &self.in_g, &self.out_g);
+            let pending = self.space.start_carried_block_dots(
+                k,
+                &pipe.dots,
+                state.r.local_rows(),
                 &check_pairs,
                 active,
                 &mut self.partials,
@@ -551,35 +612,22 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         // ... overlapped with the extra work, the per-active-column
         // preconditioner applies mw = M⁻¹w and the blocked SpMM.
         self.space.advance_extra_work()?;
-        {
-            let w = state.w.as_ref().expect("pipelined state");
-            let mw = state.mw.as_mut().expect("pipelined state");
-            for c in 0..self.k {
-                if self.lanes[c] != Lane::Active {
-                    continue;
-                }
-                self.rc.local.copy_from_slice(w.col(c));
-                self.m.apply_into(self.space, &self.rc, &mut self.zc)?;
-                mw.col_mut(c).copy_from_slice(&self.zc.local);
+        self.precond_active_into(&pipe.w, &mut pipe.mw)?;
+        guard(self.guarded, &mut self.in_g, pipe.mw.col(0));
+        match policies.before_spmv(self.space, &st.ctx(), &self.in_g)? {
+            StackOutcome::Act(resp) => {
+                // Complete the posted reduction before abandoning the
+                // step: every rank drains the in-flight collective.
+                self.space.finish_dots(pending)?;
+                return Ok(BlockStep::Detected(resp));
             }
+            StackOutcome::Recorded | StackOutcome::Continue => {}
         }
-        let aw = {
-            let mw = state.mw.as_ref().expect("pipelined state");
-            self.in_g.local.copy_from_slice(mw.col(0));
-            match policies.before_spmv(self.space, &st.ctx(), &self.in_g)? {
-                StackOutcome::Act(resp) => {
-                    // Complete the posted reduction before abandoning the
-                    // step: every rank drains the in-flight collective.
-                    self.space.finish_dots(pending)?;
-                    return Ok(BlockStep::Detected(resp));
-                }
-                StackOutcome::Recorded | StackOutcome::Continue => {}
-            }
-            self.space.apply_block(mw, active)?
-        };
+        self.space
+            .apply_block_into(&pipe.mw, active, &mut state.ap)?;
         let reduced = self.space.finish_dots(pending)?;
         policies.consume_check_dots(&st.ctx(), &batch, &reduced[3 * k..]);
-        self.out_g.local.copy_from_slice(aw.col(0));
+        guard(self.guarded, &mut self.out_g, state.ap.col(0));
         match policies.after_spmv(self.space, &st.ctx(), &self.in_g, &self.out_g)? {
             StackOutcome::Act(resp) => return Ok(BlockStep::Detected(resp)),
             StackOutcome::Recorded | StackOutcome::Continue => {}
@@ -630,59 +678,36 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             } else {
                 self.alphas[c] = alpha;
                 self.betas[c] = beta;
+                state.gamma_old[c] = gamma;
+                state.alpha_old[c] = alpha;
             }
         }
-        let active = self.active_count();
-        if active == 0 {
+        if self.active_count() == 0 {
             return Ok(BlockStep::AllFrozen);
         }
-        // Recurrence updates in the single-RHS order per column:
-        // z ← aw + βz, q ← mw + βq, s ← w + βs, p ← u + βp,
-        // x += αp, r −= αs, u −= αq, w −= αz.
-        {
-            let u = state.u.as_mut().expect("pipelined state");
-            let w = state.w.as_mut().expect("pipelined state");
-            let mw = state.mw.as_ref().expect("pipelined state");
-            let q = state.q.as_mut().expect("pipelined state");
-            let s = state.s.as_mut().expect("pipelined state");
-            if active == k {
-                for c in 0..k {
-                    self.neg_alphas[c] = -self.alphas[c];
-                }
-                self.space.xpby_block(&aw, &self.betas, &mut state.z);
-                self.space.xpby_block(mw, &self.betas, q);
-                self.space.xpby_block(w, &self.betas, s);
-                self.space.xpby_block(u, &self.betas, &mut state.p);
-                self.space.axpy_block(&self.alphas, &state.p, x);
-                self.space.axpy_block(&self.neg_alphas, s, &mut state.r);
-                self.space.axpy_block(&self.neg_alphas, q, u);
-                self.space.axpy_block(&self.neg_alphas, &state.z, w);
-            } else {
-                for c in 0..k {
-                    if self.lanes[c] != Lane::Active {
-                        continue;
-                    }
-                    let (a, bta) = (self.alphas[c], self.betas[c]);
-                    self.space.xpby_col(&aw, bta, &mut state.z, c);
-                    self.space.xpby_col(mw, bta, q, c);
-                    self.space.xpby_col(w, bta, s, c);
-                    self.space.xpby_col(u, bta, &mut state.p, c);
-                    self.space.axpy_col(a, &state.p, x, c);
-                    self.space.axpy_col(-a, s, &mut state.r, c);
-                    self.space.axpy_col(-a, q, u, c);
-                    self.space.axpy_col(-a, &state.z, w, c);
-                }
-            }
-        }
-        let n = state.r.local_rows();
-        self.space.charge_flops(16 * n * active);
-        for (c, &gamma) in reduced.iter().enumerate().take(k) {
-            if self.lanes[c] != Lane::Active {
-                continue;
-            }
-            state.gamma_old[c] = gamma;
-            state.alpha_old[c] = self.alphas[c];
-        }
+        // The recurrence updates of every still-active column in the
+        // single-RHS order — z ← aw + βz, q ← mw + βq, s ← w + βs,
+        // p ← u + βp, x += αp, r −= αs, u −= αq, w −= αz — one pass per
+        // column, which also leaves the next step's dot partials behind.
+        let lanes = &self.lanes;
+        self.space.pcg_sweep_block(
+            |c| lanes[c] == Lane::Active,
+            &self.alphas,
+            &self.betas,
+            BlockPcgSweep {
+                aw: &state.ap,
+                mw: &pipe.mw,
+                z: &mut state.z,
+                q: &mut pipe.q,
+                s: &mut pipe.s,
+                p: &mut state.p,
+                x,
+                r: &mut state.r,
+                u: &mut pipe.u,
+                w: &mut pipe.w,
+            },
+            &mut pipe.dots,
+        );
         state.fresh = false;
         st.iterations += 1;
         for c in 0..k {
@@ -690,18 +715,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
                 self.histories[c].push(self.relres[c]);
             }
         }
-        self.xg.local.copy_from_slice(x.col(0));
-        let mut probe = BlockProbe {
-            b: &self.bg,
-            x: &self.xg,
-            bn: self.bn[0],
-            iteration: st.iterations,
-        };
-        match policies.on_iteration(self.space, &st.ctx(), &mut probe)? {
-            StackOutcome::Act(resp) => return Ok(BlockStep::Detected(resp)),
-            StackOutcome::Recorded | StackOutcome::Continue => {}
-        }
-        Ok(BlockStep::Continue)
+        self.end_of_iteration(st, x, policies)
     }
 }
 
@@ -711,6 +725,11 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
 /// strategy; at any `k` the collective count per iteration is that of the
 /// single-RHS solve. See the [module docs](self) for the masking,
 /// symmetry and policy-guard contracts.
+///
+/// # Errors
+/// [`RuntimeError::InvalidArgument`], before any collective is posted, if
+/// `b` has no columns or is not distributed like the operator, or if `x0`
+/// differs from `b` in column count or distribution.
 pub fn run_block_cg<'a, 'b, C: CommBackend>(
     space: &mut DistSpace<'a, 'b, C>,
     b: &DistMultiVector,
@@ -721,14 +740,34 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
     policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
 ) -> Result<(BlockOutcome, KernelReport)> {
     let k = b.k();
-    assert!(k > 0, "run_block_cg: empty right-hand-side block");
+    let invalid = |what: String| Err(RuntimeError::InvalidArgument(what));
+    if k == 0 {
+        return invalid("run_block_cg: `b` has no columns".into());
+    }
+    if b.global_len() != space.global_dim() {
+        return invalid(format!(
+            "run_block_cg: `b` has global length {} but the operator has dimension {}",
+            b.global_len(),
+            space.global_dim()
+        ));
+    }
     let mut x = x0.unwrap_or_else(|| zeroed(b));
-    assert_eq!(x.k(), k, "run_block_cg: x0 and b column counts differ");
-    assert_eq!(
-        x.local_rows(),
-        b.local_rows(),
-        "run_block_cg: x0 and b distributions differ"
-    );
+    if x.k() != k {
+        return invalid(format!(
+            "run_block_cg: `x0` has {} columns but `b` has {k}",
+            x.k()
+        ));
+    }
+    if x.distribution() != b.distribution() || x.local_rows() != b.local_rows() {
+        return invalid(format!(
+            "run_block_cg: `x0` (global length {}, {} local rows) is not distributed like `b` \
+             ({}, {})",
+            x.global_len(),
+            x.local_rows(),
+            b.global_len(),
+            b.local_rows()
+        ));
+    }
     let mut drv = BlockCg {
         space,
         m,
@@ -740,10 +779,10 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
         histories: vec![Vec::new(); k],
         partials: Vec::new(),
         alphas: vec![0.0; k],
-        neg_alphas: vec![0.0; k],
         betas: vec![0.0; k],
         rc: b.column(0),
         zc: b.column(0),
+        guarded: !policies.is_empty(),
         in_g: b.column(0),
         out_g: b.column(0),
         xg: b.column(0),
@@ -762,94 +801,55 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
     let mut report = KernelReport::default();
     policies.on_solve_start(drv.space, &drv.bg)?;
 
-    let mut state = drv.build_state(mode, &mut st, &x, b)?;
-    drv.xg.local.copy_from_slice(x.col(0));
-    policies.on_cycle_start(drv.space, &st.ctx(), &drv.xg)?;
-
+    let (mut state, mut live) = drv.start_cycle(mode, &mut st, &x, b, policies)?;
     let mut reason = StopReason::MaxIterations;
-    // Fused init computed per-column residuals; freeze columns already at
-    // the tolerance (the shell's pre-loop convergence check).
-    for c in 0..k {
-        if drv.lanes[c] == Lane::Active && drv.relres[c] <= opts.tol {
-            drv.freeze(c, Lane::Converged, st.iterations);
-        }
-    }
-    if drv.active_count() == 0 {
-        reason = drv.frozen_reason();
-    } else {
-        while st.iterations < opts.max_iters {
-            let out = match mode {
-                BlockCgMode::Fused => drv.step_fused(&mut st, &mut state, &mut x, policies)?,
-                BlockCgMode::Pipelined => {
-                    drv.step_pipelined(&mut st, &mut state, &mut x, policies)?
-                }
-            };
-            match out {
-                BlockStep::Continue => {}
-                BlockStep::AllFrozen => {
-                    reason = drv.frozen_reason();
-                    break;
-                }
-                BlockStep::Diverged => {
-                    // Consult the stack before terminating; recovery
-                    // restores through the column-0 guard and rebuilds the
-                    // whole recurrence, capped like the single-RHS shell.
-                    let recover = report.failure_recoveries < opts.max_iters.max(1) && {
-                        drv.xg.local.copy_from_slice(x.col(0));
-                        let restart =
-                            policies.on_failure(&st.ctx(), FailureEvent::Divergence, &mut drv.xg)
-                                == RecoveryAction::Restart;
-                        if restart {
-                            x.col_mut(0).copy_from_slice(&drv.xg.local);
-                        }
-                        restart
-                    };
-                    if recover {
-                        report.failure_recoveries += 1;
-                        state = drv.build_state(mode, &mut st, &x, b)?;
-                        drv.xg.local.copy_from_slice(x.col(0));
-                        policies.on_cycle_start(drv.space, &st.ctx(), &drv.xg)?;
-                        for c in 0..k {
-                            if drv.lanes[c] == Lane::Active && drv.relres[c] <= opts.tol {
-                                drv.freeze(c, Lane::Converged, st.iterations);
-                            }
-                        }
-                        if drv.active_count() == 0 {
-                            reason = drv.frozen_reason();
-                            break;
-                        }
-                        continue;
+    while live && st.iterations < opts.max_iters {
+        let out = match mode {
+            BlockCgMode::Fused => drv.step_fused(&mut st, &mut state, &mut x, policies)?,
+            BlockCgMode::Pipelined => drv.step_pipelined(&mut st, &mut state, &mut x, policies)?,
+        };
+        match out {
+            BlockStep::Continue => {}
+            BlockStep::AllFrozen => live = false,
+            BlockStep::Diverged => {
+                // Consult the stack before terminating; recovery
+                // restores through the column-0 guard and rebuilds the
+                // whole recurrence, capped like the single-RHS shell.
+                let recover = report.failure_recoveries < opts.max_iters.max(1) && {
+                    guard(drv.guarded, &mut drv.xg, x.col(0));
+                    let restart =
+                        policies.on_failure(&st.ctx(), FailureEvent::Divergence, &mut drv.xg)
+                            == RecoveryAction::Restart;
+                    if restart {
+                        x.col_mut(0).copy_from_slice(&drv.xg.local);
                     }
+                    restart
+                };
+                if !recover {
                     reason = StopReason::Diverged;
                     break;
                 }
-                BlockStep::Detected(DetectionResponse::Restart) => {
-                    report.policy_restarts += 1;
-                    if report.policy_restarts > opts.max_iters.max(1) {
-                        // Persistent corruption rebuilding forever without
-                        // consuming iterations is terminal (the backstop).
-                        reason = StopReason::CorruptionDetected;
-                        break;
-                    }
-                    state = drv.build_state(mode, &mut st, &x, b)?;
-                    drv.xg.local.copy_from_slice(x.col(0));
-                    policies.on_cycle_start(drv.space, &st.ctx(), &drv.xg)?;
-                    for c in 0..k {
-                        if drv.lanes[c] == Lane::Active && drv.relres[c] <= opts.tol {
-                            drv.freeze(c, Lane::Converged, st.iterations);
-                        }
-                    }
-                    if drv.active_count() == 0 {
-                        reason = drv.frozen_reason();
-                        break;
-                    }
-                }
-                BlockStep::Detected(_) => {
+                report.failure_recoveries += 1;
+                (state, live) = drv.start_cycle(mode, &mut st, &x, b, policies)?;
+            }
+            BlockStep::Detected(DetectionResponse::Restart) => {
+                report.policy_restarts += 1;
+                if report.policy_restarts > opts.max_iters.max(1) {
+                    // Persistent corruption rebuilding forever without
+                    // consuming iterations is terminal (the backstop).
                     reason = StopReason::CorruptionDetected;
                     break;
                 }
+                (state, live) = drv.start_cycle(mode, &mut st, &x, b, policies)?;
+            }
+            BlockStep::Detected(_) => {
+                reason = StopReason::CorruptionDetected;
+                break;
             }
         }
+    }
+    if !live {
+        reason = drv.frozen_reason();
     }
 
     report.policy_overhead = policies.overhead_report();

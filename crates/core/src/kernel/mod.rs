@@ -78,7 +78,9 @@ pub use policy::{
 };
 pub use precond::{BlockJacobi, IdentityPrecond, RightPrecond, SerialPrecond, SpacePreconditioner};
 pub use skeptic::SkepticalPolicy;
-pub use space::{DistSpace, KrylovSpace, PendingDots, SerialSpace, SpmvFault, ThreadSpace};
+pub use space::{
+    BlockPcgSweep, DistSpace, KrylovSpace, PendingDots, SerialSpace, SpmvFault, ThreadSpace,
+};
 
 use crate::solvers::common::{SolveOutcome, StopReason};
 use policy::IterCtx as Ctx;

@@ -95,6 +95,17 @@ pub trait SpacePreconditioner<S: KrylovSpace> {
     /// `space.zeros_like` and reuse it every iteration).
     fn apply_into(&mut self, space: &mut S, r: &S::Vector, z: &mut S::Vector) -> Result<()>;
 
+    /// [`apply_into`](SpacePreconditioner::apply_into) on bare locally
+    /// owned entries — what lets a block kernel apply `M⁻¹` column slice to
+    /// column slice of its multi-vectors, with the same charge and the same
+    /// result bits. Returns `Ok(false)`, having touched and charged nothing,
+    /// when the preconditioner only works on whole space vectors (the
+    /// default); the caller then stages the slices through
+    /// `apply_into`.
+    fn apply_local_into(&mut self, _space: &mut S, _r: &[f64], _z: &mut [f64]) -> Result<bool> {
+        Ok(false)
+    }
+
     /// FLOPs of one apply (0 for the identity; what `apply_into` charges).
     fn flops_per_apply(&self) -> usize {
         0
@@ -119,6 +130,11 @@ impl<S: KrylovSpace> SpacePreconditioner<S> for IdentityPrecond {
     fn apply_into(&mut self, _space: &mut S, r: &S::Vector, z: &mut S::Vector) -> Result<()> {
         z.clone_from(r);
         Ok(())
+    }
+
+    fn apply_local_into(&mut self, _space: &mut S, r: &[f64], z: &mut [f64]) -> Result<bool> {
+        z.copy_from_slice(r);
+        Ok(true)
     }
 }
 
@@ -235,10 +251,20 @@ impl<'a, 'b, C: resilient_runtime::CommBackend> SpacePreconditioner<DistSpace<'a
         r: &DistVector,
         z: &mut DistVector,
     ) -> Result<()> {
+        self.apply_local_into(space, &r.local, &mut z.local)
+            .map(|_| ())
+    }
+
+    fn apply_local_into(
+        &mut self,
+        space: &mut DistSpace<'a, 'b, C>,
+        r: &[f64],
+        z: &mut [f64],
+    ) -> Result<bool> {
         // `solve_with` accepts longer vectors, so a preconditioner factored
         // for a different distribution (wrong matrix, rebuilt communicator)
         // would otherwise silently solve a prefix and leave the tail.
-        for (what, len) in [("input", r.local_len()), ("output", z.local_len())] {
+        for (what, len) in [("input", r.len()), ("output", z.len())] {
             if len != self.lu.dim() {
                 return Err(RuntimeError::InvalidArgument(format!(
                     "block-Jacobi factored for {} local rows applied to an {what} vector of {len}",
@@ -249,13 +275,13 @@ impl<'a, 'b, C: resilient_runtime::CommBackend> SpacePreconditioner<DistSpace<'a
         // Through the space's device-op backend (bit-identical to
         // `solve_into`; pinned by the linalg parity proptests), so the
         // whole preconditioned hot path runs on one backend choice.
-        self.lu.solve_with(space.ops(), &r.local, &mut z.local);
+        self.lu.solve_with(space.ops(), r, z);
         space.charge_flops(self.lu.flops_per_solve() + std::mem::take(&mut self.setup_flops));
         // Campaign strike point: the freshly computed output is the
         // upset surface for precond-apply fault families (a no-op counter
         // when no plan is installed).
         space.strike_precond_output(z);
-        Ok(())
+        Ok(true)
     }
 
     fn flops_per_apply(&self) -> usize {

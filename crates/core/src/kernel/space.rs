@@ -17,10 +17,10 @@
 //!   product (the unified replacement for ad-hoc fault wrappers in
 //!   distributed experiments).
 
-use resilient_linalg::ops::{auto_ops, LocalOps};
+use resilient_linalg::ops::{auto_ops, LocalOps, PcgSweep};
 use resilient_runtime::{Comm, CommBackend, ReduceOp, Result, Stored, ThreadComm};
 
-use crate::distributed::{DistCsr, DistVector};
+use crate::distributed::{DistCsr, DistMultiVector, DistVector, HaloScratch};
 use crate::solvers::common::Operator;
 
 use resilient_faults::bitflip::flip_bit_f64;
@@ -372,9 +372,35 @@ pub struct DistSpace<'a, 'b, C: CommBackend = Comm> {
     /// `precond_plan` strikes).
     precond_applications: u64,
     ops: &'static dyn LocalOps,
-    /// Reused ghost-assembly buffer: the SpMV input (owned + ghost
+    /// Reused ghost-exchange buffers: the SpMV/SpMM input (owned + ghost
     /// entries) is assembled here instead of allocating per application.
-    spmv_scratch: Vec<f64>,
+    halo: HaloScratch,
+}
+
+/// The operands of one [`DistSpace::pcg_sweep_block`]: the two
+/// read-only products of the overlap region and the eight state
+/// multi-vectors updated in place (see [`PcgSweep`] for the roles).
+pub struct BlockPcgSweep<'v> {
+    /// `A·mw`, this iteration's SpMM product.
+    pub aw: &'v DistMultiVector,
+    /// `mw = M⁻¹w`, this iteration's preconditioner applies.
+    pub mw: &'v DistMultiVector,
+    /// Tracks `A·q`.
+    pub z: &'v mut DistMultiVector,
+    /// `q = M⁻¹s`.
+    pub q: &'v mut DistMultiVector,
+    /// Tracks `A·p`.
+    pub s: &'v mut DistMultiVector,
+    /// Search directions.
+    pub p: &'v mut DistMultiVector,
+    /// Block iterate.
+    pub x: &'v mut DistMultiVector,
+    /// Residuals.
+    pub r: &'v mut DistMultiVector,
+    /// `u = M⁻¹r`.
+    pub u: &'v mut DistMultiVector,
+    /// `w = A·u`.
+    pub w: &'v mut DistMultiVector,
 }
 
 /// [`DistSpace`] over the real-threads backend: same kernels, wall-clock
@@ -397,7 +423,7 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
             precond_plan: None,
             precond_applications: 0,
             ops: auto_ops(),
-            spmv_scratch: Vec::new(),
+            halo: HaloScratch::default(),
         }
     }
 
@@ -454,16 +480,12 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     /// `BlockJacobi::apply_into`) routes its freshly computed local output
     /// through here, which counts the application and fires any due
     /// campaign strikes into it. Without a plan this only counts.
-    pub fn strike_precond_output(&mut self, z: &mut DistVector) {
+    pub fn strike_precond_output(&mut self, z: &mut [f64]) {
         let at = self.precond_applications;
         self.precond_applications += 1;
         if let Some(plan) = self.precond_plan.as_mut() {
-            self.injections += plan.strike_slice(
-                self.comm.world_rank(),
-                self.comm.incarnation(),
-                at,
-                &mut z.local,
-            );
+            self.injections +=
+                plan.strike_slice(self.comm.world_rank(), self.comm.incarnation(), at, z);
         }
     }
 
@@ -508,16 +530,23 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     // converged columns keep their slots in every payload (collective
     // symmetry) but stop being charged.
 
-    /// Batched operator application `Y = A·X`: one ghost exchange per
+    /// Global dimension of the bound operator.
+    pub fn global_dim(&self) -> usize {
+        self.a.global_dim()
+    }
+
+    /// Batched operator application `y = A·x`: one ghost exchange per
     /// neighbour and one matrix sweep feed all `k` columns; charges
-    /// `flops_per_apply × active`.
-    pub fn apply_block(
+    /// `flops_per_apply × active`. `y` is the caller's (reused) output —
+    /// nothing is allocated per application.
+    pub fn apply_block_into(
         &mut self,
-        x: &crate::distributed::DistMultiVector,
+        x: &DistMultiVector,
         active: usize,
-    ) -> Result<crate::distributed::DistMultiVector> {
+        y: &mut DistMultiVector,
+    ) -> Result<()> {
         self.a
-            .apply_block_with(self.comm, x, self.ops, &mut self.spmv_scratch, active)
+            .apply_block_into(self.comm, x, self.ops, &mut self.halo, active, y)
     }
 
     /// Batched blocking reduction: per multivector pair, all `k` per-column
@@ -525,127 +554,134 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     /// same collective), in **one** allreduce. Charges `2n·active` per
     /// multivector pair and attributes `2n` per check pair to the check
     /// ledger. `partials` is the caller's reusable local-partials buffer.
-    pub fn block_dots(
+    pub fn block_dots<const N: usize>(
         &mut self,
         k: usize,
-        blocks: &[(
-            &crate::distributed::DistMultiVector,
-            &crate::distributed::DistMultiVector,
-        )],
+        blocks: &[(&DistMultiVector, &DistMultiVector); N],
         checks: &[(&DistVector, &DistVector)],
         active: usize,
         partials: &mut Vec<f64>,
     ) -> Result<Vec<f64>> {
-        self.block_partials(k, blocks, checks, active, partials);
+        partials.clear();
+        partials.resize(k * N, 0.0);
+        self.block_dot_partials(k, blocks, partials);
+        let n = blocks.first().map_or(0, |(x, _)| x.local_rows());
+        self.append_check_partials(n, active * N, checks, partials);
         self.comm.allreduce(ReduceOp::Sum, partials)
     }
 
-    /// The nonblocking form of [`DistSpace::block_dots`]: posts the fused
-    /// reduction so a subsequent [`DistSpace::apply_block`] overlaps it (the
-    /// pipelined block kernel's primitive); complete it with
-    /// [`KrylovSpace::finish_dots`].
-    pub fn start_block_dots(
+    /// The nonblocking batched reduction of the pipelined block kernel,
+    /// posted from **carried** local partials: `carried` holds the
+    /// `carried.len() / k` per-column partial groups a previous
+    /// [`DistSpace::pcg_sweep_block`] (or
+    /// [`DistSpace::block_dot_partials`]) already computed over columns of
+    /// `n` local rows, so posting re-reads no state vector. Charged exactly
+    /// like [`DistSpace::block_dots`] over the same pairs — `2n·active` per
+    /// group, checks at full width — so virtual time does not depend on
+    /// where the partials were computed. A subsequent
+    /// [`DistSpace::apply_block_into`] overlaps the reduction; complete it
+    /// with [`KrylovSpace::finish_dots`].
+    pub fn start_carried_block_dots(
         &mut self,
         k: usize,
-        blocks: &[(
-            &crate::distributed::DistMultiVector,
-            &crate::distributed::DistMultiVector,
-        )],
+        carried: &[f64],
+        n: usize,
         checks: &[(&DistVector, &DistVector)],
         active: usize,
         partials: &mut Vec<f64>,
     ) -> Result<PendingDots<C::Pending>> {
-        self.block_partials(k, blocks, checks, active, partials);
+        partials.clear();
+        partials.extend_from_slice(carried);
+        self.append_check_partials(n, active * (carried.len() / k), checks, partials);
         Ok(PendingDots::InFlight(
             self.comm.iallreduce(ReduceOp::Sum, partials)?,
         ))
     }
 
-    /// Shared local-partials assembly + cost accounting of the two batched
-    /// reductions above.
-    fn block_partials(
-        &mut self,
+    /// Local halves of a batched reduction, uncharged (the reduction that
+    /// posts them charges): `out[t·k + c] = blocks[t].0[c] · blocks[t].1[c]`.
+    /// All pairs go to the backend in one `dot_blocks` call, so an operand
+    /// shared between pairs is read once per column.
+    pub fn block_dot_partials<const N: usize>(
+        &self,
         k: usize,
-        blocks: &[(
-            &crate::distributed::DistMultiVector,
-            &crate::distributed::DistMultiVector,
-        )],
+        blocks: &[(&DistMultiVector, &DistMultiVector); N],
+        out: &mut [f64],
+    ) {
+        let pairs = blocks.map(|(x, y)| (x.local.as_slice(), y.local.as_slice()));
+        self.ops.dot_blocks(k, &pairs, out);
+    }
+
+    /// Append the policy check dots to `partials` and account for the whole
+    /// reduction, mirroring `fused_pairs`: every reduced pair's arithmetic
+    /// is charged (`solver_pairs` counts the solver pairs at the masked
+    /// `active` width, checks at full width), and the check tail is
+    /// *additionally* attributed to the check ledger.
+    fn append_check_partials(
+        &mut self,
+        mut n: usize,
+        solver_pairs: usize,
         checks: &[(&DistVector, &DistVector)],
-        active: usize,
         partials: &mut Vec<f64>,
     ) {
-        partials.clear();
-        partials.resize(k * blocks.len() + checks.len(), 0.0);
-        let mut n = 0;
-        for (t, (x, y)) in blocks.iter().enumerate() {
-            n = x.local_rows();
-            self.ops.dot_blocks(
-                k,
-                &[(x.local.as_slice(), y.local.as_slice())],
-                &mut partials[t * k..(t + 1) * k],
-            );
-        }
-        let base = k * blocks.len();
-        for (t, (x, y)) in checks.iter().enumerate() {
+        for (x, y) in checks {
             let mut one = [0.0];
             self.ops
                 .dot_pairs(&[(x.local.as_slice(), y.local.as_slice())], &mut one);
-            partials[base + t] = one[0];
+            partials.push(one[0]);
             n = x.local_len();
         }
-        // Mirror `fused_pairs`: every reduced pair's arithmetic is charged
-        // (solver pairs at the masked `active` width, checks at full
-        // width), and the check tail is *additionally* attributed to the
-        // check ledger.
         self.comm
-            .charge_flops(2 * n * (active * blocks.len() + checks.len()));
+            .charge_flops(2 * n * (solver_pairs + checks.len()));
         self.comm.record_check_flops(2 * n * checks.len());
     }
 
-    /// Blocked direction update `y[c] ← y[c] + alphas[c]·x[c]` for every
-    /// column at once (local, not charged — the kernel charges per active
-    /// column, like the single-RHS presets).
-    pub fn axpy_block(
+    /// One pipelined block-PCG sweep: for every column `c` with `live(c)`,
+    /// the eight recurrence updates of the single-RHS step with that
+    /// column's `alphas[c]`/`betas[c]`, in one backend pass
+    /// ([`LocalOps::pipelined_pcg_sweep`]), whose dot partials
+    /// `[r·u, w·u, r·r]` land in `dots[c]`, `dots[k + c]`, `dots[2k + c]` —
+    /// the layout [`DistSpace::start_carried_block_dots`] posts. Columns
+    /// that are not live are untouched, vectors and slots alike. Charges
+    /// the sixteen flops per row of every swept column in one piece.
+    pub fn pcg_sweep_block(
         &mut self,
+        live: impl Fn(usize) -> bool,
         alphas: &[f64],
-        x: &crate::distributed::DistMultiVector,
-        y: &mut crate::distributed::DistMultiVector,
-    ) {
-        self.ops.axpy_blocks(alphas, &x.local, &mut y.local);
-    }
-
-    /// Blocked CG direction update `y[c] ← x[c] + betas[c]·y[c]` (local,
-    /// not charged).
-    pub fn xpby_block(
-        &mut self,
-        x: &crate::distributed::DistMultiVector,
         betas: &[f64],
-        y: &mut crate::distributed::DistMultiVector,
+        v: BlockPcgSweep<'_>,
+        dots: &mut [f64],
     ) {
-        self.ops.xpby_blocks(&x.local, betas, &mut y.local);
+        let k = alphas.len();
+        let mut swept = 0;
+        for c in (0..k).filter(|&c| live(c)) {
+            let col = PcgSweep {
+                z: v.z.col_mut(c),
+                q: v.q.col_mut(c),
+                s: v.s.col_mut(c),
+                p: v.p.col_mut(c),
+                x: v.x.col_mut(c),
+                r: v.r.col_mut(c),
+                u: v.u.col_mut(c),
+                w: v.w.col_mut(c),
+            };
+            let d =
+                self.ops
+                    .pipelined_pcg_sweep(alphas[c], betas[c], v.aw.col(c), v.mw.col(c), col);
+            (dots[c], dots[k + c], dots[2 * k + c]) = (d[0], d[1], d[2]);
+            swept += 1;
+        }
+        self.comm.charge_flops(16 * v.aw.local_rows() * swept);
     }
 
-    /// Single-column `y[c] ← y[c] + alpha·x[c]` — the masked path once some
-    /// columns have converged and must stop changing (local, not charged).
-    pub fn axpy_col(
-        &mut self,
-        alpha: f64,
-        x: &crate::distributed::DistMultiVector,
-        y: &mut crate::distributed::DistMultiVector,
-        c: usize,
-    ) {
+    /// Single-column `y[c] ← y[c] + alpha·x[c]` (local, not charged — the
+    /// kernel charges per active column, like the single-RHS presets).
+    pub fn axpy_col(&mut self, alpha: f64, x: &DistMultiVector, y: &mut DistMultiVector, c: usize) {
         self.ops.axpy(alpha, x.col(c), y.col_mut(c));
     }
 
-    /// Single-column `y[c] ← x[c] + beta·y[c]` (masked path; local, not
-    /// charged).
-    pub fn xpby_col(
-        &mut self,
-        x: &crate::distributed::DistMultiVector,
-        beta: f64,
-        y: &mut crate::distributed::DistMultiVector,
-        c: usize,
-    ) {
+    /// Single-column `y[c] ← x[c] + beta·y[c]` (local, not charged).
+    pub fn xpby_col(&mut self, x: &DistMultiVector, beta: f64, y: &mut DistMultiVector, c: usize) {
         self.ops.xpby(x.col(c), beta, y.col_mut(c));
     }
 }
@@ -661,7 +697,7 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
     fn apply(&mut self, x: &Self::Vector) -> Result<Self::Vector> {
         let mut y = self
             .a
-            .apply_with(self.comm, x, self.ops, &mut self.spmv_scratch)?;
+            .apply_with(self.comm, x, self.ops, &mut self.halo.ghosted)?;
         let app = self.applications;
         self.applications += 1;
         if let Some(f) = self.fault {

@@ -20,9 +20,10 @@
 //!    bit-identically to a freshly factored one, and the warm solve is
 //!    strictly cheaper in virtual time (the LU setup flops are skipped).
 
+use resilience::kernel::{run_cg, IterCtx, PipelinedCgStep, PolicyAction, SolutionProbe};
 use resilience::prelude::*;
 use resilient_linalg::poisson2d;
-use resilient_runtime::{Runtime, RuntimeConfig};
+use resilient_runtime::{Result, Runtime, RuntimeConfig};
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -343,5 +344,355 @@ fn cached_setup_solves_bit_identically_and_skips_the_factorization_cost() {
             warm_time < cold_time,
             "cache hit must skip setup cost: cold={cold_time}, warm={warm_time}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 5. Carried dot partials: dropped on rebuild, kept per frozen column
+// ---------------------------------------------------------------------------
+
+/// A policy that answers `Restart` from `on_iteration` exactly once, at
+/// iteration `at` — mid-solve, with nothing wrong: the kernel has to
+/// rebuild its recurrence from the current iterate and carry on.
+struct RestartOnce {
+    at: usize,
+    fired: bool,
+}
+
+impl<S: KrylovSpace> ResiliencePolicy<S> for RestartOnce {
+    fn name(&self) -> &'static str {
+        "restart-once"
+    }
+
+    fn on_iteration(
+        &mut self,
+        _space: &mut S,
+        ctx: &IterCtx,
+        _probe: &mut dyn SolutionProbe<S>,
+    ) -> Result<PolicyAction> {
+        if !self.fired && ctx.iteration == self.at {
+            self.fired = true;
+            return Ok(PolicyAction::Detected);
+        }
+        Ok(PolicyAction::Continue)
+    }
+
+    fn overhead(&self) -> PolicyOverhead {
+        PolicyOverhead::default()
+    }
+}
+
+/// The pipelined block kernel posts dot partials its previous sweep left
+/// behind. A policy restart rebuilds `r`, `u`, `w` from the iterate, so the
+/// carried partials describe vectors that no longer exist: the first step
+/// after the rebuild must recompute them. Pinned against the single-RHS
+/// kernel, which recomputes every step, under the same policy.
+#[test]
+fn policy_restart_mid_solve_keeps_k1_bitwise_identical_to_pipelined_pcg() {
+    for ranks in [2, 4] {
+        let rt = Runtime::new(RuntimeConfig::fast());
+        let results = rt.run(ranks, move |comm| {
+            let a = poisson2d(10, 10);
+            let n = a.nrows();
+            let da = DistCsr::from_global(comm, &a)?;
+            let b1 = DistVector::from_fn(comm, n, |i| rhs(0, i));
+            let bk = DistMultiVector::from_columns(std::slice::from_ref(&b1));
+            let opts = SolveOptions::default().with_tol(1e-9).with_max_iters(300);
+
+            let mut m = BlockJacobi::new(&da);
+            let mut policy = RestartOnce {
+                at: 7,
+                fired: false,
+            };
+            let before = comm.snapshot_stats().collectives;
+            let (single, single_report) = {
+                let mut space = DistSpace::new(comm, &da);
+                let mut stack = PolicyStack::empty();
+                stack.push(&mut policy);
+                run_cg(
+                    &mut space,
+                    &b1,
+                    None,
+                    &opts,
+                    &mut PipelinedCgStep::preconditioned(&mut m),
+                    &mut stack,
+                )?
+            };
+            let single_coll = comm.snapshot_stats().collectives - before;
+
+            let mut m = BlockJacobi::new(&da);
+            let mut policy = RestartOnce {
+                at: 7,
+                fired: false,
+            };
+            let before = comm.snapshot_stats().collectives;
+            let (block, block_report) = {
+                let mut space = DistSpace::new(comm, &da);
+                let mut stack = PolicyStack::empty();
+                stack.push(&mut policy);
+                run_block_cg(
+                    &mut space,
+                    &bk,
+                    None,
+                    &opts,
+                    BlockCgMode::Pipelined,
+                    &mut m,
+                    &mut stack,
+                )?
+            };
+            let block_coll = comm.snapshot_stats().collectives - before;
+
+            assert_eq!(single_report.policy_restarts, 1, "the policy must fire");
+            assert_eq!(block_report.policy_restarts, 1, "the policy must fire");
+            assert_eq!(single.reason, StopReason::Converged);
+            assert_eq!(block.reason, StopReason::Converged);
+            assert!(single.iterations > 7, "the restart must land mid-solve");
+            Ok((
+                single.x.gather_global(comm)?,
+                block.x.column(0).gather_global(comm)?,
+                single.history,
+                block.histories[0].clone(),
+                (single.iterations, single_coll),
+                (block.iterations, block_coll),
+            ))
+        });
+        for (sx, bx, sh, bh, s_counts, b_counts) in results.unwrap_all() {
+            assert_eq!(bits(&sx), bits(&bx), "x bits diverged at {ranks} ranks");
+            assert_eq!(bits(&sh), bits(&bh), "histories diverged at {ranks} ranks");
+            assert_eq!(
+                s_counts, b_counts,
+                "iteration / collective counts diverged at {ranks} ranks"
+            );
+        }
+    }
+}
+
+/// Right-hand sides of very different difficulty, so the columns of one
+/// batch freeze many iterations apart.
+fn staggered_rhs(c: usize, i: usize) -> f64 {
+    match c {
+        0 => 1.0,
+        1 => ((i * 7) as f64 * 0.61).sin(),
+        2 => {
+            if i == 40 {
+                1.0
+            } else {
+                0.0
+            }
+        }
+        _ => {
+            if i < 27 {
+                1.0e3
+            } else {
+                0.0
+            }
+        }
+    }
+}
+
+/// A block-Jacobi k = 4 solve whose columns freeze at different iterations
+/// — so every later step sweeps some columns and posts the *kept* partials
+/// of the others — still runs every column as its own sequential solve,
+/// bit for bit, and at exactly the virtual time the kernel took before it
+/// carried partials and fused its updates (constants read off the parent
+/// commit: the model charges what the algorithm does, not how the backend
+/// streams it).
+#[test]
+fn staggered_freezes_keep_columns_sequential_and_virtual_time_unchanged() {
+    const K: usize = 4;
+    // Virtual seconds of the block solve on ranks 0, 1, 2, as f64 bits.
+    const PARENT_ELAPSED: [(bool, [u64; 3]); 2] = [
+        (
+            false,
+            [
+                0x3f19_6339_9c6a_14ae,
+                0x3f19_6339_9c6a_14ae,
+                0x3f19_6339_9c6a_14ae,
+            ],
+        ),
+        (
+            true,
+            [
+                0x3f1e_cb24_df90_fd41,
+                0x3f1e_cc5a_1c67_4ffc,
+                0x3f1e_cb24_df90_fd41,
+            ],
+        ),
+    ];
+    for (pipelined, want_elapsed) in PARENT_ELAPSED {
+        let mut cfg = RuntimeConfig::fast();
+        cfg.seconds_per_flop = 1.0e-9;
+        let rt = Runtime::new(cfg);
+        let results = rt.run(3, move |comm| {
+            let a = poisson2d(9, 9);
+            let n = a.nrows();
+            let da = DistCsr::from_global(comm, &a)?;
+            let bk = DistMultiVector::from_fn(comm, n, K, staggered_rhs);
+            let opts = DistSolveOptions::default()
+                .with_tol(1e-8)
+                .with_max_iters(300);
+
+            let mut m = BlockJacobi::new(&da);
+            let t0 = comm.now();
+            let block = if pipelined {
+                pipelined_block_pcg(comm, &da, &bk, &mut m, &opts)?
+            } else {
+                dist_block_pcg(comm, &da, &bk, &mut m, &opts)?
+            };
+            let elapsed = comm.now() - t0;
+            assert!(block.all_converged(), "block solve must converge");
+            let mut freezes = block.column_iterations.clone();
+            freezes.sort_unstable();
+            freezes.dedup();
+            assert_eq!(freezes.len(), K, "columns must freeze at distinct steps");
+
+            let mut cols = Vec::new();
+            for (c, out) in block.into_columns().into_iter().enumerate() {
+                let bc = DistVector::from_fn(comm, n, |i| staggered_rhs(c, i));
+                let mut m = BlockJacobi::new(&da);
+                let solo = if pipelined {
+                    pipelined_pcg(comm, &da, &bc, &mut m, &opts)?
+                } else {
+                    dist_pcg(comm, &da, &bc, &mut m, &opts)?
+                };
+                cols.push((
+                    out.x.gather_global(comm)?,
+                    solo.x.gather_global(comm)?,
+                    out.history,
+                    solo.history,
+                ));
+            }
+            Ok((elapsed, cols))
+        });
+        for (rank, (elapsed, cols)) in results.unwrap_all().into_iter().enumerate() {
+            for (c, (bx, sx, bh, sh)) in cols.into_iter().enumerate() {
+                assert_eq!(bits(&bx), bits(&sx), "column {c} x bits diverged");
+                assert_eq!(bits(&bh), bits(&sh), "column {c} history diverged");
+            }
+            assert_eq!(
+                elapsed.to_bits(),
+                want_elapsed[rank],
+                "virtual time moved on rank {rank} (pipelined = {pipelined}): {elapsed:e} = {:#x}",
+                elapsed.to_bits()
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 6. Caller mistakes are typed errors, raised before any collective
+// ---------------------------------------------------------------------------
+
+#[test]
+fn malformed_block_solve_input_is_an_invalid_argument_not_a_panic() {
+    let rt = Runtime::new(RuntimeConfig::fast());
+    let results = rt.run(2, move |comm| {
+        let a = poisson2d(6, 6);
+        let n = a.nrows();
+        let da = DistCsr::from_global(comm, &a)?;
+        let b = DistMultiVector::from_fn(comm, n, 2, rhs);
+        let cases = [
+            (
+                "`b` has no columns",
+                DistMultiVector::zeros(comm, n, 0),
+                None,
+            ),
+            (
+                "`b` has global length",
+                DistMultiVector::from_fn(comm, n + 4, 2, rhs),
+                None,
+            ),
+            (
+                "`x0` has 3 columns",
+                b.clone(),
+                Some(DistMultiVector::zeros(comm, n, 3)),
+            ),
+            (
+                "`x0` (global length",
+                b.clone(),
+                Some(DistMultiVector::zeros(comm, n + 4, 2)),
+            ),
+        ];
+        let before = comm.snapshot_stats().collectives;
+        let mut errors = Vec::new();
+        for (needle, b, x0) in cases {
+            let mut space = DistSpace::new(comm, &da);
+            let out = run_block_cg(
+                &mut space,
+                &b,
+                x0,
+                &SolveOptions::default(),
+                BlockCgMode::Pipelined,
+                &mut IdentityPrecond,
+                &mut PolicyStack::empty(),
+            );
+            errors.push((needle, out.map(|_| ())));
+        }
+        Ok((errors, comm.snapshot_stats().collectives - before))
+    });
+    for (errors, collectives) in results.unwrap_all() {
+        for (needle, res) in errors {
+            match res {
+                Err(resilient_runtime::RuntimeError::InvalidArgument(msg)) => {
+                    assert!(msg.contains(needle), "{needle}: {msg}")
+                }
+                other => panic!("{needle}: expected InvalidArgument, got {other:?}"),
+            }
+        }
+        assert_eq!(collectives, 0, "rejected before any collective is posted");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 7. Preconditioners without a slice-level apply are staged, same bits
+// ---------------------------------------------------------------------------
+
+/// Block-Jacobi behind a wrapper that only offers the whole-vector
+/// `apply_into` (what a tracing or third-party preconditioner looks like).
+struct VectorOnly(BlockJacobi);
+
+impl<'a, 'b> SpacePreconditioner<DistSpace<'a, 'b>> for VectorOnly {
+    fn apply_into(
+        &mut self,
+        space: &mut DistSpace<'a, 'b>,
+        r: &DistVector,
+        z: &mut DistVector,
+    ) -> Result<()> {
+        self.0.apply_into(space, r, z)
+    }
+}
+
+#[test]
+fn vector_only_preconditioner_is_staged_bit_identically() {
+    // One job per variant, so both virtual clocks start at zero.
+    let solve = |staged: bool| {
+        let mut cfg = RuntimeConfig::fast();
+        cfg.seconds_per_flop = 1.0e-9;
+        Runtime::new(cfg)
+            .run(3, move |comm| {
+                let a = poisson2d(9, 9);
+                let n = a.nrows();
+                let da = DistCsr::from_global(comm, &a)?;
+                let bk = DistMultiVector::from_fn(comm, n, 3, rhs);
+                let opts = DistSolveOptions::default()
+                    .with_tol(1e-8)
+                    .with_max_iters(300);
+                let bj = BlockJacobi::new(&da);
+                let out = if staged {
+                    pipelined_block_pcg(comm, &da, &bk, &mut VectorOnly(bj), &opts)?
+                } else {
+                    pipelined_block_pcg(comm, &da, &bk, &mut { bj }, &opts)?
+                };
+                assert!(out.all_converged());
+                Ok((bits(&out.x.local), out.histories, comm.now().to_bits()))
+            })
+            .unwrap_all()
+    };
+    for ((dx, dh, d_time), (sx, sh, s_time)) in solve(false).into_iter().zip(solve(true)) {
+        assert_eq!(dx, sx, "iterates diverged");
+        for (d, s) in dh.iter().zip(&sh) {
+            assert_eq!(bits(d), bits(s), "histories diverged");
+        }
+        assert_eq!(d_time, s_time, "staging must charge exactly the same");
     }
 }

@@ -43,6 +43,53 @@ use crate::sell::{SellMatrix, SELL_C};
 use crate::sparse::CsrMatrix;
 use crate::vector;
 
+/// The eight vectors one [`LocalOps::pipelined_pcg_sweep`] updates in
+/// place, named as in the preconditioned pipelined-CG recurrence.
+pub struct PcgSweep<'a> {
+    /// Tracks `A·q` (`z ← aw + βz`).
+    pub z: &'a mut [f64],
+    /// `q = M⁻¹s` (`q ← mw + βq`).
+    pub q: &'a mut [f64],
+    /// Tracks `A·p` (`s ← w + βs`).
+    pub s: &'a mut [f64],
+    /// Search direction (`p ← u + βp`).
+    pub p: &'a mut [f64],
+    /// Iterate (`x += αp`).
+    pub x: &'a mut [f64],
+    /// Residual (`r −= αs`).
+    pub r: &'a mut [f64],
+    /// `u = M⁻¹r` (`u −= αq`).
+    pub u: &'a mut [f64],
+    /// `w = A·u` (`w −= αz`).
+    pub w: &'a mut [f64],
+}
+
+impl PcgSweep<'_> {
+    /// The common length of the ten vectors of a sweep.
+    ///
+    /// # Panics
+    /// Panics if any of them differs in length.
+    fn checked_len(&self, aw: &[f64], mw: &[f64]) -> usize {
+        let n = aw.len();
+        let lens = [
+            mw.len(),
+            self.z.len(),
+            self.q.len(),
+            self.s.len(),
+            self.p.len(),
+            self.x.len(),
+            self.r.len(),
+            self.u.len(),
+            self.w.len(),
+        ];
+        assert!(
+            lens.iter().all(|&l| l == n),
+            "pipelined_pcg_sweep: length mismatch"
+        );
+        n
+    }
+}
+
 /// Node-local compute backend: the device-op surface the execution spaces
 /// call through. All methods are **bit-exact across backends** (see the
 /// module docs for the reassociation spec that makes this possible).
@@ -87,6 +134,56 @@ pub trait LocalOps: Sync {
 
     /// `w ← a·x + b·y`, writing into a caller-owned buffer.
     fn waxpby_into(&self, a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64]);
+
+    /// One whole iteration of preconditioned pipelined-CG level-1 work on
+    /// one right-hand side: the eight recurrence updates
+    /// `z←aw+βz, q←mw+βq, s←w+βs, p←u+βp, x+=αp, r−=αs, u−=αq, w−=αz`
+    /// (in that order, `s` and `p` reading `w` and `u` *before* their own
+    /// update), then the three dot partials `[r·u, w·u, r·r]` of the updated
+    /// vectors — the local halves of the *next* iteration's reduction.
+    ///
+    /// The default body is the spec, literally: eight
+    /// [`LocalOps::xpby`]/[`LocalOps::axpy`] calls and one
+    /// [`LocalOps::dot_pairs`]. Backends may fuse them into a single pass
+    /// — each state vector is then read and written once per iteration
+    /// instead of being streamed by up to five separate kernels — but must
+    /// keep every element's mul-then-add sequence (no FMA), the 4-chain dot
+    /// accumulators and the sequential tail, so the fused form is
+    /// bit-identical to this one.
+    ///
+    /// # Panics
+    /// Panics if the ten vectors differ in length.
+    fn pipelined_pcg_sweep(
+        &self,
+        alpha: f64,
+        beta: f64,
+        aw: &[f64],
+        mw: &[f64],
+        v: PcgSweep<'_>,
+    ) -> [f64; 3] {
+        v.checked_len(aw, mw);
+        let PcgSweep {
+            z,
+            q,
+            s,
+            p,
+            x,
+            r,
+            u,
+            w,
+        } = v;
+        self.xpby(aw, beta, z);
+        self.xpby(mw, beta, q);
+        self.xpby(w, beta, s);
+        self.xpby(u, beta, p);
+        self.axpy(alpha, p, x);
+        self.axpy(-alpha, s, r);
+        self.axpy(-alpha, q, u);
+        self.axpy(-alpha, z, w);
+        let mut dots = [0.0; 3];
+        self.dot_pairs(&[(&*r, &*u), (&*w, &*u), (&*r, &*r)], &mut dots);
+        dots
+    }
 
     /// Strictly sequential multiply-subtract fold:
     /// `s − u[0]·x[0] − u[1]·x[1] − …`, returning the final value.
@@ -160,20 +257,19 @@ pub trait LocalOps: Sync {
     /// partials in one call, each reduced through its own 4-chain spec
     /// (bit-identical to [`LocalOps::dot`] per column). This is the local
     /// half of the block-Krylov batched reduction: one call produces every
-    /// recurrence scalar of a k-RHS iteration.
+    /// recurrence scalar of a k-RHS iteration. Backends may walk the pairs
+    /// of one column together so operands shared between pairs (`r` in
+    /// `(r,u),(w,u),(r,r)`) are read from memory once.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != k * pairs.len()`, if the multi-vectors do not
+    /// all share one length, or if that length is not a multiple of `k`.
     fn dot_blocks(&self, k: usize, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
-        assert_eq!(
-            out.len(),
-            k * pairs.len(),
-            "dot_blocks: output length mismatch"
-        );
+        let n = dot_blocks_rows(k, pairs, out);
         if k == 0 {
             return;
         }
         for ((x, y), o) in pairs.iter().zip(out.chunks_exact_mut(k)) {
-            assert_eq!(x.len(), y.len(), "dot_blocks: length mismatch");
-            assert_eq!(x.len() % k, 0, "dot_blocks: ragged multi-vector");
-            let n = x.len() / k;
             for (c, oc) in o.iter_mut().enumerate() {
                 *oc = self.dot(&x[c * n..(c + 1) * n], &y[c * n..(c + 1) * n]);
             }
@@ -289,6 +385,108 @@ fn spmm_sell_sweep(a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// Validate a [`LocalOps::dot_blocks`] call and return the per-column
+/// length `n` (0 when `k == 0`).
+fn dot_blocks_rows(k: usize, pairs: &[(&[f64], &[f64])], out: &[f64]) -> usize {
+    assert_eq!(
+        out.len(),
+        k * pairs.len(),
+        "dot_blocks: output length mismatch"
+    );
+    let len = pairs.first().map_or(0, |(x, _)| x.len());
+    assert!(
+        pairs.iter().all(|(x, y)| x.len() == len && y.len() == len),
+        "dot_blocks: length mismatch"
+    );
+    if k == 0 {
+        return 0;
+    }
+    assert_eq!(len % k, 0, "dot_blocks: ragged multi-vector");
+    len / k
+}
+
+/// `(acc0+acc1)+(acc2+acc3)+tail` of the 4-chain dot spec, with the tail
+/// summed exactly as [`vector::dot`] sums it.
+fn combine_dot(acc: [f64; 4], xt: &[f64], yt: &[f64]) -> f64 {
+    let tail: f64 = xt.iter().zip(yt).map(|(a, b)| a * b).sum();
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
+/// The end of a single-pass [`LocalOps::pipelined_pcg_sweep`], shared by
+/// both backends: the sequential tail `split..` of the eight updates, then
+/// the three dots from the 4-chain accumulators `acc` (`[r·u, w·u, r·r]`
+/// over `..split`) and that tail.
+fn pcg_sweep_finish(
+    alpha: f64,
+    beta: f64,
+    aw: &[f64],
+    mw: &[f64],
+    v: PcgSweep<'_>,
+    split: usize,
+    acc: [[f64; 4]; 3],
+) -> [f64; 3] {
+    let PcgSweep {
+        z,
+        q,
+        s,
+        p,
+        x,
+        r,
+        u,
+        w,
+    } = v;
+    let neg_alpha = -alpha;
+    for i in split..aw.len() {
+        z[i] = aw[i] + beta * z[i];
+        q[i] = mw[i] + beta * q[i];
+        s[i] = w[i] + beta * s[i];
+        p[i] = u[i] + beta * p[i];
+        x[i] += alpha * p[i];
+        r[i] += neg_alpha * s[i];
+        u[i] += neg_alpha * q[i];
+        w[i] += neg_alpha * z[i];
+    }
+    [
+        combine_dot(acc[0], &r[split..], &u[split..]),
+        combine_dot(acc[1], &w[split..], &u[split..]),
+        combine_dot(acc[2], &r[split..], &r[split..]),
+    ]
+}
+
+/// Single-pass scalar form of [`LocalOps::pipelined_pcg_sweep`]: element
+/// `i` of all ten vectors is visited once, the eight updates applied in the
+/// spec's order, and the updated `r`, `u`, `w` feed the three 4-chain dot
+/// accumulators on the spot.
+fn pcg_sweep_scalar(alpha: f64, beta: f64, aw: &[f64], mw: &[f64], v: PcgSweep<'_>) -> [f64; 3] {
+    // Fixed-width blocks (one per step of the dot chains) so the lane loop
+    // compiles without bounds checks.
+    fn lanes(v: &mut [f64], i: usize) -> &mut [f64; 4] {
+        (&mut v[i..i + 4]).try_into().expect("4-wide block")
+    }
+    let n = v.checked_len(aw, mw);
+    let neg_alpha = -alpha;
+    let split = n - n % 4;
+    let mut acc = [[0.0f64; 4]; 3];
+    for i in (0..split).step_by(4) {
+        let (zc, qc, sc, pc) = (lanes(v.z, i), lanes(v.q, i), lanes(v.s, i), lanes(v.p, i));
+        let (xc, rc, uc, wc) = (lanes(v.x, i), lanes(v.r, i), lanes(v.u, i), lanes(v.w, i));
+        for l in 0..4 {
+            zc[l] = aw[i + l] + beta * zc[l];
+            qc[l] = mw[i + l] + beta * qc[l];
+            sc[l] = wc[l] + beta * sc[l];
+            pc[l] = uc[l] + beta * pc[l];
+            xc[l] += alpha * pc[l];
+            rc[l] += neg_alpha * sc[l];
+            uc[l] += neg_alpha * qc[l];
+            wc[l] += neg_alpha * zc[l];
+            acc[0][l] += rc[l] * uc[l];
+            acc[1][l] += wc[l] * uc[l];
+            acc[2][l] += rc[l] * rc[l];
+        }
+    }
+    pcg_sweep_finish(alpha, beta, aw, mw, v, split, acc)
+}
+
 // ---------------------------------------------------------------------------
 // Scalar backend
 // ---------------------------------------------------------------------------
@@ -334,6 +532,17 @@ impl LocalOps for ScalarOps {
         vector::waxpby_into(a, x, b, y, w);
     }
 
+    fn pipelined_pcg_sweep(
+        &self,
+        alpha: f64,
+        beta: f64,
+        aw: &[f64],
+        mw: &[f64],
+        v: PcgSweep<'_>,
+    ) -> [f64; 3] {
+        pcg_sweep_scalar(alpha, beta, aw, mw, v)
+    }
+
     fn spmv_csr(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
         a.spmv_into(x, y);
     }
@@ -369,7 +578,7 @@ mod x86 {
 
     use std::arch::x86_64::*;
 
-    use super::{LocalOps, ScalarOps};
+    use super::{dot_blocks_rows, pcg_sweep_finish, LocalOps, PcgSweep, ScalarOps};
     use crate::sell::{SellMatrix, SELL_C};
     use crate::sparse::CsrMatrix;
 
@@ -587,6 +796,92 @@ mod x86 {
         }
     }
 
+    /// Single-pass [`LocalOps::pipelined_pcg_sweep`]: per 4 elements, ten
+    /// loads, the eight updates as separate `mul` then `add` (the spec's
+    /// rounding), eight stores, and the updated `r`, `u`, `w` registers fed
+    /// straight into the three 4-lane dot accumulators. All loads of a step
+    /// precede its stores: the ten streams usually share one page offset
+    /// (same column of ten equally shaped multivectors), and a load issued
+    /// behind a store to the same offset stalls on the false 4 KiB alias.
+    // SAFETY: contract — AVX must be available (runtime-detected by
+    // `simd_ops`) and all ten vectors must have length `n`.
+    #[target_feature(enable = "avx")]
+    unsafe fn pcg_sweep_avx(
+        n: usize,
+        alpha: f64,
+        beta: f64,
+        aw: &[f64],
+        mw: &[f64],
+        v: PcgSweep<'_>,
+    ) -> [f64; 3] {
+        let split = n - n % 4;
+        let mut acc = [[0.0f64; 4]; 3];
+        // SAFETY: every slice has length `n` (caller-checked), so the 4-wide
+        // loads and stores at `i < split <= n` are in bounds; the eight
+        // mutable slices are distinct borrows, so no store aliases a load
+        // of another vector.
+        unsafe {
+            let (bv, av, nav) = (
+                _mm256_set1_pd(beta),
+                _mm256_set1_pd(alpha),
+                _mm256_set1_pd(-alpha),
+            );
+            let (awp, mwp) = (aw.as_ptr(), mw.as_ptr());
+            let (zp, qp, sp, pp) = (
+                v.z.as_mut_ptr(),
+                v.q.as_mut_ptr(),
+                v.s.as_mut_ptr(),
+                v.p.as_mut_ptr(),
+            );
+            let (xp, rp, up, wp) = (
+                v.x.as_mut_ptr(),
+                v.r.as_mut_ptr(),
+                v.u.as_mut_ptr(),
+                v.w.as_mut_ptr(),
+            );
+            let mut acc_ru = _mm256_setzero_pd();
+            let mut acc_wu = _mm256_setzero_pd();
+            let mut acc_rr = _mm256_setzero_pd();
+            let mut i = 0;
+            while i < split {
+                let awv = _mm256_loadu_pd(awp.add(i));
+                let mwv = _mm256_loadu_pd(mwp.add(i));
+                let zv = _mm256_loadu_pd(zp.add(i));
+                let qv = _mm256_loadu_pd(qp.add(i));
+                let sv = _mm256_loadu_pd(sp.add(i));
+                let pv = _mm256_loadu_pd(pp.add(i));
+                let xv = _mm256_loadu_pd(xp.add(i));
+                let rv = _mm256_loadu_pd(rp.add(i));
+                let uv = _mm256_loadu_pd(up.add(i));
+                let wv = _mm256_loadu_pd(wp.add(i));
+                let zv = _mm256_add_pd(awv, _mm256_mul_pd(bv, zv));
+                let qv = _mm256_add_pd(mwv, _mm256_mul_pd(bv, qv));
+                let sv = _mm256_add_pd(wv, _mm256_mul_pd(bv, sv));
+                let pv = _mm256_add_pd(uv, _mm256_mul_pd(bv, pv));
+                let xv = _mm256_add_pd(xv, _mm256_mul_pd(av, pv));
+                let rv = _mm256_add_pd(rv, _mm256_mul_pd(nav, sv));
+                let uv = _mm256_add_pd(uv, _mm256_mul_pd(nav, qv));
+                let wv = _mm256_add_pd(wv, _mm256_mul_pd(nav, zv));
+                _mm256_storeu_pd(zp.add(i), zv);
+                _mm256_storeu_pd(qp.add(i), qv);
+                _mm256_storeu_pd(sp.add(i), sv);
+                _mm256_storeu_pd(pp.add(i), pv);
+                _mm256_storeu_pd(xp.add(i), xv);
+                _mm256_storeu_pd(rp.add(i), rv);
+                _mm256_storeu_pd(up.add(i), uv);
+                _mm256_storeu_pd(wp.add(i), wv);
+                acc_ru = _mm256_add_pd(acc_ru, _mm256_mul_pd(rv, uv));
+                acc_wu = _mm256_add_pd(acc_wu, _mm256_mul_pd(wv, uv));
+                acc_rr = _mm256_add_pd(acc_rr, _mm256_mul_pd(rv, rv));
+                i += 4;
+            }
+            _mm256_storeu_pd(acc[0].as_mut_ptr(), acc_ru);
+            _mm256_storeu_pd(acc[1].as_mut_ptr(), acc_wu);
+            _mm256_storeu_pd(acc[2].as_mut_ptr(), acc_rr);
+        }
+        pcg_sweep_finish(alpha, beta, aw, mw, v, split, acc)
+    }
+
     /// SELL-C-4 SpMV: per chunk, one gather + one contiguous value load
     /// per step feeds a 4-lane accumulator; lanes whose row has ended are
     /// kept out of the accumulator with a blend — computing the padding
@@ -776,6 +1071,19 @@ mod x86 {
             unsafe { waxpby_avx(a, x, b, y, w) }
         }
 
+        fn pipelined_pcg_sweep(
+            &self,
+            alpha: f64,
+            beta: f64,
+            aw: &[f64],
+            mw: &[f64],
+            v: PcgSweep<'_>,
+        ) -> [f64; 3] {
+            let n = v.checked_len(aw, mw);
+            // SAFETY: feature-gated; all ten lengths checked equal to `n`.
+            unsafe { pcg_sweep_avx(n, alpha, beta, aw, mw, v) }
+        }
+
         fn spmv_csr(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
             // Sequential by spec — same code as the scalar backend.
             ScalarOps.spmv_csr(a, x, y);
@@ -806,32 +1114,28 @@ mod x86 {
         }
 
         fn dot_blocks(&self, k: usize, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
-            assert_eq!(
-                out.len(),
-                k * pairs.len(),
-                "dot_blocks: output length mismatch"
-            );
-            if k == 0 {
-                return;
-            }
-            for ((x, y), outs) in pairs.iter().zip(out.chunks_exact_mut(k)) {
-                assert_eq!(x.len(), y.len(), "dot_blocks: length mismatch");
-                assert_eq!(x.len() % k, 0, "dot_blocks: ragged multi-vector");
-                let n = x.len() / k;
-                // Feed the column sub-slices through the same fixed-width
-                // group kernel `dot_pairs` uses, GROUP columns at a time.
-                let mut buf: [(&[f64], &[f64]); GROUP] = [(&[][..], &[][..]); GROUP];
-                let mut c = 0;
-                while c < k {
-                    let g = GROUP.min(k - c);
-                    for (t, slot) in buf.iter_mut().enumerate().take(g) {
-                        let lo = (c + t) * n;
-                        *slot = (&x[lo..lo + n], &y[lo..lo + n]);
+            let n = dot_blocks_rows(k, pairs, out);
+            // Column by column, the pairs of one column through the same
+            // fixed-width group kernel `dot_pairs` uses: an operand shared
+            // between pairs is loaded once, and the streams of one pass
+            // come from different multi-vectors — k columns of *one*
+            // multi-vector sit a whole column apart, which for power-of-two
+            // column lengths lands every stream in the same cache sets.
+            let mut buf: [(&[f64], &[f64]); GROUP] = [(&[][..], &[][..]); GROUP];
+            let mut dots = [0.0; GROUP];
+            for c in 0..k {
+                let cols = c * n..(c + 1) * n;
+                for (g, group) in pairs.chunks(GROUP).enumerate() {
+                    for (slot, (x, y)) in buf.iter_mut().zip(group) {
+                        *slot = (&x[cols.clone()], &y[cols.clone()]);
                     }
-                    // SAFETY: feature-gated; every slice in `buf[..g]` has
-                    // length `n` by construction and `g <= GROUP`.
-                    unsafe { dot_group_avx(&buf[..g], &mut outs[c..c + g]) }
-                    c += g;
+                    // SAFETY: feature-gated; every slice in
+                    // `buf[..group.len()]` has length `n` by construction
+                    // and `group.len() <= GROUP`.
+                    unsafe { dot_group_avx(&buf[..group.len()], &mut dots) }
+                    for (t, d) in dots.iter().enumerate().take(group.len()) {
+                        out[(g * GROUP + t) * k + c] = *d;
+                    }
                 }
             }
         }

@@ -15,16 +15,17 @@
 
 use proptest::prelude::*;
 use resilient_linalg::{
-    scalar_ops, simd_ops, CooMatrix, CsrMatrix, DenseMatrix, LuFactors, SellMatrix,
+    scalar_ops, simd_ops, CooMatrix, CsrMatrix, DenseMatrix, LocalOps, LuFactors, PcgSweep,
+    SellMatrix,
 };
 
 fn any_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, len..=len)
 }
 
-/// Sprinkle ±∞ into a finite vector according to per-element tags:
-/// bit-parity must hold through non-finite arithmetic too (a NaN or ∞
-/// produced by identical operation order has identical bits).
+/// Sprinkle ±∞ (and, for tag 10, NaN) into a finite vector according to
+/// per-element tags: bit-parity must hold through non-finite arithmetic too
+/// (a NaN or ∞ produced by identical operation order has identical bits).
 fn with_specials(finite: &[f64], tags: &[u8]) -> Vec<f64> {
     finite
         .iter()
@@ -32,6 +33,7 @@ fn with_specials(finite: &[f64], tags: &[u8]) -> Vec<f64> {
         .map(|(&v, &t)| match t {
             8 => f64::INFINITY,
             9 => f64::NEG_INFINITY,
+            10 => f64::NAN,
             _ => v,
         })
         .collect()
@@ -39,6 +41,81 @@ fn with_specials(finite: &[f64], tags: &[u8]) -> Vec<f64> {
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `to_bits`, with every NaN mapped to one pattern: when an *input* NaN
+/// meets a NaN generated on the way (`∞ − ∞` has the other sign bit), which
+/// payload survives depends on operand order, and the compiler may commute
+/// a scalar `a + b` — IEEE 754 leaves it open. Everything that is not a NaN
+/// still has to match exactly.
+fn bits_one_nan(v: &[f64]) -> Vec<u64> {
+    v.iter()
+        .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+        .collect()
+}
+
+/// A backend that overrides nothing optional: its
+/// `pipelined_pcg_sweep` is the trait's default body — the spec — over the
+/// wrapped backend's level-1 kernels.
+struct SpecOps(&'static dyn LocalOps);
+
+impl LocalOps for SpecOps {
+    fn name(&self) -> &'static str {
+        "spec"
+    }
+    fn dot(&self, x: &[f64], y: &[f64]) -> f64 {
+        self.0.dot(x, y)
+    }
+    fn dot_pairs(&self, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
+        self.0.dot_pairs(pairs, out)
+    }
+    fn axpy(&self, a: f64, x: &[f64], y: &mut [f64]) {
+        self.0.axpy(a, x, y)
+    }
+    fn scale(&self, a: f64, x: &mut [f64]) {
+        self.0.scale(a, x)
+    }
+    fn xpby(&self, x: &[f64], b: f64, y: &mut [f64]) {
+        self.0.xpby(x, b, y)
+    }
+    fn waxpby_into(&self, a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64]) {
+        self.0.waxpby_into(a, x, b, y, w)
+    }
+    fn spmv_csr(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
+        self.0.spmv_csr(a, x, y)
+    }
+    fn spmv_sell(&self, a: &SellMatrix, x: &[f64], y: &mut [f64]) {
+        self.0.spmv_sell(a, x, y)
+    }
+}
+
+/// Run one sweep on copies of `vecs` (`aw, mw, z, q, s, p, x, r, u, w`) and
+/// return the eight updated vectors followed by the three dot partials.
+fn sweep_on(ops: &dyn LocalOps, alpha: f64, beta: f64, vecs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let mut v: Vec<Vec<f64>> = vecs.to_vec();
+    let (ro, state) = v.split_at_mut(2);
+    let [z, q, s, p, x, r, u, w] = state else {
+        panic!("ten vectors");
+    };
+    let dots = ops.pipelined_pcg_sweep(
+        alpha,
+        beta,
+        &ro[0],
+        &ro[1],
+        PcgSweep {
+            z,
+            q,
+            s,
+            p,
+            x,
+            r,
+            u,
+            w,
+        },
+    );
+    v.drain(..2);
+    v.push(dots.to_vec());
+    v
 }
 
 /// Random square CSR matrix with controllable shape irregularity.
@@ -190,6 +267,43 @@ proptest! {
         s.axpy(a, x, &mut ys);
         v.axpy(a, x, &mut yv);
         prop_assert_eq!(bits(&ys), bits(&yv));
+    }
+
+    /// The fused pipelined-PCG sweep of either backend is the spec (the
+    /// default trait body: eight level-1 calls and one `dot_pairs`) bit for
+    /// bit — updated vectors and carried dot partials — at every tail
+    /// length, at β = 0 (the first step after a rebuild) and through ±∞
+    /// and NaN.
+    #[test]
+    fn pipelined_pcg_sweep_matches_the_spec(
+        short in 0usize..=9,
+        long in 0usize..130,
+        pick_short in any::<bool>(),
+        finite in prop::collection::vec(any_vec(130), 10),
+        tags in prop::collection::vec(prop::collection::vec(0u8..44, 130..=130), 10),
+        specials in any::<bool>(),
+        alpha in -1e3f64..1e3,
+        beta_drawn in -1e3f64..1e3,
+        beta_zero in any::<bool>(),
+    ) {
+        let len = if pick_short { short } else { long };
+        let beta = if beta_zero { 0.0 } else { beta_drawn };
+        let vecs: Vec<Vec<f64>> = finite
+            .iter()
+            .zip(&tags)
+            .map(|(f, t)| {
+                let v = if specials { with_specials(f, t) } else { f.clone() };
+                v[..len].to_vec()
+            })
+            .collect();
+        let want = sweep_on(&SpecOps(scalar_ops()), alpha, beta, &vecs);
+        let fused: [&dyn LocalOps; 3] = [scalar_ops(), simd_ops(), &SpecOps(simd_ops())];
+        for ops in fused {
+            let got = sweep_on(ops, alpha, beta, &vecs);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(bits_one_nan(g), bits_one_nan(w), "{}", ops.name());
+            }
+        }
     }
 
     /// SELL-C-σ is a lossless re-layout: `from_csr ∘ to_csr` is the
