@@ -229,8 +229,7 @@ impl DistMultiVector {
 /// neighbour's outgoing boundary values.
 #[derive(Debug, Default)]
 pub struct HaloScratch {
-    /// Ghost-assembled input of the local sweep; single-vector applies use
-    /// it directly as [`DistCsr::apply_with`]'s buffer.
+    /// Ghost-assembled input of the local sweep.
     pub ghosted: Vec<f64>,
     /// Packing buffer for the message to one neighbour.
     pub payload: Vec<f64>,
@@ -487,15 +486,20 @@ impl DistCsr {
     }
 
     /// Exchange ghost values of `x` with the neighbours and assemble the
-    /// full local input vector (owned entries followed by ghosts) into the
-    /// caller's buffer — the hot path reuses one buffer across iterations
-    /// instead of allocating per SpMV.
+    /// full local input vector (owned entries followed by ghosts) into
+    /// `scratch.ghosted`, packing each outgoing message in
+    /// `scratch.payload` — the hot path reuses both buffers across
+    /// iterations instead of allocating per SpMV.
     fn assemble_input_into<C: CommBackend>(
         &self,
         comm: &mut C,
         x: &DistVector,
-        full: &mut Vec<f64>,
+        scratch: &mut HaloScratch,
     ) -> Result<()> {
+        let HaloScratch {
+            ghosted: full,
+            payload,
+        } = scratch;
         full.clear();
         full.reserve(self.n_local + self.ghost_globals.len());
         full.extend_from_slice(&x.local);
@@ -503,8 +507,9 @@ impl DistCsr {
         // Post all sends, then receive (tagged by sender to match order).
         let my_rank = comm.rank();
         for (idx, &peer) in self.neighbors.iter().enumerate() {
-            let payload: Vec<f64> = self.send_lists[idx].iter().map(|&i| x.local[i]).collect();
-            comm.send_f64(peer, GHOST_TAG + my_rank as i32, &payload)?;
+            payload.clear();
+            payload.extend(self.send_lists[idx].iter().map(|&i| x.local[i]));
+            comm.send_f64(peer, GHOST_TAG + my_rank as i32, payload)?;
         }
         for (idx, &peer) in self.neighbors.iter().enumerate() {
             let (_, data) = comm.recv_f64(peer, GHOST_TAG + peer as i32)?;
@@ -519,11 +524,16 @@ impl DistCsr {
     /// Distributed SpMV: `y = A·x`, with ghost exchange and virtual-time
     /// accounting for the local arithmetic.
     pub fn apply<C: CommBackend>(&self, comm: &mut C, x: &DistVector) -> Result<DistVector> {
-        self.apply_with(comm, x, resilient_linalg::scalar_ops(), &mut Vec::new())
+        self.apply_with(
+            comm,
+            x,
+            resilient_linalg::scalar_ops(),
+            &mut HaloScratch::default(),
+        )
     }
 
-    /// [`DistCsr::apply`] through an explicit [`LocalOps`] backend and a
-    /// reusable ghost-assembly buffer (the allocation-free form
+    /// [`DistCsr::apply`] through an explicit [`LocalOps`] backend and
+    /// reusable halo buffers (the form
     /// [`DistSpace`](crate::kernel::DistSpace) drives every iteration).
     /// Runs the SELL-C-σ layout when one was built
     /// ([`DistCsr::with_sell_layout`]); bit-identical either way.
@@ -532,7 +542,7 @@ impl DistCsr {
         comm: &mut C,
         x: &DistVector,
         ops: &dyn LocalOps,
-        scratch: &mut Vec<f64>,
+        scratch: &mut HaloScratch,
     ) -> Result<DistVector> {
         assert_eq!(
             x.global_len(),
@@ -543,8 +553,8 @@ impl DistCsr {
         comm.charge_flops(self.flops);
         let mut y_local = vec![0.0; self.local.nrows()];
         match &self.sell {
-            Some(sell) => ops.spmv_sell(sell, scratch, &mut y_local),
-            None => ops.spmv_csr(&self.local, scratch, &mut y_local),
+            Some(sell) => ops.spmv_sell(sell, &scratch.ghosted, &mut y_local),
+            None => ops.spmv_csr(&self.local, &scratch.ghosted, &mut y_local),
         }
         Ok(DistVector {
             local: y_local,
@@ -823,7 +833,7 @@ mod tests {
                 da.apply_block_into(comm, &xb, ops, &mut HaloScratch::default(), k, &mut yb)?;
                 let mut singles = Vec::new();
                 for c in 0..k {
-                    let y = da.apply_with(comm, &xb.column(c), ops, &mut Vec::new())?;
+                    let y = da.apply_with(comm, &xb.column(c), ops, &mut HaloScratch::default())?;
                     singles.push(y.local);
                 }
                 Ok((yb, singles))

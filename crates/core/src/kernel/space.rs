@@ -695,9 +695,7 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
     }
 
     fn apply(&mut self, x: &Self::Vector) -> Result<Self::Vector> {
-        let mut y = self
-            .a
-            .apply_with(self.comm, x, self.ops, &mut self.halo.ghosted)?;
+        let mut y = self.a.apply_with(self.comm, x, self.ops, &mut self.halo)?;
         let app = self.applications;
         self.applications += 1;
         if let Some(f) = self.fault {

@@ -137,6 +137,7 @@ impl DeathInjector for ThreadDeathPlan {
 mod tests {
     use super::*;
     use resilient_runtime::{ReduceOp, ThreadConfig, ThreadRuntime};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -211,11 +212,25 @@ mod tests {
         assert!(r.failures.is_empty());
     }
 
-    #[test]
-    fn wall_clock_trigger_fires_after_deadline() {
+    /// Rank 0 dies at its first failure point; everyone re-runs four
+    /// barriers after the recovery rendezvous — the replacement's first act,
+    /// as the protocol requires. With `hold_rank0`, rank 0's original waits
+    /// until rank 1 is inside the closure, i.e. certainly running when the
+    /// death happens.
+    fn wall_clock_kill_job(hold_rank0: bool) {
         let plan = Arc::new(ThreadDeathPlan::new().kill_after_seconds(0, 0.0));
         let rt = ThreadRuntime::new(ThreadConfig::fast()).with_injector(plan.clone() as _);
-        let r = rt.run(2, |comm| {
+        let rank1_running = Arc::new(AtomicBool::new(!hold_rank0));
+        let r = rt.run(2, move |comm| {
+            if comm.is_replacement() {
+                comm.recovery_rendezvous(0.0)?;
+            } else if comm.rank() == 1 {
+                rank1_running.store(true, Ordering::Release);
+            } else {
+                while !rank1_running.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
             let mut done = 0;
             while done < 4 {
                 match comm.barrier() {
@@ -232,5 +247,31 @@ mod tests {
         assert!(r.all_ok(), "errors: {:?}", r.errors);
         assert_eq!(r.failures.len(), 1);
         assert_eq!(r.failures[0].rank, 0);
+    }
+
+    #[test]
+    fn wall_clock_trigger_fires_after_deadline() {
+        wall_clock_kill_job(false);
+    }
+
+    #[test]
+    fn death_while_the_survivor_is_already_running_is_recovered() {
+        // Regression: with rank 1 forced to be running when rank 0 dies, a
+        // replacement that went straight into `barrier()` deadlocked against
+        // the survivor's recovery rendezvous every time; unforced it passed
+        // only when rank 1's thread started late enough to acknowledge, at
+        // start-up, a death it never saw.
+        wall_clock_kill_job(true);
+    }
+
+    #[test]
+    #[ignore = "stress loop: run by the CI `threads` job under its timeout"]
+    fn stress_death_tests_200_times() {
+        for _ in 0..200 {
+            kill_fires_once_and_only_on_incarnation_zero();
+            incarnation_pinned_kill_waits_for_the_replacement();
+            wall_clock_kill_job(false);
+            wall_clock_kill_job(true);
+        }
     }
 }

@@ -37,26 +37,39 @@ impl ReduceOp {
 
     /// Reduce a list of equally sized contributions into a single vector.
     pub fn reduce_all(self, contributions: &[Vec<f64>]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.reduce_all_into(contributions, &mut out);
+        out
+    }
+
+    /// [`reduce_all`](Self::reduce_all) into a caller-owned buffer: `out`
+    /// becomes the first non-empty contribution with every later non-empty
+    /// one folded in, in slice order. This is the one definition of the
+    /// fold both backends and the rendezvous engine share, which is what
+    /// keeps reductions bit-identical across them.
+    pub fn reduce_all_into(self, contributions: &[Vec<f64>], out: &mut Vec<f64>) {
+        out.clear();
         let mut iter = contributions.iter().filter(|c| !c.is_empty());
-        let first = match iter.next() {
-            Some(f) => f.clone(),
-            None => return Vec::new(),
-        };
-        iter.fold(first, |mut acc, c| {
-            self.fold_into(&mut acc, c);
-            acc
-        })
+        if let Some(first) = iter.next() {
+            out.extend_from_slice(first);
+            for c in iter {
+                self.fold_into(out, c);
+            }
+        }
     }
 }
 
 impl Comm {
-    /// Post a collective contribution and wait for completion: the shared
-    /// primitive behind every blocking collective.
-    pub(crate) fn collective_exchange(
+    /// Post this rank's contribution to the communicator's next collective
+    /// (a failure point): the shared first half of every blocking and
+    /// nonblocking collective. With an operator the engine folds the
+    /// contributions itself, once, in ascending rank order.
+    pub(crate) fn post_collective(
         &mut self,
-        contribution: Vec<f64>,
+        op: Option<ReduceOp>,
+        contribution: &[f64],
         reduce_elems: usize,
-    ) -> Result<CollectiveResult> {
+    ) -> Result<SlotKey> {
         self.failure_point()?;
         let key = SlotKey {
             epoch: self.epoch,
@@ -66,16 +79,26 @@ impl Comm {
         };
         self.seq += 1;
         let expected = self.size();
-        let bytes = contribution.len() * std::mem::size_of::<f64>();
+        let bytes = std::mem::size_of_val(contribution);
         let cost = self
             .world
             .config
             .latency
             .collective_cost(expected, bytes, reduce_elems);
-        let index = self.rank();
-        self.world
-            .engine
-            .post(key, index, expected, contribution, self.clock.now(), cost)?;
+        self.world.engine.post_slice(
+            key,
+            self.rank(),
+            expected,
+            op,
+            contribution,
+            self.clock.now(),
+            cost,
+        )?;
+        Ok(key)
+    }
+
+    /// Wait for a posted collective and return every rank's contribution.
+    pub(crate) fn complete_gather(&mut self, key: SlotKey) -> Result<CollectiveResult> {
         let result = self
             .world
             .engine
@@ -85,16 +108,42 @@ impl Comm {
         Ok(result)
     }
 
+    /// Wait for a posted reduction and return the folded vector.
+    pub(crate) fn complete_reduction(&mut self, key: SlotKey) -> Result<Vec<f64>> {
+        let mut folded = Vec::new();
+        let completion_time = self.world.engine.wait_reduced(
+            key,
+            &self.world.health,
+            self.acked_generation,
+            &mut || false,
+            &mut folded,
+        )?;
+        self.clock.wait_until(completion_time);
+        self.collectives += 1;
+        Ok(folded)
+    }
+
+    /// Post a contribution and wait for everyone's: the shared primitive
+    /// behind the blocking collectives that need each rank's data.
+    pub(crate) fn collective_exchange(
+        &mut self,
+        contribution: &[f64],
+        reduce_elems: usize,
+    ) -> Result<CollectiveResult> {
+        let key = self.post_collective(None, contribution, reduce_elems)?;
+        self.complete_gather(key)
+    }
+
     /// Synchronise all ranks of the communicator (no data exchanged).
     pub fn barrier(&mut self) -> Result<()> {
-        self.collective_exchange(Vec::new(), 0).map(|_| ())
+        self.collective_exchange(&[], 0).map(|_| ())
     }
 
     /// All-reduce: combine `data` element-wise across all ranks with `op`;
     /// every rank receives the combined vector.
     pub fn allreduce(&mut self, op: ReduceOp, data: &[f64]) -> Result<Vec<f64>> {
-        let r = self.collective_exchange(data.to_vec(), data.len())?;
-        Ok(op.reduce_all(&r.contributions))
+        let key = self.post_collective(Some(op), data, data.len())?;
+        self.complete_reduction(key)
     }
 
     /// All-reduce of a single scalar.
@@ -105,35 +154,27 @@ impl Comm {
     /// Reduce to `root`: `root` receives the combined vector, other ranks
     /// receive `None`.
     pub fn reduce(&mut self, root: usize, op: ReduceOp, data: &[f64]) -> Result<Option<Vec<f64>>> {
-        let r = self.collective_exchange(data.to_vec(), data.len())?;
-        if self.rank() == root {
-            Ok(Some(op.reduce_all(&r.contributions)))
-        } else {
-            Ok(None)
-        }
+        let reduced = self.allreduce(op, data)?;
+        Ok((self.rank() == root).then_some(reduced))
     }
 
     /// Broadcast `data` from `root` to all ranks. Non-root ranks pass their
     /// (ignored) local buffer, typically empty.
     pub fn broadcast(&mut self, root: usize, data: &[f64]) -> Result<Vec<f64>> {
-        let contribution = if self.rank() == root {
-            data.to_vec()
-        } else {
-            Vec::new()
-        };
+        let contribution = if self.rank() == root { data } else { &[] };
         let r = self.collective_exchange(contribution, 0)?;
         Ok(r.contributions.get(root).cloned().unwrap_or_default())
     }
 
     /// Gather every rank's `data` to all ranks, ordered by rank.
     pub fn allgather(&mut self, data: &[f64]) -> Result<Vec<Vec<f64>>> {
-        let r = self.collective_exchange(data.to_vec(), 0)?;
+        let r = self.collective_exchange(data, 0)?;
         Ok(r.contributions)
     }
 
     /// Gather every rank's `data` to `root` only.
     pub fn gather(&mut self, root: usize, data: &[f64]) -> Result<Option<Vec<Vec<f64>>>> {
-        let r = self.collective_exchange(data.to_vec(), 0)?;
+        let r = self.collective_exchange(data, 0)?;
         if self.rank() == root {
             Ok(Some(r.contributions))
         } else {
@@ -144,7 +185,7 @@ impl Comm {
     /// Inclusive prefix scan: rank `i` receives the combination of the
     /// contributions of ranks `0..=i`.
     pub fn scan(&mut self, op: ReduceOp, data: &[f64]) -> Result<Vec<f64>> {
-        let r = self.collective_exchange(data.to_vec(), data.len())?;
+        let r = self.collective_exchange(data, data.len())?;
         let me = self.rank();
         Ok(op.reduce_all(&r.contributions[..=me]))
     }

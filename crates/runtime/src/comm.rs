@@ -23,6 +23,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::clock::VirtualClock;
 use crate::error::{Result, RuntimeError};
 use crate::failure::FailureSchedule;
+use crate::health::HealthBoard;
 use crate::mailbox::PollOutcome;
 use crate::message::{Message, Payload, ANY_SOURCE};
 use crate::noise::NoiseModel;
@@ -49,6 +50,22 @@ pub struct RankKilled {
 /// How long a blocked receive sleeps between polls. Purely a real-time
 /// implementation detail; virtual time is unaffected.
 const WAIT_SLICE: Duration = Duration::from_millis(10);
+
+/// The failure generation a freshly started rank thread has acknowledged.
+///
+/// An *original* rank has seen no failure, whatever the board says by the
+/// time its thread gets to run: a peer may die before this thread starts,
+/// and starting from the board's generation would silently acknowledge that
+/// death — the survivor would then sit in a collective the replacement
+/// never joins. A *replacement* exists because of the failures up to now
+/// and acknowledges them; its first act is the recovery rendezvous.
+pub(crate) fn initial_acked_generation(health: &HealthBoard, incarnation: u64) -> u64 {
+    if incarnation == 0 {
+        0
+    } else {
+        health.generation()
+    }
+}
 
 /// The communicator handle owned by one rank incarnation.
 pub struct Comm {
@@ -95,7 +112,7 @@ impl Comm {
         let mut clock = VirtualClock::new();
         clock.fast_forward(start_time);
         let epoch = world.health.epoch();
-        let acked_generation = world.health.generation();
+        let acked_generation = initial_acked_generation(&world.health, incarnation);
         Self {
             noise: NoiseModel::new(world.config.noise),
             rng: seed_rng,
@@ -323,8 +340,12 @@ impl Comm {
         self.maybe_die();
         let source_world = self.to_world(source)?;
         loop {
+            let mailbox = &self.world.mailboxes[self.world_rank];
+            // Read before polling: a deposit or interrupt after this point
+            // makes `wait_since` return at once.
+            let ticket = mailbox.ticket();
             self.check_health()?;
-            match self.world.mailboxes[self.world_rank].poll(source_world, tag, self.epoch) {
+            match mailbox.poll(source_world, tag, self.epoch) {
                 PollOutcome::Found(msg) => {
                     let arrival = msg.sent_at + self.world.config.latency.p2p_cost(msg.byte_len());
                     self.clock.wait_until(arrival);
@@ -337,7 +358,7 @@ impl Comm {
                             generation: self.world.health.generation(),
                         });
                     }
-                    self.world.mailboxes[self.world_rank].wait(WAIT_SLICE);
+                    mailbox.wait_since(ticket, WAIT_SLICE);
                 }
             }
         }
@@ -660,5 +681,22 @@ mod tests {
         let mut c = solo_comm(RuntimeConfig::fast());
         let got = c.sendrecv_f64(0, 0, 4, &[2.5]).unwrap();
         assert_eq!(got, vec![2.5]);
+    }
+
+    #[test]
+    fn original_rank_started_after_a_death_still_sees_it() {
+        use crate::config::{FailureConfig, FailurePolicy};
+        let cfg = RuntimeConfig::fast()
+            .with_failures(FailureConfig::scheduled(FailurePolicy::ReplaceRank, vec![]));
+        let world = World::new(cfg, 2, StableStore::new());
+        world.health.record_failure(1, 0, 0.0);
+        let original = Comm::new(Arc::clone(&world), 0, 0, 0.0);
+        assert!(matches!(
+            original.check_health(),
+            Err(RuntimeError::Revoked { generation: 1 })
+        ));
+        let incarnation = world.health.record_replacement(1);
+        let replacement = Comm::new(world, 1, incarnation, 0.0);
+        assert!(replacement.check_health().is_ok());
     }
 }

@@ -75,6 +75,18 @@ pub enum RuntimeError {
         /// Number of attempts made.
         attempts: usize,
     },
+    /// A blocking wait on the real-threads backend (collective, recovery
+    /// rendezvous or receive) outlived the backend's deadline: some
+    /// participant never arrived. Reported instead of hanging; not a
+    /// [failure](RuntimeError::is_failure) a recovery protocol can handle,
+    /// because nobody is known to have died.
+    Timeout {
+        /// What was being waited for (the collective slot or the receive).
+        waiting_for: String,
+        /// Ranks (participant indices of that communicator) that had not
+        /// arrived when the deadline passed.
+        missing: Vec<usize>,
+    },
     /// Generic invalid-argument error.
     InvalidArgument(String),
 }
@@ -110,6 +122,13 @@ impl fmt::Display for RuntimeError {
             RuntimeError::RetryLimitExceeded { attempts } => {
                 write!(f, "retry limit exceeded after {attempts} attempts")
             }
+            RuntimeError::Timeout {
+                waiting_for,
+                missing,
+            } => write!(
+                f,
+                "timed out waiting for {waiting_for}: ranks {missing:?} never arrived"
+            ),
             RuntimeError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
@@ -166,6 +185,11 @@ mod tests {
         assert!(RuntimeError::Revoked { generation: 1 }.is_failure());
         assert!(RuntimeError::JobAborted { generation: 1 }.is_failure());
         assert!(!RuntimeError::InvalidArgument("x".into()).is_failure());
+        assert!(!RuntimeError::Timeout {
+            waiting_for: "barrier".into(),
+            missing: vec![1]
+        }
+        .is_failure());
         assert!(!RuntimeError::TypeMismatch {
             expected: "f64",
             found: "u64"

@@ -8,6 +8,7 @@
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::config::FailurePolicy;
 use crate::error::{Result, RuntimeError};
@@ -27,14 +28,9 @@ pub struct FailureEvent {
 
 #[derive(Debug)]
 struct HealthState {
-    alive: Vec<bool>,
     incarnation: Vec<u64>,
-    /// Number of failures observed so far; doubles as the current generation.
-    generation: u64,
     /// Current communication epoch; bumped by recovery rendezvous / shrink.
     epoch: u64,
-    /// Whether the whole job has been aborted (AbortJob policy).
-    aborted: bool,
     /// Whether the communicator is currently revoked (a failure happened and
     /// recovery has not completed yet).
     revoked: bool,
@@ -44,9 +40,23 @@ struct HealthState {
 }
 
 /// Shared, thread-safe health board for one job.
+///
+/// The three facts a blocked rank re-reads on every poll round —
+/// the failure generation, the abort flag and per-rank liveness — are
+/// atomics, so [`check`](Self::check) and [`is_alive`](Self::is_alive) never
+/// take the lock. They are *written* only while `state` is locked, in the
+/// order liveness, generation, abort, each with `Release`: a reader that
+/// `Acquire`-loads a new generation (or the abort flag) therefore also sees
+/// the dead rank marked dead, and every method that reads them under the
+/// lock sees one consistent failure.
 #[derive(Debug)]
 pub struct HealthBoard {
     state: Mutex<HealthState>,
+    alive: Vec<AtomicBool>,
+    /// Number of failures observed so far; doubles as the current generation.
+    generation: AtomicU64,
+    /// Whether the whole job has been aborted (AbortJob policy).
+    aborted: AtomicBool,
     policy: FailurePolicy,
     size: usize,
 }
@@ -56,15 +66,15 @@ impl HealthBoard {
     pub fn new(size: usize, policy: FailurePolicy) -> Self {
         Self {
             state: Mutex::new(HealthState {
-                alive: vec![true; size],
                 incarnation: vec![0; size],
-                generation: 0,
                 epoch: 0,
-                aborted: false,
                 revoked: false,
                 events: Vec::new(),
                 last_failure_time: 0.0,
             }),
+            alive: (0..size).map(|_| AtomicBool::new(true)).collect(),
+            generation: AtomicU64::new(0),
+            aborted: AtomicBool::new(false),
             policy,
             size,
         }
@@ -88,10 +98,9 @@ impl HealthBoard {
     /// operations are interrupted and survivors learn about the failure.
     pub fn record_failure(&self, rank: usize, incarnation: u64, time: f64) -> u64 {
         let mut s = self.state.lock();
-        s.generation += 1;
-        let generation = s.generation;
-        if rank < s.alive.len() {
-            s.alive[rank] = false;
+        let generation = self.generation.load(Ordering::Relaxed) + 1;
+        if let Some(alive) = self.alive.get(rank) {
+            alive.store(false, Ordering::Release);
         }
         s.last_failure_time = s.last_failure_time.max(time);
         s.events.push(FailureEvent {
@@ -100,8 +109,9 @@ impl HealthBoard {
             time,
             generation,
         });
+        self.generation.store(generation, Ordering::Release);
         match self.policy {
-            FailurePolicy::AbortJob => s.aborted = true,
+            FailurePolicy::AbortJob => self.aborted.store(true, Ordering::Release),
             FailurePolicy::ReplaceRank | FailurePolicy::Shrink => s.revoked = true,
         }
         generation
@@ -111,12 +121,13 @@ impl HealthBoard {
     /// spawned). Returns the new incarnation.
     pub fn record_replacement(&self, rank: usize) -> u64 {
         let mut s = self.state.lock();
-        if rank < s.alive.len() {
-            s.alive[rank] = true;
-            s.incarnation[rank] += 1;
-            s.incarnation[rank]
-        } else {
-            0
+        match self.alive.get(rank) {
+            Some(alive) => {
+                alive.store(true, Ordering::Release);
+                s.incarnation[rank] += 1;
+                s.incarnation[rank]
+            }
+            None => 0,
         }
     }
 
@@ -140,19 +151,25 @@ impl HealthBoard {
 
     /// Current failure generation (number of failures so far).
     pub fn generation(&self) -> u64 {
-        self.state.lock().generation
+        // Under the lock, so a caller that just saw a rank dead through the
+        // lock-free `is_alive` gets the generation that death was assigned.
+        let _s = self.state.lock();
+        self.generation.load(Ordering::Relaxed)
     }
 
-    /// Is the given rank currently alive?
+    /// Is the given rank currently alive? Lock-free.
     pub fn is_alive(&self, rank: usize) -> bool {
-        let s = self.state.lock();
-        rank < s.alive.len() && s.alive[rank]
+        self.alive
+            .get(rank)
+            .is_some_and(|alive| alive.load(Ordering::Acquire))
     }
 
     /// Ranks currently alive, in ascending order.
     pub fn alive_ranks(&self) -> Vec<usize> {
-        let s = self.state.lock();
-        (0..s.alive.len()).filter(|&r| s.alive[r]).collect()
+        let _s = self.state.lock();
+        (0..self.size)
+            .filter(|&r| self.alive[r].load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Ranks that have ever failed (deduplicated, ascending).
@@ -166,12 +183,13 @@ impl HealthBoard {
 
     /// Has the job been aborted?
     pub fn is_aborted(&self) -> bool {
-        self.state.lock().aborted
+        self.aborted.load(Ordering::Acquire)
     }
 
     /// Abort the job explicitly (used by drivers that decide to give up).
     pub fn abort(&self) {
-        self.state.lock().aborted = true;
+        let _s = self.state.lock();
+        self.aborted.store(true, Ordering::Release);
     }
 
     /// Is the communicator currently revoked?
@@ -208,20 +226,21 @@ impl HealthBoard {
     ///   policies): [`RuntimeError::Revoked`] so the caller drops into its
     ///   recovery path.
     /// * Otherwise `Ok(())`.
+    ///
+    /// Lock-free: a rank blocked in a collective or a receive calls this on
+    /// every poll round.
     pub fn check(&self, acked_generation: u64) -> Result<()> {
-        let s = self.state.lock();
-        if s.aborted {
+        if self.aborted.load(Ordering::Acquire) {
             return Err(RuntimeError::JobAborted {
-                generation: s.generation,
+                generation: self.generation.load(Ordering::Acquire),
             });
         }
         match self.policy {
             FailurePolicy::AbortJob => Ok(()),
             FailurePolicy::ReplaceRank | FailurePolicy::Shrink => {
-                if s.generation > acked_generation {
-                    Err(RuntimeError::Revoked {
-                        generation: s.generation,
-                    })
+                let generation = self.generation.load(Ordering::Acquire);
+                if generation > acked_generation {
+                    Err(RuntimeError::Revoked { generation })
                 } else {
                     Ok(())
                 }

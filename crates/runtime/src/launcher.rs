@@ -137,17 +137,19 @@ impl Runtime {
         let f = Arc::new(f);
         let (tx, rx) = mpsc::channel::<RankExit<R>>();
 
-        let mut handles = Vec::new();
-        for rank in 0..size {
-            handles.push(spawn_rank(
-                Arc::clone(&world),
-                Arc::clone(&f),
-                tx.clone(),
-                rank,
-                0,
-                0.0,
-            ));
-        }
+        // The thread of each rank's current incarnation.
+        let mut handles: Vec<_> = (0..size)
+            .map(|rank| {
+                Some(spawn_rank(
+                    Arc::clone(&world),
+                    Arc::clone(&f),
+                    tx.clone(),
+                    rank,
+                    0,
+                    0.0,
+                ))
+            })
+            .collect();
 
         let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
         let mut errors: Vec<Option<RuntimeError>> = (0..size).map(|_| None).collect();
@@ -181,7 +183,14 @@ impl Runtime {
                         incarnations[info.rank] += 1;
                         let incarnation = world.health.record_replacement(info.rank);
                         let start = info.time + self.config.replacement_cost;
-                        handles.push(spawn_rank(
+                        // Let the dead incarnation's thread finish exiting
+                        // before its replacement starts (see
+                        // `ThreadRuntime::run`): whether the replacement
+                        // inherits its malloc arena is otherwise a race.
+                        if let Some(dead) = handles[info.rank].take() {
+                            let _ = dead.join();
+                        }
+                        handles[info.rank] = Some(spawn_rank(
                             Arc::clone(&world),
                             Arc::clone(&f),
                             tx.clone(),
@@ -206,7 +215,7 @@ impl Runtime {
             }
         }
         drop(tx);
-        for h in handles {
+        for h in handles.into_iter().flatten() {
             let _ = h.join();
         }
 

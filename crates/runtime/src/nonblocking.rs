@@ -13,7 +13,7 @@
 
 use crate::collective::ReduceOp;
 use crate::comm::Comm;
-use crate::engine::{SlotKey, SlotKind};
+use crate::engine::SlotKey;
 use crate::error::Result;
 
 /// What kind of collective a pending request represents, and what its result
@@ -75,29 +75,15 @@ impl CollectiveOutcome {
 impl Comm {
     fn post_nonblocking(
         &mut self,
-        contribution: Vec<f64>,
+        contribution: &[f64],
         reduce_elems: usize,
         kind: PendingKind,
     ) -> Result<PendingCollective> {
-        self.failure_point()?;
-        let key = SlotKey {
-            epoch: self.epoch,
-            comm_id: self.comm_id,
-            kind: SlotKind::Collective,
-            seq: self.seq,
+        let op = match kind {
+            PendingKind::AllReduce(op) => Some(op),
+            _ => None,
         };
-        self.seq += 1;
-        let expected = self.size();
-        let bytes = contribution.len() * std::mem::size_of::<f64>();
-        let cost = self
-            .world
-            .config
-            .latency
-            .collective_cost(expected, bytes, reduce_elems);
-        let index = self.rank();
-        self.world
-            .engine
-            .post(key, index, expected, contribution, self.clock.now(), cost)?;
+        let key = self.post_collective(op, contribution, reduce_elems)?;
         Ok(PendingCollective {
             key,
             kind,
@@ -107,7 +93,7 @@ impl Comm {
 
     /// Post a nonblocking all-reduce.
     pub fn iallreduce(&mut self, op: ReduceOp, data: &[f64]) -> Result<PendingCollective> {
-        self.post_nonblocking(data.to_vec(), data.len(), PendingKind::AllReduce(op))
+        self.post_nonblocking(data, data.len(), PendingKind::AllReduce(op))
     }
 
     /// Post a nonblocking all-reduce of a single scalar.
@@ -117,22 +103,18 @@ impl Comm {
 
     /// Post a nonblocking barrier.
     pub fn ibarrier(&mut self) -> Result<PendingCollective> {
-        self.post_nonblocking(Vec::new(), 0, PendingKind::Barrier)
+        self.post_nonblocking(&[], 0, PendingKind::Barrier)
     }
 
     /// Post a nonblocking broadcast from `root`.
     pub fn ibroadcast(&mut self, root: usize, data: &[f64]) -> Result<PendingCollective> {
-        let contribution = if self.rank() == root {
-            data.to_vec()
-        } else {
-            Vec::new()
-        };
+        let contribution = if self.rank() == root { data } else { &[] };
         self.post_nonblocking(contribution, 0, PendingKind::Broadcast { root })
     }
 
     /// Post a nonblocking allgather.
     pub fn iallgather(&mut self, data: &[f64]) -> Result<PendingCollective> {
-        self.post_nonblocking(data.to_vec(), 0, PendingKind::AllGather)
+        self.post_nonblocking(data, 0, PendingKind::AllGather)
     }
 }
 
@@ -153,23 +135,24 @@ impl PendingCollective {
     /// the caller's virtual clock to the completion time (if it is not
     /// already past it — the latency-hiding case) and returns the result.
     pub fn wait(self, comm: &mut Comm) -> Result<CollectiveOutcome> {
-        let result = comm
-            .world
-            .engine
-            .wait(self.key, &comm.world.health, comm.acked_generation)?;
-        comm.clock.wait_until(result.completion_time);
-        comm.collectives += 1;
-        let outcome = match self.kind {
-            PendingKind::AllReduce(op) => {
-                CollectiveOutcome::Vector(op.reduce_all(&result.contributions))
+        Ok(match self.kind {
+            PendingKind::AllReduce(_) => {
+                CollectiveOutcome::Vector(comm.complete_reduction(self.key)?)
             }
-            PendingKind::Barrier => CollectiveOutcome::Done,
-            PendingKind::Broadcast { root } => CollectiveOutcome::Vector(
-                result.contributions.get(root).cloned().unwrap_or_default(),
-            ),
-            PendingKind::AllGather => CollectiveOutcome::PerRank(result.contributions),
-        };
-        Ok(outcome)
+            PendingKind::Barrier => {
+                comm.complete_gather(self.key)?;
+                CollectiveOutcome::Done
+            }
+            PendingKind::Broadcast { root } => {
+                let result = comm.complete_gather(self.key)?;
+                CollectiveOutcome::Vector(
+                    result.contributions.get(root).cloned().unwrap_or_default(),
+                )
+            }
+            PendingKind::AllGather => {
+                CollectiveOutcome::PerRank(comm.complete_gather(self.key)?.contributions)
+            }
+        })
     }
 
     /// Complete an allreduce/broadcast request and return its vector result.

@@ -15,6 +15,13 @@
 //!   and the same ascending-rank [`ReduceOp::reduce_all`] fold as the
 //!   simulator, so failure-free iterates are bit-identical to the
 //!   simulator's — arrival order never changes the floating-point result.
+//! * **Poll, then park.** When every rank thread can own a core
+//!   (`size ≤ available_parallelism`), a rank waiting in a collective or a
+//!   receive polls for a bounded number of rounds before it parks, so a
+//!   rendezvous between running ranks costs no system call; an
+//!   oversubscribed job parks at once, as the simulator does. Every wait is
+//!   bounded: after [`WAIT_DEADLINE`] parked it returns
+//!   [`RuntimeError::Timeout`] naming who never arrived.
 //! * **Emulated communication latency.** A collective or message costs
 //!   `emulate` ([`LatencyModel`]) seconds of real time, charged by sleeping
 //!   (or spinning, below 100 µs) *after* the real rendezvous. A nonblocking
@@ -37,9 +44,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::collective::ReduceOp;
-use crate::comm::RankKilled;
+use crate::comm::{initial_acked_generation, RankKilled};
 use crate::config::{FailurePolicy, LatencyModel};
-use crate::engine::{CollectiveEngine, SlotKey, SlotKind};
+use crate::engine::{CollectiveEngine, SlotKey, SlotKind, POLL_ROUNDS};
 use crate::error::{Result, RuntimeError};
 use crate::health::HealthBoard;
 use crate::launcher::{install_panic_hook, JobResult, MAX_INCARNATIONS};
@@ -49,8 +56,38 @@ use crate::persistent::{PersistentStore, Stored};
 use crate::stats::{JobStats, RankStats};
 use crate::ulfm::{RecoveryInfo, ShrinkInfo};
 
-/// How long a blocked receive sleeps between polls (real time).
+/// How long a parked receive sleeps before re-checking health and the
+/// deadline on its own (real time).
 const WAIT_SLICE: Duration = Duration::from_millis(10);
+
+/// The one bound on every blocking wait of this backend — collective,
+/// recovery rendezvous, shrink agreement, receive. A rank that has been
+/// parked this long is waiting for a participant that is not coming (a
+/// collective skipped on one rank, a replacement that never joined the
+/// rendezvous); it gets [`RuntimeError::Timeout`] instead of a hang. Far
+/// above any legitimate wait: emulated costs are milliseconds, and a peer's
+/// death interrupts a wait at once.
+pub const WAIT_DEADLINE: Duration = Duration::from_secs(60);
+
+/// The deadline as the `expired` callback the engine and the receive loop
+/// consult when they are about to park (again): the clock starts at the
+/// first call, so a wait that completes while polling never reads it.
+fn deadline_clock(deadline: Duration) -> impl FnMut() -> bool {
+    let mut parked_since: Option<Instant> = None;
+    move || parked_since.get_or_insert_with(Instant::now).elapsed() >= deadline
+}
+
+/// Poll budget for a job of `size` rank threads on `cores` cores. Waiters
+/// poll before parking only when every rank thread can own a core: a
+/// polling rank on an oversubscribed host burns the time slice its partner
+/// needs to arrive, so such jobs park at once, as the simulator does.
+fn poll_rounds_for(size: usize, cores: usize) -> u32 {
+    if size <= cores {
+        POLL_ROUNDS
+    } else {
+        0
+    }
+}
 
 /// Below this emulated duration, spin instead of sleeping: OS sleep
 /// granularity would otherwise round every microsecond-scale latency up to
@@ -190,6 +227,8 @@ pub struct ThreadWorld {
     pub injector: Option<Arc<dyn DeathInjector>>,
     /// Statistics of incarnations that died.
     pub lost_stats: Mutex<Vec<RankStats>>,
+    /// Bound on every blocking wait ([`WAIT_DEADLINE`]).
+    deadline: Duration,
 }
 
 impl ThreadWorld {
@@ -197,10 +236,16 @@ impl ThreadWorld {
         config: ThreadConfig,
         size: usize,
         injector: Option<Arc<dyn DeathInjector>>,
+        deadline: Duration,
     ) -> Arc<Self> {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        let poll_rounds = poll_rounds_for(size, cores);
         Arc::new(Self {
-            mailboxes: (0..size).map(|_| Mailbox::new()).collect(),
-            engine: CollectiveEngine::new(),
+            mailboxes: (0..size)
+                .map(|_| Mailbox::with_poll_rounds(poll_rounds))
+                .collect(),
+            engine: CollectiveEngine::with_poll_rounds(poll_rounds),
+            deadline,
             health: HealthBoard::new(size, config.policy),
             persistent: PersistentStore::new(size),
             start: Instant::now(),
@@ -228,7 +273,6 @@ impl ThreadWorld {
 #[must_use = "a pending collective must be completed with wait_vector"]
 pub struct ThreadPending {
     key: SlotKey,
-    op: ReduceOp,
     posted_at: Instant,
     cost: f64,
 }
@@ -247,6 +291,9 @@ pub struct ThreadComm {
     comm_id: u64,
     /// For shrunk communicators: group rank -> world rank mapping.
     group: Option<Vec<usize>>,
+    /// Landing buffer for reductions whose result is returned by value
+    /// (scalars, barriers), kept for its capacity.
+    reduced: Vec<f64>,
     // -- statistics --
     emulated_compute: f64,
     emulated_wait: f64,
@@ -261,7 +308,7 @@ pub struct ThreadComm {
 impl ThreadComm {
     fn new(world: Arc<ThreadWorld>, rank: usize, incarnation: u64) -> Self {
         let epoch = world.health.epoch();
-        let acked_generation = world.health.generation();
+        let acked_generation = initial_acked_generation(&world.health, incarnation);
         Self {
             world,
             world_rank: rank,
@@ -271,6 +318,7 @@ impl ThreadComm {
             acked_generation,
             comm_id: 0,
             group: None,
+            reduced: Vec::new(),
             emulated_compute: 0.0,
             emulated_wait: 0.0,
             emulated_recovery: 0.0,
@@ -512,9 +560,14 @@ impl ThreadComm {
     fn recv_payload(&mut self, source: usize, tag: i32) -> Result<(usize, Payload)> {
         self.maybe_die();
         let source_world = self.to_world(source)?;
+        let mut expired = deadline_clock(self.world.deadline);
         loop {
+            let mailbox = &self.world.mailboxes[self.world_rank];
+            // Read before polling: a deposit or interrupt after this point
+            // makes `wait_since` return at once.
+            let ticket = mailbox.ticket();
             self.check_health()?;
-            match self.world.mailboxes[self.world_rank].poll(source_world, tag, self.epoch) {
+            match mailbox.poll(source_world, tag, self.epoch) {
                 PollOutcome::Found(msg) => {
                     // Emulate only the part of the message latency that the
                     // real delivery delay has not already covered.
@@ -529,7 +582,16 @@ impl ThreadComm {
                             generation: self.world.health.generation(),
                         });
                     }
-                    self.world.mailboxes[self.world_rank].wait(WAIT_SLICE);
+                    if !mailbox.wait_since(ticket, WAIT_SLICE) && expired() {
+                        return Err(RuntimeError::Timeout {
+                            waiting_for: format!("a message with tag {tag}"),
+                            missing: if source == ANY_SOURCE {
+                                Vec::new()
+                            } else {
+                                vec![source]
+                            },
+                        });
+                    }
                 }
             }
         }
@@ -550,14 +612,13 @@ impl ThreadComm {
     // Collectives
     // ------------------------------------------------------------------
 
-    /// The shared rendezvous: post, wait for every live participant, then
-    /// emulate the modelled latency. Returns the contribution list in rank
-    /// order.
-    fn collective_exchange(
+    /// The opening of every collective: failure point, then the slot key,
+    /// participant count and emulated cost of the communicator's next one.
+    fn begin_collective(
         &mut self,
-        contribution: Vec<f64>,
+        data: &[f64],
         reduce_elems: usize,
-    ) -> Result<Vec<Vec<f64>>> {
+    ) -> Result<(SlotKey, usize, f64)> {
         self.failure_point()?;
         let key = SlotKey {
             epoch: self.epoch,
@@ -567,40 +628,62 @@ impl ThreadComm {
         };
         self.seq += 1;
         let expected = self.size();
-        let bytes = contribution.len() * std::mem::size_of::<f64>();
-        let cost = self
-            .world
-            .config
-            .emulate
-            .collective_cost(expected, bytes, reduce_elems);
+        let cost = self.world.config.emulate.collective_cost(
+            expected,
+            std::mem::size_of_val(data),
+            reduce_elems,
+        );
+        Ok((key, expected, cost))
+    }
+
+    /// The blocking reduction every scalar/vector allreduce and the barrier
+    /// go through: post, wait for the engine's ascending-rank fold to land
+    /// in `out`, then emulate the modelled latency. Allocates nothing when
+    /// `out` has the capacity.
+    fn reduce_exchange(&mut self, op: ReduceOp, data: &[f64], out: &mut Vec<f64>) -> Result<()> {
+        let (key, expected, cost) = self.begin_collective(data, data.len())?;
         self.world
             .engine
-            .post(key, self.rank(), expected, contribution, 0.0, 0.0)?;
-        let result = self
-            .world
-            .engine
-            .wait(key, &self.world.health, self.acked_generation)?;
+            .post_slice(key, self.rank(), expected, Some(op), data, 0.0, 0.0)?;
+        self.world.engine.wait_reduced(
+            key,
+            &self.world.health,
+            self.acked_generation,
+            &mut deadline_clock(self.world.deadline),
+            out,
+        )?;
         self.collectives += 1;
         self.emulate_wait(cost);
-        Ok(result.contributions)
+        Ok(())
+    }
+
+    /// [`reduce_exchange`](Self::reduce_exchange) into the communicator's
+    /// own landing buffer; returns the first reduced value, if any.
+    fn reduce_in_place(&mut self, op: ReduceOp, data: &[f64]) -> Result<Option<f64>> {
+        let mut reduced = std::mem::take(&mut self.reduced);
+        let outcome = self.reduce_exchange(op, data, &mut reduced);
+        let first = reduced.first().copied();
+        self.reduced = reduced;
+        outcome.map(|()| first)
     }
 
     /// Block until every rank of the communicator arrives.
     pub fn barrier(&mut self) -> Result<()> {
-        self.collective_exchange(Vec::new(), 0)?;
-        Ok(())
+        self.reduce_in_place(ReduceOp::Sum, &[]).map(|_| ())
     }
 
     /// Element-wise reduction of `data` across all ranks, folded in
     /// ascending rank order (bit-identical to the simulator backend).
     pub fn allreduce(&mut self, op: ReduceOp, data: &[f64]) -> Result<Vec<f64>> {
-        let contributions = self.collective_exchange(data.to_vec(), data.len())?;
-        Ok(op.reduce_all(&contributions))
+        let mut out = Vec::with_capacity(data.len());
+        self.reduce_exchange(op, data, &mut out)?;
+        Ok(out)
     }
 
     /// Scalar reduction across all ranks.
     pub fn allreduce_scalar(&mut self, op: ReduceOp, value: f64) -> Result<f64> {
-        Ok(self.allreduce(op, &[value])?[0])
+        let reduced = self.reduce_in_place(op, &[value])?;
+        Ok(reduced.expect("a scalar reduction folds at least this rank's value"))
     }
 
     /// Sum a local partial across all ranks.
@@ -610,34 +693,31 @@ impl ThreadComm {
 
     /// Gather every rank's contribution, indexed by rank.
     pub fn allgather(&mut self, data: &[f64]) -> Result<Vec<Vec<f64>>> {
-        self.collective_exchange(data.to_vec(), 0)
+        let (key, expected, cost) = self.begin_collective(data, 0)?;
+        self.world
+            .engine
+            .post_slice(key, self.rank(), expected, None, data, 0.0, 0.0)?;
+        let result = self.world.engine.wait_until(
+            key,
+            &self.world.health,
+            self.acked_generation,
+            &mut deadline_clock(self.world.deadline),
+        )?;
+        self.collectives += 1;
+        self.emulate_wait(cost);
+        Ok(result.contributions)
     }
 
     /// Start a nonblocking element-wise reduction. The emulated latency
     /// window opens now; [`wait_vector`](Self::wait_vector) charges only
     /// whatever local work has not overlapped.
     pub fn iallreduce(&mut self, op: ReduceOp, data: &[f64]) -> Result<ThreadPending> {
-        self.failure_point()?;
-        let key = SlotKey {
-            epoch: self.epoch,
-            comm_id: self.comm_id,
-            kind: SlotKind::Collective,
-            seq: self.seq,
-        };
-        self.seq += 1;
-        let expected = self.size();
-        let bytes = std::mem::size_of_val(data);
-        let cost = self
-            .world
-            .config
-            .emulate
-            .collective_cost(expected, bytes, data.len());
+        let (key, expected, cost) = self.begin_collective(data, data.len())?;
         self.world
             .engine
-            .post(key, self.rank(), expected, data.to_vec(), 0.0, 0.0)?;
+            .post_slice(key, self.rank(), expected, Some(op), data, 0.0, 0.0)?;
         Ok(ThreadPending {
             key,
-            op,
             posted_at: Instant::now(),
             cost,
         })
@@ -646,14 +726,18 @@ impl ThreadComm {
     /// Complete a nonblocking reduction: wait for the real rendezvous, then
     /// charge the unhidden remainder of the emulated latency window.
     pub fn wait_vector(&mut self, pending: ThreadPending) -> Result<Vec<f64>> {
-        let result =
-            self.world
-                .engine
-                .wait(pending.key, &self.world.health, self.acked_generation)?;
+        let mut out = Vec::new();
+        self.world.engine.wait_reduced(
+            pending.key,
+            &self.world.health,
+            self.acked_generation,
+            &mut deadline_clock(self.world.deadline),
+            &mut out,
+        )?;
         self.collectives += 1;
         let remaining = pending.cost - pending.posted_at.elapsed().as_secs_f64();
         self.emulate_wait(remaining);
-        Ok(pending.op.reduce_all(&result.contributions))
+        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -721,10 +805,12 @@ impl ThreadComm {
         self.world
             .engine
             .post(key, self.world_rank, expected, vec![proposal], 0.0, 0.0)?;
-        let result = self
-            .world
-            .engine
-            .wait(key, &self.world.health, generation)?;
+        let result = self.world.engine.wait_until(
+            key,
+            &self.world.health,
+            generation,
+            &mut deadline_clock(self.world.deadline),
+        )?;
         let agreed = result
             .contributions
             .iter()
@@ -767,10 +853,12 @@ impl ThreadComm {
         self.world
             .engine
             .post(key, my_index, expected, Vec::new(), 0.0, 0.0)?;
-        let _ = self
-            .world
-            .engine
-            .wait(key, &self.world.health, generation)?;
+        self.world.engine.wait_until(
+            key,
+            &self.world.health,
+            generation,
+            &mut deadline_clock(self.world.deadline),
+        )?;
         self.epoch = self.world.health.complete_recovery(generation);
         self.world.engine.purge_older_than(self.epoch);
         self.world.mailboxes[self.world_rank].purge_older_than(self.epoch);
@@ -937,6 +1025,7 @@ enum RankExit<R> {
 pub struct ThreadRuntime {
     config: ThreadConfig,
     injector: Option<Arc<dyn DeathInjector>>,
+    deadline: Duration,
 }
 
 impl ThreadRuntime {
@@ -946,6 +1035,7 @@ impl ThreadRuntime {
         Self {
             config,
             injector: None,
+            deadline: WAIT_DEADLINE,
         }
     }
 
@@ -960,6 +1050,14 @@ impl ThreadRuntime {
         &self.config
     }
 
+    /// Shorten the bound on blocking waits so a test of the timeout path
+    /// does not take [`WAIT_DEADLINE`].
+    #[cfg(test)]
+    fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = deadline;
+        self
+    }
+
     /// Run `f` on `size` rank threads and collect results, statistics and
     /// failure events. Ranks killed by the injector are respawned under
     /// [`FailurePolicy::ReplaceRank`], exactly like the simulator launcher.
@@ -969,20 +1067,27 @@ impl ThreadRuntime {
         F: Fn(&mut ThreadComm) -> Result<R> + Send + Sync + 'static,
     {
         assert!(size > 0, "cannot run a job with zero ranks");
-        let world = ThreadWorld::new(self.config.clone(), size, self.injector.clone());
+        let world = ThreadWorld::new(
+            self.config.clone(),
+            size,
+            self.injector.clone(),
+            self.deadline,
+        );
         let f = Arc::new(f);
         let (tx, rx) = mpsc::channel::<RankExit<R>>();
 
-        let mut handles = Vec::new();
-        for rank in 0..size {
-            handles.push(spawn_rank(
-                Arc::clone(&world),
-                Arc::clone(&f),
-                tx.clone(),
-                rank,
-                0,
-            ));
-        }
+        // The thread of each rank's current incarnation.
+        let mut handles: Vec<_> = (0..size)
+            .map(|rank| {
+                Some(spawn_rank(
+                    Arc::clone(&world),
+                    Arc::clone(&f),
+                    tx.clone(),
+                    rank,
+                    0,
+                ))
+            })
+            .collect();
 
         let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
         let mut errors: Vec<Option<RuntimeError>> = (0..size).map(|_| None).collect();
@@ -1015,7 +1120,16 @@ impl ThreadRuntime {
                     if respawn {
                         incarnations[info.rank] += 1;
                         let incarnation = world.health.record_replacement(info.rank);
-                        handles.push(spawn_rank(
+                        // The dead incarnation reported from inside its
+                        // thread; let that thread finish exiting before the
+                        // replacement starts. Spawned while it is still
+                        // winding down, the replacement may or may not
+                        // inherit its malloc arena — a race that made the
+                        // job's peak RSS bimodal.
+                        if let Some(dead) = handles[info.rank].take() {
+                            let _ = dead.join();
+                        }
+                        handles[info.rank] = Some(spawn_rank(
                             Arc::clone(&world),
                             Arc::clone(&f),
                             tx.clone(),
@@ -1039,7 +1153,7 @@ impl ThreadRuntime {
             }
         }
         drop(tx);
-        for h in handles {
+        for h in handles.into_iter().flatten() {
             let _ = h.join();
         }
 
@@ -1313,5 +1427,125 @@ mod tests {
         assert_eq!(r.job.total_messages, 2);
         assert_eq!(r.job.total_bytes, 32);
         assert_eq!(r.job.total_collectives, 2);
+    }
+
+    #[test]
+    fn original_rank_started_after_a_death_still_sees_it() {
+        // Rank 1 dies before rank 0's thread gets to construct its
+        // communicator. Rank 0 never saw that failure, so its first
+        // operation must report it; only a replacement starts out having
+        // acknowledged the failures that caused it.
+        let world = ThreadWorld::new(ThreadConfig::fast(), 2, None, WAIT_DEADLINE);
+        world.health.record_failure(1, 0, 0.0);
+        let original = ThreadComm::new(Arc::clone(&world), 0, 0);
+        assert!(matches!(
+            original.check_health(),
+            Err(RuntimeError::Revoked { generation: 1 })
+        ));
+        let incarnation = world.health.record_replacement(1);
+        let replacement = ThreadComm::new(world, 1, incarnation);
+        assert!(replacement.check_health().is_ok());
+    }
+
+    #[test]
+    fn only_jobs_that_fit_the_cores_poll() {
+        assert_eq!(poll_rounds_for(2, 2), POLL_ROUNDS);
+        assert_eq!(poll_rounds_for(1, 2), POLL_ROUNDS);
+        assert_eq!(poll_rounds_for(3, 2), 0);
+        assert_eq!(poll_rounds_for(8, 2), 0, "8 rank threads on 2 vCPUs park");
+        // The world applies that rule to the host it runs on, to the engine
+        // and to every mailbox alike.
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        for size in [1, 2, 8, 4 * cores + 1] {
+            let world = ThreadWorld::new(ThreadConfig::fast(), size, None, WAIT_DEADLINE);
+            assert_eq!(world.engine.poll_rounds(), poll_rounds_for(size, cores));
+        }
+        let oversubscribed =
+            ThreadWorld::new(ThreadConfig::fast(), 4 * cores + 1, None, WAIT_DEADLINE);
+        assert_eq!(oversubscribed.engine.poll_rounds(), 0);
+    }
+
+    #[test]
+    fn skipped_collective_times_out_naming_the_missing_rank() {
+        let rt = ThreadRuntime::new(ThreadConfig::fast()).with_deadline(Duration::from_millis(50));
+        let r = rt.run(3, |comm| {
+            if comm.rank() == 1 {
+                return Ok(());
+            }
+            comm.barrier()
+        });
+        assert!(r.results[1].is_some());
+        for rank in [0, 2] {
+            match &r.errors[rank] {
+                Some(RuntimeError::Timeout {
+                    waiting_for,
+                    missing,
+                }) => {
+                    assert!(waiting_for.contains("Collective"), "{waiting_for}");
+                    assert_eq!(missing, &[1]);
+                }
+                other => panic!("rank {rank}: expected Timeout, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn receive_nobody_sends_times_out_naming_the_source() {
+        let rt = ThreadRuntime::new(ThreadConfig::fast()).with_deadline(Duration::from_millis(50));
+        let r = rt.run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.recv_f64(1, 3).map(|_| ())
+            } else {
+                Ok(())
+            }
+        });
+        match &r.errors[0] {
+            Some(RuntimeError::Timeout { missing, .. }) => assert_eq!(missing, &[1]),
+            other => panic!("expected Timeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn skipped_recovery_rendezvous_times_out() {
+        // The shape of the old thread-death flake: the survivor waits in the
+        // recovery rendezvous, the replacement never joins it. A hang then;
+        // an error naming the absent rank now.
+        let rt = ThreadRuntime::new(ThreadConfig::fast())
+            .with_deadline(Duration::from_millis(50))
+            .with_injector(Arc::new(KillOnceAtCollective { rank: 1, at: 1 }));
+        let r = rt.run(2, |comm| {
+            if comm.is_replacement() {
+                return Ok(());
+            }
+            loop {
+                match comm.barrier() {
+                    Ok(()) => {}
+                    Err(e) if e.is_failure() => {
+                        return comm.recovery_rendezvous(0.0).map(|_| ());
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        });
+        match &r.errors[0] {
+            Some(RuntimeError::Timeout {
+                waiting_for,
+                missing,
+            }) => {
+                assert!(waiting_for.contains("Recovery"), "{waiting_for}");
+                assert_eq!(missing, &[1]);
+            }
+            other => panic!("expected Timeout, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[ignore = "stress loop: run by the CI `threads` job under its timeout"]
+    fn stress_death_and_shrink_200_times() {
+        for _ in 0..200 {
+            injected_death_is_replaced_and_recovered();
+            shrink_policy_rebuilds_smaller_comm();
+            persistent_store_survives_injected_death();
+        }
     }
 }
