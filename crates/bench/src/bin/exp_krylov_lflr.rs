@@ -25,7 +25,6 @@
 //!
 //! Pass `--smoke` for a CI-sized run.
 
-use resilience::kernel::{lflr_pipelined_pcg, lflr_pipelined_pgmres, KrylovLflrConfig};
 use resilience::prelude::*;
 use resilient_bench::{fmt_g, fmt_ratio, Table};
 use resilient_linalg::poisson2d;
@@ -33,20 +32,12 @@ use resilient_runtime::{
     Comm, FailureConfig, FailurePolicy, LatencyModel, Result, Runtime, RuntimeConfig,
 };
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Solver {
-    PipelinedPcg,
-    PipelinedPgmres,
-}
-
-impl Solver {
-    fn name(self) -> &'static str {
-        match self {
-            Solver::PipelinedPcg => "pipelined BJ-PCG",
-            Solver::PipelinedPgmres => "pipelined BJ-PGMRES",
-        }
-    }
-}
+/// The pipelined compositions under [`lflr_solve`] (always block-Jacobi
+/// preconditioned), with their row labels.
+const SOLVERS: [(SolveSpec, &str); 2] = [
+    (SolveSpec::PIPELINED_CG, "pipelined BJ-PCG"),
+    (SolveSpec::PIPELINED_GMRES, "pipelined BJ-PGMRES"),
+];
 
 fn base_config() -> RuntimeConfig {
     let mut cfg = RuntimeConfig::fast().with_seed(23);
@@ -78,7 +69,7 @@ fn solve_opts() -> DistSolveOptions {
 /// One job: returns (makespan, failures seen, max resumed_from,
 /// snapshots on rank 0, all converged).
 fn run_once(
-    solver: Solver,
+    (spec, name): (SolveSpec, &str),
     n: usize,
     ranks: usize,
     lflr: KrylovLflrConfig,
@@ -95,10 +86,7 @@ fn run_once(
     let run = move |comm: &mut Comm| -> Result<(bool, usize, usize)> {
         let a = poisson2d(n, n);
         let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
-        let (out, report) = match solver {
-            Solver::PipelinedPcg => lflr_pipelined_pcg(comm, &a, &b, &solve_opts(), &lflr)?,
-            Solver::PipelinedPgmres => lflr_pipelined_pgmres(comm, &a, &b, &solve_opts(), &lflr)?,
-        };
+        let (out, report) = lflr_solve(comm, &a, &b, spec, &solve_opts(), &lflr)?;
         Ok((
             out.converged,
             report.resumed_from,
@@ -106,7 +94,7 @@ fn run_once(
         ))
     };
     let r = rt.run(ranks, run);
-    assert!(r.all_ok(), "{} failed: {:?}", solver.name(), r.errors);
+    assert!(r.all_ok(), "{name} failed: {:?}", r.errors);
     let failures_seen = r.failures.len();
     let makespan = r.job.makespan;
     let results = r.unwrap_all();
@@ -139,7 +127,7 @@ fn main() {
         ],
     );
 
-    for &solver in &[Solver::PipelinedPcg, Solver::PipelinedPgmres] {
+    for solver @ (_, name) in SOLVERS {
         for &ranks in rank_counts {
             let (clean, _, _, _, ok) = run_once(solver, n, ranks, lflr, vec![]);
             assert!(ok, "clean run must converge");
@@ -172,7 +160,7 @@ fn main() {
                     );
                 }
                 table.row(vec![
-                    solver.name().to_string(),
+                    name.to_string(),
                     ranks.to_string(),
                     format!("{:.0}%", frac * 100.0),
                     fmt_g(clean),

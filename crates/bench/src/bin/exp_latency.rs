@@ -11,9 +11,13 @@ use resilient_bench::{fmt_g, fmt_ratio, Table};
 use resilient_linalg::poisson2d;
 use resilient_runtime::{LatencyModel, NoiseConfig, Runtime, RuntimeConfig};
 
-/// Virtual solve times for (CG, pipelined CG, GMRES, pipelined GMRES,
-/// block-Jacobi PCG, block-Jacobi pipelined PCG).
-type SolveTimes = (f64, f64, f64, f64, f64, f64);
+/// The block-Jacobi preconditioned columns: the two CG schedules.
+const PCG: [SolveSpec; 2] = [SolveSpec::FUSED_CG, SolveSpec::PIPELINED_CG];
+
+/// Virtual solve times: every [`SolveSpec::ALL`] composition
+/// unpreconditioned (CG, pipelined CG, GMRES, pipelined GMRES), then the
+/// [`PCG`] pair under block-Jacobi.
+type SolveTimes = [f64; 6];
 
 fn solve_times(ranks: usize, alpha: f64, noise: bool) -> SolveTimes {
     let mut cfg = RuntimeConfig::fast().with_seed(11);
@@ -37,35 +41,21 @@ fn solve_times(ranks: usize, alpha: f64, noise: bool) -> SolveTimes {
             .with_max_iters(250);
         opts.restart = 40;
         opts.extra_work_per_iter = 5.0e-5;
-        let t0 = comm.now();
-        let c = dist_cg(comm, &da, &b, &opts)?;
-        let t1 = comm.now();
-        let p = pipelined_cg(comm, &da, &b, &opts)?;
-        let t2 = comm.now();
-        let g = dist_gmres(comm, &da, &b, &opts)?;
-        let t3 = comm.now();
-        let pg = pipelined_gmres(comm, &da, &b, &opts)?;
-        let t4 = comm.now();
-        let mut bj = BlockJacobi::new(&da);
-        let bc = dist_pcg(comm, &da, &b, &mut bj, &opts)?;
-        let t5 = comm.now();
-        let mut bj = BlockJacobi::new(&da);
-        let bp = pipelined_pcg(comm, &da, &b, &mut bj, &opts)?;
-        let t6 = comm.now();
-        assert!(c.converged && p.converged && g.converged && pg.converged);
-        assert!(bc.converged && bp.converged);
-        Ok((t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5))
+        let plain = SolveSpec::ALL.map(|spec| (spec, false));
+        let runs = plain.into_iter().chain(PCG.map(|spec| (spec, true)));
+        let mut times = [0.0; 6];
+        for (t, (spec, bj)) in times.iter_mut().zip(runs) {
+            let t0 = comm.now();
+            let mut bj = bj.then(|| BlockJacobi::new(&da));
+            let m = bj.as_mut().map(|m| m as &mut dyn SpacePreconditioner<_>);
+            let out = solve_dist(comm, &da, &b, spec, m, &opts)?;
+            assert!(out.converged);
+            *t = comm.now() - t0;
+        }
+        Ok(times)
     });
     let per_rank = result.unwrap_all();
-    let max = |f: &dyn Fn(&SolveTimes) -> f64| per_rank.iter().map(f).fold(0.0f64, f64::max);
-    (
-        max(&|r| r.0),
-        max(&|r| r.1),
-        max(&|r| r.2),
-        max(&|r| r.3),
-        max(&|r| r.4),
-        max(&|r| r.5),
-    )
+    std::array::from_fn(|i| per_rank.iter().map(|r| r[i]).fold(0.0f64, f64::max))
 }
 
 fn main() {
@@ -89,7 +79,7 @@ fn main() {
     for &ranks in &[4usize, 8, 16, 32] {
         for &alpha in &[2.0e-6, 1.0e-4, 5.0e-4] {
             for &noise in &[false, true] {
-                let (cg_t, pcg_t, g_t, pg_t, bj_t, bjp_t) = solve_times(ranks, alpha, noise);
+                let [cg_t, pcg_t, g_t, pg_t, bj_t, bjp_t] = solve_times(ranks, alpha, noise);
                 table.row(vec![
                     ranks.to_string(),
                     format!("{alpha:.0e}"),

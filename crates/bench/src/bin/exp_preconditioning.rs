@@ -38,6 +38,9 @@ struct Row {
     allred_per_iter_bj: f64,
 }
 
+/// Row labels of the [`SolveSpec::ALL`] compositions.
+const SOLVERS: [&str; 4] = ["fused CG", "pipelined CG", "CGS GMRES", "p(1) GMRES"];
+
 fn measure(
     comm: &mut Comm,
     iters_of: impl FnOnce(&mut Comm) -> Result<DistSolveOutcome>,
@@ -76,28 +79,14 @@ fn sweep(ranks: usize, nx: usize, eps: f64, jump: f64, band: usize, smoke: bool)
             .with_max_iters(if smoke { 3000 } else { 20000 })
             .with_restart(60);
 
-        let cg = measure(comm, |c| dist_cg(c, &da, &b, &opts))?;
-        let mut bj = BlockJacobi::new(&da);
-        let cg_bj = measure(comm, |c| dist_pcg(c, &da, &b, &mut bj, &opts))?;
-
-        let pcg = measure(comm, |c| pipelined_cg(c, &da, &b, &opts))?;
-        let mut bj = BlockJacobi::new(&da);
-        let pcg_bj = measure(comm, |c| pipelined_pcg(c, &da, &b, &mut bj, &opts))?;
-
-        let gm = measure(comm, |c| dist_gmres(c, &da, &b, &opts))?;
-        let mut bj = BlockJacobi::new(&da);
-        let gm_bj = measure(comm, |c| dist_pgmres(c, &da, &b, &mut bj, &opts))?;
-
-        let pgm = measure(comm, |c| pipelined_gmres(c, &da, &b, &opts))?;
-        let mut bj = BlockJacobi::new(&da);
-        let pgm_bj = measure(comm, |c| pipelined_pgmres(c, &da, &b, &mut bj, &opts))?;
-
-        Ok(vec![
-            ("fused CG", cg, cg_bj),
-            ("pipelined CG", pcg, pcg_bj),
-            ("CGS GMRES", gm, gm_bj),
-            ("p(1) GMRES", pgm, pgm_bj),
-        ])
+        let mut rows = Vec::new();
+        for (spec, solver) in SolveSpec::ALL.into_iter().zip(SOLVERS) {
+            let plain = measure(comm, |c| solve_dist(c, &da, &b, spec, None, &opts))?;
+            let mut bj = BlockJacobi::new(&da);
+            let with_bj = measure(comm, |c| solve_dist(c, &da, &b, spec, Some(&mut bj), &opts))?;
+            rows.push((solver, plain, with_bj));
+        }
+        Ok(rows)
     });
     let per_rank = result.unwrap_all();
     // Iterations and collective counts are rank-symmetric; take rank 0's

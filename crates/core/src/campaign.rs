@@ -33,13 +33,13 @@
 //!   the oracle; any breach surfaces as a [`ContractViolation`] whose
 //!   `Display` carries the full `(family, seed, preset)` repro line.
 //!
-//! Death families run the preset's preconditioned LFLR sibling
-//! (`lflr_*`): the recovery protocol is what the campaign is attacking,
-//! and its presets are the block-Jacobi preconditioned compositions.
+//! Death families run the preset's [`SolveSpec`] under
+//! [`lflr_solve`]: the recovery protocol is what the campaign is
+//! attacking, and it always runs block-Jacobi preconditioned.
 //! Incarnation-pinned flip strikes ride along only where a plan-carrying
-//! space exists (kernel presets and the threaded backend); the LFLR
-//! presets build their spaces internally, so for death families the
-//! delivered payload is the death events themselves.
+//! space exists (kernel presets and the threaded backend); `lflr_solve`
+//! builds its spaces internally, so for death families the delivered
+//! payload is the death events themselves.
 
 use resilient_faults::campaign::{FaultFamily, FaultSchedule, ScheduleParams, StrikePlan};
 use resilient_linalg::poisson2d;
@@ -49,10 +49,8 @@ use resilient_runtime::{
 
 use crate::distributed::{DistCsr, DistVector};
 use crate::kernel::{
-    lflr_dist_pcg, lflr_dist_pgmres, lflr_pipelined_pcg, lflr_pipelined_pgmres, run_cg, run_gmres,
-    BlockJacobi, CgsOrtho, DistSpace, FusedCgStep, GmresFlavor, KernelOutcome, KernelReport,
-    KrylovLflrConfig, KrylovSpace, PipelinedCgStep, PipelinedOrtho, PolicyStack,
-    PrecondGuardPolicy, RightPrecond,
+    lflr_solve, solve, BlockJacobi, KernelOutcome, KernelReport, KrylovLflrConfig, KrylovSpace,
+    PolicyStack, PrecondGuardPolicy, SolveSpec, SpacePreconditioner,
 };
 use crate::rbsp::DistSolveOptions;
 use crate::solvers::common::{true_relative_residual, StopReason};
@@ -101,54 +99,28 @@ impl CampaignPreset {
         CampaignPreset::PipelinedPgmres,
     ];
 
+    /// The composition behind the name — the preset matrix's one table:
+    /// the [`SolveSpec`] and whether it runs block-Jacobi preconditioned.
+    /// Death-family cases run the spec under [`lflr_solve`], which always
+    /// preconditions.
+    pub fn spec(&self) -> (SolveSpec, bool) {
+        match self {
+            CampaignPreset::FusedCg => (SolveSpec::FUSED_CG, false),
+            CampaignPreset::PipelinedCg => (SolveSpec::PIPELINED_CG, false),
+            CampaignPreset::FusedPcg => (SolveSpec::FUSED_CG, true),
+            CampaignPreset::PipelinedPcg => (SolveSpec::PIPELINED_CG, true),
+            CampaignPreset::CgsGmres => (SolveSpec::FUSED_GMRES, false),
+            CampaignPreset::PipelinedGmres => (SolveSpec::PIPELINED_GMRES, false),
+            CampaignPreset::CgsPgmres => (SolveSpec::FUSED_GMRES, true),
+            CampaignPreset::PipelinedPgmres => (SolveSpec::PIPELINED_GMRES, true),
+        }
+    }
+
     /// Stable short name for reports and repro lines.
     pub fn name(&self) -> &'static str {
-        match self {
-            CampaignPreset::FusedCg => "fused-cg",
-            CampaignPreset::PipelinedCg => "pipelined-cg",
-            CampaignPreset::FusedPcg => "fused-pcg",
-            CampaignPreset::PipelinedPcg => "pipelined-pcg",
-            CampaignPreset::CgsGmres => "cgs-gmres",
-            CampaignPreset::PipelinedGmres => "pipelined-gmres",
-            CampaignPreset::CgsPgmres => "cgs-pgmres",
-            CampaignPreset::PipelinedPgmres => "pipelined-pgmres",
-        }
+        let (spec, preconditioned) = self.spec();
+        spec.name(preconditioned)
     }
-
-    /// True when the preset applies a preconditioner inside the iteration.
-    pub fn is_preconditioned(&self) -> bool {
-        matches!(
-            self,
-            CampaignPreset::FusedPcg
-                | CampaignPreset::PipelinedPcg
-                | CampaignPreset::CgsPgmres
-                | CampaignPreset::PipelinedPgmres
-        )
-    }
-
-    /// The preconditioned LFLR sibling a death-family case runs (the
-    /// recovery presets are all preconditioned; unpreconditioned presets
-    /// map to the sibling with the same dot schedule and method).
-    fn death_sibling(&self) -> DeathSibling {
-        match self {
-            CampaignPreset::FusedCg | CampaignPreset::FusedPcg => DeathSibling::FusedPcg,
-            CampaignPreset::PipelinedCg | CampaignPreset::PipelinedPcg => {
-                DeathSibling::PipelinedPcg
-            }
-            CampaignPreset::CgsGmres | CampaignPreset::CgsPgmres => DeathSibling::CgsPgmres,
-            CampaignPreset::PipelinedGmres | CampaignPreset::PipelinedPgmres => {
-                DeathSibling::PipelinedPgmres
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum DeathSibling {
-    FusedPcg,
-    PipelinedPcg,
-    CgsPgmres,
-    PipelinedPgmres,
 }
 
 /// Geometry and budget of one campaign sweep; `Copy` so SPMD closures can
@@ -274,14 +246,6 @@ impl CaseOutcome {
             CaseOutcome::Errored => "errored",
         }
     }
-
-    /// True for the outcomes in which no wrong answer was presented as
-    /// success — which the oracle requires of *every* outcome; the
-    /// driver asserts this via classification, so a campaign sweep simply
-    /// checks every case classifies at all.
-    pub fn is_honest(&self) -> bool {
-        true
-    }
 }
 
 /// Everything one campaign case reports back.
@@ -396,104 +360,30 @@ pub fn run_kernel_preset<C: CommBackend>(
     spmv_plan: Option<StrikePlan>,
     precond_plan: Option<StrikePlan>,
 ) -> Result<(KernelOutcome<DistVector>, KernelReport, PresetProbe)> {
-    let mut space = DistSpace::new(comm, a).with_ops(opts.local_ops());
+    let (spec, preconditioned) = preset.spec();
+    let mut space = opts.space(comm, a);
     if let Some(plan) = spmv_plan {
         space = space.with_spmv_plan(plan);
     }
     if let Some(plan) = precond_plan {
         space = space.with_precond_plan(plan);
     }
-    let sopts = opts.solve_options();
     let mut guard_policy = PrecondGuardPolicy::new();
     let mut policies = PolicyStack::empty();
     if guard {
         policies.push(&mut guard_policy);
     }
-    let mut bj = if preset.is_preconditioned() {
-        Some(BlockJacobi::new(a))
-    } else {
-        None
-    };
-    let result = match preset {
-        CampaignPreset::FusedCg => run_cg(
-            &mut space,
-            b,
-            None,
-            &sopts,
-            &mut FusedCgStep::new(),
-            &mut policies,
-        ),
-        CampaignPreset::PipelinedCg => run_cg(
-            &mut space,
-            b,
-            None,
-            &sopts,
-            &mut PipelinedCgStep::new(),
-            &mut policies,
-        ),
-        CampaignPreset::FusedPcg => run_cg(
-            &mut space,
-            b,
-            None,
-            &sopts,
-            &mut FusedCgStep::preconditioned(bj.as_mut().expect("preconditioned preset")),
-            &mut policies,
-        ),
-        CampaignPreset::PipelinedPcg => run_cg(
-            &mut space,
-            b,
-            None,
-            &sopts,
-            &mut PipelinedCgStep::preconditioned(bj.as_mut().expect("preconditioned preset")),
-            &mut policies,
-        ),
-        CampaignPreset::CgsGmres => run_gmres(
-            &mut space,
-            b,
-            None,
-            &sopts,
-            &mut CgsOrtho::new(),
-            &mut policies,
-            None,
-            &GmresFlavor::distributed(),
-        ),
-        CampaignPreset::PipelinedGmres => run_gmres(
-            &mut space,
-            b,
-            None,
-            &sopts,
-            &mut PipelinedOrtho::new(),
-            &mut policies,
-            None,
-            &GmresFlavor::distributed(),
-        ),
-        CampaignPreset::CgsPgmres => {
-            let mut right = RightPrecond(bj.as_mut().expect("preconditioned preset"));
-            run_gmres(
-                &mut space,
-                b,
-                None,
-                &sopts,
-                &mut CgsOrtho::new(),
-                &mut policies,
-                Some(&mut right),
-                &GmresFlavor::distributed(),
-            )
-        }
-        CampaignPreset::PipelinedPgmres => {
-            let mut right = RightPrecond(bj.as_mut().expect("preconditioned preset"));
-            run_gmres(
-                &mut space,
-                b,
-                None,
-                &sopts,
-                &mut PipelinedOrtho::new(),
-                &mut policies,
-                Some(&mut right),
-                &GmresFlavor::distributed(),
-            )
-        }
-    };
+    let mut bj = preconditioned.then(|| BlockJacobi::new(a));
+    let m = bj.as_mut().map(|m| m as &mut dyn SpacePreconditioner<_>);
+    let result = solve(
+        &mut space,
+        b,
+        None,
+        &opts.solve_options(),
+        spec,
+        m,
+        &mut policies,
+    );
     drop(policies);
     let (outcome, report) = result?;
     // Geometry is read before the verification apply so the probe reports
@@ -554,7 +444,7 @@ fn classify_kernel(
 /// Measure the failure-free baseline of `(preset, seed)` under `cfg`:
 /// the geometry the schedule generator scales to and the makespan the
 /// faulty run is budgeted against. Death-family cases baseline the LFLR
-/// sibling (its snapshot-persist traffic is part of the clean makespan).
+/// solve (its snapshot-persist traffic is part of the clean makespan).
 pub fn clean_baseline(
     family: FaultFamily,
     seed: u64,
@@ -578,9 +468,9 @@ pub fn clean_baseline(
 
     let rt = Runtime::new(RuntimeConfig::fast().with_seed(seed));
     let job = if family.is_death_family() {
-        let sibling = preset.death_sibling();
+        let (spec, _) = preset.spec();
         rt.run(cfg.ranks, move |comm| {
-            run_death_rank(comm, &a, &b_global, sibling, &cfgc)
+            run_death_rank(comm, &a, &b_global, spec, &cfgc)
         })
     } else {
         rt.run(cfg.ranks, move |comm| {
@@ -646,19 +536,14 @@ fn run_death_rank(
     comm: &mut resilient_runtime::Comm,
     a: &resilient_linalg::CsrMatrix,
     b_global: &[f64],
-    sibling: DeathSibling,
+    spec: SolveSpec,
     cfg: &CampaignConfig,
 ) -> Result<RankVerdict> {
     let opts = cfg.solve_opts();
     let lcfg = KrylovLflrConfig::default()
         .with_persist_every(cfg.persist_every)
         .with_keep_last(cfg.keep_last);
-    let (out, rep) = match sibling {
-        DeathSibling::FusedPcg => lflr_dist_pcg(comm, a, b_global, &opts, &lcfg)?,
-        DeathSibling::PipelinedPcg => lflr_pipelined_pcg(comm, a, b_global, &opts, &lcfg)?,
-        DeathSibling::CgsPgmres => lflr_dist_pgmres(comm, a, b_global, &opts, &lcfg)?,
-        DeathSibling::PipelinedPgmres => lflr_pipelined_pgmres(comm, a, b_global, &opts, &lcfg)?,
-    };
+    let (out, rep) = lflr_solve(comm, a, b_global, spec, &opts, &lcfg)?;
     // Verification: gather the agreed global iterate (deterministic and
     // identical on every rank) and measure its true residual.
     let xg = out.x.gather_global(comm)?;
@@ -672,7 +557,7 @@ fn run_death_rank(
             CaseOutcome::DetectedByVerification
         }
     } else {
-        CaseOutcome::HonestFailure(StopReason::MaxIterations)
+        CaseOutcome::HonestFailure(out.reason)
     };
     let n_local = out.x.local_len();
     Ok(RankVerdict {
@@ -718,9 +603,9 @@ pub fn run_schedule(
                 .with_seed(schedule.seed)
                 .with_failures(FailureConfig::scheduled(FailurePolicy::ReplaceRank, deaths)),
         );
-        let sibling = preset.death_sibling();
+        let (spec, _) = preset.spec();
         rt.run(cfg.ranks, move |comm| {
-            run_death_rank(comm, &a, &b_global, sibling, &cfgc)
+            run_death_rank(comm, &a, &b_global, spec, &cfgc)
         })
     } else {
         let rt = Runtime::new(RuntimeConfig::fast().with_seed(schedule.seed));
@@ -822,8 +707,8 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 8, "preset names must be distinct");
-        for p in CampaignPreset::PRECONDITIONED {
-            assert!(p.is_preconditioned());
+        for p in CampaignPreset::ALL {
+            assert_eq!(CampaignPreset::PRECONDITIONED.contains(&p), p.spec().1);
         }
     }
 

@@ -532,11 +532,35 @@ impl DistCsr {
         )
     }
 
+    /// [`RuntimeError::InvalidArgument`] naming `what` unless `v` is
+    /// distributed like this operator's rows — the check every solve entry
+    /// point runs on its vector arguments before posting anything.
+    pub fn check_operand(&self, what: &str, v: &DistVector) -> Result<()> {
+        self.check_layout(what, v.distribution(), v.local_len())
+    }
+
+    fn check_layout(&self, what: &str, dist: BlockDistribution, local_rows: usize) -> Result<()> {
+        if dist == self.dist && local_rows == self.n_local {
+            return Ok(());
+        }
+        Err(RuntimeError::InvalidArgument(format!(
+            "{what} has global length {} ({local_rows} local rows) but the operator is \
+             {n} x {n} ({} local rows)",
+            dist.n,
+            self.n_local,
+            n = self.global_dim()
+        )))
+    }
+
     /// [`DistCsr::apply`] through an explicit [`LocalOps`] backend and
     /// reusable halo buffers (the form
     /// [`DistSpace`](crate::kernel::DistSpace) drives every iteration).
     /// Runs the SELL-C-σ layout when one was built
     /// ([`DistCsr::with_sell_layout`]); bit-identical either way.
+    ///
+    /// # Errors
+    /// [`RuntimeError::InvalidArgument`], before anything is sent, if `x`
+    /// is not distributed like the operator's columns.
     pub fn apply_with<C: CommBackend>(
         &self,
         comm: &mut C,
@@ -544,11 +568,7 @@ impl DistCsr {
         ops: &dyn LocalOps,
         scratch: &mut HaloScratch,
     ) -> Result<DistVector> {
-        assert_eq!(
-            x.global_len(),
-            self.global_dim(),
-            "spmv: dimension mismatch"
-        );
+        self.check_operand("spmv: input `x`", x)?;
         self.assemble_input_into(comm, x, scratch)?;
         comm.charge_flops(self.flops);
         let mut y_local = vec![0.0; self.local.nrows()];
@@ -591,17 +611,7 @@ impl DistCsr {
         active: usize,
         y: &mut DistMultiVector,
     ) -> Result<()> {
-        if x.distribution() != self.dist || x.local_rows() != self.n_local {
-            return Err(RuntimeError::InvalidArgument(format!(
-                "spmm: input `x` has global length {} ({} local rows) but the operator is \
-                 {} x {} ({} local rows)",
-                x.global_len(),
-                x.local_rows(),
-                self.global_dim(),
-                self.global_dim(),
-                self.n_local
-            )));
-        }
+        self.check_layout("spmm: input `x`", x.distribution(), x.local_rows())?;
         if y.k() != x.k() || y.local.len() != x.local.len() {
             return Err(RuntimeError::InvalidArgument(format!(
                 "spmm: output `y` holds {} columns of {} local rows, input `x` {} of {}",

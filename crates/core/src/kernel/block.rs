@@ -7,9 +7,9 @@
 //! recurrence (§II-B); the "millions of users" workload it motivates solves
 //! *many* right-hand sides against few operators. This kernel amortizes
 //! the wall over the batch: [`run_block_cg`] is the batched twin of
-//! [`run_cg`](super::run_cg), with [`BlockCgMode::Fused`] mirroring
+//! [`run_cg`](super::run_cg), with [`Schedule::Fused`] mirroring
 //! [`FusedCgStep::preconditioned`](super::FusedCgStep) (two blocking
-//! batched reductions per iteration) and [`BlockCgMode::Pipelined`]
+//! batched reductions per iteration) and [`Schedule::Pipelined`]
 //! mirroring [`PipelinedCgStep::preconditioned`](super::PipelinedCgStep)
 //! (one nonblocking batched reduction posted before the overlapped
 //! preconditioner + SpMM).
@@ -57,22 +57,10 @@ use super::policy::{
 };
 use super::precond::SpacePreconditioner;
 use super::space::{BlockPcgSweep, DistSpace, KrylovSpace};
+use super::spec::Schedule;
 use super::{KernelReport, SolveProgress};
 use crate::distributed::{DistMultiVector, DistVector};
 use crate::solvers::common::{SolveOptions, StopReason};
-
-/// Which reduction schedule the block kernel runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockCgMode {
-    /// Two blocking batched reductions per iteration — the batched
-    /// [`FusedCgStep::preconditioned`](super::FusedCgStep) recurrence.
-    Fused,
-    /// One nonblocking batched reduction per iteration, posted before the
-    /// preconditioner applies and SpMM it overlaps — the batched
-    /// [`PipelinedCgStep::preconditioned`](super::PipelinedCgStep)
-    /// recurrence (Ghysels & Vanroose).
-    Pipelined,
-}
 
 /// Result of one block solve: the final block iterate plus per-column
 /// convergence data.
@@ -104,6 +92,7 @@ impl BlockOutcome {
             column_iterations: self.column_iterations,
             relative_residuals: self.relative_residuals,
             converged: self.converged,
+            reason: self.reason,
             histories: self.histories,
         }
     }
@@ -341,7 +330,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     /// payloads) but skip preconditioner applies and stay frozen.
     fn build_state(
         &mut self,
-        mode: BlockCgMode,
+        mode: Schedule,
         st: &mut SolveProgress,
         x: &DistMultiVector,
         b: &DistMultiVector,
@@ -367,7 +356,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             fresh: true,
         };
         match mode {
-            BlockCgMode::Fused => {
+            Schedule::Fused => {
                 self.precond_active_into(&state.r, &mut state.z)?;
                 // One batched reduction for every column's r·z and r·r —
                 // the same single collective as the single-RHS init.
@@ -388,7 +377,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
                     }
                 }
             }
-            BlockCgMode::Pipelined => {
+            Schedule::Pipelined => {
                 let mut u = zeroed(b);
                 self.precond_active_into(&state.r, &mut u)?;
                 let mut w = zeroed(b);
@@ -418,7 +407,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     /// state and whether any column is still active.
     fn start_cycle(
         &mut self,
-        mode: BlockCgMode,
+        mode: Schedule,
         st: &mut SolveProgress,
         x: &DistMultiVector,
         b: &DistMultiVector,
@@ -735,7 +724,7 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
     b: &DistMultiVector,
     x0: Option<DistMultiVector>,
     opts: &SolveOptions,
-    mode: BlockCgMode,
+    mode: Schedule,
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
 ) -> Result<(BlockOutcome, KernelReport)> {
@@ -805,8 +794,8 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
     let mut reason = StopReason::MaxIterations;
     while live && st.iterations < opts.max_iters {
         let out = match mode {
-            BlockCgMode::Fused => drv.step_fused(&mut st, &mut state, &mut x, policies)?,
-            BlockCgMode::Pipelined => drv.step_pipelined(&mut st, &mut state, &mut x, policies)?,
+            Schedule::Fused => drv.step_fused(&mut st, &mut state, &mut x, policies)?,
+            Schedule::Pipelined => drv.step_pipelined(&mut st, &mut state, &mut x, policies)?,
         };
         match out {
             BlockStep::Continue => {}

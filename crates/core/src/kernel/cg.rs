@@ -399,10 +399,13 @@ impl<'m, S: KrylovSpace> FusedCgStep<'m, S> {
 
     /// The z-shifted (preconditioned) recurrence.
     pub fn preconditioned(m: &'m mut dyn SpacePreconditioner<S>) -> Self {
-        Self {
-            m: Some(m),
-            ..Self::new()
-        }
+        Self::with(Some(m))
+    }
+
+    /// [`Self::preconditioned`] when a preconditioner is given, [`Self::new`]
+    /// otherwise.
+    pub fn with(m: Option<&'m mut dyn SpacePreconditioner<S>>) -> Self {
+        Self { m, ..Self::new() }
     }
 }
 
@@ -614,10 +617,13 @@ impl<'m, S: KrylovSpace> PipelinedCgStep<'m, S> {
 
     /// The preconditioned pipelined recurrence.
     pub fn preconditioned(m: &'m mut dyn SpacePreconditioner<S>) -> Self {
-        Self {
-            m: Some(m),
-            ..Self::new()
-        }
+        Self::with(Some(m))
+    }
+
+    /// [`Self::preconditioned`] when a preconditioner is given, [`Self::new`]
+    /// otherwise.
+    pub fn with(m: Option<&'m mut dyn SpacePreconditioner<S>>) -> Self {
+        Self { m, ..Self::new() }
     }
 }
 

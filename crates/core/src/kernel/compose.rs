@@ -1,6 +1,8 @@
 //! Composed resilience scenarios — combinations the pre-kernel silos could
 //! not express.
 //!
+//! * [`pipelined_skeptical`] — the one body behind the next four: a
+//!   pipelined [`Method`] × optional preconditioner under the skeptical stack.
 //! * [`pipelined_skeptical_gmres`] — **RBSP × SkP**: the p(1)-pipelined
 //!   GMRES (latency hiding via a nonblocking fused reduction) running under
 //!   the full skeptical SDC-detection stack, over the distributed runtime.
@@ -29,15 +31,14 @@ use resilient_linalg::checksum::ChecksummedCsr;
 use resilient_linalg::CsrMatrix;
 use resilient_runtime::{CommBackend, ReduceOp, Result};
 
-use super::cg::{run_cg, PipelinedCgStep};
-use super::gmres::{run_gmres, GmresFlavor, PipelinedOrtho};
 use super::policy::{
     CheckDot, CheckOperand, DetectionResponse, IterCtx, PolicyAction, PolicyOverhead, PolicyStack,
     ResiliencePolicy,
 };
-use super::precond::{RightPrecond, SpacePreconditioner};
+use super::precond::SpacePreconditioner;
 use super::skeptic::SkepticalPolicy;
 use super::space::{DistSpace, KrylovSpace, SerialSpace, SpmvFault};
+use super::spec::{solve, Method, Schedule, SolveSpec};
 use crate::distributed::{DistCsr, DistVector};
 use crate::rbsp::{DistSolveOptions, DistSolveOutcome};
 use crate::skeptical::sdc_gmres::{SkepticalConfig, SkepticalReport};
@@ -249,49 +250,64 @@ pub struct ComposedDistReport {
     pub policy_restarts: usize,
 }
 
-/// p(1)-pipelined GMRES with the skeptical SDC-detection stack — latency
+/// One pipelined method under the skeptical SDC-detection stack — latency
 /// hiding *and* corruption detection in one solve, which the rbsp/skeptical
-/// silos could not combine. `fault` optionally injects a single-event upset
-/// into a chosen SpMV product (see [`SpmvFault`]).
-pub fn pipelined_skeptical_gmres<C: CommBackend>(
-    comm: &mut C,
-    a: &DistCsr,
+/// silos could not combine; the four named scenarios below are its
+/// `method` × preconditioner matrix. The skeptical check dots ride the
+/// strategy's single nonblocking reduction (wants-dots negotiation), so
+/// detection adds zero collectives per iteration. `fault` optionally
+/// injects a single-event upset into a chosen SpMV product (see
+/// [`SpmvFault`]).
+///
+/// # Errors
+/// [`RuntimeError::InvalidArgument`](resilient_runtime::RuntimeError),
+/// before any collective, if `b` is not distributed like `a`'s rows.
+#[allow(clippy::too_many_arguments)]
+pub fn pipelined_skeptical<'a, 'b, C: CommBackend>(
+    comm: &'a mut C,
+    a: &'b DistCsr,
     b: &DistVector,
+    method: Method,
+    m: Option<&mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>>,
     opts: &DistSolveOptions,
     skeptic: &SkepticalConfig,
     fault: Option<SpmvFault>,
 ) -> Result<(DistSolveOutcome, ComposedDistReport)> {
-    // Pairwise orthogonality is an invariant of *explicitly orthogonalized*
-    // bases. The p(1) basis is recovered by linearity and legitimately
-    // drifts to ~1e-2 orthogonality on clean runs as the residual
-    // approaches the tolerance, so the orthogonality test carries no signal
-    // here and is disabled (a NaN inner product still trips it). The
-    // finiteness, norm-bound and residual-consistency checks — which remain
-    // valid invariants of the pipelined recurrence — keep their configured
-    // strictness and carry the SDC detection.
+    // `solve` validates too, but only after the ‖A‖∞ allreduce below.
+    a.check_operand("`b`", b)?;
     let mut skeptic = *skeptic;
-    skeptic.orthogonality_tol = f64::INFINITY;
-    let skeptic = &skeptic;
-    // Globally agreed ∞-norm bound for the norm-bound check.
+    if method == Method::Gmres {
+        // Pairwise orthogonality is an invariant of *explicitly
+        // orthogonalized* bases. The p(1) basis is recovered by linearity
+        // and legitimately drifts to ~1e-2 orthogonality on clean runs as
+        // the residual approaches the tolerance, so the orthogonality test
+        // carries no signal here and is disabled (a NaN inner product still
+        // trips it). The finiteness, norm-bound and residual-consistency
+        // checks — which remain valid invariants of the pipelined
+        // recurrence — keep their configured strictness and carry the SDC
+        // detection.
+        skeptic.orthogonality_tol = f64::INFINITY;
+    }
+    // Globally agreed ∞-norm bound for the norm-bound check; the check pair
+    // the policy sees is the true (A-input, A-product) pair — the
+    // preconditioned recurrences resolve `spmv_input` to `u = M⁻¹r` — so
+    // the invariant ‖A·u‖ ≤ c·‖A‖·‖u‖ is unchanged by preconditioning.
     let norm_a = comm.allreduce_scalar(ReduceOp::Max, a.local_norm_inf())?;
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter)
-        .with_operator_norm(norm_a);
+    let mut space = opts.space(comm, a).with_operator_norm(norm_a);
     if let Some(f) = fault {
         space = space.with_fault(f);
     }
-    let mut skeptical = SkepticalPolicy::new(*skeptic);
+    let mut skeptical = SkepticalPolicy::new(skeptic);
     let mut policies = PolicyStack::new(vec![&mut skeptical]);
-    let (outcome, report) = run_gmres(
+    let spec = SolveSpec::new(method, Schedule::Pipelined);
+    let (outcome, report) = solve(
         &mut space,
         b,
         None,
         &opts.solve_options(),
-        &mut PipelinedOrtho::new(),
+        spec,
+        m,
         &mut policies,
-        None,
-        &GmresFlavor::distributed(),
     )?;
     let injections = space.injections();
     Ok((
@@ -303,6 +319,21 @@ pub fn pipelined_skeptical_gmres<C: CommBackend>(
             policy_restarts: report.policy_restarts,
         },
     ))
+}
+
+/// p(1)-pipelined GMRES with the skeptical SDC-detection stack:
+/// [`pipelined_skeptical`] × [`Method::Gmres`], pairwise-orthogonality
+/// test disabled (the p(1) basis is recovered by linearity and drifts
+/// legitimately).
+pub fn pipelined_skeptical_gmres<C: CommBackend>(
+    comm: &mut C,
+    a: &DistCsr,
+    b: &DistVector,
+    opts: &DistSolveOptions,
+    skeptic: &SkepticalConfig,
+    fault: Option<SpmvFault>,
+) -> Result<(DistSolveOutcome, ComposedDistReport)> {
+    pipelined_skeptical(comm, a, b, Method::Gmres, None, opts, skeptic, fault)
 }
 
 // ---------------------------------------------------------------------------
@@ -329,35 +360,7 @@ pub fn pipelined_skeptical_cg<C: CommBackend>(
     skeptic: &SkepticalConfig,
     fault: Option<SpmvFault>,
 ) -> Result<(DistSolveOutcome, ComposedDistReport)> {
-    // Globally agreed ∞-norm bound for the norm-bound check.
-    let norm_a = comm.allreduce_scalar(ReduceOp::Max, a.local_norm_inf())?;
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter)
-        .with_operator_norm(norm_a);
-    if let Some(f) = fault {
-        space = space.with_fault(f);
-    }
-    let mut skeptical = SkepticalPolicy::new(*skeptic);
-    let mut policies = PolicyStack::new(vec![&mut skeptical]);
-    let (outcome, report) = run_cg(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut PipelinedCgStep::new(),
-        &mut policies,
-    )?;
-    let injections = space.injections();
-    Ok((
-        outcome.into_dist_outcome(opts.tol),
-        ComposedDistReport {
-            skeptical: skeptical.report(),
-            policies: report.policy_overhead,
-            injections,
-            policy_restarts: report.policy_restarts,
-        },
-    ))
+    pipelined_skeptical(comm, a, b, Method::Cg, None, opts, skeptic, fault)
 }
 
 // ---------------------------------------------------------------------------
@@ -381,38 +384,7 @@ pub fn pipelined_skeptical_pcg<'a, 'b, C: CommBackend>(
     skeptic: &SkepticalConfig,
     fault: Option<SpmvFault>,
 ) -> Result<(DistSolveOutcome, ComposedDistReport)> {
-    // Globally agreed ∞-norm bound for the norm-bound check; the check pair
-    // the policy sees is the true (A-input, A-product) pair — the
-    // preconditioned recurrence resolves `spmv_input` to `u = M⁻¹r` — so
-    // the invariant ‖A·u‖ ≤ c·‖A‖·‖u‖ is unchanged by preconditioning.
-    let norm_a = comm.allreduce_scalar(ReduceOp::Max, a.local_norm_inf())?;
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter)
-        .with_operator_norm(norm_a);
-    if let Some(f) = fault {
-        space = space.with_fault(f);
-    }
-    let mut skeptical = SkepticalPolicy::new(*skeptic);
-    let mut policies = PolicyStack::new(vec![&mut skeptical]);
-    let (outcome, report) = run_cg(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut PipelinedCgStep::preconditioned(m),
-        &mut policies,
-    )?;
-    let injections = space.injections();
-    Ok((
-        outcome.into_dist_outcome(opts.tol),
-        ComposedDistReport {
-            skeptical: skeptical.report(),
-            policies: report.policy_overhead,
-            injections,
-            policy_restarts: report.policy_restarts,
-        },
-    ))
+    pipelined_skeptical(comm, a, b, Method::Cg, Some(m), opts, skeptic, fault)
 }
 
 /// Right-preconditioned p(1)-pipelined GMRES under the skeptical SDC stack:
@@ -430,39 +402,7 @@ pub fn pipelined_skeptical_pgmres<'a, 'b, C: CommBackend>(
     skeptic: &SkepticalConfig,
     fault: Option<SpmvFault>,
 ) -> Result<(DistSolveOutcome, ComposedDistReport)> {
-    let mut skeptic = *skeptic;
-    skeptic.orthogonality_tol = f64::INFINITY;
-    let norm_a = comm.allreduce_scalar(ReduceOp::Max, a.local_norm_inf())?;
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter)
-        .with_operator_norm(norm_a);
-    if let Some(f) = fault {
-        space = space.with_fault(f);
-    }
-    let mut skeptical = SkepticalPolicy::new(skeptic);
-    let mut policies = PolicyStack::new(vec![&mut skeptical]);
-    let mut right = RightPrecond(m);
-    let (outcome, report) = run_gmres(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut PipelinedOrtho::new(),
-        &mut policies,
-        Some(&mut right),
-        &GmresFlavor::distributed(),
-    )?;
-    let injections = space.injections();
-    Ok((
-        outcome.into_dist_outcome(opts.tol),
-        ComposedDistReport {
-            skeptical: skeptical.report(),
-            policies: report.policy_overhead,
-            injections,
-            policy_restarts: report.policy_restarts,
-        },
-    ))
+    pipelined_skeptical(comm, a, b, Method::Gmres, Some(m), opts, skeptic, fault)
 }
 
 // ---------------------------------------------------------------------------

@@ -40,23 +40,22 @@
 //!
 //! [`Comm::persist`]: resilient_runtime::Comm::persist
 //!
-//! The presets ([`lflr_dist_pcg`], [`lflr_pipelined_pcg`],
-//! [`lflr_dist_pgmres`], [`lflr_pipelined_pgmres`]) run the block-Jacobi
-//! preconditioned distributed solvers under this protocol and open the
-//! failure × latency × preconditioning scenario grid measured by
-//! `exp_krylov_lflr`, which compares mid-solve resume against the
-//! restart-from-zero baseline ([`KrylovLflrConfig::restart_from_zero`]).
+//! [`lflr_solve`] runs any block-Jacobi preconditioned [`SolveSpec`] under
+//! this protocol (the named presets [`lflr_dist_pcg`],
+//! [`lflr_pipelined_pcg`], [`lflr_dist_pgmres`], [`lflr_pipelined_pgmres`]
+//! are its four values) and opens the failure × latency × preconditioning
+//! scenario grid measured by `exp_krylov_lflr`, which compares mid-solve
+//! resume against the restart-from-zero baseline
+//! ([`KrylovLflrConfig::restart_from_zero`]).
 
 use resilient_linalg::CsrMatrix;
 use resilient_runtime::{CommBackend, ReduceOp, Result};
 
-use super::cg::{run_cg, FusedCgStep, PipelinedCgStep};
-use super::gmres::{run_gmres, CgsOrtho, GmresFlavor, PipelinedOrtho};
 use super::policy::{
     snapshot_key, IterateRollbackPolicy, PolicyOverhead, PolicyStack, SNAPSHOT_META_KEY,
 };
-use super::precond::{BlockJacobi, RightPrecond};
-use super::space::DistSpace;
+use super::precond::BlockJacobi;
+use super::spec::{solve, SolveSpec};
 use crate::distributed::{DistCsr, DistVector};
 use crate::rbsp::{DistSolveOptions, DistSolveOutcome};
 
@@ -136,19 +135,6 @@ pub struct KrylovLflrReport {
     pub fallback_restores: usize,
     /// Per-policy overhead of the final attempt, in stack order.
     pub policy: Vec<PolicyOverhead>,
-}
-
-/// Which kernel × strategy composition a preset drives under the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LflrKrylov {
-    /// Block-Jacobi preconditioned bulk-synchronous CG ([`FusedCgStep`]).
-    FusedPcg,
-    /// Block-Jacobi preconditioned pipelined CG ([`PipelinedCgStep`]).
-    PipelinedPcg,
-    /// Right-preconditioned bulk-synchronous GMRES ([`CgsOrtho`]).
-    CgsPgmres,
-    /// Right-preconditioned p(1)-pipelined GMRES ([`PipelinedOrtho`]).
-    PipelinedPgmres,
 }
 
 /// The newest step this rank holds a restorable snapshot for in its
@@ -245,7 +231,7 @@ fn attempt<C: CommBackend>(
     b_global: &[f64],
     opts: &DistSolveOptions,
     cfg: &KrylovLflrConfig,
-    solver: LflrKrylov,
+    spec: SolveSpec,
     resume: Option<usize>,
     report: &mut KrylovLflrReport,
 ) -> Result<DistSolveOutcome> {
@@ -281,54 +267,17 @@ fn attempt<C: CommBackend>(
     let sopts = opts
         .solve_options()
         .with_max_iters(opts.max_iters.saturating_sub(resume_step).max(1));
-    let mut space = DistSpace::new(comm, &da)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
+    let mut space = opts.space(comm, &da);
     let mut policies = PolicyStack::new(vec![&mut rollback]);
-    let result = match solver {
-        LflrKrylov::FusedPcg => run_cg(
-            &mut space,
-            &b,
-            x0,
-            &sopts,
-            &mut FusedCgStep::preconditioned(&mut bj),
-            &mut policies,
-        ),
-        LflrKrylov::PipelinedPcg => run_cg(
-            &mut space,
-            &b,
-            x0,
-            &sopts,
-            &mut PipelinedCgStep::preconditioned(&mut bj),
-            &mut policies,
-        ),
-        LflrKrylov::CgsPgmres => {
-            let mut right = RightPrecond(&mut bj);
-            run_gmres(
-                &mut space,
-                &b,
-                x0,
-                &sopts,
-                &mut CgsOrtho::new(),
-                &mut policies,
-                Some(&mut right),
-                &GmresFlavor::distributed(),
-            )
-        }
-        LflrKrylov::PipelinedPgmres => {
-            let mut right = RightPrecond(&mut bj);
-            run_gmres(
-                &mut space,
-                &b,
-                x0,
-                &sopts,
-                &mut PipelinedOrtho::new(),
-                &mut policies,
-                Some(&mut right),
-                &GmresFlavor::distributed(),
-            )
-        }
-    };
+    let result = solve(
+        &mut space,
+        &b,
+        x0,
+        &sopts,
+        spec,
+        Some(&mut bj),
+        &mut policies,
+    );
     drop(policies);
     // Count snapshots even when the attempt died mid-solve: the store
     // traffic happened either way.
@@ -339,16 +288,18 @@ fn attempt<C: CommBackend>(
     Ok(outcome.into_dist_outcome(opts.tol))
 }
 
-/// Drive one distributed solve to completion under the LFLR protocol. Call
-/// from inside an SPMD closure launched with the
+/// Drive the block-Jacobi preconditioned composition `spec` to completion
+/// under the LFLR protocol: per-rank snapshots through `Comm::persist`,
+/// agreed rollback, replacement-rank resume. Call from inside an SPMD
+/// closure launched with the
 /// [`ReplaceRank`](resilient_runtime::FailurePolicy::ReplaceRank) policy.
-fn run_krylov_lflr<C: CommBackend>(
+pub fn lflr_solve<C: CommBackend>(
     comm: &mut C,
     a_global: &CsrMatrix,
     b_global: &[f64],
+    spec: SolveSpec,
     opts: &DistSolveOptions,
     cfg: &KrylovLflrConfig,
-    solver: LflrKrylov,
 ) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
     let mut report = KrylovLflrReport::default();
     let mut resume: Option<usize> = None;
@@ -372,7 +323,7 @@ fn run_krylov_lflr<C: CommBackend>(
                 b_global,
                 opts,
                 cfg,
-                solver,
+                spec,
                 resume,
                 &mut report,
             ) {
@@ -416,7 +367,7 @@ pub fn lflr_dist_pcg<C: CommBackend>(
     opts: &DistSolveOptions,
     cfg: &KrylovLflrConfig,
 ) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
-    run_krylov_lflr(comm, a_global, b_global, opts, cfg, LflrKrylov::FusedPcg)
+    lflr_solve(comm, a_global, b_global, SolveSpec::FUSED_CG, opts, cfg)
 }
 
 /// Block-Jacobi preconditioned pipelined CG
@@ -430,14 +381,7 @@ pub fn lflr_pipelined_pcg<C: CommBackend>(
     opts: &DistSolveOptions,
     cfg: &KrylovLflrConfig,
 ) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
-    run_krylov_lflr(
-        comm,
-        a_global,
-        b_global,
-        opts,
-        cfg,
-        LflrKrylov::PipelinedPcg,
-    )
+    lflr_solve(comm, a_global, b_global, SolveSpec::PIPELINED_CG, opts, cfg)
 }
 
 /// Right-preconditioned bulk-synchronous GMRES
@@ -452,7 +396,7 @@ pub fn lflr_dist_pgmres<C: CommBackend>(
     opts: &DistSolveOptions,
     cfg: &KrylovLflrConfig,
 ) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
-    run_krylov_lflr(comm, a_global, b_global, opts, cfg, LflrKrylov::CgsPgmres)
+    lflr_solve(comm, a_global, b_global, SolveSpec::FUSED_GMRES, opts, cfg)
 }
 
 /// Right-preconditioned p(1)-pipelined GMRES
@@ -465,12 +409,12 @@ pub fn lflr_pipelined_pgmres<C: CommBackend>(
     opts: &DistSolveOptions,
     cfg: &KrylovLflrConfig,
 ) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
-    run_krylov_lflr(
+    lflr_solve(
         comm,
         a_global,
         b_global,
+        SolveSpec::PIPELINED_GMRES,
         opts,
         cfg,
-        LflrKrylov::PipelinedPgmres,
     )
 }

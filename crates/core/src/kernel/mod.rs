@@ -4,7 +4,7 @@
 //! The paper's central claim is that resilient programming models are
 //! *orthogonal strategies* an application composes. This module is the
 //! architecture that makes that true in code. It decomposes every Krylov
-//! solver in the suite into three independent axes:
+//! solver in the suite into four independent axes:
 //!
 //! 1. **Space** ([`KrylovSpace`]) — where vectors live and what reductions
 //!    cost: serial slices ([`SerialSpace`]) or block-distributed vectors over
@@ -28,16 +28,18 @@
 //!    variants of `FusedCgStep`/`PipelinedCgStep`); GMRES strategies take
 //!    it through the flexible right-preconditioning slot ([`RightPrecond`]).
 //!
-//! The five legacy entry points (`solvers::{cg,gmres,fgmres}`,
-//! `rbsp::{cg,gmres}`, `srp::ft_gmres`, `skeptical::sdc_gmres`) are thin
-//! presets over this kernel and preserve their public signatures, numerical
-//! behaviour and cost accounting. Combinations that were previously
-//! impossible — pipelined GMRES *with* SDC detection, FT-GMRES *with*
-//! ABFT-checked products — are presets too; see [`compose`]. The [`lflr`]
-//! module layers the paper's local-failure-local-recovery protocol over
-//! the same axes: [`IterateRollbackPolicy`] persists per-rank snapshots
-//! through `Comm::persist`, and the [`lflr`] presets resume a distributed
-//! preconditioned solve mid-stream after a rank is killed and replaced.
+//! Over a [`DistSpace`] the composition is a value: [`solve`] runs a
+//! [`SolveSpec`] (method × reduction schedule) with an optional
+//! preconditioner and a policy stack, and is the one place a spec becomes a
+//! strategy type. The `rbsp::{cg,gmres}` presets, the [`compose`] scenarios
+//! (pipelined solvers *with* SDC detection; FT-GMRES *with* ABFT-checked
+//! products — impossible before the kernel) and the [`lflr`] protocol
+//! ([`IterateRollbackPolicy`] snapshots through `Comm::persist`,
+//! [`lflr_solve`] resumes mid-stream after a rank is killed and replaced)
+//! all dispatch through it. The serial entry points
+//! (`solvers::{cg,gmres,fgmres}`, `srp::ft_gmres`, `skeptical::sdc_gmres`)
+//! call [`run_cg`] / [`run_gmres`] over a [`SerialSpace`] and keep their
+//! public signatures, numerical behaviour and cost accounting.
 //!
 //! One intentional accounting deviation from the legacy silos: when a solve
 //! aborts on a detected corruption, the final verification residual is now
@@ -54,13 +56,15 @@ pub mod policy;
 pub mod precond;
 pub mod skeptic;
 pub mod space;
+pub mod spec;
 
-pub use block::{run_block_cg, BlockCgMode, BlockOutcome};
+pub use block::{run_block_cg, BlockOutcome};
 pub use cache::SetupCache;
 pub use cg::{run_cg, CgOutcome, CgStrategy, FusedCgStep, PcgStep, PipelinedCgStep};
 pub use compose::{
-    ft_gmres_abft, pipelined_skeptical_cg, pipelined_skeptical_gmres, pipelined_skeptical_pcg,
-    pipelined_skeptical_pgmres, AbftSpmvPolicy, ComposedDistReport, FtGmresAbftReport,
+    ft_gmres_abft, pipelined_skeptical, pipelined_skeptical_cg, pipelined_skeptical_gmres,
+    pipelined_skeptical_pcg, pipelined_skeptical_pgmres, AbftSpmvPolicy, ComposedDistReport,
+    FtGmresAbftReport,
 };
 pub use gmres::{
     run_gmres, CgsOrtho, FlexibleRight, GmresCycle, GmresFlavor, MgsOrtho, OrthoStrategy,
@@ -68,8 +72,8 @@ pub use gmres::{
 };
 pub use guard::PrecondGuardPolicy;
 pub use lflr::{
-    lflr_dist_pcg, lflr_dist_pgmres, lflr_pipelined_pcg, lflr_pipelined_pgmres, KrylovLflrConfig,
-    KrylovLflrReport,
+    lflr_dist_pcg, lflr_dist_pgmres, lflr_pipelined_pcg, lflr_pipelined_pgmres, lflr_solve,
+    KrylovLflrConfig, KrylovLflrReport,
 };
 pub use policy::{
     snapshot_key, CheckDot, CheckDotBatch, CheckOperand, CheckVectors, DetectionResponse,
@@ -81,6 +85,10 @@ pub use skeptic::SkepticalPolicy;
 pub use space::{
     BlockPcgSweep, DistSpace, KrylovSpace, PendingDots, SerialSpace, SpmvFault, ThreadSpace,
 };
+/// [`Schedule`] under the name the block kernel introduced it by; kept for
+/// the frozen `perf_ledger` benchmark, which imports it.
+pub use spec::Schedule as BlockCgMode;
+pub use spec::{solve, Method, Schedule, SolveSpec};
 
 use crate::solvers::common::{SolveOutcome, StopReason};
 use policy::IterCtx as Ctx;
@@ -127,6 +135,7 @@ impl KernelOutcome<crate::distributed::DistVector> {
             x: self.x,
             iterations: self.iterations,
             relative_residual: self.relative_residual,
+            reason: self.reason,
             history: self.history,
         }
     }

@@ -521,6 +521,11 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         self.comm
     }
 
+    /// The bound operator.
+    pub fn operator(&self) -> &'b DistCsr {
+        self.a
+    }
+
     // -- batched multi-RHS entry points ------------------------------------
     //
     // The block-CG kernel's surface: one operator sweep and one collective

@@ -1,25 +1,27 @@
 //! Distributed conjugate gradients: bulk-synchronous vs. pipelined.
 //!
-//! Both entry points are presets of the unified kernel
-//! ([`crate::kernel`]) over a [`DistSpace`]: the bulk-synchronous variant
-//! uses the [`FusedCgStep`] recurrence (two blocking all-reduces per
-//! iteration), the pipelined variant the [`PipelinedCgStep`] recurrence
-//! (one nonblocking fused all-reduce overlapped with the SpMV).
+//! Every entry point names one composition of the unified kernel
+//! ([`crate::kernel`]) and runs it through [`solve_dist`]: the
+//! bulk-synchronous variants are [`SolveSpec::FUSED_CG`] (the
+//! [`FusedCgStep`](crate::kernel::FusedCgStep) recurrence, two blocking
+//! all-reduces per iteration), the pipelined variants
+//! [`SolveSpec::PIPELINED_CG`] (the
+//! [`PipelinedCgStep`](crate::kernel::PipelinedCgStep) recurrence, one
+//! nonblocking fused all-reduce overlapped with the SpMV).
 
 use resilient_runtime::{CommBackend, Result};
 
-use super::{BlockSolveOutcome, DistSolveOptions, DistSolveOutcome};
+use super::{solve_dist, BlockSolveOutcome, DistSolveOptions, DistSolveOutcome};
 use crate::distributed::{DistCsr, DistMultiVector, DistVector};
 use crate::kernel::{
-    run_block_cg, run_cg, BlockCgMode, DistSpace, FusedCgStep, PipelinedCgStep, PolicyStack,
-    SpacePreconditioner,
+    run_block_cg, DistSpace, PolicyStack, Schedule, SolveSpec, SpacePreconditioner,
 };
 
 /// Classical distributed CG. Each iteration performs one SpMV (neighborhood
 /// communication) and **two blocking all-reduces** — the structure whose
 /// latency sensitivity §II-B describes.
 ///
-/// Preset: unified kernel × [`FusedCgStep`] × empty policy stack over a
+/// Preset: [`SolveSpec::FUSED_CG`] × empty policy stack over a
 /// [`DistSpace`].
 pub fn dist_cg<C: CommBackend>(
     comm: &mut C,
@@ -27,18 +29,7 @@ pub fn dist_cg<C: CommBackend>(
     b: &DistVector,
     opts: &DistSolveOptions,
 ) -> Result<DistSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let (outcome, _report) = run_cg(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut FusedCgStep::new(),
-        &mut PolicyStack::empty(),
-    )?;
-    Ok(outcome.into_dist_outcome(opts.tol))
+    solve_dist(comm, a, b, SolveSpec::FUSED_CG, None, opts)
 }
 
 /// Pipelined CG (Ghysels & Vanroose): algebraically equivalent to CG but with
@@ -46,7 +37,7 @@ pub fn dist_cg<C: CommBackend>(
 /// SpMV and completed after it, so the global reduction's latency is hidden
 /// behind the matrix-vector product and the extra per-iteration work.
 ///
-/// Preset: unified kernel × [`PipelinedCgStep`] × empty policy stack over a
+/// Preset: [`SolveSpec::PIPELINED_CG`] × empty policy stack over a
 /// [`DistSpace`].
 pub fn pipelined_cg<C: CommBackend>(
     comm: &mut C,
@@ -54,30 +45,20 @@ pub fn pipelined_cg<C: CommBackend>(
     b: &DistVector,
     opts: &DistSolveOptions,
 ) -> Result<DistSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let (outcome, _report) = run_cg(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut PipelinedCgStep::new(),
-        &mut PolicyStack::empty(),
-    )?;
-    Ok(outcome.into_dist_outcome(opts.tol))
+    solve_dist(comm, a, b, SolveSpec::PIPELINED_CG, None, opts)
 }
 
-/// Preconditioned distributed CG: the z-shifted [`FusedCgStep`] recurrence
-/// with `r·z` and `r·r` fused into its second reduction, so the schedule
-/// stays at **two blocking all-reduces per iteration** — preconditioning
+/// Preconditioned distributed CG: the z-shifted
+/// [`FusedCgStep`](crate::kernel::FusedCgStep) recurrence with `r·z` and
+/// `r·r` fused into its second reduction, so the schedule stays at **two
+/// blocking all-reduces per iteration** — preconditioning
 /// (e.g. [`BlockJacobi`](crate::kernel::BlockJacobi), whose applies are
 /// purely local) adds zero collectives. Under
 /// [`IdentityPrecond`](crate::kernel::IdentityPrecond) the solve is
 /// bit-identical to [`dist_cg`].
 ///
-/// Preset: unified kernel × preconditioned [`FusedCgStep`] × empty policy
-/// stack over a [`DistSpace`].
+/// Preset: [`SolveSpec::FUSED_CG`] × preconditioner × empty policy stack
+/// over a [`DistSpace`].
 pub fn dist_pcg<'a, 'b, C: CommBackend>(
     comm: &'a mut C,
     a: &'b DistCsr,
@@ -85,18 +66,7 @@ pub fn dist_pcg<'a, 'b, C: CommBackend>(
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     opts: &DistSolveOptions,
 ) -> Result<DistSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let (outcome, _report) = run_cg(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut FusedCgStep::preconditioned(m),
-        &mut PolicyStack::empty(),
-    )?;
-    Ok(outcome.into_dist_outcome(opts.tol))
+    solve_dist(comm, a, b, SolveSpec::FUSED_CG, Some(m), opts)
 }
 
 /// Preconditioned pipelined CG (Ghysels & Vanroose): the preconditioner
@@ -106,8 +76,8 @@ pub fn dist_pcg<'a, 'b, C: CommBackend>(
 /// [`IdentityPrecond`](crate::kernel::IdentityPrecond) the solve is
 /// bit-identical to [`pipelined_cg`].
 ///
-/// Preset: unified kernel × preconditioned [`PipelinedCgStep`] × empty
-/// policy stack over a [`DistSpace`].
+/// Preset: [`SolveSpec::PIPELINED_CG`] × preconditioner × empty policy
+/// stack over a [`DistSpace`].
 pub fn pipelined_pcg<'a, 'b, C: CommBackend>(
     comm: &'a mut C,
     a: &'b DistCsr,
@@ -115,18 +85,30 @@ pub fn pipelined_pcg<'a, 'b, C: CommBackend>(
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     opts: &DistSolveOptions,
 ) -> Result<DistSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let (outcome, _report) = run_cg(
+    solve_dist(comm, a, b, SolveSpec::PIPELINED_CG, Some(m), opts)
+}
+
+/// The two block presets: [`run_block_cg`] under `schedule` × empty policy
+/// stack over [`DistSolveOptions::space`].
+fn block_pcg<'a, 'b, C: CommBackend>(
+    comm: &'a mut C,
+    a: &'b DistCsr,
+    b: &DistMultiVector,
+    m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
+    schedule: Schedule,
+    opts: &DistSolveOptions,
+) -> Result<BlockSolveOutcome> {
+    let mut space = opts.space(comm, a);
+    let (outcome, _report) = run_block_cg(
         &mut space,
         b,
         None,
         &opts.solve_options(),
-        &mut PipelinedCgStep::preconditioned(m),
+        schedule,
+        m,
         &mut PolicyStack::empty(),
     )?;
-    Ok(outcome.into_dist_outcome(opts.tol))
+    Ok(outcome.into_block_solve_outcome())
 }
 
 /// Block (multi-RHS) preconditioned distributed CG: all `k = b.k()`
@@ -137,7 +119,7 @@ pub fn pipelined_pcg<'a, 'b, C: CommBackend>(
 /// freeze (no further arithmetic charges) but keep their payload slots, so
 /// the collective schedule stays rank-symmetric.
 ///
-/// Preset: block kernel ([`run_block_cg`], [`BlockCgMode::Fused`]) × empty
+/// Preset: block kernel ([`run_block_cg`], [`Schedule::Fused`]) × empty
 /// policy stack over a [`DistSpace`].
 pub fn dist_block_pcg<'a, 'b, C: CommBackend>(
     comm: &'a mut C,
@@ -146,19 +128,7 @@ pub fn dist_block_pcg<'a, 'b, C: CommBackend>(
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     opts: &DistSolveOptions,
 ) -> Result<BlockSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let (outcome, _report) = run_block_cg(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        BlockCgMode::Fused,
-        m,
-        &mut PolicyStack::empty(),
-    )?;
-    Ok(outcome.into_block_solve_outcome())
+    block_pcg(comm, a, b, m, Schedule::Fused, opts)
 }
 
 /// Block (multi-RHS) preconditioned pipelined CG: the batched twin of
@@ -167,7 +137,7 @@ pub fn dist_block_pcg<'a, 'b, C: CommBackend>(
 /// preconditioner applies and the SpMM sweep. At `k = 1` the solve is
 /// bit-identical to [`pipelined_pcg`].
 ///
-/// Preset: block kernel ([`run_block_cg`], [`BlockCgMode::Pipelined`]) ×
+/// Preset: block kernel ([`run_block_cg`], [`Schedule::Pipelined`]) ×
 /// empty policy stack over a [`DistSpace`].
 pub fn pipelined_block_pcg<'a, 'b, C: CommBackend>(
     comm: &'a mut C,
@@ -176,19 +146,7 @@ pub fn pipelined_block_pcg<'a, 'b, C: CommBackend>(
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     opts: &DistSolveOptions,
 ) -> Result<BlockSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let (outcome, _report) = run_block_cg(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        BlockCgMode::Pipelined,
-        m,
-        &mut PolicyStack::empty(),
-    )?;
-    Ok(outcome.into_block_solve_outcome())
+    block_pcg(comm, a, b, m, Schedule::Pipelined, opts)
 }
 
 #[cfg(test)]

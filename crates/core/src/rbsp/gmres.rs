@@ -1,27 +1,27 @@
 //! Distributed GMRES: bulk-synchronous vs. p(1)-pipelined.
 //!
-//! Both entry points are presets of the unified kernel
-//! ([`crate::kernel`]) over a [`DistSpace`]: the bulk-synchronous variant
-//! uses the [`CgsOrtho`] dot strategy (classical Gram–Schmidt, two blocking
-//! all-reduces per iteration), the pipelined variant the [`PipelinedOrtho`]
-//! strategy (one nonblocking fused all-reduce overlapped with the
-//! speculative next product).
+//! Every entry point names one composition of the unified kernel
+//! ([`crate::kernel`]) and runs it through [`solve_dist`]: the
+//! bulk-synchronous variants are [`SolveSpec::FUSED_GMRES`] (the
+//! [`CgsOrtho`](crate::kernel::CgsOrtho) dot strategy — classical
+//! Gram–Schmidt, two blocking all-reduces per iteration), the pipelined
+//! variants [`SolveSpec::PIPELINED_GMRES`] (the
+//! [`PipelinedOrtho`](crate::kernel::PipelinedOrtho) strategy — one
+//! nonblocking fused all-reduce overlapped with the speculative next
+//! product).
 
 use resilient_runtime::{CommBackend, Result};
 
-use super::{DistSolveOptions, DistSolveOutcome};
+use super::{solve_dist, DistSolveOptions, DistSolveOutcome};
 use crate::distributed::{DistCsr, DistVector};
-use crate::kernel::{
-    run_gmres, CgsOrtho, DistSpace, GmresFlavor, PipelinedOrtho, PolicyStack, RightPrecond,
-    SpacePreconditioner,
-};
+use crate::kernel::{DistSpace, SolveSpec, SpacePreconditioner};
 
 /// Classical distributed GMRES with classical Gram–Schmidt orthogonalisation:
 /// per iteration one SpMV, one **blocking** all-reduce for the projection
 /// coefficients and one **blocking** all-reduce for the normalisation — the
 /// two global synchronisation points per iteration that limit strong
 /// scaling.
-/// Preset: unified kernel × [`CgsOrtho`] × empty policy stack over a
+/// Preset: [`SolveSpec::FUSED_GMRES`] × empty policy stack over a
 /// [`DistSpace`].
 pub fn dist_gmres<C: CommBackend>(
     comm: &mut C,
@@ -29,20 +29,7 @@ pub fn dist_gmres<C: CommBackend>(
     b: &DistVector,
     opts: &DistSolveOptions,
 ) -> Result<DistSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let (outcome, _report) = run_gmres(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut CgsOrtho::new(),
-        &mut PolicyStack::empty(),
-        None,
-        &GmresFlavor::distributed(),
-    )?;
-    Ok(outcome.into_dist_outcome(opts.tol))
+    solve_dist(comm, a, b, SolveSpec::FUSED_GMRES, None, opts)
 }
 
 /// p(1)-pipelined GMRES (after Ghysels, Ashby, Meerbergen & Vanroose): the
@@ -52,7 +39,7 @@ pub fn dist_gmres<C: CommBackend>(
 /// vector; the orthogonalised basis vector and its product are then
 /// recovered by linearity. One global synchronisation per iteration, fully
 /// overlapped.
-/// Preset: unified kernel × [`PipelinedOrtho`] × empty policy stack over a
+/// Preset: [`SolveSpec::PIPELINED_GMRES`] × empty policy stack over a
 /// [`DistSpace`]. Composing the same strategy with an SDC-detection stack
 /// is [`crate::kernel::compose::pipelined_skeptical_gmres`].
 pub fn pipelined_gmres<C: CommBackend>(
@@ -61,20 +48,7 @@ pub fn pipelined_gmres<C: CommBackend>(
     b: &DistVector,
     opts: &DistSolveOptions,
 ) -> Result<DistSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let (outcome, _report) = run_gmres(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut PipelinedOrtho::new(),
-        &mut PolicyStack::empty(),
-        None,
-        &GmresFlavor::distributed(),
-    )?;
-    Ok(outcome.into_dist_outcome(opts.tol))
+    solve_dist(comm, a, b, SolveSpec::PIPELINED_GMRES, None, opts)
 }
 
 /// Right-preconditioned distributed GMRES: classical Gram–Schmidt over the
@@ -85,8 +59,9 @@ pub fn pipelined_gmres<C: CommBackend>(
 /// Under [`IdentityPrecond`](crate::kernel::IdentityPrecond) the solve is
 /// bit-identical to [`dist_gmres`].
 ///
-/// Preset: unified kernel × [`CgsOrtho`] × [`RightPrecond`] × empty policy
-/// stack over a [`DistSpace`].
+/// Preset: [`SolveSpec::FUSED_GMRES`] ×
+/// [`RightPrecond`](crate::kernel::RightPrecond) × empty policy stack over
+/// a [`DistSpace`].
 pub fn dist_pgmres<'a, 'b, C: CommBackend>(
     comm: &'a mut C,
     a: &'b DistCsr,
@@ -94,21 +69,7 @@ pub fn dist_pgmres<'a, 'b, C: CommBackend>(
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     opts: &DistSolveOptions,
 ) -> Result<DistSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let mut right = RightPrecond(m);
-    let (outcome, _report) = run_gmres(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut CgsOrtho::new(),
-        &mut PolicyStack::empty(),
-        Some(&mut right),
-        &GmresFlavor::distributed(),
-    )?;
-    Ok(outcome.into_dist_outcome(opts.tol))
+    solve_dist(comm, a, b, SolveSpec::FUSED_GMRES, Some(m), opts)
 }
 
 /// Right-preconditioned p(1)-pipelined GMRES: the pipelined Arnoldi runs on
@@ -118,8 +79,9 @@ pub fn dist_pgmres<'a, 'b, C: CommBackend>(
 /// overlapped. Under [`IdentityPrecond`](crate::kernel::IdentityPrecond)
 /// the solve is bit-identical to [`pipelined_gmres`].
 ///
-/// Preset: unified kernel × [`PipelinedOrtho`] × [`RightPrecond`] × empty
-/// policy stack over a [`DistSpace`].
+/// Preset: [`SolveSpec::PIPELINED_GMRES`] ×
+/// [`RightPrecond`](crate::kernel::RightPrecond) × empty policy stack over
+/// a [`DistSpace`].
 pub fn pipelined_pgmres<'a, 'b, C: CommBackend>(
     comm: &'a mut C,
     a: &'b DistCsr,
@@ -127,21 +89,7 @@ pub fn pipelined_pgmres<'a, 'b, C: CommBackend>(
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     opts: &DistSolveOptions,
 ) -> Result<DistSolveOutcome> {
-    let mut space = DistSpace::new(comm, a)
-        .with_ops(opts.local_ops())
-        .with_extra_work(opts.extra_work_per_iter);
-    let mut right = RightPrecond(m);
-    let (outcome, _report) = run_gmres(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        &mut PipelinedOrtho::new(),
-        &mut PolicyStack::empty(),
-        Some(&mut right),
-        &GmresFlavor::distributed(),
-    )?;
-    Ok(outcome.into_dist_outcome(opts.tol))
+    solve_dist(comm, a, b, SolveSpec::PIPELINED_GMRES, Some(m), opts)
 }
 
 #[cfg(test)]

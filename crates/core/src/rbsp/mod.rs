@@ -20,7 +20,11 @@
 pub mod cg;
 pub mod gmres;
 
-use crate::distributed::{DistMultiVector, DistVector};
+use resilient_runtime::{CommBackend, Result};
+
+use crate::distributed::{DistCsr, DistMultiVector, DistVector};
+use crate::kernel::{solve, DistSpace, PolicyStack, SolveSpec, SpacePreconditioner};
+use crate::solvers::common::StopReason;
 
 /// Outcome of a distributed solve (per rank; the solution is distributed).
 #[derive(Debug, Clone)]
@@ -33,6 +37,8 @@ pub struct DistSolveOutcome {
     pub relative_residual: f64,
     /// Whether the tolerance was met.
     pub converged: bool,
+    /// Why the solve stopped.
+    pub reason: StopReason,
     /// Relative residual history.
     pub history: Vec<f64>,
 }
@@ -54,6 +60,8 @@ pub struct BlockSolveOutcome {
     pub relative_residuals: Vec<f64>,
     /// Whether each column met the tolerance.
     pub converged: Vec<bool>,
+    /// Why the batch as a whole stopped.
+    pub reason: StopReason,
     /// Per-column relative-residual history.
     pub histories: Vec<Vec<f64>>,
 }
@@ -66,7 +74,7 @@ impl BlockSolveOutcome {
 
     /// Split into `k` single-RHS outcomes (consuming the block).
     pub fn into_columns(self) -> Vec<DistSolveOutcome> {
-        let x = self.x;
+        let (x, reason) = (self.x, self.reason);
         self.column_iterations
             .into_iter()
             .zip(self.relative_residuals)
@@ -79,6 +87,12 @@ impl BlockSolveOutcome {
                     iterations,
                     relative_residual,
                     converged,
+                    // Columns short of the tolerance share the batch's.
+                    reason: if converged {
+                        StopReason::Converged
+                    } else {
+                        reason
+                    },
                     history,
                 },
             )
@@ -152,13 +166,53 @@ impl DistSolveOptions {
         }
     }
 
+    /// The space every distributed solve over `a` runs in: this backend
+    /// choice and `extra_work_per_iter` bound to the communicator.
+    pub fn space<'a, 'b, C: CommBackend>(
+        &self,
+        comm: &'a mut C,
+        a: &'b DistCsr,
+    ) -> DistSpace<'a, 'b, C> {
+        DistSpace::new(comm, a)
+            .with_ops(self.local_ops())
+            .with_extra_work(self.extra_work_per_iter)
+    }
+
     /// The kernel-level options this carries (`extra_work_per_iter` travels
-    /// separately, via
-    /// [`DistSpace::with_extra_work`](crate::kernel::DistSpace::with_extra_work)).
+    /// separately, in [`DistSolveOptions::space`]).
     pub fn solve_options(&self) -> crate::solvers::SolveOptions {
         crate::solvers::SolveOptions::default()
             .with_tol(self.tol)
             .with_max_iters(self.max_iters)
             .with_restart(self.restart)
     }
+}
+
+/// Solve `A·x = b` with the composition `spec` — the entry point behind
+/// every named single-RHS preset in [`cg`] and [`gmres`]: `spec` under an
+/// empty policy stack over [`DistSolveOptions::space`], preconditioned by
+/// `m` when one is given.
+///
+/// # Errors
+/// [`RuntimeError::InvalidArgument`](resilient_runtime::RuntimeError),
+/// before any collective, if `b` is not distributed like `a`'s rows.
+pub fn solve_dist<'a, 'b, C: CommBackend>(
+    comm: &'a mut C,
+    a: &'b DistCsr,
+    b: &DistVector,
+    spec: SolveSpec,
+    m: Option<&mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>>,
+    opts: &DistSolveOptions,
+) -> Result<DistSolveOutcome> {
+    let mut space = opts.space(comm, a);
+    let (outcome, _report) = solve(
+        &mut space,
+        b,
+        None,
+        &opts.solve_options(),
+        spec,
+        m,
+        &mut PolicyStack::empty(),
+    )?;
+    Ok(outcome.into_dist_outcome(opts.tol))
 }

@@ -1,110 +1,12 @@
-//! Restarted GMRES and the Arnoldi process.
+//! Restarted GMRES.
 //!
 //! The solver entry point is a preset of the unified kernel
 //! ([`crate::kernel`]): serial space, modified-Gram–Schmidt dot strategy,
-//! empty policy stack. [`ArnoldiProcess`] remains available as a standalone
-//! building block for experiments that drive the recurrence directly.
-
-// lint:allow(charged-arithmetic): [`ArnoldiProcess`] below is a standalone
-// serial building block driven directly by experiments, outside any
-// space/ledger; the solver preset itself charges through `SerialSpace`.
-use resilient_linalg::vector::{dot, nrm2, scale};
-use resilient_linalg::HessenbergLsq;
+//! empty policy stack.
 
 use crate::kernel::{run_gmres, GmresFlavor, MgsOrtho, PolicyStack, SerialSpace};
 
 use super::common::{Operator, SolveOptions, SolveOutcome};
-
-/// One Arnoldi/GMRES cycle's worth of basis vectors and machinery, exposed so
-/// the skeptical and pipelined variants can reuse it.
-pub struct ArnoldiProcess {
-    /// Orthonormal basis vectors v₀ … v_k.
-    pub basis: Vec<Vec<f64>>,
-    /// Hessenberg columns (column j has j+2 entries).
-    pub h_columns: Vec<Vec<f64>>,
-    lsq: HessenbergLsq,
-    beta: f64,
-}
-
-impl ArnoldiProcess {
-    /// Start the process from residual `r0` (must be nonzero).
-    pub fn new(r0: Vec<f64>, max_dim: usize) -> Self {
-        let beta = nrm2(&r0);
-        let mut v0 = r0;
-        if beta > 0.0 {
-            scale(1.0 / beta, &mut v0);
-        }
-        Self {
-            basis: vec![v0],
-            h_columns: Vec::new(),
-            lsq: HessenbergLsq::new(max_dim, beta),
-            beta,
-        }
-    }
-
-    /// Initial residual norm β.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
-    /// Number of completed Arnoldi steps.
-    pub fn steps(&self) -> usize {
-        self.h_columns.len()
-    }
-
-    /// Perform one Arnoldi step using the preconditioned operator
-    /// application `w = A·v_k` provided by the caller (the caller computes
-    /// it so that fault injection and cost accounting can wrap the product).
-    /// Returns the new least-squares residual norm estimate, or `None` on
-    /// happy breakdown (the subspace became invariant).
-    pub fn extend(&mut self, mut w: Vec<f64>) -> Option<f64> {
-        let k = self.steps();
-        // Modified Gram–Schmidt orthogonalisation against the existing basis.
-        let mut h = Vec::with_capacity(k + 2);
-        for v in &self.basis {
-            let hij = dot(v, &w);
-            for (wi, vi) in w.iter_mut().zip(v) {
-                *wi -= hij * vi;
-            }
-            h.push(hij);
-        }
-        let h_next = nrm2(&w);
-        h.push(h_next);
-        let residual = self.lsq_push(&h);
-        if h_next <= f64::EPSILON * self.beta.max(1.0) {
-            // Happy breakdown: exact solution lives in the current subspace.
-            self.h_columns.push(h);
-            return None;
-        }
-        scale(1.0 / h_next, &mut w);
-        self.basis.push(w);
-        self.h_columns.push(h);
-        Some(residual)
-    }
-
-    fn lsq_push(&mut self, h: &[f64]) -> f64 {
-        self.lsq.push_column(h)
-    }
-
-    /// Current least-squares residual norm (absolute, not relative).
-    pub fn residual_norm(&self) -> f64 {
-        self.lsq.residual_norm()
-    }
-
-    /// Assemble the current iterate correction `V_k · y_k` and add it to
-    /// `x`.
-    pub fn update_solution(&self, x: &mut [f64]) {
-        if self.steps() == 0 {
-            return;
-        }
-        let y = self.lsq.solve();
-        for (j, yj) in y.iter().enumerate() {
-            for (xi, vi) in x.iter_mut().zip(&self.basis[j]) {
-                *xi += yj * vi;
-            }
-        }
-    }
-}
 
 /// Restarted GMRES(m): solve `A·x = b` with restart length `opts.restart`.
 ///
@@ -233,29 +135,6 @@ mod tests {
         );
         assert_eq!(out.reason, StopReason::MaxIterations);
         assert_eq!(out.iterations, 5);
-    }
-
-    #[test]
-    fn arnoldi_basis_is_orthonormal() {
-        let a = poisson2d(6, 6);
-        let n = a.nrows();
-        let r0: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0).sin()).collect();
-        let mut arnoldi = ArnoldiProcess::new(r0, 10);
-        for _ in 0..10 {
-            let v = arnoldi.basis.last().unwrap().clone();
-            if arnoldi.extend(a.spmv(&v)).is_none() {
-                break;
-            }
-        }
-        for i in 0..arnoldi.basis.len() {
-            for j in 0..arnoldi.basis.len() {
-                let d = dot(&arnoldi.basis[i], &arnoldi.basis[j]);
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((d - expected).abs() < 1e-8, "V[{i}]·V[{j}] = {d}");
-            }
-        }
-        // Residual estimate decreases monotonically.
-        assert!(arnoldi.residual_norm() <= arnoldi.beta());
     }
 
     #[test]

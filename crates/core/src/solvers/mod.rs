@@ -12,4 +12,4 @@ pub use common::{
     SolveOptions, SolveOutcome, StopReason,
 };
 pub use fgmres::{fgmres, FgmresReport, FlexiblePreconditioner, IdentityFlexible};
-pub use gmres::{gmres, ArnoldiProcess};
+pub use gmres::gmres;

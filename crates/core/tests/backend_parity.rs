@@ -35,13 +35,6 @@ fn opts() -> DistSolveOptions {
         .with_restart(8)
 }
 
-/// Which failure-free preset a parity scenario drives.
-#[derive(Clone, Copy, Debug)]
-enum Preset {
-    DistPcg,
-    PipelinedPgmres,
-}
-
 /// `(iterations, bitwise solution)` — the full observable outcome of a
 /// failure-free distributed solve.
 type Observation = (usize, Vec<u64>);
@@ -49,16 +42,13 @@ type Observation = (usize, Vec<u64>);
 /// One rank's body, generic over the backend: assemble, solve, gather.
 fn solve_on<C: resilient_runtime::CommBackend>(
     comm: &mut C,
-    preset: Preset,
+    preset: SolveSpec,
 ) -> Result<Observation> {
     let (a, b) = problem();
     let da = DistCsr::from_global(comm, &a)?;
     let bv = DistVector::from_global(comm, &b);
     let mut bj = BlockJacobi::new(&da);
-    let out = match preset {
-        Preset::DistPcg => dist_pcg(comm, &da, &bv, &mut bj, &opts())?,
-        Preset::PipelinedPgmres => pipelined_pgmres(comm, &da, &bv, &mut bj, &opts())?,
-    };
+    let out = solve_dist(comm, &da, &bv, preset, Some(&mut bj), &opts())?;
     assert!(out.converged, "{preset:?} must converge");
     let bits = out
         .x
@@ -69,14 +59,14 @@ fn solve_on<C: resilient_runtime::CommBackend>(
     Ok((out.iterations, bits))
 }
 
-fn simulator_observations(ranks: usize, preset: Preset) -> Vec<Observation> {
+fn simulator_observations(ranks: usize, preset: SolveSpec) -> Vec<Observation> {
     let rt = Runtime::new(RuntimeConfig::fast().with_seed(7));
     let r = rt.run(ranks, move |comm| solve_on(comm, preset));
     assert!(r.all_ok(), "simulator {preset:?}@{ranks}: {:?}", r.errors);
     r.unwrap_all()
 }
 
-fn threaded_observations(ranks: usize, preset: Preset) -> Vec<Observation> {
+fn threaded_observations(ranks: usize, preset: SolveSpec) -> Vec<Observation> {
     let rt = ThreadRuntime::new(ThreadConfig::fast());
     let r = rt.run(ranks, move |comm| solve_on(comm, preset));
     assert!(r.all_ok(), "threads {preset:?}@{ranks}: {:?}", r.errors);
@@ -85,7 +75,7 @@ fn threaded_observations(ranks: usize, preset: Preset) -> Vec<Observation> {
 
 #[test]
 fn failure_free_solves_are_bit_identical_across_backends() {
-    for preset in [Preset::DistPcg, Preset::PipelinedPgmres] {
+    for preset in [SolveSpec::FUSED_CG, SolveSpec::PIPELINED_GMRES] {
         for ranks in [1usize, 2, 3, 4, 8] {
             let sim = simulator_observations(ranks, preset);
             let thr = threaded_observations(ranks, preset);

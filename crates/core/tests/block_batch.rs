@@ -20,10 +20,10 @@
 //!    bit-identically to a freshly factored one, and the warm solve is
 //!    strictly cheaper in virtual time (the LU setup flops are skipped).
 
-use resilience::kernel::{run_cg, IterCtx, PipelinedCgStep, PolicyAction, SolutionProbe};
+use resilience::kernel::{run_cg, solve, IterCtx, PipelinedCgStep, PolicyAction, SolutionProbe};
 use resilience::prelude::*;
 use resilient_linalg::poisson2d;
-use resilient_runtime::{Result, Runtime, RuntimeConfig};
+use resilient_runtime::{CommBackend, Result, Runtime, RuntimeConfig, ThreadConfig, ThreadRuntime};
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -435,7 +435,7 @@ fn policy_restart_mid_solve_keeps_k1_bitwise_identical_to_pipelined_pcg() {
                     &bk,
                     None,
                     &opts,
-                    BlockCgMode::Pipelined,
+                    Schedule::Pipelined,
                     &mut m,
                     &mut stack,
                 )?
@@ -622,7 +622,7 @@ fn malformed_block_solve_input_is_an_invalid_argument_not_a_panic() {
                 &b,
                 x0,
                 &SolveOptions::default(),
-                BlockCgMode::Pipelined,
+                Schedule::Pipelined,
                 &mut IdentityPrecond,
                 &mut PolicyStack::empty(),
             );
@@ -640,6 +640,148 @@ fn malformed_block_solve_input_is_an_invalid_argument_not_a_panic() {
             }
         }
         assert_eq!(collectives, 0, "rejected before any collective is posted");
+    }
+}
+
+/// Call outcomes, each with the text its error must contain.
+type Rejections = Vec<(&'static str, Result<()>)>;
+
+/// One rank's malformed single-RHS calls on either backend, and the
+/// collectives counted across the ones that promise to post none
+/// (`lflr_solve`, whose operator assembly communicates, runs after the count).
+fn malformed_single_rhs_calls<C: CommBackend>(
+    comm: &mut C,
+    collectives: fn(&C) -> u64,
+) -> Result<(Rejections, u64)> {
+    let a = poisson2d(6, 6);
+    let n = a.nrows();
+    let da = DistCsr::from_global(comm, &a)?;
+    let b = DistVector::from_fn(comm, n, |i| rhs(0, i));
+    let long = DistVector::from_fn(comm, n + 4, |i| rhs(0, i));
+    // Right global length, wrong local part (a one-rank layout).
+    let mut misplaced = b.clone();
+    misplaced.local = vec![1.0; n];
+    let cases = [
+        ("`b` has global length", long.clone(), None),
+        ("`b` has global length", misplaced.clone(), None),
+        ("`x0` has global length", b.clone(), Some(long.clone())),
+        ("`x0` has global length", b.clone(), Some(misplaced)),
+    ];
+    let opts = DistSolveOptions::default();
+    let skeptic = SkepticalConfig::default();
+    let before = collectives(comm);
+    let mut errors: Rejections = Vec::new();
+    for spec in SolveSpec::ALL {
+        for (needle, b, x0) in cases.clone() {
+            let mut space = DistSpace::new(comm, &da);
+            let sopts = SolveOptions::default();
+            let policies = &mut PolicyStack::empty();
+            let out = solve(&mut space, &b, x0, &sopts, spec, None, policies);
+            errors.push((needle, out.map(|_| ())));
+        }
+        let out = solve_dist(comm, &da, &long, spec, Some(&mut IdentityPrecond), &opts);
+        errors.push(("`b` has global length", out.map(|_| ())));
+        let m = spec.method;
+        let out = pipelined_skeptical(comm, &da, &long, m, None, &opts, &skeptic, None);
+        errors.push(("`b` has global length", out.map(|_| ())));
+    }
+    let out = dist_cg(comm, &da, &long, &opts);
+    errors.push(("`b` has global length", out.map(|_| ())));
+    let posted = collectives(comm) - before;
+    let long_global = vec![1.0; n + 4];
+    let lflr = KrylovLflrConfig::default();
+    let out = lflr_solve(
+        comm,
+        &a,
+        &long_global,
+        SolveSpec::PIPELINED_CG,
+        &opts,
+        &lflr,
+    );
+    errors.push(("`b` has global length", out.map(|_| ())));
+    Ok((errors, posted))
+}
+
+/// The single-RHS twin: one entry point (`kernel::solve`), one validation.
+/// A wrong-length or wrongly-distributed `b` / `x0` is a typed error on
+/// every rank of both backends — for all four specs, through `solve`,
+/// `solve_dist`, `pipelined_skeptical`, a named preset and `lflr_solve` —
+/// and, `lflr_solve` aside, before a single collective is posted.
+#[test]
+fn malformed_single_rhs_input_is_an_invalid_argument_not_a_panic() {
+    let simulated = Runtime::new(RuntimeConfig::fast()).run(2, |comm| {
+        malformed_single_rhs_calls(comm, |c| c.snapshot_stats().collectives)
+    });
+    let threaded = ThreadRuntime::new(ThreadConfig::fast()).run(2, |comm| {
+        malformed_single_rhs_calls(comm, |c| c.snapshot_stats().collectives)
+    });
+    let per_rank = simulated
+        .unwrap_all()
+        .into_iter()
+        .chain(threaded.unwrap_all());
+    for (errors, collectives) in per_rank {
+        assert_eq!(errors.len(), 4 * 6 + 2);
+        for (needle, res) in errors {
+            match res {
+                Err(resilient_runtime::RuntimeError::InvalidArgument(msg)) => {
+                    assert!(msg.contains(needle), "{needle}: {msg}")
+                }
+                other => panic!("{needle}: expected InvalidArgument, got {other:?}"),
+            }
+        }
+        assert_eq!(collectives, 0, "rejected before any collective is posted");
+    }
+}
+
+/// The public outcome types carry the kernel's stop reason instead of
+/// dropping it: a breakdown and an exhausted iteration cap are both
+/// `converged == false`, and now tell each other apart.
+#[test]
+fn outcomes_report_why_the_solve_stopped() {
+    let rt = Runtime::new(RuntimeConfig::fast());
+    let results = rt.run(2, move |comm| {
+        let a = poisson2d(6, 6);
+        let n = a.nrows();
+        let mut neg = a.clone();
+        neg.values_mut().iter_mut().for_each(|v| *v = -*v);
+        let da = DistCsr::from_global(comm, &a)?;
+        let dneg = DistCsr::from_global(comm, &neg)?;
+        let b = DistVector::from_fn(comm, n, |i| rhs(0, i));
+        let bk = DistMultiVector::from_fn(comm, n, 2, rhs);
+        let opts = DistSolveOptions::default().with_tol(1e-12);
+        let capped = opts.with_max_iters(3);
+        let indefinite = dist_cg(comm, &dneg, &b, &opts)?;
+        let short = dist_cg(comm, &da, &b, &capped)?;
+        let done = dist_cg(comm, &da, &b, &opts)?;
+        let block_short = dist_block_pcg(comm, &da, &bk, &mut IdentityPrecond, &capped)?;
+        let block_done = dist_block_pcg(comm, &da, &bk, &mut IdentityPrecond, &opts)?;
+        let columns: Vec<_> = block_short
+            .clone()
+            .into_columns()
+            .iter()
+            .map(|c| c.reason)
+            .collect();
+        Ok((
+            (indefinite.converged, indefinite.reason),
+            (short.converged, short.reason, short.iterations),
+            (done.converged, done.reason),
+            (block_short.all_converged(), block_short.reason, columns),
+            (block_done.all_converged(), block_done.reason),
+        ))
+    });
+    for (indefinite, short, done, block_short, block_done) in results.unwrap_all() {
+        assert_eq!(indefinite, (false, StopReason::Breakdown));
+        assert_eq!(short, (false, StopReason::MaxIterations, 3));
+        assert_eq!(done, (true, StopReason::Converged));
+        assert_eq!(
+            block_short,
+            (
+                false,
+                StopReason::MaxIterations,
+                vec![StopReason::MaxIterations; 2]
+            )
+        );
+        assert_eq!(block_done, (true, StopReason::Converged));
     }
 }
 

@@ -43,34 +43,6 @@ fn opts() -> DistSolveOptions {
     o
 }
 
-/// Which preset a scenario drives (the closure must be `Fn`, so pick by
-/// value instead of capturing a function pointer with lifetimes).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Preset {
-    DistPcg,
-    PipelinedPcg,
-    DistPgmres,
-    PipelinedPgmres,
-}
-
-impl Preset {
-    fn run(
-        self,
-        comm: &mut resilient_runtime::Comm,
-        a: &CsrMatrix,
-        b: &[f64],
-        o: &DistSolveOptions,
-        cfg: &KrylovLflrConfig,
-    ) -> resilient_runtime::Result<(DistSolveOutcome, KrylovLflrReport)> {
-        match self {
-            Preset::DistPcg => lflr_dist_pcg(comm, a, b, o, cfg),
-            Preset::PipelinedPcg => lflr_pipelined_pcg(comm, a, b, o, cfg),
-            Preset::DistPgmres => lflr_dist_pgmres(comm, a, b, o, cfg),
-            Preset::PipelinedPgmres => lflr_pipelined_pgmres(comm, a, b, o, cfg),
-        }
-    }
-}
-
 /// Per-rank scenario observation: `(converged, x_global, report)`.
 type RankResult = (bool, Vec<f64>, KrylovLflrReport);
 
@@ -78,7 +50,7 @@ type RankResult = (bool, Vec<f64>, KrylovLflrReport);
 /// failures seen, and the per-rank results.
 fn run_scenario(
     ranks: usize,
-    preset: Preset,
+    preset: SolveSpec,
     cfg: KrylovLflrConfig,
     failures: Vec<(usize, f64)>,
 ) -> (f64, usize, Vec<RankResult>) {
@@ -92,7 +64,7 @@ fn run_scenario(
     let rt = Runtime::new(rc);
     let r = rt.run(ranks, move |comm| {
         let (a, b) = problem();
-        let (out, report) = preset.run(comm, &a, &b, &opts(), &cfg)?;
+        let (out, report) = lflr_solve(comm, &a, &b, preset, &opts(), &cfg)?;
         Ok((out.converged, out.x.gather_global(comm)?, report))
     });
     assert!(r.all_ok(), "{preset:?} on {ranks} ranks: {:?}", r.errors);
@@ -116,8 +88,12 @@ fn failure_free_lflr_solve_matches_plain_preset() {
         })
         .unwrap_all();
 
-    let (_, failures, lflr) =
-        run_scenario(4, Preset::PipelinedPcg, KrylovLflrConfig::default(), vec![]);
+    let (_, failures, lflr) = run_scenario(
+        4,
+        SolveSpec::PIPELINED_CG,
+        KrylovLflrConfig::default(),
+        vec![],
+    );
     assert_eq!(failures, 0);
     let (a, b) = problem();
     for ((plain_iters, plain_x), (converged, x, report)) in plain.iter().zip(&lflr) {
@@ -144,14 +120,14 @@ fn rank_killed_mid_solve_resumes_cg_across_rank_counts() {
     for ranks in [2usize, 4, 8] {
         let (clean_time, _, _) = run_scenario(
             ranks,
-            Preset::PipelinedPcg,
+            SolveSpec::PIPELINED_CG,
             KrylovLflrConfig::default(),
             vec![],
         );
         let cfg = KrylovLflrConfig::default().with_persist_every(3);
         let (_, failures, results) = run_scenario(
             ranks,
-            Preset::PipelinedPcg,
+            SolveSpec::PIPELINED_CG,
             cfg,
             vec![(ranks / 2, 0.5 * clean_time)],
         );
@@ -183,14 +159,14 @@ fn rank_killed_mid_solve_resumes_gmres_across_rank_counts() {
     for ranks in [2usize, 4, 8] {
         let (clean_time, _, _) = run_scenario(
             ranks,
-            Preset::PipelinedPgmres,
+            SolveSpec::PIPELINED_GMRES,
             KrylovLflrConfig::default(),
             vec![],
         );
         let cfg = KrylovLflrConfig::default().with_persist_every(3);
         let (_, failures, results) = run_scenario(
             ranks,
-            Preset::PipelinedPgmres,
+            SolveSpec::PIPELINED_GMRES,
             cfg,
             vec![(ranks / 2, 0.5 * clean_time)],
         );
@@ -215,7 +191,7 @@ fn bulk_synchronous_presets_survive_failures_too() {
     // The fused-CG and CGS-GMRES variants share the driver; one mid-solve
     // failure each at 4 ranks.
     let (a, b) = problem();
-    for preset in [Preset::DistPcg, Preset::DistPgmres] {
+    for preset in [SolveSpec::FUSED_CG, SolveSpec::FUSED_GMRES] {
         let (clean_time, _, _) = run_scenario(4, preset, KrylovLflrConfig::default(), vec![]);
         let cfg = KrylovLflrConfig::default().with_persist_every(3);
         let (_, failures, results) = run_scenario(4, preset, cfg, vec![(1, 0.5 * clean_time)]);
@@ -236,15 +212,20 @@ fn mid_solve_resume_beats_restart_from_zero() {
     let ranks = 4;
     let (clean_time, _, _) = run_scenario(
         ranks,
-        Preset::PipelinedPcg,
+        SolveSpec::PIPELINED_CG,
         KrylovLflrConfig::default(),
         vec![],
     );
     let fail = vec![(1usize, 0.7 * clean_time)];
     let cfg = KrylovLflrConfig::default().with_persist_every(3);
-    let (resume_time, f1, resumed) = run_scenario(ranks, Preset::PipelinedPcg, cfg, fail.clone());
-    let (restart_time, f2, restarted) =
-        run_scenario(ranks, Preset::PipelinedPcg, cfg.restart_from_zero(), fail);
+    let (resume_time, f1, resumed) =
+        run_scenario(ranks, SolveSpec::PIPELINED_CG, cfg, fail.clone());
+    let (restart_time, f2, restarted) = run_scenario(
+        ranks,
+        SolveSpec::PIPELINED_CG,
+        cfg.restart_from_zero(),
+        fail,
+    );
     assert_eq!(f1, 1);
     assert_eq!(f2, 1);
     for (converged, _, report) in &resumed {
@@ -277,7 +258,7 @@ fn minimal_pruning_window_never_loses_the_agreed_snapshot() {
     let cfg = KrylovLflrConfig::default()
         .with_persist_every(2)
         .with_keep_last(3);
-    let (clean_time, _, _) = run_scenario(ranks, Preset::PipelinedPcg, cfg, vec![]);
+    let (clean_time, _, _) = run_scenario(ranks, SolveSpec::PIPELINED_CG, cfg, vec![]);
     let mut rc = RuntimeConfig::fast().with_seed(11);
     rc = rc.with_failures(FailureConfig::scheduled(
         FailurePolicy::ReplaceRank,

@@ -26,21 +26,15 @@ fn problem() -> (CsrMatrix, Vec<f64>) {
 /// caller can observe from a distributed solve.
 type Observation = (usize, Vec<u64>, Vec<u64>);
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Preset {
-    DistCg,
-    DistPcg,
-    PipelinedPcg,
-    DistPgmres,
-    PipelinedPgmres,
-}
+/// `(composition, block-Jacobi preconditioned?)`.
+type Preset = (SolveSpec, bool);
 
 const PRESETS: [Preset; 5] = [
-    Preset::DistCg,
-    Preset::DistPcg,
-    Preset::PipelinedPcg,
-    Preset::DistPgmres,
-    Preset::PipelinedPgmres,
+    (SolveSpec::FUSED_CG, false),
+    (SolveSpec::FUSED_CG, true),
+    (SolveSpec::PIPELINED_CG, true),
+    (SolveSpec::FUSED_GMRES, true),
+    (SolveSpec::PIPELINED_GMRES, true),
 ];
 
 /// Run one preset on the virtual-time simulator and capture the full
@@ -60,25 +54,10 @@ fn observe(
             da = da.with_sell_layout(sigma);
         }
         let bv = DistVector::from_global(comm, &b);
-        let out = match preset {
-            Preset::DistCg => dist_cg(comm, &da, &bv, &opts)?,
-            Preset::DistPcg => {
-                let mut bj = BlockJacobi::new(&da);
-                dist_pcg(comm, &da, &bv, &mut bj, &opts)?
-            }
-            Preset::PipelinedPcg => {
-                let mut bj = BlockJacobi::new(&da);
-                pipelined_pcg(comm, &da, &bv, &mut bj, &opts)?
-            }
-            Preset::DistPgmres => {
-                let mut bj = BlockJacobi::new(&da);
-                dist_pgmres(comm, &da, &bv, &mut bj, &opts)?
-            }
-            Preset::PipelinedPgmres => {
-                let mut bj = BlockJacobi::new(&da);
-                pipelined_pgmres(comm, &da, &bv, &mut bj, &opts)?
-            }
-        };
+        let (spec, preconditioned) = preset;
+        let mut bj = preconditioned.then(|| BlockJacobi::new(&da));
+        let m = bj.as_mut().map(|m| m as &mut dyn SpacePreconditioner<_>);
+        let out = solve_dist(comm, &da, &bv, spec, m, &opts)?;
         assert!(out.converged, "{preset:?} must converge");
         let xbits = out
             .x
