@@ -2,25 +2,26 @@
 //!
 //! The kernels in `resilience::kernel` (and the distributed vectors/matrices
 //! underneath them) need a narrow slice of what a communicator offers:
-//! identity, virtual/wall time charging, point-to-point halo exchange,
-//! blocking and nonblocking reductions, the persistent per-rank store, and
-//! the ULFM-style recovery operations the LFLR protocol drives. This trait
-//! names exactly that slice so the kernels can run over *pluggable*
-//! execution backends:
+//! identity, time charging, point-to-point halo exchange, blocking and
+//! nonblocking reductions, the persistent per-rank store, and the ULFM-style
+//! recovery operations the LFLR protocol drives. This trait names exactly
+//! that slice, so a kernel written against it runs under either clock — and
+//! under wrappers such as the benchmark's tracing communicator.
 //!
-//! * [`Comm`] — the deterministic virtual-time simulator (the historical
-//!   backend; its inherent methods are untouched, so concrete-`Comm` call
-//!   sites keep their bit-identical behaviour).
-//! * [`ThreadComm`](crate::threads::ThreadComm) — real worker threads under
-//!   wall-clock time with panic-based fault injection (see
-//!   [`threads`](crate::threads)).
+//! The runtime itself implements it once, for [`Comm<K>`](Comm) under any
+//! [`RankClock`]: [`Comm`] (virtual time, deterministic) and
+//! [`ThreadComm`](crate::threads::ThreadComm) (wall clock, real threads,
+//! panic-based fault injection) are the same code. The impl forwards to the
+//! inherent methods, which concrete call sites reach without importing the
+//! trait.
 //!
-//! The contract that makes cross-backend comparison meaningful: reductions
+//! The contract that makes comparison across clocks meaningful: reductions
 //! fold contributions in ascending rank order regardless of arrival order
-//! (both backends share [`ReduceOp::reduce_all`] and the rendezvous
+//! ([`ReduceOp::reduce_all`] inside the one rendezvous
 //! [`CollectiveEngine`](crate::engine::CollectiveEngine)), so failure-free
-//! iterates are bit-identical across backends and across runs.
+//! iterates are bit-identical across clocks and across runs.
 
+use crate::clock::RankClock;
 use crate::collective::ReduceOp;
 use crate::comm::Comm;
 use crate::error::Result;
@@ -59,8 +60,7 @@ pub trait CommBackend {
 
     // -- time and failure points --------------------------------------
 
-    /// Current time of this rank in seconds (virtual or wall, backend's
-    /// choice of model).
+    /// Current time of this rank in seconds, on the backend's clock.
     fn now(&self) -> f64;
     /// Charge `seconds` of local computation.
     fn advance(&mut self, seconds: f64);
@@ -123,10 +123,9 @@ pub trait CommBackend {
     fn shrink(&mut self) -> Result<ShrinkInfo>;
 }
 
-/// The virtual-time simulator as a backend: pure delegation to the inherent
-/// methods, which always shadow these at concrete-`Comm` call sites — the
-/// pre-refactor code paths are therefore bit-identical.
-impl CommBackend for Comm {
+/// The one communicator as a backend, under either clock: pure delegation
+/// to the inherent methods.
+impl<K: RankClock> CommBackend for Comm<K> {
     type Pending = PendingCollective;
 
     fn rank(&self) -> usize {
@@ -145,7 +144,7 @@ impl CommBackend for Comm {
         Comm::incarnation(self)
     }
     fn recoveries(&self) -> u64 {
-        self.recoveries
+        Comm::recoveries(self)
     }
 
     fn now(&self) -> f64 {
@@ -183,9 +182,6 @@ impl CommBackend for Comm {
     fn allreduce_scalar(&mut self, op: ReduceOp, value: f64) -> Result<f64> {
         Comm::allreduce_scalar(self, op, value)
     }
-    fn global_dot(&mut self, local_partial: f64) -> Result<f64> {
-        Comm::global_dot(self, local_partial)
-    }
     fn allgather(&mut self, data: &[f64]) -> Result<Vec<Vec<f64>>> {
         Comm::allgather(self, data)
     }
@@ -193,7 +189,7 @@ impl CommBackend for Comm {
         Comm::iallreduce(self, op, data)
     }
     fn wait_vector(&mut self, pending: PendingCollective) -> Result<Vec<f64>> {
-        pending.wait_vector(self)
+        Comm::wait_vector(self, pending)
     }
 
     fn persist(&mut self, key: &str, value: Stored) -> Result<()> {
@@ -222,6 +218,8 @@ mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
     use crate::launcher::Runtime;
+    use crate::threads::{ThreadConfig, ThreadRuntime};
+    use crate::topology::CartTopology;
 
     /// A generic SPMD body: everything it does goes through the trait.
     fn generic_body<C: CommBackend>(comm: &mut C) -> Result<(f64, f64, u64)> {
@@ -238,6 +236,30 @@ mod tests {
         Ok((sum, max, comm.recoveries()))
     }
 
+    /// [`generic_body`], then the operations the wall clock inherited from
+    /// the one communicator without a line written for them; every value as
+    /// bits, in call order.
+    fn inherited_body<K: RankClock>(comm: &mut Comm<K>) -> Result<Vec<u64>> {
+        let (sum, max, _) = generic_body(comm)?;
+        let me = comm.rank() as f64 + 0.1;
+        let next = (comm.rank() + 1) % comm.size();
+        let prev = (comm.rank() + comm.size() - 1) % comm.size();
+        let mut values = vec![sum, max];
+        values.extend(comm.broadcast(1, &[me, 2.0 * me])?);
+        values.extend(comm.scan(ReduceOp::Sum, &[me, 1.0 / me])?);
+        values.extend(comm.gather(0, &[me])?.into_iter().flatten().flatten());
+        comm.ibarrier()?.wait(comm)?;
+        values.extend(comm.sendrecv_f64(next, prev, 7, &[me * me])?);
+        let topology = CartTopology::line(comm.size(), true);
+        for halo in comm.halo_exchange(&topology, &[vec![me], vec![-me]])? {
+            values.extend(halo);
+        }
+        comm.checkpoint("c", vec![me, sum])?;
+        let stored = comm.restore_checkpoint("c").expect("just written");
+        values.extend(stored.into_f64()?);
+        Ok(values.into_iter().map(f64::to_bits).collect())
+    }
+
     #[test]
     fn simulator_backend_through_the_trait() {
         let rt = Runtime::new(RuntimeConfig::fast());
@@ -247,6 +269,20 @@ mod tests {
             assert_eq!(max, 3.0);
             assert_eq!(recoveries, 0);
         }
+    }
+
+    #[test]
+    fn inherited_collectives_are_bit_identical_under_the_wall_clock() {
+        let simulated = Runtime::new(RuntimeConfig::fast())
+            .run(3, inherited_body)
+            .unwrap_all();
+        let threaded = ThreadRuntime::new(ThreadConfig::fast())
+            .run(3, inherited_body)
+            .unwrap_all();
+        assert_eq!(simulated, threaded);
+        // Rank 0 also holds the three gathered values.
+        let lengths: Vec<usize> = simulated.iter().map(Vec::len).collect();
+        assert_eq!(lengths, [14, 11, 11]);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! These are the "classic" bulk-synchronous collectives whose poor scaling
 //! under performance variability motivates the paper's RBSP model (§II-B).
-//! Every blocking collective synchronises the participants in virtual time:
-//! all ranks leave at the same completion time, which is how noise on one
-//! rank delays everyone.
+//! Every blocking collective synchronises the participants: all ranks leave
+//! at the same completion time, which is how noise on one rank delays
+//! everyone.
 
+use crate::clock::{park_deadline, RankClock};
 use crate::comm::Comm;
 use crate::engine::{CollectiveResult, SlotKey, SlotKind};
 use crate::error::Result;
@@ -59,11 +60,13 @@ impl ReduceOp {
     }
 }
 
-impl Comm {
+impl<K: RankClock> Comm<K> {
     /// Post this rank's contribution to the communicator's next collective
     /// (a failure point): the shared first half of every blocking and
     /// nonblocking collective. With an operator the engine folds the
-    /// contributions itself, once, in ascending rank order.
+    /// contributions itself, once, in ascending rank order. The engine gets
+    /// (entry, cost) and fixes the completion time for everyone; how that
+    /// time is reached is the clock's business.
     pub(crate) fn post_collective(
         &mut self,
         op: Option<ReduceOp>,
@@ -82,7 +85,7 @@ impl Comm {
         let bytes = std::mem::size_of_val(contribution);
         let cost = self
             .world
-            .config
+            .model
             .latency
             .collective_cost(expected, bytes, reduce_elems);
         self.world.engine.post_slice(
@@ -91,7 +94,7 @@ impl Comm {
             expected,
             op,
             contribution,
-            self.clock.now(),
+            self.clock.window_opens(cost),
             cost,
         )?;
         Ok(key)
@@ -99,28 +102,30 @@ impl Comm {
 
     /// Wait for a posted collective and return every rank's contribution.
     pub(crate) fn complete_gather(&mut self, key: SlotKey) -> Result<CollectiveResult> {
-        let result = self
-            .world
-            .engine
-            .wait(key, &self.world.health, self.acked_generation)?;
+        let result = self.world.engine.wait_until(
+            key,
+            &self.world.health,
+            self.acked_generation,
+            &mut park_deadline(&self.clock),
+        )?;
         self.clock.wait_until(result.completion_time);
         self.collectives += 1;
         Ok(result)
     }
 
-    /// Wait for a posted reduction and return the folded vector.
-    pub(crate) fn complete_reduction(&mut self, key: SlotKey) -> Result<Vec<f64>> {
-        let mut folded = Vec::new();
+    /// Wait for a posted reduction; the engine's ascending-rank fold lands
+    /// in `out`. Allocates nothing when `out` has the capacity.
+    pub(crate) fn complete_reduction(&mut self, key: SlotKey, out: &mut Vec<f64>) -> Result<()> {
         let completion_time = self.world.engine.wait_reduced(
             key,
             &self.world.health,
             self.acked_generation,
-            &mut || false,
-            &mut folded,
+            &mut park_deadline(&self.clock),
+            out,
         )?;
         self.clock.wait_until(completion_time);
         self.collectives += 1;
-        Ok(folded)
+        Ok(())
     }
 
     /// Post a contribution and wait for everyone's: the shared primitive
@@ -134,21 +139,38 @@ impl Comm {
         self.complete_gather(key)
     }
 
-    /// Synchronise all ranks of the communicator (no data exchanged).
-    pub fn barrier(&mut self) -> Result<()> {
-        self.collective_exchange(&[], 0).map(|_| ())
+    /// A blocking reduction into the communicator's own landing buffer, for
+    /// results returned by value (scalars, barriers): returns the first
+    /// reduced value, if any, and touches the heap only while the buffer
+    /// still grows.
+    fn reduce_in_place(&mut self, op: ReduceOp, data: &[f64]) -> Result<Option<f64>> {
+        let key = self.post_collective(Some(op), data, data.len())?;
+        let mut reduced = std::mem::take(&mut self.reduced);
+        let outcome = self.complete_reduction(key, &mut reduced);
+        let first = reduced.first().copied();
+        self.reduced = reduced;
+        outcome.map(|()| first)
     }
 
-    /// All-reduce: combine `data` element-wise across all ranks with `op`;
-    /// every rank receives the combined vector.
+    /// Synchronise all ranks of the communicator (no data exchanged).
+    pub fn barrier(&mut self) -> Result<()> {
+        self.reduce_in_place(ReduceOp::Sum, &[]).map(|_| ())
+    }
+
+    /// All-reduce: combine `data` element-wise across all ranks with `op`,
+    /// folded in ascending rank order whatever the arrival order; every rank
+    /// receives the combined vector.
     pub fn allreduce(&mut self, op: ReduceOp, data: &[f64]) -> Result<Vec<f64>> {
         let key = self.post_collective(Some(op), data, data.len())?;
-        self.complete_reduction(key)
+        let mut out = Vec::with_capacity(data.len());
+        self.complete_reduction(key, &mut out)?;
+        Ok(out)
     }
 
     /// All-reduce of a single scalar.
     pub fn allreduce_scalar(&mut self, op: ReduceOp, value: f64) -> Result<f64> {
-        Ok(self.allreduce(op, &[value])?[0])
+        let reduced = self.reduce_in_place(op, &[value])?;
+        Ok(reduced.expect("a scalar reduction folds at least this rank's value"))
     }
 
     /// Reduce to `root`: `root` receives the combined vector, other ranks
@@ -175,11 +197,7 @@ impl Comm {
     /// Gather every rank's `data` to `root` only.
     pub fn gather(&mut self, root: usize, data: &[f64]) -> Result<Option<Vec<Vec<f64>>>> {
         let r = self.collective_exchange(data, 0)?;
-        if self.rank() == root {
-            Ok(Some(r.contributions))
-        } else {
-            Ok(None)
-        }
+        Ok((self.rank() == root).then_some(r.contributions))
     }
 
     /// Inclusive prefix scan: rank `i` receives the combination of the

@@ -4,7 +4,8 @@
 //! bundles:
 //!
 //! * the rank's identity (rank, size, incarnation),
-//! * its [`VirtualClock`] and noise/failure injection state,
+//! * its [`RankClock`] — virtual or wall time, and with it noise and failure
+//!   injection,
 //! * point-to-point messaging ([`send_f64`](Comm::send_f64) etc.),
 //! * blocking and nonblocking collectives (see the [`collective`](crate::collective)
 //!   and [`nonblocking`](crate::nonblocking) modules),
@@ -12,21 +13,20 @@
 //!   [`shrink`](Comm::shrink) in the [`ulfm`](crate::ulfm) module),
 //! * access to the persistent per-rank store (LFLR) and the stable store
 //!   (checkpoint/restart).
+//!
+//! There is one communicator for both backends. Everything here is written
+//! against the clock's answers, never against which clock it is.
 
 use std::panic;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::clock::VirtualClock;
+use crate::clock::{park_deadline, RankClock, VirtualClock};
 use crate::error::{Result, RuntimeError};
-use crate::failure::FailureSchedule;
-use crate::health::HealthBoard;
 use crate::mailbox::PollOutcome;
 use crate::message::{Message, Payload, ANY_SOURCE};
-use crate::noise::NoiseModel;
 use crate::persistent::{StableStore, Stored};
 use crate::stats::RankStats;
 use crate::world::World;
@@ -41,42 +41,24 @@ pub struct RankKilled {
     pub rank: usize,
     /// Incarnation that was killed.
     pub incarnation: u64,
-    /// Virtual time of death.
+    /// Time of death on the rank's clock.
     pub time: f64,
     /// Failure generation assigned to the event.
     pub generation: u64,
 }
 
-/// How long a blocked receive sleeps between polls. Purely a real-time
-/// implementation detail; virtual time is unaffected.
+/// How long a parked receive sleeps before it re-checks health and its
+/// deadline on its own. Purely a real-time implementation detail; virtual
+/// time is unaffected.
 const WAIT_SLICE: Duration = Duration::from_millis(10);
 
-/// The failure generation a freshly started rank thread has acknowledged.
-///
-/// An *original* rank has seen no failure, whatever the board says by the
-/// time its thread gets to run: a peer may die before this thread starts,
-/// and starting from the board's generation would silently acknowledge that
-/// death — the survivor would then sit in a collective the replacement
-/// never joins. A *replacement* exists because of the failures up to now
-/// and acknowledges them; its first act is the recovery rendezvous.
-pub(crate) fn initial_acked_generation(health: &HealthBoard, incarnation: u64) -> u64 {
-    if incarnation == 0 {
-        0
-    } else {
-        health.generation()
-    }
-}
-
 /// The communicator handle owned by one rank incarnation.
-pub struct Comm {
-    pub(crate) world: Arc<World>,
+pub struct Comm<K: RankClock = VirtualClock> {
+    pub(crate) world: Arc<World<K>>,
     /// World rank (position in the original job).
     pub(crate) world_rank: usize,
     pub(crate) incarnation: u64,
-    pub(crate) clock: VirtualClock,
-    pub(crate) rng: ChaCha8Rng,
-    pub(crate) noise: NoiseModel,
-    pub(crate) failure_schedule: FailureSchedule,
+    pub(crate) clock: K,
     /// Collective sequence counter (reset at each recovery).
     pub(crate) seq: u64,
     /// Communication epoch this rank has acknowledged.
@@ -89,6 +71,9 @@ pub struct Comm {
     /// For shrunk communicators: mapping from group rank to world rank.
     /// `None` means the identity mapping over all world ranks.
     pub(crate) group: Option<Vec<usize>>,
+    /// Landing buffer for reductions whose result is returned by value
+    /// (scalars, barriers), kept for its capacity.
+    pub(crate) reduced: Vec<f64>,
     // -- statistics --
     pub(crate) messages_sent: u64,
     pub(crate) bytes_sent: u64,
@@ -98,31 +83,36 @@ pub struct Comm {
     pub(crate) check_flops: u64,
 }
 
-impl Comm {
-    /// Create the communicator for `rank` (incarnation `incarnation`),
-    /// starting its virtual clock at `start_time`.
-    pub(crate) fn new(world: Arc<World>, rank: usize, incarnation: u64, start_time: f64) -> Self {
-        let mut seed_rng = ChaCha8Rng::seed_from_u64(
-            world.config.seed
-                ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ incarnation.wrapping_mul(0xD1B5_4A32_D192_ED03),
-        );
-        let failure_schedule =
-            FailureSchedule::for_rank(&world.config.failures, rank, start_time, &mut seed_rng);
-        let mut clock = VirtualClock::new();
-        clock.fast_forward(start_time);
+impl<K: RankClock> Comm<K> {
+    /// Create the communicator for `rank` (incarnation `incarnation`), whose
+    /// clock starts at `start_time`.
+    pub(crate) fn new(
+        world: Arc<World<K>>,
+        rank: usize,
+        incarnation: u64,
+        start_time: f64,
+    ) -> Self {
         let epoch = world.health.epoch();
-        let acked_generation = initial_acked_generation(&world.health, incarnation);
+        // An *original* rank has seen no failure, whatever the board says by
+        // the time its thread gets to run: a peer may die before this thread
+        // starts, and starting from the board's generation would silently
+        // acknowledge that death — the survivor would then sit in a
+        // collective the replacement never joins. A *replacement* exists
+        // because of the failures up to now and acknowledges them; its
+        // first act is the recovery rendezvous.
+        let acked_generation = if incarnation == 0 {
+            0
+        } else {
+            world.health.generation()
+        };
         Self {
-            noise: NoiseModel::new(world.config.noise),
-            rng: seed_rng,
-            clock,
-            failure_schedule,
+            clock: K::start(&world.time, rank, incarnation, start_time),
             seq: 0,
             epoch,
             acked_generation,
             comm_id: 0,
             group: None,
+            reduced: Vec::new(),
             messages_sent: 0,
             bytes_sent: 0,
             collectives: 0,
@@ -141,13 +131,7 @@ impl Comm {
 
     /// Rank within the current communicator (group rank after a shrink).
     pub fn rank(&self) -> usize {
-        match &self.group {
-            None => self.world_rank,
-            Some(g) => g
-                .iter()
-                .position(|&r| r == self.world_rank)
-                .unwrap_or(usize::MAX),
-        }
+        self.to_group(self.world_rank)
     }
 
     /// Size of the current communicator (group size after a shrink).
@@ -180,27 +164,22 @@ impl Comm {
         self.incarnation > 0
     }
 
+    /// Number of recovery rendezvous / shrinks this rank has completed.
+    pub fn recoveries(&self) -> u64 {
+        self.recoveries
+    }
+
     /// Map a group rank to a world rank.
     pub(crate) fn to_world(&self, rank: usize) -> Result<usize> {
         if rank == ANY_SOURCE {
             return Ok(ANY_SOURCE);
         }
-        match &self.group {
-            None => {
-                if rank < self.world.size {
-                    Ok(rank)
-                } else {
-                    Err(RuntimeError::InvalidRank {
-                        rank,
-                        size: self.world.size,
-                    })
-                }
-            }
-            Some(g) => g.get(rank).copied().ok_or(RuntimeError::InvalidRank {
-                rank,
-                size: g.len(),
-            }),
-        }
+        let size = self.size();
+        let world_rank = match &self.group {
+            None => (rank < size).then_some(rank),
+            Some(g) => g.get(rank).copied(),
+        };
+        world_rank.ok_or(RuntimeError::InvalidRank { rank, size })
     }
 
     /// Map a world rank back to a group rank (world rank itself for the
@@ -216,37 +195,34 @@ impl Comm {
     }
 
     // ------------------------------------------------------------------
-    // Virtual time, noise and failure points
+    // Time, noise and failure points
     // ------------------------------------------------------------------
 
-    /// Current virtual time of this rank, in seconds.
+    /// Current time of this rank on its clock, in seconds.
     pub fn now(&self) -> f64 {
         self.clock.now()
     }
 
-    /// Charge `seconds` of local computation to the virtual clock. Noise
-    /// events are sampled over the interval and failure injection is
-    /// checked afterwards; this is therefore also a failure point.
+    /// Charge `seconds` of local computation to the clock (the virtual
+    /// clock also samples noise over the interval; the wall clock really
+    /// spends the time). Failure injection is checked afterwards; this is
+    /// therefore also a failure point.
     pub fn advance(&mut self, seconds: f64) {
-        self.clock.advance(seconds);
-        let extra = self.noise.sample(seconds, &mut self.rng);
-        if extra > 0.0 {
-            self.clock.advance_noise(extra);
-        }
+        self.clock.spend_compute(seconds);
         self.maybe_die();
     }
 
     /// Charge the cost of `flops` floating-point operations (using the
     /// configured `seconds_per_flop`).
     pub fn charge_flops(&mut self, flops: usize) {
-        let dt = self.world.config.seconds_per_flop * flops as f64;
+        let dt = self.world.model.seconds_per_flop * flops as f64;
         self.advance(dt);
     }
 
     /// Attribute `flops` floating-point operations to resilience checks
     /// (invariant tests, checksums, redundant residual evaluations) in
     /// [`RankStats::check_flops`]. This is an attribution ledger only — it
-    /// does **not** advance virtual time, because the operations that
+    /// does **not** advance the clock, because the operations that
     /// perform the check (dots, norms, operator applications) charge their
     /// own time through [`Comm::charge_flops`]; charging here too would
     /// double-bill the check work.
@@ -262,47 +238,39 @@ impl Comm {
         self.check_health()
     }
 
-    /// Access this rank's deterministic random-number generator (useful for
-    /// applications that want reproducible rank-decorrelated randomness).
-    pub fn rng(&mut self) -> &mut ChaCha8Rng {
-        &mut self.rng
-    }
-
     /// Check the health board: returns an error if the job aborted or if a
     /// failure this rank has not yet recovered from has been detected.
     pub fn check_health(&self) -> Result<()> {
         self.world.health.check(self.acked_generation)
     }
 
-    /// If the failure schedule says this rank should die now, terminate the
+    /// If failure injection says this rank should die now, terminate the
     /// rank thread (never returns in that case).
     fn maybe_die(&mut self) {
-        if !self.failure_schedule.enabled() {
-            return;
-        }
-        if self.world.health.failure_count() >= self.world.config.failures.max_failures {
-            return;
-        }
-        let now = self.clock.now();
-        if let Some(t) = self.failure_schedule.due(now, &mut self.rng) {
-            self.die(t.max(0.0));
+        if self.clock.deaths_armed()
+            && self.world.health.failure_count() < self.world.model.max_failures
+            && self
+                .clock
+                .due_to_die(self.world_rank, self.incarnation, self.collectives)
+        {
+            self.die();
         }
     }
 
     /// Kill this rank: record the failure, stash partial statistics, wake all
     /// waiters and unwind the thread with a [`RankKilled`] payload.
-    fn die(&mut self, time: f64) -> ! {
-        self.clock.fast_forward(time);
-        let generation =
-            self.world
-                .health
-                .record_failure(self.world_rank, self.incarnation, self.clock.now());
+    fn die(&mut self) -> ! {
+        let time = self.clock.now();
+        let generation = self
+            .world
+            .health
+            .record_failure(self.world_rank, self.incarnation, time);
         self.world.lost_stats.lock().push(self.snapshot_stats());
         self.world.interrupt_all();
         panic::panic_any(RankKilled {
             rank: self.world_rank,
             incarnation: self.incarnation,
-            time: self.clock.now(),
+            time,
             generation,
         });
     }
@@ -322,12 +290,13 @@ impl Comm {
             });
         }
         let bytes = payload.byte_len();
+        let cost = self.world.model.latency.p2p_cost(bytes);
         let msg = Message {
             source: self.world_rank,
             dest: dest_world,
             tag,
             epoch: self.epoch,
-            sent_at: self.clock.now(),
+            sent_at: self.clock.window_opens(cost),
             payload,
         };
         self.world.mailboxes[dest_world].deposit(msg);
@@ -339,29 +308,42 @@ impl Comm {
     fn recv_payload(&mut self, source: usize, tag: i32) -> Result<(usize, Payload)> {
         self.maybe_die();
         let source_world = self.to_world(source)?;
-        loop {
-            let mailbox = &self.world.mailboxes[self.world_rank];
-            // Read before polling: a deposit or interrupt after this point
-            // makes `wait_since` return at once.
-            let ticket = mailbox.ticket();
-            self.check_health()?;
-            match mailbox.poll(source_world, tag, self.epoch) {
-                PollOutcome::Found(msg) => {
-                    let arrival = msg.sent_at + self.world.config.latency.p2p_cost(msg.byte_len());
-                    self.clock.wait_until(arrival);
-                    return Ok((self.to_group(msg.source), msg.payload));
-                }
-                PollOutcome::Empty => {
-                    if source_world != ANY_SOURCE && !self.world.health.is_alive(source_world) {
-                        return Err(RuntimeError::ProcFailed {
-                            rank: source_world,
-                            generation: self.world.health.generation(),
-                        });
+        let mailbox = &self.world.mailboxes[self.world_rank];
+        let msg = {
+            let mut expired = park_deadline(&self.clock);
+            loop {
+                // Read before polling: a deposit or interrupt after this point
+                // makes `wait_since` return at once.
+                let ticket = mailbox.ticket();
+                self.check_health()?;
+                match mailbox.poll(source_world, tag, self.epoch) {
+                    PollOutcome::Found(msg) => break msg,
+                    PollOutcome::Empty => {
+                        if source_world != ANY_SOURCE && !self.world.health.is_alive(source_world) {
+                            return Err(RuntimeError::ProcFailed {
+                                rank: source_world,
+                                generation: self.world.health.generation(),
+                            });
+                        }
+                        if !mailbox.wait_since(ticket, WAIT_SLICE) && expired() {
+                            return Err(RuntimeError::Timeout {
+                                waiting_for: format!("a message with tag {tag}"),
+                                missing: if source == ANY_SOURCE {
+                                    Vec::new()
+                                } else {
+                                    vec![source]
+                                },
+                            });
+                        }
                     }
-                    mailbox.wait_since(ticket, WAIT_SLICE);
                 }
             }
-        }
+        };
+        // Only the part of the message latency that the delivery delay and
+        // the receiver's own work have not already covered is waited for.
+        let arrival = msg.sent_at + self.world.model.latency.p2p_cost(msg.byte_len());
+        self.clock.wait_until(arrival);
+        Ok((self.to_group(msg.source), msg.payload))
     }
 
     /// Send a slice of `f64` values to `dest` with the given tag.
@@ -428,16 +410,22 @@ impl Comm {
     // Persistent store (LFLR) and stable store (checkpoint/restart)
     // ------------------------------------------------------------------
 
+    /// Charge the transfer of `bytes` bytes to or from a store at the
+    /// configured checkpoint bandwidth.
+    fn charge_store_bytes(&mut self, bytes: usize) {
+        self.clock
+            .spend_checkpoint(self.world.model.checkpoint_seconds_per_byte * bytes as f64);
+    }
+
     /// Store a value in this rank's persistent partition. The data survives
     /// the failure of this rank and can be read by its replacement and by
-    /// neighbouring ranks assisting in recovery. The write is charged
-    /// virtual time at the configured checkpoint bandwidth.
+    /// neighbouring ranks assisting in recovery. The write is charged at
+    /// the configured checkpoint bandwidth.
     pub fn persist(&mut self, key: &str, value: impl Into<Stored>) -> Result<()> {
         let value = value.into();
         let bytes = value.byte_len();
         self.world.persistent.put(self.world_rank, key, value)?;
-        self.clock
-            .advance(self.world.config.checkpoint_seconds_per_byte * bytes as f64);
+        self.charge_store_bytes(bytes);
         Ok(())
     }
 
@@ -447,15 +435,14 @@ impl Comm {
     pub fn restore(&mut self, rank: usize, key: &str) -> Result<Stored> {
         let world_rank = self.to_world(rank)?;
         let value = self.world.persistent.get(world_rank, key)?;
-        self.clock
-            .advance(self.world.config.checkpoint_seconds_per_byte * value.byte_len() as f64);
+        self.charge_store_bytes(value.byte_len());
         Ok(value)
     }
 
     /// Remove a key from this rank's persistent partition (no-op if absent).
     /// Lets applications that keep a history of persisted states (e.g.
     /// step-keyed LFLR snapshots) bound the store's footprint. Deletion is a
-    /// metadata operation and is charged no virtual time.
+    /// metadata operation and is charged no time.
     pub fn unpersist(&mut self, key: &str) {
         self.world.persistent.remove(self.world_rank, key);
     }
@@ -479,8 +466,7 @@ impl Comm {
             .world
             .stable
             .put(&format!("r{}/{}", self.world_rank, key), value);
-        self.clock
-            .advance(self.world.config.checkpoint_seconds_per_byte * bytes as f64);
+        self.charge_store_bytes(bytes);
         self.checkpoint_bytes += bytes as u64;
         Ok(())
     }
@@ -492,8 +478,7 @@ impl Comm {
             .stable
             .get(&format!("r{}/{}", self.world_rank, key));
         if let Some(v) = &value {
-            self.clock
-                .advance(self.world.config.checkpoint_seconds_per_byte * v.byte_len() as f64);
+            self.charge_store_bytes(v.byte_len());
         }
         value
     }
@@ -504,32 +489,36 @@ impl Comm {
         &self.world.stable
     }
 
-    /// The runtime configuration this job runs under.
-    pub fn config(&self) -> &crate::config::RuntimeConfig {
-        &self.world.config
-    }
-
     // ------------------------------------------------------------------
     // Statistics
     // ------------------------------------------------------------------
 
-    /// Snapshot of this rank's statistics.
+    /// Snapshot of this rank's statistics. The time fields are the clock's:
+    /// virtual seconds and their split under the virtual clock; wall seconds
+    /// since job start and the *emulated* components (the rest is real
+    /// execution) under the wall clock.
     pub fn snapshot_stats(&self) -> RankStats {
-        RankStats {
+        let mut stats = RankStats {
             rank: self.world_rank,
             incarnation: self.incarnation,
-            virtual_time: self.clock.now(),
-            compute_time: self.clock.compute_time(),
-            comm_wait_time: self.clock.comm_wait_time(),
-            noise_time: self.clock.noise_time(),
-            recovery_time: self.clock.recovery_time(),
             messages_sent: self.messages_sent,
             bytes_sent: self.bytes_sent,
             collectives: self.collectives,
             recoveries: self.recoveries,
             checkpoint_bytes: self.checkpoint_bytes,
             check_flops: self.check_flops,
-        }
+            ..RankStats::default()
+        };
+        self.clock.fill_times(&mut stats);
+        stats
+    }
+}
+
+impl Comm<VirtualClock> {
+    /// Access this rank's deterministic random-number generator (useful for
+    /// applications that want reproducible rank-decorrelated randomness).
+    pub fn rng(&mut self) -> &mut ChaCha8Rng {
+        self.clock.rng()
     }
 }
 
@@ -539,12 +528,15 @@ pub use crate::message::{ANY_SOURCE as ANY_SRC, ANY_TAG as ANY};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{NoiseConfig, RuntimeConfig};
+    use crate::config::{CostModel, NoiseConfig, RuntimeConfig};
     use crate::persistent::StableStore;
 
+    fn world(config: RuntimeConfig, size: usize) -> Arc<World<VirtualClock>> {
+        World::new(CostModel::from(&config), config, size, StableStore::new())
+    }
+
     fn solo_comm(config: RuntimeConfig) -> Comm {
-        let world = World::new(config, 1, StableStore::new());
-        Comm::new(world, 0, 0, 0.0)
+        Comm::new(world(config, 1), 0, 0, 0.0)
     }
 
     #[test]
@@ -664,8 +656,8 @@ mod tests {
     #[test]
     fn rng_is_reproducible_per_rank() {
         use rand::Rng;
-        let w1 = World::new(RuntimeConfig::fast().with_seed(7), 2, StableStore::new());
-        let w2 = World::new(RuntimeConfig::fast().with_seed(7), 2, StableStore::new());
+        let w1 = world(RuntimeConfig::fast().with_seed(7), 2);
+        let w2 = world(RuntimeConfig::fast().with_seed(7), 2);
         let mut a = Comm::new(w1.clone(), 0, 0, 0.0);
         let mut b = Comm::new(w2.clone(), 0, 0, 0.0);
         let mut c = Comm::new(w1, 1, 0, 0.0);
@@ -683,20 +675,8 @@ mod tests {
         assert_eq!(got, vec![2.5]);
     }
 
-    #[test]
-    fn original_rank_started_after_a_death_still_sees_it() {
-        use crate::config::{FailureConfig, FailurePolicy};
-        let cfg = RuntimeConfig::fast()
-            .with_failures(FailureConfig::scheduled(FailurePolicy::ReplaceRank, vec![]));
-        let world = World::new(cfg, 2, StableStore::new());
-        world.health.record_failure(1, 0, 0.0);
-        let original = Comm::new(Arc::clone(&world), 0, 0, 0.0);
-        assert!(matches!(
-            original.check_health(),
-            Err(RuntimeError::Revoked { generation: 1 })
-        ));
-        let incarnation = world.health.record_replacement(1);
-        let replacement = Comm::new(world, 1, incarnation, 0.0);
-        assert!(replacement.check_health().is_ok());
+    crate::conformance::instantiate! { crate::conformance::Simulated:
+        original_rank_started_after_a_death_still_sees_it =>
+            original_rank_started_after_a_death_still_sees_it();
     }
 }

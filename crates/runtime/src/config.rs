@@ -289,6 +289,33 @@ impl RuntimeConfig {
     }
 }
 
+/// The machine model the shared communicator charges against: the six values
+/// [`RuntimeConfig`] and [`ThreadConfig`](crate::threads::ThreadConfig) both
+/// carry (documented there). Each launcher extracts it from its own
+/// configuration; the rank's clock decides how a charged second is paid.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CostModel {
+    pub policy: FailurePolicy,
+    pub latency: LatencyModel,
+    pub seconds_per_flop: f64,
+    pub checkpoint_seconds_per_byte: f64,
+    pub replacement_cost: f64,
+    pub max_failures: usize,
+}
+
+impl From<&RuntimeConfig> for CostModel {
+    fn from(config: &RuntimeConfig) -> Self {
+        Self {
+            policy: config.failures.policy,
+            latency: config.latency,
+            seconds_per_flop: config.seconds_per_flop,
+            checkpoint_seconds_per_byte: config.checkpoint_seconds_per_byte,
+            replacement_cost: config.replacement_cost,
+            max_failures: config.failures.max_failures,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,22 +3,22 @@
 //! All collective operations — blocking, nonblocking, and the recovery
 //! rendezvous — are built on a single primitive: a keyed *slot* that every
 //! participating rank posts a contribution into. When the last participant
-//! arrives the slot computes a completion time in virtual time (the maximum
+//! arrives the slot computes a completion time on the ranks' clock (the maximum
 //! of the participants' entry times plus the collective's communication
 //! cost) and, for a reduction, folds the contributions once in ascending
 //! participant order; each participant then retrieves the completion time
 //! and either the folded vector ([`wait_reduced`](CollectiveEngine::wait_reduced))
-//! or the full contribution list ([`wait`](CollectiveEngine::wait)).
+//! or the full contribution list ([`wait_until`](CollectiveEngine::wait_until)).
 //!
-//! One engine serves both backends. What differs is how a waiter blocks:
-//! an engine built with [`CollectiveEngine::new`] parks on a condition
-//! variable at once (the simulator, and any job with more rank threads than
-//! cores), one built with [`CollectiveEngine::with_poll_rounds`] first polls
-//! the slot's completion flag for a bounded number of rounds. The budget is
-//! a *count*, not a duration: this module is on the virtual-time side of
-//! the analyzer's `virtual-time` rule and never reads a wall clock. The
-//! wall-clock deadline of the threaded backend comes in through the
-//! `expired` callback of the `*_until` waits.
+//! One engine serves both clocks. What differs is how a waiter blocks: an
+//! engine built with [`CollectiveEngine::new`] parks on a condition variable
+//! at once (the virtual clock's choice, and the wall clock's for any job
+//! with more rank threads than cores), one built with
+//! [`CollectiveEngine::with_poll_rounds`] first polls the slot's completion
+//! flag for a bounded number of rounds. The budget is a *count*, not a
+//! duration: this module is on the virtual-time side of the analyzer's
+//! `virtual-time` rule and never reads a wall clock. The wall clock's
+//! deadline comes in through the `expired` callback of the waits.
 //!
 //! Slots live in a small table that only grows: a slot is claimed for a key
 //! by the first post, released by the last retrieval, and its contribution
@@ -99,7 +99,7 @@ struct Slot {
     contributions: Vec<Vec<f64>>,
     arrived: usize,
     max_entry: f64,
-    /// Completion virtual time, valid once `done`.
+    /// Completion time, valid once `done`.
     completion: f64,
     /// The ascending-participant fold, valid once `done` if `reduced`.
     folded: Vec<f64>,
@@ -198,7 +198,7 @@ pub struct CollectiveResult {
     /// Contributions of every participant, indexed by participant index
     /// (rank index within the participating group).
     pub contributions: Vec<Vec<f64>>,
-    /// Virtual time at which the collective completes.
+    /// Time, on the participants' clock, at which the collective completes.
     pub completion_time: f64,
 }
 
@@ -251,8 +251,9 @@ impl CollectiveEngine {
     ///   the fold of [`ReduceOp::reduce_all`], so the result does not depend
     ///   on arrival order — and participants fetch it with
     ///   [`wait_reduced`](Self::wait_reduced). `None` keeps the contributions
-    ///   for [`wait`](Self::wait).
-    /// * `entry_time` — caller's virtual time at the post.
+    ///   for [`wait_until`](Self::wait_until).
+    /// * `entry_time` — when the caller's latency window opened
+    ///   ([`RankClock::window_opens`](crate::clock::RankClock::window_opens)).
     /// * `cost` — communication cost to fold into the completion time.
     ///
     /// The `op` and `cost` of the *last* arriving participant win, which is
@@ -337,28 +338,19 @@ impl CollectiveEngine {
             .is_some_and(|s| s.done.load(Ordering::Relaxed))
     }
 
-    /// Block until the slot completes, a failure interrupts the wait, or the
-    /// health check fails. On success returns the full contribution list and
-    /// the completion time. Each participant must call this (or
-    /// [`wait_reduced`](Self::wait_reduced)) exactly once; the slot is freed
-    /// when the last participant has retrieved it.
+    /// Block until the slot completes, a failure interrupts the wait, the
+    /// health check fails, or the caller's deadline passes. On success
+    /// returns the full contribution list and the completion time. Each
+    /// participant must call this (or [`wait_reduced`](Self::wait_reduced))
+    /// exactly once; the slot is freed when the last participant has
+    /// retrieved it.
     ///
     /// `acked_generation` is the failure generation the caller has already
     /// recovered from; newer failures interrupt the wait with
-    /// [`RuntimeError::Revoked`].
-    pub fn wait(
-        &self,
-        key: SlotKey,
-        health: &HealthBoard,
-        acked_generation: u64,
-    ) -> Result<CollectiveResult> {
-        self.wait_until(key, health, acked_generation, &mut || false)
-    }
-
-    /// [`wait`](Self::wait) with a deadline: `expired` is asked each time
-    /// the waiter is about to park (never during the poll phase), and a
-    /// `true` turns the wait into [`RuntimeError::Timeout`] naming the slot
-    /// and the participants that have not posted.
+    /// [`RuntimeError::Revoked`]. `expired` is asked each time the waiter is
+    /// about to park (never during the poll phase), and a `true` turns the
+    /// wait into [`RuntimeError::Timeout`] naming the slot and the
+    /// participants that have not posted.
     pub fn wait_until(
         &self,
         key: SlotKey,
@@ -496,6 +488,18 @@ mod tests {
     use crate::config::FailurePolicy;
     use std::sync::Arc;
     use std::thread;
+
+    impl CollectiveEngine {
+        /// [`wait_until`](Self::wait_until) without a deadline.
+        fn wait(
+            &self,
+            key: SlotKey,
+            health: &HealthBoard,
+            acked_generation: u64,
+        ) -> Result<CollectiveResult> {
+            self.wait_until(key, health, acked_generation, &mut || false)
+        }
+    }
 
     fn key(seq: u64) -> SlotKey {
         SlotKey {

@@ -75,8 +75,8 @@ pub enum RuntimeError {
         /// Number of attempts made.
         attempts: usize,
     },
-    /// A blocking wait on the real-threads backend (collective, recovery
-    /// rendezvous or receive) outlived the backend's deadline: some
+    /// A blocking wait under the wall clock (collective, recovery
+    /// rendezvous or receive) outlived the clock's deadline: some
     /// participant never arrived. Reported instead of hanging; not a
     /// [failure](RuntimeError::is_failure) a recovery protocol can handle,
     /// because nobody is known to have died.
@@ -86,6 +86,16 @@ pub enum RuntimeError {
         /// Ranks (participant indices of that communicator) that had not
         /// arrived when the deadline passed.
         missing: Vec<usize>,
+    },
+    /// The rank's own function panicked (an `assert!`, an index out of
+    /// bounds — a bug, not an injected failure). Reported for that rank;
+    /// the job is aborted, so its peers get
+    /// [`JobAborted`](RuntimeError::JobAborted) rather than wait for it.
+    RankPanicked {
+        /// World rank whose thread panicked.
+        rank: usize,
+        /// The panic message.
+        message: String,
     },
     /// Generic invalid-argument error.
     InvalidArgument(String),
@@ -129,6 +139,9 @@ impl fmt::Display for RuntimeError {
                 f,
                 "timed out waiting for {waiting_for}: ranks {missing:?} never arrived"
             ),
+            RuntimeError::RankPanicked { rank, message } => {
+                write!(f, "rank {rank} panicked: {message}")
+            }
             RuntimeError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }

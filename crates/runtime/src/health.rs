@@ -20,7 +20,7 @@ pub struct FailureEvent {
     pub rank: usize,
     /// Incarnation of the rank that failed (0 = original process).
     pub incarnation: u64,
-    /// Virtual time at which the failure occurred.
+    /// Time on the failed rank's clock at which the failure occurred.
     pub time: f64,
     /// Failure generation assigned to this event (1-based).
     pub generation: u64,
@@ -35,7 +35,7 @@ struct HealthState {
     /// recovery has not completed yet).
     revoked: bool,
     events: Vec<FailureEvent>,
-    /// Virtual time of the most recent failure (used to start replacements).
+    /// Time of the most recent failure, on the failed rank's clock.
     last_failure_time: f64,
 }
 
@@ -90,8 +90,9 @@ impl HealthBoard {
         self.policy
     }
 
-    /// Record the failure of `rank` (incarnation `incarnation`) at virtual
-    /// time `time`. Returns the generation assigned to the event.
+    /// Record the failure of `rank` (incarnation `incarnation`) at time
+    /// `time` on that rank's clock. Returns the generation assigned to the
+    /// event.
     ///
     /// Under [`FailurePolicy::AbortJob`] this also marks the job aborted;
     /// under the resilient policies it revokes the communicator so pending
@@ -207,7 +208,7 @@ impl HealthBoard {
         self.state.lock().events.clone()
     }
 
-    /// Virtual time of the most recent failure.
+    /// Time of the most recent failure, on the failed rank's clock.
     pub fn last_failure_time(&self) -> f64 {
         self.state.lock().last_failure_time
     }

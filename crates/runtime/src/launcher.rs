@@ -1,13 +1,18 @@
 //! Job launcher: spawns the SPMD rank threads, monitors them, and spawns
 //! replacement ranks after failures.
+//!
+//! `run_job` is the one launcher loop; [`Runtime`] (virtual time) and
+//! [`ThreadRuntime`](crate::threads::ThreadRuntime) (wall clock) are
+//! constructors that hand it their clock's job state.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 
+use crate::clock::{RankClock, VirtualClock};
 use crate::comm::{Comm, RankKilled};
-use crate::config::{FailurePolicy, RuntimeConfig};
+use crate::config::{CostModel, FailurePolicy, RuntimeConfig};
 use crate::error::{Result, RuntimeError};
 use crate::health::FailureEvent;
 use crate::persistent::StableStore;
@@ -16,7 +21,7 @@ use crate::world::World;
 
 /// Upper bound on replacement incarnations per rank, as a safety net against
 /// pathological failure configurations.
-pub(crate) const MAX_INCARNATIONS: u64 = 256;
+const MAX_INCARNATIONS: u64 = 256;
 
 /// Result of running one SPMD job.
 #[derive(Debug)]
@@ -42,7 +47,7 @@ pub struct JobResult<R> {
 }
 
 impl<R> JobResult<R> {
-    /// Maximum virtual time over all final incarnations (the job makespan).
+    /// Maximum final time over all final incarnations (the job makespan).
     pub fn makespan(&self) -> f64 {
         self.job.makespan
     }
@@ -87,7 +92,7 @@ enum RankExit<R> {
     },
 }
 
-/// The simulated-job launcher.
+/// The simulated-job launcher: ranks run under [`VirtualClock`]s.
 ///
 /// ```
 /// use resilient_runtime::{Runtime, RuntimeConfig, ReduceOp};
@@ -106,7 +111,6 @@ pub struct Runtime {
 impl Runtime {
     /// Create a launcher with the given configuration.
     pub fn new(config: RuntimeConfig) -> Self {
-        install_panic_hook();
         Self { config }
     }
 
@@ -132,122 +136,140 @@ impl Runtime {
         R: Send + 'static,
         F: Fn(&mut Comm) -> Result<R> + Send + Sync + 'static,
     {
-        assert!(size > 0, "cannot run a job with zero ranks");
-        let world = World::new(self.config.clone(), size, stable);
-        let f = Arc::new(f);
-        let (tx, rx) = mpsc::channel::<RankExit<R>>();
-
-        // The thread of each rank's current incarnation.
-        let mut handles: Vec<_> = (0..size)
-            .map(|rank| {
-                Some(spawn_rank(
-                    Arc::clone(&world),
-                    Arc::clone(&f),
-                    tx.clone(),
-                    rank,
-                    0,
-                    0.0,
-                ))
-            })
-            .collect();
-
-        let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
-        let mut errors: Vec<Option<RuntimeError>> = (0..size).map(|_| None).collect();
-        let mut final_stats: Vec<RankStats> = (0..size)
-            .map(|rank| RankStats {
-                rank,
-                ..RankStats::default()
-            })
-            .collect();
-        let mut incarnations = vec![0u64; size];
-        let mut remaining = size;
-
-        while remaining > 0 {
-            match rx.recv().expect("rank threads cannot all disappear") {
-                RankExit::Done {
-                    rank,
-                    result,
-                    stats,
-                } => {
-                    final_stats[rank] = stats;
-                    match result {
-                        Ok(v) => results[rank] = Some(v),
-                        Err(e) => errors[rank] = Some(e),
-                    }
-                    remaining -= 1;
-                }
-                RankExit::Killed(info) => {
-                    let respawn = self.config.failures.policy == FailurePolicy::ReplaceRank
-                        && incarnations[info.rank] + 1 < MAX_INCARNATIONS;
-                    if respawn {
-                        incarnations[info.rank] += 1;
-                        let incarnation = world.health.record_replacement(info.rank);
-                        let start = info.time + self.config.replacement_cost;
-                        // Let the dead incarnation's thread finish exiting
-                        // before its replacement starts (see
-                        // `ThreadRuntime::run`): whether the replacement
-                        // inherits its malloc arena is otherwise a race.
-                        if let Some(dead) = handles[info.rank].take() {
-                            let _ = dead.join();
-                        }
-                        handles[info.rank] = Some(spawn_rank(
-                            Arc::clone(&world),
-                            Arc::clone(&f),
-                            tx.clone(),
-                            info.rank,
-                            incarnation,
-                            start,
-                        ));
-                    } else {
-                        errors[info.rank] = Some(RuntimeError::ProcFailed {
-                            rank: info.rank,
-                            generation: info.generation,
-                        });
-                        remaining -= 1;
-                    }
-                }
-                RankExit::Panicked { rank, message } => {
-                    errors[rank] = Some(RuntimeError::InvalidArgument(format!(
-                        "rank {rank} panicked: {message}"
-                    )));
-                    remaining -= 1;
-                }
-            }
-        }
-        drop(tx);
-        for h in handles.into_iter().flatten() {
-            let _ = h.join();
-        }
-
-        let failures = world.health.events();
-        let aborted = world.health.is_aborted();
-        let mut all_stats = world.lost_stats.lock().clone();
-        all_stats.extend(final_stats.iter().cloned());
-        let job = JobStats::aggregate(&final_stats, failures.len());
-        JobResult {
-            results,
-            errors,
-            stats: final_stats,
-            all_stats,
-            failures,
-            aborted,
-            job,
-        }
+        let model = CostModel::from(&self.config);
+        run_job::<VirtualClock, R, F>(model, self.config.clone(), size, stable, f)
     }
 }
 
-fn spawn_rank<R, F>(
-    world: Arc<World>,
-    f: Arc<F>,
-    tx: mpsc::Sender<RankExit<R>>,
+/// Run `f` on `size` rank threads whose clocks are started from `time`, and
+/// collect results, statistics and failure events. A rank killed by failure
+/// injection is respawned under [`FailurePolicy::ReplaceRank`]; a rank that
+/// panics, or that cannot be respawned any more, aborts the job so that its
+/// peers return [`RuntimeError::JobAborted`] instead of waiting for it.
+pub(crate) fn run_job<K, R, F>(
+    model: CostModel,
+    time: K::Job,
+    size: usize,
+    stable: StableStore,
+    f: F,
+) -> JobResult<R>
+where
+    K: RankClock + 'static,
+    R: Send + 'static,
+    F: Fn(&mut Comm<K>) -> Result<R> + Send + Sync + 'static,
+{
+    assert!(size > 0, "cannot run a job with zero ranks");
+    install_panic_hook();
+    let world = World::<K>::new(model, time, size, stable);
+    let f = Arc::new(f);
+    let (tx, rx) = mpsc::channel::<RankExit<R>>();
+
+    // The thread of each rank's current incarnation.
+    let mut handles: Vec<_> = (0..size)
+        .map(|rank| Some(spawn_rank(&world, &f, &tx, rank, 0, 0.0)))
+        .collect();
+
+    let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
+    let mut errors: Vec<Option<RuntimeError>> = (0..size).map(|_| None).collect();
+    let mut final_stats: Vec<RankStats> = (0..size)
+        .map(|rank| RankStats {
+            rank,
+            ..RankStats::default()
+        })
+        .collect();
+    let mut incarnations = vec![0u64; size];
+    let mut remaining = size;
+    // A rank is gone for good and nobody will take its place: abort, and
+    // wake its peers so their pending or next operation says so.
+    let abort = || {
+        world.health.abort();
+        world.interrupt_all();
+    };
+
+    while remaining > 0 {
+        match rx.recv().expect("rank threads cannot all disappear") {
+            RankExit::Done {
+                rank,
+                result,
+                stats,
+            } => {
+                final_stats[rank] = stats;
+                match result {
+                    Ok(v) => results[rank] = Some(v),
+                    Err(e) => errors[rank] = Some(e),
+                }
+                remaining -= 1;
+            }
+            RankExit::Killed(info) => {
+                let replace = model.policy == FailurePolicy::ReplaceRank;
+                if replace && incarnations[info.rank] + 1 < MAX_INCARNATIONS {
+                    incarnations[info.rank] += 1;
+                    let incarnation = world.health.record_replacement(info.rank);
+                    // The dead incarnation reported from inside its thread;
+                    // let that thread finish exiting before the replacement
+                    // starts. Spawned while it is still winding down, the
+                    // replacement may or may not inherit its malloc arena —
+                    // a race that made the job's peak RSS bimodal.
+                    if let Some(dead) = handles[info.rank].take() {
+                        let _ = dead.join();
+                    }
+                    let start = info.time + model.replacement_cost;
+                    handles[info.rank] =
+                        Some(spawn_rank(&world, &f, &tx, info.rank, incarnation, start));
+                } else {
+                    if replace {
+                        // Survivors expect a replacement in their rendezvous.
+                        abort();
+                    }
+                    errors[info.rank] = Some(RuntimeError::ProcFailed {
+                        rank: info.rank,
+                        generation: info.generation,
+                    });
+                    remaining -= 1;
+                }
+            }
+            RankExit::Panicked { rank, message } => {
+                abort();
+                errors[rank] = Some(RuntimeError::RankPanicked { rank, message });
+                remaining -= 1;
+            }
+        }
+    }
+    drop(tx);
+    for h in handles.into_iter().flatten() {
+        let _ = h.join();
+    }
+
+    let failures = world.health.events();
+    let aborted = world.health.is_aborted();
+    let mut all_stats = world.lost_stats.lock().clone();
+    all_stats.extend(final_stats.iter().cloned());
+    let job = JobStats::aggregate(&final_stats, failures.len());
+    JobResult {
+        results,
+        errors,
+        stats: final_stats,
+        all_stats,
+        failures,
+        aborted,
+        job,
+    }
+}
+
+fn spawn_rank<K, R, F>(
+    world: &Arc<World<K>>,
+    f: &Arc<F>,
+    tx: &mpsc::Sender<RankExit<R>>,
     rank: usize,
     incarnation: u64,
     start_time: f64,
 ) -> thread::JoinHandle<()>
 where
+    K: RankClock + 'static,
     R: Send + 'static,
-    F: Fn(&mut Comm) -> Result<R> + Send + Sync + 'static,
+    F: Fn(&mut Comm<K>) -> Result<R> + Send + Sync + 'static,
 {
+    let (world, f, tx) = (Arc::clone(world), Arc::clone(f), tx.clone());
     thread::Builder::new()
         .name(format!("rank-{rank}.{incarnation}"))
         .spawn(move || {
@@ -280,7 +302,7 @@ where
 /// Install a process-wide panic hook (once) that silences the expected
 /// [`RankKilled`] unwinds so injected failures do not spam stderr, while
 /// delegating every other panic to the previous hook.
-pub(crate) fn install_panic_hook() {
+fn install_panic_hook() {
     use std::sync::Once;
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
@@ -298,6 +320,19 @@ mod tests {
     use super::*;
     use crate::collective::ReduceOp;
     use crate::config::{FailureConfig, LatencyModel, NoiseConfig};
+    use crate::conformance::{instantiate, Simulated};
+
+    instantiate! { Simulated:
+        ring_pass_point_to_point => ring_pass(5);
+        collectives_and_gather => collectives_and_gather();
+        nonblocking_overlap_charges_less_than_blocking => nonblocking_overlap();
+        persist_survives_and_restores => persist_and_restore();
+        replace_policy_spawns_replacement_and_recovers => replace_and_recover(4, 2, 4);
+        shrink_policy_rebuilds_smaller_comm => shrink_rebuilds_smaller_comm();
+        persistent_store_survives_failure => persistent_store_survives_death();
+        stats_count_messages_and_collectives => stats_count_messages_and_collectives();
+        panicking_rank_aborts_the_job => panicking_rank_aborts_the_job();
+    }
 
     #[test]
     fn single_rank_job() {
@@ -338,24 +373,6 @@ mod tests {
             }
             assert_eq!(scanned, vec![(rank + 1) as f64]);
             assert_eq!(all.len(), 4);
-        }
-    }
-
-    #[test]
-    fn ring_pass_point_to_point() {
-        let rt = Runtime::new(RuntimeConfig::fast());
-        let n = 5;
-        let r = rt.run(n, move |comm| {
-            let next = (comm.rank() + 1) % comm.size();
-            let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send_f64(next, 0, &[comm.rank() as f64])?;
-            let (_, v) = comm.recv_f64(prev, 0)?;
-            Ok(v[0])
-        });
-        let vals = r.unwrap_all();
-        for (rank, v) in vals.iter().enumerate() {
-            let prev = (rank + n - 1) % n;
-            assert_eq!(*v, prev as f64);
         }
     }
 
@@ -486,129 +503,6 @@ mod tests {
         assert!(!r.all_ok());
         // Survivors observed the abort as an error.
         assert!(r.errors.iter().filter(|e| e.is_some()).count() >= 3);
-    }
-
-    #[test]
-    fn replace_policy_spawns_replacement_and_recovers() {
-        let cfg = RuntimeConfig::fast().with_failures(FailureConfig::scheduled(
-            FailurePolicy::ReplaceRank,
-            vec![(2, 0.45)],
-        ));
-        let rt = Runtime::new(cfg);
-        let r = rt.run(4, |comm| {
-            let mut step = if comm.is_replacement() {
-                // Recovery path: rejoin the others and resume from the agreed step.
-                let info = comm.recovery_rendezvous(f64::INFINITY)?;
-                info.agreed as usize
-            } else {
-                0
-            };
-            let mut recoveries = 0;
-            while step < 10 {
-                comm.advance(0.1);
-                match comm.barrier() {
-                    Ok(()) => step += 1,
-                    Err(e) if e.is_failure() => {
-                        let info = comm.recovery_rendezvous(step as f64)?;
-                        step = info.agreed as usize;
-                        recoveries += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((comm.rank(), step, recoveries, comm.incarnation()))
-        });
-        assert!(!r.aborted);
-        assert_eq!(r.failures.len(), 1);
-        assert!(
-            r.all_ok(),
-            "all ranks (incl. replacement) must finish: {:?}",
-            r.errors
-        );
-        let results = r.unwrap_all();
-        assert_eq!(results.len(), 4);
-        for (rank, step, _recoveries, incarnation) in &results {
-            assert_eq!(*step, 10);
-            if *rank == 2 {
-                assert_eq!(
-                    *incarnation, 1,
-                    "rank 2 must be the replacement incarnation"
-                );
-            }
-        }
-        // Survivors saw exactly one recovery.
-        assert!(results
-            .iter()
-            .any(|(rank, _, rec, _)| *rank != 2 && *rec == 1));
-    }
-
-    #[test]
-    fn shrink_policy_rebuilds_smaller_comm() {
-        let cfg = RuntimeConfig::fast().with_failures(FailureConfig::scheduled(
-            FailurePolicy::Shrink,
-            vec![(0, 0.25)],
-        ));
-        let rt = Runtime::new(cfg);
-        let r = rt.run(3, |comm| {
-            let mut sum = 0.0;
-            for _ in 0..6 {
-                comm.advance(0.1);
-                match comm.allreduce_scalar(ReduceOp::Sum, 1.0) {
-                    Ok(s) => sum = s,
-                    Err(e) if e.is_failure() => {
-                        let info = comm.shrink()?;
-                        assert_eq!(info.new_size, 2);
-                        assert_eq!(info.failed_ranks, vec![0]);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((comm.rank(), comm.size(), sum))
-        });
-        // Rank 0 died and is never replaced under Shrink.
-        assert!(r.results[0].is_none());
-        for rank in 1..3 {
-            let (new_rank, new_size, sum) = r.results[rank].expect("survivor finishes");
-            assert_eq!(new_size, 2);
-            assert!(new_rank < 2);
-            assert_eq!(sum, 2.0, "post-shrink allreduce spans 2 ranks");
-        }
-    }
-
-    #[test]
-    fn persistent_store_survives_failure() {
-        let cfg = RuntimeConfig::fast().with_failures(FailureConfig::scheduled(
-            FailurePolicy::ReplaceRank,
-            vec![(1, 0.35)],
-        ));
-        let rt = Runtime::new(cfg);
-        let r = rt.run(2, |comm| {
-            if comm.is_replacement() {
-                // LFLR protocol: a replacement first joins the recovery
-                // rendezvous, then recovers the dead incarnation's persistent
-                // data.
-                comm.recovery_rendezvous(0.0)?;
-                let v = comm.restore(comm.rank(), "state")?.into_f64()?;
-                assert_eq!(v, vec![101.0]);
-            } else {
-                comm.persist("state", vec![comm.rank() as f64 + 100.0])?;
-            }
-            let mut done = false;
-            while !done {
-                comm.advance(0.1);
-                match comm.barrier() {
-                    Ok(()) if comm.now() > 1.0 => done = true,
-                    Ok(()) => {}
-                    Err(e) if e.is_failure() => {
-                        comm.recovery_rendezvous(0.0)?;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(comm.incarnation())
-        });
-        assert!(r.all_ok(), "errors: {:?}", r.errors);
-        assert_eq!(r.failures.len(), 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! # resilient-runtime
 //!
-//! A simulated SPMD message-passing runtime providing the system support the
+//! An SPMD message-passing runtime — simulated in virtual time, or run for
+//! real on threads under the wall clock — providing the system support the
 //! four resilience-enabling programming models of Heroux, *"Toward Resilient
 //! Algorithms and Applications"* (HPDC 2013), require:
 //!
@@ -18,21 +19,27 @@
 //!   a bandwidth cost model and an abort-the-whole-job failure policy, so
 //!   CPR can be compared quantitatively against LFLR.
 //!
-//! Ranks are OS threads; messages travel over in-process mailboxes. Two
-//! execution backends implement the [`CommBackend`] surface the kernels
-//! consume:
+//! Ranks are OS threads; messages travel over in-process mailboxes. There is
+//! **one communicator, [`Comm<K>`](Comm), under two clocks**: the
+//! communicator, the job's shared [`World`](world::World), the launcher
+//! loop, the collectives, the recovery protocol and the [`CommBackend`] impl
+//! the kernels consume are written once, generic over a [`RankClock`] that
+//! answers the only questions on which the backends differ:
 //!
-//! * The **virtual-time simulator** ([`Comm`] under [`Runtime`]) charges
-//!   computation explicitly ([`Comm::advance`], [`Comm::charge_flops`]) and
-//!   prices communication through the configured [`LatencyModel`], so
-//!   results do not depend on the host machine's core count.
-//! * The **real-threads backend** ([`ThreadComm`] under [`ThreadRuntime`],
-//!   module [`threads`]) runs the same SPMD code under wall-clock time with
-//!   real rendezvous collectives and panic-based fault injection, turning
-//!   the simulator's predicted speedups into measured ones.
+//! | the clock decides | [`VirtualClock`] ([`Comm`] under [`Runtime`]) | [`WallClock`] ([`ThreadComm`] under [`ThreadRuntime`]) |
+//! |---|---|---|
+//! | what time is | a number, advanced by charging work to it | wall seconds since the job started |
+//! | how a cost is paid | added to the number (plus sampled noise on compute) | slept, or spun below 100 µs |
+//! | when a rank dies | a [`FailureConfig`] schedule in virtual seconds | a [`DeathInjector`] asked at failure points |
+//! | how long a parked wait may last | for ever — only completion or a failure ends it | [`threads::WAIT_DEADLINE`], then `Timeout` |
+//! | whether to poll before parking | never (ranks outnumber cores) | iff `size ≤ available_parallelism` |
 //!
-//! Both backends fold reductions in a deterministic ascending-rank order,
-//! so failure-free solver iterates are bit-identical across backends.
+//! Under the virtual clock results do not depend on the host's core count
+//! and runs are deterministic; under the wall clock the same SPMD code is
+//! *measured*, with real rendezvous and panic-based fault injection, turning
+//! the simulator's predicted speedups into observed ones. Reductions fold in
+//! a deterministic ascending-rank order under both, so failure-free solver
+//! iterates are bit-identical across clocks.
 //!
 //! ## Quick start
 //!
@@ -74,7 +81,7 @@ pub mod ulfm;
 pub mod world;
 
 pub use backend::CommBackend;
-pub use clock::VirtualClock;
+pub use clock::{RankClock, VirtualClock};
 pub use collective::ReduceOp;
 pub use comm::{Comm, RankKilled};
 pub use config::{
@@ -88,7 +95,14 @@ pub use nonblocking::{CollectiveOutcome, PendingCollective};
 pub use persistent::{PersistentStore, StableStore, Stored};
 pub use stats::{JobStats, RankStats};
 pub use threads::{
-    DeathContext, DeathInjector, ThreadComm, ThreadConfig, ThreadPending, ThreadRuntime,
+    DeathContext, DeathInjector, ThreadComm, ThreadConfig, ThreadPending, ThreadRuntime, WallClock,
 };
 pub use topology::{BlockDistribution, CartTopology};
 pub use ulfm::{RecoveryInfo, ShrinkInfo};
+
+/// The conformance suite both clocks are held to (see its module doc); it
+/// lives with the other tests and is instantiated from this crate's unit
+/// tests because some cases build communicators by hand.
+#[cfg(test)]
+#[path = "../tests/conformance/mod.rs"]
+mod conformance;

@@ -117,7 +117,8 @@ pub struct Message {
     /// the current epoch so that messages from before a recovery rendezvous
     /// cannot be mistaken for fresh data.
     pub epoch: u64,
-    /// Sender's virtual time at the moment the send was posted.
+    /// When the message's latency window opened on the sender's clock
+    /// ([`RankClock::window_opens`](crate::clock::RankClock::window_opens)).
     pub sent_at: f64,
     /// Payload.
     pub payload: Payload,

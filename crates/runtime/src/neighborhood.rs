@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use crate::clock::RankClock;
 use crate::comm::Comm;
 use crate::error::Result;
 use crate::topology::CartTopology;
@@ -24,7 +25,7 @@ const _: () = assert!(HALO_TAG_BASE.checked_add(1_000_000).is_some());
 /// [`Comm::exchange_boundaries_1d`]; `None` at a non-periodic boundary.
 pub type BoundaryPair = (Option<Vec<f64>>, Option<Vec<f64>>);
 
-impl Comm {
+impl<K: RankClock> Comm<K> {
     /// Exchange one `f64` vector with each neighbour: sends `sends[i]` to
     /// `neighbors[i]` and returns the vector received from each neighbour,
     /// in the same order.

@@ -11,6 +11,7 @@
 //! hidden. This is exactly the mechanism pipelined Krylov methods (§III-B)
 //! exploit.
 
+use crate::clock::RankClock;
 use crate::collective::ReduceOp;
 use crate::comm::Comm;
 use crate::engine::SlotKey;
@@ -37,8 +38,6 @@ enum PendingKind {
 pub struct PendingCollective {
     key: SlotKey,
     kind: PendingKind,
-    /// Virtual time at which the operation was posted.
-    posted_at: f64,
 }
 
 /// Result of a completed nonblocking collective.
@@ -72,7 +71,7 @@ impl CollectiveOutcome {
     }
 }
 
-impl Comm {
+impl<K: RankClock> Comm<K> {
     fn post_nonblocking(
         &mut self,
         contribution: &[f64],
@@ -84,11 +83,7 @@ impl Comm {
             _ => None,
         };
         let key = self.post_collective(op, contribution, reduce_elems)?;
-        Ok(PendingCollective {
-            key,
-            kind,
-            posted_at: self.clock.now(),
-        })
+        Ok(PendingCollective { key, kind })
     }
 
     /// Post a nonblocking all-reduce.
@@ -116,28 +111,31 @@ impl Comm {
     pub fn iallgather(&mut self, data: &[f64]) -> Result<PendingCollective> {
         self.post_nonblocking(data, 0, PendingKind::AllGather)
     }
+
+    /// Complete a nonblocking reduction or broadcast: see
+    /// [`PendingCollective::wait_vector`].
+    pub fn wait_vector(&mut self, pending: PendingCollective) -> Result<Vec<f64>> {
+        pending.wait_vector(self)
+    }
 }
 
 impl PendingCollective {
     /// Has the collective completed (all ranks posted)? Never blocks and
     /// never advances the clock; equivalent to `MPI_Test` without freeing
     /// the request.
-    pub fn test(&self, comm: &Comm) -> bool {
+    pub fn test<K: RankClock>(&self, comm: &Comm<K>) -> bool {
         comm.world.engine.is_complete(&self.key)
     }
 
-    /// Virtual time at which this rank posted the operation.
-    pub fn posted_at(&self) -> f64 {
-        self.posted_at
-    }
-
-    /// Complete the collective: blocks until every rank has posted, advances
-    /// the caller's virtual clock to the completion time (if it is not
-    /// already past it — the latency-hiding case) and returns the result.
-    pub fn wait(self, comm: &mut Comm) -> Result<CollectiveOutcome> {
+    /// Complete the collective: blocks until every rank has posted, brings
+    /// the caller's clock to the completion time (if it is not already past
+    /// it — the latency-hiding case) and returns the result.
+    pub fn wait<K: RankClock>(self, comm: &mut Comm<K>) -> Result<CollectiveOutcome> {
         Ok(match self.kind {
             PendingKind::AllReduce(_) => {
-                CollectiveOutcome::Vector(comm.complete_reduction(self.key)?)
+                let mut reduced = Vec::new();
+                comm.complete_reduction(self.key, &mut reduced)?;
+                CollectiveOutcome::Vector(reduced)
             }
             PendingKind::Barrier => {
                 comm.complete_gather(self.key)?;
@@ -156,18 +154,18 @@ impl PendingCollective {
     }
 
     /// Complete an allreduce/broadcast request and return its vector result.
-    pub fn wait_vector(self, comm: &mut Comm) -> Result<Vec<f64>> {
+    pub fn wait_vector<K: RankClock>(self, comm: &mut Comm<K>) -> Result<Vec<f64>> {
         Ok(self.wait(comm)?.into_vector())
     }
 
     /// Complete an allreduce-scalar request and return its scalar result.
-    pub fn wait_scalar(self, comm: &mut Comm) -> Result<f64> {
+    pub fn wait_scalar<K: RankClock>(self, comm: &mut Comm<K>) -> Result<f64> {
         let v = self.wait_vector(comm)?;
         Ok(v.first().copied().unwrap_or(0.0))
     }
 
     /// Participate in the rendezvous but discard the result.
-    pub fn cancel(self, comm: &mut Comm) -> Result<()> {
+    pub fn cancel<K: RankClock>(self, comm: &mut Comm<K>) -> Result<()> {
         self.wait(comm).map(|_| ())
     }
 }

@@ -9,15 +9,18 @@ pub struct RankStats {
     pub rank: usize,
     /// Incarnation number (0 = original process).
     pub incarnation: u64,
-    /// Final virtual time of the rank.
+    /// Final time of the rank on its clock: virtual seconds under the
+    /// virtual clock, wall seconds since job start under the wall clock
+    /// (the name predates the second clock).
     pub virtual_time: f64,
-    /// Virtual time attributed to computation.
+    /// Time attributed to computation (under the wall clock: the *emulated*
+    /// part, charged on top of real execution; likewise below).
     pub compute_time: f64,
-    /// Virtual time attributed to waiting on communication.
+    /// Time attributed to waiting on communication.
     pub comm_wait_time: f64,
-    /// Virtual time attributed to injected noise.
+    /// Time attributed to injected noise (virtual clock only).
     pub noise_time: f64,
-    /// Virtual time attributed to recovery.
+    /// Time attributed to recovery.
     pub recovery_time: f64,
     /// Point-to-point messages sent.
     pub messages_sent: u64,

@@ -19,6 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::clock::{park_deadline, RankClock};
 use crate::comm::Comm;
 use crate::engine::{SlotKey, SlotKind};
 use crate::error::Result;
@@ -36,7 +37,7 @@ pub struct RecoveryInfo {
     /// last globally completed step, so the application knows where to
     /// resume).
     pub agreed: f64,
-    /// Virtual time at which recovery completed.
+    /// Time on the rank's clock at which recovery completed.
     pub completed_at: f64,
 }
 
@@ -53,7 +54,7 @@ pub struct ShrinkInfo {
     pub epoch: u64,
 }
 
-impl Comm {
+impl<K: RankClock> Comm<K> {
     /// Participate in the post-failure recovery rendezvous (ReplaceRank
     /// policy).
     ///
@@ -74,45 +75,23 @@ impl Comm {
     /// from.
     pub fn recovery_rendezvous(&mut self, proposal: f64) -> Result<RecoveryInfo> {
         let generation = self.world.health.generation();
-        self.acked_generation = generation;
         let expected = self.world.size;
+        let cost = self.world.model.latency.collective_cost(expected, 16, 2)
+            + self.world.model.replacement_cost;
         let key = SlotKey {
             epoch: 0,
             comm_id: 0,
             kind: SlotKind::Recovery,
             seq: generation,
         };
-        let cost = self.world.config.latency.collective_cost(expected, 16, 2)
-            + self.world.config.replacement_cost;
-        self.world.engine.post(
-            key,
-            self.world_rank,
-            expected,
-            vec![proposal],
-            self.clock.now(),
-            cost,
-        )?;
-        let result = self
-            .world
-            .engine
-            .wait(key, &self.world.health, generation)?;
-        let waited = result.completion_time - self.clock.now();
-        if waited > 0.0 {
-            self.clock.advance_recovery(waited);
-        }
-        let agreed = result
-            .contributions
+        let contributions =
+            self.agree_and_reset(key, (self.world_rank, expected), vec![proposal], cost)?;
+        let agreed = contributions
             .iter()
             .filter_map(|c| c.first().copied())
             .fold(f64::INFINITY, f64::min);
-        // Advance to the new epoch and clean up stale communication state.
-        self.epoch = self.world.health.complete_recovery(generation);
-        self.world.engine.purge_older_than(self.epoch);
-        self.world.mailboxes[self.world_rank].purge_older_than(self.epoch);
-        self.seq = 0;
         self.comm_id = 0;
         self.group = None;
-        self.recoveries += 1;
         Ok(RecoveryInfo {
             generation,
             epoch: self.epoch,
@@ -129,49 +108,72 @@ impl Comm {
     /// [`size`](Comm::size) reflect the shrunk communicator afterwards.
     pub fn shrink(&mut self) -> Result<ShrinkInfo> {
         let generation = self.world.health.generation();
-        self.acked_generation = generation;
         let alive = self.world.health.alive_ranks();
         let expected = alive.len();
         let my_index = alive
             .iter()
             .position(|&r| r == self.world_rank)
             .expect("a dead rank cannot call shrink");
+        let cost = self
+            .world
+            .model
+            .latency
+            .collective_cost(expected.max(1), 16, 1);
         let key = SlotKey {
             epoch: 0,
             comm_id: self.comm_id,
             kind: SlotKind::Shrink,
             seq: generation,
         };
-        let cost = self
-            .world
-            .config
-            .latency
-            .collective_cost(expected.max(1), 16, 1);
-        self.world
-            .engine
-            .post(key, my_index, expected, Vec::new(), self.clock.now(), cost)?;
-        let result = self
-            .world
-            .engine
-            .wait(key, &self.world.health, generation)?;
-        let waited = result.completion_time - self.clock.now();
-        if waited > 0.0 {
-            self.clock.advance_recovery(waited);
-        }
-        self.epoch = self.world.health.complete_recovery(generation);
-        self.world.engine.purge_older_than(self.epoch);
-        self.world.mailboxes[self.world_rank].purge_older_than(self.epoch);
-        self.seq = 0;
+        self.agree_and_reset(key, (my_index, expected), Vec::new(), cost)?;
         // Derive a communicator id that every survivor computes identically.
         self.comm_id = 1_000 + generation;
-        self.group = Some(alive.clone());
-        self.recoveries += 1;
+        self.group = Some(alive);
         Ok(ShrinkInfo {
             new_rank: my_index,
             new_size: expected,
             failed_ranks: self.world.health.failed_ranks(),
             epoch: self.epoch,
         })
+    }
+
+    /// What both recovery operations are: acknowledge the failure
+    /// generation `key` is numbered by, meet the other `expected`
+    /// participants in that slot (`index` is the caller's place among them)
+    /// at recovery `cost`, then advance to a fresh communication epoch —
+    /// discarding stale messages and collectives — and restart collective
+    /// sequencing. Returns what the participants contributed.
+    fn agree_and_reset(
+        &mut self,
+        key: SlotKey,
+        (index, expected): (usize, usize),
+        contribution: Vec<f64>,
+        cost: f64,
+    ) -> Result<Vec<Vec<f64>>> {
+        let generation = key.seq;
+        self.acked_generation = generation;
+        self.world.engine.post(
+            key,
+            index,
+            expected,
+            contribution,
+            self.clock.window_opens(cost),
+            cost,
+        )?;
+        let result = self.world.engine.wait_until(
+            key,
+            &self.world.health,
+            generation,
+            &mut park_deadline(&self.clock),
+        )?;
+        self.clock
+            .spend_recovery(result.completion_time - self.clock.now());
+        self.epoch = self.world.health.complete_recovery(generation);
+        self.world.engine.purge_older_than(self.epoch);
+        self.world.mailboxes[self.world_rank].purge_older_than(self.epoch);
+        self.seq = 0;
+        self.recoveries += 1;
+        Ok(result.contributions)
     }
 
     /// Explicitly revoke the communicator: every rank's next operation fails

@@ -1,10 +1,11 @@
-//! The shared state of one simulated job ("world").
+//! The shared state of one job ("world").
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::config::RuntimeConfig;
+use crate::clock::RankClock;
+use crate::config::CostModel;
 use crate::engine::CollectiveEngine;
 use crate::health::HealthBoard;
 use crate::mailbox::Mailbox;
@@ -12,11 +13,13 @@ use crate::persistent::{PersistentStore, StableStore};
 use crate::stats::RankStats;
 
 /// Shared, reference-counted state of a running job. One `World` is created
-/// per [`Runtime::run`](crate::launcher::Runtime::run) invocation and shared
-/// by every rank thread (original and replacement incarnations).
-pub struct World {
-    /// Job configuration.
-    pub config: RuntimeConfig,
+/// per launch and shared by every rank thread (original and replacement
+/// incarnations).
+pub struct World<K: RankClock> {
+    /// The machine model costs are charged against.
+    pub(crate) model: CostModel,
+    /// What the ranks' clocks are started from.
+    pub(crate) time: K::Job,
     /// Number of ranks.
     pub size: usize,
     /// One mailbox per rank.
@@ -35,19 +38,29 @@ pub struct World {
     pub lost_stats: Mutex<Vec<RankStats>>,
 }
 
-impl World {
-    /// Create the shared state for a job of `size` ranks.
-    pub fn new(config: RuntimeConfig, size: usize, stable: StableStore) -> Arc<Self> {
-        let policy = config.failures.policy;
+impl<K: RankClock> World<K> {
+    /// Create the shared state for a job of `size` ranks. Whether blocked
+    /// ranks poll before they park is the clock's decision, applied to the
+    /// engine and to every mailbox alike.
+    pub(crate) fn new(
+        model: CostModel,
+        time: K::Job,
+        size: usize,
+        stable: StableStore,
+    ) -> Arc<Self> {
+        let poll_rounds = K::poll_rounds(size);
         Arc::new(Self {
             size,
-            mailboxes: (0..size).map(|_| Mailbox::new()).collect(),
-            engine: CollectiveEngine::new(),
-            health: HealthBoard::new(size, policy),
+            mailboxes: (0..size)
+                .map(|_| Mailbox::with_poll_rounds(poll_rounds))
+                .collect(),
+            engine: CollectiveEngine::with_poll_rounds(poll_rounds),
+            health: HealthBoard::new(size, model.policy),
             persistent: PersistentStore::new(size),
             stable,
             lost_stats: Mutex::new(Vec::new()),
-            config,
+            model,
+            time,
         })
     }
 
@@ -64,13 +77,18 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FailureConfig, FailurePolicy};
+    use crate::clock::VirtualClock;
+    use crate::config::{FailureConfig, FailurePolicy, RuntimeConfig};
+
+    fn world(cfg: RuntimeConfig, size: usize) -> Arc<World<VirtualClock>> {
+        World::new(CostModel::from(&cfg), cfg, size, StableStore::new())
+    }
 
     #[test]
     fn world_construction() {
         let cfg = RuntimeConfig::fast()
             .with_failures(FailureConfig::scheduled(FailurePolicy::ReplaceRank, vec![]));
-        let w = World::new(cfg, 4, StableStore::new());
+        let w = world(cfg, 4);
         assert_eq!(w.size, 4);
         assert_eq!(w.mailboxes.len(), 4);
         assert_eq!(w.persistent.size(), 4);
@@ -80,7 +98,7 @@ mod tests {
 
     #[test]
     fn interrupt_all_is_safe_when_idle() {
-        let w = World::new(RuntimeConfig::fast(), 2, StableStore::new());
+        let w = world(RuntimeConfig::fast(), 2);
         w.interrupt_all();
     }
 }

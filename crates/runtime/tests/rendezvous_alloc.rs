@@ -1,18 +1,19 @@
-//! Steady-state collectives on the threaded backend stay off the heap.
+//! Steady-state collectives stay off the heap, under either clock.
 //!
 //! A counting global allocator tallies allocations per thread; two rank
 //! threads warm the engine's slots up, then count what a stream of
 //! collectives allocates. Scalar reductions and barriers must allocate
 //! nothing; a vector reduction allocates exactly the `Vec` its signature
 //! returns; a halo message allocates exactly its payload (the sender's copy,
-//! which the receiver takes over).
+//! which the receiver takes over). The simulator runs the same communicator
+//! code, so its scalar reductions and barriers are held to the same zero.
 //!
 //! One test function only: the allocator is process-global.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use resilient_runtime::{ReduceOp, ThreadConfig, ThreadRuntime};
+use resilient_runtime::{ReduceOp, Runtime, RuntimeConfig, ThreadConfig, ThreadRuntime};
 
 thread_local! {
     /// Allocations made by this thread. Const-initialised and without a
@@ -123,6 +124,27 @@ fn steady_state_collectives_do_not_allocate() {
         assert_eq!(
             halo, N,
             "rank {rank}: a message allocates its payload and nothing else"
+        );
+    }
+
+    let job = Runtime::new(RuntimeConfig::fast()).run(2, |comm| {
+        for _ in 0..100 {
+            comm.barrier()?;
+            comm.global_dot(1.0)?;
+        }
+        let before = allocations();
+        for _ in 0..N {
+            comm.barrier()?;
+            comm.global_dot(1.0)?;
+            comm.allreduce_scalar(ReduceOp::Min, 2.0)?;
+        }
+        Ok(allocations() - before)
+    });
+    assert!(job.all_ok(), "errors: {:?}", job.errors);
+    for (rank, scalar) in job.unwrap_all().into_iter().enumerate() {
+        assert_eq!(
+            scalar, 0,
+            "simulated rank {rank}: {N} barriers + 2·{N} scalar reductions touched the heap"
         );
     }
 }
