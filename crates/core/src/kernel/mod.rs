@@ -76,9 +76,9 @@ pub use lflr::{
     KrylovLflrConfig, KrylovLflrReport,
 };
 pub use policy::{
-    snapshot_key, CheckDot, CheckDotBatch, CheckOperand, CheckVectors, DetectionResponse,
-    FailureEvent, IterCtx, IterateRollbackPolicy, NoopPolicy, PolicyAction, PolicyOverhead,
-    PolicyStack, RecoveryAction, ResiliencePolicy, SolutionProbe, StackOutcome, SNAPSHOT_META_KEY,
+    snapshot_key, snapshot_ring, CheckDot, CheckDotBatch, CheckOperand, CheckVectors,
+    DetectionResponse, FailureEvent, IterCtx, IterateRollbackPolicy, NoopPolicy, PolicyAction,
+    PolicyOverhead, PolicyStack, RecoveryAction, ResiliencePolicy, SolutionProbe, StackOutcome,
 };
 pub use precond::{BlockJacobi, IdentityPrecond, RightPrecond, SerialPrecond, SpacePreconditioner};
 pub use skeptic::SkepticalPolicy;

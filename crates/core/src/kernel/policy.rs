@@ -89,6 +89,7 @@
 //! [`kernel::lflr`](crate::kernel::lflr) build on.
 
 use super::space::KrylovSpace;
+use crate::lflr::SnapshotRing;
 use resilient_runtime::Result;
 
 /// What a hook observed.
@@ -747,37 +748,18 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for NoopPolicy {
     }
 }
 
-/// Key under which a persisting [`IterateRollbackPolicy`] records the step
-/// of its newest snapshot (read back by recovery drivers and replacement
-/// ranks when agreeing on a resume point).
-pub const SNAPSHOT_META_KEY: &str = "klflr/last";
+/// The [`SnapshotRing`] a persisting [`IterateRollbackPolicy`] writes its
+/// iterate snapshots through — `klflr/x@{step}` keys, the step of the newest
+/// under `klflr/last` (read back by replacement ranks when agreeing on a
+/// resume point): one at most every `every` iterations, the newest
+/// `keep_last` retained per rank.
+pub fn snapshot_ring(every: usize, keep_last: usize) -> SnapshotRing {
+    SnapshotRing::new("klflr/x", "klflr/last", every, keep_last)
+}
 
 /// Persistent-store key of the iterate snapshot taken at global step `step`.
 pub fn snapshot_key(step: usize) -> String {
-    format!("klflr/x@{step}")
-}
-
-/// Persistence schedule of an [`IterateRollbackPolicy`] that writes its
-/// snapshots through the space's persistent store (process-failure
-/// recovery) instead of keeping them in rank memory only.
-#[derive(Debug, Clone)]
-struct PersistSchedule {
-    /// Snapshot cadence in kernel iterations.
-    every: usize,
-    /// Snapshots retained per rank (older ones are pruned with
-    /// [`KrylovSpace::unpersist`]); see
-    /// [`IterateRollbackPolicy::with_persistence`] for the window bound.
-    keep_last: usize,
-    /// Global step offset: a resumed solve counts kernel iterations from 0,
-    /// but snapshot keys are global so survivors and replacements agree.
-    base_step: usize,
-    /// Steps currently retained (the prune ring), oldest first.
-    persisted: Vec<usize>,
-    /// Newest persisted step (spans resumes: seeded with the resume point).
-    last_step: Option<usize>,
-    /// Total snapshots written by this instance (monotone; the prune ring
-    /// above shrinks and cannot count).
-    writes: usize,
+    snapshot_ring(1, 1).key(step)
 }
 
 /// An LFLR-flavoured rollback policy: keeps a copy of the iterate from the
@@ -807,7 +789,15 @@ pub struct IterateRollbackPolicy<V> {
     rolled_back: bool,
     restores_left: usize,
     overhead: PolicyOverhead,
-    persist: Option<PersistSchedule>,
+    /// Set when the snapshots also go through the space's persistent store
+    /// (process-failure recovery) instead of staying in rank memory only.
+    persist: Option<SnapshotRing>,
+    /// Global step offset: a resumed solve counts kernel iterations from 0,
+    /// but snapshot keys are global so survivors and replacements agree.
+    base_step: usize,
+    /// Total snapshots written by this instance (monotone; the ring
+    /// shrinks and cannot count).
+    writes: usize,
 }
 
 impl<V> IterateRollbackPolicy<V> {
@@ -823,6 +813,8 @@ impl<V> IterateRollbackPolicy<V> {
                 ..PolicyOverhead::default()
             },
             persist: None,
+            base_step: 0,
+            writes: 0,
         }
     }
 
@@ -840,14 +832,7 @@ impl<V> IterateRollbackPolicy<V> {
     /// for schedules that interleave cycle-boundary and cadence snapshots
     /// (pinned by `crates/core/tests/krylov_lflr.rs`).
     pub fn with_persistence(mut self, every: usize, keep_last: usize) -> Self {
-        self.persist = Some(PersistSchedule {
-            every: every.max(1),
-            keep_last: keep_last.max(1),
-            base_step: 0,
-            persisted: Vec::new(),
-            last_step: None,
-            writes: 0,
-        });
+        self.persist = Some(snapshot_ring(every, keep_last));
         self
     }
 
@@ -855,10 +840,8 @@ impl<V> IterateRollbackPolicy<V> {
     /// snapshot keys continue the pre-failure numbering, and the cadence
     /// counts from the resume point.
     pub fn resuming_from(mut self, step: usize) -> Self {
-        if let Some(p) = self.persist.as_mut() {
-            p.base_step = step;
-            p.last_step = Some(step);
-        }
+        self.persist = self.persist.map(|ring| ring.resuming_from(step));
+        self.base_step = step;
         self
     }
 
@@ -870,13 +853,7 @@ impl<V> IterateRollbackPolicy<V> {
     /// Snapshots written to the persistent store by this instance (total
     /// writes — pruning does not shrink this count).
     pub fn snapshots_persisted(&self) -> usize {
-        self.persist.as_ref().map_or(0, |p| p.writes)
-    }
-
-    /// Newest step persisted (or inherited via
-    /// [`resuming_from`](IterateRollbackPolicy::resuming_from)), if any.
-    pub fn last_persisted(&self) -> Option<usize> {
-        self.persist.as_ref().and_then(|p| p.last_step)
+        self.writes
     }
 }
 
@@ -898,30 +875,18 @@ impl<V> IterateRollbackPolicy<V> {
     where
         S: KrylovSpace<Vector = V>,
     {
-        let Some(p) = self.persist.as_mut() else {
+        let Some(ring) = self.persist.as_mut() else {
             return Ok(());
         };
-        let step = p.base_step + iteration;
-        let due = match p.last_step {
-            None => true,
-            // `refresh` lets the resume-point snapshot (seeded into
-            // `last_step`) be re-written rather than skipped, keeping the
-            // store self-consistent with the restored iterate.
-            Some(last) => (refresh && step == last) || step >= last + p.every,
-        };
-        if !due {
+        let step = self.base_step + iteration;
+        if !ring.due(step, refresh) {
             return Ok(());
         }
-        self.overhead.persist_bytes += space.persist_vector(&snapshot_key(step), x)?;
-        space.persist_scalar(SNAPSHOT_META_KEY, step as f64)?;
-        p.writes += 1;
-        if p.persisted.last() != Some(&step) {
-            p.persisted.push(step);
-        }
-        p.last_step = Some(step);
-        while p.persisted.len() > p.keep_last {
-            let old = p.persisted.remove(0);
-            space.unpersist(&snapshot_key(old));
+        self.overhead.persist_bytes += space.persist_vector(&ring.key(step), x)?;
+        space.persist_scalar(ring.meta_key(), step as f64)?;
+        self.writes += 1;
+        if let Some(old) = ring.record(step) {
+            space.unpersist(&ring.key(old));
         }
         Ok(())
     }

@@ -1,30 +1,38 @@
-//! The LFLR step-loop driver.
+//! The LFLR step-loop driver: the time-stepping client of
+//! [`recovery_epochs`].
 
-use resilient_runtime::{Comm, ReduceOp, Result};
+use std::cell::Cell;
+
+use resilient_runtime::{Comm, RankClock, Result, VirtualClock};
+
+use super::protocol::recovery_epochs;
 
 /// A step-structured SPMD application that can persist and recover its
 /// per-rank state — the contract the LFLR programming model asks the
-/// application developer to meet.
-pub trait LflrApp {
+/// application developer to meet. Generic over the communicator's clock
+/// `K`, so one implementation runs on the simulator and on real threads.
+pub trait LflrApp<K: RankClock = VirtualClock> {
     /// Per-rank application state.
     type State;
 
     /// Build the initial state (step 0).
-    fn init(&self, comm: &mut Comm) -> Result<Self::State>;
+    fn init(&self, comm: &mut Comm<K>) -> Result<Self::State>;
 
     /// Advance the state from `step` to `step + 1`.
-    fn step(&self, comm: &mut Comm, state: &mut Self::State, step: usize) -> Result<()>;
+    fn step(&self, comm: &mut Comm<K>, state: &mut Self::State, step: usize) -> Result<()>;
 
     /// Persist whatever is needed to recover `state` as of (completed) step
     /// `step`. Called every [`persist_interval`](Self::persist_interval)
-    /// steps on every rank.
-    fn persist(&self, comm: &mut Comm, state: &Self::State, step: usize) -> Result<()>;
+    /// steps on every rank, and once more for the final step. The state is
+    /// mutable so it can carry the persistence bookkeeping (e.g. a
+    /// [`SnapshotRing`](super::SnapshotRing)).
+    fn persist(&self, comm: &mut Comm<K>, state: &mut Self::State, step: usize) -> Result<()>;
 
     /// Rebuild the state as of step `step` from persistent data. On a
     /// replacement rank this reconstructs the dead incarnation's state
     /// (possibly with neighbour help); on survivors it rolls their state
     /// back to the agreed step.
-    fn recover(&self, comm: &mut Comm, step: usize) -> Result<Self::State>;
+    fn recover(&self, comm: &mut Comm<K>, step: usize) -> Result<Self::State>;
 
     /// The newest step this rank could recover from its (possibly inherited)
     /// persistent store, or `None` if the application cannot tell. A
@@ -32,7 +40,7 @@ pub trait LflrApp {
     /// agreed rollback step is never newer than what the dead incarnation
     /// actually persisted; the default (`None`) proposes "anything", letting
     /// the survivors' persist state decide.
-    fn last_recoverable(&self, _comm: &mut Comm) -> Option<usize> {
+    fn last_recoverable(&self, _comm: &mut Comm<K>) -> Option<usize> {
         None
     }
 
@@ -54,7 +62,8 @@ pub struct LflrReport {
     pub recoveries: usize,
     /// Number of steps that had to be re-executed due to rollbacks.
     pub steps_reexecuted: usize,
-    /// Virtual time when the run finished.
+    /// The communicator's clock when the run finished: virtual seconds on
+    /// the simulator, wall-clock seconds since job start on real threads.
     pub finished_at: f64,
 }
 
@@ -62,92 +71,51 @@ pub struct LflrReport {
 /// closure launched with the
 /// [`ReplaceRank`](resilient_runtime::FailurePolicy::ReplaceRank) policy.
 /// Returns the report and the final state.
-pub fn run_lflr<A: LflrApp>(comm: &mut Comm, app: &A) -> Result<(LflrReport, A::State)> {
+pub fn run_lflr<K: RankClock, A: LflrApp<K>>(
+    comm: &mut Comm<K>,
+    app: &A,
+) -> Result<(LflrReport, A::State)> {
     let n_steps = app.n_steps();
     let persist_interval = app.persist_interval().max(1);
-    let mut recoveries = 0usize;
+    // The newest step this incarnation persisted or resumed from. A fresh
+    // replacement has none and proposes what its inherited store holds.
+    let last_persisted = Cell::new(None);
+    // The step the current epoch has reached; a rollback re-executes from
+    // the agreed step up to it.
+    let mut step = 0usize;
     let mut steps_reexecuted = 0usize;
 
-    // A replacement rank has no state at all: it first joins the recovery
-    // rendezvous — proposing the newest step recoverable from the inherited
-    // persistent store (or +inf when the application cannot tell, so the
-    // survivors' last persisted step wins) — then rebuilds its state from
-    // persistent data.
-    let (mut state, mut step, mut last_persisted) = if comm.is_replacement() {
-        let proposal = app
-            .last_recoverable(comm)
-            .map(|s| s as f64)
-            .unwrap_or(f64::INFINITY);
-        let info = comm.recovery_rendezvous(proposal)?;
-        recoveries += 1;
-        let resume = if info.agreed.is_finite() {
-            info.agreed.max(0.0) as usize
-        } else {
-            0
-        };
-        let state = app.recover(comm, resume)?;
-        (state, resume, resume)
-    } else {
-        let state = app.init(comm)?;
-        app.persist(comm, &state, 0)?;
-        (state, 0usize, 0usize)
-    };
-
-    while step < n_steps {
-        match app.step(comm, &mut state, step) {
-            Ok(()) => {
+    let (state, epochs) = recovery_epochs(
+        comm,
+        |comm| last_persisted.get().or_else(|| app.last_recoverable(comm)),
+        |comm, resume| {
+            steps_reexecuted += step.saturating_sub(resume.unwrap_or(0));
+            step = resume.unwrap_or(0);
+            let mut state = match resume {
+                Some(step) => app.recover(comm, step)?,
+                None => {
+                    let mut state = app.init(comm)?;
+                    app.persist(comm, &mut state, 0)?;
+                    state
+                }
+            };
+            last_persisted.set(Some(step));
+            while step < n_steps {
+                app.step(comm, &mut state, step)?;
                 step += 1;
                 if step % persist_interval == 0 || step == n_steps {
-                    app.persist(comm, &state, step)?;
-                    last_persisted = step;
+                    app.persist(comm, &mut state, step)?;
+                    last_persisted.set(Some(step));
                 }
             }
-            Err(e) if e.is_failure() => {
-                // A peer failed mid-step. Join the rendezvous, agree on the
-                // globally safe restart step, and roll back locally.
-                let info = comm.recovery_rendezvous(last_persisted as f64)?;
-                recoveries += 1;
-                let resume = info.agreed.max(0.0) as usize;
-                steps_reexecuted += step.saturating_sub(resume);
-                state = app.recover(comm, resume)?;
-                step = resume;
-                last_persisted = resume;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    // One final agreement so every rank (including late replacements) leaves
-    // together and failures arriving after the last step still get handled
-    // by somebody. Failures here are rare; treat them like mid-step ones.
-    loop {
-        match comm.allreduce_scalar(ReduceOp::Min, step as f64) {
-            Ok(_) => break,
-            Err(e) if e.is_failure() => {
-                let info = comm.recovery_rendezvous(last_persisted as f64)?;
-                recoveries += 1;
-                let resume = info.agreed.max(0.0) as usize;
-                if resume < step {
-                    steps_reexecuted += step - resume;
-                    state = app.recover(comm, resume)?;
-                    let mut s = resume;
-                    while s < n_steps {
-                        app.step(comm, &mut state, s)?;
-                        s += 1;
-                        if s % persist_interval == 0 || s == n_steps {
-                            app.persist(comm, &state, s)?;
-                        }
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+            Ok(state)
+        },
+    )?;
 
     Ok((
         LflrReport {
             steps_completed: step,
-            recoveries,
+            recoveries: epochs.recoveries,
             steps_reexecuted,
             finished_at: comm.now(),
         },
@@ -182,7 +150,7 @@ mod tests {
             Ok(())
         }
 
-        fn persist(&self, comm: &mut Comm, state: &f64, step: usize) -> Result<()> {
+        fn persist(&self, comm: &mut Comm, state: &mut f64, step: usize) -> Result<()> {
             comm.persist("acc", *state)?;
             comm.persist("step", step as f64)?;
             Ok(())
@@ -307,5 +275,102 @@ mod tests {
         let vals = r.unwrap_all();
         assert_eq!(vals[0], Stored::F64(vec![7.0]));
         assert_eq!(vals[1], Stored::F64(vec![8.0]));
+    }
+
+    /// Run `job` on a helper thread and fail — instead of hanging the suite
+    /// — when it has not returned within 20 s: a protocol deadlock must
+    /// read as a test failure.
+    fn within_watchdog<T: Send + 'static>(
+        what: &str,
+        job: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(job());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("deadlock: {what} did not return within 20 s"))
+    }
+
+    /// Gaps between the two deaths: from "same instant" to "after the first
+    /// recovery completed", through every overlap with the rendezvous.
+    const DEATH_GAPS: [f64; 6] = [0.0, 1e-6, 1e-4, 1e-3, 1e-2, 0.05];
+
+    /// Ranks 1 and 2 die `gap` virtual seconds apart, the second possibly
+    /// while the first death's rendezvous is still in flight.
+    fn two_deaths_run(gap: f64) {
+        let (failures, results) =
+            within_watchdog(&format!("two deaths {gap} s apart"), move || {
+                let cfg = RuntimeConfig::fast().with_failures(FailureConfig::scheduled(
+                    FailurePolicy::ReplaceRank,
+                    vec![(1, 0.55), (2, 0.55 + gap)],
+                ));
+                let r = Runtime::new(cfg).run(4, |comm| {
+                    let app = Accumulator {
+                        steps: 15,
+                        work_per_step: 0.1,
+                    };
+                    let (report, state) = run_lflr(comm, &app)?;
+                    Ok((report.steps_completed, state))
+                });
+                assert!(r.all_ok(), "gap {gap}: errors: {:?}", r.errors);
+                (r.failures.len(), r.unwrap_all())
+            });
+        assert_eq!(failures, 2, "gap {gap}: both deaths must land");
+        for (steps, state) in results {
+            assert_eq!(steps, 15, "gap {gap}");
+            assert_eq!(state, 15.0, "gap {gap}");
+        }
+    }
+
+    /// Reproduced at the parent (27 of 36 runs never returned): a second
+    /// rank dying while the first death's rendezvous was in flight made the
+    /// interrupted ranks abandon the job (`recovery_rendezvous(..)?`) while
+    /// their peers waited for them for ever.
+    #[test]
+    fn two_deaths_within_one_rendezvous_are_both_recovered() {
+        for _round in 0..3 {
+            for gap in DEATH_GAPS {
+                two_deaths_run(gap);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "stress loop: run explicitly (CI `threads` and TSan jobs)"]
+    fn stress_two_deaths_in_one_rendezvous_200_times() {
+        for round in 0..200 {
+            two_deaths_run(DEATH_GAPS[round % DEATH_GAPS.len()]);
+        }
+    }
+
+    /// Reproduced at the parent (4 of 4 runs hung): the replacement entered
+    /// the second run through the "I am a replacement" rendezvous, which
+    /// nobody else joined.
+    #[test]
+    fn second_run_on_the_same_communicator_does_not_rendezvous_again() {
+        let results = within_watchdog("two runs, one death", || {
+            let cfg = RuntimeConfig::fast().with_failures(FailureConfig::scheduled(
+                FailurePolicy::ReplaceRank,
+                vec![(2, 0.55)],
+            ));
+            let r = Runtime::new(cfg).run(4, |comm| {
+                let app = Accumulator {
+                    steps: 15,
+                    work_per_step: 0.1,
+                };
+                let (_first, _state) = run_lflr(comm, &app)?;
+                let (second, state) = run_lflr(comm, &app)?;
+                Ok((second, state))
+            });
+            assert!(r.all_ok(), "errors: {:?}", r.errors);
+            assert_eq!(r.failures.len(), 1);
+            r.unwrap_all()
+        });
+        for (second, state) in results {
+            assert_eq!(second.steps_completed, 15);
+            assert_eq!(second.recoveries, 0, "the death belongs to the first run");
+            assert_eq!(state, 15.0);
+        }
     }
 }

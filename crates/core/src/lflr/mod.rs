@@ -13,9 +13,14 @@
 //!   restarts from the last global checkpoint on the stable store, paying
 //!   the full restart and re-execution cost. This is the baseline the paper
 //!   argues stops scaling.
+//! * [`protocol`] holds the LFLR protocol itself — [`recovery_epochs`] and
+//!   the [`SnapshotRing`] — under both [`run_lflr`] and the Krylov client
+//!   [`kernel::lflr_solve`](crate::kernel::lflr::lflr_solve).
 
 pub mod cpr;
 pub mod driver;
+pub mod protocol;
 
 pub use cpr::{run_cpr, CprApp, CprConfig, CprReport};
 pub use driver::{run_lflr, LflrApp, LflrReport};
+pub use protocol::{recovery_epochs, Epochs, SnapshotRing, MAX_RECOVERIES};

@@ -2,8 +2,8 @@
 //! (§III-C "Explicit methods: … can be easily implemented to recover
 //! locally, given the LFLR features").
 
-use resilience::lflr::{CprApp, LflrApp};
-use resilient_runtime::{BlockDistribution, CartTopology, Comm, Result, Stored};
+use resilience::lflr::{CprApp, LflrApp, SnapshotRing};
+use resilient_runtime::{BlockDistribution, CartTopology, Comm, RankClock, Result, Stored};
 
 use crate::heat1d::HeatProblem;
 
@@ -31,32 +31,57 @@ pub struct LocalField {
     pub u: Vec<f64>,
     /// Global step this state corresponds to.
     pub step: usize,
+    /// The `heat/u@{step}` snapshots this rank retains under LFLR.
+    history: SnapshotRing,
 }
 
 impl ExplicitHeat {
-    fn distribution(&self, comm: &Comm) -> BlockDistribution {
-        BlockDistribution::new(self.problem.n, comm.size())
-    }
-
-    fn topology(&self, comm: &Comm) -> CartTopology {
-        CartTopology::line(comm.size(), false)
+    /// The step-keyed snapshot history (`heat/u@{step}`, newest step under
+    /// `heat/last`). A history rather than a single overwritten slot: ranks
+    /// progress asynchronously (halo exchange only loosely couples
+    /// neighbours), so the agreed rollback step can be older than a rank's
+    /// newest persist; keeping a *window* of persist points lets any rank
+    /// roll back to any globally agreed step exactly without the store
+    /// growing for the whole run.
+    ///
+    /// Halo exchange keeps adjacent ranks within one step of each other, so
+    /// global progress skew is at most `size - 1` steps; with the laggard's
+    /// last persist floor-rounded to the interval, the agreed (minimum)
+    /// rollback step can trail a rank's newest persist by up to
+    /// `ceil((size-1)/interval)` intervals. The window below is exactly
+    /// minimal — the worst case lands on the *oldest retained* key with
+    /// zero slack — so do not shrink it, and widen it if any extra step of
+    /// skew is ever introduced (e.g. persisting before the halo exchange,
+    /// or a periodic topology).
+    fn history<K: RankClock>(&self, comm: &Comm<K>) -> SnapshotRing {
+        let interval = self.persist_interval.max(1);
+        let keep_last = (comm.size() - 1).div_ceil(interval) + 1;
+        SnapshotRing::new("heat/u", "heat/last", interval, keep_last)
     }
 
     /// Build the local initial condition.
-    pub fn local_initial(&self, comm: &Comm) -> LocalField {
-        let dist = self.distribution(comm);
+    pub fn local_initial<K: RankClock>(&self, comm: &Comm<K>) -> LocalField {
+        let dist = BlockDistribution::new(self.problem.n, comm.size());
         let u = dist
             .range(comm.rank())
             .map(|i| (std::f64::consts::PI * self.problem.x(i)).sin())
             .collect();
-        LocalField { u, step: 0 }
+        LocalField {
+            u,
+            step: 0,
+            history: self.history(comm),
+        }
     }
 
     /// One distributed explicit step: halo exchange with the left/right
     /// neighbours, then the local stencil update. Charged `work_per_step` of
     /// extra virtual time plus the stencil FLOPs.
-    pub fn local_step(&self, comm: &mut Comm, field: &mut LocalField) -> Result<()> {
-        let topo = self.topology(comm);
+    pub fn local_step<K: RankClock>(
+        &self,
+        comm: &mut Comm<K>,
+        field: &mut LocalField,
+    ) -> Result<()> {
+        let topo = CartTopology::line(comm.size(), false);
         let n_local = field.u.len();
         let left_value = field.u.first().copied().unwrap_or(0.0);
         let right_value = field.u.last().copied().unwrap_or(0.0);
@@ -85,74 +110,51 @@ impl ExplicitHeat {
     }
 
     /// Gather the global field on every rank (verification only).
-    pub fn gather(&self, comm: &mut Comm, field: &LocalField) -> Result<Vec<f64>> {
+    pub fn gather<K: RankClock>(&self, comm: &mut Comm<K>, field: &LocalField) -> Result<Vec<f64>> {
         let parts = comm.allgather(&field.u)?;
         Ok(parts.into_iter().flatten().collect())
     }
 }
 
-impl LflrApp for ExplicitHeat {
+impl<K: RankClock> LflrApp<K> for ExplicitHeat {
     type State = LocalField;
 
-    fn init(&self, comm: &mut Comm) -> Result<LocalField> {
+    fn init(&self, comm: &mut Comm<K>) -> Result<LocalField> {
         Ok(self.local_initial(comm))
     }
 
-    fn step(&self, comm: &mut Comm, state: &mut LocalField, _step: usize) -> Result<()> {
+    fn step(&self, comm: &mut Comm<K>, state: &mut LocalField, _step: usize) -> Result<()> {
         self.local_step(comm, state)
     }
 
-    fn persist(&self, comm: &mut Comm, state: &LocalField, step: usize) -> Result<()> {
-        // Step-keyed history rather than a single overwritten slot: ranks
-        // progress asynchronously (halo exchange only loosely couples
-        // neighbours), so the agreed rollback step can be older than this
-        // rank's newest persist. Keeping a *window* of persist points lets
-        // any rank roll back to any globally agreed step exactly without the
-        // store growing for the whole run.
-        comm.persist(&format!("heat/u@{step}"), state.u.clone())?;
-        comm.persist("heat/last", step as f64)?;
-        // Prune history outside the window that recovery can ever ask for.
-        // Halo exchange keeps adjacent ranks within one step of each other,
-        // so global progress skew is at most `size - 1` steps; with the
-        // laggard's last persist floor-rounded to the interval, the agreed
-        // (minimum) rollback step can trail this rank's newest persist by up
-        // to `ceil((size-1)/interval)` intervals. The window below is
-        // exactly minimal — the worst case lands on the *oldest retained*
-        // key with zero slack — so do not shrink it, and widen it if any
-        // extra step of skew is ever introduced (e.g. persisting before the
-        // halo exchange, or a periodic topology).
-        let interval = self.persist_interval.max(1);
-        let window = ((comm.size() - 1).div_ceil(interval) + 1) * interval;
-        if step >= window {
-            comm.unpersist(&format!("heat/u@{}", step - window));
+    fn persist(&self, comm: &mut Comm<K>, state: &mut LocalField, step: usize) -> Result<()> {
+        comm.persist(&state.history.key(step), state.u.clone())?;
+        comm.persist(state.history.meta_key(), step as f64)?;
+        if let Some(old) = state.history.record(step) {
+            comm.unpersist(&state.history.key(old));
         }
         Ok(())
     }
 
-    fn recover(&self, comm: &mut Comm, step: usize) -> Result<LocalField> {
-        let me = comm.rank();
+    fn recover(&self, comm: &mut Comm<K>, step: usize) -> Result<LocalField> {
+        let history = self.history(comm).resuming_from(step);
         // The recovery protocol agrees on the *minimum* recoverable step
         // across every rank (replacements propose from the inherited store
         // via `last_recoverable`), so missing data can only mean the failure
         // predates the very first persist; silently re-initialising at any
         // later step would corrupt the solution, so propagate the miss.
-        match comm.restore(me, &format!("heat/u@{step}")) {
-            Ok(v) => Ok(LocalField {
-                u: v.into_f64()?,
-                step,
+        match history.restore(comm, step) {
+            Ok(u) => Ok(LocalField { u, step, history }),
+            Err(_) if step == 0 => Ok(LocalField {
+                history,
+                ..self.local_initial(comm)
             }),
-            Err(_) if step == 0 => Ok(self.local_initial(comm)),
             Err(e) => Err(e),
         }
     }
 
-    fn last_recoverable(&self, comm: &mut Comm) -> Option<usize> {
-        let me = comm.rank();
-        if comm.persisted(me, "heat/last") {
-            let step = comm.restore(me, "heat/last").ok()?.into_scalar().ok()? as usize;
-            return Some(step);
-        }
-        None
+    fn last_recoverable(&self, comm: &mut Comm<K>) -> Option<usize> {
+        self.history(comm).newest_stored(comm)
     }
 
     fn n_steps(&self) -> usize {
@@ -176,22 +178,17 @@ impl CprApp for ExplicitHeat {
     }
 
     fn checkpoint(&self, comm: &mut Comm, state: &LocalField, step: usize) -> Result<()> {
-        comm.checkpoint(&format!("heat/u@{step}"), Stored::F64(state.u.clone()))?;
+        comm.checkpoint(&state.history.key(step), Stored::F64(state.u.clone()))?;
         Ok(())
     }
 
     fn restore(&self, comm: &mut Comm, step: usize) -> Result<LocalField> {
-        match comm.restore_checkpoint(&format!("heat/u@{step}")) {
-            Some(v) => Ok(LocalField {
-                u: v.into_f64()?,
-                step,
-            }),
-            None => {
-                let mut field = self.local_initial(comm);
-                field.step = step;
-                Ok(field)
-            }
-        }
+        let history = self.history(comm);
+        let u = match comm.restore_checkpoint(&history.key(step)) {
+            Some(v) => v.into_f64()?,
+            None => self.local_initial(comm).u,
+        };
+        Ok(LocalField { u, step, history })
     }
 
     fn n_steps(&self) -> usize {
@@ -203,7 +200,10 @@ impl CprApp for ExplicitHeat {
 mod tests {
     use super::*;
     use resilience::lflr::{run_cpr, run_lflr, CprConfig};
-    use resilient_runtime::{FailureConfig, FailurePolicy, Runtime, RuntimeConfig};
+    use resilient_faults::thread_death::ThreadDeathPlan;
+    use resilient_runtime::{
+        FailureConfig, FailurePolicy, Runtime, RuntimeConfig, ThreadConfig, ThreadRuntime,
+    };
     use std::sync::Arc;
 
     fn app(steps: usize) -> ExplicitHeat {
@@ -260,6 +260,68 @@ mod tests {
         assert_eq!(r.failures.len(), 1);
         for (report, field) in r.unwrap_all() {
             assert_eq!(report.steps_completed, steps);
+            for (a, b) in field.iter().zip(&serial) {
+                assert!(
+                    (a - b).abs() < 1e-12,
+                    "LFLR-recovered solution must equal the failure-free one"
+                );
+            }
+        }
+    }
+
+    /// [`ExplicitHeat`] plus a barrier per step: the heat stepping itself is
+    /// point-to-point only, and the threaded death plan counts collectives.
+    struct Synced(ExplicitHeat);
+
+    impl<K: RankClock> LflrApp<K> for Synced {
+        type State = LocalField;
+
+        fn init(&self, comm: &mut Comm<K>) -> Result<LocalField> {
+            LflrApp::init(&self.0, comm)
+        }
+        fn step(&self, comm: &mut Comm<K>, state: &mut LocalField, step: usize) -> Result<()> {
+            LflrApp::step(&self.0, comm, state, step)?;
+            comm.barrier()
+        }
+        fn persist(&self, comm: &mut Comm<K>, state: &mut LocalField, step: usize) -> Result<()> {
+            self.0.persist(comm, state, step)
+        }
+        fn recover(&self, comm: &mut Comm<K>, step: usize) -> Result<LocalField> {
+            self.0.recover(comm, step)
+        }
+        fn last_recoverable(&self, comm: &mut Comm<K>) -> Option<usize> {
+            self.0.last_recoverable(comm)
+        }
+        fn n_steps(&self) -> usize {
+            self.0.steps
+        }
+        fn persist_interval(&self) -> usize {
+            self.0.persist_interval
+        }
+    }
+
+    /// The same application on the real-threads backend: rank 1 really
+    /// dies (a panic unwind) in step 17, a replacement thread adopts its
+    /// partition, and the recovered field still equals the serial one.
+    #[test]
+    fn wall_clock_lflr_run_with_thread_death_matches_serial() {
+        let steps = 40;
+        let serial = HeatProblem::stable(48, 1.0).run_explicit(steps);
+        let plan = Arc::new(ThreadDeathPlan::new().kill_at_collective(1, 17));
+        let rt = ThreadRuntime::new(ThreadConfig::fast()).with_injector(plan as _);
+        let r = rt.run(4, move |comm| {
+            let app = Synced(ExplicitHeat {
+                work_per_step: 0.0,
+                ..app(steps)
+            });
+            let (report, field) = run_lflr(comm, &app)?;
+            Ok((report, app.0.gather(comm, &field)?))
+        });
+        assert!(r.all_ok(), "errors: {:?}", r.errors);
+        assert_eq!(r.failures.len(), 1);
+        for (report, field) in r.unwrap_all() {
+            assert_eq!(report.steps_completed, steps);
+            assert_eq!(report.recoveries, 1);
             for (a, b) in field.iter().zip(&serial) {
                 assert!(
                     (a - b).abs() < 1e-12,
