@@ -445,6 +445,7 @@ const LOCALOPS_METHODS: &[&str] = &[
     "xpby_blocks",
     "waxpby_blocks",
     "pipelined_pcg_sweep",
+    "pipelined_cg_sweep",
 ];
 
 /// Backend constructors: wired through solver/space options only.

@@ -84,11 +84,18 @@ fn block_kernel_setup_paths_may_allocate_but_its_steps_may_not() {
     assert_eq!((findings[0].rule, findings[0].line), ("hot-loop-alloc", 5));
     let (elsewhere, _) = analyze_source("crates/core/src/kernel/space.rs", src);
     assert_eq!(elsewhere.len(), 2, "{elsewhere:?}");
-    // The fused sweep is a device op: only the charging boundary calls it.
-    let raw = "fn f(ops: &dyn LocalOps) {\n    ops.pipelined_pcg_sweep(a, b, aw, mw, v);\n}\n";
-    let (findings, _) = analyze_source("crates/core/src/kernel/block.rs", raw);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].rule, "charged-arithmetic");
+    // The fused sweeps are device ops: only the charging boundary calls
+    // them (the kernels go through `KrylovSpace::pipelined_sweep` /
+    // `DistSpace::pcg_sweep_block`, which charge).
+    for (file, call) in [
+        ("block.rs", "ops.pipelined_pcg_sweep(a, b, aw, mw, v)"),
+        ("cg.rs", "ops.pipelined_cg_sweep(a, b, aw, v)"),
+    ] {
+        let raw = format!("fn f(ops: &dyn LocalOps) {{\n    {call};\n}}\n");
+        let (findings, _) = analyze_source(&format!("crates/core/src/kernel/{file}"), &raw);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "charged-arithmetic");
+    }
 }
 
 #[test]

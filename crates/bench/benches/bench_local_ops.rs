@@ -9,10 +9,11 @@
 //! ragged rows), and `pcg_sweep` (one fused pass over the ten vectors of a
 //! pipelined-PCG iteration against the eight updates and three dots it
 //! replaces — level with them in cache, ahead once the vectors stream from
-//! memory).
+//! memory) and `cg_sweep` (the same for the seven vectors of the
+//! unpreconditioned recurrence: 13 streams per row instead of 20).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use resilient_linalg::{poisson2d, scalar_ops, simd_ops, LocalOps, PcgSweep, SellMatrix};
+use resilient_linalg::{poisson2d, scalar_ops, simd_ops, CgSweep, LocalOps, PcgSweep, SellMatrix};
 use std::time::Duration;
 
 const SIZES: [usize; 3] = [1_000, 100_000, 1_000_000];
@@ -181,6 +182,54 @@ fn bench_pcg_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_cg_sweep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("local_ops/cg_sweep");
+    group
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_millis(800))
+        .sample_size(10);
+    // Seven vectors of 4 096 doubles sit in L2; seven of 128 Ki doubles
+    // (7 MB — a rank's share of the ledger's 384² problem is 74 Ki rows)
+    // sit in a large last-level cache or stream from memory.
+    for &n in &[1usize << 12, 1 << 17] {
+        let (aw, _) = vectors(n);
+        for (name, ops) in backends() {
+            // α and β small enough that repeated sweeps stay finite.
+            let (alpha, beta) = (1.0e-3, 0.5);
+            let mut st: Vec<Vec<f64>> = (0..6).map(|_| vectors(n).1).collect();
+            let fused_id = format!("fused/{name}");
+            group.bench_with_input(BenchmarkId::new(&fused_id, n), &n, |b, _| {
+                b.iter(|| {
+                    let [z, s, p, x, r, w] = &mut st[..] else {
+                        unreachable!("six state vectors")
+                    };
+                    let v = CgSweep { z, s, p, x, r, w };
+                    std::hint::black_box(ops.pipelined_cg_sweep(alpha, beta, &aw, v))
+                })
+            });
+            let mut st: Vec<Vec<f64>> = (0..6).map(|_| vectors(n).1).collect();
+            let split_id = format!("6ops+2dots/{name}");
+            group.bench_with_input(BenchmarkId::new(&split_id, n), &n, |b, _| {
+                b.iter(|| {
+                    let [z, s, p, x, r, w] = &mut st[..] else {
+                        unreachable!("six state vectors")
+                    };
+                    ops.xpby(&aw, beta, z);
+                    ops.xpby(w, beta, s);
+                    ops.xpby(r, beta, p);
+                    ops.axpy(alpha, p, x);
+                    ops.axpy(-alpha, s, r);
+                    ops.axpy(-alpha, z, w);
+                    let mut dots = [0.0; 2];
+                    ops.dot_pairs(&[(&*r, &*r), (&*w, &*r)], &mut dots);
+                    std::hint::black_box(dots)
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_spmv_layouts(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_ops/spmv");
     group
@@ -213,5 +262,11 @@ fn bench_spmv_layouts(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_level1, bench_pcg_sweep, bench_spmv_layouts);
+criterion_group!(
+    benches,
+    bench_level1,
+    bench_pcg_sweep,
+    bench_cg_sweep,
+    bench_spmv_layouts
+);
 criterion_main!(benches);

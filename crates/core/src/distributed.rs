@@ -552,15 +552,7 @@ impl DistCsr {
         )))
     }
 
-    /// [`DistCsr::apply`] through an explicit [`LocalOps`] backend and
-    /// reusable halo buffers (the form
-    /// [`DistSpace`](crate::kernel::DistSpace) drives every iteration).
-    /// Runs the SELL-C-σ layout when one was built
-    /// ([`DistCsr::with_sell_layout`]); bit-identical either way.
-    ///
-    /// # Errors
-    /// [`RuntimeError::InvalidArgument`], before anything is sent, if `x`
-    /// is not distributed like the operator's columns.
+    /// [`DistCsr::apply_into`] into a freshly allocated product vector.
     pub fn apply_with<C: CommBackend>(
         &self,
         comm: &mut C,
@@ -568,19 +560,42 @@ impl DistCsr {
         ops: &dyn LocalOps,
         scratch: &mut HaloScratch,
     ) -> Result<DistVector> {
-        self.check_operand("spmv: input `x`", x)?;
-        self.assemble_input_into(comm, x, scratch)?;
-        comm.charge_flops(self.flops);
-        let mut y_local = vec![0.0; self.local.nrows()];
-        match &self.sell {
-            Some(sell) => ops.spmv_sell(sell, &scratch.ghosted, &mut y_local),
-            None => ops.spmv_csr(&self.local, &scratch.ghosted, &mut y_local),
-        }
-        Ok(DistVector {
-            local: y_local,
+        let mut y = DistVector {
+            local: vec![0.0; self.n_local],
             dist: self.dist,
             rank: comm.rank(),
-        })
+        };
+        self.apply_into(comm, x, ops, scratch, &mut y)?;
+        Ok(y)
+    }
+
+    /// [`DistCsr::apply`] through an explicit [`LocalOps`] backend and
+    /// reusable halo buffers, the product landing in the caller's `y`
+    /// (every entry overwritten) — the form
+    /// [`DistSpace`](crate::kernel::DistSpace) drives every iteration:
+    /// nothing is allocated here. Runs the SELL-C-σ layout when one was
+    /// built ([`DistCsr::with_sell_layout`]); bit-identical either way.
+    ///
+    /// # Errors
+    /// [`RuntimeError::InvalidArgument`], before anything is sent, if `x`
+    /// or `y` is not distributed like the operator's rows.
+    pub fn apply_into<C: CommBackend>(
+        &self,
+        comm: &mut C,
+        x: &DistVector,
+        ops: &dyn LocalOps,
+        scratch: &mut HaloScratch,
+        y: &mut DistVector,
+    ) -> Result<()> {
+        self.check_operand("spmv: input `x`", x)?;
+        self.check_operand("spmv: output `y`", y)?;
+        self.assemble_input_into(comm, x, scratch)?;
+        comm.charge_flops(self.flops);
+        match &self.sell {
+            Some(sell) => ops.spmv_sell(sell, &scratch.ghosted, &mut y.local),
+            None => ops.spmv_csr(&self.local, &scratch.ghosted, &mut y.local),
+        }
+        Ok(())
     }
 
     /// Batched distributed SpMM: `Y = A·X` over all `k` columns of a
@@ -887,6 +902,59 @@ mod tests {
                 }
             }
             assert_eq!(sent, 0, "a rejected product exchanges no ghosts");
+        }
+    }
+
+    #[test]
+    fn apply_into_matches_apply_with_and_rejects_mismatched_shapes_before_sending() {
+        let rt = Runtime::new(RuntimeConfig::fast());
+        for ranks in [1usize, 3] {
+            let result = rt.run(ranks, move |comm| {
+                let a = poisson2d(7, 6);
+                let n = a.nrows();
+                let x = DistVector::from_fn(comm, n, |i| (i as f64 * 0.29).sin());
+                let ops = resilient_linalg::auto_ops();
+                let mut scratch = HaloScratch::default();
+                let mut products = Vec::new();
+                for da in [
+                    DistCsr::from_global(comm, &a)?.with_csr_layout(),
+                    DistCsr::from_global(comm, &a)?.with_sell_layout(4),
+                ] {
+                    let want = da.apply_with(comm, &x, ops, &mut scratch)?;
+                    // Stale contents of the caller's buffer must not survive.
+                    let mut got = DistVector::from_fn(comm, n, |_| f64::NAN);
+                    da.apply_into(comm, &x, ops, &mut scratch, &mut got)?;
+                    products.push((want, got));
+                }
+                let da = DistCsr::from_global(comm, &a)?;
+                let sent = comm.snapshot_stats().messages_sent;
+                let wrong = DistVector::zeros(comm, n + 3);
+                let mut y = DistVector::zeros(comm, n);
+                let as_input = da.apply_into(comm, &wrong, ops, &mut scratch, &mut y);
+                let mut wrong_y = DistVector::zeros(comm, n + 3);
+                let as_output = da.apply_into(comm, &x, ops, &mut scratch, &mut wrong_y);
+                Ok((
+                    products,
+                    as_input,
+                    as_output,
+                    comm.snapshot_stats().messages_sent - sent,
+                ))
+            });
+            for (products, as_input, as_output, sent) in result.unwrap_all() {
+                let bits = |v: &DistVector| v.local.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                for (want, got) in &products {
+                    assert_eq!(bits(got), bits(want), "ranks={ranks}");
+                }
+                for (what, res) in [("input `x`", as_input), ("output `y`", as_output)] {
+                    match res {
+                        Err(RuntimeError::InvalidArgument(msg)) => {
+                            assert!(msg.contains(what), "{msg}")
+                        }
+                        other => panic!("{what}: expected InvalidArgument, got {other:?}"),
+                    }
+                }
+                assert_eq!(sent, 0, "a rejected product exchanges no ghosts");
+            }
         }
     }
 

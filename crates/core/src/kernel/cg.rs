@@ -52,7 +52,7 @@ use super::policy::{
     StackOutcome,
 };
 use super::precond::SpacePreconditioner;
-use super::space::KrylovSpace;
+use super::space::{KrylovSpace, PipelinedSweep};
 use super::{KernelOutcome, KernelReport, SolveProgress};
 use crate::solvers::common::{SolveOptions, StopReason};
 
@@ -257,6 +257,8 @@ pub struct PcgStep<'m, S: KrylovSpace> {
     r: Option<S::Vector>,
     z: Option<S::Vector>,
     p: Option<S::Vector>,
+    /// `A·p`, written in place every iteration.
+    ap: Option<S::Vector>,
     rz: f64,
 }
 
@@ -268,6 +270,7 @@ impl<'m, S: KrylovSpace> PcgStep<'m, S> {
             r: None,
             z: None,
             p: None,
+            ap: None,
             rz: 0.0,
         }
     }
@@ -287,6 +290,7 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for PcgStep<'m, S> {
         self.rz = space.dot(&r0, &z)?;
         st.relres = space.norm(&r0)? / st.bn;
         st.history.push(st.relres);
+        self.ap = Some(space.zeros_like(&z));
         self.z = Some(z);
         self.r = Some(r0);
         Ok(())
@@ -307,13 +311,15 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for PcgStep<'m, S> {
             StackOutcome::Act(resp) => return Ok(CgOutcome::Detected(resp)),
             StackOutcome::Recorded | StackOutcome::Continue => {}
         }
-        let ap = space.apply(p)?;
+        let ap = self.ap.as_mut().expect("initialized");
+        space.apply_into(p, ap)?;
+        let ap = &*ap;
         space.charge_flops(10 * n);
-        match policies.after_spmv(space, &st.ctx(), p, &ap)? {
+        match policies.after_spmv(space, &st.ctx(), p, ap)? {
             StackOutcome::Act(resp) => return Ok(CgOutcome::Detected(resp)),
             StackOutcome::Recorded | StackOutcome::Continue => {}
         }
-        let pap = space.dot(p, &ap)?;
+        let pap = space.dot(p, ap)?;
         if pap <= 0.0 || !pap.is_finite() {
             return Ok(if pap.is_finite() {
                 CgOutcome::Breakdown
@@ -323,7 +329,7 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for PcgStep<'m, S> {
         }
         let alpha = self.rz / pap;
         space.axpy(alpha, p, x);
-        space.axpy(-alpha, &ap, r);
+        space.axpy(-alpha, ap, r);
         st.relres = space.norm(r)? / st.bn;
         st.iterations += 1;
         st.history.push(st.relres);
@@ -378,6 +384,8 @@ pub struct FusedCgStep<'m, S: KrylovSpace> {
     r: Option<S::Vector>,
     z: Option<S::Vector>,
     p: Option<S::Vector>,
+    /// `A·p`, written in place every iteration.
+    ap: Option<S::Vector>,
     /// `r·z` (identical to `r·r` unpreconditioned) — drives α and β.
     rz: f64,
     /// `r·r` — drives the convergence test.
@@ -392,6 +400,7 @@ impl<'m, S: KrylovSpace> FusedCgStep<'m, S> {
             r: None,
             z: None,
             p: None,
+            ap: None,
             rz: 0.0,
             rr: 0.0,
         }
@@ -441,6 +450,7 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for FusedCgStep<'m, S> {
                 self.z = Some(z);
             }
         }
+        self.ap = Some(space.zeros_like(&r0));
         self.r = Some(r0);
         st.relres = self.rr.sqrt() / st.bn;
         st.history.push(st.relres);
@@ -468,7 +478,9 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for FusedCgStep<'m, S> {
             StackOutcome::Act(resp) => return Ok(CgOutcome::Detected(resp)),
             StackOutcome::Recorded | StackOutcome::Continue => {}
         }
-        let ap = space.apply(p)?;
+        let ap = self.ap.as_mut().expect("initialized");
+        space.apply_into(p, ap)?;
+        let ap = &*ap;
         // Blocking reduction #1, carrying any policy check dots (wants-dots
         // negotiation). When checks are fused the after-SpMV hook runs
         // after it so the policies decide from already-global scalars; with
@@ -477,25 +489,25 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for FusedCgStep<'m, S> {
         let pap = {
             let avail = CheckVectors {
                 spmv_input: Some(&*p),
-                spmv_product: Some(&ap),
+                spmv_product: Some(ap),
                 basis_pair: None,
             };
             let mut check_pairs: Vec<(&S::Vector, &S::Vector)> = Vec::new();
             let batch = policies.collect_check_dots(space, &st.ctx(), &avail, &mut check_pairs);
             if batch.is_empty() {
                 // Legacy path, order and cost model untouched.
-                match policies.after_spmv(space, &st.ctx(), p, &ap)? {
+                match policies.after_spmv(space, &st.ctx(), p, ap)? {
                     StackOutcome::Act(resp) => return Ok(CgOutcome::Detected(resp)),
                     StackOutcome::Recorded | StackOutcome::Continue => {}
                 }
-                space.dot(p, &ap)?
+                space.dot(p, ap)?
             } else {
-                let mut pairs: Vec<(&S::Vector, &S::Vector)> = vec![(&*p, &ap)];
+                let mut pairs: Vec<(&S::Vector, &S::Vector)> = vec![(&*p, ap)];
                 pairs.append(&mut check_pairs);
                 let all = space.fused_pairs(&pairs, batch.len())?;
                 drop(pairs);
                 policies.consume_check_dots(&st.ctx(), &batch, &all[1..]);
-                match policies.after_spmv(space, &st.ctx(), p, &ap)? {
+                match policies.after_spmv(space, &st.ctx(), p, ap)? {
                     StackOutcome::Act(resp) => return Ok(CgOutcome::Detected(resp)),
                     StackOutcome::Recorded | StackOutcome::Continue => {}
                 }
@@ -507,7 +519,7 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for FusedCgStep<'m, S> {
         }
         let alpha = self.rz / pap;
         space.axpy(alpha, p, x);
-        space.axpy(-alpha, &ap, r);
+        space.axpy(-alpha, ap, r);
         space.charge_flops(4 * space.local_len(r));
         // Blocking reduction #2: `r·r` alone unpreconditioned; `r·z` fused
         // with `r·r` in the same collective when a preconditioner is bound.
@@ -571,6 +583,15 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for FusedCgStep<'m, S> {
 /// `u = M⁻¹r` and `q = M⁻¹s`, the preconditioner apply joins the SpMV in
 /// the overlap region, and `‖r‖²` rides the same single reduction (as a
 /// third pair) so the one-allreduce-per-iteration schedule is unchanged.
+///
+/// **One pass per iteration.** All recurrence updates run as one backend
+/// sweep ([`KrylovSpace::pipelined_sweep`]) that also leaves the next
+/// reduction's local partials behind; the following step posts those
+/// carried partials — plus the policy check tail, which is still reduced
+/// from its vectors — without re-reading `r`, `u`, `w`. Every `init` (solve
+/// start, policy restart, divergence recovery, LFLR resume) drops them: the
+/// first step after it recomputes. The SpMV product lands in a buffer the
+/// step keeps, so an iteration allocates no vector.
 pub struct PipelinedCgStep<'m, S: KrylovSpace> {
     m: Option<&'m mut dyn SpacePreconditioner<S>>,
     r: Option<S::Vector>,
@@ -580,6 +601,8 @@ pub struct PipelinedCgStep<'m, S: KrylovSpace> {
     w: Option<S::Vector>,
     /// Buffer for `M⁻¹·w`, the overlap-region preconditioner apply.
     mw: Option<S::Vector>,
+    /// This step's SpMV product `A·w` (`A·mw`), written in place.
+    aw: Option<S::Vector>,
     /// Tracks the operator image of the search-direction chain (`A·q` /
     /// `A·s`-shifted quantity of the recurrence).
     z: Option<S::Vector>,
@@ -590,9 +613,14 @@ pub struct PipelinedCgStep<'m, S: KrylovSpace> {
     p: Option<S::Vector>,
     gamma_old: f64,
     alpha_old: f64,
+    /// Local partials of the solver pairs — `[r·r, w·r]`, preconditioned
+    /// `[r·u, w·u, r·r]` — of the *current* `r`, `u`, `w`, left behind by
+    /// the last sweep; invalid while `fresh`.
+    dots: [f64; 3],
     /// True until the first step after (re-)initialization: the recurrence
     /// must take the iteration-0 branch (β = 0) again after a policy
-    /// restart rebuilt it from the current iterate.
+    /// restart rebuilt it from the current iterate, and no sweep has
+    /// carried dot partials over yet.
     fresh: bool,
 }
 
@@ -605,12 +633,14 @@ impl<'m, S: KrylovSpace> PipelinedCgStep<'m, S> {
             u: None,
             w: None,
             mw: None,
+            aw: None,
             z: None,
             q: None,
             s: None,
             p: None,
             gamma_old: 0.0,
             alpha_old: 0.0,
+            dots: [0.0; 3],
             fresh: true,
         }
     }
@@ -654,6 +684,7 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for PipelinedCgStep<'m, S> {
                 self.q = Some(space.zeros_like(b)); // tracks M⁻¹ s
             }
         }
+        self.aw = Some(space.zeros_like(b));
         self.z = Some(space.zeros_like(b)); // tracks the A·(M⁻¹)s chain
         self.s = Some(space.zeros_like(b)); // tracks A p
         self.p = Some(space.zeros_like(b));
@@ -678,27 +709,34 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for PipelinedCgStep<'m, S> {
         // when preconditioned (γ = (r, M⁻¹r) is the M-norm, not the
         // convergence residual).
         let solver_len = if preconditioned { 3 } else { 2 };
-        // Fused local partial reductions γ = (r, u), δ = (w, u) (with
-        // u = r unpreconditioned), posted as a single nonblocking reduction
-        // that also carries any policy check dots (wants-dots negotiation;
-        // the recurrence maintains w = A·u, so (u, w) is the resolved
-        // input/product pair — fused check decisions lag the overlapped
-        // SpMV by one step) ...
+        // The single nonblocking reduction of γ = (r, u), δ = (w, u) (with
+        // u = r unpreconditioned), posted from the local partials the last
+        // sweep left behind — recomputed from the vectors on the first step
+        // after an `init` — plus any policy check dots (wants-dots
+        // negotiation; the recurrence maintains w = A·u, so (u, w) is the
+        // resolved input/product pair — fused check decisions lag the
+        // overlapped SpMV by one step) ...
         let (pending, batch) = {
             let r = self.r.as_ref().expect("initialized");
             let w = self.w.as_ref().expect("initialized");
             let dual = self.u.as_ref().unwrap_or(r);
-            let mut pairs: Vec<(&S::Vector, &S::Vector)> = vec![(r, dual), (w, dual)];
-            if preconditioned {
-                pairs.push((r, r));
+            if self.fresh {
+                let pairs = [(r, dual), (w, dual), (r, r)];
+                space.dot_partials(&pairs[..solver_len], &mut self.dots[..solver_len]);
             }
             let avail = CheckVectors {
                 spmv_input: Some(dual),
                 spmv_product: Some(w),
                 basis_pair: None,
             };
-            let batch = policies.collect_check_dots(space, &st.ctx(), &avail, &mut pairs);
-            (space.start_dots_tagged(&pairs, batch.len())?, batch)
+            // O(#check pairs) references into the state and the policies, so
+            // the list cannot outlive the step; it stays empty (no heap)
+            // under an empty stack.
+            let mut checks = Vec::new();
+            let batch = policies.collect_check_dots(space, &st.ctx(), &avail, &mut checks);
+            let n = space.local_len(r);
+            let pending = space.start_carried_dots(&self.dots[..solver_len], n, &checks)?;
+            (pending, batch)
         };
         // ... and overlapped with the preconditioner apply `mw = M⁻¹·w`,
         // the SpMV `aw = A·(M⁻¹)w` and any extra work.
@@ -726,10 +764,12 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for PipelinedCgStep<'m, S> {
             }
             StackOutcome::Recorded | StackOutcome::Continue => {}
         }
-        let aw = space.apply(input)?;
+        let aw = self.aw.as_mut().expect("initialized");
+        space.apply_into(input, aw)?;
+        let aw = &*aw;
         let reduced = space.finish_dots(pending)?;
         policies.consume_check_dots(&st.ctx(), &batch, &reduced[solver_len..]);
-        match policies.after_spmv(space, &st.ctx(), input, &aw)? {
+        match policies.after_spmv(space, &st.ctx(), input, aw)? {
             StackOutcome::Act(resp) => return Ok(CgOutcome::Detected(resp)),
             StackOutcome::Recorded | StackOutcome::Continue => {}
         }
@@ -775,33 +815,27 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for PipelinedCgStep<'m, S> {
 
         // Recurrence updates (all local): z ← aw + βz, s ← w + βs,
         // p ← u + βp, x ← x + αp, r ← r − αs, u ← u − αq, w ← w − αz —
-        // plus q ← mw + βq maintaining q = M⁻¹s when preconditioned.
-        let r = self.r.as_mut().expect("initialized");
-        let w = self.w.as_mut().expect("initialized");
-        let z = self.z.as_mut().expect("initialized");
-        let s = self.s.as_mut().expect("initialized");
-        let p = self.p.as_mut().expect("initialized");
-        space.xpby(&aw, beta, z);
-        if preconditioned {
-            let u = self.u.as_mut().expect("preconditioned state");
-            let q = self.q.as_mut().expect("preconditioned state");
-            let mw = self.mw.as_ref().expect("preconditioned state");
-            space.xpby(mw, beta, q);
-            space.xpby(w, beta, s);
-            space.xpby(u, beta, p);
-            space.axpy(alpha, p, x);
-            space.axpy(-alpha, s, r);
-            space.axpy(-alpha, q, u);
-            space.axpy(-alpha, z, w);
-            space.charge_flops(16 * space.local_len(p));
-        } else {
-            space.xpby(w, beta, s);
-            space.xpby(r, beta, p);
-            space.axpy(alpha, p, x);
-            space.axpy(-alpha, s, r);
-            space.axpy(-alpha, z, w);
-            space.charge_flops(12 * space.local_len(p));
-        }
+        // plus q ← mw + βq maintaining q = M⁻¹s when preconditioned — in
+        // one pass, which also leaves the next step's dot partials behind.
+        let precond = match (self.mw.as_ref(), self.q.as_mut(), self.u.as_mut()) {
+            (Some(mw), Some(q), Some(u)) => Some((mw, q, u)),
+            _ => None,
+        };
+        space.pipelined_sweep(
+            alpha,
+            beta,
+            PipelinedSweep {
+                aw,
+                precond,
+                z: self.z.as_mut().expect("initialized"),
+                s: self.s.as_mut().expect("initialized"),
+                p: self.p.as_mut().expect("initialized"),
+                x,
+                r: self.r.as_mut().expect("initialized"),
+                w: self.w.as_mut().expect("initialized"),
+            },
+            &mut self.dots[..solver_len],
+        );
 
         self.gamma_old = gamma;
         self.alpha_old = alpha;

@@ -17,7 +17,7 @@
 //!   product (the unified replacement for ad-hoc fault wrappers in
 //!   distributed experiments).
 
-use resilient_linalg::ops::{auto_ops, LocalOps, PcgSweep};
+use resilient_linalg::ops::{auto_ops, CgSweep, LocalOps, PcgSweep};
 use resilient_runtime::{Comm, CommBackend, ReduceOp, Result, Stored, ThreadComm};
 
 use crate::distributed::{DistCsr, DistMultiVector, DistVector, HaloScratch};
@@ -35,6 +35,30 @@ pub enum PendingDots<P = resilient_runtime::PendingCollective> {
     Ready(Vec<f64>),
     /// An in-flight collective (distributed spaces).
     InFlight(P),
+}
+
+/// The operands of one [`KrylovSpace::pipelined_sweep`]: this
+/// iteration's SpMV product, the six state vectors every pipelined-CG
+/// recurrence updates in place, and the preconditioned recurrence's extra
+/// chain (see [`CgSweep`] / [`PcgSweep`] for the roles).
+pub struct PipelinedSweep<'v, V> {
+    /// `A·w` (preconditioned: `A·mw`), this iteration's SpMV product.
+    pub aw: &'v V,
+    /// `(mw, q, u)` — this iteration's `M⁻¹w`, `q = M⁻¹s` and `u = M⁻¹r` —
+    /// when a preconditioner is bound.
+    pub precond: Option<(&'v V, &'v mut V, &'v mut V)>,
+    /// Tracks `A·q` (unpreconditioned: `A·s`).
+    pub z: &'v mut V,
+    /// Tracks `A·p`.
+    pub s: &'v mut V,
+    /// Search direction.
+    pub p: &'v mut V,
+    /// Iterate.
+    pub x: &'v mut V,
+    /// Residual.
+    pub r: &'v mut V,
+    /// `w = A·u` (unpreconditioned: `A·r`).
+    pub w: &'v mut V,
 }
 
 /// The execution environment of one Krylov solve: bound operator, vector
@@ -60,8 +84,21 @@ pub trait KrylovSpace {
         auto_ops()
     }
 
+    /// The locally stored entries of `v`.
+    fn local(v: &Self::Vector) -> &[f64];
+    /// The locally stored entries of `v`, mutably.
+    fn local_mut(v: &mut Self::Vector) -> &mut [f64];
+
     /// Apply the bound operator: `y = A·x`, charging its cost.
     fn apply(&mut self, x: &Self::Vector) -> Result<Self::Vector>;
+    /// [`KrylovSpace::apply`] into a caller-owned vector shaped like `x`
+    /// (every entry overwritten), so an iteration that keeps its product
+    /// buffer allocates nothing per application where the space can write
+    /// in place.
+    fn apply_into(&mut self, x: &Self::Vector, y: &mut Self::Vector) -> Result<()> {
+        *y = self.apply(x)?;
+        Ok(())
+    }
     /// Cost of one operator application in FLOPs.
     fn flops_per_apply(&self) -> usize;
     /// Upper-bound estimate of the operator ∞-norm (infinity when unknown);
@@ -116,22 +153,121 @@ pub trait KrylovSpace {
         self.start_dots(pairs)
     }
 
+    /// Local halves of a fused reduction, uncharged (the reduction that
+    /// posts them charges): `out[i] = pairs[i].0 · pairs[i].1` over the
+    /// locally stored entries.
+    fn dot_partials(&self, pairs: &[(&Self::Vector, &Self::Vector)], out: &mut [f64]) {
+        // Slice views of up to eight pairs at a time on the stack: one
+        // backend call per group, so operands shared within it are read
+        // once — and none at all for an empty check tail.
+        let mut views: [(&[f64], &[f64]); 8] = [(&[], &[]); 8];
+        for (group, out) in pairs.chunks(views.len()).zip(out.chunks_mut(views.len())) {
+            for (view, (x, y)) in views.iter_mut().zip(group) {
+                *view = (Self::local(x), Self::local(y));
+            }
+            self.ops().dot_pairs(&views[..group.len()], out);
+        }
+    }
+
+    /// Post the pipelined strategy's fused reduction from **carried** local
+    /// partials: `carried` holds the solver pairs' partials over `n` local
+    /// entries, left behind by the previous
+    /// [`KrylovSpace::pipelined_sweep`] (or computed by
+    /// [`KrylovSpace::dot_partials`]), so posting re-reads no state vector;
+    /// only the `checks` tail (policy check dots) is reduced from its
+    /// vectors. Charged and attributed exactly like
+    /// [`KrylovSpace::start_dots_tagged`] over the same pairs, so virtual
+    /// time does not depend on where the partials were computed. Complete
+    /// it with [`KrylovSpace::finish_dots`].
+    fn start_carried_dots(
+        &mut self,
+        carried: &[f64],
+        n: usize,
+        checks: &[(&Self::Vector, &Self::Vector)],
+    ) -> Result<PendingDots<Self::Pending>>;
+
+    /// One pipelined-CG sweep: every recurrence update of the iteration in
+    /// one backend pass ([`LocalOps::pipelined_cg_sweep`], or
+    /// [`LocalOps::pipelined_pcg_sweep`] when `v.precond` is given), whose
+    /// dot partials — `[r·r, w·r]`, or `[r·u, w·u, r·r]` preconditioned —
+    /// land in `dots`, the layout [`KrylovSpace::start_carried_dots`]
+    /// posts. Charges the recurrence's twelve (sixteen) flops per row in
+    /// one piece.
+    fn pipelined_sweep(
+        &mut self,
+        alpha: f64,
+        beta: f64,
+        v: PipelinedSweep<'_, Self::Vector>,
+        dots: &mut [f64],
+    ) {
+        let ops = self.ops();
+        let aw = Self::local(v.aw);
+        let (z, s, p) = (
+            Self::local_mut(v.z),
+            Self::local_mut(v.s),
+            Self::local_mut(v.p),
+        );
+        let (x, r, w) = (
+            Self::local_mut(v.x),
+            Self::local_mut(v.r),
+            Self::local_mut(v.w),
+        );
+        match v.precond {
+            None => {
+                let sweep = CgSweep { z, s, p, x, r, w };
+                dots.copy_from_slice(&ops.pipelined_cg_sweep(alpha, beta, aw, sweep));
+                self.charge_flops(12 * aw.len());
+            }
+            Some((mw, q, u)) => {
+                let (q, u) = (Self::local_mut(q), Self::local_mut(u));
+                let sweep = PcgSweep {
+                    z,
+                    q,
+                    s,
+                    p,
+                    x,
+                    r,
+                    u,
+                    w,
+                };
+                dots.copy_from_slice(&ops.pipelined_pcg_sweep(
+                    alpha,
+                    beta,
+                    aw,
+                    Self::local(mw),
+                    sweep,
+                ));
+                self.charge_flops(16 * aw.len());
+            }
+        }
+    }
+
     /// `y ← y + alpha·x` (local, not charged — call sites charge explicitly
     /// to preserve each preset's legacy cost model).
-    fn axpy(&mut self, alpha: f64, x: &Self::Vector, y: &mut Self::Vector);
+    fn axpy(&mut self, alpha: f64, x: &Self::Vector, y: &mut Self::Vector) {
+        self.ops().axpy(alpha, Self::local(x), Self::local_mut(y));
+    }
     /// `x ← alpha·x` (local, not charged).
-    fn scale(&mut self, alpha: f64, x: &mut Self::Vector);
+    fn scale(&mut self, alpha: f64, x: &mut Self::Vector) {
+        self.ops().scale(alpha, Self::local_mut(x));
+    }
     /// `y ← x + beta·y` (local, not charged) — the CG direction update.
-    fn xpby(&mut self, x: &Self::Vector, beta: f64, y: &mut Self::Vector);
+    fn xpby(&mut self, x: &Self::Vector, beta: f64, y: &mut Self::Vector) {
+        self.ops().xpby(Self::local(x), beta, Self::local_mut(y));
+    }
     /// Residual helper `b − ax` (local, not charged).
     fn residual(&self, b: &Self::Vector, ax: &Self::Vector) -> Self::Vector;
     /// A zero vector with the shape of `v`.
     fn zeros_like(&self, v: &Self::Vector) -> Self::Vector;
     /// Locally stored length of `v` (the `n` of per-iteration flop formulas).
-    fn local_len(&self, v: &Self::Vector) -> usize;
+    fn local_len(&self, v: &Self::Vector) -> usize {
+        Self::local(v).len()
+    }
     /// Does the *locally stored* part of `v` contain NaN/Inf? Policies that
     /// must stay rank-symmetric should prefer global norms.
-    fn local_has_non_finite(&self, v: &Self::Vector) -> bool;
+    fn local_has_non_finite(&self, v: &Self::Vector) -> bool {
+        resilient_linalg::vector::has_non_finite(Self::local(v))
+    }
 
     // -- persistent state (LFLR substrate) ---------------------------------
 
@@ -221,6 +357,14 @@ impl<'a, O: Operator + ?Sized> KrylovSpace for SerialSpace<'a, O> {
         self.ops
     }
 
+    fn local(v: &Self::Vector) -> &[f64] {
+        v
+    }
+
+    fn local_mut(v: &mut Self::Vector) -> &mut [f64] {
+        v
+    }
+
     fn apply(&mut self, x: &Self::Vector) -> Result<Self::Vector> {
         self.flops += self.op.flops_per_apply();
         Ok(self.op.apply(x))
@@ -258,14 +402,21 @@ impl<'a, O: Operator + ?Sized> KrylovSpace for SerialSpace<'a, O> {
         &mut self,
         pairs: &[(&Self::Vector, &Self::Vector)],
     ) -> Result<PendingDots<Self::Pending>> {
-        let slices: Vec<(&[f64], &[f64])> = pairs
-            .iter()
-            .map(|(x, y)| (x.as_slice(), y.as_slice()))
-            .collect();
+        self.start_carried_dots(&[], 0, pairs)
+    }
+
+    fn start_carried_dots(
+        &mut self,
+        carried: &[f64],
+        _n: usize,
+        checks: &[(&Self::Vector, &Self::Vector)],
+    ) -> Result<PendingDots<Self::Pending>> {
+        // Local partials are already global here, and nothing is charged.
         // lint:allow(hot-loop-alloc): O(#pairs) result buffer the trait returns
         // by value — not an O(n) vector buffer (those live in scratch).
-        let mut out = vec![0.0; slices.len()];
-        self.ops.dot_pairs(&slices, &mut out);
+        let mut out = vec![0.0; carried.len() + checks.len()];
+        out[..carried.len()].copy_from_slice(carried);
+        self.dot_partials(checks, &mut out[carried.len()..]);
         Ok(PendingDots::Ready(out))
     }
 
@@ -274,18 +425,6 @@ impl<'a, O: Operator + ?Sized> KrylovSpace for SerialSpace<'a, O> {
             PendingDots::Ready(v) => Ok(v),
             PendingDots::InFlight(_) => unreachable!("serial spaces reduce immediately"),
         }
-    }
-
-    fn axpy(&mut self, alpha: f64, x: &Self::Vector, y: &mut Self::Vector) {
-        self.ops.axpy(alpha, x, y);
-    }
-
-    fn scale(&mut self, alpha: f64, x: &mut Self::Vector) {
-        self.ops.scale(alpha, x);
-    }
-
-    fn xpby(&mut self, x: &Self::Vector, beta: f64, y: &mut Self::Vector) {
-        self.ops.xpby(x, beta, y);
     }
 
     fn residual(&self, b: &Self::Vector, ax: &Self::Vector) -> Self::Vector {
@@ -297,14 +436,6 @@ impl<'a, O: Operator + ?Sized> KrylovSpace for SerialSpace<'a, O> {
 
     fn zeros_like(&self, v: &Self::Vector) -> Self::Vector {
         vec![0.0; v.len()]
-    }
-
-    fn local_len(&self, v: &Self::Vector) -> usize {
-        v.len()
-    }
-
-    fn local_has_non_finite(&self, v: &Self::Vector) -> bool {
-        resilient_linalg::vector::has_non_finite(v)
     }
 
     fn charge_flops(&mut self, flops: usize) {
@@ -375,6 +506,8 @@ pub struct DistSpace<'a, 'b, C: CommBackend = Comm> {
     /// Reused ghost-exchange buffers: the SpMV/SpMM input (owned + ghost
     /// entries) is assembled here instead of allocating per application.
     halo: HaloScratch,
+    /// Reused local-partials buffer of [`KrylovSpace::start_carried_dots`].
+    partials: Vec<f64>,
 }
 
 /// The operands of one [`DistSpace::pcg_sweep_block`]: the two
@@ -424,6 +557,7 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
             precond_applications: 0,
             ops: auto_ops(),
             halo: HaloScratch::default(),
+            partials: Vec::new(),
         }
     }
 
@@ -513,6 +647,32 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     /// Preconditioner applications observed so far.
     pub fn precond_applications(&self) -> u64 {
         self.precond_applications
+    }
+
+    /// SpMV strike point: counts the application and fires the planned
+    /// single-event upset and any due campaign strikes into its product.
+    fn strike_product(&mut self, y: &mut DistVector) {
+        let app = self.applications;
+        self.applications += 1;
+        if let Some(f) = self.fault {
+            if f.at_application == app
+                && f.rank == self.comm.world_rank()
+                && self.comm.incarnation() == 0
+                && !y.local.is_empty()
+            {
+                let i = f.local_element.min(y.local.len() - 1);
+                y.local[i] = flip_bit_f64(y.local[i], f.bit);
+                self.injections += 1;
+            }
+        }
+        if let Some(plan) = self.spmv_plan.as_mut() {
+            self.injections += plan.strike_slice(
+                self.comm.world_rank(),
+                self.comm.incarnation(),
+                app as u64,
+                &mut y.local,
+            );
+        }
     }
 
     /// The communicator (for preset code that needs collectives around the
@@ -629,11 +789,10 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         checks: &[(&DistVector, &DistVector)],
         partials: &mut Vec<f64>,
     ) {
-        for (x, y) in checks {
-            let mut one = [0.0];
-            self.ops
-                .dot_pairs(&[(x.local.as_slice(), y.local.as_slice())], &mut one);
-            partials.push(one[0]);
+        let solver_len = partials.len();
+        partials.resize(solver_len + checks.len(), 0.0);
+        self.dot_partials(checks, &mut partials[solver_len..]);
+        if let Some((x, _)) = checks.last() {
             n = x.local_len();
         }
         self.comm
@@ -699,30 +858,25 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
         self.ops
     }
 
+    fn local(v: &Self::Vector) -> &[f64] {
+        &v.local
+    }
+
+    fn local_mut(v: &mut Self::Vector) -> &mut [f64] {
+        &mut v.local
+    }
+
     fn apply(&mut self, x: &Self::Vector) -> Result<Self::Vector> {
         let mut y = self.a.apply_with(self.comm, x, self.ops, &mut self.halo)?;
-        let app = self.applications;
-        self.applications += 1;
-        if let Some(f) = self.fault {
-            if f.at_application == app
-                && f.rank == self.comm.world_rank()
-                && self.comm.incarnation() == 0
-                && !y.local.is_empty()
-            {
-                let i = f.local_element.min(y.local.len() - 1);
-                y.local[i] = flip_bit_f64(y.local[i], f.bit);
-                self.injections += 1;
-            }
-        }
-        if let Some(plan) = self.spmv_plan.as_mut() {
-            self.injections += plan.strike_slice(
-                self.comm.world_rank(),
-                self.comm.incarnation(),
-                app as u64,
-                &mut y.local,
-            );
-        }
+        self.strike_product(&mut y);
         Ok(y)
+    }
+
+    fn apply_into(&mut self, x: &Self::Vector, y: &mut Self::Vector) -> Result<()> {
+        self.a
+            .apply_into(self.comm, x, self.ops, &mut self.halo, y)?;
+        self.strike_product(y);
+        Ok(())
     }
 
     fn flops_per_apply(&self) -> usize {
@@ -777,6 +931,20 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
         ))
     }
 
+    fn start_carried_dots(
+        &mut self,
+        carried: &[f64],
+        n: usize,
+        checks: &[(&Self::Vector, &Self::Vector)],
+    ) -> Result<PendingDots<Self::Pending>> {
+        // The one-column, fully active case of the block kernel's post, on
+        // the space's own partials buffer.
+        let mut partials = std::mem::take(&mut self.partials);
+        let pending = self.start_carried_block_dots(1, carried, n, checks, 1, &mut partials);
+        self.partials = partials;
+        pending
+    }
+
     fn finish_dots(&mut self, pending: PendingDots<Self::Pending>) -> Result<Vec<f64>> {
         match pending {
             PendingDots::Ready(v) => Ok(v),
@@ -806,18 +974,6 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
         self.comm.allreduce(ReduceOp::Sum, &local)
     }
 
-    fn axpy(&mut self, alpha: f64, x: &Self::Vector, y: &mut Self::Vector) {
-        self.ops.axpy(alpha, &x.local, &mut y.local);
-    }
-
-    fn scale(&mut self, alpha: f64, x: &mut Self::Vector) {
-        self.ops.scale(alpha, &mut x.local);
-    }
-
-    fn xpby(&mut self, x: &Self::Vector, beta: f64, y: &mut Self::Vector) {
-        self.ops.xpby(&x.local, beta, &mut y.local);
-    }
-
     fn residual(&self, b: &Self::Vector, ax: &Self::Vector) -> Self::Vector {
         let mut r = b.clone();
         self.ops.axpy(-1.0, &ax.local, &mut r.local);
@@ -828,14 +984,6 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
         let mut z = v.clone();
         z.local.iter_mut().for_each(|x| *x = 0.0);
         z
-    }
-
-    fn local_len(&self, v: &Self::Vector) -> usize {
-        v.local_len()
-    }
-
-    fn local_has_non_finite(&self, v: &Self::Vector) -> bool {
-        resilient_linalg::vector::has_non_finite(&v.local)
     }
 
     fn persist_vector(&mut self, key: &str, v: &Self::Vector) -> Result<usize> {

@@ -10,20 +10,67 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::sparse::{CooMatrix, CsrMatrix};
 
+/// Row-by-row CSR writer for the generators whose rows come out in order
+/// with ascending columns: it builds what pushing the same entries into a
+/// [`CooMatrix`] and calling `to_csr` would (exact zeros dropped), without
+/// sorting all the triplets.
+struct CsrRows {
+    ncols: usize,
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl CsrRows {
+    fn with_capacity(nrows: usize, ncols: usize, nnz: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        row_ptr.push(0);
+        Self {
+            ncols,
+            row_ptr,
+            col_idx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Append `v` at column `j` of the row being written.
+    fn push(&mut self, j: usize, v: f64) {
+        let row_start = *self.row_ptr.last().expect("row_ptr starts at 0");
+        debug_assert!(
+            self.col_idx[row_start..].last().map_or(true, |&l| l < j),
+            "columns of a row must ascend"
+        );
+        if v != 0.0 {
+            self.col_idx.push(j);
+            self.values.push(v);
+        }
+    }
+
+    fn end_row(&mut self) {
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    fn finish(self) -> CsrMatrix {
+        let nrows = self.row_ptr.len() - 1;
+        CsrMatrix::from_raw(nrows, self.ncols, self.row_ptr, self.col_idx, self.values)
+    }
+}
+
 /// 1-D Poisson (tridiagonal) matrix of order `n`: 2 on the diagonal, −1 on
 /// the off-diagonals. Symmetric positive definite.
 pub fn poisson1d(n: usize) -> CsrMatrix {
-    let mut coo = CooMatrix::new(n, n);
+    let mut rows = CsrRows::with_capacity(n, n, 3 * n);
     for i in 0..n {
-        coo.push(i, i, 2.0);
         if i > 0 {
-            coo.push(i, i - 1, -1.0);
+            rows.push(i - 1, -1.0);
         }
+        rows.push(i, 2.0);
         if i + 1 < n {
-            coo.push(i, i + 1, -1.0);
+            rows.push(i + 1, -1.0);
         }
+        rows.end_row();
     }
-    coo.to_csr()
+    rows.finish()
 }
 
 /// 2-D Poisson matrix for an `nx × ny` grid with the 5-point stencil
@@ -31,62 +78,62 @@ pub fn poisson1d(n: usize) -> CsrMatrix {
 /// Symmetric positive definite.
 pub fn poisson2d(nx: usize, ny: usize) -> CsrMatrix {
     let n = nx * ny;
-    let idx = |i: usize, j: usize| i * ny + j;
-    let mut coo = CooMatrix::new(n, n);
+    let mut rows = CsrRows::with_capacity(n, n, 5 * n);
     for i in 0..nx {
         for j in 0..ny {
-            let row = idx(i, j);
-            coo.push(row, row, 4.0);
+            let row = i * ny + j;
             if i > 0 {
-                coo.push(row, idx(i - 1, j), -1.0);
-            }
-            if i + 1 < nx {
-                coo.push(row, idx(i + 1, j), -1.0);
+                rows.push(row - ny, -1.0);
             }
             if j > 0 {
-                coo.push(row, idx(i, j - 1), -1.0);
+                rows.push(row - 1, -1.0);
             }
+            rows.push(row, 4.0);
             if j + 1 < ny {
-                coo.push(row, idx(i, j + 1), -1.0);
+                rows.push(row + 1, -1.0);
             }
+            if i + 1 < nx {
+                rows.push(row + ny, -1.0);
+            }
+            rows.end_row();
         }
     }
-    coo.to_csr()
+    rows.finish()
 }
 
 /// 3-D Poisson matrix for an `nx × ny × nz` grid with the 7-point stencil
 /// (Dirichlet boundary). Symmetric positive definite.
 pub fn poisson3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
     let n = nx * ny * nz;
-    let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
-    let mut coo = CooMatrix::new(n, n);
+    let mut rows = CsrRows::with_capacity(n, n, 7 * n);
     for i in 0..nx {
         for j in 0..ny {
             for k in 0..nz {
-                let row = idx(i, j, k);
-                coo.push(row, row, 6.0);
+                let row = (i * ny + j) * nz + k;
                 if i > 0 {
-                    coo.push(row, idx(i - 1, j, k), -1.0);
-                }
-                if i + 1 < nx {
-                    coo.push(row, idx(i + 1, j, k), -1.0);
+                    rows.push(row - ny * nz, -1.0);
                 }
                 if j > 0 {
-                    coo.push(row, idx(i, j - 1, k), -1.0);
-                }
-                if j + 1 < ny {
-                    coo.push(row, idx(i, j + 1, k), -1.0);
+                    rows.push(row - nz, -1.0);
                 }
                 if k > 0 {
-                    coo.push(row, idx(i, j, k - 1), -1.0);
+                    rows.push(row - 1, -1.0);
                 }
+                rows.push(row, 6.0);
                 if k + 1 < nz {
-                    coo.push(row, idx(i, j, k + 1), -1.0);
+                    rows.push(row + 1, -1.0);
                 }
+                if j + 1 < ny {
+                    rows.push(row + nz, -1.0);
+                }
+                if i + 1 < nx {
+                    rows.push(row + ny * nz, -1.0);
+                }
+                rows.end_row();
             }
         }
     }
-    coo.to_csr()
+    rows.finish()
 }
 
 /// Anisotropic, jumpy-coefficient 2-D diffusion matrix on an `nx × ny` grid
@@ -109,39 +156,36 @@ pub fn poisson3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
 pub fn anisotropic2d(nx: usize, ny: usize, eps_x: f64, jump: f64, band: usize) -> CsrMatrix {
     assert!(eps_x > 0.0 && jump > 0.0 && band > 0);
     let n = nx * ny;
-    let idx = |i: usize, j: usize| i * ny + j;
     // Cell coefficient: bands of `band` grid lines alternate κ = 1 / κ = jump.
     let kappa = |i: usize| if (i / band) % 2 == 0 { 1.0 } else { jump };
     let edge = |ka: f64, kb: f64| (ka * kb).sqrt();
-    let mut coo = CooMatrix::new(n, n);
+    let mut rows = CsrRows::with_capacity(n, n, 5 * n);
     for i in 0..nx {
         for j in 0..ny {
-            let row = idx(i, j);
+            let row = i * ny + j;
             let k = kappa(i);
-            let mut diag = 0.0;
-            // i-direction (across lines): weak coupling eps_x.
+            // i-direction (across lines): weak coupling eps_x; j-direction
+            // (along a line): full-strength coupling.
             let up = if i > 0 { edge(k, kappa(i - 1)) } else { k };
-            diag += eps_x * up;
-            if i > 0 {
-                coo.push(row, idx(i - 1, j), -eps_x * up);
-            }
             let down = if i + 1 < nx { edge(k, kappa(i + 1)) } else { k };
-            diag += eps_x * down;
-            if i + 1 < nx {
-                coo.push(row, idx(i + 1, j), -eps_x * down);
+            let diag = eps_x * up + eps_x * down + 2.0 * k;
+            if i > 0 {
+                rows.push(row - ny, -eps_x * up);
             }
-            // j-direction (along a line): full-strength coupling.
-            diag += 2.0 * k;
             if j > 0 {
-                coo.push(row, idx(i, j - 1), -k);
+                rows.push(row - 1, -k);
             }
+            rows.push(row, diag);
             if j + 1 < ny {
-                coo.push(row, idx(i, j + 1), -k);
+                rows.push(row + 1, -k);
             }
-            coo.push(row, row, diag);
+            if i + 1 < nx {
+                rows.push(row + ny, -eps_x * down);
+            }
+            rows.end_row();
         }
     }
-    coo.to_csr()
+    rows.finish()
 }
 
 /// Random sparse, strictly diagonally dominant (hence non-singular) matrix
@@ -171,7 +215,7 @@ pub fn spd_random(n: usize, rng: &mut ChaCha8Rng) -> CsrMatrix {
     let a: Vec<Vec<f64>> = (0..n)
         .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect();
-    let mut coo = CooMatrix::new(n, n);
+    let mut rows = CsrRows::with_capacity(n, n, n * n);
     for i in 0..n {
         for j in 0..n {
             let mut v = 0.0;
@@ -181,10 +225,11 @@ pub fn spd_random(n: usize, rng: &mut ChaCha8Rng) -> CsrMatrix {
             if i == j {
                 v += n as f64;
             }
-            coo.push(i, j, v);
+            rows.push(j, v);
         }
+        rows.end_row();
     }
-    coo.to_csr()
+    rows.finish()
 }
 
 /// A right-hand side vector with entries all equal to one (the canonical
@@ -203,6 +248,114 @@ mod tests {
     use super::*;
     use crate::vector::{dot, nrm2};
     use rand::SeedableRng;
+
+    /// The stencil generators as they were first written: every entry pushed
+    /// into a [`CooMatrix`] in stencil order and sorted by `to_csr` — the
+    /// reference the direct CSR writers must equal.
+    fn coo_stencil(
+        dims: [usize; 3],
+        diag: impl Fn(usize) -> f64,
+        off: impl Fn(usize, usize) -> f64,
+    ) -> CsrMatrix {
+        let [nx, ny, nz] = dims;
+        let idx = |i: usize, j: usize, k: usize| (i * ny + j) * nz + k;
+        let mut coo = CooMatrix::new(nx * ny * nz, nx * ny * nz);
+        for i in 0..nx {
+            for j in 0..ny {
+                for k in 0..nz {
+                    let row = idx(i, j, k);
+                    coo.push(row, row, diag(i));
+                    if i > 0 {
+                        coo.push(row, idx(i - 1, j, k), off(i, 0));
+                    }
+                    if i + 1 < nx {
+                        coo.push(row, idx(i + 1, j, k), off(i, 1));
+                    }
+                    if j > 0 {
+                        coo.push(row, idx(i, j - 1, k), off(i, 2));
+                    }
+                    if j + 1 < ny {
+                        coo.push(row, idx(i, j + 1, k), off(i, 2));
+                    }
+                    if k > 0 {
+                        coo.push(row, idx(i, j, k - 1), off(i, 3));
+                    }
+                    if k + 1 < nz {
+                        coo.push(row, idx(i, j, k + 1), off(i, 3));
+                    }
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn direct_csr_generators_equal_the_coo_built_matrices() {
+        let minus_one = |_: usize, _: usize| -1.0;
+        for n in [0, 1, 2, 9] {
+            assert_eq!(
+                poisson1d(n),
+                coo_stencil([n, 1, 1], |_| 2.0, minus_one),
+                "1d {n}"
+            );
+        }
+        for (nx, ny) in [(1, 1), (1, 9), (9, 1), (7, 5), (68, 68)] {
+            assert_eq!(
+                poisson2d(nx, ny),
+                coo_stencil([nx, ny, 1], |_| 4.0, minus_one),
+                "2d {nx}x{ny}"
+            );
+        }
+        for dims in [[1, 1, 1], [3, 4, 5], [1, 6, 2], [5, 1, 3]] {
+            assert_eq!(
+                poisson3d(dims[0], dims[1], dims[2]),
+                coo_stencil(dims, |_| 6.0, minus_one),
+                "3d {dims:?}"
+            );
+        }
+        // The anisotropic stencil, coefficient by coefficient as its doc
+        // states them (`dir` 0/1 = the edge to line i−1 / i+1, 2 = along
+        // the line).
+        let (eps, jump, band) = (0.05, 1000.0, 2);
+        let kappa = |i: usize| if (i / band) % 2 == 0 { 1.0 } else { jump };
+        for (nx, ny) in [(1, 1), (1, 6), (6, 1), (8, 6)] {
+            let edge = |i: usize, dir: usize| -> f64 {
+                let k: f64 = kappa(i);
+                match dir {
+                    0 if i > 0 => (k * kappa(i - 1)).sqrt(),
+                    1 if i + 1 < nx => (k * kappa(i + 1)).sqrt(),
+                    _ => k,
+                }
+            };
+            let want = coo_stencil(
+                [nx, ny, 1],
+                |i| eps * edge(i, 0) + eps * edge(i, 1) + 2.0 * kappa(i),
+                |i, dir| {
+                    if dir == 2 {
+                        -kappa(i)
+                    } else {
+                        -eps * edge(i, dir)
+                    }
+                },
+            );
+            assert_eq!(
+                anisotropic2d(nx, ny, eps, jump, band),
+                want,
+                "aniso {nx}x{ny}"
+            );
+        }
+        // Dense pattern: every (i, j) pushed in order is what COO sorts to.
+        let a = spd_random(6, &mut ChaCha8Rng::seed_from_u64(11));
+        let mut coo = CooMatrix::new(6, 6);
+        for i in 0..6 {
+            let (cols, vals) = a.row(i);
+            assert_eq!(cols, [0, 1, 2, 3, 4, 5]);
+            for (&j, &v) in cols.iter().zip(vals) {
+                coo.push(i, j, v);
+            }
+        }
+        assert_eq!(a, coo.to_csr());
+    }
 
     #[test]
     fn poisson1d_structure() {

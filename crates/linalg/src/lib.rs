@@ -26,6 +26,6 @@ pub use generators::{
     spd_random,
 };
 pub use givens::{Givens, HessenbergLsq};
-pub use ops::{auto_ops, scalar_ops, simd_ops, LocalOps, PcgSweep, ScalarOps};
+pub use ops::{auto_ops, scalar_ops, simd_ops, CgSweep, LocalOps, PcgSweep, ScalarOps};
 pub use sell::{SellMatrix, SELL_C, SELL_DEFAULT_SIGMA};
 pub use sparse::{CooMatrix, CsrMatrix};

@@ -90,6 +90,46 @@ impl PcgSweep<'_> {
     }
 }
 
+/// The six vectors one [`LocalOps::pipelined_cg_sweep`] updates in place,
+/// named as in the unpreconditioned pipelined-CG recurrence.
+pub struct CgSweep<'a> {
+    /// Tracks `A·s` (`z ← aw + βz`).
+    pub z: &'a mut [f64],
+    /// Tracks `A·p` (`s ← w + βs`).
+    pub s: &'a mut [f64],
+    /// Search direction (`p ← r + βp`).
+    pub p: &'a mut [f64],
+    /// Iterate (`x += αp`).
+    pub x: &'a mut [f64],
+    /// Residual (`r −= αs`).
+    pub r: &'a mut [f64],
+    /// `w = A·r` (`w −= αz`).
+    pub w: &'a mut [f64],
+}
+
+impl CgSweep<'_> {
+    /// The common length of the seven vectors of a sweep.
+    ///
+    /// # Panics
+    /// Panics if any of them differs in length.
+    fn checked_len(&self, aw: &[f64]) -> usize {
+        let n = aw.len();
+        let lens = [
+            self.z.len(),
+            self.s.len(),
+            self.p.len(),
+            self.x.len(),
+            self.r.len(),
+            self.w.len(),
+        ];
+        assert!(
+            lens.iter().all(|&l| l == n),
+            "pipelined_cg_sweep: length mismatch"
+        );
+        n
+    }
+}
+
 /// Node-local compute backend: the device-op surface the execution spaces
 /// call through. All methods are **bit-exact across backends** (see the
 /// module docs for the reassociation spec that makes this possible).
@@ -182,6 +222,36 @@ pub trait LocalOps: Sync {
         self.axpy(-alpha, z, w);
         let mut dots = [0.0; 3];
         self.dot_pairs(&[(&*r, &*u), (&*w, &*u), (&*r, &*r)], &mut dots);
+        dots
+    }
+
+    /// One whole iteration of *unpreconditioned* pipelined-CG level-1 work:
+    /// the six recurrence updates
+    /// `z←aw+βz, s←w+βs, p←r+βp, x+=αp, r−=αs, w−=αz` (in that order, `s`
+    /// and `p` reading `w` and `r` *before* their own update), then the two
+    /// dot partials `[r·r, w·r]` of the updated vectors — the local halves
+    /// of the *next* iteration's reduction.
+    ///
+    /// [`LocalOps::pipelined_pcg_sweep`] without the `u`/`q` chain, under
+    /// the same contract: the default body is the spec, literally — six
+    /// [`LocalOps::xpby`]/[`LocalOps::axpy`] calls and one
+    /// [`LocalOps::dot_pairs`] — and a backend's single pass (seven reads
+    /// and six writes per row instead of twenty) must stay bit-identical
+    /// to it.
+    ///
+    /// # Panics
+    /// Panics if the seven vectors differ in length.
+    fn pipelined_cg_sweep(&self, alpha: f64, beta: f64, aw: &[f64], v: CgSweep<'_>) -> [f64; 2] {
+        v.checked_len(aw);
+        let CgSweep { z, s, p, x, r, w } = v;
+        self.xpby(aw, beta, z);
+        self.xpby(w, beta, s);
+        self.xpby(r, beta, p);
+        self.axpy(alpha, p, x);
+        self.axpy(-alpha, s, r);
+        self.axpy(-alpha, z, w);
+        let mut dots = [0.0; 2];
+        self.dot_pairs(&[(&*r, &*r), (&*w, &*r)], &mut dots);
         dots
     }
 
@@ -453,16 +523,17 @@ fn pcg_sweep_finish(
     ]
 }
 
+/// A fixed-width block of a sweep operand (one per step of the dot chains),
+/// so the lane loops of the scalar sweeps compile without bounds checks.
+fn lanes(v: &mut [f64], i: usize) -> &mut [f64; 4] {
+    (&mut v[i..i + 4]).try_into().expect("4-wide block")
+}
+
 /// Single-pass scalar form of [`LocalOps::pipelined_pcg_sweep`]: element
 /// `i` of all ten vectors is visited once, the eight updates applied in the
 /// spec's order, and the updated `r`, `u`, `w` feed the three 4-chain dot
 /// accumulators on the spot.
 fn pcg_sweep_scalar(alpha: f64, beta: f64, aw: &[f64], mw: &[f64], v: PcgSweep<'_>) -> [f64; 3] {
-    // Fixed-width blocks (one per step of the dot chains) so the lane loop
-    // compiles without bounds checks.
-    fn lanes(v: &mut [f64], i: usize) -> &mut [f64; 4] {
-        (&mut v[i..i + 4]).try_into().expect("4-wide block")
-    }
     let n = v.checked_len(aw, mw);
     let neg_alpha = -alpha;
     let split = n - n % 4;
@@ -485,6 +556,60 @@ fn pcg_sweep_scalar(alpha: f64, beta: f64, aw: &[f64], mw: &[f64], v: PcgSweep<'
         }
     }
     pcg_sweep_finish(alpha, beta, aw, mw, v, split, acc)
+}
+
+/// The end of a single-pass [`LocalOps::pipelined_cg_sweep`], shared by
+/// both backends: the sequential tail `split..` of the six updates, then
+/// the two dots from the 4-chain accumulators `acc` (`[r·r, w·r]` over
+/// `..split`) and that tail.
+fn cg_sweep_finish(
+    alpha: f64,
+    beta: f64,
+    aw: &[f64],
+    v: CgSweep<'_>,
+    split: usize,
+    acc: [[f64; 4]; 2],
+) -> [f64; 2] {
+    let CgSweep { z, s, p, x, r, w } = v;
+    let neg_alpha = -alpha;
+    for i in split..aw.len() {
+        z[i] = aw[i] + beta * z[i];
+        s[i] = w[i] + beta * s[i];
+        p[i] = r[i] + beta * p[i];
+        x[i] += alpha * p[i];
+        r[i] += neg_alpha * s[i];
+        w[i] += neg_alpha * z[i];
+    }
+    [
+        combine_dot(acc[0], &r[split..], &r[split..]),
+        combine_dot(acc[1], &w[split..], &r[split..]),
+    ]
+}
+
+/// Single-pass scalar form of [`LocalOps::pipelined_cg_sweep`], built like
+/// [`pcg_sweep_scalar`]: element `i` of all seven vectors is visited once
+/// and the updated `r`, `w` feed the two 4-chain dot accumulators on the
+/// spot.
+fn cg_sweep_scalar(alpha: f64, beta: f64, aw: &[f64], v: CgSweep<'_>) -> [f64; 2] {
+    let n = v.checked_len(aw);
+    let neg_alpha = -alpha;
+    let split = n - n % 4;
+    let mut acc = [[0.0f64; 4]; 2];
+    for i in (0..split).step_by(4) {
+        let (zc, sc, pc) = (lanes(v.z, i), lanes(v.s, i), lanes(v.p, i));
+        let (xc, rc, wc) = (lanes(v.x, i), lanes(v.r, i), lanes(v.w, i));
+        for l in 0..4 {
+            zc[l] = aw[i + l] + beta * zc[l];
+            sc[l] = wc[l] + beta * sc[l];
+            pc[l] = rc[l] + beta * pc[l];
+            xc[l] += alpha * pc[l];
+            rc[l] += neg_alpha * sc[l];
+            wc[l] += neg_alpha * zc[l];
+            acc[0][l] += rc[l] * rc[l];
+            acc[1][l] += wc[l] * rc[l];
+        }
+    }
+    cg_sweep_finish(alpha, beta, aw, v, split, acc)
 }
 
 // ---------------------------------------------------------------------------
@@ -543,6 +668,10 @@ impl LocalOps for ScalarOps {
         pcg_sweep_scalar(alpha, beta, aw, mw, v)
     }
 
+    fn pipelined_cg_sweep(&self, alpha: f64, beta: f64, aw: &[f64], v: CgSweep<'_>) -> [f64; 2] {
+        cg_sweep_scalar(alpha, beta, aw, v)
+    }
+
     fn spmv_csr(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
         a.spmv_into(x, y);
     }
@@ -554,12 +683,20 @@ impl LocalOps for ScalarOps {
     fn spmm_csr(&self, a: &CsrMatrix, k: usize, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), k * a.ncols(), "spmm: input dimension mismatch");
         assert_eq!(y.len(), k * a.nrows(), "spmm: output dimension mismatch");
+        if k == 1 {
+            // A one-column SpMM is an SpMV by the blocked-kernel spec; the
+            // single-RHS kernel has no column loop to pay for.
+            return self.spmv_csr(a, x, y);
+        }
         spmm_csr_sweep(a, k, x, y);
     }
 
     fn spmm_sell(&self, a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), k * a.ncols(), "spmm: input dimension mismatch");
         assert_eq!(y.len(), k * a.nrows(), "spmm: output dimension mismatch");
+        if k == 1 {
+            return self.spmv_sell(a, x, y);
+        }
         spmm_sell_sweep(a, k, x, y);
     }
 }
@@ -578,7 +715,9 @@ mod x86 {
 
     use std::arch::x86_64::*;
 
-    use super::{dot_blocks_rows, pcg_sweep_finish, LocalOps, PcgSweep, ScalarOps};
+    use super::{
+        cg_sweep_finish, dot_blocks_rows, pcg_sweep_finish, CgSweep, LocalOps, PcgSweep, ScalarOps,
+    };
     use crate::sell::{SellMatrix, SELL_C};
     use crate::sparse::CsrMatrix;
 
@@ -882,6 +1021,69 @@ mod x86 {
         pcg_sweep_finish(alpha, beta, aw, mw, v, split, acc)
     }
 
+    /// Single-pass [`LocalOps::pipelined_cg_sweep`], built like
+    /// [`pcg_sweep_avx`]: per 4 elements seven loads, the six updates as
+    /// separate `mul` then `add`, six stores — all loads of a step before
+    /// its stores — and the updated `r`, `w` registers fed straight into the
+    /// two 4-lane dot accumulators.
+    // SAFETY: contract — AVX must be available (runtime-detected by
+    // `simd_ops`) and all seven vectors must have length `n`.
+    #[target_feature(enable = "avx")]
+    unsafe fn cg_sweep_avx(
+        n: usize,
+        alpha: f64,
+        beta: f64,
+        aw: &[f64],
+        v: CgSweep<'_>,
+    ) -> [f64; 2] {
+        let split = n - n % 4;
+        let mut acc = [[0.0f64; 4]; 2];
+        // SAFETY: every slice has length `n` (caller-checked), so the 4-wide
+        // loads and stores at `i < split <= n` are in bounds; the six
+        // mutable slices are distinct borrows, so no store aliases a load
+        // of another vector.
+        unsafe {
+            let (bv, av, nav) = (
+                _mm256_set1_pd(beta),
+                _mm256_set1_pd(alpha),
+                _mm256_set1_pd(-alpha),
+            );
+            let awp = aw.as_ptr();
+            let (zp, sp, pp) = (v.z.as_mut_ptr(), v.s.as_mut_ptr(), v.p.as_mut_ptr());
+            let (xp, rp, wp) = (v.x.as_mut_ptr(), v.r.as_mut_ptr(), v.w.as_mut_ptr());
+            let mut acc_rr = _mm256_setzero_pd();
+            let mut acc_wr = _mm256_setzero_pd();
+            let mut i = 0;
+            while i < split {
+                let awv = _mm256_loadu_pd(awp.add(i));
+                let zv = _mm256_loadu_pd(zp.add(i));
+                let sv = _mm256_loadu_pd(sp.add(i));
+                let pv = _mm256_loadu_pd(pp.add(i));
+                let xv = _mm256_loadu_pd(xp.add(i));
+                let rv = _mm256_loadu_pd(rp.add(i));
+                let wv = _mm256_loadu_pd(wp.add(i));
+                let zv = _mm256_add_pd(awv, _mm256_mul_pd(bv, zv));
+                let sv = _mm256_add_pd(wv, _mm256_mul_pd(bv, sv));
+                let pv = _mm256_add_pd(rv, _mm256_mul_pd(bv, pv));
+                let xv = _mm256_add_pd(xv, _mm256_mul_pd(av, pv));
+                let rv = _mm256_add_pd(rv, _mm256_mul_pd(nav, sv));
+                let wv = _mm256_add_pd(wv, _mm256_mul_pd(nav, zv));
+                _mm256_storeu_pd(zp.add(i), zv);
+                _mm256_storeu_pd(sp.add(i), sv);
+                _mm256_storeu_pd(pp.add(i), pv);
+                _mm256_storeu_pd(xp.add(i), xv);
+                _mm256_storeu_pd(rp.add(i), rv);
+                _mm256_storeu_pd(wp.add(i), wv);
+                acc_rr = _mm256_add_pd(acc_rr, _mm256_mul_pd(rv, rv));
+                acc_wr = _mm256_add_pd(acc_wr, _mm256_mul_pd(wv, rv));
+                i += 4;
+            }
+            _mm256_storeu_pd(acc[0].as_mut_ptr(), acc_rr);
+            _mm256_storeu_pd(acc[1].as_mut_ptr(), acc_wr);
+        }
+        cg_sweep_finish(alpha, beta, aw, v, split, acc)
+    }
+
     /// SELL-C-4 SpMV: per chunk, one gather + one contiguous value load
     /// per step feeds a 4-lane accumulator; lanes whose row has ended are
     /// kept out of the accumulator with a blend — computing the padding
@@ -1084,6 +1286,18 @@ mod x86 {
             unsafe { pcg_sweep_avx(n, alpha, beta, aw, mw, v) }
         }
 
+        fn pipelined_cg_sweep(
+            &self,
+            alpha: f64,
+            beta: f64,
+            aw: &[f64],
+            v: CgSweep<'_>,
+        ) -> [f64; 2] {
+            let n = v.checked_len(aw);
+            // SAFETY: feature-gated; all seven lengths checked equal to `n`.
+            unsafe { cg_sweep_avx(n, alpha, beta, aw, v) }
+        }
+
         fn spmv_csr(&self, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
             // Sequential by spec — same code as the scalar backend.
             ScalarOps.spmv_csr(a, x, y);
@@ -1108,6 +1322,11 @@ mod x86 {
         fn spmm_sell(&self, a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
             assert_eq!(x.len(), k * a.ncols(), "spmm: input dimension mismatch");
             assert_eq!(y.len(), k * a.nrows(), "spmm: output dimension mismatch");
+            if k == 1 {
+                // A one-column SpMM is an SpMV by the blocked-kernel spec;
+                // the single-RHS kernel has no column-group loop to pay for.
+                return self.spmv_sell(a, x, y);
+            }
             // SAFETY: feature-gated; dimensions checked just above, and
             // slot accesses are bounded by the layout invariants.
             unsafe { spmm_sell_avx2(a, k, x, y) }

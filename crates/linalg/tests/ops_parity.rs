@@ -15,17 +15,19 @@
 
 use proptest::prelude::*;
 use resilient_linalg::{
-    scalar_ops, simd_ops, CooMatrix, CsrMatrix, DenseMatrix, LocalOps, LuFactors, PcgSweep,
-    SellMatrix,
+    scalar_ops, simd_ops, CgSweep, CooMatrix, CsrMatrix, DenseMatrix, LocalOps, LuFactors,
+    PcgSweep, SellMatrix,
 };
 
 fn any_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, len..=len)
 }
 
-/// Sprinkle ±∞ (and, for tag 10, NaN) into a finite vector according to
-/// per-element tags: bit-parity must hold through non-finite arithmetic too
-/// (a NaN or ∞ produced by identical operation order has identical bits).
+/// Sprinkle ±∞ (and, for tag 10, NaN; for tags 11–14, ±0 and ± a
+/// subnormal) into a finite vector according to per-element tags:
+/// bit-parity must hold through non-finite arithmetic too (a NaN or ∞
+/// produced by identical operation order has identical bits), and through
+/// signed zeros and gradual underflow.
 fn with_specials(finite: &[f64], tags: &[u8]) -> Vec<f64> {
     finite
         .iter()
@@ -34,6 +36,10 @@ fn with_specials(finite: &[f64], tags: &[u8]) -> Vec<f64> {
             8 => f64::INFINITY,
             9 => f64::NEG_INFINITY,
             10 => f64::NAN,
+            11 => 0.0,
+            12 => -0.0,
+            13 => f64::MIN_POSITIVE / 8.0,
+            14 => -f64::MIN_POSITIVE / 8.0,
             _ => v,
         })
         .collect()
@@ -54,9 +60,9 @@ fn bits_one_nan(v: &[f64]) -> Vec<u64> {
         .collect()
 }
 
-/// A backend that overrides nothing optional: its
-/// `pipelined_pcg_sweep` is the trait's default body — the spec — over the
-/// wrapped backend's level-1 kernels.
+/// A backend that overrides nothing optional: its `pipelined_pcg_sweep`
+/// and `pipelined_cg_sweep` are the trait's default bodies — the spec — over
+/// the wrapped backend's level-1 kernels.
 struct SpecOps(&'static dyn LocalOps);
 
 impl LocalOps for SpecOps {
@@ -114,6 +120,20 @@ fn sweep_on(ops: &dyn LocalOps, alpha: f64, beta: f64, vecs: &[Vec<f64>]) -> Vec
         },
     );
     v.drain(..2);
+    v.push(dots.to_vec());
+    v
+}
+
+/// Run one unpreconditioned sweep on copies of `vecs` (`aw, z, s, p, x, r,
+/// w`) and return the six updated vectors followed by the two dot partials.
+fn cg_sweep_on(ops: &dyn LocalOps, alpha: f64, beta: f64, vecs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let mut v: Vec<Vec<f64>> = vecs.to_vec();
+    let (aw, state) = v.split_at_mut(1);
+    let [z, s, p, x, r, w] = state else {
+        panic!("seven vectors");
+    };
+    let dots = ops.pipelined_cg_sweep(alpha, beta, &aw[0], CgSweep { z, s, p, x, r, w });
+    v.remove(0);
     v.push(dots.to_vec());
     v
 }
@@ -300,6 +320,42 @@ proptest! {
         let fused: [&dyn LocalOps; 3] = [scalar_ops(), simd_ops(), &SpecOps(simd_ops())];
         for ops in fused {
             let got = sweep_on(ops, alpha, beta, &vecs);
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(bits_one_nan(g), bits_one_nan(w), "{}", ops.name());
+            }
+        }
+    }
+
+    /// The fused unpreconditioned sweep of either backend is its spec (the
+    /// default trait body: six level-1 calls and one `dot_pairs`) bit for
+    /// bit at every length 0–67 (every tail length, in and out of the
+    /// 4-wide body), at α = 0 and β = 0, and through ±0, subnormals, ±∞
+    /// and NaN.
+    #[test]
+    fn pipelined_cg_sweep_matches_the_spec(
+        len in 0usize..=67,
+        finite in prop::collection::vec(any_vec(67), 7),
+        tags in prop::collection::vec(prop::collection::vec(0u8..30, 67..=67), 7),
+        specials in any::<bool>(),
+        alpha_drawn in -1e3f64..1e3,
+        beta_drawn in -1e3f64..1e3,
+        alpha_zero in any::<bool>(),
+        beta_zero in any::<bool>(),
+    ) {
+        let alpha = if alpha_zero { 0.0 } else { alpha_drawn };
+        let beta = if beta_zero { 0.0 } else { beta_drawn };
+        let vecs: Vec<Vec<f64>> = finite
+            .iter()
+            .zip(&tags)
+            .map(|(f, t)| {
+                let v = if specials { with_specials(f, t) } else { f.clone() };
+                v[..len].to_vec()
+            })
+            .collect();
+        let want = cg_sweep_on(&SpecOps(scalar_ops()), alpha, beta, &vecs);
+        let fused: [&dyn LocalOps; 3] = [scalar_ops(), simd_ops(), &SpecOps(simd_ops())];
+        for ops in fused {
+            let got = cg_sweep_on(ops, alpha, beta, &vecs);
             for (g, w) in got.iter().zip(&want) {
                 prop_assert_eq!(bits_one_nan(g), bits_one_nan(w), "{}", ops.name());
             }
