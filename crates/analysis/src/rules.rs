@@ -607,7 +607,7 @@ const HOT_PREFIXES: &[&str] = &["crates/core/src/rbsp/"];
 /// once per solve or per (re)start of a recurrence, never per iteration.
 const SETUP_FNS: &[(&str, &[&str])] = &[(
     "crates/core/src/kernel/block.rs",
-    &["build_state", "run_block_cg", "zeroed"],
+    &["build_state", "run_block_cg"],
 )];
 
 fn exempt_fn(path: &str, name: &str) -> bool {

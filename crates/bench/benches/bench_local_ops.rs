@@ -10,7 +10,10 @@
 //! pipelined-PCG iteration against the eight updates and three dots it
 //! replaces — level with them in cache, ahead once the vectors stream from
 //! memory) and `cg_sweep` (the same for the seven vectors of the
-//! unpreconditioned recurrence: 13 streams per row instead of 20).
+//! unpreconditioned recurrence: 13 streams per row instead of 20), and
+//! `block_sweep_identity` (the block kernel's sweep under the identity at
+//! the `block_rhs8` per-rank shape: a `w → mw` copy plus the eight-vector
+//! sweep per column against the six-vector one).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use resilient_linalg::{poisson2d, scalar_ops, simd_ops, CgSweep, LocalOps, PcgSweep, SellMatrix};
@@ -230,6 +233,77 @@ fn bench_cg_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_block_sweep_identity(c: &mut Criterion) {
+    let mut group = c.benchmark_group("local_ops/block_sweep_identity");
+    group
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_millis(800))
+        .sample_size(10);
+    // The `block_rhs8` per-rank shape: 8 columns of 2^15 rows (poisson2d
+    // 256² on two ranks), one pipelined block-CG sweep under the identity.
+    const K: usize = 8;
+    let n = 1 << 15;
+    let shape = format!("{K}x{n}");
+    let (aw, _) = vectors(K * n);
+    let (alpha, beta) = (1.0e-3, 0.5);
+    let cols = move |c: usize| c * n..(c + 1) * n;
+    for (name, ops) in backends() {
+        // Eight-vector route: `u`, `mw`, `q` stored beside `r`, `w`, `s`;
+        // per column a `w → mw` copy, then the ten-vector sweep.
+        let mut st: Vec<Vec<f64>> = (0..9).map(|_| vectors(K * n).1).collect();
+        let eight_id = format!("8vec+copy/{name}");
+        group.bench_with_input(BenchmarkId::new(&eight_id, &shape), &n, |b, _| {
+            b.iter(|| {
+                let [mw, z, q, s, p, x, r, u, w] = &mut st[..] else {
+                    unreachable!("nine state multi-vectors")
+                };
+                let mut dots = [0.0; 3 * K];
+                for c in 0..K {
+                    mw[cols(c)].copy_from_slice(&w[cols(c)]);
+                    let v = PcgSweep {
+                        z: &mut z[cols(c)],
+                        q: &mut q[cols(c)],
+                        s: &mut s[cols(c)],
+                        p: &mut p[cols(c)],
+                        x: &mut x[cols(c)],
+                        r: &mut r[cols(c)],
+                        u: &mut u[cols(c)],
+                        w: &mut w[cols(c)],
+                    };
+                    let d = ops.pipelined_pcg_sweep(alpha, beta, &aw[cols(c)], &mw[cols(c)], v);
+                    (dots[c], dots[K + c], dots[2 * K + c]) = (d[0], d[1], d[2]);
+                }
+                std::hint::black_box(dots)
+            })
+        });
+        // Six-vector route: what the block kernel runs under the identity.
+        let mut st: Vec<Vec<f64>> = (0..6).map(|_| vectors(K * n).1).collect();
+        let six_id = format!("6vec/{name}");
+        group.bench_with_input(BenchmarkId::new(&six_id, &shape), &n, |b, _| {
+            b.iter(|| {
+                let [z, s, p, x, r, w] = &mut st[..] else {
+                    unreachable!("six state multi-vectors")
+                };
+                let mut dots = [0.0; 3 * K];
+                for c in 0..K {
+                    let v = CgSweep {
+                        z: &mut z[cols(c)],
+                        s: &mut s[cols(c)],
+                        p: &mut p[cols(c)],
+                        x: &mut x[cols(c)],
+                        r: &mut r[cols(c)],
+                        w: &mut w[cols(c)],
+                    };
+                    let [rr, wr] = ops.pipelined_cg_sweep(alpha, beta, &aw[cols(c)], v);
+                    (dots[c], dots[K + c], dots[2 * K + c]) = (rr, wr, rr);
+                }
+                std::hint::black_box(dots)
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_spmv_layouts(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_ops/spmv");
     group
@@ -267,6 +341,7 @@ criterion_group!(
     bench_level1,
     bench_pcg_sweep,
     bench_cg_sweep,
+    bench_block_sweep_identity,
     bench_spmv_layouts
 );
 criterion_main!(benches);

@@ -157,6 +157,15 @@ impl DistMultiVector {
         Self::from_fn(comm, n, k, |_, _| 0.0)
     }
 
+    /// A zero multi-vector with the shape and distribution of `proto`,
+    /// allocated zeroed (not copied from `proto`, then overwritten).
+    pub fn zeros_like(proto: &DistMultiVector) -> Self {
+        Self {
+            local: vec![0.0; proto.local.len()],
+            ..*proto
+        }
+    }
+
     /// Pack `k` single vectors (which must share one distribution) into a
     /// multi-vector.
     pub fn from_columns(cols: &[DistVector]) -> Self {

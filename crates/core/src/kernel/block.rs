@@ -35,6 +35,18 @@
 //! of re-reading `r`, `u`, `w`. Every `build_state` drops them (the first
 //! step after it recomputes); frozen columns keep theirs.
 //!
+//! **Nothing stored for the identity.** Under a preconditioner whose
+//! [`is_identity`](SpacePreconditioner::is_identity) holds, the `M⁻¹`
+//! images would be bitwise copies — `z = r` (fused), `u = r`, `mw = w`,
+//! `q = s` (pipelined) — so the kernel stores none of them, skips the
+//! copies and reads `r`/`w`/`s` in their place; each live column then
+//! takes the six-vector sweep ([`LocalOps::pipelined_cg_sweep`]). The
+//! bits, the payloads and the charges (sixteen flops per row per swept
+//! column, zero per identity apply) are those of the general route, which
+//! is what a copying preconditioner that does not say so still takes.
+//!
+//! [`LocalOps::pipelined_cg_sweep`]: resilient_linalg::ops::LocalOps::pipelined_cg_sweep
+//!
 //! **Policy integration.** The same [`PolicyStack`] hooks run at the same
 //! points as in the single-RHS kernel. Hooks operate on single vectors, so
 //! the block kernel presents *guard* views of column 0 (bitwise the whole
@@ -56,7 +68,7 @@ use super::policy::{
     RecoveryAction, SolutionProbe, StackOutcome,
 };
 use super::precond::SpacePreconditioner;
-use super::space::{BlockPcgSweep, DistSpace, KrylovSpace};
+use super::space::{DistSpace, KrylovSpace, PipelinedSweep};
 use super::spec::Schedule;
 use super::{KernelReport, SolveProgress};
 use crate::distributed::{DistMultiVector, DistVector};
@@ -123,13 +135,16 @@ enum Lane {
 
 /// The recurrence vectors and scalars of one block solve. Fused mode uses
 /// `r`, `z = M⁻¹r`, `p` and the per-column `rz`/`rr`; pipelined mode adds
-/// [`PipelinedState`], with `z` tracking the `A·(M⁻¹s)` chain.
+/// [`PipelinedState`].
 struct BlockState {
     r: DistMultiVector,
-    z: DistMultiVector,
+    /// `z = M⁻¹r` (fused mode); `None` under the identity, where `r` is
+    /// read in its place, and in pipelined mode.
+    z: Option<DistMultiVector>,
     p: DistMultiVector,
     /// The SpMM product of the current step — `A·p` (fused) or `A·mw`
-    /// (pipelined) — written in place every iteration.
+    /// (pipelined; `A·w` under the identity) — written in place every
+    /// iteration.
     ap: DistMultiVector,
     pipe: Option<PipelinedState>,
     /// `r·z` per column (fused mode) — drives α and β.
@@ -144,14 +159,16 @@ struct BlockState {
     fresh: bool,
 }
 
-/// What the pipelined recurrence maintains on top of `r`, `z`, `p`:
-/// `u = M⁻¹r`, `w = A·u`, `mw = M⁻¹w`, `q = M⁻¹s` and `s` (tracking `A·p`).
+/// What the pipelined recurrence maintains on top of `r`, `p`: `w = A·u`,
+/// `s` (tracking `A·p`), `z` (tracking `A·q`) and, unless the
+/// preconditioner is the identity, the images `u`, `mw`, `q`.
 struct PipelinedState {
-    u: DistMultiVector,
     w: DistMultiVector,
-    mw: DistMultiVector,
-    q: DistMultiVector,
+    z: DistMultiVector,
     s: DistMultiVector,
+    /// `None` under the identity: `u = r`, `mw = w`, `q = s` are read
+    /// there, as the single-RHS `PipelinedCgStep` holds them.
+    images: Option<PrecondImages>,
     /// Local partials `[r·u | w·u | r·r]`, `k` each, of the *current*
     /// `r`, `u`, `w`: the sweep that last updated a column left that
     /// column's three slots behind, so the next step posts them without
@@ -161,11 +178,15 @@ struct PipelinedState {
     dots: Vec<f64>,
 }
 
-/// A zero multi-vector with the shape and distribution of `proto`.
-fn zeroed(proto: &DistMultiVector) -> DistMultiVector {
-    let mut z = proto.clone();
-    z.local.iter_mut().for_each(|v| *v = 0.0);
-    z
+/// The pipelined recurrence's `M⁻¹` images under a preconditioner that is
+/// not the identity.
+struct PrecondImages {
+    /// `u = M⁻¹r`.
+    u: DistMultiVector,
+    /// `mw = M⁻¹w`, this iteration's preconditioner applies.
+    mw: DistMultiVector,
+    /// `q = M⁻¹s`.
+    q: DistMultiVector,
 }
 
 /// The block analogue of the kernel's `CgProbe`: evaluates the true
@@ -229,6 +250,8 @@ fn check_tail<'v, S: KrylovSpace<Vector = DistVector>>(
 struct BlockCg<'s, 'a, 'b, 'm, C: CommBackend> {
     space: &'s mut DistSpace<'a, 'b, C>,
     m: &'m mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
+    /// `m.is_identity()`, read once: no `M⁻¹` image is stored or applied.
+    identity: bool,
     k: usize,
     /// ‖b_c‖ per column, floored at `f64::MIN_POSITIVE`.
     bn: Vec<f64>,
@@ -324,6 +347,17 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         Ok(())
     }
 
+    /// `M⁻¹·r` on the active columns into a new multi-vector, or `None`
+    /// under the identity, whose image is `r` itself.
+    fn precond_image(&mut self, r: &DistMultiVector) -> Result<Option<DistMultiVector>> {
+        if self.identity {
+            return Ok(None);
+        }
+        let mut z = DistMultiVector::zeros_like(r);
+        self.precond_active_into(r, &mut z)?;
+        Ok(Some(z))
+    }
+
     /// (Re)build the recurrence from the current iterate — the block twin
     /// of the shell's `apply + residual + strategy.init` sequence. Frozen
     /// columns get consistent residuals recomputed (they sit in reduction
@@ -337,7 +371,8 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     ) -> Result<BlockState> {
         let k = self.k;
         let active = self.active_count();
-        let mut ap = zeroed(b);
+        let zeros = || DistMultiVector::zeros_like(b);
+        let mut ap = zeros();
         self.space.apply_block_into(x, active, &mut ap)?;
         let mut r = b.clone();
         for c in 0..k {
@@ -345,8 +380,8 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         }
         let mut state = BlockState {
             r,
-            z: zeroed(b),
-            p: zeroed(b),
+            z: None,
+            p: zeros(),
             ap,
             pipe: None,
             rz: Vec::new(),
@@ -357,19 +392,20 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         };
         match mode {
             Schedule::Fused => {
-                self.precond_active_into(&state.r, &mut state.z)?;
+                state.z = self.precond_image(&state.r)?;
+                let z = state.z.as_ref().unwrap_or(&state.r);
                 // One batched reduction for every column's r·z and r·r —
                 // the same single collective as the single-RHS init.
                 let vals = self.space.block_dots(
                     k,
-                    &[(&state.r, &state.z), (&state.r, &state.r)],
+                    &[(&state.r, z), (&state.r, &state.r)],
                     &[],
                     active,
                     &mut self.partials,
                 )?;
                 state.rz = vals[..k].to_vec();
                 state.rr = vals[k..2 * k].to_vec();
-                state.p.local.copy_from_slice(&state.z.local);
+                state.p.local.copy_from_slice(&z.local);
                 for c in 0..k {
                     if self.lanes[c] == Lane::Active {
                         self.relres[c] = state.rr[c].sqrt() / self.bn[c];
@@ -378,21 +414,24 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
                 }
             }
             Schedule::Pipelined => {
-                let mut u = zeroed(b);
-                self.precond_active_into(&state.r, &mut u)?;
-                let mut w = zeroed(b);
-                self.space.apply_block_into(&u, active, &mut w)?;
+                let u = self.precond_image(&state.r)?;
+                let mut w = zeros();
+                self.space
+                    .apply_block_into(u.as_ref().unwrap_or(&state.r), active, &mut w)?;
                 for c in 0..k {
                     if self.lanes[c] == Lane::Active {
                         self.relres[c] = f64::INFINITY;
                     }
                 }
                 state.pipe = Some(PipelinedState {
-                    u,
                     w,
-                    mw: zeroed(b),
-                    q: zeroed(b),
-                    s: zeroed(b),
+                    z: zeros(),
+                    s: zeros(),
+                    images: u.map(|u| PrecondImages {
+                        u,
+                        mw: zeros(),
+                        q: zeros(),
+                    }),
                     dots: vec![0.0; 3 * k],
                 });
             }
@@ -527,12 +566,16 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
                 .axpy_col(-self.alphas[c], &state.ap, &mut state.r, c);
         }
         self.space.charge_flops(4 * n * active);
-        // Batched reduction #2: z ← M⁻¹r on the active columns, then every
-        // column's r·z and r·r in one collective.
-        self.precond_active_into(&state.r, &mut state.z)?;
+        // Batched reduction #2: z ← M⁻¹r on the active columns (z = r
+        // under the identity), then every column's r·z and r·r in one
+        // collective.
+        if let Some(z) = state.z.as_mut() {
+            self.precond_active_into(&state.r, z)?;
+        }
+        let z = state.z.as_ref().unwrap_or(&state.r);
         let vals2 = self.space.block_dots(
             k,
-            &[(&state.r, &state.z), (&state.r, &state.r)],
+            &[(&state.r, z), (&state.r, &state.r)],
             &[],
             active,
             &mut self.partials,
@@ -542,8 +585,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             self.betas[c] = rz_new / state.rz[c];
             state.rz[c] = rz_new;
             state.rr[c] = vals2[k + c];
-            self.space
-                .xpby_col(&state.z, self.betas[c], &mut state.p, c);
+            self.space.xpby_col(z, self.betas[c], &mut state.p, c);
         }
         self.space.charge_flops(2 * n * active);
         st.iterations += 1;
@@ -569,28 +611,29 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     ) -> Result<BlockStep> {
         let k = self.k;
         let active = self.active_count();
-        let pipe = state.pipe.as_mut().expect("pipelined state");
+        let PipelinedState {
+            w,
+            z,
+            s,
+            images,
+            dots,
+        } = state.pipe.as_mut().expect("pipelined state");
+        // Under the identity `u = r`, `mw = w` and `q = s`: read those.
+        let u = images.as_ref().map_or(&state.r, |m| &m.u);
         if state.fresh {
-            self.space.block_dot_partials(
-                k,
-                &[
-                    (&state.r, &pipe.u),
-                    (&pipe.w, &pipe.u),
-                    (&state.r, &state.r),
-                ],
-                &mut pipe.dots,
-            );
+            self.space
+                .block_dot_partials(k, &[(&state.r, u), (w, u), (&state.r, &state.r)], dots);
         }
         // The resolved input/product pair lags the overlapped SpMV by one
         // step, exactly like the single-RHS pipelined strategy.
-        guard(self.guarded, &mut self.in_g, pipe.u.col(0));
-        guard(self.guarded, &mut self.out_g, pipe.w.col(0));
+        guard(self.guarded, &mut self.in_g, u.col(0));
+        guard(self.guarded, &mut self.out_g, w.col(0));
         let (pending, batch) = {
             let (batch, check_pairs) =
                 check_tail(policies, &*self.space, &st.ctx(), &self.in_g, &self.out_g);
             let pending = self.space.start_carried_block_dots(
                 k,
-                &pipe.dots,
+                dots,
                 state.r.local_rows(),
                 &check_pairs,
                 active,
@@ -599,10 +642,13 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             (pending, batch)
         };
         // ... overlapped with the extra work, the per-active-column
-        // preconditioner applies mw = M⁻¹w and the blocked SpMM.
+        // preconditioner applies mw = M⁻¹w and the blocked SpMM of mw.
         self.space.advance_extra_work()?;
-        self.precond_active_into(&pipe.w, &mut pipe.mw)?;
-        guard(self.guarded, &mut self.in_g, pipe.mw.col(0));
+        if let Some(m) = images.as_mut() {
+            self.precond_active_into(w, &mut m.mw)?;
+        }
+        let input = images.as_ref().map_or(&*w, |m| &m.mw);
+        guard(self.guarded, &mut self.in_g, input.col(0));
         match policies.before_spmv(self.space, &st.ctx(), &self.in_g)? {
             StackOutcome::Act(resp) => {
                 // Complete the posted reduction before abandoning the
@@ -612,8 +658,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             }
             StackOutcome::Recorded | StackOutcome::Continue => {}
         }
-        self.space
-            .apply_block_into(&pipe.mw, active, &mut state.ap)?;
+        self.space.apply_block_into(input, active, &mut state.ap)?;
         let reduced = self.space.finish_dots(pending)?;
         policies.consume_check_dots(&st.ctx(), &batch, &reduced[3 * k..]);
         guard(self.guarded, &mut self.out_g, state.ap.col(0));
@@ -676,26 +721,25 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         }
         // The recurrence updates of every still-active column in the
         // single-RHS order — z ← aw + βz, q ← mw + βq, s ← w + βs,
-        // p ← u + βp, x += αp, r −= αs, u −= αq, w −= αz — one pass per
-        // column, which also leaves the next step's dot partials behind.
+        // p ← u + βp, x += αp, r −= αs, u −= αq, w −= αz, without the `q`
+        // and `u` updates under the identity — one pass per column, which
+        // also leaves the next step's dot partials behind.
         let lanes = &self.lanes;
-        self.space.pcg_sweep_block(
+        self.space.pipelined_sweep_block(
             |c| lanes[c] == Lane::Active,
             &self.alphas,
             &self.betas,
-            BlockPcgSweep {
+            PipelinedSweep {
                 aw: &state.ap,
-                mw: &pipe.mw,
-                z: &mut state.z,
-                q: &mut pipe.q,
-                s: &mut pipe.s,
+                precond: images.as_mut().map(|m| (&m.mw, &mut m.q, &mut m.u)),
+                z,
+                s,
                 p: &mut state.p,
                 x,
                 r: &mut state.r,
-                u: &mut pipe.u,
-                w: &mut pipe.w,
+                w,
             },
-            &mut pipe.dots,
+            dots,
         );
         state.fresh = false;
         st.iterations += 1;
@@ -740,7 +784,7 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
             space.global_dim()
         ));
     }
-    let mut x = x0.unwrap_or_else(|| zeroed(b));
+    let mut x = x0.unwrap_or_else(|| DistMultiVector::zeros_like(b));
     if x.k() != k {
         return invalid(format!(
             "run_block_cg: `x0` has {} columns but `b` has {k}",
@@ -759,6 +803,7 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
     }
     let mut drv = BlockCg {
         space,
+        identity: m.is_identity(),
         m,
         k,
         bn: Vec::new(),

@@ -83,7 +83,7 @@ pub use policy::{
 pub use precond::{BlockJacobi, IdentityPrecond, RightPrecond, SerialPrecond, SpacePreconditioner};
 pub use skeptic::SkepticalPolicy;
 pub use space::{
-    BlockPcgSweep, DistSpace, KrylovSpace, PendingDots, SerialSpace, SpmvFault, ThreadSpace,
+    DistSpace, KrylovSpace, PendingDots, PipelinedSweep, SerialSpace, SpmvFault, ThreadSpace,
 };
 /// [`Schedule`] under the name the block kernel introduced it by; kept for
 /// the frozen `perf_ledger` benchmark, which imports it.

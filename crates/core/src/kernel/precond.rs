@@ -13,7 +13,14 @@
 //!   serial ones) as every other kernel operation.
 //! * [`IdentityPrecond`] — the no-op instance; presets built with it are
 //!   bit-identical to their unpreconditioned counterparts (pinned by
-//!   `crates/core/tests/preconditioning.rs`).
+//!   `crates/core/tests/preconditioning.rs`). It is the one preconditioner
+//!   whose [`SpacePreconditioner::is_identity`] is `true`: its apply is a
+//!   bitwise copy that charges nothing, so the block kernel
+//!   ([`run_block_cg`](super::run_block_cg)) stores no `M⁻¹` images under
+//!   it, reads `r`/`w`/`s` where it would read `u`/`mw`/`q`, and runs the
+//!   six-vector sweep per column — same bits, same charges, fewer bytes. A
+//!   preconditioner that copies but does not say so (a tracing wrapper)
+//!   takes the general eight-vector route to the same result.
 //! * [`SerialPrecond`] — adapts any legacy [`Preconditioner`] to the
 //!   serial space, through the allocation-free `apply_into` path.
 //! * [`BlockJacobi`] — the distributed workhorse: each rank factors its
@@ -110,6 +117,17 @@ pub trait SpacePreconditioner<S: KrylovSpace> {
     fn flops_per_apply(&self) -> usize {
         0
     }
+
+    /// Is this the identity? `true` promises that `apply_into` (and
+    /// `apply_local_into`) is a bitwise copy that charges nothing, so a
+    /// caller may read `r` wherever it would read `M⁻¹r` and skip storing
+    /// the images — see the [module docs](self). A property of the
+    /// preconditioner, not an option: only [`IdentityPrecond`] says yes,
+    /// and a wrapper that does not forward it simply takes the general
+    /// path, with the same bits.
+    fn is_identity(&self) -> bool {
+        false
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -135,6 +153,10 @@ impl<S: KrylovSpace> SpacePreconditioner<S> for IdentityPrecond {
     fn apply_local_into(&mut self, _space: &mut S, r: &[f64], z: &mut [f64]) -> Result<bool> {
         z.copy_from_slice(r);
         Ok(true)
+    }
+
+    fn is_identity(&self) -> bool {
+        true
     }
 }
 
@@ -337,6 +359,12 @@ mod tests {
             z.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
         assert_eq!(space.accumulated_flops(), 0, "identity charges nothing");
+        type Space<'a> = SerialSpace<'a, resilient_linalg::CsrMatrix>;
+        let m: &dyn SpacePreconditioner<Space<'_>> = &IdentityPrecond;
+        assert!(m.is_identity(), "and says so");
+        let jacobi = crate::solvers::JacobiPreconditioner::from_matrix(&a);
+        let m: &dyn SpacePreconditioner<Space<'_>> = &SerialPrecond(&jacobi);
+        assert!(!m.is_identity(), "nothing else does");
     }
 
     #[test]

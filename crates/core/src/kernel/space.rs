@@ -37,10 +37,12 @@ pub enum PendingDots<P = resilient_runtime::PendingCollective> {
     InFlight(P),
 }
 
-/// The operands of one [`KrylovSpace::pipelined_sweep`]: this
-/// iteration's SpMV product, the six state vectors every pipelined-CG
-/// recurrence updates in place, and the preconditioned recurrence's extra
-/// chain (see [`CgSweep`] / [`PcgSweep`] for the roles).
+/// The operands of one [`KrylovSpace::pipelined_sweep`] (`V` a space
+/// vector) or [`DistSpace::pipelined_sweep_block`] (`V` a
+/// [`DistMultiVector`], swept column by column): this iteration's SpMV
+/// product, the six state vectors every pipelined-CG recurrence updates in
+/// place, and the preconditioned recurrence's extra chain (see [`CgSweep`]
+/// / [`PcgSweep`] for the roles).
 pub struct PipelinedSweep<'v, V> {
     /// `A·w` (preconditioned: `A·mw`), this iteration's SpMV product.
     pub aw: &'v V,
@@ -200,46 +202,22 @@ pub trait KrylovSpace {
         v: PipelinedSweep<'_, Self::Vector>,
         dots: &mut [f64],
     ) {
-        let ops = self.ops();
         let aw = Self::local(v.aw);
-        let (z, s, p) = (
-            Self::local_mut(v.z),
-            Self::local_mut(v.s),
-            Self::local_mut(v.p),
-        );
-        let (x, r, w) = (
-            Self::local_mut(v.x),
-            Self::local_mut(v.r),
-            Self::local_mut(v.w),
-        );
-        match v.precond {
-            None => {
-                let sweep = CgSweep { z, s, p, x, r, w };
-                dots.copy_from_slice(&ops.pipelined_cg_sweep(alpha, beta, aw, sweep));
-                self.charge_flops(12 * aw.len());
-            }
-            Some((mw, q, u)) => {
-                let (q, u) = (Self::local_mut(q), Self::local_mut(u));
-                let sweep = PcgSweep {
-                    z,
-                    q,
-                    s,
-                    p,
-                    x,
-                    r,
-                    u,
-                    w,
-                };
-                dots.copy_from_slice(&ops.pipelined_pcg_sweep(
-                    alpha,
-                    beta,
-                    aw,
-                    Self::local(mw),
-                    sweep,
-                ));
-                self.charge_flops(16 * aw.len());
-            }
-        }
+        let flops_per_row = if v.precond.is_some() { 16 } else { 12 };
+        let precond = v
+            .precond
+            .map(|(mw, q, u)| (Self::local(mw), Self::local_mut(q), Self::local_mut(u)));
+        let col = CgSweep {
+            z: Self::local_mut(v.z),
+            s: Self::local_mut(v.s),
+            p: Self::local_mut(v.p),
+            x: Self::local_mut(v.x),
+            r: Self::local_mut(v.r),
+            w: Self::local_mut(v.w),
+        };
+        let d = sweep_column(self.ops(), alpha, beta, aw, precond, col);
+        dots.copy_from_slice(&d[..dots.len()]);
+        self.charge_flops(flops_per_row * aw.len());
     }
 
     /// `y ← y + alpha·x` (local, not charged — call sites charge explicitly
@@ -311,6 +289,41 @@ pub trait KrylovSpace {
     /// Solver FLOPs accumulated so far (serial spaces; distributed spaces
     /// account in virtual time instead and return 0).
     fn accumulated_flops(&self) -> usize;
+}
+
+/// One column of a pipelined-CG sweep on local slices, uncharged (the
+/// callers charge): the six-vector [`LocalOps::pipelined_cg_sweep`], or
+/// the eight-vector [`LocalOps::pipelined_pcg_sweep`] when `precond` gives
+/// `(mw, q, u)`. Returns the partials `[r·u, w·u, r·r]` — `[r·r, w·r, r·r]`
+/// without a preconditioner, the same bits with `u = r`.
+fn sweep_column(
+    ops: &dyn LocalOps,
+    alpha: f64,
+    beta: f64,
+    aw: &[f64],
+    precond: Option<(&[f64], &mut [f64], &mut [f64])>,
+    v: CgSweep<'_>,
+) -> [f64; 3] {
+    match precond {
+        None => {
+            let [rr, wr] = ops.pipelined_cg_sweep(alpha, beta, aw, v);
+            [rr, wr, rr]
+        }
+        Some((mw, q, u)) => {
+            let CgSweep { z, s, p, x, r, w } = v;
+            let v = PcgSweep {
+                z,
+                q,
+                s,
+                p,
+                x,
+                r,
+                u,
+                w,
+            };
+            ops.pipelined_pcg_sweep(alpha, beta, aw, mw, v)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -508,32 +521,6 @@ pub struct DistSpace<'a, 'b, C: CommBackend = Comm> {
     halo: HaloScratch,
     /// Reused local-partials buffer of [`KrylovSpace::start_carried_dots`].
     partials: Vec<f64>,
-}
-
-/// The operands of one [`DistSpace::pcg_sweep_block`]: the two
-/// read-only products of the overlap region and the eight state
-/// multi-vectors updated in place (see [`PcgSweep`] for the roles).
-pub struct BlockPcgSweep<'v> {
-    /// `A·mw`, this iteration's SpMM product.
-    pub aw: &'v DistMultiVector,
-    /// `mw = M⁻¹w`, this iteration's preconditioner applies.
-    pub mw: &'v DistMultiVector,
-    /// Tracks `A·q`.
-    pub z: &'v mut DistMultiVector,
-    /// `q = M⁻¹s`.
-    pub q: &'v mut DistMultiVector,
-    /// Tracks `A·p`.
-    pub s: &'v mut DistMultiVector,
-    /// Search directions.
-    pub p: &'v mut DistMultiVector,
-    /// Block iterate.
-    pub x: &'v mut DistMultiVector,
-    /// Residuals.
-    pub r: &'v mut DistMultiVector,
-    /// `u = M⁻¹r`.
-    pub u: &'v mut DistMultiVector,
-    /// `w = A·u`.
-    pub w: &'v mut DistMultiVector,
 }
 
 /// [`DistSpace`] over the real-threads backend: same kernels, wall-clock
@@ -738,7 +725,7 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     /// The nonblocking batched reduction of the pipelined block kernel,
     /// posted from **carried** local partials: `carried` holds the
     /// `carried.len() / k` per-column partial groups a previous
-    /// [`DistSpace::pcg_sweep_block`] (or
+    /// [`DistSpace::pipelined_sweep_block`] (or
     /// [`DistSpace::block_dot_partials`]) already computed over columns of
     /// `n` local rows, so posting re-reads no state vector. Charged exactly
     /// like [`DistSpace::block_dots`] over the same pairs — `2n·active` per
@@ -800,42 +787,60 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         self.comm.record_check_flops(2 * n * checks.len());
     }
 
-    /// One pipelined block-PCG sweep: for every column `c` with `live(c)`,
-    /// the eight recurrence updates of the single-RHS step with that
-    /// column's `alphas[c]`/`betas[c]`, in one backend pass
-    /// ([`LocalOps::pipelined_pcg_sweep`]), whose dot partials
-    /// `[r·u, w·u, r·r]` land in `dots[c]`, `dots[k + c]`, `dots[2k + c]` —
-    /// the layout [`DistSpace::start_carried_block_dots`] posts. Columns
-    /// that are not live are untouched, vectors and slots alike. Charges
-    /// the sixteen flops per row of every swept column in one piece.
-    pub fn pcg_sweep_block(
+    /// One pipelined block-CG sweep — the multi-column
+    /// [`KrylovSpace::pipelined_sweep`]: for every column `c` with `live(c)`,
+    /// the recurrence updates of the single-RHS step with that column's
+    /// `alphas[c]`/`betas[c]`, in one backend pass. With `v.precond` that
+    /// is the eight-vector [`LocalOps::pipelined_pcg_sweep`], whose dot
+    /// partials `[r·u, w·u, r·r]` land in `dots[c]`, `dots[k + c]`,
+    /// `dots[2k + c]` — the layout [`DistSpace::start_carried_block_dots`]
+    /// posts. Without it (an identity preconditioner: `u = r`, `mw = w`,
+    /// `q = s`) it is the six-vector [`LocalOps::pipelined_cg_sweep`], and
+    /// its `[r·r, w·r]` fill the same layout as `[r·r | w·r | r·r]` — the
+    /// bits the eight-vector sweep computes under the identity. Columns
+    /// that are not live are untouched, vectors and slots alike.
+    ///
+    /// Charges sixteen flops per row of every swept column in one piece,
+    /// either way: the block kernel is always the preconditioned
+    /// composition, identity included, so its virtual time does not depend
+    /// on which sweep streamed the bytes.
+    pub fn pipelined_sweep_block(
         &mut self,
         live: impl Fn(usize) -> bool,
         alphas: &[f64],
         betas: &[f64],
-        v: BlockPcgSweep<'_>,
+        v: PipelinedSweep<'_, DistMultiVector>,
         dots: &mut [f64],
     ) {
         let k = alphas.len();
+        let PipelinedSweep {
+            aw,
+            mut precond,
+            z,
+            s,
+            p,
+            x,
+            r,
+            w,
+        } = v;
         let mut swept = 0;
         for c in (0..k).filter(|&c| live(c)) {
-            let col = PcgSweep {
-                z: v.z.col_mut(c),
-                q: v.q.col_mut(c),
-                s: v.s.col_mut(c),
-                p: v.p.col_mut(c),
-                x: v.x.col_mut(c),
-                r: v.r.col_mut(c),
-                u: v.u.col_mut(c),
-                w: v.w.col_mut(c),
+            let images = precond
+                .as_mut()
+                .map(|(mw, q, u)| (mw.col(c), q.col_mut(c), u.col_mut(c)));
+            let col = CgSweep {
+                z: z.col_mut(c),
+                s: s.col_mut(c),
+                p: p.col_mut(c),
+                x: x.col_mut(c),
+                r: r.col_mut(c),
+                w: w.col_mut(c),
             };
-            let d =
-                self.ops
-                    .pipelined_pcg_sweep(alphas[c], betas[c], v.aw.col(c), v.mw.col(c), col);
+            let d = sweep_column(self.ops, alphas[c], betas[c], aw.col(c), images, col);
             (dots[c], dots[k + c], dots[2 * k + c]) = (d[0], d[1], d[2]);
             swept += 1;
         }
-        self.comm.charge_flops(16 * v.aw.local_rows() * swept);
+        self.comm.charge_flops(16 * aw.local_rows() * swept);
     }
 
     /// Single-column `y[c] ← y[c] + alpha·x[c]` (local, not charged — the

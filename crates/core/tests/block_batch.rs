@@ -838,3 +838,268 @@ fn vector_only_preconditioner_is_staged_bit_identically() {
         assert_eq!(d_time, s_time, "staging must charge exactly the same");
     }
 }
+
+// ---------------------------------------------------------------------------
+// 8. Under the identity: no M⁻¹ images, the six-vector sweep, the same solve
+// ---------------------------------------------------------------------------
+
+/// Copies exactly like [`IdentityPrecond`] but does not say
+/// `is_identity` — what the benchmark's `TracedPrecond` wrapper is — so
+/// the block kernel takes the general route under it: `u`, `mw`, `q`
+/// stored, copied into and swept eight vectors at a time.
+struct SilentIdentity;
+
+impl<'a, 'b> SpacePreconditioner<DistSpace<'a, 'b>> for SilentIdentity {
+    fn apply_into(
+        &mut self,
+        _space: &mut DistSpace<'a, 'b>,
+        r: &DistVector,
+        z: &mut DistVector,
+    ) -> Result<()> {
+        z.clone_from(r);
+        Ok(())
+    }
+}
+
+/// One column's solve as bits: (x, history, iterations).
+type ColumnBits = (Vec<u64>, Vec<u64>, usize);
+
+/// Under `IdentityPrecond` every column of a k = 4 staggered block solve —
+/// columns freezing at different steps, frozen ones posting kept partials —
+/// is bit for bit its own sequential unpreconditioned solve *and* its own
+/// identity-preconditioned one, on 1–4 ranks, and the block solve takes
+/// the virtual time the parent commit's eight-vector route took (constants
+/// read off that commit at 3 ranks: storing no images and sweeping six
+/// vectors changes the bytes, never the charges).
+#[test]
+fn identity_block_columns_equal_their_unpreconditioned_and_identity_solves() {
+    const K: usize = 4;
+    // Virtual seconds of the block solve at 3 ranks, ranks 0, 1, 2.
+    const PARENT_ELAPSED_3_RANKS: [(bool, [u64; 3]); 2] = [
+        (
+            false,
+            [
+                0x3f09_4aa9_c764_2d22,
+                0x3f09_4aa9_c764_2d22,
+                0x3f09_4aa9_c764_2d22,
+            ],
+        ),
+        (
+            true,
+            [
+                0x3f12_e6ae_ed8b_2aba,
+                0x3f12_e7e4_2a61_7d75,
+                0x3f12_e6ae_ed8b_2aba,
+            ],
+        ),
+    ];
+    for (pipelined, want_elapsed) in PARENT_ELAPSED_3_RANKS {
+        for ranks in 1..=4 {
+            let mut cfg = RuntimeConfig::fast();
+            cfg.seconds_per_flop = 1.0e-9;
+            let results = Runtime::new(cfg).run(ranks, move |comm| {
+                let a = poisson2d(9, 9);
+                let n = a.nrows();
+                let da = DistCsr::from_global(comm, &a)?;
+                let bk = DistMultiVector::from_fn(comm, n, K, staggered_rhs);
+                let opts = DistSolveOptions::default()
+                    .with_tol(1e-8)
+                    .with_max_iters(300);
+                let id = &mut IdentityPrecond;
+                let t0 = comm.now();
+                let block = if pipelined {
+                    pipelined_block_pcg(comm, &da, &bk, id, &opts)?
+                } else {
+                    dist_block_pcg(comm, &da, &bk, id, &opts)?
+                };
+                let elapsed = comm.now() - t0;
+                assert!(block.all_converged(), "block solve must converge");
+                let mut freezes = block.column_iterations.clone();
+                freezes.sort_unstable();
+                freezes.dedup();
+                assert!(freezes.len() > 1, "columns must freeze at different steps");
+
+                let mut cols: Vec<[ColumnBits; 3]> = Vec::new();
+                for (c, out) in block.into_columns().into_iter().enumerate() {
+                    let bc = DistVector::from_fn(comm, n, |i| staggered_rhs(c, i));
+                    let (plain, ident) = if pipelined {
+                        let plain = pipelined_cg(comm, &da, &bc, &opts)?;
+                        (plain, pipelined_pcg(comm, &da, &bc, id, &opts)?)
+                    } else {
+                        let plain = dist_cg(comm, &da, &bc, &opts)?;
+                        (plain, dist_pcg(comm, &da, &bc, id, &opts)?)
+                    };
+                    cols.push([
+                        (
+                            bits(&out.x.gather_global(comm)?),
+                            bits(&out.history),
+                            out.iterations,
+                        ),
+                        (
+                            bits(&plain.x.gather_global(comm)?),
+                            bits(&plain.history),
+                            plain.iterations,
+                        ),
+                        (
+                            bits(&ident.x.gather_global(comm)?),
+                            bits(&ident.history),
+                            ident.iterations,
+                        ),
+                    ]);
+                }
+                Ok((elapsed, cols))
+            });
+            for (rank, (elapsed, cols)) in results.unwrap_all().into_iter().enumerate() {
+                for (c, [block, plain, ident]) in cols.iter().enumerate() {
+                    let at = format!("column {c}, {ranks} ranks, pipelined = {pipelined}");
+                    assert!(block == plain, "{at}: block vs unpreconditioned solve");
+                    assert!(
+                        block == ident,
+                        "{at}: block vs identity-preconditioned solve"
+                    );
+                }
+                if ranks == 3 {
+                    assert_eq!(
+                        elapsed.to_bits(),
+                        want_elapsed[rank],
+                        "virtual time moved on rank {rank} (pipelined = {pipelined}): \
+                         {elapsed:e} = {:#x}",
+                        elapsed.to_bits()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The six-vector route (`IdentityPrecond`) and the eight-vector route (a
+/// preconditioner that copies without saying so) are one program: the same
+/// iterates, histories, collective counts and virtual time, at k = 1 and
+/// k = 4, on both schedules.
+#[test]
+fn identity_and_a_silently_copying_preconditioner_are_one_program() {
+    for k in [1, 4] {
+        for pipelined in [false, true] {
+            // One job per route, so both virtual clocks start at zero.
+            let solve = |silent: bool| {
+                let mut cfg = RuntimeConfig::fast();
+                cfg.seconds_per_flop = 1.0e-9;
+                Runtime::new(cfg)
+                    .run(3, move |comm| {
+                        let a = poisson2d(9, 9);
+                        let n = a.nrows();
+                        let da = DistCsr::from_global(comm, &a)?;
+                        let bk = DistMultiVector::from_fn(comm, n, k, staggered_rhs);
+                        let opts = DistSolveOptions::default()
+                            .with_tol(1e-8)
+                            .with_max_iters(300);
+                        let m: &mut dyn SpacePreconditioner<DistSpace<'_, '_>> = if silent {
+                            &mut SilentIdentity
+                        } else {
+                            &mut IdentityPrecond
+                        };
+                        let out = if pipelined {
+                            pipelined_block_pcg(comm, &da, &bk, m, &opts)?
+                        } else {
+                            dist_block_pcg(comm, &da, &bk, m, &opts)?
+                        };
+                        assert!(out.all_converged());
+                        let histories: Vec<_> = out.histories.iter().map(|h| bits(h)).collect();
+                        Ok((
+                            bits(&out.x.local),
+                            histories,
+                            out.column_iterations,
+                            comm.snapshot_stats().collectives,
+                            comm.now().to_bits(),
+                        ))
+                    })
+                    .unwrap_all()
+            };
+            assert_eq!(
+                solve(false),
+                solve(true),
+                "k = {k}, pipelined = {pipelined}: the identity's six-vector route \
+                 must be the eight-vector route, bit for bit"
+            );
+        }
+    }
+}
+
+/// The identity twin of
+/// `policy_restart_mid_solve_keeps_k1_bitwise_identical_to_pipelined_pcg`:
+/// with a policy in the stack the guards read `r`/`w` (no `u`/`mw` exist),
+/// and after the mid-solve rebuild the carried partials must be recomputed
+/// from the new `r`, `w` — pinned against the single-RHS
+/// `PipelinedCgStep::preconditioned(IdentityPrecond)` under the same policy.
+#[test]
+fn policy_restart_mid_solve_keeps_identity_k1_bitwise_identical_to_pipelined_pcg() {
+    for ranks in [2, 4] {
+        let results = Runtime::new(RuntimeConfig::fast()).run(ranks, move |comm| {
+            let a = poisson2d(10, 10);
+            let n = a.nrows();
+            let da = DistCsr::from_global(comm, &a)?;
+            let b1 = DistVector::from_fn(comm, n, |i| rhs(0, i));
+            let bk = DistMultiVector::from_columns(std::slice::from_ref(&b1));
+            let opts = SolveOptions::default().with_tol(1e-9).with_max_iters(300);
+
+            let mut policy = RestartOnce {
+                at: 7,
+                fired: false,
+            };
+            let before = comm.snapshot_stats().collectives;
+            let (single, single_report) = {
+                let mut space = DistSpace::new(comm, &da);
+                let mut stack = PolicyStack::empty();
+                stack.push(&mut policy);
+                let mut m = IdentityPrecond;
+                let mut step = PipelinedCgStep::preconditioned(&mut m);
+                run_cg(&mut space, &b1, None, &opts, &mut step, &mut stack)?
+            };
+            let single_coll = comm.snapshot_stats().collectives - before;
+
+            let mut policy = RestartOnce {
+                at: 7,
+                fired: false,
+            };
+            let before = comm.snapshot_stats().collectives;
+            let (block, block_report) = {
+                let mut space = DistSpace::new(comm, &da);
+                let mut stack = PolicyStack::empty();
+                stack.push(&mut policy);
+                let m = &mut IdentityPrecond;
+                run_block_cg(
+                    &mut space,
+                    &bk,
+                    None,
+                    &opts,
+                    Schedule::Pipelined,
+                    m,
+                    &mut stack,
+                )?
+            };
+            let block_coll = comm.snapshot_stats().collectives - before;
+
+            assert_eq!(single_report.policy_restarts, 1, "the policy must fire");
+            assert_eq!(block_report.policy_restarts, 1, "the policy must fire");
+            assert_eq!(single.reason, StopReason::Converged);
+            assert_eq!(block.reason, StopReason::Converged);
+            assert!(single.iterations > 7, "the restart must land mid-solve");
+            Ok((
+                (bits(&single.x.gather_global(comm)?), bits(&single.history)),
+                (
+                    bits(&block.x.column(0).gather_global(comm)?),
+                    bits(&block.histories[0]),
+                ),
+                (single.iterations, single_coll),
+                (block.iterations, block_coll),
+            ))
+        });
+        for (single, block, s_counts, b_counts) in results.unwrap_all() {
+            assert!(single == block, "x or history diverged at {ranks} ranks");
+            assert_eq!(
+                s_counts, b_counts,
+                "iteration / collective counts diverged at {ranks} ranks"
+            );
+        }
+    }
+}

@@ -1,4 +1,4 @@
-//! No CG strategy allocates a vector per iteration.
+//! No CG strategy — single-RHS or block — allocates a vector per iteration.
 //!
 //! A counting global allocator tallies, per thread, the allocations at
 //! least one local vector long (`8·n_local` bytes). Two simulator ranks run
@@ -7,7 +7,10 @@
 //! vectors of `init`, the product buffer, the outcome — it allocates once,
 //! so the two tallies must be *equal*: zero per iteration. (Halo payloads,
 //! reduction partials and the residual history are all far below one
-//! vector.)
+//! vector.) The block presets run at k = 4 under the identity and under
+//! block-Jacobi; the identity stores no `M⁻¹` images, so its tally is
+//! lower by the three pipelined (`u`, `mw`, `q`) or one fused (`z`)
+//! multi-vectors.
 //!
 //! One test function only: the allocator is process-global.
 
@@ -82,6 +85,8 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const RANKS: usize = 2;
 const GRID: usize = 48;
+/// Columns of the block presets.
+const K: usize = 4;
 
 /// Per rank: the vector-sized allocations of one `max_iters`-iteration solve
 /// (set-up excluded), having checked that it really ran that long.
@@ -89,22 +94,35 @@ fn vector_allocations(preset: &'static str, max_iters: usize) -> Vec<u64> {
     let job =
         Runtime::new(RuntimeConfig::fast()).run(RANKS, move |comm: &mut Comm| -> Result<u64> {
             let a = poisson2d(GRID, GRID);
-            let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
+            let n = a.nrows();
+            let rhs = |c: usize, i: usize| 1.0 + ((i + c) % 5) as f64;
             let da = DistCsr::from_global(comm, &a)?;
-            let bv = DistVector::from_global(comm, &b);
+            let bv = DistVector::from_fn(comm, n, |i| rhs(0, i));
+            let bk = DistMultiVector::from_fn(comm, n, K, rhs);
             let mut bj = BlockJacobi::new(&da);
+            let id = &mut IdentityPrecond;
             let opts = DistSolveOptions::default()
                 .with_tol(0.0)
                 .with_max_iters(max_iters);
             let before = VECTOR_ALLOCATIONS.with(Cell::get);
-            let out = match preset {
-                "pipelined_cg" => pipelined_cg(comm, &da, &bv, &opts)?,
-                "pipelined_pcg" => pipelined_pcg(comm, &da, &bv, &mut bj, &opts)?,
-                "dist_cg" => dist_cg(comm, &da, &bv, &opts)?,
+            let iterations = match preset {
+                "pipelined_cg" => pipelined_cg(comm, &da, &bv, &opts)?.iterations,
+                "pipelined_pcg" => pipelined_pcg(comm, &da, &bv, &mut bj, &opts)?.iterations,
+                "dist_cg" => dist_cg(comm, &da, &bv, &opts)?.iterations,
+                "pipelined_block_pcg/identity" => {
+                    pipelined_block_pcg(comm, &da, &bk, id, &opts)?.iterations
+                }
+                "pipelined_block_pcg/block-jacobi" => {
+                    pipelined_block_pcg(comm, &da, &bk, &mut bj, &opts)?.iterations
+                }
+                "dist_block_pcg/identity" => dist_block_pcg(comm, &da, &bk, id, &opts)?.iterations,
+                "dist_block_pcg/block-jacobi" => {
+                    dist_block_pcg(comm, &da, &bk, &mut bj, &opts)?.iterations
+                }
                 other => unreachable!("{other}"),
             };
             let counted = VECTOR_ALLOCATIONS.with(Cell::get) - before;
-            assert_eq!(out.iterations, max_iters, "{preset} must run to the cap");
+            assert_eq!(iterations, max_iters, "{preset} must run to the cap");
             Ok(counted)
         });
     assert!(job.all_ok(), "{preset}: {:?}", job.errors);
@@ -115,7 +133,16 @@ fn vector_allocations(preset: &'static str, max_iters: usize) -> Vec<u64> {
 fn cg_iterations_allocate_no_vectors() {
     let n_local = GRID * GRID / RANKS;
     VECTOR_BYTES.store(n_local * std::mem::size_of::<f64>(), Ordering::Relaxed);
-    for preset in ["pipelined_cg", "pipelined_pcg", "dist_cg"] {
+    let mut tallies = std::collections::HashMap::new();
+    for preset in [
+        "pipelined_cg",
+        "pipelined_pcg",
+        "dist_cg",
+        "pipelined_block_pcg/identity",
+        "pipelined_block_pcg/block-jacobi",
+        "dist_block_pcg/identity",
+        "dist_block_pcg/block-jacobi",
+    ] {
         let short = vector_allocations(preset, 10);
         let long = vector_allocations(preset, 110);
         assert!(
@@ -125,6 +152,20 @@ fn cg_iterations_allocate_no_vectors() {
         assert_eq!(
             short, long,
             "{preset}: 100 more iterations allocated vectors (per rank, 10 vs 110 iterations)"
+        );
+        tallies.insert(preset, short);
+    }
+    // Under the identity the block kernel stores no `M⁻¹` images.
+    for (schedule, fewer) in [("pipelined_block_pcg", 3), ("dist_block_pcg", 1)] {
+        let identity = &tallies[format!("{schedule}/identity").as_str()];
+        let jacobi = &tallies[format!("{schedule}/block-jacobi").as_str()];
+        assert!(
+            identity
+                .iter()
+                .zip(jacobi)
+                .all(|(id, bj)| id + fewer <= *bj),
+            "{schedule}: the identity must allocate ≥ {fewer} fewer vectors than \
+             block-Jacobi (per rank: {identity:?} vs {jacobi:?})"
         );
     }
 }
