@@ -28,6 +28,7 @@ fn bench_skeptical(c: &mut Criterion) {
                 None,
                 &opts,
                 &SkepticalConfig::default(),
+                None,
             ))
         })
     });
@@ -39,6 +40,7 @@ fn bench_skeptical(c: &mut Criterion) {
                 None,
                 &opts,
                 &SkepticalConfig::trusting(),
+                None,
             ))
         })
     });

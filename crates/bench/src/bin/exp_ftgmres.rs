@@ -59,7 +59,7 @@ fn main() {
             ft_cost += report.ledger.weighted_cost(&model);
             ft_rel_frac += report.ledger.reliable_fraction();
 
-            let (uout, uledger, _) = unreliable_gmres(
+            let (uout, uledger) = unreliable_gmres(
                 &a,
                 &b,
                 &SolveOptions::default()

@@ -57,17 +57,12 @@ fn main() {
         let mut overhead_samples = 0usize;
         for &bit in bits {
             for trial in 0..trials_per_bit {
-                let plan = InjectionPlan {
-                    at_application: 3 + trial * 5,
-                    target: FaultTarget::RandomElement,
-                    bit: Some(bit),
-                };
                 let seed = 1000 + bit as u64 * 31 + trial as u64;
+                let fault = Some(random_spmv_fault(n, 3 + trial * 5, Some(bit), seed));
                 // Skeptical run.
-                let faulty = FaultyOperator::new(&a, Some(plan), seed);
                 let (out, report) =
-                    skeptical_gmres(&faulty, &b, None, &opts, &SkepticalConfig::default());
-                if faulty.injection().is_none() {
+                    skeptical_gmres(&a, &b, None, &opts, &SkepticalConfig::default(), fault);
+                if out.injections == 0 {
                     continue;
                 }
                 injected += 1;
@@ -81,9 +76,8 @@ fn main() {
                 overhead += report.check_flops as f64 / out.flops.max(1) as f64;
                 overhead_samples += 1;
                 // Trusting run on the same fault.
-                let faulty_t = FaultyOperator::new(&a, Some(plan), seed);
                 let (out_t, _) =
-                    skeptical_gmres(&faulty_t, &b, None, &opts, &SkepticalConfig::trusting());
+                    skeptical_gmres(&a, &b, None, &opts, &SkepticalConfig::trusting(), fault);
                 let err_t = true_relative_residual(&a, &b, &out_t.x);
                 if outcome_of(err_t, out_t.converged(), opts.tol) == "correct" {
                     trusting_correct += 1;

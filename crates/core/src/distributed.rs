@@ -91,7 +91,7 @@ impl DistVector {
     /// [`DistVector::dot`] — pinned by the `norm_costs_exactly_one_dot`
     /// test.
     pub fn norm<C: CommBackend>(&self, comm: &mut C) -> Result<f64> {
-        Ok(self.dot(comm, self)?.max(0.0).sqrt())
+        Ok(crate::kernel::sqrt_nonneg(self.dot(comm, self)?))
     }
 
     /// `self ← self + alpha · other` (local only).

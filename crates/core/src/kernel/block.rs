@@ -70,7 +70,7 @@ use super::policy::{
 use super::precond::SpacePreconditioner;
 use super::space::{DistSpace, KrylovSpace, PipelinedSweep};
 use super::spec::Schedule;
-use super::{KernelReport, SolveProgress};
+use super::{sqrt_nonneg, KernelReport, SolveProgress};
 use crate::distributed::{DistMultiVector, DistVector};
 use crate::solvers::common::{SolveOptions, StopReason};
 
@@ -673,7 +673,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
                 continue;
             }
             let rr = reduced[2 * k + c];
-            self.relres[c] = rr.max(0.0).sqrt() / self.bn[c];
+            self.relres[c] = sqrt_nonneg(rr) / self.bn[c];
             if self.histories[c].is_empty() {
                 self.histories[c].push(self.relres[c]);
             }
@@ -829,7 +829,7 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
         .block_dots(k, &[(b, b)], &[], k, &mut drv.partials)?;
     drv.bn = bnv
         .iter()
-        .map(|&v| v.max(0.0).sqrt().max(f64::MIN_POSITIVE))
+        .map(|&v| sqrt_nonneg(v).max(f64::MIN_POSITIVE))
         .collect();
     let mut st = SolveProgress::new(opts.tol, opts.max_iters, drv.bn[0]);
     let mut report = KernelReport::default();

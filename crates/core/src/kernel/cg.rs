@@ -53,7 +53,7 @@ use super::policy::{
 };
 use super::precond::SpacePreconditioner;
 use super::space::{KrylovSpace, PipelinedSweep};
-use super::{KernelOutcome, KernelReport, SolveProgress};
+use super::{sqrt_nonneg, KernelOutcome, KernelReport, SolveProgress};
 use crate::solvers::common::{SolveOptions, StopReason};
 
 /// What one CG iteration decided.
@@ -233,7 +233,6 @@ pub fn run_cg<S: KrylovSpace, T: CgStrategy<S>>(
             relative_residual: st.relres,
             reason,
             history: st.history,
-            flops: space.accumulated_flops(),
         },
         report,
     ))
@@ -244,14 +243,11 @@ pub fn run_cg<S: KrylovSpace, T: CgStrategy<S>>(
 // ---------------------------------------------------------------------------
 
 /// The preconditioned CG recurrence with immediate (blocking) dots, tracking
-/// `r·z` — the MGS analogue of the CG family, now generic over any space.
-/// On [`SerialSpace`](super::space::SerialSpace) it matches the legacy
-/// `solvers::cg::pcg` operation for operation, including its cost model
-/// (`A` + `10n` FLOPs per iteration, charged before the breakdown test, with
-/// serial preconditioner applies uncharged via
-/// [`SerialPrecond`](super::precond::SerialPrecond)). On distributed spaces
-/// each of its three dots is a blocking collective; the fused/pipelined
-/// variants below are the latency-tolerant alternatives.
+/// `r·z` — the MGS analogue of the CG family: the serial `solvers::cg`
+/// preset's engine, whose summation order its parity pins hold (`A` +
+/// `10n` FLOPs per iteration, charged before the breakdown test). Each of
+/// its three dots is a blocking collective; the fused/pipelined variants
+/// below are the latency-tolerant alternatives.
 pub struct PcgStep<'m, S: KrylovSpace> {
     m: &'m mut dyn SpacePreconditioner<S>,
     r: Option<S::Vector>,
@@ -378,7 +374,6 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for PcgStep<'m, S> {
 /// preconditioner ([`FusedCgStep::preconditioned`]) it runs the z-shifted
 /// recurrence, fusing `r·z` and `r·r` into the *same* second reduction so
 /// preconditioning leaves the two-allreduce-per-iteration schedule intact.
-/// Also runs over serial spaces (where the reductions are free).
 pub struct FusedCgStep<'m, S: KrylovSpace> {
     m: Option<&'m mut dyn SpacePreconditioner<S>>,
     r: Option<S::Vector>,
@@ -789,7 +784,7 @@ impl<'m, S: KrylovSpace> CgStrategy<S> for PipelinedCgStep<'m, S> {
         let (gamma, delta) = (reduced[0], reduced[1]);
         let rr = if preconditioned { reduced[2] } else { gamma };
 
-        st.relres = rr.max(0.0).sqrt() / st.bn;
+        st.relres = sqrt_nonneg(rr) / st.bn;
         if st.history.is_empty() {
             st.history.push(st.relres);
         }

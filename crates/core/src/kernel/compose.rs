@@ -22,14 +22,14 @@
 //!   supposedly reliable tier is caught and rolled back instead of silently
 //!   absorbed as slower convergence.
 //!
-//! Both report per-policy overhead through [`PolicyOverhead`]; the
-//! distributed scenario additionally attributes the check arithmetic in the
-//! runtime's per-rank ledger (`RankStats::check_flops`), while the time cost
-//! of the checks is charged by the reductions that perform them.
+//! Both report per-policy overhead through [`PolicyOverhead`] and attribute
+//! the check arithmetic in the runtime's per-rank ledger
+//! (`RankStats::check_flops`), while the time cost of the checks is charged
+//! by the reductions that perform them.
 
 use resilient_linalg::checksum::ChecksummedCsr;
 use resilient_linalg::CsrMatrix;
-use resilient_runtime::{CommBackend, ReduceOp, Result};
+use resilient_runtime::{CommBackend, ReduceOp, Result, RuntimeError};
 
 use super::policy::{
     CheckDot, CheckOperand, DetectionResponse, IterCtx, PolicyAction, PolicyOverhead, PolicyStack,
@@ -37,12 +37,12 @@ use super::policy::{
 };
 use super::precond::SpacePreconditioner;
 use super::skeptic::SkepticalPolicy;
-use super::space::{DistSpace, KrylovSpace, SerialSpace, SpmvFault};
+use super::space::{DistSpace, KrylovSpace, SpmvFault};
 use super::spec::{solve, Method, Schedule, SolveSpec};
 use crate::distributed::{DistCsr, DistVector};
 use crate::rbsp::{DistSolveOptions, DistSolveOutcome};
 use crate::skeptical::sdc_gmres::{SkepticalConfig, SkepticalReport};
-use crate::solvers::common::{Operator, SolveOutcome};
+use crate::solvers::common::{one_rank, SolveOutcome, ONE_RANK};
 use crate::srp::ft_gmres::{ft_gmres_with_policies, FtGmresConfig, FtGmresReport};
 
 // ---------------------------------------------------------------------------
@@ -65,10 +65,16 @@ use crate::srp::ft_gmres::{ft_gmres_with_policies, FtGmresConfig, FtGmresReport}
 /// scalars refer to the most recent *completed* product (the usual one-step
 /// wants-dots lag), and the tolerance scale uses the hook's current input —
 /// adjacent Krylov vectors of comparable magnitude.
+///
+/// The encoding is of the whole matrix, so the policy verifies whole
+/// products: it runs on a 1-rank space and refuses a larger communicator
+/// with [`RuntimeError::InvalidArgument`] at solve start.
 pub struct AbftSpmvPolicy {
     encoded: ChecksummedCsr,
-    /// The all-ones vector `e`, the policy-owned left operand of `(e, w)`.
-    ones: Vec<f64>,
+    /// `(e, c)` on the solve's space — the all-ones vector and the column
+    /// sums, the policy-owned left operands of `(e, w)` and `(c, v)` — laid
+    /// out at solve start.
+    operands: Option<(DistVector, DistVector)>,
     tol: f64,
     response: DetectionResponse,
     overhead: PolicyOverhead,
@@ -87,8 +93,8 @@ impl AbftSpmvPolicy {
     /// tolerance `tol`.
     pub fn for_matrix(a: &CsrMatrix, tol: f64) -> Self {
         Self {
-            ones: vec![1.0; a.nrows()],
             encoded: ChecksummedCsr::encode(a.clone()),
+            operands: None,
             tol,
             response: DetectionResponse::Restart,
             overhead: PolicyOverhead {
@@ -131,7 +137,7 @@ impl AbftSpmvPolicy {
     }
 }
 
-impl<'a, O: Operator + ?Sized> ResiliencePolicy<SerialSpace<'a, O>> for AbftSpmvPolicy {
+impl<'a, 'b, C: CommBackend> ResiliencePolicy<DistSpace<'a, 'b, C>> for AbftSpmvPolicy {
     fn name(&self) -> &'static str {
         "abft-spmv"
     }
@@ -140,15 +146,33 @@ impl<'a, O: Operator + ?Sized> ResiliencePolicy<SerialSpace<'a, O>> for AbftSpmv
         self.response
     }
 
-    fn check_pairs<'v>(&'v mut self, _ctx: &IterCtx) -> Vec<(&'v Vec<f64>, CheckOperand)> {
-        if !self.fuse_checks {
-            return Vec::new();
+    fn on_solve_start(&mut self, space: &mut DistSpace<'a, 'b, C>, b: &DistVector) -> Result<()> {
+        let (ranks, n) = (space.comm().size(), self.encoded.col_sums.len());
+        if ranks > 1 || b.local.len() != n {
+            return Err(RuntimeError::InvalidArgument(format!(
+                "ABFT SpMV verification checks whole products against the {n} column sums \
+                 of the whole matrix, so it runs on one rank; got {} local entries on a \
+                 {ranks}-rank communicator",
+                b.local.len()
+            )));
         }
+        let mut ones = b.clone();
+        ones.local.fill(1.0);
+        let mut col_sums = b.clone();
+        col_sums.local.copy_from_slice(&self.encoded.col_sums);
+        self.operands = Some((ones, col_sums));
+        Ok(())
+    }
+
+    fn check_pairs<'v>(&'v mut self, _ctx: &IterCtx) -> Vec<(&'v DistVector, CheckOperand)> {
+        let Some((ones, col_sums)) = self.operands.as_ref().filter(|_| self.fuse_checks) else {
+            return Vec::new();
+        };
         self.fused_round = true;
         self.pending = None;
         vec![
-            (&self.ones, CheckOperand::SpmvProduct),
-            (&self.encoded.col_sums, CheckOperand::SpmvInput),
+            (ones, CheckOperand::SpmvProduct),
+            (col_sums, CheckOperand::SpmvInput),
         ]
     }
 
@@ -172,11 +196,12 @@ impl<'a, O: Operator + ?Sized> ResiliencePolicy<SerialSpace<'a, O>> for AbftSpmv
 
     fn after_spmv(
         &mut self,
-        space: &mut SerialSpace<'a, O>,
+        space: &mut DistSpace<'a, 'b, C>,
         _ctx: &IterCtx,
-        v: &Vec<f64>,
-        w: &Vec<f64>,
+        v: &DistVector,
+        w: &DistVector,
     ) -> Result<PolicyAction> {
+        let (v, w) = (&v.local, &w.local);
         let clean = if self.fused_round {
             match self.pending.take() {
                 Some((sum_w, expected)) => {
@@ -219,12 +244,7 @@ impl<'a, O: Operator + ?Sized> ResiliencePolicy<SerialSpace<'a, O>> for AbftSpmv
 impl AbftSpmvPolicy {
     /// The legacy direct verification: recompute both checksum sides in the
     /// hook, charging Σw (n adds) + `(eᵀA)·v` (2n) + the scale estimate (n).
-    fn verify_direct<'a, O: Operator + ?Sized>(
-        &mut self,
-        space: &mut SerialSpace<'a, O>,
-        v: &[f64],
-        w: &[f64],
-    ) -> bool {
+    fn verify_direct<S: KrylovSpace>(&mut self, space: &mut S, v: &[f64], w: &[f64]) -> bool {
         self.overhead.checks_run += 1;
         let cost = 4 * w.len();
         self.overhead.check_flops += cost;
@@ -418,22 +438,24 @@ pub struct FtGmresAbftReport {
     pub policy_restarts: usize,
 }
 
-/// FT-GMRES whose outer (reliable-tier) products are verified against the
-/// clean matrix's Huang–Abraham checksums. `op` is the operator actually
-/// applied by the outer iteration (wrap it in a fault injector for
-/// experiments); `clean` provides both the checksum encoding and the source
-/// for the unreliable inner solves, which corrupt at `cfg.fault_rate`
-/// exactly as plain FT-GMRES.
-pub fn ft_gmres_abft<O: Operator + ?Sized>(
-    op: &O,
-    clean: &CsrMatrix,
+/// FT-GMRES on one rank whose outer (reliable-tier) products are verified
+/// against `a`'s Huang–Abraham checksums. `fault` optionally strikes one
+/// outer product (experiments); the unreliable inner solves corrupt at
+/// `cfg.fault_rate` exactly as plain FT-GMRES.
+pub fn ft_gmres_abft(
+    a: &CsrMatrix,
     b: &[f64],
     cfg: &FtGmresConfig,
     abft_tol: f64,
+    fault: Option<SpmvFault>,
 ) -> (SolveOutcome, FtGmresReport, FtGmresAbftReport) {
-    let mut abft = AbftSpmvPolicy::for_matrix(clean, abft_tol);
-    let mut stack: PolicyStack<'_, SerialSpace<'_, O>> = PolicyStack::new(vec![&mut abft]);
-    let (out, report, restarts) = ft_gmres_with_policies(op, clean, b, cfg, &mut stack);
+    let mut abft = AbftSpmvPolicy::for_matrix(a, abft_tol);
+    let (mut comm, a) = one_rank(a);
+    let b = DistVector::from_global(&comm, b);
+    let (out, report, restarts) = {
+        let mut stack = PolicyStack::new(vec![&mut abft]);
+        ft_gmres_with_policies(&mut comm, &a, &b, cfg, fault, &mut stack).expect(ONE_RANK)
+    };
     let abft_report = FtGmresAbftReport {
         abft: abft.overhead.clone(),
         policy_restarts: restarts,
@@ -444,7 +466,6 @@ pub fn ft_gmres_abft<O: Operator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeptical::faulty::{FaultTarget, FaultyOperator, InjectionPlan};
     use crate::skeptical::sdc_gmres::skeptical_gmres;
     use crate::solvers::common::{true_relative_residual, SolveOptions};
     use resilient_linalg::poisson2d;
@@ -738,6 +759,7 @@ mod tests {
             None,
             &SolveOptions::default().with_tol(1e-9).with_max_iters(400),
             &SkepticalConfig::default(),
+            None,
         );
         assert!(out.converged());
         assert_eq!(report.detections, 0);
@@ -750,12 +772,12 @@ mod tests {
         let b = vec![1.0; n];
         // Corrupt the *outer* (reliable-tier) SpMV — the blind spot plain
         // FT-GMRES has, since only inner results are validated.
-        let plan = InjectionPlan {
+        let fault = SpmvFault {
+            rank: 0,
             at_application: 2,
-            target: FaultTarget::Element(n / 3),
-            bit: Some(61),
+            local_element: n / 3,
+            bit: 61,
         };
-        let faulty = FaultyOperator::new(&a, Some(plan), 9);
         let cfg = FtGmresConfig {
             outer: SolveOptions::default()
                 .with_tol(1e-8)
@@ -763,11 +785,8 @@ mod tests {
                 .with_restart(20),
             ..FtGmresConfig::default()
         };
-        let (out, report, abft) = ft_gmres_abft(&faulty, &a, &b, &cfg, 1e-9);
-        assert!(
-            faulty.injection().is_some(),
-            "fault must have been injected"
-        );
+        let (out, report, abft) = ft_gmres_abft(&a, &b, &cfg, 1e-9, Some(fault));
+        assert_eq!(out.injections, 1, "fault must have been injected");
         assert!(abft.abft.detections >= 1, "ABFT must catch the outer flip");
         assert!(
             out.converged(),
@@ -779,6 +798,30 @@ mod tests {
     }
 
     #[test]
+    fn abft_refuses_a_multi_rank_communicator() {
+        let rt = Runtime::new(RuntimeConfig::fast());
+        let errors = rt
+            .run(2, move |comm| {
+                let a = poisson2d(6, 6);
+                let da = DistCsr::from_global(comm, &a)?;
+                let b = DistVector::from_fn(comm, a.nrows(), |_| 1.0);
+                let mut abft = AbftSpmvPolicy::for_matrix(&a, 1e-9);
+                let mut stack = PolicyStack::new(vec![&mut abft]);
+                let mut space = DistSpace::new(comm, &da);
+                let opts = SolveOptions::default();
+                let spec = SolveSpec::FUSED_GMRES;
+                Ok(solve(&mut space, &b, None, &opts, spec, None, &mut stack).err())
+            })
+            .unwrap_all();
+        for err in errors {
+            assert!(
+                matches!(&err, Some(RuntimeError::InvalidArgument(msg)) if msg.contains("one rank")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn ft_gmres_abft_clean_run_is_detection_free() {
         let a = poisson2d(7, 7);
         let b = vec![1.0; a.nrows()];
@@ -786,7 +829,7 @@ mod tests {
             outer: SolveOptions::default().with_tol(1e-8).with_max_iters(60),
             ..FtGmresConfig::default()
         };
-        let (out, _report, abft) = ft_gmres_abft(&a, &a, &b, &cfg, 1e-9);
+        let (out, _report, abft) = ft_gmres_abft(&a, &b, &cfg, 1e-9, None);
         assert!(out.converged());
         assert_eq!(abft.abft.detections, 0, "no ABFT false positives");
         assert!(abft.abft.checks_run > 0);

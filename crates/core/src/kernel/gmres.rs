@@ -28,7 +28,7 @@ use super::policy::{
     StackOutcome,
 };
 use super::space::KrylovSpace;
-use super::{KernelOutcome, KernelReport, SolveProgress};
+use super::{sqrt_nonneg, KernelOutcome, KernelReport, SolveProgress};
 use crate::solvers::common::{SolveOptions, StopReason};
 
 /// A possibly nonlinear, possibly unreliable right preconditioner
@@ -647,7 +647,7 @@ impl<S: KrylovSpace> OrthoStrategy<S> for PipelinedOrtho {
             // close the cycle here; the outer loop recomputes the true
             // residual and restarts if needed.
             let mut h = h_proj.to_vec();
-            h.push(h_next_sq.max(0.0).sqrt());
+            h.push(sqrt_nonneg(h_next_sq));
             st.relres = cycle.lsq.push_column(&h) / st.bn;
             st.iterations += 1;
             st.cycle_step += 1;
@@ -968,7 +968,6 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
             relative_residual: st.relres,
             reason,
             history: st.history,
-            flops: space.accumulated_flops(),
         },
         report,
     ))
@@ -996,9 +995,11 @@ fn recover<S: KrylovSpace>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{DistCsr, DistVector};
     use crate::kernel::policy::{IterCtx, PolicyAction, PolicyOverhead, ResiliencePolicy};
-    use crate::kernel::space::SerialSpace;
+    use crate::kernel::space::DistSpace;
     use resilient_linalg::poisson2d;
+    use resilient_runtime::{Comm, RuntimeConfig};
 
     /// A policy that detects on every product — the pathological case a
     /// stuck-at fault model or mismatched ABFT encoding produces.
@@ -1046,9 +1047,10 @@ mod tests {
         // Regression: a detection that fires on every retry must not restart
         // the cycle forever — the kernel caps policy restarts at max_iters
         // and stops with CorruptionDetected.
-        let a = poisson2d(6, 6);
-        let b = vec![1.0; a.nrows()];
-        let mut space = SerialSpace::new(&a);
+        let mut comm = Comm::solo(&RuntimeConfig::fast());
+        let a = DistCsr::from_global(&mut comm, &poisson2d(6, 6)).unwrap();
+        let b = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
+        let mut space = DistSpace::new(&mut comm, &a);
         let mut policy = AlwaysDetect::new(DetectionResponse::Restart);
         let mut stack = PolicyStack::new(vec![&mut policy]);
         let opts = SolveOptions::default().with_tol(1e-9).with_max_iters(25);
@@ -1072,9 +1074,10 @@ mod tests {
     fn persistent_record_only_detection_terminates() {
         // Same pathology through the record-only path: skipped steps make no
         // progress, so the kernel must cap them rather than spin forever.
-        let a = poisson2d(6, 6);
-        let b = vec![1.0; a.nrows()];
-        let mut space = SerialSpace::new(&a);
+        let mut comm = Comm::solo(&RuntimeConfig::fast());
+        let a = DistCsr::from_global(&mut comm, &poisson2d(6, 6)).unwrap();
+        let b = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
+        let mut space = DistSpace::new(&mut comm, &a);
         let mut policy = AlwaysDetect::new(DetectionResponse::RecordOnly);
         let mut stack = PolicyStack::new(vec![&mut policy]);
         let opts = SolveOptions::default().with_tol(1e-9).with_max_iters(25);

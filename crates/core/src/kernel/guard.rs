@@ -115,8 +115,10 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for PrecondGuardPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::SerialSpace;
+    use crate::distributed::{DistCsr, DistVector};
+    use crate::kernel::DistSpace;
     use resilient_linalg::poisson2d;
+    use resilient_runtime::{Comm, RuntimeConfig};
 
     fn ctx() -> IterCtx {
         IterCtx {
@@ -130,43 +132,33 @@ mod tests {
 
     #[test]
     fn guard_passes_healthy_applies_and_flags_corruption() {
-        let a = poisson2d(4, 4);
-        let mut space = SerialSpace::new(&a);
+        let mut comm = Comm::solo(&RuntimeConfig::fast());
+        let a = DistCsr::from_global(&mut comm, &poisson2d(4, 4)).unwrap();
+        let r = DistVector::from_fn(&comm, 16, |i| 1.0 + (i as f64 * 0.7).cos());
+        // A NaN output, an amplification past the bound (an exponent-bit
+        // flip lands ~1e150 above any input of order one), and nonzero
+        // output from zero input.
+        let mut z_nan = r.clone();
+        z_nan.local[3] = f64::NAN;
+        let mut z_big = r.clone();
+        z_big.local[0] = 1e200;
+        let zero = DistVector::zeros(&comm, 16);
+        let tiny = DistVector::from_fn(&comm, 16, |i| if i == 5 { 1e-30 } else { 0.0 });
+        let mut space = DistSpace::new(&mut comm, &a);
         let mut guard = PrecondGuardPolicy::new();
-        let r: Vec<f64> = (0..16).map(|i| 1.0 + (i as f64 * 0.7).cos()).collect();
 
         // A healthy apply (identity-sized output) passes.
-        let z = r.clone();
-        let act = guard.after_precond(&mut space, &ctx(), &r, &z).unwrap();
+        let act = guard.after_precond(&mut space, &ctx(), &r, &r).unwrap();
         assert_eq!(act, PolicyAction::Continue);
-
-        // NaN output is detected.
-        let mut z_nan = r.clone();
-        z_nan[3] = f64::NAN;
-        let act = guard.after_precond(&mut space, &ctx(), &r, &z_nan).unwrap();
-        assert_eq!(act, PolicyAction::Detected);
-
-        // Amplification past the bound is detected (an exponent-bit flip
-        // lands ~1e150 above any input of order one).
-        let mut z_big = r.clone();
-        z_big[0] = 1e200;
-        let act = guard.after_precond(&mut space, &ctx(), &r, &z_big).unwrap();
-        assert_eq!(act, PolicyAction::Detected);
-
-        // Nonzero output from zero input is detected.
-        let zero = vec![0.0; 16];
-        let tiny = {
-            let mut t = vec![0.0; 16];
-            t[5] = 1e-30;
-            t
-        };
-        let act = guard
-            .after_precond(&mut space, &ctx(), &zero, &tiny)
-            .unwrap();
-        assert_eq!(act, PolicyAction::Detected);
+        for (input, output) in [(&r, &z_nan), (&r, &z_big), (&zero, &tiny)] {
+            let act = guard
+                .after_precond(&mut space, &ctx(), input, output)
+                .unwrap();
+            assert_eq!(act, PolicyAction::Detected);
+        }
 
         assert_eq!(guard.detections(), 3);
-        let oh = ResiliencePolicy::<SerialSpace<'_, resilient_linalg::CsrMatrix>>::overhead(&guard);
+        let oh = ResiliencePolicy::<DistSpace<'_, '_>>::overhead(&guard);
         assert_eq!(oh.checks_run, 4);
         assert_eq!(oh.name, "precond-guard");
     }

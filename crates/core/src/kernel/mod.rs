@@ -6,9 +6,9 @@
 //! architecture that makes that true in code. It decomposes every Krylov
 //! solver in the suite into four independent axes:
 //!
-//! 1. **Space** ([`KrylovSpace`]) — where vectors live and what reductions
-//!    cost: serial slices ([`SerialSpace`]) or block-distributed vectors over
-//!    the simulated runtime ([`DistSpace`]).
+//! 1. **Space** ([`KrylovSpace`]) — where vectors live, what reductions
+//!    cost and where faults are injected: block-distributed vectors over a
+//!    communicator ([`DistSpace`]; a serial solve is its 1-rank case).
 //! 2. **Dot strategy** — how inner products are scheduled:
 //!    modified Gram–Schmidt with immediate dots ([`MgsOrtho`]), classical
 //!    Gram–Schmidt with one fused blocking reduction ([`CgsOrtho`]), or the
@@ -22,8 +22,8 @@
 //!    iteration engine honours.
 //! 4. **Preconditioner** ([`SpacePreconditioner`]) — applied through the
 //!    space so its cost is charged like any other kernel arithmetic:
-//!    [`IdentityPrecond`] (bit-identical to no preconditioning), serial
-//!    adapters, and the collective-free distributed [`BlockJacobi`]. CG
+//!    [`IdentityPrecond`] (bit-identical to no preconditioning) and the
+//!    collective-free distributed [`BlockJacobi`]. CG
 //!    strategies hold it directly (`PcgStep`, and the preconditioned
 //!    variants of `FusedCgStep`/`PipelinedCgStep`); GMRES strategies take
 //!    it through the flexible right-preconditioning slot ([`RightPrecond`]).
@@ -38,8 +38,9 @@
 //! [`lflr_solve`] resumes mid-stream after a rank is killed and replaced)
 //! all dispatch through it. The serial entry points
 //! (`solvers::{cg,gmres,fgmres}`, `srp::ft_gmres`, `skeptical::sdc_gmres`)
-//! call [`run_cg`] / [`run_gmres`] over a [`SerialSpace`] and keep their
-//! public signatures, numerical behaviour and cost accounting.
+//! call [`run_cg`] / [`run_gmres`] over a 1-rank [`DistSpace`] with the
+//! immediate-dot strategies ([`PcgStep`], [`MgsOrtho`]) and the
+//! [`GmresFlavor`] control flows they always had.
 //!
 //! One intentional accounting deviation from the legacy silos: when a solve
 //! aborts on a detected corruption, the final verification residual is now
@@ -80,18 +81,27 @@ pub use policy::{
     DetectionResponse, FailureEvent, IterCtx, IterateRollbackPolicy, NoopPolicy, PolicyAction,
     PolicyOverhead, PolicyStack, RecoveryAction, ResiliencePolicy, SolutionProbe, StackOutcome,
 };
-pub use precond::{BlockJacobi, IdentityPrecond, RightPrecond, SerialPrecond, SpacePreconditioner};
+pub use precond::{BlockJacobi, IdentityPrecond, RightPrecond, SpacePreconditioner};
 pub use skeptic::SkepticalPolicy;
-pub use space::{
-    DistSpace, KrylovSpace, PendingDots, PipelinedSweep, SerialSpace, SpmvFault, ThreadSpace,
-};
+pub use space::{DistSpace, KrylovSpace, PipelinedSweep, SpmvFault, ThreadSpace};
 /// [`Schedule`] under the name the block kernel introduced it by; kept for
 /// the frozen `perf_ledger` benchmark, which imports it.
 pub use spec::Schedule as BlockCgMode;
 pub use spec::{solve, Method, Schedule, SolveSpec};
 
-use crate::solvers::common::{SolveOutcome, StopReason};
+use crate::solvers::common::StopReason;
 use policy::IterCtx as Ctx;
+
+/// `√v` of a reduced sum of squares, with roundoff below zero read as zero
+/// — but a NaN stays NaN, so a poisoned reduction can never pass for a zero
+/// residual (`f64::max` would return the operand that is not NaN).
+pub(crate) fn sqrt_nonneg(v: f64) -> f64 {
+    if v.is_nan() {
+        v
+    } else {
+        v.max(0.0).sqrt()
+    }
+}
 
 /// Result of a kernel-level solve, generic over the vector type of the
 /// space it ran in.
@@ -108,23 +118,6 @@ pub struct KernelOutcome<V> {
     pub reason: StopReason,
     /// Relative residual after each iteration.
     pub history: Vec<f64>,
-    /// Solver FLOPs (serial spaces; distributed spaces account in virtual
-    /// time and report 0).
-    pub flops: usize,
-}
-
-impl KernelOutcome<Vec<f64>> {
-    /// Convert into the serial solvers' public outcome type.
-    pub fn into_solve_outcome(self) -> SolveOutcome {
-        SolveOutcome {
-            x: self.x,
-            iterations: self.iterations,
-            relative_residual: self.relative_residual,
-            reason: self.reason,
-            history: self.history,
-            flops: self.flops,
-        }
-    }
 }
 
 impl KernelOutcome<crate::distributed::DistVector> {

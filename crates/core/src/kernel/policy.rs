@@ -19,16 +19,17 @@
 //! # Example
 //!
 //! A policy is one `impl` with only the hooks it cares about — here a
-//! minimal product-norm monitor stacked onto a serial GMRES solve:
+//! minimal product-norm monitor stacked onto a serial (1-rank) GMRES solve:
 //!
 //! ```
+//! use resilience::distributed::{DistCsr, DistVector};
 //! use resilience::kernel::{
-//!     run_gmres, GmresFlavor, IterCtx, KrylovSpace, MgsOrtho, PolicyAction, PolicyOverhead,
-//!     PolicyStack, ResiliencePolicy, SerialSpace,
+//!     run_gmres, DistSpace, GmresFlavor, IterCtx, KrylovSpace, MgsOrtho, PolicyAction,
+//!     PolicyOverhead, PolicyStack, ResiliencePolicy,
 //! };
 //! use resilience::solvers::SolveOptions;
 //! use resilient_linalg::poisson2d;
-//! use resilient_runtime::Result;
+//! use resilient_runtime::{Comm, Result, RuntimeConfig};
 //!
 //! #[derive(Default)]
 //! struct NormMonitor {
@@ -60,11 +61,12 @@
 //!     }
 //! }
 //!
-//! let a = poisson2d(6, 6);
-//! let b = vec![1.0; a.nrows()];
+//! let mut comm = Comm::solo(&RuntimeConfig::fast());
+//! let a = DistCsr::from_global(&mut comm, &poisson2d(6, 6))?;
+//! let b = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
 //! let mut monitor = NormMonitor::default();
 //! let mut stack = PolicyStack::new(vec![&mut monitor]);
-//! let mut space = SerialSpace::new(&a);
+//! let mut space = DistSpace::new(&mut comm, &a);
 //! let (out, report) = run_gmres(
 //!     &mut space,
 //!     &b,
@@ -74,12 +76,12 @@
 //!     &mut stack,
 //!     None,
 //!     &GmresFlavor::serial(),
-//! )
-//! .unwrap();
+//! )?;
 //! assert!(out.relative_residual <= 1e-9);
 //! let overhead = &report.policy_overhead[0];
 //! assert_eq!(overhead.name, "norm-monitor");
 //! assert!(overhead.checks_run > 0, "the hook observed every product");
+//! # Ok::<(), resilient_runtime::RuntimeError>(())
 //! ```
 //!
 //! The building blocks below ([`NoopPolicy`], [`IterateRollbackPolicy`])

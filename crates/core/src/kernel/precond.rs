@@ -9,8 +9,8 @@
 //!
 //! * [`SpacePreconditioner`] — a preconditioner applied *through* a
 //!   [`KrylovSpace`], so its arithmetic is charged to the same cost
-//!   accounting (virtual time in distributed spaces, the FLOP counter in
-//!   serial ones) as every other kernel operation.
+//!   accounting (the clock and the rank's FLOP count) as every other kernel
+//!   operation.
 //! * [`IdentityPrecond`] — the no-op instance; presets built with it are
 //!   bit-identical to their unpreconditioned counterparts (pinned by
 //!   `crates/core/tests/preconditioning.rs`). It is the one preconditioner
@@ -21,8 +21,6 @@
 //!   six-vector sweep per column — same bits, same charges, fewer bytes. A
 //!   preconditioner that copies but does not say so (a tracing wrapper)
 //!   takes the general eight-vector route to the same result.
-//! * [`SerialPrecond`] — adapts any legacy [`Preconditioner`] to the
-//!   serial space, through the allocation-free `apply_into` path.
 //! * [`BlockJacobi`] — the distributed workhorse: each rank factors its
 //!   own diagonal block of the [`DistCsr`] once (partial-pivot LU clipped
 //!   to the block's band — `≈ 2·n·kl·(kl+ku)` FLOPs, dense being the
@@ -38,20 +36,22 @@
 //!
 //! # Example
 //!
-//! Any `SpacePreconditioner` drops into any CG strategy — here the legacy
-//! Jacobi preconditioner, adapted to the serial space, drives the unified
-//! kernel directly (this is exactly what the `solvers::pcg` preset does):
+//! Any `SpacePreconditioner` drops into any CG strategy — here block-Jacobi
+//! drives the unified kernel directly on a 1-rank space, where the one
+//! diagonal block is the whole matrix and PCG converges in one step:
 //!
 //! ```
-//! use resilience::kernel::{run_cg, PcgStep, PolicyStack, SerialPrecond, SerialSpace};
-//! use resilience::solvers::{JacobiPreconditioner, SolveOptions, StopReason};
+//! use resilience::distributed::{DistCsr, DistVector};
+//! use resilience::kernel::{run_cg, BlockJacobi, DistSpace, PcgStep, PolicyStack};
+//! use resilience::solvers::{SolveOptions, StopReason};
 //! use resilient_linalg::poisson2d;
+//! use resilient_runtime::{Comm, RuntimeConfig};
 //!
-//! let a = poisson2d(8, 8);
-//! let b = vec![1.0; a.nrows()];
-//! let jacobi = JacobiPreconditioner::from_matrix(&a);
-//! let mut m = SerialPrecond(&jacobi);
-//! let mut space = SerialSpace::new(&a);
+//! let mut comm = Comm::solo(&RuntimeConfig::fast());
+//! let a = DistCsr::from_global(&mut comm, &poisson2d(8, 8)).unwrap();
+//! let b = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
+//! let mut m = BlockJacobi::new(&a);
+//! let mut space = DistSpace::new(&mut comm, &a);
 //! let (out, _report) = run_cg(
 //!     &mut space,
 //!     &b,
@@ -62,11 +62,11 @@
 //! )
 //! .unwrap();
 //! assert_eq!(out.reason, StopReason::Converged);
-//! assert!(out.relative_residual <= 1e-8);
+//! assert_eq!(out.iterations, 1);
 //! ```
 //!
-//! Distributed solves swap in [`BlockJacobi`] the same way — see the
-//! `rbsp::dist_pcg` preset and `crates/core/tests/preconditioning.rs`.
+//! On more ranks the blocks decouple and the same code takes more steps —
+//! see the `rbsp::dist_pcg` preset and `crates/core/tests/preconditioning.rs`.
 
 use std::sync::Arc;
 
@@ -74,9 +74,8 @@ use resilient_linalg::LuFactors;
 use resilient_runtime::{Result, RuntimeError};
 
 use super::gmres::FlexibleRight;
-use super::space::{DistSpace, KrylovSpace, SerialSpace};
+use super::space::{DistSpace, KrylovSpace};
 use crate::distributed::{DistCsr, DistVector};
-use crate::solvers::common::{Operator, Preconditioner};
 
 /// A preconditioner `z ≈ M⁻¹·r` applied through an execution space.
 ///
@@ -157,36 +156,6 @@ impl<S: KrylovSpace> SpacePreconditioner<S> for IdentityPrecond {
 
     fn is_identity(&self) -> bool {
         true
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serial adapter
-// ---------------------------------------------------------------------------
-
-/// Adapts a legacy slice-level [`Preconditioner`] to the serial space (the
-/// bridge `solvers::pcg` uses). Applies through the allocation-free
-/// [`Preconditioner::apply_into`]; charges nothing, preserving the legacy
-/// serial cost model in which preconditioner applies were not counted.
-pub struct SerialPrecond<'m, M: Preconditioner + ?Sized>(pub &'m M);
-
-impl<'a, 'm, O, M> SpacePreconditioner<SerialSpace<'a, O>> for SerialPrecond<'m, M>
-where
-    O: Operator + ?Sized,
-    M: Preconditioner + ?Sized,
-{
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn apply_into(
-        &mut self,
-        _space: &mut SerialSpace<'a, O>,
-        r: &Vec<f64>,
-        z: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.0.apply_into(r, z);
-        Ok(())
     }
 }
 
@@ -339,31 +308,29 @@ impl<'m, S: KrylovSpace> FlexibleRight<S> for RightPrecond<'m, S> {
 mod tests {
     use super::*;
     use resilient_linalg::{anisotropic2d, poisson2d};
-    use resilient_runtime::{Runtime, RuntimeConfig};
+    use resilient_runtime::{Comm, Runtime, RuntimeConfig};
 
     #[test]
     fn identity_precond_copies_bitwise() {
-        let a = poisson2d(4, 4);
-        let mut space = SerialSpace::new(&a);
-        let r: Vec<f64> = (0..16).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut z = vec![0.0; 16];
-        SpacePreconditioner::<SerialSpace<'_, _>>::apply_into(
-            &mut IdentityPrecond,
-            &mut space,
-            &r,
-            &mut z,
-        )
-        .unwrap();
+        let mut comm = Comm::solo(&RuntimeConfig::fast());
+        let a = DistCsr::from_global(&mut comm, &poisson2d(4, 4)).unwrap();
+        let r = DistVector::from_fn(&comm, 16, |i| (i as f64 * 0.3).sin());
+        let mut z = DistVector::zeros(&comm, 16);
+        let mut space = DistSpace::new(&mut comm, &a);
+        IdentityPrecond.apply_into(&mut space, &r, &mut z).unwrap();
         assert_eq!(
-            r.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            z.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            r.local.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            z.local.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
-        assert_eq!(space.accumulated_flops(), 0, "identity charges nothing");
-        type Space<'a> = SerialSpace<'a, resilient_linalg::CsrMatrix>;
-        let m: &dyn SpacePreconditioner<Space<'_>> = &IdentityPrecond;
+        let stats = space.comm().snapshot_stats();
+        assert_eq!(
+            (stats.flops, stats.virtual_time),
+            (0, 0.0),
+            "identity charges nothing"
+        );
+        let m: &dyn SpacePreconditioner<DistSpace<'_, '_>> = &IdentityPrecond;
         assert!(m.is_identity(), "and says so");
-        let jacobi = crate::solvers::JacobiPreconditioner::from_matrix(&a);
-        let m: &dyn SpacePreconditioner<Space<'_>> = &SerialPrecond(&jacobi);
+        let m: &dyn SpacePreconditioner<DistSpace<'_, '_>> = &BlockJacobi::new(&a);
         assert!(!m.is_identity(), "nothing else does");
     }
 

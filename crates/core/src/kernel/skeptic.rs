@@ -28,6 +28,7 @@ use super::policy::{
     SolutionProbe,
 };
 use super::space::KrylovSpace;
+use super::sqrt_nonneg;
 use crate::skeptical::sdc_gmres::{SkepticalConfig, SkepticalReport, SkepticalResponse};
 use resilient_runtime::Result;
 
@@ -164,9 +165,9 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
                     .fused
                     .input_norm_sq
                     .take()
-                    .map(|v2| v2.max(0.0).sqrt())
+                    .map(sqrt_nonneg)
                     .unwrap_or(1.0);
-                let wn = wn2.max(0.0).sqrt();
+                let wn = sqrt_nonneg(wn2);
                 bad = wn > self.cfg.norm_bound_factor * self.norm_a * vn.max(1.0);
             }
             bad
@@ -225,7 +226,7 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
                 self.fused.prev_basis_norm_sq.take(),
             ) {
                 (true, Some(nn2), Some(pn2)) => {
-                    let scale = nn2.max(0.0).sqrt() * pn2.max(0.0).sqrt();
+                    let scale = sqrt_nonneg(nn2) * sqrt_nonneg(pn2);
                     !inner.is_finite()
                         || inner > self.cfg.orthogonality_tol * scale.max(f64::MIN_POSITIVE)
                 }
@@ -311,11 +312,19 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::space::SerialSpace;
-    use crate::solvers::common::Operator;
-    use resilient_linalg::{poisson2d, CsrMatrix};
+    use crate::distributed::{DistCsr, DistVector};
+    use crate::kernel::space::DistSpace;
+    use resilient_linalg::poisson2d;
+    use resilient_runtime::{Comm, RuntimeConfig};
 
-    type CsrSpace<'a> = SerialSpace<'a, CsrMatrix>;
+    type Space<'a, 'b> = DistSpace<'a, 'b>;
+
+    /// `poisson2d(6, 6)` on a launcher-free rank.
+    fn one_rank() -> (Comm, DistCsr) {
+        let mut comm = Comm::solo(&RuntimeConfig::fast());
+        let a = DistCsr::from_global(&mut comm, &poisson2d(6, 6)).unwrap();
+        (comm, a)
+    }
 
     fn ctx() -> IterCtx {
         IterCtx {
@@ -332,16 +341,16 @@ mod tests {
     /// reduced (no finite ‖A‖ estimate), `4n` when ‖v‖ is reduced too.
     #[test]
     fn after_spmv_charges_exactly_what_ran() {
-        let a = poisson2d(6, 6);
-        let n = a.nrows();
-        let v = vec![1.0; n];
-        let w = a.apply(&v);
-        let mut space = SerialSpace::new(&a);
+        let (mut comm, a) = one_rank();
+        let n = a.global_dim();
+        let v = DistVector::from_fn(&comm, n, |_| 1.0);
+        let mut space = DistSpace::new(&mut comm, &a);
+        let w = space.apply(&v).unwrap();
 
         // Without a finite operator-norm estimate only ‖w‖ runs.
         let mut p = SkepticalPolicy::new(SkepticalConfig::default());
         assert!(!p.norm_a.is_finite());
-        let out = <SkepticalPolicy as ResiliencePolicy<CsrSpace<'_>>>::after_spmv(
+        let out = <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::after_spmv(
             &mut p,
             &mut space,
             &ctx(),
@@ -355,7 +364,7 @@ mod tests {
         // With a finite estimate the bound test reduces ‖v‖ as well.
         let mut p = SkepticalPolicy::new(SkepticalConfig::default());
         p.norm_a = 8.0;
-        <SkepticalPolicy as ResiliencePolicy<CsrSpace<'_>>>::after_spmv(
+        <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::after_spmv(
             &mut p,
             &mut space,
             &ctx(),
@@ -371,17 +380,17 @@ mod tests {
     /// dot (`2n`).
     #[test]
     fn orthogonality_check_charges_by_tolerance() {
-        let a = poisson2d(6, 6);
-        let n = a.nrows();
-        let new_v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let prev_v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let mut space = SerialSpace::new(&a);
+        let (mut comm, a) = one_rank();
+        let n = a.global_dim();
+        let new_v = DistVector::from_fn(&comm, n, |i| (i as f64 * 0.3).sin());
+        let prev_v = DistVector::from_fn(&comm, n, |i| (i as f64 * 0.3).cos());
+        let mut space = DistSpace::new(&mut comm, &a);
 
         let mut finite = SkepticalPolicy::new(SkepticalConfig {
             orthogonality_tol: 1e30, // finite but never fires on this pair
             ..SkepticalConfig::default()
         });
-        <SkepticalPolicy as ResiliencePolicy<CsrSpace<'_>>>::after_orthogonalization(
+        <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::after_orthogonalization(
             &mut finite,
             &mut space,
             &ctx(),
@@ -395,7 +404,7 @@ mod tests {
             orthogonality_tol: f64::INFINITY,
             ..SkepticalConfig::default()
         });
-        <SkepticalPolicy as ResiliencePolicy<CsrSpace<'_>>>::after_orthogonalization(
+        <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::after_orthogonalization(
             &mut infinite,
             &mut space,
             &ctx(),
@@ -410,18 +419,18 @@ mod tests {
     /// detects a norm-bound violation without touching the space.
     #[test]
     fn fused_norm_bound_detects_from_consumed_scalars() {
-        let a = poisson2d(6, 6);
-        let n = a.nrows();
-        let v = vec![1.0; n];
-        let mut space = SerialSpace::new(&a);
+        let (mut comm, a) = one_rank();
+        let n = a.global_dim();
+        let v = DistVector::from_fn(&comm, n, |_| 1.0);
+        let mut space = DistSpace::new(&mut comm, &a);
         let mut p = SkepticalPolicy::new(SkepticalConfig::default());
         p.norm_a = 8.0;
 
-        let reqs = <SkepticalPolicy as ResiliencePolicy<CsrSpace<'_>>>::check_dots(&mut p, &ctx());
+        let reqs = <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::check_dots(&mut p, &ctx());
         assert!(reqs.contains(&CheckDot::ProductNormSq));
         assert!(reqs.contains(&CheckDot::InputNormSq));
         // A product norm far beyond factor·‖A‖·max(‖v‖,1) must trip it.
-        <SkepticalPolicy as ResiliencePolicy<CsrSpace<'_>>>::consume_check_dots(
+        <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::consume_check_dots(
             &mut p,
             &ctx(),
             n,
@@ -430,7 +439,7 @@ mod tests {
                 (CheckDot::InputNormSq, 1.0),
             ],
         );
-        let out = <SkepticalPolicy as ResiliencePolicy<CsrSpace<'_>>>::after_spmv(
+        let out = <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::after_spmv(
             &mut p,
             &mut space,
             &ctx(),
@@ -443,7 +452,7 @@ mod tests {
         assert_eq!(p.report.check_flops, 4 * n);
 
         // Once consumed, a second hook invocation has nothing to check.
-        let out = <SkepticalPolicy as ResiliencePolicy<CsrSpace<'_>>>::after_spmv(
+        let out = <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::after_spmv(
             &mut p,
             &mut space,
             &ctx(),
@@ -462,9 +471,7 @@ mod tests {
             fuse_checks: false,
             ..SkepticalConfig::default()
         });
-        let reqs = <SkepticalPolicy as ResiliencePolicy<
-            SerialSpace<'_, resilient_linalg::CsrMatrix>,
-        >>::check_dots(&mut p, &ctx());
+        let reqs = <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::check_dots(&mut p, &ctx());
         assert!(reqs.is_empty());
         assert!(!p.fused.active);
     }

@@ -1,41 +1,27 @@
-//! The execution spaces the unified Krylov kernel runs over.
+//! The execution space the unified Krylov kernel runs over.
 //!
 //! A [`KrylovSpace`] bundles everything an iteration needs from its
 //! environment: the bound linear operator, vector arithmetic, inner products
 //! (blocking *and* split/nonblocking, so pipelined dot strategies can overlap
-//! reductions with operator applications) and cost accounting. Two
-//! implementations are provided:
-//!
-//! * [`SerialSpace`] — plain `Vec<f64>` arithmetic over any
-//!   [`Operator`]; reductions complete immediately and FLOPs accumulate in a
-//!   local counter (the serial solvers' `flops` field).
-//! * [`DistSpace`] — [`DistVector`] arithmetic over a [`DistCsr`] and any
-//!   [`CommBackend`] communicator (the virtual-time simulator's [`Comm`] by
-//!   default, or the real-threads [`ThreadComm`] via the [`ThreadSpace`]
-//!   alias); reductions are real collectives, costs are charged to the
-//!   backend's clock, and an optional [`SpmvFault`] can corrupt a chosen
-//!   product (the unified replacement for ad-hoc fault wrappers in
-//!   distributed experiments).
+//! reductions with operator applications) and cost accounting. There is one
+//! implementation, [`DistSpace`]: [`DistVector`] arithmetic over a
+//! [`DistCsr`] and any [`CommBackend`] communicator (the virtual-time
+//! simulator's [`Comm`] by default, or the real-threads [`ThreadComm`] via
+//! the [`ThreadSpace`] alias). Reductions are real collectives, costs are
+//! charged to the backend's clock, and the space is the one fault injector:
+//! a single [`SpmvFault`] or a campaign [`StrikePlan`] corrupts chosen
+//! products. A serial solve is a 1-rank `DistSpace` over
+//! [`Comm::solo`](resilient_runtime::Comm::solo), where every reduction
+//! folds one value and so returns its local partial's bits.
 
 use resilient_linalg::ops::{auto_ops, CgSweep, LocalOps, PcgSweep};
 use resilient_runtime::{Comm, CommBackend, ReduceOp, Result, Stored, ThreadComm};
 
+use super::sqrt_nonneg;
 use crate::distributed::{DistCsr, DistMultiVector, DistVector, HaloScratch};
-use crate::solvers::common::Operator;
 
 use resilient_faults::bitflip::flip_bit_f64;
 use resilient_faults::campaign::StrikePlan;
-
-/// A pending (possibly nonblocking) fused reduction: opaque to the kernel,
-/// interpreted by the space that produced it. Parameterised on the backend's
-/// pending-collective handle; the default is the simulator's, so existing
-/// concrete uses keep compiling unchanged.
-pub enum PendingDots<P = resilient_runtime::PendingCollective> {
-    /// Already-reduced values (serial spaces reduce immediately).
-    Ready(Vec<f64>),
-    /// An in-flight collective (distributed spaces).
-    InFlight(P),
-}
 
 /// The operands of one [`KrylovSpace::pipelined_sweep`] (`V` a space
 /// vector) or [`DistSpace::pipelined_sweep_block`] (`V` a
@@ -72,19 +58,16 @@ pub struct PipelinedSweep<'v, V> {
 pub trait KrylovSpace {
     /// The vector type iterated on.
     type Vector: Clone;
-    /// The backend's in-flight collective handle, carried inside
-    /// [`PendingDots`]. Serial spaces never produce one and use the default.
+    /// The backend's in-flight collective handle: what a nonblocking
+    /// reduction returns until [`KrylovSpace::finish_dots`] completes it.
     type Pending;
 
     /// The node-local compute backend this space performs its arithmetic
     /// with (see [`resilient_linalg::ops`]): preconditioners and other
     /// kernel-side code that does local arithmetic *outside* the space's
     /// own methods must route it through this handle so one backend choice
-    /// governs the whole solve. Defaults to the process-wide
-    /// [`auto_ops`] selection.
-    fn ops(&self) -> &'static dyn LocalOps {
-        auto_ops()
-    }
+    /// governs the whole solve.
+    fn ops(&self) -> &'static dyn LocalOps;
 
     /// The locally stored entries of `v`.
     fn local(v: &Self::Vector) -> &[f64];
@@ -95,19 +78,15 @@ pub trait KrylovSpace {
     fn apply(&mut self, x: &Self::Vector) -> Result<Self::Vector>;
     /// [`KrylovSpace::apply`] into a caller-owned vector shaped like `x`
     /// (every entry overwritten), so an iteration that keeps its product
-    /// buffer allocates nothing per application where the space can write
-    /// in place.
-    fn apply_into(&mut self, x: &Self::Vector, y: &mut Self::Vector) -> Result<()> {
-        *y = self.apply(x)?;
-        Ok(())
-    }
+    /// buffer allocates nothing per application.
+    fn apply_into(&mut self, x: &Self::Vector, y: &mut Self::Vector) -> Result<()>;
     /// Cost of one operator application in FLOPs.
     fn flops_per_apply(&self) -> usize;
     /// Upper-bound estimate of the operator ∞-norm (infinity when unknown);
     /// used by norm-bound policies.
     fn operator_norm_estimate(&self) -> f64;
 
-    /// Global inner product (charges 2n in distributed spaces).
+    /// Global inner product (charges 2n).
     fn dot(&mut self, x: &Self::Vector, y: &Self::Vector) -> Result<f64>;
     /// Global 2-norm.
     fn norm(&mut self, x: &Self::Vector) -> Result<f64>;
@@ -116,26 +95,20 @@ pub trait KrylovSpace {
     /// Post a fused reduction of arbitrary pairs that may complete later;
     /// operator applications issued before [`KrylovSpace::finish_dots`] are
     /// overlapped with it (the pipelined dot strategies' primitive).
-    fn start_dots(
-        &mut self,
-        pairs: &[(&Self::Vector, &Self::Vector)],
-    ) -> Result<PendingDots<Self::Pending>>;
+    fn start_dots(&mut self, pairs: &[(&Self::Vector, &Self::Vector)]) -> Result<Self::Pending>;
     /// Complete a reduction started with [`KrylovSpace::start_dots`].
-    fn finish_dots(&mut self, pending: PendingDots<Self::Pending>) -> Result<Vec<f64>>;
+    fn finish_dots(&mut self, pending: Self::Pending) -> Result<Vec<f64>>;
 
     /// Fused *blocking* reduction of arbitrary pairs whose trailing
     /// `check_tail` pairs are policy check dots (wants-dots fusion): the
-    /// reduction performs — and, in distributed spaces, time-charges — the
-    /// arithmetic of every pair, and additionally attributes the check
-    /// tail's `2n` FLOPs per pair to the check ledger.
+    /// reduction performs and time-charges the arithmetic of every pair,
+    /// and additionally attributes the check tail's `2n` FLOPs per pair to
+    /// the check ledger.
     fn fused_pairs(
         &mut self,
         pairs: &[(&Self::Vector, &Self::Vector)],
         check_tail: usize,
-    ) -> Result<Vec<f64>> {
-        let pending = self.start_dots_tagged(pairs, check_tail)?;
-        self.finish_dots(pending)
-    }
+    ) -> Result<Vec<f64>>;
 
     /// [`KrylovSpace::start_dots`] with the trailing `check_tail` pairs
     /// attributed to the check ledger (the reduction itself still charges
@@ -144,7 +117,7 @@ pub trait KrylovSpace {
         &mut self,
         pairs: &[(&Self::Vector, &Self::Vector)],
         check_tail: usize,
-    ) -> Result<PendingDots<Self::Pending>> {
+    ) -> Result<Self::Pending> {
         debug_assert!(check_tail <= pairs.len());
         if check_tail > 0 {
             if let Some((x, _)) = pairs.first() {
@@ -186,7 +159,7 @@ pub trait KrylovSpace {
         carried: &[f64],
         n: usize,
         checks: &[(&Self::Vector, &Self::Vector)],
-    ) -> Result<PendingDots<Self::Pending>>;
+    ) -> Result<Self::Pending>;
 
     /// One pipelined-CG sweep: every recurrence update of the iteration in
     /// one backend pass ([`LocalOps::pipelined_cg_sweep`], or
@@ -251,44 +224,35 @@ pub trait KrylovSpace {
 
     /// Persist the locally stored part of `v` in this rank's persistent
     /// partition (the LFLR substrate — survives the rank's failure and is
-    /// inherited by its replacement). Returns the bytes written so the
-    /// caller can report checkpoint traffic. Spaces without a persistent
-    /// store (serial) are a no-op returning 0; distributed spaces write
-    /// through [`Comm::persist`](resilient_runtime::Comm::persist), which
-    /// charges virtual time at the configured checkpoint bandwidth.
-    fn persist_vector(&mut self, _key: &str, _v: &Self::Vector) -> Result<usize> {
-        Ok(0)
-    }
+    /// inherited by its replacement) through
+    /// [`Comm::persist`](resilient_runtime::Comm::persist), which charges
+    /// time at the configured checkpoint bandwidth. Returns the bytes
+    /// written so the caller can report checkpoint traffic.
+    fn persist_vector(&mut self, key: &str, v: &Self::Vector) -> Result<usize>;
 
     /// Persist one scalar (step counters, epoch metadata) in this rank's
-    /// persistent partition. No-op in spaces without a persistent store.
-    /// Restoring is a recovery-driver concern, done directly on the
-    /// communicator (see `kernel::lflr`), so the space only writes.
-    fn persist_scalar(&mut self, _key: &str, _value: f64) -> Result<()> {
-        Ok(())
-    }
+    /// persistent partition. Restoring is a recovery-driver concern, done
+    /// directly on the communicator (see `kernel::lflr`), so the space only
+    /// writes.
+    fn persist_scalar(&mut self, key: &str, value: f64) -> Result<()>;
 
-    /// Remove `key` from this rank's persistent partition (no-op if absent
-    /// or the space has no store) — how persisting policies prune their
-    /// snapshot history to a bounded window.
-    fn unpersist(&mut self, _key: &str) {}
+    /// Remove `key` from this rank's persistent partition (no-op if absent)
+    /// — how persisting policies prune their snapshot history to a bounded
+    /// window.
+    fn unpersist(&mut self, key: &str);
 
-    /// Charge solver arithmetic (accumulates in the solve's FLOP count and,
-    /// in distributed spaces, advances virtual time).
+    /// Charge solver arithmetic: advances the clock and counts the FLOPs in
+    /// the rank's [`resilient_runtime::RankStats::flops`].
     fn charge_flops(&mut self, flops: usize);
     /// Attribute resilience-check arithmetic to the check ledger. This never
-    /// advances time or the solver FLOP count: the space operations that
-    /// perform a check (dots, norms, applications) charge their own cost,
-    /// and the legacy skeptical accounting likewise kept check FLOPs out of
-    /// the solver ledger. Distributed spaces record the attribution in the
-    /// rank's [`resilient_runtime::RankStats::check_flops`].
+    /// advances time or the FLOP count: the space operations that perform a
+    /// check (dots, norms, applications) charge their own cost. The
+    /// attribution lands in the rank's
+    /// [`resilient_runtime::RankStats::check_flops`].
     fn record_check_flops(&mut self, flops: usize);
     /// Advance any configured per-iteration extra application work
-    /// (latency-hiding experiments); no-op for serial spaces.
+    /// (latency-hiding experiments).
     fn advance_extra_work(&mut self) -> Result<()>;
-    /// Solver FLOPs accumulated so far (serial spaces; distributed spaces
-    /// account in virtual time instead and return 0).
-    fn accumulated_flops(&self) -> usize;
 }
 
 /// One column of a pipelined-CG sweep on local slices, uncharged (the
@@ -323,149 +287,6 @@ fn sweep_column(
             };
             ops.pipelined_pcg_sweep(alpha, beta, aw, mw, v)
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serial space
-// ---------------------------------------------------------------------------
-
-/// A [`KrylovSpace`] over plain `Vec<f64>` and a serial [`Operator`].
-pub struct SerialSpace<'a, O: Operator + ?Sized> {
-    op: &'a O,
-    flops: usize,
-    ops: &'static dyn LocalOps,
-}
-
-impl<'a, O: Operator + ?Sized> SerialSpace<'a, O> {
-    /// Bind the operator (local arithmetic through the [`auto_ops`]
-    /// backend).
-    pub fn new(op: &'a O) -> Self {
-        Self {
-            op,
-            flops: 0,
-            ops: auto_ops(),
-        }
-    }
-
-    /// Select the node-local compute backend (scalar reference, SIMD, …);
-    /// every backend is bit-compatible, so this changes speed, never
-    /// results.
-    pub fn with_ops(mut self, ops: &'static dyn LocalOps) -> Self {
-        self.ops = ops;
-        self
-    }
-
-    /// The bound operator.
-    pub fn operator(&self) -> &'a O {
-        self.op
-    }
-}
-
-impl<'a, O: Operator + ?Sized> KrylovSpace for SerialSpace<'a, O> {
-    type Vector = Vec<f64>;
-    type Pending = resilient_runtime::PendingCollective;
-
-    fn ops(&self) -> &'static dyn LocalOps {
-        self.ops
-    }
-
-    fn local(v: &Self::Vector) -> &[f64] {
-        v
-    }
-
-    fn local_mut(v: &mut Self::Vector) -> &mut [f64] {
-        v
-    }
-
-    fn apply(&mut self, x: &Self::Vector) -> Result<Self::Vector> {
-        self.flops += self.op.flops_per_apply();
-        Ok(self.op.apply(x))
-    }
-
-    fn flops_per_apply(&self) -> usize {
-        self.op.flops_per_apply()
-    }
-
-    fn operator_norm_estimate(&self) -> f64 {
-        self.op.norm_estimate()
-    }
-
-    fn dot(&mut self, x: &Self::Vector, y: &Self::Vector) -> Result<f64> {
-        Ok(self.ops.dot(x, y))
-    }
-
-    fn norm(&mut self, x: &Self::Vector) -> Result<f64> {
-        Ok(self.ops.nrm2(x))
-    }
-
-    fn fused_dots(&mut self, left: &[&Self::Vector], right: &Self::Vector) -> Result<Vec<f64>> {
-        let pairs: Vec<(&[f64], &[f64])> = left
-            .iter()
-            .map(|l| (l.as_slice(), right.as_slice()))
-            .collect();
-        // lint:allow(hot-loop-alloc): O(#pairs) result buffer the trait returns
-        // by value — not an O(n) vector buffer (those live in scratch).
-        let mut out = vec![0.0; pairs.len()];
-        self.ops.dot_pairs(&pairs, &mut out);
-        Ok(out)
-    }
-
-    fn start_dots(
-        &mut self,
-        pairs: &[(&Self::Vector, &Self::Vector)],
-    ) -> Result<PendingDots<Self::Pending>> {
-        self.start_carried_dots(&[], 0, pairs)
-    }
-
-    fn start_carried_dots(
-        &mut self,
-        carried: &[f64],
-        _n: usize,
-        checks: &[(&Self::Vector, &Self::Vector)],
-    ) -> Result<PendingDots<Self::Pending>> {
-        // Local partials are already global here, and nothing is charged.
-        // lint:allow(hot-loop-alloc): O(#pairs) result buffer the trait returns
-        // by value — not an O(n) vector buffer (those live in scratch).
-        let mut out = vec![0.0; carried.len() + checks.len()];
-        out[..carried.len()].copy_from_slice(carried);
-        self.dot_partials(checks, &mut out[carried.len()..]);
-        Ok(PendingDots::Ready(out))
-    }
-
-    fn finish_dots(&mut self, pending: PendingDots<Self::Pending>) -> Result<Vec<f64>> {
-        match pending {
-            PendingDots::Ready(v) => Ok(v),
-            PendingDots::InFlight(_) => unreachable!("serial spaces reduce immediately"),
-        }
-    }
-
-    fn residual(&self, b: &Self::Vector, ax: &Self::Vector) -> Self::Vector {
-        // 1·b + (−1)·ax ≡ b − ax bitwise (1·v = v, (−1)·v = −v exactly).
-        let mut r = vec![0.0; b.len()];
-        self.ops.waxpby_into(1.0, b, -1.0, ax, &mut r);
-        r
-    }
-
-    fn zeros_like(&self, v: &Self::Vector) -> Self::Vector {
-        vec![0.0; v.len()]
-    }
-
-    fn charge_flops(&mut self, flops: usize) {
-        self.flops += flops;
-    }
-
-    fn record_check_flops(&mut self, _flops: usize) {
-        // Check overhead is reported per policy, not mixed into solver FLOPs
-        // (the legacy skeptical solver kept the two ledgers separate).
-    }
-
-    fn advance_extra_work(&mut self) -> Result<()> {
-        Ok(())
-    }
-
-    fn accumulated_flops(&self) -> usize {
-        self.flops
     }
 }
 
@@ -741,13 +562,11 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         checks: &[(&DistVector, &DistVector)],
         active: usize,
         partials: &mut Vec<f64>,
-    ) -> Result<PendingDots<C::Pending>> {
+    ) -> Result<C::Pending> {
         partials.clear();
         partials.extend_from_slice(carried);
         self.append_check_partials(n, active * (carried.len() / k), checks, partials);
-        Ok(PendingDots::InFlight(
-            self.comm.iallreduce(ReduceOp::Sum, partials)?,
-        ))
+        self.comm.iallreduce(ReduceOp::Sum, partials)
     }
 
     /// Local halves of a batched reduction, uncharged (the reduction that
@@ -900,7 +719,7 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
     }
 
     fn norm(&mut self, x: &Self::Vector) -> Result<f64> {
-        Ok(self.dot(x, x)?.max(0.0).sqrt())
+        Ok(sqrt_nonneg(self.dot(x, x)?))
     }
 
     fn fused_dots(&mut self, left: &[&Self::Vector], right: &Self::Vector) -> Result<Vec<f64>> {
@@ -916,10 +735,7 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
         self.comm.allreduce(ReduceOp::Sum, &local)
     }
 
-    fn start_dots(
-        &mut self,
-        pairs: &[(&Self::Vector, &Self::Vector)],
-    ) -> Result<PendingDots<Self::Pending>> {
+    fn start_dots(&mut self, pairs: &[(&Self::Vector, &Self::Vector)]) -> Result<Self::Pending> {
         let slices: Vec<(&[f64], &[f64])> = pairs
             .iter()
             .map(|(x, y)| (x.local.as_slice(), y.local.as_slice()))
@@ -931,9 +747,7 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
         if let Some((x, _)) = pairs.first() {
             self.comm.charge_flops(2 * x.local_len() * pairs.len());
         }
-        Ok(PendingDots::InFlight(
-            self.comm.iallreduce(ReduceOp::Sum, &local)?,
-        ))
+        self.comm.iallreduce(ReduceOp::Sum, &local)
     }
 
     fn start_carried_dots(
@@ -941,7 +755,7 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
         carried: &[f64],
         n: usize,
         checks: &[(&Self::Vector, &Self::Vector)],
-    ) -> Result<PendingDots<Self::Pending>> {
+    ) -> Result<Self::Pending> {
         // The one-column, fully active case of the block kernel's post, on
         // the space's own partials buffer.
         let mut partials = std::mem::take(&mut self.partials);
@@ -950,11 +764,8 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
         pending
     }
 
-    fn finish_dots(&mut self, pending: PendingDots<Self::Pending>) -> Result<Vec<f64>> {
-        match pending {
-            PendingDots::Ready(v) => Ok(v),
-            PendingDots::InFlight(p) => self.comm.wait_vector(p),
-        }
+    fn finish_dots(&mut self, pending: Self::Pending) -> Result<Vec<f64>> {
+        self.comm.wait_vector(pending)
     }
 
     fn fused_pairs(
@@ -1023,9 +834,5 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
             self.comm.advance(self.extra_work_per_iter);
         }
         Ok(())
-    }
-
-    fn accumulated_flops(&self) -> usize {
-        0
     }
 }

@@ -14,9 +14,10 @@
 //! * [`srp`] — **SRP**, Selective Reliability Programming: reliable /
 //!   unreliable execution tiers, FT-GMRES and TMR ablations.
 //!
-//! Supporting modules: [`solvers`] (serial CG/GMRES/FGMRES), [`distributed`]
-//! (block-distributed vectors and sparse matrices over the simulated
-//! runtime), and [`models`] (the programming-model taxonomy).
+//! Supporting modules: [`solvers`] (serial CG/GMRES/FGMRES — 1-rank solves
+//! of the same kernel), [`distributed`] (block-distributed vectors and
+//! sparse matrices over the simulated runtime), and [`models`] (the
+//! programming-model taxonomy).
 //!
 //! ## Quick start
 //!
@@ -28,14 +29,15 @@
 //! // one matrix-vector product, and let the skeptical checks recover.
 //! let a = poisson2d(10, 10);
 //! let b = vec![1.0; a.nrows()];
-//! let plan = InjectionPlan { at_application: 5, target: FaultTarget::RandomElement, bit: Some(61) };
-//! let faulty = FaultyOperator::new(&a, Some(plan), 42);
+//! let fault = random_spmv_fault(a.nrows(), 5, Some(61), 42);
 //! let (outcome, report) = skeptical_gmres(
-//!     &faulty, &b, None,
+//!     &a, &b, None,
 //!     &SolveOptions::default().with_tol(1e-8).with_max_iters(500),
 //!     &SkepticalConfig::default(),
+//!     Some(fault),
 //! );
 //! assert!(outcome.converged());
+//! assert_eq!(outcome.injections, 1);
 //! assert!(report.detections >= 1);
 //! ```
 
@@ -66,8 +68,8 @@ pub mod prelude {
         pipelined_skeptical_pcg, pipelined_skeptical_pgmres, run_block_cg, AbftSpmvPolicy,
         BlockJacobi, BlockOutcome, DistSpace, IdentityPrecond, IterateRollbackPolicy,
         KrylovLflrConfig, KrylovLflrReport, KrylovSpace, Method, NoopPolicy, PolicyOverhead,
-        PolicyStack, PrecondGuardPolicy, ResiliencePolicy, RightPrecond, Schedule, SerialPrecond,
-        SerialSpace, SetupCache, SkepticalPolicy, SolveSpec, SpacePreconditioner, SpmvFault,
+        PolicyStack, PrecondGuardPolicy, ResiliencePolicy, RightPrecond, Schedule, SetupCache,
+        SkepticalPolicy, SolveSpec, SpacePreconditioner, SpmvFault,
     };
     pub use crate::lflr::{run_cpr, run_lflr, CprApp, CprConfig, CprReport, LflrApp, LflrReport};
     pub use crate::models::ProgrammingModel;
@@ -77,15 +79,13 @@ pub mod prelude {
         solve_dist, BlockSolveOutcome, DistSolveOptions, DistSolveOutcome,
     };
     pub use crate::skeptical::{
-        skeptical_gmres, FaultTarget, FaultyOperator, InjectionPlan, SkepticalConfig,
-        SkepticalReport, SkepticalResponse,
+        random_spmv_fault, skeptical_gmres, SkepticalConfig, SkepticalReport, SkepticalResponse,
     };
     pub use crate::solvers::{
-        cg, fgmres, gmres, pcg, true_relative_residual, IdentityPreconditioner,
-        JacobiPreconditioner, Operator, Preconditioner, SolveOptions, SolveOutcome, StopReason,
+        cg, fgmres, gmres, true_relative_residual, SolveOptions, SolveOutcome, StopReason,
     };
     pub use crate::srp::{
         compare_tmr_strategies, ft_gmres, reliable_gmres, unreliable_gmres, FtGmresConfig,
-        FtGmresReport, SrpCostLedger, UnreliableOperator,
+        FtGmresReport, SrpCostLedger,
     };
 }

@@ -1,206 +1,120 @@
-//! Fault-injecting operator wrappers: the "unreliable machine" the skeptical
-//! algorithms are tested against.
-
-use std::cell::RefCell;
+//! Seeded single-event upsets: the "unreliable machine" the skeptical
+//! algorithms are tested against. The upset itself is an [`SpmvFault`] on
+//! the space that runs the solve; this module only draws where it strikes.
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use resilient_faults::bitflip::flip_bit_f64;
 
-use crate::solvers::common::Operator;
+use crate::kernel::SpmvFault;
 
-/// Where, within the output vector of one operator application, a fault
-/// strikes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultTarget {
-    /// A specific element index.
-    Element(usize),
-    /// A uniformly random element.
-    RandomElement,
-}
-
-/// A plan for injecting a single bit flip into one operator application.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectionPlan {
-    /// Which application (0-based count of `apply` calls) to corrupt.
-    pub at_application: usize,
-    /// Which element of the output to corrupt.
-    pub target: FaultTarget,
-    /// Which bit to flip; `None` = uniformly random bit.
-    pub bit: Option<u32>,
-}
-
-/// Record of an injection that actually happened.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InjectionDone {
-    /// Application index at which the flip occurred.
-    pub application: usize,
-    /// Element that was corrupted.
-    pub element: usize,
-    /// Bit that was flipped.
-    pub bit: u32,
-    /// Value before the flip.
-    pub old_value: f64,
-    /// Value after the flip.
-    pub new_value: f64,
-}
-
-struct FaultyState {
-    applications: usize,
-    plan: Option<InjectionPlan>,
-    done: Option<InjectionDone>,
-    rng: ChaCha8Rng,
-}
-
-/// Wraps an operator and injects (at most) one bit flip into the output of a
-/// chosen application — the single-event-upset model used by the E1
-/// experiment and by the literature the paper cites (Elliott/Hoemmen's
-/// bit-flip-resilient GMRES).
-pub struct FaultyOperator<'a, O: Operator + ?Sized> {
-    inner: &'a O,
-    state: RefCell<FaultyState>,
-}
-
-impl<'a, O: Operator + ?Sized> FaultyOperator<'a, O> {
-    /// Wrap `inner`, injecting according to `plan` (or never, if `None`).
-    pub fn new(inner: &'a O, plan: Option<InjectionPlan>, seed: u64) -> Self {
-        Self {
-            inner,
-            state: RefCell::new(FaultyState {
-                applications: 0,
-                plan,
-                done: None,
-                rng: ChaCha8Rng::seed_from_u64(seed),
-            }),
-        }
-    }
-
-    /// The injection that occurred, if any.
-    pub fn injection(&self) -> Option<InjectionDone> {
-        self.state.borrow().done
-    }
-
-    /// Number of operator applications so far.
-    pub fn applications(&self) -> usize {
-        self.state.borrow().applications
-    }
-}
-
-impl<'a, O: Operator + ?Sized> Operator for FaultyOperator<'a, O> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.inner.apply(x);
-        let mut st = self.state.borrow_mut();
-        let app = st.applications;
-        st.applications += 1;
-        if st.done.is_none() {
-            if let Some(plan) = st.plan {
-                if plan.at_application == app && !y.is_empty() {
-                    let element = match plan.target {
-                        FaultTarget::Element(i) => i.min(y.len() - 1),
-                        FaultTarget::RandomElement => st.rng.gen_range(0..y.len()),
-                    };
-                    let bit = plan.bit.unwrap_or_else(|| st.rng.gen_range(0..64));
-                    let old_value = y[element];
-                    let new_value = flip_bit_f64(old_value, bit);
-                    y[element] = new_value;
-                    st.done = Some(InjectionDone {
-                        application: app,
-                        element,
-                        bit,
-                        old_value,
-                        new_value,
-                    });
-                }
-            }
-        }
-        y
-    }
-
-    fn flops_per_apply(&self) -> usize {
-        self.inner.flops_per_apply()
-    }
-
-    fn norm_estimate(&self) -> f64 {
-        self.inner.norm_estimate()
+/// One bit flip in product `at_application` of a 1-rank solve over `n`
+/// rows: a uniformly random element and, when `bit` is `None`, a uniformly
+/// random bit — drawn in that order as the first draws of
+/// `ChaCha8Rng::seed_from_u64(seed)`, the single-event-upset model of the
+/// E1 experiment and of Elliott/Hoemmen's bit-flip-resilient GMRES.
+pub fn random_spmv_fault(
+    n: usize,
+    at_application: usize,
+    bit: Option<u32>,
+    seed: u64,
+) -> SpmvFault {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let local_element = rng.gen_range(0..n.max(1));
+    SpmvFault {
+        rank: 0,
+        at_application,
+        local_element,
+        bit: bit.unwrap_or_else(|| rng.gen_range(0..64)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resilient_linalg::poisson1d;
+    use crate::distributed::{DistCsr, DistVector};
+    use crate::kernel::{DistSpace, KrylovSpace};
+    use resilient_linalg::{poisson1d, CsrMatrix};
+    use resilient_runtime::{Comm, RuntimeConfig};
+
+    /// `count` products of `a` with a vector of ones on a 1-rank space, and
+    /// the flips that landed.
+    fn products(a: &CsrMatrix, fault: Option<SpmvFault>, count: usize) -> (Vec<Vec<f64>>, usize) {
+        let mut comm = Comm::solo(&RuntimeConfig::fast());
+        let da = DistCsr::from_global(&mut comm, a).unwrap();
+        let x = DistVector::from_fn(&comm, a.nrows(), |_| 1.0);
+        let mut space = DistSpace::new(&mut comm, &da);
+        if let Some(f) = fault {
+            space = space.with_fault(f);
+        }
+        let ys = (0..count).map(|_| space.apply(&x).unwrap().local).collect();
+        (ys, space.injections())
+    }
 
     #[test]
     fn no_plan_is_transparent() {
         let a = poisson1d(6);
-        let f = FaultyOperator::new(&a, None, 1);
-        let x = vec![1.0; 6];
-        assert_eq!(f.apply(&x), a.spmv(&x));
-        assert_eq!(f.injection(), None);
-        assert_eq!(f.applications(), 1);
-        assert_eq!(f.dim(), 6);
-        assert_eq!(Operator::flops_per_apply(&f), a.spmv_flops());
+        let (ys, injections) = products(&a, None, 1);
+        assert_eq!(ys[0], a.spmv(&[1.0; 6]));
+        assert_eq!(injections, 0);
     }
 
     #[test]
     fn injects_exactly_once_at_planned_application() {
         let a = poisson1d(8);
-        let plan = InjectionPlan {
+        let fault = SpmvFault {
+            rank: 0,
             at_application: 2,
-            target: FaultTarget::Element(3),
-            bit: Some(52),
+            local_element: 3,
+            bit: 52,
         };
-        let f = FaultyOperator::new(&a, Some(plan), 7);
-        let x = vec![1.0; 8];
-        let clean = a.spmv(&x);
-        assert_eq!(f.apply(&x), clean, "application 0 is clean");
-        assert_eq!(f.apply(&x), clean, "application 1 is clean");
-        let corrupted = f.apply(&x);
+        let (ys, injections) = products(&a, Some(fault), 4);
+        let clean = a.spmv(&[1.0; 8]);
+        assert_eq!(ys[0], clean, "application 0 is clean");
+        assert_eq!(ys[1], clean, "application 1 is clean");
         assert_ne!(
-            corrupted[3].to_bits(),
+            ys[2][3].to_bits(),
             clean[3].to_bits(),
             "application 2 is corrupted"
         );
-        let done = f.injection().expect("injection recorded");
-        assert_eq!(done.application, 2);
-        assert_eq!(done.element, 3);
-        assert_eq!(done.bit, 52);
-        assert_eq!(done.old_value, clean[3]);
+        assert_eq!(ys[2][3].to_bits(), clean[3].to_bits() ^ (1 << 52));
         // Subsequent applications are clean again (single-event upset).
-        assert_eq!(f.apply(&x), clean);
-        assert_eq!(f.applications(), 4);
+        assert_eq!(ys[3], clean);
+        assert_eq!(injections, 1);
     }
 
     #[test]
     fn random_target_stays_in_bounds() {
-        let a = poisson1d(5);
-        let plan = InjectionPlan {
-            at_application: 0,
-            target: FaultTarget::RandomElement,
-            bit: None,
-        };
-        let f = FaultyOperator::new(&a, Some(plan), 99);
-        let _ = f.apply(&[1.0; 5]);
-        let done = f.injection().unwrap();
-        assert!(done.element < 5);
-        assert!(done.bit < 64);
+        for seed in 0..20 {
+            let fault = random_spmv_fault(5, 0, None, seed);
+            assert!(fault.local_element < 5);
+            assert!(fault.bit < 64);
+            assert_eq!(
+                random_spmv_fault(5, 0, None, seed),
+                fault,
+                "a function of the seed"
+            );
+            assert_eq!(random_spmv_fault(5, 0, Some(7), seed).bit, 7);
+        }
     }
 
     #[test]
     fn element_target_is_clamped() {
         let a = poisson1d(4);
-        let plan = InjectionPlan {
+        let fault = SpmvFault {
+            rank: 0,
             at_application: 0,
-            target: FaultTarget::Element(100),
-            bit: Some(1),
+            local_element: 100,
+            bit: 1,
         };
-        let f = FaultyOperator::new(&a, Some(plan), 1);
-        let _ = f.apply(&[1.0; 4]);
-        assert_eq!(f.injection().unwrap().element, 3);
+        let (ys, injections) = products(&a, Some(fault), 1);
+        let clean = a.spmv(&[1.0; 4]);
+        assert_eq!(injections, 1);
+        assert_eq!(ys[0][..3], clean[..3]);
+        assert_ne!(
+            ys[0][3].to_bits(),
+            clean[3].to_bits(),
+            "clamped to the last element"
+        );
     }
 }

@@ -7,5 +7,5 @@ pub mod faulty;
 pub mod sdc_gmres;
 
 pub use abft::{abft_gemm_trial, abft_spmv_trial, encode_spmv, AbftOutcome, AbftStats};
-pub use faulty::{FaultTarget, FaultyOperator, InjectionDone, InjectionPlan};
+pub use faulty::random_spmv_fault;
 pub use sdc_gmres::{skeptical_gmres, SkepticalConfig, SkepticalReport, SkepticalResponse};

@@ -20,8 +20,10 @@
 //! current (still valid) iterate — cheap local recovery — or aborts,
 //! according to [`SkepticalResponse`].
 
-use crate::kernel::{run_gmres, GmresFlavor, MgsOrtho, PolicyStack, SerialSpace, SkepticalPolicy};
-use crate::solvers::common::{Operator, SolveOptions, SolveOutcome};
+use resilient_linalg::CsrMatrix;
+
+use crate::kernel::{run_gmres, GmresFlavor, MgsOrtho, PolicyStack, SkepticalPolicy, SpmvFault};
+use crate::solvers::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
 
 /// What to do when a skeptical check fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,45 +116,57 @@ pub struct SkepticalReport {
     pub check_flops: usize,
 }
 
-/// GMRES with skeptical checks. Returns the solver outcome plus the
-/// skeptical report.
+/// GMRES with skeptical checks. Returns the solver outcome (whose
+/// `injections` count the flips `fault` landed) plus the skeptical report.
 ///
 /// Preset: unified kernel × [`MgsOrtho`] × a single [`SkepticalPolicy`]
-/// over a [`SerialSpace`]. The same policy composes with any other dot
-/// strategy — see [`crate::kernel::compose::pipelined_skeptical_gmres`] for
-/// the pipelined/distributed combination.
-pub fn skeptical_gmres<O: Operator + ?Sized>(
-    a: &O,
+/// over a 1-rank [`DistSpace`](crate::kernel::DistSpace), its products
+/// struck by `fault` when one is planned (see
+/// [`random_spmv_fault`](super::random_spmv_fault)). The same policy
+/// composes with any other dot strategy — see
+/// [`crate::kernel::compose::pipelined_skeptical_gmres`] for the
+/// pipelined/distributed combination.
+pub fn skeptical_gmres(
+    a: &CsrMatrix,
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
     skeptic: &SkepticalConfig,
+    fault: Option<SpmvFault>,
 ) -> (SolveOutcome, SkepticalReport) {
-    assert_eq!(b.len(), a.dim(), "rhs dimension mismatch");
-    let mut space = SerialSpace::new(a);
-    let b = b.to_vec();
     let mut policy = SkepticalPolicy::new(*skeptic);
-    let mut policies = PolicyStack::new(vec![&mut policy]);
-    let (outcome, _report) = run_gmres(
-        &mut space,
-        &b,
-        x0.map(|v| v.to_vec()),
-        opts,
-        &mut MgsOrtho::new(),
-        &mut policies,
-        None,
-        &GmresFlavor::serial_skeptical(),
-    )
-    .expect("serial spaces are infallible");
-    (outcome.into_solve_outcome(), policy.report())
+    let (out, _report) = solve_on_one_rank(a, b, x0, fault, |space, b, x0| {
+        let policies = &mut PolicyStack::new(vec![&mut policy]);
+        let flavor = GmresFlavor::serial_skeptical();
+        run_gmres(
+            space,
+            b,
+            x0,
+            opts,
+            &mut MgsOrtho::new(),
+            policies,
+            None,
+            &flavor,
+        )
+    });
+    (out, policy.report())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeptical::faulty::{FaultTarget, FaultyOperator, InjectionPlan};
     use crate::solvers::common::{true_relative_residual, StopReason};
     use resilient_linalg::poisson2d;
+
+    /// A flip of `bit` in element `element` of product `at` on the one rank.
+    fn flip(at: usize, element: usize, bit: u32) -> SpmvFault {
+        SpmvFault {
+            rank: 0,
+            at_application: at,
+            local_element: element,
+            bit,
+        }
+    }
 
     fn opts() -> SolveOptions {
         SolveOptions::default()
@@ -165,7 +179,8 @@ mod tests {
     fn clean_run_matches_plain_gmres_and_costs_little_extra() {
         let a = poisson2d(10, 10);
         let b = vec![1.0; a.nrows()];
-        let (out, report) = skeptical_gmres(&a, &b, None, &opts(), &SkepticalConfig::default());
+        let (out, report) =
+            skeptical_gmres(&a, &b, None, &opts(), &SkepticalConfig::default(), None);
         assert!(out.converged());
         assert_eq!(report.detections, 0, "no false positives on a clean run");
         assert!(report.local_checks_run > 0);
@@ -184,16 +199,17 @@ mod tests {
         let n = a.nrows();
         let b = vec![1.0; n];
         // Flip a high exponent bit in the SpMV output of the 7th application.
-        let plan = InjectionPlan {
-            at_application: 7,
-            target: FaultTarget::Element(n / 2),
-            bit: Some(62),
-        };
-        let faulty = FaultyOperator::new(&a, Some(plan), 3);
-        let (out, report) =
-            skeptical_gmres(&faulty, &b, None, &opts(), &SkepticalConfig::default());
-        assert!(
-            faulty.injection().is_some(),
+        let fault = flip(7, n / 2, 62);
+        let (out, report) = skeptical_gmres(
+            &a,
+            &b,
+            None,
+            &opts(),
+            &SkepticalConfig::default(),
+            Some(fault),
+        );
+        assert_eq!(
+            out.injections, 1,
             "the fault must actually have been injected"
         );
         assert!(report.detections >= 1, "the severe flip must be detected");
@@ -212,27 +228,11 @@ mod tests {
         let a = poisson2d(10, 10);
         let n = a.nrows();
         let b = vec![1.0; n];
-        let plan = InjectionPlan {
-            at_application: 7,
-            target: FaultTarget::Element(n / 2),
-            bit: Some(62),
-        };
-        let skeptical_faulty = FaultyOperator::new(&a, Some(plan), 3);
-        let trusting_faulty = FaultyOperator::new(&a, Some(plan), 3);
-        let (skeptical_out, _) = skeptical_gmres(
-            &skeptical_faulty,
-            &b,
-            None,
-            &opts(),
-            &SkepticalConfig::default(),
-        );
-        let (trusting_out, trusting_report) = skeptical_gmres(
-            &trusting_faulty,
-            &b,
-            None,
-            &opts(),
-            &SkepticalConfig::trusting(),
-        );
+        let fault = Some(flip(7, n / 2, 62));
+        let (skeptical_out, _) =
+            skeptical_gmres(&a, &b, None, &opts(), &SkepticalConfig::default(), fault);
+        let (trusting_out, trusting_report) =
+            skeptical_gmres(&a, &b, None, &opts(), &SkepticalConfig::trusting(), fault);
         assert_eq!(trusting_report.detections, 0);
         // The trusting run either needs (strictly) more iterations or ends
         // further from the truth; the skeptical run converges cleanly.
@@ -254,17 +254,11 @@ mod tests {
         let a = poisson2d(8, 8);
         let n = a.nrows();
         let b = vec![1.0; n];
-        let plan = InjectionPlan {
-            at_application: 3,
-            target: FaultTarget::Element(0),
-            bit: Some(63),
-        };
-        let faulty = FaultyOperator::new(&a, Some(plan), 5);
         let cfg = SkepticalConfig {
             response: SkepticalResponse::Abort,
             ..SkepticalConfig::default()
         };
-        let (out, report) = skeptical_gmres(&faulty, &b, None, &opts(), &cfg);
+        let (out, report) = skeptical_gmres(&a, &b, None, &opts(), &cfg, Some(flip(3, 0, 63)));
         if report.detections > 0 {
             assert_eq!(out.reason, StopReason::CorruptionDetected);
         }
@@ -275,14 +269,9 @@ mod tests {
         let a = poisson2d(8, 8);
         let n = a.nrows();
         let b = vec![1.0; n];
-        let plan = InjectionPlan {
-            at_application: 5,
-            target: FaultTarget::Element(1),
-            bit: Some(0),
-        };
-        let faulty = FaultyOperator::new(&a, Some(plan), 5);
+        let fault = Some(flip(5, 1, 0));
         let (out, _report) =
-            skeptical_gmres(&faulty, &b, None, &opts(), &SkepticalConfig::default());
+            skeptical_gmres(&a, &b, None, &opts(), &SkepticalConfig::default(), fault);
         assert!(
             out.converged(),
             "a last-mantissa-bit flip must not prevent convergence"

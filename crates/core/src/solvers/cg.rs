@@ -1,54 +1,38 @@
-//! The (preconditioned) conjugate gradient method for SPD systems.
+//! The conjugate gradient method for SPD systems.
 //!
 //! The solver entry point is a preset of the unified kernel
-//! ([`crate::kernel`]): serial space, [`PcgStep`] recurrence, empty policy
-//! stack.
+//! ([`crate::kernel`]): 1-rank space, [`PcgStep`] recurrence under the
+//! identity, empty policy stack.
 
-use crate::kernel::{run_cg, PcgStep, PolicyStack, SerialPrecond, SerialSpace};
+use resilient_linalg::CsrMatrix;
 
-use super::common::{IdentityPreconditioner, Operator, Preconditioner, SolveOptions, SolveOutcome};
+use crate::kernel::{run_cg, IdentityPrecond, PcgStep, PolicyStack};
+
+use super::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
 
 /// Solve `A·x = b` with CG starting from `x0` (zero vector if `None`).
-pub fn cg<O: Operator + ?Sized>(
-    a: &O,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    opts: &SolveOptions,
-) -> SolveOutcome {
-    pcg(a, &IdentityPreconditioner, b, x0, opts)
-}
-
-/// Preconditioned conjugate gradients.
 ///
-/// Preset: unified kernel × [`PcgStep`] × empty policy stack over a
-/// [`SerialSpace`].
-pub fn pcg<O: Operator + ?Sized, M: Preconditioner + ?Sized>(
-    a: &O,
-    m: &M,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    opts: &SolveOptions,
-) -> SolveOutcome {
-    assert_eq!(b.len(), a.dim(), "rhs dimension mismatch");
-    let mut space = SerialSpace::new(a);
-    let b = b.to_vec();
-    let mut sm = SerialPrecond(m);
-    let (outcome, _report) = run_cg(
-        &mut space,
-        &b,
-        x0.map(|v| v.to_vec()),
-        opts,
-        &mut PcgStep::new(&mut sm),
-        &mut PolicyStack::empty(),
-    )
-    .expect("serial spaces are infallible");
-    outcome.into_solve_outcome()
+/// Preset: unified kernel × [`PcgStep`] (immediate dots) × empty policy
+/// stack over a 1-rank [`DistSpace`](crate::kernel::DistSpace).
+pub fn cg(a: &CsrMatrix, b: &[f64], x0: Option<&[f64]>, opts: &SolveOptions) -> SolveOutcome {
+    let (out, _report) = solve_on_one_rank(a, b, x0, None, |space, b, x0| {
+        let policies = &mut PolicyStack::empty();
+        run_cg(
+            space,
+            b,
+            x0,
+            opts,
+            &mut PcgStep::new(&mut IdentityPrecond),
+            policies,
+        )
+    });
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::common::{true_relative_residual, JacobiPreconditioner, StopReason};
+    use crate::solvers::common::{true_relative_residual, StopReason};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use resilient_linalg::{poisson1d, poisson2d, random_vector, spd_random};
@@ -91,29 +75,6 @@ mod tests {
             .sqrt();
         assert!(err < 1e-6, "solution error {err}");
         assert!(out.flops > 0);
-    }
-
-    #[test]
-    fn jacobi_preconditioning_does_not_hurt_poisson() {
-        let a = poisson2d(10, 10);
-        let b = vec![1.0; a.nrows()];
-        let plain = cg(
-            &a,
-            &b,
-            None,
-            &SolveOptions::default().with_tol(1e-10).with_max_iters(500),
-        );
-        let m = JacobiPreconditioner::from_matrix(&a);
-        let pre = pcg(
-            &a,
-            &m,
-            &b,
-            None,
-            &SolveOptions::default().with_tol(1e-10).with_max_iters(500),
-        );
-        assert!(plain.converged() && pre.converged());
-        // Constant-diagonal matrix: Jacobi is a scalar scaling, same iteration count.
-        assert_eq!(plain.iterations, pre.iterations);
     }
 
     #[test]

@@ -1,150 +1,15 @@
-//! Shared solver abstractions: linear operators, preconditioners, options
-//! and outcomes.
+//! Shared solver types — options, outcomes, stop reasons — and the 1-rank
+//! execution space every serial preset runs in.
 
-use resilient_linalg::{CsrMatrix, DenseMatrix, SellMatrix};
+use resilient_linalg::CsrMatrix;
+use resilient_runtime::{Comm, Result, RuntimeConfig};
 
-/// A linear operator `y = A·x` on `R^n`.
-///
-/// The solvers are generic over this trait so that the same GMRES/CG code
-/// runs on a plain sparse matrix, on a fault-injecting wrapper (skeptical
-/// programming experiments), or on an operator stored in unreliable memory
-/// (selective reliability experiments).
-pub trait Operator {
-    /// Dimension `n` of the (square) operator.
-    fn dim(&self) -> usize;
-    /// Apply the operator: returns `A·x`.
-    fn apply(&self, x: &[f64]) -> Vec<f64>;
-    /// Floating-point operations per application (used for cost accounting).
-    fn flops_per_apply(&self) -> usize {
-        2 * self.dim()
-    }
-    /// An estimate of an upper bound on the operator's ∞-norm, used by
-    /// skeptical norm-bound checks. The default derives nothing and returns
-    /// infinity (no bound available).
-    fn norm_estimate(&self) -> f64 {
-        f64::INFINITY
-    }
-}
+use crate::distributed::{DistCsr, DistVector};
+use crate::kernel::{DistSpace, KernelOutcome, KernelReport, SpmvFault};
 
-impl Operator for CsrMatrix {
-    fn dim(&self) -> usize {
-        self.nrows()
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.spmv(x)
-    }
-    fn flops_per_apply(&self) -> usize {
-        self.spmv_flops()
-    }
-    fn norm_estimate(&self) -> f64 {
-        // ∞-norm = max row sum of absolute values.
-        (0..self.nrows())
-            .map(|i| self.row(i).1.iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-}
-
-impl Operator for SellMatrix {
-    fn dim(&self) -> usize {
-        self.nrows()
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.spmv(x)
-    }
-    fn flops_per_apply(&self) -> usize {
-        self.spmv_flops()
-    }
-    fn norm_estimate(&self) -> f64 {
-        // Same ∞-norm bound as the CSR impl; row order doesn't matter for
-        // a max of row sums, so compute it directly on the sorted layout.
-        let mut worst = 0.0f64;
-        for (p, &len) in self.lens().iter().enumerate() {
-            let base = self.chunk_ptr()[p / resilient_linalg::SELL_C];
-            let lane = p % resilient_linalg::SELL_C;
-            let sum: f64 = (0..len as usize)
-                .map(|step| self.vals()[base + step * resilient_linalg::SELL_C + lane].abs())
-                .sum();
-            worst = worst.max(sum);
-        }
-        worst
-    }
-}
-
-impl Operator for DenseMatrix {
-    fn dim(&self) -> usize {
-        self.nrows()
-    }
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        self.gemv(x)
-    }
-    fn flops_per_apply(&self) -> usize {
-        2 * self.nrows() * self.ncols()
-    }
-    fn norm_estimate(&self) -> f64 {
-        (0..self.nrows())
-            .map(|i| self.row(i).iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-}
-
-/// A preconditioner `z = M⁻¹·r`.
-pub trait Preconditioner {
-    /// Apply the preconditioner.
-    fn apply(&self, r: &[f64]) -> Vec<f64>;
-
-    /// Allocation-free apply: write `M⁻¹·r` into `out`, reusing its
-    /// capacity. The kernel hot loops call this with a buffer that lives
-    /// across iterations, so implementations should override the default
-    /// (which falls back to the allocating [`Preconditioner::apply`]).
-    fn apply_into(&self, r: &[f64], out: &mut Vec<f64>) {
-        *out = self.apply(r);
-    }
-}
-
-/// The identity preconditioner (no preconditioning).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityPreconditioner;
-
-impl Preconditioner for IdentityPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.to_vec()
-    }
-
-    fn apply_into(&self, r: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(r);
-    }
-}
-
-/// Jacobi (diagonal) preconditioner.
-#[derive(Debug, Clone)]
-pub struct JacobiPreconditioner {
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiPreconditioner {
-    /// Build from a sparse matrix's diagonal. Zero diagonal entries are
-    /// treated as one (no scaling) so the preconditioner is always defined.
-    pub fn from_matrix(a: &CsrMatrix) -> Self {
-        let inv_diag = a
-            .diagonal()
-            .iter()
-            .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
-            .collect();
-        Self { inv_diag }
-    }
-}
-
-impl Preconditioner for JacobiPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.iter().zip(&self.inv_diag).map(|(x, d)| x * d).collect()
-    }
-
-    fn apply_into(&self, r: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(r.iter().zip(&self.inv_diag).map(|(x, d)| x * d));
-    }
-}
+/// Why a 1-rank solve cannot fail: it has no peer to lose and no
+/// collective partner to wait for.
+pub(crate) const ONE_RANK: &str = "a 1-rank solve has no peer to fail";
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,8 +79,13 @@ pub struct SolveOutcome {
     pub reason: StopReason,
     /// Relative residual after each iteration.
     pub history: Vec<f64>,
-    /// Total floating-point operations charged.
+    /// Floating-point operations charged during the solve (the change in
+    /// the rank's [`RankStats::flops`](resilient_runtime::RankStats::flops)):
+    /// operator applies, dots at `2n` each, updates.
     pub flops: usize,
+    /// Bit flips the space's fault injectors (an [`SpmvFault`], a
+    /// [`StrikePlan`](resilient_faults::StrikePlan)) landed during the solve.
+    pub injections: usize,
 }
 
 impl SolveOutcome {
@@ -225,9 +95,64 @@ impl SolveOutcome {
     }
 }
 
+/// `a` on a launcher-free 1-rank communicator ([`Comm::solo`]).
+pub(crate) fn one_rank(a: &CsrMatrix) -> (Comm, DistCsr) {
+    let mut comm = Comm::solo(&RuntimeConfig::fast());
+    let a = DistCsr::from_global(&mut comm, a).expect(ONE_RANK);
+    (comm, a)
+}
+
+/// Run a serial preset: `solve` gets a 1-rank [`DistSpace`] over `a` —
+/// carrying `a`'s ∞-norm for norm-bound policies, and `fault` if one is
+/// planned — and `b`, `x0` on it. Every reduction folds one value, so the
+/// kernel sees the bits of the local sums.
+pub(crate) fn solve_on_one_rank(
+    a: &CsrMatrix,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    fault: Option<SpmvFault>,
+    solve: impl FnOnce(
+        &mut DistSpace<'_, '_>,
+        &DistVector,
+        Option<DistVector>,
+    ) -> Result<(KernelOutcome<DistVector>, KernelReport)>,
+) -> (SolveOutcome, KernelReport) {
+    assert_eq!(b.len(), a.nrows(), "rhs dimension mismatch");
+    let (mut comm, a) = one_rank(a);
+    let b = DistVector::from_global(&comm, b);
+    let x0 = x0.map(|x| DistVector::from_global(&comm, x));
+    let mut space = DistSpace::new(&mut comm, &a).with_operator_norm(a.local_norm_inf());
+    if let Some(f) = fault {
+        space = space.with_fault(f);
+    }
+    measured(&mut space, |space| solve(space, &b, x0)).expect(ONE_RANK)
+}
+
+/// `solve` on `space`, as a [`SolveOutcome`]: the iterate's locally owned
+/// entries (all of them on one rank), and the FLOPs charged and flips
+/// injected while it ran.
+pub(crate) fn measured<'a, 'b, T>(
+    space: &mut DistSpace<'a, 'b>,
+    solve: impl FnOnce(&mut DistSpace<'a, 'b>) -> Result<(KernelOutcome<DistVector>, T)>,
+) -> Result<(SolveOutcome, T)> {
+    let flops = space.comm().snapshot_stats().flops;
+    let injections = space.injections();
+    let (out, report) = solve(space)?;
+    let outcome = SolveOutcome {
+        x: out.x.local,
+        iterations: out.iterations,
+        relative_residual: out.relative_residual,
+        reason: out.reason,
+        history: out.history,
+        flops: (space.comm().snapshot_stats().flops - flops) as usize,
+        injections: space.injections() - injections,
+    };
+    Ok((outcome, report))
+}
+
 /// Compute the true relative residual ‖b − A·x‖₂ / ‖b‖₂.
-pub fn true_relative_residual<O: Operator + ?Sized>(a: &O, b: &[f64], x: &[f64]) -> f64 {
-    let ax = a.apply(x);
+pub fn true_relative_residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
+    let ax = a.spmv(x);
     let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
     // lint:allow(charged-arithmetic): offline acceptance check run once after
     // the solve, outside any space/ledger — deliberately uncharged.
@@ -245,53 +170,6 @@ pub fn true_relative_residual<O: Operator + ?Sized>(a: &O, b: &[f64], x: &[f64])
 mod tests {
     use super::*;
     use resilient_linalg::poisson1d;
-
-    #[test]
-    fn csr_operator_impl() {
-        let a = poisson1d(4);
-        assert_eq!(Operator::dim(&a), 4);
-        assert_eq!(a.apply(&[1.0, 0.0, 0.0, 0.0]), vec![2.0, -1.0, 0.0, 0.0]);
-        assert_eq!(Operator::flops_per_apply(&a), 2 * a.nnz());
-        assert_eq!(a.norm_estimate(), 4.0);
-    }
-
-    #[test]
-    fn dense_operator_impl() {
-        let d = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(Operator::dim(&d), 2);
-        assert_eq!(d.apply(&[1.0, 1.0]), vec![3.0, 7.0]);
-        assert_eq!(d.norm_estimate(), 7.0);
-    }
-
-    #[test]
-    fn jacobi_preconditioner_scales_by_diagonal() {
-        let a = poisson1d(3); // diag = 2
-        let m = JacobiPreconditioner::from_matrix(&a);
-        assert_eq!(m.apply(&[2.0, 4.0, 6.0]), vec![1.0, 2.0, 3.0]);
-        let id = IdentityPreconditioner;
-        assert_eq!(id.apply(&[1.0, 2.0]), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn apply_into_matches_apply_and_reuses_the_buffer() {
-        struct DefaultOnly;
-        impl Preconditioner for DefaultOnly {
-            fn apply(&self, r: &[f64]) -> Vec<f64> {
-                r.iter().map(|x| 2.0 * x).collect()
-            }
-        }
-        let a = poisson1d(3);
-        let r = [2.0, 4.0, 6.0];
-        // A stale, differently-sized buffer must be fully overwritten.
-        let mut buf = vec![9.0; 7];
-        JacobiPreconditioner::from_matrix(&a).apply_into(&r, &mut buf);
-        assert_eq!(buf, vec![1.0, 2.0, 3.0]);
-        IdentityPreconditioner.apply_into(&r, &mut buf);
-        assert_eq!(buf, vec![2.0, 4.0, 6.0]);
-        // The default implementation falls back to `apply`.
-        DefaultOnly.apply_into(&r, &mut buf);
-        assert_eq!(buf, vec![4.0, 8.0, 12.0]);
-    }
 
     #[test]
     fn options_builders() {

@@ -5,37 +5,17 @@
 //! which is exactly what is needed when the "preconditioner" is an entire
 //! inner solve executed in unreliable (cheap) mode: whatever the inner solve
 //! returns, correct or corrupted, is treated as just another subspace vector
-//! by the outer iteration, which is what makes the combination robust.
+//! by the outer iteration, which is what makes the combination robust. The
+//! preconditioner is any [`FlexibleRight`] over the 1-rank space the preset
+//! runs in.
 
-use crate::kernel::{run_gmres, FlexibleRight, GmresFlavor, MgsOrtho, PolicyStack, SerialSpace};
-use resilient_runtime::Result;
+use resilient_linalg::CsrMatrix;
 
-use super::common::{Operator, SolveOptions, SolveOutcome};
+use crate::kernel::{
+    run_gmres, DistSpace, FlexibleRight, GmresFlavor, KernelReport, MgsOrtho, PolicyStack,
+};
 
-/// A possibly nonlinear, possibly *unreliable* preconditioner application
-/// `z ≈ A⁻¹·v` that may differ on every call. The flexible outer iteration
-/// only requires that the returned vector is finite to make progress; even
-/// that is checked skeptically by [`fgmres`].
-pub trait FlexiblePreconditioner {
-    /// Apply the (inner) solver to `v`.
-    fn apply(&mut self, v: &[f64]) -> Vec<f64>;
-    /// Name for reporting.
-    fn name(&self) -> &'static str {
-        "flexible-preconditioner"
-    }
-}
-
-/// The trivial flexible preconditioner: identity (turns FGMRES into GMRES).
-pub struct IdentityFlexible;
-
-impl FlexiblePreconditioner for IdentityFlexible {
-    fn apply(&mut self, v: &[f64]) -> Vec<f64> {
-        v.to_vec()
-    }
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-}
+use super::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
 
 /// Statistics of one FGMRES run beyond the generic outcome.
 #[derive(Debug, Clone, Default)]
@@ -48,85 +28,66 @@ pub struct FgmresReport {
     pub rejected_inner_results: usize,
 }
 
-/// Adapter presenting a [`FlexiblePreconditioner`] to the unified kernel as
-/// a flexible right preconditioner over a serial space.
-struct FlexAdapter<'m, M: FlexiblePreconditioner + ?Sized>(&'m mut M);
-
-impl<'a, 'm, O, M> FlexibleRight<SerialSpace<'a, O>> for FlexAdapter<'m, M>
-where
-    O: Operator + ?Sized,
-    M: FlexiblePreconditioner + ?Sized,
-{
-    fn apply(&mut self, _space: &mut SerialSpace<'a, O>, v: &Vec<f64>) -> Result<Vec<f64>> {
-        Ok(self.0.apply(v))
-    }
-    fn name(&self) -> &'static str {
-        self.0.name()
+impl From<&KernelReport> for FgmresReport {
+    fn from(report: &KernelReport) -> Self {
+        Self {
+            inner_applications: report.inner_applications,
+            rejected_inner_results: report.rejected_inner_results,
+        }
     }
 }
 
 /// Flexible GMRES with restart, applying `m` as a (possibly varying,
 /// possibly unreliable) right preconditioner.
 ///
-/// Preset: unified kernel × [`MgsOrtho`] in flexible mode × empty policy
-/// stack over a [`SerialSpace`]. The outer iteration skeptically validates
-/// every inner result and falls back to the unpreconditioned direction on
+/// Preset: unified kernel × [`MgsOrtho::flexible`] × empty policy stack over
+/// a 1-rank [`DistSpace`]. The outer iteration skeptically validates every
+/// inner result and falls back to the unpreconditioned direction on
 /// garbage, so convergence degrades gracefully instead of being destroyed.
-pub fn fgmres<O: Operator + ?Sized, M: FlexiblePreconditioner + ?Sized>(
-    a: &O,
+pub fn fgmres<M>(
+    a: &CsrMatrix,
     m: &mut M,
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
-) -> (SolveOutcome, FgmresReport) {
-    fgmres_with_policies(a, m, b, x0, opts, &mut PolicyStack::empty()).0
-}
-
-/// Flexible GMRES with an explicit resilience-policy stack — the composable
-/// form used by `kernel::compose` presets (e.g. FT-GMRES with ABFT-checked
-/// outer products). Returns the outcome/report pair plus the number of
-/// policy-triggered cycle restarts.
-pub fn fgmres_with_policies<'a, O: Operator + ?Sized, M: FlexiblePreconditioner + ?Sized>(
-    a: &'a O,
-    m: &mut M,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    opts: &SolveOptions,
-    policies: &mut PolicyStack<'_, SerialSpace<'a, O>>,
-) -> ((SolveOutcome, FgmresReport), usize) {
-    assert_eq!(b.len(), a.dim(), "rhs dimension mismatch");
-    let mut space = SerialSpace::new(a);
-    let b = b.to_vec();
-    let mut adapter = FlexAdapter(m);
-    let (outcome, report) = run_gmres(
-        &mut space,
-        &b,
-        x0.map(|v| v.to_vec()),
-        opts,
-        &mut MgsOrtho::flexible(),
-        policies,
-        Some(&mut adapter),
-        &GmresFlavor::serial_flexible(),
-    )
-    .expect("serial spaces are infallible");
-    (
-        (
-            outcome.into_solve_outcome(),
-            FgmresReport {
-                inner_applications: report.inner_applications,
-                rejected_inner_results: report.rejected_inner_results,
-            },
-        ),
-        report.policy_restarts,
-    )
+) -> (SolveOutcome, FgmresReport)
+where
+    M: for<'x, 'y> FlexibleRight<DistSpace<'x, 'y>>,
+{
+    let (out, report) = solve_on_one_rank(a, b, x0, None, |space, b, x0| {
+        let m = Some(m as &mut dyn FlexibleRight<_>);
+        let policies = &mut PolicyStack::empty();
+        let flavor = GmresFlavor::serial_flexible();
+        run_gmres(
+            space,
+            b,
+            x0,
+            opts,
+            &mut MgsOrtho::flexible(),
+            policies,
+            m,
+            &flavor,
+        )
+    });
+    (out, FgmresReport::from(&report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::DistVector;
     use crate::solvers::cg::cg;
     use crate::solvers::common::true_relative_residual;
-    use resilient_linalg::{poisson2d, CsrMatrix};
+    use resilient_linalg::poisson2d;
+    use resilient_runtime::Result;
+
+    /// The identity: FGMRES reduces to GMRES.
+    struct Identity;
+    impl<'a, 'b> FlexibleRight<DistSpace<'a, 'b>> for Identity {
+        fn apply(&mut self, _space: &mut DistSpace<'a, 'b>, v: &DistVector) -> Result<DistVector> {
+            Ok(v.clone())
+        }
+    }
 
     #[test]
     fn identity_preconditioner_reduces_to_gmres() {
@@ -134,7 +95,7 @@ mod tests {
         let b = vec![1.0; a.nrows()];
         let (out, report) = fgmres(
             &a,
-            &mut IdentityFlexible,
+            &mut Identity,
             &b,
             None,
             &SolveOptions::default().with_tol(1e-9).with_max_iters(400),
@@ -151,17 +112,14 @@ mod tests {
         a: CsrMatrix,
         iters: usize,
     }
-    impl FlexiblePreconditioner for InnerCg {
-        fn apply(&mut self, v: &[f64]) -> Vec<f64> {
-            cg(
-                &self.a,
-                v,
-                None,
-                &SolveOptions::default()
-                    .with_tol(1e-2)
-                    .with_max_iters(self.iters),
-            )
-            .x
+    impl<'a, 'b> FlexibleRight<DistSpace<'a, 'b>> for InnerCg {
+        fn apply(&mut self, _space: &mut DistSpace<'a, 'b>, v: &DistVector) -> Result<DistVector> {
+            let opts = SolveOptions::default()
+                .with_tol(1e-2)
+                .with_max_iters(self.iters);
+            let mut z = v.clone();
+            z.local = cg(&self.a, &v.local, None, &opts).x;
+            Ok(z)
         }
     }
 
@@ -173,7 +131,7 @@ mod tests {
             .with_tol(1e-9)
             .with_max_iters(300)
             .with_restart(30);
-        let (plain, _) = fgmres(&a, &mut IdentityFlexible, &b, None, &opts);
+        let (plain, _) = fgmres(&a, &mut Identity, &b, None, &opts);
         let mut inner = InnerCg {
             a: a.clone(),
             iters: 8,
@@ -194,14 +152,14 @@ mod tests {
     struct FlakyInner {
         calls: usize,
     }
-    impl FlexiblePreconditioner for FlakyInner {
-        fn apply(&mut self, v: &[f64]) -> Vec<f64> {
+    impl<'a, 'b> FlexibleRight<DistSpace<'a, 'b>> for FlakyInner {
+        fn apply(&mut self, _space: &mut DistSpace<'a, 'b>, v: &DistVector) -> Result<DistVector> {
             self.calls += 1;
+            let mut z = v.clone();
             if self.calls % 3 == 0 {
-                vec![f64::NAN; v.len()]
-            } else {
-                v.to_vec()
+                z.local.fill(f64::NAN);
             }
+            Ok(z)
         }
     }
 
@@ -231,7 +189,7 @@ mod tests {
         let b = a.spmv(&x_true);
         let (out, _) = fgmres(
             &a,
-            &mut IdentityFlexible,
+            &mut Identity,
             &b,
             Some(&x_true),
             &SolveOptions::default(),

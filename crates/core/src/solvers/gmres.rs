@@ -1,38 +1,47 @@
 //! Restarted GMRES.
 //!
 //! The solver entry point is a preset of the unified kernel
-//! ([`crate::kernel`]): serial space, modified-Gram–Schmidt dot strategy,
+//! ([`crate::kernel`]): 1-rank space, modified-Gram–Schmidt dot strategy,
 //! empty policy stack.
 
-use crate::kernel::{run_gmres, GmresFlavor, MgsOrtho, PolicyStack, SerialSpace};
+use resilient_linalg::CsrMatrix;
+use resilient_runtime::Result;
 
-use super::common::{Operator, SolveOptions, SolveOutcome};
+use crate::distributed::DistVector;
+use crate::kernel::{
+    run_gmres, DistSpace, GmresFlavor, KernelOutcome, KernelReport, MgsOrtho, PolicyStack,
+};
+
+use super::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
 
 /// Restarted GMRES(m): solve `A·x = b` with restart length `opts.restart`.
 ///
 /// Preset: unified kernel × [`MgsOrtho`] × empty policy stack over a
-/// [`SerialSpace`].
-pub fn gmres<O: Operator + ?Sized>(
-    a: &O,
-    b: &[f64],
-    x0: Option<&[f64]>,
+/// 1-rank [`DistSpace`].
+pub fn gmres(a: &CsrMatrix, b: &[f64], x0: Option<&[f64]>, opts: &SolveOptions) -> SolveOutcome {
+    solve_on_one_rank(a, b, x0, None, |space, b, x0| gmres_on(space, b, x0, opts)).0
+}
+
+/// The body of [`gmres`] on a caller-built space — what FT-GMRES runs as
+/// its inner (unreliable-tier) solve.
+pub(crate) fn gmres_on(
+    space: &mut DistSpace<'_, '_>,
+    b: &DistVector,
+    x0: Option<DistVector>,
     opts: &SolveOptions,
-) -> SolveOutcome {
-    assert_eq!(b.len(), a.dim(), "rhs dimension mismatch");
-    let mut space = SerialSpace::new(a);
-    let b = b.to_vec();
-    let (outcome, _report) = run_gmres(
-        &mut space,
-        &b,
-        x0.map(|v| v.to_vec()),
+) -> Result<(KernelOutcome<DistVector>, KernelReport)> {
+    let policies = &mut PolicyStack::empty();
+    let flavor = GmresFlavor::serial();
+    run_gmres(
+        space,
+        b,
+        x0,
         opts,
         &mut MgsOrtho::new(),
-        &mut PolicyStack::empty(),
+        policies,
         None,
-        &GmresFlavor::serial(),
+        &flavor,
     )
-    .expect("serial spaces are infallible");
-    outcome.into_solve_outcome()
 }
 
 #[cfg(test)]

@@ -1,15 +1,12 @@
-//! Serial Krylov solvers: CG, GMRES, flexible GMRES and the shared operator
-//! and preconditioner abstractions.
+//! Serial Krylov solvers — CG, GMRES, flexible GMRES — each a preset of the
+//! unified kernel over a 1-rank space, and the shared options and outcomes.
 
 pub mod cg;
 pub mod common;
 pub mod fgmres;
 pub mod gmres;
 
-pub use cg::{cg, pcg};
-pub use common::{
-    true_relative_residual, IdentityPreconditioner, JacobiPreconditioner, Operator, Preconditioner,
-    SolveOptions, SolveOutcome, StopReason,
-};
-pub use fgmres::{fgmres, FgmresReport, FlexiblePreconditioner, IdentityFlexible};
+pub use cg::cg;
+pub use common::{true_relative_residual, SolveOptions, SolveOutcome, StopReason};
+pub use fgmres::{fgmres, FgmresReport};
 pub use gmres::gmres;

@@ -7,20 +7,31 @@
 //! * the **outer** iteration is a flexible GMRES run entirely in *reliable*
 //!   mode (its SpMVs, orthogonalisation and bookkeeping are never corrupted,
 //!   and are charged the reliable cost factor);
-//! * the **inner** "preconditioner" is a whole GMRES solve executed against
-//!   an operator living in *unreliable* mode — most of the arithmetic, and
-//!   therefore most of the cost, is spent here at the cheap rate;
+//! * the **inner** "preconditioner" is a whole GMRES solve executed in
+//!   *unreliable* mode — most of the arithmetic, and therefore most of the
+//!   cost, is spent here at the cheap rate. Each inner solve runs on its own
+//!   space over the outer space's communicator, its products struck by a
+//!   fresh [`StrikePlan::random_flips`] plan; the plans are drawn from one
+//!   stream seeded by [`FtGmresConfig::seed`];
 //! * whatever the inner solve returns is validated and, if finite, used as a
 //!   flexible subspace vector. A corrupted inner result costs outer
 //!   iterations, never correctness.
 
+use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use resilient_faults::memory::{Reliability, ReliabilityModel};
+use resilient_faults::StrikePlan;
+use resilient_linalg::CsrMatrix;
+use resilient_runtime::{Comm, Result};
 
-use super::reliability::{SrpCostLedger, UnreliableOperator};
-use crate::kernel::{PolicyStack, SerialSpace};
-use crate::solvers::common::{Operator, SolveOptions, SolveOutcome};
-use crate::solvers::fgmres::{fgmres_with_policies, FgmresReport, FlexiblePreconditioner};
-use crate::solvers::gmres::gmres;
+use super::reliability::SrpCostLedger;
+use crate::distributed::{DistCsr, DistVector};
+use crate::kernel::{
+    run_gmres, DistSpace, FlexibleRight, GmresFlavor, MgsOrtho, PolicyStack, SpmvFault,
+};
+use crate::solvers::common::{measured, one_rank, SolveOptions, SolveOutcome, ONE_RANK};
+use crate::solvers::fgmres::FgmresReport;
+use crate::solvers::gmres::{gmres, gmres_on};
 
 /// Configuration of the FT-GMRES inner/outer split.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,114 +71,160 @@ pub struct FtGmresReport {
     /// Cost ledger split by reliability tier.
     pub ledger: SrpCostLedger,
     /// Corrupted elements produced by the unreliable tier.
-    pub corruptions: u64,
+    pub corruptions: usize,
     /// Total inner iterations across all inner solves.
     pub inner_iterations: usize,
 }
 
-struct UnreliableInner<'a, O: Operator + ?Sized> {
-    op: UnreliableOperator<'a, O>,
+/// Operator applications a [`gmres`](crate::solvers::gmres) solve under
+/// `opts` can make: one per iteration, plus a residual at the start and a
+/// check at the end of every restart cycle — how far ahead an unreliable
+/// tier draws its strikes.
+fn applications_bound(opts: &SolveOptions) -> u64 {
+    let cycles = opts.max_iters / opts.restart.max(1) + 2;
+    (opts.max_iters + 2 * cycles) as u64
+}
+
+/// The unreliable tier: every inner solve is [`gmres`](crate::solvers::gmres)'s
+/// body on a space over the outer space's communicator and operator.
+struct UnreliableInner {
     opts: SolveOptions,
-    ledger: SrpCostLedger,
+    rate: f64,
+    /// The one stream every inner solve's strike plan is drawn from.
+    rng: ChaCha8Rng,
+    flops: usize,
+    corruptions: usize,
     inner_iterations: usize,
 }
 
-impl<'a, O: Operator + ?Sized> FlexiblePreconditioner for UnreliableInner<'a, O> {
-    fn apply(&mut self, v: &[f64]) -> Vec<f64> {
-        let out = gmres(&self.op, v, None, &self.opts);
-        self.ledger.charge(Reliability::Unreliable, out.flops);
+impl<'a, 'b> FlexibleRight<DistSpace<'a, 'b>> for UnreliableInner {
+    fn apply(&mut self, space: &mut DistSpace<'a, 'b>, v: &DistVector) -> Result<DistVector> {
+        let a = space.operator();
+        let rank = space.comm().world_rank();
+        let bound = applications_bound(&self.opts);
+        let plan = StrikePlan::random_flips(rank, self.rate, bound, a.local_rows(), &mut self.rng);
+        let mut inner = DistSpace::new(space.comm(), a).with_spmv_plan(plan);
+        let before = inner.comm().snapshot_stats().flops;
+        let (out, _report) = gmres_on(&mut inner, v, None, &self.opts)?;
+        self.flops += (inner.comm().snapshot_stats().flops - before) as usize;
+        self.corruptions += inner.injections();
         self.inner_iterations += out.iterations;
-        out.x
+        Ok(out.x)
     }
+
     fn name(&self) -> &'static str {
         "unreliable-inner-gmres"
     }
 }
 
-/// Solve `A·x = b` with FT-GMRES. The *clean* operator `a` is used for the
-/// reliable outer iteration; the inner solves run against an unreliable view
-/// of the same operator with the configured fault rate.
-pub fn ft_gmres<O: Operator + ?Sized>(
-    a: &O,
-    b: &[f64],
-    cfg: &FtGmresConfig,
-) -> (SolveOutcome, FtGmresReport) {
-    let (out, report, _restarts) = ft_gmres_with_policies(a, a, b, cfg, &mut PolicyStack::empty());
+/// Solve `A·x = b` with FT-GMRES on one rank: the outer iteration applies
+/// `a` reliably; the inner solves run in the unreliable tier at the
+/// configured fault rate.
+pub fn ft_gmres(a: &CsrMatrix, b: &[f64], cfg: &FtGmresConfig) -> (SolveOutcome, FtGmresReport) {
+    let (mut comm, a) = one_rank(a);
+    let b = DistVector::from_global(&comm, b);
+    let stack = &mut PolicyStack::empty();
+    let (out, report, _restarts) =
+        ft_gmres_with_policies(&mut comm, &a, &b, cfg, None, stack).expect(ONE_RANK);
     (out, report)
 }
 
-/// FT-GMRES with an explicit resilience-policy stack guarding the *outer*
-/// (reliable-tier) iteration — the composable form behind
-/// [`crate::kernel::compose::ft_gmres_abft`]. `outer` is the operator the
-/// reliable outer iteration applies; the unreliable inner solves run
-/// against an [`UnreliableOperator`] view of `inner_source` (pass the same
-/// operator twice for the classic configuration). Returns the outcome, the
-/// FT-GMRES report and the number of policy-triggered outer-cycle restarts.
-pub fn ft_gmres_with_policies<'a, O: Operator + ?Sized, I: Operator + ?Sized>(
-    outer: &'a O,
-    inner_source: &I,
-    b: &[f64],
+/// FT-GMRES over `a` on `comm`, with an explicit resilience-policy stack
+/// guarding the *outer* (reliable-tier) iteration — the composable form
+/// behind [`crate::kernel::compose::ft_gmres_abft`]. `fault` optionally
+/// strikes one outer product (the reliable tier's blind spot). Returns the
+/// outcome — its `flops` are the whole solve's, inner solves included, and
+/// its `injections` the outer strikes — the FT-GMRES report and the number
+/// of policy-triggered outer-cycle restarts.
+///
+/// # Errors
+/// Whatever the communicator reports; never on one rank.
+pub fn ft_gmres_with_policies<'a, 'b>(
+    comm: &'a mut Comm,
+    a: &'b DistCsr,
+    b: &DistVector,
     cfg: &FtGmresConfig,
-    policies: &mut PolicyStack<'_, SerialSpace<'a, O>>,
-) -> (SolveOutcome, FtGmresReport, usize) {
-    let inner_opts = SolveOptions::default()
-        .with_tol(cfg.inner_tol)
-        .with_max_iters(cfg.inner_iters)
-        .with_restart(cfg.inner_iters.max(1));
+    fault: Option<SpmvFault>,
+    policies: &mut PolicyStack<'_, DistSpace<'a, 'b>>,
+) -> Result<(SolveOutcome, FtGmresReport, usize)> {
     let mut inner = UnreliableInner {
-        op: UnreliableOperator::new(inner_source, cfg.fault_rate, cfg.seed),
-        opts: inner_opts,
-        ledger: SrpCostLedger::default(),
+        opts: SolveOptions::default()
+            .with_tol(cfg.inner_tol)
+            .with_max_iters(cfg.inner_iters)
+            .with_restart(cfg.inner_iters.max(1)),
+        rate: cfg.fault_rate,
+        rng: ChaCha8Rng::seed_from_u64(cfg.seed),
+        flops: 0,
+        corruptions: 0,
         inner_iterations: 0,
     };
-    let ((out, outer_report), restarts) =
-        fgmres_with_policies(outer, &mut inner, b, None, &cfg.outer, policies);
-    let mut ledger = inner.ledger.clone();
-    // The outer iteration's own arithmetic ran in reliable mode.
-    ledger.charge(Reliability::Reliable, out.flops);
-    let report = FtGmresReport {
-        outer: outer_report,
-        corruptions: inner.op.corruptions(),
-        inner_iterations: inner.inner_iterations,
+    let mut space = DistSpace::new(comm, a);
+    if let Some(f) = fault {
+        space = space.with_fault(f);
+    }
+    let (out, report) = measured(&mut space, |space| {
+        let m = Some(&mut inner as &mut dyn FlexibleRight<_>);
+        let flavor = GmresFlavor::serial_flexible();
+        run_gmres(
+            space,
+            b,
+            None,
+            &cfg.outer,
+            &mut MgsOrtho::flexible(),
+            policies,
+            m,
+            &flavor,
+        )
+    })?;
+    let mut ledger = SrpCostLedger::default();
+    ledger.charge(Reliability::Unreliable, inner.flops);
+    // Everything else — the outer iteration's own arithmetic — ran in
+    // reliable mode.
+    ledger.charge(Reliability::Reliable, out.flops - inner.flops);
+    let ft = FtGmresReport {
+        outer: FgmresReport::from(&report),
         ledger,
+        corruptions: inner.corruptions,
+        inner_iterations: inner.inner_iterations,
     };
-    (out, report, restarts)
+    Ok((out, ft, report.policy_restarts))
 }
 
-/// The all-unreliable baseline: plain GMRES run directly against the
-/// unreliable operator (what an application does today if the machine stops
-/// guaranteeing reliable execution). Returns the outcome, the cost ledger
-/// and the number of corruptions.
-pub fn unreliable_gmres<O: Operator + ?Sized>(
-    a: &O,
+/// The all-unreliable baseline: plain GMRES whose every product is struck
+/// at `fault_rate` per element (what an application does today if the
+/// machine stops guaranteeing reliable execution). Returns the outcome —
+/// `injections` counts the corrupted elements — and the cost ledger.
+pub fn unreliable_gmres(
+    a: &CsrMatrix,
     b: &[f64],
     opts: &SolveOptions,
     fault_rate: f64,
     seed: u64,
-) -> (SolveOutcome, SrpCostLedger, u64) {
-    let op = UnreliableOperator::new(a, fault_rate, seed);
-    let out = gmres(&op, b, None, opts);
+) -> (SolveOutcome, SrpCostLedger) {
+    let (mut comm, a) = one_rank(a);
+    let b = DistVector::from_global(&comm, b);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let bound = applications_bound(opts);
+    let plan = StrikePlan::random_flips(0, fault_rate, bound, a.local_rows(), &mut rng);
+    let mut space = DistSpace::new(&mut comm, &a).with_spmv_plan(plan);
+    let (out, _report) =
+        measured(&mut space, |space| gmres_on(space, &b, None, opts)).expect(ONE_RANK);
     let mut ledger = SrpCostLedger::default();
     ledger.charge(Reliability::Unreliable, out.flops);
-    let corruptions = op.corruptions();
-    (out, ledger, corruptions)
+    (out, ledger)
 }
 
 /// The all-reliable baseline: plain GMRES on the clean operator, every FLOP
 /// charged at the reliable rate.
-pub fn reliable_gmres<O: Operator + ?Sized>(
-    a: &O,
+pub fn reliable_gmres(
+    a: &CsrMatrix,
     b: &[f64],
     opts: &SolveOptions,
 ) -> (SolveOutcome, SrpCostLedger) {
-    let out = gmres(a, b, opts_x0_none(), opts);
+    let out = gmres(a, b, None, opts);
     let mut ledger = SrpCostLedger::default();
     ledger.charge(Reliability::Reliable, out.flops);
     (out, ledger)
-}
-
-fn opts_x0_none() -> Option<&'static [f64]> {
-    None
 }
 
 #[cfg(test)]
@@ -228,7 +285,7 @@ mod tests {
             .with_tol(1e-8)
             .with_max_iters(600)
             .with_restart(40);
-        let (out, _ledger, corruptions) = unreliable_gmres(&a, &b, &opts, 2e-3, 0xF7);
+        let (out, _ledger) = unreliable_gmres(&a, &b, &opts, 2e-3, 0xF7);
         // At this corruption rate an unprotected GMRES usually fails to reach
         // the tolerance or returns a wrong answer; either way the *verified*
         // residual must be worse than what FT-GMRES achieves.
@@ -243,7 +300,7 @@ mod tests {
         let (ft_out, _) = ft_gmres(&a, &b, &cfg);
         let unreliable_err = true_relative_residual(&a, &b, &out.x);
         let ft_err = true_relative_residual(&a, &b, &ft_out.x);
-        assert!(corruptions > 0);
+        assert!(out.injections > 0);
         assert!(
             !unreliable_err.is_finite()
                 || unreliable_err > ft_err

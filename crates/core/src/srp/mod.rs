@@ -10,5 +10,5 @@ pub use ft_gmres::{
     ft_gmres, ft_gmres_with_policies, reliable_gmres, unreliable_gmres, FtGmresConfig,
     FtGmresReport,
 };
-pub use reliability::{SrpCostLedger, UnreliableOperator};
+pub use reliability::SrpCostLedger;
 pub use tmr_solve::{compare_tmr_strategies, tmr_apply, TmrApplyResult, TmrCostComparison};

@@ -1,16 +1,10 @@
-//! Selective-reliability primitives: unreliable operators and the two-tier
-//! cost accounting used to compare SRP algorithms against fully reliable and
-//! fully unreliable baselines (§II-D).
+//! The two-tier cost accounting used to compare SRP algorithms against
+//! fully reliable and fully unreliable baselines (§II-D). The unreliable
+//! tier itself is a space whose products a
+//! [`StrikePlan::random_flips`](resilient_faults::StrikePlan::random_flips)
+//! plan corrupts.
 
-use std::cell::RefCell;
-
-use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use resilient_faults::bitflip::flip_random_bit_f64;
 use resilient_faults::memory::{Reliability, ReliabilityModel};
-
-use crate::solvers::common::Operator;
 
 /// Tracks how much work was executed in each reliability class and converts
 /// it to a cost-weighted total.
@@ -53,82 +47,9 @@ impl SrpCostLedger {
     }
 }
 
-/// An operator whose applications run "in unreliable mode": every output
-/// element is independently corrupted (one random bit flip) with the
-/// configured probability. The corruption rate is expressed *per element per
-/// application*, which maps directly onto a per-FLOP soft-error rate.
-pub struct UnreliableOperator<'a, O: Operator + ?Sized> {
-    inner: &'a O,
-    /// Per-element corruption probability.
-    rate: f64,
-    rng: RefCell<ChaCha8Rng>,
-    corruptions: RefCell<u64>,
-    applications: RefCell<u64>,
-}
-
-impl<'a, O: Operator + ?Sized> UnreliableOperator<'a, O> {
-    /// Wrap `inner` with a per-element corruption probability `rate`.
-    pub fn new(inner: &'a O, rate: f64, seed: u64) -> Self {
-        Self {
-            inner,
-            rate,
-            rng: RefCell::new(ChaCha8Rng::seed_from_u64(seed)),
-            corruptions: RefCell::new(0),
-            applications: RefCell::new(0),
-        }
-    }
-
-    /// Number of corrupted elements produced so far.
-    pub fn corruptions(&self) -> u64 {
-        *self.corruptions.borrow()
-    }
-
-    /// Number of operator applications so far.
-    pub fn applications(&self) -> u64 {
-        *self.applications.borrow()
-    }
-
-    /// The configured per-element corruption probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-}
-
-impl<'a, O: Operator + ?Sized> Operator for UnreliableOperator<'a, O> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = self.inner.apply(x);
-        *self.applications.borrow_mut() += 1;
-        if self.rate > 0.0 {
-            let mut rng = self.rng.borrow_mut();
-            let mut corrupted = 0u64;
-            for v in y.iter_mut() {
-                if rng.gen::<f64>() < self.rate {
-                    *v = flip_random_bit_f64(*v, &mut rng).0;
-                    corrupted += 1;
-                }
-            }
-            *self.corruptions.borrow_mut() += corrupted;
-        }
-        y
-    }
-
-    fn flops_per_apply(&self) -> usize {
-        self.inner.flops_per_apply()
-    }
-
-    fn norm_estimate(&self) -> f64 {
-        self.inner.norm_estimate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resilient_linalg::poisson1d;
 
     #[test]
     fn ledger_accounting() {
@@ -146,43 +67,5 @@ mod tests {
         ledger.merge(&other);
         assert_eq!(ledger.reliable_flops, 15);
         assert_eq!(SrpCostLedger::default().reliable_fraction(), 0.0);
-    }
-
-    #[test]
-    fn zero_rate_operator_is_clean() {
-        let a = poisson1d(10);
-        let u = UnreliableOperator::new(&a, 0.0, 1);
-        let x = vec![1.0; 10];
-        assert_eq!(u.apply(&x), a.spmv(&x));
-        assert_eq!(u.corruptions(), 0);
-        assert_eq!(u.applications(), 1);
-        assert_eq!(u.dim(), 10);
-        assert_eq!(Operator::norm_estimate(&u), Operator::norm_estimate(&a));
-    }
-
-    #[test]
-    fn corruption_rate_is_approximately_respected() {
-        let a = poisson1d(100);
-        let u = UnreliableOperator::new(&a, 0.05, 7);
-        let x = vec![1.0; 100];
-        for _ in 0..200 {
-            let _ = u.apply(&x);
-        }
-        // Expected corruptions ≈ 200 applications * 100 elements * 0.05 = 1000.
-        let c = u.corruptions();
-        assert!((600..1500).contains(&(c as usize)), "corruptions = {c}");
-        assert_eq!(u.applications(), 200);
-        assert_eq!(u.rate(), 0.05);
-    }
-
-    #[test]
-    fn determinism_per_seed() {
-        let a = poisson1d(20);
-        let run = |seed| {
-            let u = UnreliableOperator::new(&a, 0.5, seed);
-            u.apply(&[1.0; 20])
-        };
-        assert_eq!(run(3), run(3));
-        assert_ne!(run(3), run(4));
     }
 }

@@ -4,34 +4,47 @@
 //! Compared against (a) executing once reliably at the reliable cost factor
 //! and (b) executing once unreliably and hoping — the experiment sweeps the
 //! fault rate to find where each strategy is cheapest *per correct answer*.
+//! The unreliable kernel is a space's operator apply, its products struck
+//! by a [`StrikePlan::random_flips`] plan.
 
+use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use resilient_faults::memory::{Reliability, ReliabilityModel};
 use resilient_faults::tmr::{tmr_vote_vectors, TmrStats};
+use resilient_faults::StrikePlan;
+use resilient_linalg::CsrMatrix;
+use resilient_runtime::Result;
 
-use super::reliability::{SrpCostLedger, UnreliableOperator};
-use crate::solvers::common::Operator;
+use super::reliability::SrpCostLedger;
+use crate::distributed::DistVector;
+use crate::kernel::{DistSpace, KrylovSpace};
+use crate::solvers::common::{one_rank, ONE_RANK};
 
 /// Result of one TMR-protected operator application.
 #[derive(Debug, Clone)]
 pub struct TmrApplyResult {
-    /// The voted output (None if all three replicas disagreed).
+    /// The voted output — this rank's entries — (None if all three replicas
+    /// disagreed).
     pub value: Option<Vec<f64>>,
     /// Cost ledger for the three unreliable applications.
     pub ledger: SrpCostLedger,
 }
 
-/// Apply `op` (an unreliable operator) to `x` three times and vote.
-pub fn tmr_apply<O: Operator + ?Sized>(
-    op: &UnreliableOperator<'_, O>,
-    x: &[f64],
+/// Apply `space`'s (unreliable) operator to `x` three times and vote.
+///
+/// # Errors
+/// Whatever the operator apply reports.
+pub fn tmr_apply(
+    space: &mut DistSpace<'_, '_>,
+    x: &DistVector,
     rel_tol: f64,
     stats: &mut TmrStats,
-) -> TmrApplyResult {
-    let a = op.apply(x);
-    let b = op.apply(x);
-    let c = op.apply(x);
+) -> Result<TmrApplyResult> {
+    let a = space.apply(x)?.local;
+    let b = space.apply(x)?.local;
+    let c = space.apply(x)?.local;
     let mut ledger = SrpCostLedger::default();
-    ledger.charge(Reliability::Unreliable, 3 * op.flops_per_apply());
+    ledger.charge(Reliability::Unreliable, 3 * space.flops_per_apply());
     let voted = tmr_vote_vectors(&a, &b, &c, rel_tol);
     // Record the outcome in TMR statistics terms.
     let outcome = match &voted {
@@ -53,10 +66,10 @@ pub fn tmr_apply<O: Operator + ?Sized>(
         },
     };
     stats.record(&outcome);
-    TmrApplyResult {
+    Ok(TmrApplyResult {
         value: voted,
         ledger,
-    }
+    })
 }
 
 /// Cost (in unreliable-FLOP equivalents) per *correct* SpMV under three
@@ -76,16 +89,23 @@ pub struct TmrCostComparison {
 }
 
 /// Run the three strategies `trials` times against a clean reference and
-/// report cost per correct answer.
-pub fn compare_tmr_strategies<O: Operator + ?Sized>(
-    a: &O,
+/// report cost per correct answer. The single and the TMR executions each
+/// run on their own unreliable tier, struck at `fault_rate` per element
+/// from the streams seeded by `seed` and `seed ^ 0x5555`.
+pub fn compare_tmr_strategies(
+    a: &CsrMatrix,
     x: &[f64],
     fault_rate: f64,
     model: &ReliabilityModel,
     trials: usize,
     seed: u64,
 ) -> TmrCostComparison {
-    let reference = a.apply(x);
+    let (mut comm, a) = one_rank(a);
+    let x = DistVector::from_global(&comm, x);
+    let reference = DistSpace::new(&mut comm, &a)
+        .apply(&x)
+        .expect(ONE_RANK)
+        .local;
     let flops = a.flops_per_apply() as f64;
     let close = |p: &[f64]| {
         p.iter().zip(&reference).all(|(u, v)| {
@@ -93,11 +113,15 @@ pub fn compare_tmr_strategies<O: Operator + ?Sized>(
             (u - v).abs() <= 1e-9 * scale
         })
     };
+    let plan = |seed, applications| {
+        let rng = &mut ChaCha8Rng::seed_from_u64(seed);
+        StrikePlan::random_flips(0, fault_rate, applications, a.local_rows(), rng)
+    };
 
-    let unreliable = UnreliableOperator::new(a, fault_rate, seed);
+    let mut unreliable = DistSpace::new(&mut comm, &a).with_spmv_plan(plan(seed, trials as u64));
     let mut single_successes = 0usize;
     for _ in 0..trials {
-        if close(&unreliable.apply(x)) {
+        if close(&unreliable.apply(&x).expect(ONE_RANK).local) {
             single_successes += 1;
         }
     }
@@ -110,11 +134,12 @@ pub fn compare_tmr_strategies<O: Operator + ?Sized>(
         f64::INFINITY
     };
 
-    let tmr_op = UnreliableOperator::new(a, fault_rate, seed ^ 0x5555);
+    let tmr_plan = plan(seed ^ 0x5555, 3 * trials as u64);
+    let mut tmr_space = DistSpace::new(&mut comm, &a).with_spmv_plan(tmr_plan);
     let mut tmr_stats = TmrStats::default();
     let mut tmr_correct = 0usize;
     for _ in 0..trials {
-        let r = tmr_apply(&tmr_op, x, 1e-12, &mut tmr_stats);
+        let r = tmr_apply(&mut tmr_space, &x, 1e-12, &mut tmr_stats).expect(ONE_RANK);
         if let Some(v) = r.value {
             if close(&v) {
                 tmr_correct += 1;
@@ -141,24 +166,33 @@ pub fn compare_tmr_strategies<O: Operator + ?Sized>(
 mod tests {
     use super::*;
     use resilient_linalg::poisson2d;
+    use resilient_runtime::Comm;
+
+    /// `poisson2d(nx, nx)` applied to ones, on an unreliable tier at `rate`.
+    fn tmr_runs(nx: usize, rate: f64, seed: u64, runs: usize) -> (Vec<TmrApplyResult>, TmrStats) {
+        let (mut comm, a): (Comm, _) = one_rank(&poisson2d(nx, nx));
+        let x = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
+        let rng = &mut ChaCha8Rng::seed_from_u64(seed);
+        let plan = StrikePlan::random_flips(0, rate, 3 * runs as u64, a.local_rows(), rng);
+        let mut space = DistSpace::new(&mut comm, &a).with_spmv_plan(plan);
+        let mut stats = TmrStats::default();
+        let results = (0..runs)
+            .map(|_| tmr_apply(&mut space, &x, 1e-12, &mut stats).unwrap())
+            .collect();
+        (results, stats)
+    }
 
     #[test]
     fn tmr_apply_masks_single_replica_errors() {
-        let a = poisson2d(6, 6);
-        let n = a.nrows();
         // Moderate rate: most triples have at most one corrupted replica.
-        let op = UnreliableOperator::new(&a, 0.002, 1);
-        let x = vec![1.0; n];
-        let clean = a.spmv(&x);
-        let mut stats = TmrStats::default();
-        let mut correct = 0;
-        for _ in 0..50 {
-            if let Some(v) = tmr_apply(&op, &x, 1e-12, &mut stats).value {
-                if v.iter().zip(&clean).all(|(a, b)| (a - b).abs() < 1e-9) {
-                    correct += 1;
-                }
-            }
-        }
+        let a = poisson2d(6, 6);
+        let clean = a.spmv(&vec![1.0; a.nrows()]);
+        let (results, stats) = tmr_runs(6, 0.002, 1, 50);
+        let correct = results
+            .iter()
+            .filter_map(|r| r.value.as_ref())
+            .filter(|v| v.iter().zip(&clean).all(|(a, b)| (a - b).abs() < 1e-9))
+            .count();
         assert_eq!(stats.executions, 50);
         assert!(
             correct >= 45,
@@ -169,13 +203,13 @@ mod tests {
     #[test]
     fn zero_fault_rate_is_always_unanimous() {
         let a = poisson2d(4, 4);
-        let op = UnreliableOperator::new(&a, 0.0, 2);
-        let x = vec![1.0; a.nrows()];
-        let mut stats = TmrStats::default();
-        let r = tmr_apply(&op, &x, 1e-12, &mut stats);
-        assert_eq!(r.value.unwrap(), a.spmv(&x));
+        let (results, stats) = tmr_runs(4, 0.0, 2, 1);
+        assert_eq!(
+            results[0].value.as_ref().unwrap(),
+            &a.spmv(&vec![1.0; a.nrows()])
+        );
         assert_eq!(stats.unanimous, 1);
-        assert_eq!(r.ledger.unreliable_flops, 3 * a.spmv_flops());
+        assert_eq!(results[0].ledger.unreliable_flops, 3 * a.spmv_flops());
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //! its launch-time world rank, so shrink-recovery renumbering cannot move
 //! the strike to a different physical process.
 
-use resilience::kernel::{run_cg, run_gmres, CgsOrtho, FusedCgStep, GmresFlavor, MgsOrtho};
+use resilience::kernel::{
+    run_cg, run_gmres, CgsOrtho, FusedCgStep, GmresFlavor, KernelOutcome, MgsOrtho,
+};
 use resilience::prelude::*;
 use resilient_linalg::poisson2d;
 use resilient_runtime::{
-    FailureConfig, FailurePolicy, LatencyModel, ReduceOp, Runtime, RuntimeConfig,
+    Comm, FailureConfig, FailurePolicy, LatencyModel, ReduceOp, Runtime, RuntimeConfig,
 };
 
 /// Options that never converge (so iteration counts are exactly
@@ -280,20 +282,36 @@ fn fusion_hides_check_latency() {
 // ABFT Σw fusion (policy-supplied check pairs)
 // ---------------------------------------------------------------------------
 
-/// Run serial CGS-GMRES (a fused-reduction strategy) over `op` with an ABFT
-/// policy encoding `clean`; returns (outcome, detections, fused decisions,
-/// direct checks = checks − fused).
+/// A flip of bit 61 in element `element` of product `at` on the one rank.
+fn flip(at: usize, element: usize) -> SpmvFault {
+    SpmvFault {
+        rank: 0,
+        at_application: at,
+        local_element: element,
+        bit: 61,
+    }
+}
+
+/// Run 1-rank CGS-GMRES (a fused-reduction strategy) over `a`, its products
+/// struck by `fault`, with an ABFT policy encoding `a`; returns (outcome,
+/// flips injected, detections, fused decisions, direct checks = checks −
+/// fused).
 fn abft_cgs_gmres(
-    op: &dyn Operator,
-    clean: &resilient_linalg::CsrMatrix,
+    a: &resilient_linalg::CsrMatrix,
+    fault: Option<SpmvFault>,
     fused: bool,
-) -> (SolveOutcome, usize, usize, usize) {
-    let b = vec![1.0; clean.nrows()];
-    let mut abft = AbftSpmvPolicy::for_matrix(clean, 1e-9);
+) -> (KernelOutcome<DistVector>, usize, usize, usize, usize) {
+    let mut abft = AbftSpmvPolicy::for_matrix(a, 1e-9);
     if !fused {
         abft = abft.unfused();
     }
-    let mut space = SerialSpace::new(op);
+    let mut comm = Comm::solo(&RuntimeConfig::fast());
+    let da = DistCsr::from_global(&mut comm, a).unwrap();
+    let b = DistVector::from_fn(&comm, a.nrows(), |_| 1.0);
+    let mut space = DistSpace::new(&mut comm, &da);
+    if let Some(f) = fault {
+        space = space.with_fault(f);
+    }
     let mut stack = PolicyStack::new(vec![&mut abft]);
     let (out, _report) = run_gmres(
         &mut space,
@@ -306,9 +324,11 @@ fn abft_cgs_gmres(
         &GmresFlavor::serial(),
     )
     .unwrap();
+    drop(stack);
     let checks = abft.checks_run();
     (
-        out.into_solve_outcome(),
+        out,
+        space.injections(),
         abft.detections(),
         abft.fused_decisions(),
         checks - abft.fused_decisions(),
@@ -323,56 +343,52 @@ fn abft_cgs_gmres(
 fn abft_check_rides_the_fused_reduction_on_cgs_gmres() {
     let a = poisson2d(8, 8);
     // Clean run: every check decided from fused scalars, zero detections.
-    let (out, detections, fused_decisions, direct) = abft_cgs_gmres(&a, &a, true);
-    assert!(out.converged());
+    let (out, _, detections, fused_decisions, direct) = abft_cgs_gmres(&a, None, true);
+    assert_eq!(out.reason, StopReason::Converged);
     assert_eq!(detections, 0, "clean run must not false-positive");
     assert!(fused_decisions > 0, "checks must ride the fused reduction");
     assert_eq!(direct, 0, "no direct reductions on a fusing strategy");
 
     // Direct (unfused) comparison run: same convergence, zero detections,
     // all checks on the legacy path.
-    let (out_u, det_u, fused_u, direct_u) = abft_cgs_gmres(&a, &a, false);
-    assert!(out_u.converged());
+    let (out_u, _, det_u, fused_u, direct_u) = abft_cgs_gmres(&a, None, false);
+    assert_eq!(out_u.reason, StopReason::Converged);
     assert_eq!(det_u, 0);
     assert_eq!(fused_u, 0, "unfused() must decline the negotiation");
     assert!(direct_u > 0);
     assert_eq!(out.iterations, out_u.iterations);
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&out.x), bits(&out_u.x), "fused/unfused iterate parity");
+    assert_eq!(
+        bits(&out.x.local),
+        bits(&out_u.x.local),
+        "fused/unfused iterate parity"
+    );
 
     // Faulty run: a high-exponent flip in one product must be detected
     // through the fused scalars and survived.
-    let plan = InjectionPlan {
-        at_application: 3,
-        target: FaultTarget::Element(10),
-        bit: Some(61),
-    };
-    let faulty = FaultyOperator::new(&a, Some(plan), 7);
-    let (out_f, det_f, fused_f, _) = abft_cgs_gmres(&faulty, &a, true);
-    assert!(
-        faulty.injection().is_some(),
-        "fault must have been injected"
-    );
+    let (out_f, injected, det_f, fused_f, _) = abft_cgs_gmres(&a, Some(flip(3, 10)), true);
+    assert_eq!(injected, 1, "fault must have been injected");
     assert!(det_f >= 1, "fused ABFT must catch the flip");
     assert!(fused_f > 0);
-    assert!(out_f.converged(), "solve must survive: {:?}", out_f.reason);
+    assert_eq!(
+        out_f.reason,
+        StopReason::Converged,
+        "solve must survive: {:?}",
+        out_f.reason
+    );
 }
 
-/// The same fusion over the CG family: serial `FusedCgStep` carries the
+/// The same fusion over the CG family: 1-rank `FusedCgStep` carries the
 /// ABFT pairs in its `p·Ap` reduction, detection triggers the kernel's
 /// recurrence rebuild, and the solve survives.
 #[test]
 fn abft_check_rides_the_fused_cg_reduction() {
     let a = poisson2d(8, 8);
-    let b = vec![1.0; a.nrows()];
-    let plan = InjectionPlan {
-        at_application: 4,
-        target: FaultTarget::Element(5),
-        bit: Some(61),
-    };
-    let faulty = FaultyOperator::new(&a, Some(plan), 3);
     let mut abft = AbftSpmvPolicy::for_matrix(&a, 1e-9);
-    let mut space = SerialSpace::new(&faulty);
+    let mut comm = Comm::solo(&RuntimeConfig::fast());
+    let da = DistCsr::from_global(&mut comm, &a).unwrap();
+    let b = DistVector::from_fn(&comm, a.nrows(), |_| 1.0);
+    let mut space = DistSpace::new(&mut comm, &da).with_fault(flip(4, 5));
     let mut stack = PolicyStack::new(vec![&mut abft]);
     let (out, report) = run_cg(
         &mut space,
@@ -383,7 +399,8 @@ fn abft_check_rides_the_fused_cg_reduction() {
         &mut stack,
     )
     .unwrap();
-    assert!(faulty.injection().is_some());
+    drop(stack);
+    assert_eq!(space.injections(), 1);
     assert!(abft.detections() >= 1, "fused ABFT must catch the flip");
     assert!(abft.fused_decisions() > 0);
     assert!(report.policy_restarts >= 1, "detection must rebuild");
@@ -395,9 +412,11 @@ fn abft_check_rides_the_fused_cg_reduction() {
 #[test]
 fn abft_keeps_direct_path_on_immediate_dot_strategies() {
     let a = poisson2d(7, 7);
-    let b = vec![1.0; a.nrows()];
     let mut abft = AbftSpmvPolicy::for_matrix(&a, 1e-9);
-    let mut space = SerialSpace::new(&a);
+    let mut comm = Comm::solo(&RuntimeConfig::fast());
+    let da = DistCsr::from_global(&mut comm, &a).unwrap();
+    let b = DistVector::from_fn(&comm, a.nrows(), |_| 1.0);
+    let mut space = DistSpace::new(&mut comm, &da);
     let mut stack = PolicyStack::new(vec![&mut abft]);
     let (out, _report) = run_gmres(
         &mut space,
@@ -410,6 +429,7 @@ fn abft_keeps_direct_path_on_immediate_dot_strategies() {
         &GmresFlavor::serial(),
     )
     .unwrap();
+    drop(stack);
     assert_eq!(out.reason, StopReason::Converged);
     assert_eq!(abft.detections(), 0);
     assert_eq!(

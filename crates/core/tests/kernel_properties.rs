@@ -16,11 +16,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use resilience::kernel::{
     run_cg, run_gmres, FusedCgStep, GmresFlavor, MgsOrtho, NoopPolicy, PcgStep, PipelinedOrtho,
-    PolicyStack, SerialPrecond, SerialSpace,
+    PolicyStack,
 };
 use resilience::prelude::*;
 use resilient_linalg::{diag_dominant_random, random_vector, spd_random, CsrMatrix};
-use resilient_runtime::{Runtime, RuntimeConfig};
+use resilient_runtime::{Comm, Runtime, RuntimeConfig};
 
 /// Dense reference solve: Gaussian elimination with partial pivoting on the
 /// densified matrix.
@@ -168,59 +168,64 @@ proptest! {
     }
 
     /// A no-op policy stack is semantically zero-cost: bit-identical
-    /// solution, iterations and history for the serial GMRES and CG kernels.
+    /// solution, iterations and history for the serial (1-rank) GMRES and CG
+    /// kernels.
     #[test]
     fn noop_policy_stack_is_bitwise_zero_cost_serial(seed in 0u64..1000, n in 5usize..24) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let a = diag_dominant_random(n, 4.min(n), &mut rng);
         let b = random_vector(n, &mut rng);
         let opts = SolveOptions::default().with_tol(1e-10).with_max_iters(20 * n);
+        let mut comm = Comm::solo(&RuntimeConfig::fast());
 
         // GMRES: empty stack vs. no-op stack.
+        let da = DistCsr::from_global(&mut comm, &a).unwrap();
+        let db = DistVector::from_global(&comm, &b);
         let bare = {
-            let mut space = SerialSpace::new(&a);
+            let mut space = DistSpace::new(&mut comm, &da);
             run_gmres(
-                &mut space, &b, None, &opts,
+                &mut space, &db, None, &opts,
                 &mut MgsOrtho::new(), &mut PolicyStack::empty(), None,
                 &GmresFlavor::serial(),
             ).unwrap().0
         };
         let hooked = {
-            let mut space = SerialSpace::new(&a);
+            let mut space = DistSpace::new(&mut comm, &da);
             let mut noop = NoopPolicy::new();
             let mut stack = PolicyStack::new(vec![&mut noop]);
             run_gmres(
-                &mut space, &b, None, &opts,
+                &mut space, &db, None, &opts,
                 &mut MgsOrtho::new(), &mut stack, None,
                 &GmresFlavor::serial(),
             ).unwrap().0
         };
         prop_assert_eq!(bare.iterations, hooked.iterations);
         prop_assert_eq!(&bare.history, &hooked.history);
-        for (p, q) in bare.x.iter().zip(&hooked.x) {
+        for (p, q) in bare.x.local.iter().zip(&hooked.x.local) {
             prop_assert_eq!(p.to_bits(), q.to_bits(), "GMRES iterate must be bit-identical");
         }
 
         // CG (SPD system): empty stack vs. no-op stack.
         let a = spd_random(n, &mut rng);
         let b = random_vector(n, &mut rng);
-        let m = IdentityPreconditioner;
+        let da = DistCsr::from_global(&mut comm, &a).unwrap();
+        let db = DistVector::from_global(&comm, &b);
         let bare = {
-            let mut space = SerialSpace::new(&a);
-            let mut sm = SerialPrecond(&m);
-            run_cg(&mut space, &b, None, &opts, &mut PcgStep::new(&mut sm), &mut PolicyStack::empty())
+            let mut space = DistSpace::new(&mut comm, &da);
+            let mut m = IdentityPrecond;
+            run_cg(&mut space, &db, None, &opts, &mut PcgStep::new(&mut m), &mut PolicyStack::empty())
                 .unwrap().0
         };
         let hooked = {
-            let mut space = SerialSpace::new(&a);
+            let mut space = DistSpace::new(&mut comm, &da);
             let mut noop = NoopPolicy::new();
             let mut stack = PolicyStack::new(vec![&mut noop]);
-            let mut sm = SerialPrecond(&m);
-            run_cg(&mut space, &b, None, &opts, &mut PcgStep::new(&mut sm), &mut stack)
+            let mut m = IdentityPrecond;
+            run_cg(&mut space, &db, None, &opts, &mut PcgStep::new(&mut m), &mut stack)
                 .unwrap().0
         };
         prop_assert_eq!(bare.iterations, hooked.iterations);
-        for (p, q) in bare.x.iter().zip(&hooked.x) {
+        for (p, q) in bare.x.local.iter().zip(&hooked.x.local) {
             prop_assert_eq!(p.to_bits(), q.to_bits(), "CG iterate must be bit-identical");
         }
     }

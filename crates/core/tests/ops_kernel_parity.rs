@@ -107,21 +107,23 @@ fn sell_layout_is_bitwise_invisible() {
     }
 }
 
-/// The serial kernels, driven explicitly with each backend through
-/// `SerialSpace::with_ops`, agree bitwise on iterations, history and
-/// solution — PCG (BlockJacobi-free serial path uses the dense LU via the
-/// dist presets above, so serial uses the fused and pipelined CG steps).
+/// The serial (1-rank) kernel, driven explicitly with each backend through
+/// `DistSpace::with_ops`, agrees bitwise on iterations, history and
+/// solution.
 #[test]
 fn serial_kernel_backends_agree_bitwise() {
     let (a, b) = problem();
     let solve_opts = SolveOptions::default().with_tol(1e-8).with_max_iters(500);
     let run = |ops: &'static dyn resilient_linalg::LocalOps| {
-        let mut space = SerialSpace::new(&a).with_ops(ops);
+        let mut comm = Comm::solo(&RuntimeConfig::fast());
+        let da = DistCsr::from_global(&mut comm, &a).unwrap();
+        let bv = DistVector::from_global(&comm, &b);
+        let mut space = DistSpace::new(&mut comm, &da).with_ops(ops);
         let mut strategy = FusedCgStep::new();
         let mut policies = PolicyStack::new(vec![]);
         let (out, _report) = resilience::kernel::run_cg(
             &mut space,
-            &b,
+            &bv,
             None,
             &solve_opts,
             &mut strategy,
@@ -129,7 +131,7 @@ fn serial_kernel_backends_agree_bitwise() {
         )
         .unwrap();
         assert_eq!(out.reason, StopReason::Converged);
-        let xbits: Vec<u64> = out.x.iter().map(|v| v.to_bits()).collect();
+        let xbits: Vec<u64> = out.x.local.iter().map(|v| v.to_bits()).collect();
         let hbits: Vec<u64> = out.history.iter().map(|v| v.to_bits()).collect();
         (out.iterations, hbits, xbits)
     };

@@ -69,6 +69,39 @@ impl StrikePlan {
         Self { strikes, fired }
     }
 
+    /// Independent per-element upsets on `rank`: each of `elements` output
+    /// entries of each of the first `applications` applications is struck
+    /// with probability `rate`, at a uniformly random bit — an unreliable
+    /// tier whose corruption rate is per element per application, i.e. per
+    /// FLOP. The draws are taken from `rng` application by application,
+    /// element by element (a uniform `f64`, then the bit when it strikes),
+    /// and not at all when `rate` is not positive.
+    pub fn random_flips(
+        rank: usize,
+        rate: f64,
+        applications: u64,
+        elements: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Self {
+        let mut strikes = Vec::new();
+        if rate > 0.0 {
+            for at in 0..applications {
+                for element in 0..elements {
+                    if rng.gen::<f64>() < rate {
+                        strikes.push(Strike {
+                            rank,
+                            incarnation: 0,
+                            at,
+                            element,
+                            bit: rng.gen_range(0..64),
+                        });
+                    }
+                }
+            }
+        }
+        Self::new(strikes)
+    }
+
     /// The planned strikes, in order.
     pub fn strikes(&self) -> &[Strike] {
         &self.strikes
@@ -546,6 +579,42 @@ mod tests {
         assert_eq!(plan.strike_slice(0, 0, 0, &mut data), 1);
         assert_eq!(data[0], 4.0);
         assert_ne!(data[1], 5.0, "clamped to the last element");
+    }
+
+    #[test]
+    fn random_flips_at_rate_zero_are_clean() {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut plan = StrikePlan::random_flips(0, 0.0, 10, 10, &mut rng);
+        assert!(plan.is_empty());
+        let mut data = [1.0; 10];
+        assert_eq!(plan.strike_slice(0, 0, 0, &mut data), 0);
+        assert_eq!(data, [1.0; 10]);
+    }
+
+    #[test]
+    fn random_flips_land_near_the_rate() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut plan = StrikePlan::random_flips(0, 0.05, 200, 100, &mut rng);
+        // Expected ≈ 200 applications × 100 elements × 0.05 = 1000.
+        let planned = plan.strikes().len();
+        assert!((600..1500).contains(&planned), "strikes = {planned}");
+        let mut hits = 0;
+        for at in 0..200 {
+            hits += plan.strike_slice(0, 0, at, &mut [1.0; 100]);
+        }
+        assert_eq!(hits, planned, "every strike lands inside the window");
+    }
+
+    #[test]
+    fn random_flips_are_a_function_of_the_seed() {
+        let plan = |seed| {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            StrikePlan::random_flips(0, 0.5, 1, 20, &mut rng)
+                .strikes()
+                .to_vec()
+        };
+        assert_eq!(plan(3), plan(3));
+        assert_ne!(plan(3), plan(4));
     }
 
     #[test]

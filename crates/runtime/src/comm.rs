@@ -24,6 +24,7 @@ use std::time::Duration;
 use rand_chacha::ChaCha8Rng;
 
 use crate::clock::{park_deadline, RankClock, VirtualClock};
+use crate::config::{CostModel, RuntimeConfig};
 use crate::error::{Result, RuntimeError};
 use crate::mailbox::PollOutcome;
 use crate::message::{Message, Payload, ANY_SOURCE};
@@ -81,6 +82,7 @@ pub struct Comm<K: RankClock = VirtualClock> {
     pub(crate) recoveries: u64,
     pub(crate) checkpoint_bytes: u64,
     pub(crate) check_flops: u64,
+    pub(crate) flops: u64,
 }
 
 impl<K: RankClock> Comm<K> {
@@ -119,6 +121,7 @@ impl<K: RankClock> Comm<K> {
             recoveries: 0,
             checkpoint_bytes: 0,
             check_flops: 0,
+            flops: 0,
             world,
             world_rank: rank,
             incarnation,
@@ -213,8 +216,10 @@ impl<K: RankClock> Comm<K> {
     }
 
     /// Charge the cost of `flops` floating-point operations (using the
-    /// configured `seconds_per_flop`).
+    /// configured `seconds_per_flop`) and count them in
+    /// [`RankStats::flops`].
     pub fn charge_flops(&mut self, flops: usize) {
+        self.flops += flops as u64;
         let dt = self.world.model.seconds_per_flop * flops as f64;
         self.advance(dt);
     }
@@ -507,6 +512,7 @@ impl<K: RankClock> Comm<K> {
             recoveries: self.recoveries,
             checkpoint_bytes: self.checkpoint_bytes,
             check_flops: self.check_flops,
+            flops: self.flops,
             ..RankStats::default()
         };
         self.clock.fill_times(&mut stats);
@@ -515,6 +521,19 @@ impl<K: RankClock> Comm<K> {
 }
 
 impl Comm<VirtualClock> {
+    /// The only rank of a 1-rank job under `config`, on the caller's thread:
+    /// no launcher, so a solve over it can borrow its matrix and
+    /// preconditioner instead of moving them into a rank closure.
+    pub fn solo(config: &RuntimeConfig) -> Self {
+        let model = CostModel::from(config);
+        Self::new(
+            World::new(model, config.clone(), 1, StableStore::new()),
+            0,
+            0,
+            0.0,
+        )
+    }
+
     /// Access this rank's deterministic random-number generator (useful for
     /// applications that want reproducible rank-decorrelated randomness).
     pub fn rng(&mut self) -> &mut ChaCha8Rng {
@@ -528,20 +547,15 @@ pub use crate::message::{ANY_SOURCE as ANY_SRC, ANY_TAG as ANY};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CostModel, NoiseConfig, RuntimeConfig};
-    use crate::persistent::StableStore;
+    use crate::config::NoiseConfig;
 
     fn world(config: RuntimeConfig, size: usize) -> Arc<World<VirtualClock>> {
         World::new(CostModel::from(&config), config, size, StableStore::new())
     }
 
-    fn solo_comm(config: RuntimeConfig) -> Comm {
-        Comm::new(world(config, 1), 0, 0, 0.0)
-    }
-
     #[test]
     fn identity_accessors() {
-        let c = solo_comm(RuntimeConfig::fast());
+        let c = Comm::solo(&RuntimeConfig::fast());
         assert_eq!(c.rank(), 0);
         assert_eq!(c.size(), 1);
         assert_eq!(c.world_rank(), 0);
@@ -554,7 +568,7 @@ mod tests {
     fn advance_and_charge_flops() {
         let mut cfg = RuntimeConfig::fast();
         cfg.seconds_per_flop = 1e-6;
-        let mut c = solo_comm(cfg);
+        let mut c = Comm::solo(&cfg);
         c.advance(1.0);
         c.charge_flops(1000);
         assert!((c.now() - 1.001).abs() < 1e-12);
@@ -563,7 +577,7 @@ mod tests {
     #[test]
     fn noise_adds_time() {
         let cfg = RuntimeConfig::fast().with_noise(NoiseConfig::fixed(1000.0, 0.01));
-        let mut c = solo_comm(cfg);
+        let mut c = Comm::solo(&cfg);
         c.advance(1.0);
         assert!(c.now() > 1.0, "noise should add to the clock");
         let stats = c.snapshot_stats();
@@ -573,7 +587,7 @@ mod tests {
 
     #[test]
     fn self_send_recv_roundtrip() {
-        let mut c = solo_comm(RuntimeConfig::fast());
+        let mut c = Comm::solo(&RuntimeConfig::fast());
         c.send_f64(0, 7, &[1.0, 2.0, 3.0]).unwrap();
         let (src, data) = c.recv_f64(0, 7).unwrap();
         assert_eq!(src, 0);
@@ -585,7 +599,7 @@ mod tests {
 
     #[test]
     fn typed_send_recv_u64_bytes_empty() {
-        let mut c = solo_comm(RuntimeConfig::fast());
+        let mut c = Comm::solo(&RuntimeConfig::fast());
         c.send_u64(0, 1, &[9, 8]).unwrap();
         assert_eq!(c.recv_u64(0, 1).unwrap().1, vec![9, 8]);
         c.send_bytes(0, 2, &[1, 2, 3]).unwrap();
@@ -599,7 +613,7 @@ mod tests {
         let mut cfg = RuntimeConfig::default();
         cfg.latency.alpha = 1.0;
         cfg.latency.beta = 0.0;
-        let mut c = solo_comm(cfg);
+        let mut c = Comm::solo(&cfg);
         c.send_f64(0, 0, &[5.0]).unwrap();
         let _ = c.recv_f64(0, 0).unwrap();
         assert!((c.now() - 1.0).abs() < 1e-12, "receiver should pay alpha");
@@ -608,7 +622,7 @@ mod tests {
 
     #[test]
     fn invalid_rank_errors() {
-        let mut c = solo_comm(RuntimeConfig::fast());
+        let mut c = Comm::solo(&RuntimeConfig::fast());
         assert!(matches!(
             c.send_f64(3, 0, &[1.0]),
             Err(RuntimeError::InvalidRank { rank: 3, size: 1 })
@@ -618,7 +632,7 @@ mod tests {
 
     #[test]
     fn type_mismatch_on_recv() {
-        let mut c = solo_comm(RuntimeConfig::fast());
+        let mut c = Comm::solo(&RuntimeConfig::fast());
         c.send_u64(0, 0, &[1]).unwrap();
         assert!(matches!(
             c.recv_f64(0, 0),
@@ -628,7 +642,7 @@ mod tests {
 
     #[test]
     fn persist_and_restore() {
-        let mut c = solo_comm(RuntimeConfig::fast());
+        let mut c = Comm::solo(&RuntimeConfig::fast());
         c.persist("state", vec![1.0, 2.0]).unwrap();
         assert!(c.persisted(0, "state"));
         assert!(!c.persisted(0, "other"));
@@ -644,7 +658,7 @@ mod tests {
     fn checkpoint_restore_roundtrip_and_cost() {
         let mut cfg = RuntimeConfig::fast();
         cfg.checkpoint_seconds_per_byte = 0.5;
-        let mut c = solo_comm(cfg);
+        let mut c = Comm::solo(&cfg);
         c.checkpoint("u", vec![1.0, 2.0]).unwrap(); // 16 bytes -> 8 s
         assert!((c.now() - 8.0).abs() < 1e-12);
         let v = c.restore_checkpoint("u").unwrap().into_f64().unwrap();
@@ -670,7 +684,7 @@ mod tests {
 
     #[test]
     fn sendrecv_self() {
-        let mut c = solo_comm(RuntimeConfig::fast());
+        let mut c = Comm::solo(&RuntimeConfig::fast());
         let got = c.sendrecv_f64(0, 0, 4, &[2.5]).unwrap();
         assert_eq!(got, vec![2.5]);
     }

@@ -37,6 +37,10 @@ pub struct RankStats {
     /// the operations performing the checks charge their own virtual time;
     /// this tracks how much of that arithmetic was resilience overhead.
     pub check_flops: u64,
+    /// FLOPs charged through `Comm::charge_flops` — the solver arithmetic
+    /// (operator and preconditioner applies, dots, updates) whose cost the
+    /// clock was told about.
+    pub flops: u64,
 }
 
 impl RankStats {

@@ -416,6 +416,7 @@ mod tests {
         shrink_policy_rebuilds_smaller_comm => shrink_rebuilds_smaller_comm();
         persistent_store_survives_injected_death => persistent_store_survives_death();
         stats_count_messages_and_collectives => stats_count_messages_and_collectives();
+        stats_count_flops => stats_count_flops();
         panicking_rank_aborts_the_job => panicking_rank_aborts_the_job();
         original_rank_started_after_a_death_still_sees_it =>
             original_rank_started_after_a_death_still_sees_it();

@@ -365,6 +365,20 @@ pub(crate) fn stats_count_messages_and_collectives<Fx: Fixture>() {
     assert_eq!(r.job.total_collectives, 2);
 }
 
+/// Every `charge_flops` is counted in `RankStats::flops`, whatever the clock
+/// makes of its cost; check attribution is a separate ledger.
+pub(crate) fn stats_count_flops<Fx: Fixture>() {
+    let r = Fx::run(Job::of(2), |comm| {
+        comm.charge_flops(1000 * (comm.rank() + 1));
+        comm.record_check_flops(50);
+        comm.charge_flops(7);
+        comm.barrier()?;
+        let stats = comm.snapshot_stats();
+        Ok((stats.flops, stats.check_flops))
+    });
+    assert_eq!(r.unwrap_all(), vec![(1007, 50), (2007, 50)]);
+}
+
 /// A rank that panics while its peers are in, or about to enter, a
 /// collective and a receive ends the job at once: `RankPanicked` for it,
 /// `JobAborted` for them. Bounded to a second, so that a launcher that loses

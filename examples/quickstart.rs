@@ -20,14 +20,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- SkP: solve a Poisson problem while a bit flip hits one SpMV -------
     let a = poisson2d(12, 12);
     let b = vec![1.0; a.nrows()];
-    let plan = InjectionPlan {
-        at_application: 4,
-        target: FaultTarget::RandomElement,
-        bit: Some(61),
-    };
-    let faulty = FaultyOperator::new(&a, Some(plan), 7);
+    let fault = random_spmv_fault(a.nrows(), 4, Some(61), 7);
     let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(400);
-    let (out, report) = skeptical_gmres(&faulty, &b, None, &opts, &SkepticalConfig::default());
+    let cfg = SkepticalConfig::default();
+    let (out, report) = skeptical_gmres(&a, &b, None, &opts, &cfg, Some(fault));
     println!(
         "\n[SkP ] skeptical GMRES under a bit flip: converged={}, detections={}, true residual={:.2e}",
         out.converged(),

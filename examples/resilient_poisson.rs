@@ -21,18 +21,10 @@ fn main() {
     );
 
     for bit in [1u32, 40, 58, 63] {
-        let plan = InjectionPlan {
-            at_application: 6,
-            target: FaultTarget::RandomElement,
-            bit: Some(bit),
-        };
-
-        let trusting_op = FaultyOperator::new(&a, Some(plan), 11);
-        let (t_out, _) =
-            skeptical_gmres(&trusting_op, &b, None, &opts, &SkepticalConfig::trusting());
-        let skeptical_op = FaultyOperator::new(&a, Some(plan), 11);
+        let fault = Some(random_spmv_fault(n, 6, Some(bit), 11));
+        let (t_out, _) = skeptical_gmres(&a, &b, None, &opts, &SkepticalConfig::trusting(), fault);
         let (s_out, s_rep) =
-            skeptical_gmres(&skeptical_op, &b, None, &opts, &SkepticalConfig::default());
+            skeptical_gmres(&a, &b, None, &opts, &SkepticalConfig::default(), fault);
 
         println!(
             "{:<28} {:>10} {:>8} {:>14.2e}",

@@ -22,14 +22,10 @@ fn skeptical_gmres_never_returns_a_silently_wrong_answer() {
         .with_restart(30);
     for bit in [0u32, 20, 45, 55, 60, 63] {
         for trial in 0..3u64 {
-            let plan = InjectionPlan {
-                at_application: 2 + trial as usize * 7,
-                target: FaultTarget::RandomElement,
-                bit: Some(bit),
-            };
-            let faulty = FaultyOperator::new(&a, Some(plan), 90 + bit as u64 * 10 + trial);
-            let (out, _report) =
-                skeptical_gmres(&faulty, &b, None, &opts, &SkepticalConfig::default());
+            let seed = 90 + bit as u64 * 10 + trial;
+            let fault = random_spmv_fault(a.nrows(), 2 + trial as usize * 7, Some(bit), seed);
+            let cfg = SkepticalConfig::default();
+            let (out, _report) = skeptical_gmres(&a, &b, None, &opts, &cfg, Some(fault));
             let err = true_relative_residual(&a, &b, &out.x);
             // The contract: if the solver *claims* convergence, the answer is
             // actually right (verified against the clean operator).
@@ -64,7 +60,7 @@ fn ft_gmres_beats_unreliable_baseline_at_high_fault_rate() {
     assert!(true_relative_residual(&a, &b, &ft_out.x) < 1e-6);
     assert!(ft_report.ledger.reliable_fraction() < 0.6);
 
-    let (un_out, _, _) = unreliable_gmres(
+    let (un_out, _) = unreliable_gmres(
         &a,
         &b,
         &SolveOptions::default()
