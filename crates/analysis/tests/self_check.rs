@@ -85,8 +85,8 @@ fn block_kernel_setup_paths_may_allocate_but_its_steps_may_not() {
     let (elsewhere, _) = analyze_source("crates/core/src/kernel/space.rs", src);
     assert_eq!(elsewhere.len(), 2, "{elsewhere:?}");
     // The fused sweeps are device ops: only the charging boundary calls
-    // them (the kernels go through `KrylovSpace::pipelined_sweep` /
-    // `DistSpace::pipelined_sweep_block`, which charge).
+    // them (the kernel goes through `DistSpace::pipelined_sweep_block`,
+    // which charges).
     for (file, call) in [
         ("block.rs", "ops.pipelined_pcg_sweep(a, b, aw, mw, v)"),
         ("cg.rs", "ops.pipelined_cg_sweep(a, b, aw, v)"),

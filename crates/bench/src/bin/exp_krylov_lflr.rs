@@ -8,7 +8,7 @@
 //! a cadence, the replacement rank proposes the newest snapshot recoverable
 //! from the dead incarnation's inherited partition at the recovery
 //! rendezvous, survivors roll back in lockstep to the agreed step, and the
-//! solve re-enters `run_cg`/`run_gmres` warm-started from the snapshot with
+//! solve re-enters the CG or GMRES kernel warm-started from the snapshot with
 //! the block-Jacobi factors rebuilt locally (zero extra collectives). The
 //! baseline pays the same failure, rendezvous and replacement cost but
 //! restarts the solve from iteration zero with no persistence overhead —
@@ -21,7 +21,10 @@
 //! next health check, whose position in the survivor's virtual timeline
 //! depends on real thread scheduling — so the failure-mode columns can
 //! vary between a small set of values (one persist-cadence point of
-//! agreed-step wobble). The asserted claims hold across the whole set.
+//! agreed-step wobble). The asserted claims hold across the whole set. The
+//! `final snaps` column counts the snapshots rank 0 wrote in the attempt
+//! that completed the solve — not those of the dead epoch, whose number
+//! depends on when rank 0 noticed the death.
 //!
 //! Pass `--smoke` for a CI-sized run.
 
@@ -67,7 +70,7 @@ fn solve_opts() -> DistSolveOptions {
 }
 
 /// One job: returns (makespan, failures seen, max resumed_from,
-/// snapshots on rank 0, all converged).
+/// snapshots rank 0 wrote in the attempt that completed, all converged).
 fn run_once(
     (spec, name): (SolveSpec, &str),
     n: usize,
@@ -90,7 +93,7 @@ fn run_once(
         Ok((
             out.converged,
             report.resumed_from,
-            report.snapshots_persisted,
+            report.final_attempt_snapshots,
         ))
     };
     let r = rt.run(ranks, run);
@@ -123,7 +126,7 @@ fn main() {
             "resume ovh",
             "restart ovh",
             "resumed@it",
-            "snaps",
+            "final snaps",
         ],
     );
 

@@ -231,6 +231,39 @@ impl DistMultiVector {
     pub fn set_column(&mut self, c: usize, v: &DistVector) {
         self.col_mut(c).copy_from_slice(&v.local);
     }
+
+    /// A vector distributed like the columns, holding no entries: the
+    /// shell a borrowed column buffer is swapped into.
+    pub(crate) fn empty_column(&self) -> DistVector {
+        DistVector {
+            local: Vec::new(),
+            dist: self.dist,
+            rank: self.rank,
+        }
+    }
+
+    /// A vector as a one-column block, moved in without a copy.
+    pub(crate) fn from_vector(v: DistVector) -> Self {
+        Self {
+            local: v.local,
+            k: 1,
+            dist: v.dist,
+            rank: v.rank,
+        }
+    }
+
+    /// The one column of a one-column block, moved out without a copy.
+    ///
+    /// # Panics
+    /// If the block does not have exactly one column.
+    pub(crate) fn into_vector(self) -> DistVector {
+        assert_eq!(self.k, 1, "into_vector: a block of {} columns", self.k);
+        DistVector {
+            local: self.local,
+            dist: self.dist,
+            rank: self.rank,
+        }
+    }
 }
 
 /// The reusable buffers of a distributed operator application: the ghosted
@@ -546,6 +579,24 @@ impl DistCsr {
     /// point runs on its vector arguments before posting anything.
     pub fn check_operand(&self, what: &str, v: &DistVector) -> Result<()> {
         self.check_layout(what, v.distribution(), v.local_len())
+    }
+
+    /// [`DistCsr::check_operand`] for every column of `v`: each must be
+    /// distributed like this operator's rows, and `v.local` must hold
+    /// exactly `k` of them.
+    pub(crate) fn check_block_operand(&self, what: &str, v: &DistMultiVector) -> Result<()> {
+        if v.dist == self.dist && v.local.len() == v.k * self.n_local {
+            return Ok(());
+        }
+        Err(RuntimeError::InvalidArgument(format!(
+            "{what} has global length {} ({} local entries in {} columns) but the operator is \
+             {n} x {n} ({} local rows)",
+            v.dist.n,
+            v.local.len(),
+            v.k,
+            self.n_local,
+            n = self.global_dim()
+        )))
     }
 
     fn check_layout(&self, what: &str, dist: BlockDistribution, local_rows: usize) -> Result<()> {

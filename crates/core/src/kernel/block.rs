@@ -1,24 +1,31 @@
-//! Block (multi-RHS) preconditioned conjugate gradients: one operator
-//! sweep and **one** collective per reduction point serve every right-hand
-//! side in the batch, so the per-iteration collective count is independent
-//! of the batch width `k`.
+//! The conjugate-gradient kernel: preconditioned CG on `k ≥ 1` right-hand
+//! sides at once, with one operator sweep and **one** collective per
+//! reduction point serving every column, so the per-iteration collective
+//! count is independent of the batch width `k`.
+//!
+//! This is the suite's only CG recurrence. A single-RHS solve —
+//! [`kernel::solve`](super::solve) with a CG spec, the `rbsp::cg` presets,
+//! the serial `solvers::cg`, the LFLR and composed scenarios — is the
+//! `k = 1` case: `b` and `x0` become one-column multi-vectors and the
+//! iterate is moved back out. [`run_cg`](super::run_cg) is an adapter onto
+//! the same call.
 //!
 //! The paper's cost model makes allreduce latency the scaling wall of the
 //! recurrence (§II-B); the "millions of users" workload it motivates solves
-//! *many* right-hand sides against few operators. This kernel amortizes
-//! the wall over the batch: [`run_block_cg`] is the batched twin of
-//! [`run_cg`](super::run_cg), with [`Schedule::Fused`] mirroring
-//! [`FusedCgStep::preconditioned`](super::FusedCgStep) (two blocking
-//! batched reductions per iteration) and [`Schedule::Pipelined`]
-//! mirroring [`PipelinedCgStep::preconditioned`](super::PipelinedCgStep)
-//! (one nonblocking batched reduction posted before the overlapped
-//! preconditioner + SpMM).
+//! *many* right-hand sides against few operators. [`Schedule::Fused`] is the
+//! bulk-synchronous recurrence with **two blocking batched reductions** per
+//! iteration (`p·Ap`, then `r·z` with `r·r`); [`Schedule::Pipelined`] is
+//! the Ghysels–Vanroose recurrence with **one nonblocking batched
+//! reduction** (`γ = r·u`, `δ = w·u`, `‖r‖²`) posted before the overlapped
+//! preconditioner applies and SpMM. Preconditioned, both run the z-shifted
+//! recurrences, so preconditioning changes neither schedule's collective
+//! count.
 //!
 //! **Lane width is part of the spec.** Every column runs exactly the
 //! single-RHS recurrence — backends only amortize memory traffic and
-//! collective latency, never reassociate across columns — so at `k = 1`
-//! the solve is bit-identical (iterates, residual history, collective
-//! schedule, virtual-time charges) to the corresponding single-RHS preset.
+//! collective latency, never reassociate across columns — so each column is
+//! bit-identical (iterates, residual history, collective schedule) to
+//! solving its right-hand side alone.
 //!
 //! **Convergence masking.** Columns converge (or break down)
 //! independently. A finished column *freezes*: its iterate, recurrence
@@ -29,37 +36,61 @@
 //! partials: the freeze decision is made from globally reduced scalars,
 //! hence rank-symmetric.
 //!
-//! **One pass per pipelined iteration.** The eight recurrence updates of a
-//! column run as one backend sweep that also leaves the column's next dot
-//! partials behind; the following step posts those carried partials instead
-//! of re-reading `r`, `u`, `w`. Every `build_state` drops them (the first
-//! step after it recomputes); frozen columns keep theirs.
+//! **One pass per pipelined iteration.** The recurrence updates of a column
+//! run as one backend sweep that also leaves the column's next dot partials
+//! behind; the following step posts those carried partials instead of
+//! re-reading `r`, `u`, `w`. Every `build_state` drops them (the first step
+//! after it recomputes); frozen columns keep theirs.
 //!
-//! **Nothing stored for the identity.** Under a preconditioner whose
-//! [`is_identity`](SpacePreconditioner::is_identity) holds, the `M⁻¹`
-//! images would be bitwise copies — `z = r` (fused), `u = r`, `mw = w`,
-//! `q = s` (pipelined) — so the kernel stores none of them, skips the
-//! copies and reads `r`/`w`/`s` in their place; each live column then
-//! takes the six-vector sweep ([`LocalOps::pipelined_cg_sweep`]). The
-//! bits, the payloads and the charges (sixteen flops per row per swept
-//! column, zero per identity apply) are those of the general route, which
-//! is what a copying preconditioner that does not say so still takes.
+//! **The identity is the unpreconditioned route.** Under a preconditioner
+//! whose [`is_identity`](SpacePreconditioner::is_identity) holds — and with
+//! none, which `kernel::solve` passes as [`IdentityPrecond`] — the `M⁻¹`
+//! images would be bitwise copies (`z = r`; `u = r`, `mw = w`, `q = s`), so
+//! the kernel stores none of them and reads `r`/`w`/`s` in their place. It
+//! also reduces no duplicate of them: the fused second reduction carries
+//! `r·r` alone, the pipelined reduction `[r·r | w·r]` per column (no third
+//! `‖r‖²` slot, which would equal `γ` bit for bit), and the six-vector
+//! sweep ([`LocalOps::pipelined_cg_sweep`]) charges twelve flops per row
+//! instead of sixteen. A preconditioner that copies without saying so takes
+//! the general route to the same bits, at the general route's charges.
 //!
+//! [`IdentityPrecond`]: super::IdentityPrecond
 //! [`LocalOps::pipelined_cg_sweep`]: resilient_linalg::ops::LocalOps::pipelined_cg_sweep
 //!
-//! **Policy integration.** The same [`PolicyStack`] hooks run at the same
-//! points as in the single-RHS kernel. Hooks operate on single vectors, so
-//! the block kernel presents *guard* views of column 0 (bitwise the whole
-//! story at `k = 1`); `on_failure` recovery likewise restores through the
-//! column-0 guard. Check dots ride the batched reductions (wants-dots
-//! fusion), so detection still adds zero collectives per iteration. One
-//! deviation from the single-RHS fused step: the block kernel *always*
-//! fuses its first reduction, so with no check requests the `after_spmv`
-//! hook runs after the reduction instead of before it (indistinguishable
-//! unless a policy both requests no dots and acts in `after_spmv`).
+//! **Policy integration.** The [`PolicyStack`] hooks run at fixed points of
+//! each step (`before_spmv`, `after_spmv`, `after_precond` for every
+//! in-iteration preconditioner apply but the identity's, `on_iteration`),
+//! and every recurrence (re)build is a cycle start (`on_cycle_start` with
+//! the consistent iterate — the persistence point of rollback policies).
+//! Hooks take single vectors, so they see *views* of column 0. At `k = 1` a
+//! view is the column itself: its buffer is swapped into the view for the
+//! hook and swapped back after — O(1), no copy — so a policy reads, and
+//! `on_failure` restores, the kernel's own vector. At `k > 1` a view is a
+//! copy of column 0, refreshed only when a policy is stacked; columns
+//! `c > 0` are not guarded. Check dots ride the batched reductions
+//! (wants-dots fusion), so detection adds zero collectives per iteration.
+//! The fused schedule always fuses its first reduction, so its `after_spmv`
+//! hook runs after that reduction even when no policy requests a check dot:
+//! a policy that acts there pays the reduction first, and nothing else
+//! changes.
 //!
-//! Single-event-upset injection ([`SpmvFault`](super::SpmvFault)) targets
-//! the single-vector apply path and does not fire inside blocked applies.
+//! CG has no Arnoldi cycle to discard: on a detection whose response is
+//! `Restart` the kernel rebuilds the recurrence from the current iterate
+//! (the residual recompute plus the schedule's set-up applications; a
+//! corrupted-but-finite iterate is just a worse initial guess), capped at
+//! `max_iters` rebuilds; `Abort` stops the solve with `CorruptionDetected`;
+//! `RecordOnly` detections are counted and ignored. A `Diverged` step
+//! consults the stack's `on_failure` hook before terminating — a rollback
+//! policy that restores a consistent iterate turns divergence into a
+//! rebuild, capped the same way.
+//!
+//! **Faults fire in the SpMM.** Every [`DistSpace::apply_block_into`] counts
+//! one application ordinal and fires a planned [`SpmvFault`](super::SpmvFault)
+//! and the campaign's SpMV strike plan through the same strike point as the
+//! single-vector apply — at `k = 1` the ordinals and struck elements are
+//! those of a single-RHS solve. At `k > 1` a strike lands in column 0.
+
+use std::mem;
 
 use resilient_runtime::{CommBackend, Result, RuntimeError};
 
@@ -70,7 +101,7 @@ use super::policy::{
 use super::precond::SpacePreconditioner;
 use super::space::{DistSpace, KrylovSpace, PipelinedSweep};
 use super::spec::Schedule;
-use super::{sqrt_nonneg, KernelReport, SolveProgress};
+use super::{sqrt_nonneg, KernelOutcome, KernelReport, SolveProgress};
 use crate::distributed::{DistMultiVector, DistVector};
 use crate::solvers::common::{SolveOptions, StopReason};
 
@@ -108,19 +139,39 @@ impl BlockOutcome {
             histories: self.histories,
         }
     }
+
+    /// A one-column outcome as a single-RHS kernel outcome, the iterate and
+    /// the history moved out without a copy.
+    pub(crate) fn into_single(mut self) -> KernelOutcome<DistVector> {
+        KernelOutcome {
+            iterations: self.iterations,
+            relative_residual: self.relative_residuals[0],
+            reason: self.reason,
+            history: self.histories.swap_remove(0),
+            x: self.x.into_vector(),
+        }
+    }
 }
 
-/// What one block iteration decided (internal; the shell maps it to the
-/// same arms as the single-RHS kernel).
+/// What one block iteration decided.
 enum BlockStep {
     Continue,
     /// Every column is frozen: Converged if all met the tolerance,
     /// Breakdown otherwise.
     AllFrozen,
     /// A still-active column produced a non-finite residual (pipelined
-    /// mode, mirroring the single-RHS `Diverged` return).
+    /// mode).
     Diverged,
     Detected(DetectionResponse),
+}
+
+impl From<StackOutcome> for BlockStep {
+    fn from(out: StackOutcome) -> Self {
+        match out {
+            StackOutcome::Act(resp) => BlockStep::Detected(resp),
+            StackOutcome::Recorded | StackOutcome::Continue => BlockStep::Continue,
+        }
+    }
 }
 
 /// Per-column solve status. Columns never unfreeze.
@@ -167,14 +218,14 @@ struct PipelinedState {
     z: DistMultiVector,
     s: DistMultiVector,
     /// `None` under the identity: `u = r`, `mw = w`, `q = s` are read
-    /// there, as the single-RHS `PipelinedCgStep` holds them.
+    /// there.
     images: Option<PrecondImages>,
-    /// Local partials `[r·u | w·u | r·r]`, `k` each, of the *current*
-    /// `r`, `u`, `w`: the sweep that last updated a column left that
-    /// column's three slots behind, so the next step posts them without
-    /// re-reading the vectors. Recomputed from the vectors on the first
-    /// step after every `build_state` (`fresh`); a frozen column's vectors
-    /// stop changing, so its slots stay valid as they are.
+    /// Local partials `[r·u | w·u | r·r]` (identity: `[r·r | w·r]`), `k`
+    /// each, of the *current* `r`, `u`, `w`: the sweep that last updated a
+    /// column left that column's slots behind, so the next step posts them
+    /// without re-reading the vectors. Recomputed from the vectors on the
+    /// first step after every `build_state` (`fresh`); a frozen column's
+    /// vectors stop changing, so its slots stay valid as they are.
     dots: Vec<f64>,
 }
 
@@ -189,13 +240,15 @@ struct PrecondImages {
     q: DistMultiVector,
 }
 
-/// The block analogue of the kernel's `CgProbe`: evaluates the true
-/// residual of the guard column (column 0) of the current block iterate.
+/// Evaluates the true residual of the iterate's column-0 view (CG updates
+/// `x` every iteration, so no trial correction is needed) against column 0
+/// of `b`, in a scratch vector the solve keeps.
 struct BlockProbe<'g> {
-    b: &'g DistVector,
+    b: &'g [f64],
     x: &'g DistVector,
     bn: f64,
     iteration: usize,
+    r: &'g mut DistVector,
 }
 
 impl<'g, 'a, 'b, C: CommBackend> SolutionProbe<DistSpace<'a, 'b, C>> for BlockProbe<'g> {
@@ -212,16 +265,45 @@ impl<'g, 'a, 'b, C: CommBackend> SolutionProbe<DistSpace<'a, 'b, C>> for BlockPr
     }
 
     fn trial_true_relres(&mut self, space: &mut DistSpace<'a, 'b, C>) -> Result<f64> {
-        let ax = space.apply(self.x)?;
-        let r = space.residual(self.b, &ax);
-        let rn = space.norm(&r)?;
+        space.apply_into(self.x, self.r)?;
+        space.ops().xpby(self.b, -1.0, &mut self.r.local);
+        let rn = space.norm(self.r)?;
         Ok(rn / self.bn)
     }
 }
 
+/// How the hooks' column-0 views are filled: not at all (empty stack), by
+/// swapping the column's buffer in (`k = 1`), or by copying it (`k > 1`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lend {
+    Off,
+    Swap,
+    Copy,
+}
+
+impl Lend {
+    /// Make `view` show column 0 of `v`. Under `Swap` `v` is left holding
+    /// the view's old (empty) buffer until [`Lend::give_back`].
+    fn lend(self, view: &mut DistVector, v: &mut DistMultiVector) {
+        match self {
+            Lend::Off => {}
+            Lend::Swap => mem::swap(&mut view.local, &mut v.local),
+            Lend::Copy => view.local.copy_from_slice(v.col(0)),
+        }
+    }
+
+    /// Undo [`Lend::lend`]: under `Swap` the column gets its buffer back —
+    /// with whatever a policy wrote into it.
+    fn give_back(self, view: &mut DistVector, v: &mut DistMultiVector) {
+        if self == Lend::Swap {
+            mem::swap(&mut view.local, &mut v.local);
+        }
+    }
+}
+
 /// Negotiate the policy check tail of a batched reduction against the
-/// column-0 guard views: the bookkeeping for `consume_check_dots` and the
-/// pairs to reduce. The stack stays borrowed until the pairs are dropped.
+/// column-0 views: the bookkeeping for `consume_check_dots` and the pairs
+/// to reduce. The stack stays borrowed until the pairs are dropped.
 fn check_tail<'v, S: KrylovSpace<Vector = DistVector>>(
     policies: &'v mut PolicyStack<'_, S>,
     space: &S,
@@ -235,22 +317,24 @@ fn check_tail<'v, S: KrylovSpace<Vector = DistVector>>(
         basis_pair: None,
     };
     // lint:allow(hot-loop-alloc): O(#check pairs) list of references into the
-    // guards and the policies, so it cannot outlive the step; it stays empty
+    // views and the policies, so it cannot outlive the step; it stays empty
     // (no heap) under an empty stack.
     let mut pairs = Vec::new();
     let batch = policies.collect_check_dots(space, ctx, &avail, &mut pairs);
     (batch, pairs)
 }
 
-/// The driver: the space, the preconditioner, per-column bookkeeping and
-/// every reusable scratch buffer of the solve (guards, preconditioner
-/// single-vector views, reduction partials, per-column coefficient
-/// arrays). The recurrence vectors live in [`BlockState`] so the borrow
-/// checker can split them from the driver.
+/// One solve's working set: the space, the preconditioner, per-column
+/// bookkeeping and every reusable buffer (views, staging vectors, reduction
+/// partials, per-column coefficient arrays). The recurrence vectors live in
+/// [`BlockState`] so the borrow checker can split them from it.
 struct BlockCg<'s, 'a, 'b, 'm, C: CommBackend> {
     space: &'s mut DistSpace<'a, 'b, C>,
+    /// The right-hand sides.
+    b: &'s DistMultiVector,
     m: &'m mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    /// `m.is_identity()`, read once: no `M⁻¹` image is stored or applied.
+    /// `m.is_identity()`, read once: no `M⁻¹` image is stored, applied,
+    /// reduced or hooked.
     identity: bool,
     k: usize,
     /// ‖b_c‖ per column, floored at `f64::MIN_POSITIVE`.
@@ -261,28 +345,20 @@ struct BlockCg<'s, 'a, 'b, 'm, C: CommBackend> {
     histories: Vec<Vec<f64>>,
     /// Local-partials buffer handed to the batched reductions.
     partials: Vec<f64>,
+    /// The solver partials of the fused `p·Ap` reduction, `k` of them.
+    pap: Vec<f64>,
     alphas: Vec<f64>,
     betas: Vec<f64>,
-    /// Staging views for preconditioners without a slice-level apply:
-    /// `rc` in, `zc` out.
-    rc: DistVector,
-    zc: DistVector,
-    /// Is anybody looking at the guards? With an empty policy stack the
-    /// hooks are no-ops and the per-iteration guard copies are skipped.
-    guarded: bool,
-    /// Guard views of column 0 for the policy hooks (SpMV input/product).
+    /// Staging views `(in, out)` for preconditioners without a slice-level
+    /// apply, made on first use.
+    staging: Option<(DistVector, DistVector)>,
+    lend: Lend,
+    /// Column-0 views for the policy hooks — an SpMV (or preconditioner)
+    /// input and output, the iterate — and the probe's residual buffer.
     in_g: DistVector,
     out_g: DistVector,
-    /// Guard views of column 0 of `x` and `b` for probes and recovery.
     xg: DistVector,
-    bg: DistVector,
-}
-
-/// Refresh a column-0 guard view (skipped when no policy will read it).
-fn guard(on: bool, view: &mut DistVector, col: &[f64]) {
-    if on {
-        view.local.copy_from_slice(col);
-    }
+    rg: DistVector,
 }
 
 impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
@@ -328,8 +404,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     /// `z[c] ← M⁻¹·r[c]` for every **active** column, column slice to
     /// column slice where the preconditioner can, through the
     /// single-vector staging views where it cannot (each apply charges
-    /// exactly like the single-RHS preconditioner path; frozen columns skip
-    /// theirs).
+    /// exactly like a single-vector apply; frozen columns skip theirs).
     fn precond_active_into(&mut self, r: &DistMultiVector, z: &mut DistMultiVector) -> Result<()> {
         for c in 0..self.k {
             if self.lanes[c] != Lane::Active {
@@ -339,9 +414,12 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
                 .m
                 .apply_local_into(self.space, r.col(c), z.col_mut(c))?
             {
-                self.rc.local.copy_from_slice(r.col(c));
-                self.m.apply_into(self.space, &self.rc, &mut self.zc)?;
-                z.col_mut(c).copy_from_slice(&self.zc.local);
+                let (rc, zc) = self
+                    .staging
+                    .get_or_insert_with(|| (r.column(c), r.column(c)));
+                rc.local.copy_from_slice(r.col(c));
+                self.m.apply_into(self.space, rc, zc)?;
+                z.col_mut(c).copy_from_slice(&zc.local);
             }
         }
         Ok(())
@@ -358,18 +436,56 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         Ok(Some(z))
     }
 
-    /// (Re)build the recurrence from the current iterate — the block twin
-    /// of the shell's `apply + residual + strategy.init` sequence. Frozen
-    /// columns get consistent residuals recomputed (they sit in reduction
-    /// payloads) but skip preconditioner applies and stay frozen.
+    /// Batched reduction of `r·z` and `r·r` per column — of `r·r` alone
+    /// under the identity, where `z = r` — and the offset of the `r·r`
+    /// slots in it (the `r·z` slots start at 0).
+    fn reduce_rz_rr(
+        &mut self,
+        r: &DistMultiVector,
+        z: Option<&DistMultiVector>,
+        active: usize,
+    ) -> Result<(Vec<f64>, usize)> {
+        let (k, partials) = (self.k, &mut self.partials);
+        Ok(match z {
+            None => (
+                self.space.block_dots(k, &[(r, r)], &[], active, partials)?,
+                0,
+            ),
+            Some(z) => (
+                self.space
+                    .block_dots(k, &[(r, z), (r, r)], &[], active, partials)?,
+                k,
+            ),
+        })
+    }
+
+    /// Run the after-preconditioner hook on the views of column 0 of `r`
+    /// and its image `z`.
+    fn after_precond(
+        &mut self,
+        st: &SolveProgress,
+        r: &mut DistMultiVector,
+        z: &mut DistMultiVector,
+        policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
+    ) -> Result<BlockStep> {
+        self.lend.lend(&mut self.in_g, r);
+        self.lend.lend(&mut self.out_g, z);
+        let out = policies.after_precond(self.space, &st.ctx(), &self.in_g, &self.out_g);
+        self.lend.give_back(&mut self.out_g, z);
+        self.lend.give_back(&mut self.in_g, r);
+        Ok(out?.into())
+    }
+
+    /// (Re)build the recurrence from the current iterate. Frozen columns
+    /// get consistent residuals recomputed (they sit in reduction payloads)
+    /// but skip preconditioner applies and stay frozen.
     fn build_state(
         &mut self,
         mode: Schedule,
         st: &mut SolveProgress,
         x: &DistMultiVector,
-        b: &DistMultiVector,
     ) -> Result<BlockState> {
-        let k = self.k;
+        let (k, b) = (self.k, self.b);
         let active = self.active_count();
         let zeros = || DistMultiVector::zeros_like(b);
         let mut ap = zeros();
@@ -393,18 +509,11 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         match mode {
             Schedule::Fused => {
                 state.z = self.precond_image(&state.r)?;
-                let z = state.z.as_ref().unwrap_or(&state.r);
-                // One batched reduction for every column's r·z and r·r —
-                // the same single collective as the single-RHS init.
-                let vals = self.space.block_dots(
-                    k,
-                    &[(&state.r, z), (&state.r, &state.r)],
-                    &[],
-                    active,
-                    &mut self.partials,
-                )?;
+                // One batched reduction for every column's r·z and r·r.
+                let (vals, rr) = self.reduce_rz_rr(&state.r, state.z.as_ref(), active)?;
                 state.rz = vals[..k].to_vec();
-                state.rr = vals[k..2 * k].to_vec();
+                state.rr = vals[rr..rr + k].to_vec();
+                let z = state.z.as_ref().unwrap_or(&state.r);
                 state.p.local.copy_from_slice(&z.local);
                 for c in 0..k {
                     if self.lanes[c] == Lane::Active {
@@ -423,6 +532,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
                         self.relres[c] = f64::INFINITY;
                     }
                 }
+                let slots = if u.is_some() { 3 } else { 2 };
                 state.pipe = Some(PipelinedState {
                     w,
                     z: zeros(),
@@ -432,7 +542,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
                         mw: zeros(),
                         q: zeros(),
                     }),
-                    dots: vec![0.0; 3 * k],
+                    dots: vec![0.0; slots * k],
                 });
             }
         }
@@ -441,20 +551,21 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     }
 
     /// [`build_state`](Self::build_state) plus what follows every (re)start
-    /// of the recurrence: the `on_cycle_start` hook on the column-0 guard
-    /// and the shell's pre-loop convergence check, per column. Returns the
-    /// state and whether any column is still active.
+    /// of the recurrence: the `on_cycle_start` hook on the iterate's view
+    /// and the pre-loop convergence check, per column. Returns the state
+    /// and whether any column is still active.
     fn start_cycle(
         &mut self,
         mode: Schedule,
         st: &mut SolveProgress,
-        x: &DistMultiVector,
-        b: &DistMultiVector,
+        x: &mut DistMultiVector,
         policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
     ) -> Result<(BlockState, bool)> {
-        let state = self.build_state(mode, st, x, b)?;
-        guard(self.guarded, &mut self.xg, x.col(0));
-        policies.on_cycle_start(self.space, &st.ctx(), &self.xg)?;
+        let state = self.build_state(mode, st, x)?;
+        self.lend.lend(&mut self.xg, x);
+        let hooked = policies.on_cycle_start(self.space, &st.ctx(), &self.xg);
+        self.lend.give_back(&mut self.xg, x);
+        hooked?;
         for c in 0..self.k {
             if self.lanes[c] == Lane::Active && self.relres[c] <= st.tol {
                 self.freeze(c, Lane::Converged, st.iterations);
@@ -464,26 +575,42 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     }
 
     /// The `on_iteration` hook at the end of a completed step, on the
-    /// column-0 guard of the iterate.
+    /// iterate's view.
     fn end_of_iteration(
         &mut self,
         st: &SolveProgress,
-        x: &DistMultiVector,
+        x: &mut DistMultiVector,
         policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
     ) -> Result<BlockStep> {
-        guard(self.guarded, &mut self.xg, x.col(0));
+        self.lend.lend(&mut self.xg, x);
         let mut probe = BlockProbe {
-            b: &self.bg,
+            b: self.b.col(0),
             x: &self.xg,
             bn: self.bn[0],
             iteration: st.iterations,
+            r: &mut self.rg,
         };
-        Ok(
-            match policies.on_iteration(self.space, &st.ctx(), &mut probe)? {
-                StackOutcome::Act(resp) => BlockStep::Detected(resp),
-                StackOutcome::Recorded | StackOutcome::Continue => BlockStep::Continue,
-            },
-        )
+        let out = policies.on_iteration(self.space, &st.ctx(), &mut probe);
+        self.lend.give_back(&mut self.xg, x);
+        Ok(out?.into())
+    }
+
+    /// Consult the stack about a divergence, on the iterate's view; `true`
+    /// if a policy restored `x` and asks for a rebuild.
+    fn on_failure(
+        &mut self,
+        st: &SolveProgress,
+        x: &mut DistMultiVector,
+        policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
+    ) -> bool {
+        self.lend.lend(&mut self.xg, x);
+        let restart = policies.on_failure(&st.ctx(), FailureEvent::Divergence, &mut self.xg)
+            == RecoveryAction::Restart;
+        self.lend.give_back(&mut self.xg, x);
+        if restart && self.lend == Lend::Copy {
+            x.col_mut(0).copy_from_slice(&self.xg.local);
+        }
+        restart
     }
 
     /// One fused-mode iteration: batched reduction #1 carries every
@@ -497,6 +624,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
     ) -> Result<BlockStep> {
         let k = self.k;
+        let n = state.r.local_rows();
         // Convergence is evaluated at the top of the loop from the
         // previous iteration's reduction, per column.
         for c in 0..k {
@@ -513,36 +641,49 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             return Ok(BlockStep::AllFrozen);
         }
         self.space.advance_extra_work()?;
-        guard(self.guarded, &mut self.in_g, state.p.col(0));
-        match policies.before_spmv(self.space, &st.ctx(), &self.in_g)? {
-            StackOutcome::Act(resp) => return Ok(BlockStep::Detected(resp)),
-            StackOutcome::Recorded | StackOutcome::Continue => {}
+        self.lend.lend(&mut self.in_g, &mut state.p);
+        let before = policies.before_spmv(self.space, &st.ctx(), &self.in_g);
+        self.lend.give_back(&mut self.in_g, &mut state.p);
+        if let StackOutcome::Act(resp) = before? {
+            return Ok(BlockStep::Detected(resp));
         }
         self.space
             .apply_block_into(&state.p, active, &mut state.ap)?;
-        guard(self.guarded, &mut self.out_g, state.ap.col(0));
         // Batched reduction #1, always fused: [p·Ap per column] + the
-        // policy check tail in one collective.
-        let vals = {
+        // policy check tail in one collective. The solver partials are
+        // taken before the views borrow `p` and `Ap`.
+        self.pap.resize(k, 0.0);
+        self.space
+            .block_dot_partials(k, &[(&state.p, &state.ap)], &mut self.pap);
+        self.lend.lend(&mut self.in_g, &mut state.p);
+        self.lend.lend(&mut self.out_g, &mut state.ap);
+        let reduced = {
             let (batch, check_pairs) =
                 check_tail(policies, &*self.space, &st.ctx(), &self.in_g, &self.out_g);
-            let vals = self.space.block_dots(
+            let vals = self.space.reduce_carried_block_dots(
                 k,
-                &[(&state.p, &state.ap)],
+                &self.pap,
+                n,
                 &check_pairs,
                 active,
                 &mut self.partials,
-            )?;
+            );
             drop(check_pairs);
-            policies.consume_check_dots(&st.ctx(), &batch, &vals[k..]);
-            vals
+            vals.map(|vals| (batch, vals))
         };
-        match policies.after_spmv(self.space, &st.ctx(), &self.in_g, &self.out_g)? {
-            StackOutcome::Act(resp) => return Ok(BlockStep::Detected(resp)),
-            StackOutcome::Recorded | StackOutcome::Continue => {}
+        let after = reduced.and_then(|(batch, vals)| {
+            policies.consume_check_dots(&st.ctx(), &batch, &vals[k..]);
+            let after = policies.after_spmv(self.space, &st.ctx(), &self.in_g, &self.out_g)?;
+            Ok((vals, after))
+        });
+        self.lend.give_back(&mut self.out_g, &mut state.ap);
+        self.lend.give_back(&mut self.in_g, &mut state.p);
+        let (vals, after) = after?;
+        if let StackOutcome::Act(resp) = after {
+            return Ok(BlockStep::Detected(resp));
         }
         // α per column; a non-positive or non-finite p·Ap freezes the
-        // column (the masked form of the k = 1 whole-solve Breakdown).
+        // column (the masked form of a whole-solve Breakdown).
         for (c, &pap) in vals.iter().enumerate().take(k) {
             if self.lanes[c] != Lane::Active {
                 continue;
@@ -556,10 +697,9 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         let active = self.active_count();
         if active == 0 {
             // Every remaining column broke before the update: stop without
-            // touching x or the counters, like the single-RHS step.
+            // touching x or the counters.
             return Ok(BlockStep::AllFrozen);
         }
-        let n = state.r.local_rows();
         for c in (0..k).filter(|&c| self.lanes[c] == Lane::Active) {
             self.space.axpy_col(self.alphas[c], &state.p, x, c);
             self.space
@@ -567,24 +707,22 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         }
         self.space.charge_flops(4 * n * active);
         // Batched reduction #2: z ← M⁻¹r on the active columns (z = r
-        // under the identity), then every column's r·z and r·r in one
-        // collective.
+        // under the identity) — guarded between the two reductions, where
+        // nothing is in flight, and before β or p move, so a Restart
+        // rebuilds from the committed iterate — then every column's r·z
+        // and r·r in one collective.
         if let Some(z) = state.z.as_mut() {
             self.precond_active_into(&state.r, z)?;
+            if let BlockStep::Detected(resp) = self.after_precond(st, &mut state.r, z, policies)? {
+                return Ok(BlockStep::Detected(resp));
+            }
         }
+        let (vals, rr) = self.reduce_rz_rr(&state.r, state.z.as_ref(), active)?;
         let z = state.z.as_ref().unwrap_or(&state.r);
-        let vals2 = self.space.block_dots(
-            k,
-            &[(&state.r, z), (&state.r, &state.r)],
-            &[],
-            active,
-            &mut self.partials,
-        )?;
         for c in (0..k).filter(|&c| self.lanes[c] == Lane::Active) {
-            let rz_new = vals2[c];
-            self.betas[c] = rz_new / state.rz[c];
-            state.rz[c] = rz_new;
-            state.rr[c] = vals2[k + c];
+            self.betas[c] = vals[c] / state.rz[c];
+            state.rz[c] = vals[c];
+            state.rr[c] = vals[rr + c];
             self.space.xpby_col(z, self.betas[c], &mut state.p, c);
         }
         self.space.charge_flops(2 * n * active);
@@ -598,10 +736,11 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     }
 
     /// One pipelined-mode iteration: a single nonblocking batched
-    /// reduction — [γ per column, δ per column, ‖r‖² per column] + the
-    /// check tail — posted before the preconditioner applies and the SpMM
-    /// it overlaps. The partials it posts were left behind by the previous
-    /// iteration's sweep; each state vector is streamed once per iteration.
+    /// reduction — [γ per column, δ per column, ‖r‖² per column (not under
+    /// the identity, where it is γ)] + the check tail — posted before the
+    /// preconditioner applies and the SpMM it overlaps. The partials it
+    /// posts were left behind by the previous iteration's sweep; each state
+    /// vector is streamed once per iteration.
     fn step_pipelined(
         &mut self,
         st: &mut SolveProgress,
@@ -610,6 +749,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         policies: &mut PolicyStack<'_, DistSpace<'a, 'b, C>>,
     ) -> Result<BlockStep> {
         let k = self.k;
+        let n = state.r.local_rows();
         let active = self.active_count();
         let PipelinedState {
             w,
@@ -618,61 +758,78 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
             images,
             dots,
         } = state.pipe.as_mut().expect("pipelined state");
-        // Under the identity `u = r`, `mw = w` and `q = s`: read those.
-        let u = images.as_ref().map_or(&state.r, |m| &m.u);
+        let slots = dots.len() / k;
         if state.fresh {
-            self.space
-                .block_dot_partials(k, &[(&state.r, u), (w, u), (&state.r, &state.r)], dots);
+            match images.as_ref() {
+                Some(m) => {
+                    let (r, u) = (&state.r, &m.u);
+                    self.space
+                        .block_dot_partials(k, &[(r, u), (w, u), (r, r)], dots)
+                }
+                None => {
+                    let r = &state.r;
+                    self.space.block_dot_partials(k, &[(r, r), (w, r)], dots)
+                }
+            }
         }
-        // The resolved input/product pair lags the overlapped SpMV by one
-        // step, exactly like the single-RHS pipelined strategy.
-        guard(self.guarded, &mut self.in_g, u.col(0));
-        guard(self.guarded, &mut self.out_g, w.col(0));
-        let (pending, batch) = {
+        // The check pair (u, w = A·u) lags the overlapped SpMV by one step.
+        // Under the identity `u = r`, `mw = w` and `q = s`: read those.
+        let u = images.as_mut().map_or(&mut state.r, |m| &mut m.u);
+        self.lend.lend(&mut self.in_g, u);
+        self.lend.lend(&mut self.out_g, w);
+        let posted = {
             let (batch, check_pairs) =
                 check_tail(policies, &*self.space, &st.ctx(), &self.in_g, &self.out_g);
-            let pending = self.space.start_carried_block_dots(
-                k,
-                dots,
-                state.r.local_rows(),
-                &check_pairs,
-                active,
-                &mut self.partials,
-            )?;
-            (pending, batch)
+            self.space
+                .start_carried_block_dots(k, dots, n, &check_pairs, active, &mut self.partials)
+                .map(|pending| (pending, batch))
         };
+        self.lend.give_back(&mut self.out_g, w);
+        self.lend.give_back(&mut self.in_g, u);
+        let (pending, batch) = posted?;
         // ... overlapped with the extra work, the per-active-column
         // preconditioner applies mw = M⁻¹w and the blocked SpMM of mw.
         self.space.advance_extra_work()?;
         if let Some(m) = images.as_mut() {
             self.precond_active_into(w, &mut m.mw)?;
         }
-        let input = images.as_ref().map_or(&*w, |m| &m.mw);
-        guard(self.guarded, &mut self.in_g, input.col(0));
-        match policies.before_spmv(self.space, &st.ctx(), &self.in_g)? {
-            StackOutcome::Act(resp) => {
-                // Complete the posted reduction before abandoning the
-                // step: every rank drains the in-flight collective.
-                self.space.finish_dots(pending)?;
-                return Ok(BlockStep::Detected(resp));
-            }
-            StackOutcome::Recorded | StackOutcome::Continue => {}
+        let input = images.as_mut().map_or(&mut *w, |m| &mut m.mw);
+        self.lend.lend(&mut self.in_g, input);
+        let before = policies.before_spmv(self.space, &st.ctx(), &self.in_g);
+        self.lend.give_back(&mut self.in_g, input);
+        if let StackOutcome::Act(resp) = before? {
+            // Complete the posted reduction before abandoning the step:
+            // every rank drains the in-flight collective.
+            self.space.finish_dots(pending)?;
+            return Ok(BlockStep::Detected(resp));
         }
         self.space.apply_block_into(input, active, &mut state.ap)?;
         let reduced = self.space.finish_dots(pending)?;
-        policies.consume_check_dots(&st.ctx(), &batch, &reduced[3 * k..]);
-        guard(self.guarded, &mut self.out_g, state.ap.col(0));
-        match policies.after_spmv(self.space, &st.ctx(), &self.in_g, &self.out_g)? {
-            StackOutcome::Act(resp) => return Ok(BlockStep::Detected(resp)),
-            StackOutcome::Recorded | StackOutcome::Continue => {}
+        policies.consume_check_dots(&st.ctx(), &batch, &reduced[slots * k..]);
+        self.lend.lend(&mut self.in_g, input);
+        self.lend.lend(&mut self.out_g, &mut state.ap);
+        let after = policies.after_spmv(self.space, &st.ctx(), &self.in_g, &self.out_g);
+        self.lend.give_back(&mut self.out_g, &mut state.ap);
+        self.lend.give_back(&mut self.in_g, input);
+        if let StackOutcome::Act(resp) = after? {
+            return Ok(BlockStep::Detected(resp));
+        }
+        // Guard the overlap-region applies mw = M⁻¹w *after* the reduction
+        // completed (a guard may post its own collective) and *before* mw
+        // enters the recurrence: a Restart returns with x and r untouched.
+        if let Some(m) = images.as_mut() {
+            if let BlockStep::Detected(resp) = self.after_precond(st, w, &mut m.mw, policies)? {
+                return Ok(BlockStep::Detected(resp));
+            }
         }
         // Convergence per column from the one reduction (history gets its
-        // first entry here, like the single-RHS pipelined step).
+        // first entry here); under the identity ‖r‖² is γ.
+        let rr_slot = if images.is_some() { 2 } else { 0 };
         for c in 0..k {
             if self.lanes[c] != Lane::Active {
                 continue;
             }
-            let rr = reduced[2 * k + c];
+            let rr = reduced[rr_slot * k + c];
             self.relres[c] = sqrt_nonneg(rr) / self.bn[c];
             if self.histories[c].is_empty() {
                 self.histories[c].push(self.relres[c]);
@@ -719,11 +876,11 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
         if self.active_count() == 0 {
             return Ok(BlockStep::AllFrozen);
         }
-        // The recurrence updates of every still-active column in the
-        // single-RHS order — z ← aw + βz, q ← mw + βq, s ← w + βs,
-        // p ← u + βp, x += αp, r −= αs, u −= αq, w −= αz, without the `q`
-        // and `u` updates under the identity — one pass per column, which
-        // also leaves the next step's dot partials behind.
+        // The recurrence updates of every still-active column — z ← aw + βz,
+        // q ← mw + βq, s ← w + βs, p ← u + βp, x += αp, r −= αs, u −= αq,
+        // w −= αz, without the `q` and `u` updates under the identity — one
+        // pass per column, which also leaves the next step's dot partials
+        // behind.
         let lanes = &self.lanes;
         self.space.pipelined_sweep_block(
             |c| lanes[c] == Lane::Active,
@@ -752,17 +909,18 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
     }
 }
 
-/// Run the block preconditioned-CG kernel on `k = b.k()` right-hand sides
-/// at once. At `k = 1` the solve is bit-identical to
-/// [`run_cg`](super::run_cg) with the corresponding preconditioned
-/// strategy; at any `k` the collective count per iteration is that of the
-/// single-RHS solve. See the [module docs](self) for the masking,
-/// symmetry and policy-guard contracts.
+/// Run the CG kernel on `k = b.k()` right-hand sides at once, under the
+/// reduction schedule `mode` and the preconditioner `m` (pass
+/// [`IdentityPrecond`](super::IdentityPrecond) for none). At any `k` the
+/// collective count per iteration is that of a single-RHS solve, and each
+/// column is its own single-RHS solve, bit for bit. See the
+/// [module docs](self) for the masking, symmetry, identity and
+/// policy-view contracts.
 ///
 /// # Errors
 /// [`RuntimeError::InvalidArgument`], before any collective is posted, if
-/// `b` has no columns or is not distributed like the operator, or if `x0`
-/// differs from `b` in column count or distribution.
+/// `b` has no columns or its columns are not distributed like the
+/// operator's rows, or if `x0` differs from `b` in column count or layout.
 pub fn run_block_cg<'a, 'b, C: CommBackend>(
     space: &mut DistSpace<'a, 'b, C>,
     b: &DistMultiVector,
@@ -777,13 +935,9 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
     if k == 0 {
         return invalid("run_block_cg: `b` has no columns".into());
     }
-    if b.global_len() != space.global_dim() {
-        return invalid(format!(
-            "run_block_cg: `b` has global length {} but the operator has dimension {}",
-            b.global_len(),
-            space.global_dim()
-        ));
-    }
+    space
+        .operator()
+        .check_block_operand("run_block_cg: `b`", b)?;
     let mut x = x0.unwrap_or_else(|| DistMultiVector::zeros_like(b));
     if x.k() != k {
         return invalid(format!(
@@ -791,18 +945,28 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
             x.k()
         ));
     }
-    if x.distribution() != b.distribution() || x.local_rows() != b.local_rows() {
+    if x.distribution() != b.distribution() || x.local.len() != b.local.len() {
         return invalid(format!(
-            "run_block_cg: `x0` (global length {}, {} local rows) is not distributed like `b` \
-             ({}, {})",
+            "run_block_cg: `x0` (global length {}, {} local entries) is not distributed like \
+             `b` ({}, {})",
             x.global_len(),
-            x.local_rows(),
+            x.local.len(),
             b.global_len(),
-            b.local_rows()
+            b.local.len()
         ));
     }
+    let lend = match (policies.is_empty(), k) {
+        (true, _) => Lend::Off,
+        (false, 1) => Lend::Swap,
+        (false, _) => Lend::Copy,
+    };
+    let view = || match lend {
+        Lend::Copy => b.column(0),
+        Lend::Off | Lend::Swap => b.empty_column(),
+    };
     let mut drv = BlockCg {
         space,
+        b,
         identity: m.is_identity(),
         m,
         k,
@@ -812,18 +976,21 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
         col_iters: vec![0; k],
         histories: vec![Vec::new(); k],
         partials: Vec::new(),
+        pap: Vec::new(),
         alphas: vec![0.0; k],
         betas: vec![0.0; k],
-        rc: b.column(0),
-        zc: b.column(0),
-        guarded: !policies.is_empty(),
-        in_g: b.column(0),
-        out_g: b.column(0),
-        xg: b.column(0),
-        bg: b.column(0),
+        staging: None,
+        lend,
+        in_g: view(),
+        out_g: view(),
+        xg: view(),
+        rg: match lend {
+            Lend::Off => b.empty_column(),
+            Lend::Swap | Lend::Copy => b.column(0),
+        },
     };
-    // ‖b_c‖ for every column in one collective (k = 1: bitwise the
-    // single-RHS `space.norm(b)`), floored exactly like the shell's bn.
+    // ‖b_c‖ for every column in one collective, floored at the smallest
+    // positive normal.
     let bnv = drv
         .space
         .block_dots(k, &[(b, b)], &[], k, &mut drv.partials)?;
@@ -833,9 +1000,12 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
         .collect();
     let mut st = SolveProgress::new(opts.tol, opts.max_iters, drv.bn[0]);
     let mut report = KernelReport::default();
-    policies.on_solve_start(drv.space, &drv.bg)?;
+    if lend != Lend::Off {
+        // A transient copy: the probe reads column 0 of `b` in place.
+        policies.on_solve_start(drv.space, &b.column(0))?;
+    }
 
-    let (mut state, mut live) = drv.start_cycle(mode, &mut st, &x, b, policies)?;
+    let (mut state, mut live) = drv.start_cycle(mode, &mut st, &mut x, policies)?;
     let mut reason = StopReason::MaxIterations;
     while live && st.iterations < opts.max_iters {
         let out = match mode {
@@ -846,35 +1016,31 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
             BlockStep::Continue => {}
             BlockStep::AllFrozen => live = false,
             BlockStep::Diverged => {
-                // Consult the stack before terminating; recovery
-                // restores through the column-0 guard and rebuilds the
-                // whole recurrence, capped like the single-RHS shell.
-                let recover = report.failure_recoveries < opts.max_iters.max(1) && {
-                    guard(drv.guarded, &mut drv.xg, x.col(0));
-                    let restart =
-                        policies.on_failure(&st.ctx(), FailureEvent::Divergence, &mut drv.xg)
-                            == RecoveryAction::Restart;
-                    if restart {
-                        x.col_mut(0).copy_from_slice(&drv.xg.local);
-                    }
-                    restart
-                };
+                // Consult the stack before terminating; a restore rebuilds
+                // the whole recurrence, capped so a policy that restores
+                // forever cannot livelock the kernel.
+                let recover = report.failure_recoveries < opts.max_iters.max(1)
+                    && drv.on_failure(&st, &mut x, policies);
                 if !recover {
                     reason = StopReason::Diverged;
                     break;
                 }
                 report.failure_recoveries += 1;
-                (state, live) = drv.start_cycle(mode, &mut st, &x, b, policies)?;
+                (state, live) = drv.start_cycle(mode, &mut st, &mut x, policies)?;
             }
             BlockStep::Detected(DetectionResponse::Restart) => {
                 report.policy_restarts += 1;
                 if report.policy_restarts > opts.max_iters.max(1) {
-                    // Persistent corruption rebuilding forever without
-                    // consuming iterations is terminal (the backstop).
+                    // A detection firing on every retry would rebuild
+                    // forever without consuming iterations: persistent
+                    // corruption is terminal.
                     reason = StopReason::CorruptionDetected;
                     break;
                 }
-                (state, live) = drv.start_cycle(mode, &mut st, &x, b, policies)?;
+                // These rebuild applications run outside the SpMV hooks
+                // (and advance the space's application count), so only the
+                // next iteration's checks guard them.
+                (state, live) = drv.start_cycle(mode, &mut st, &mut x, policies)?;
             }
             BlockStep::Detected(_) => {
                 reason = StopReason::CorruptionDetected;

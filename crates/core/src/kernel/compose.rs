@@ -60,7 +60,7 @@ use crate::srp::ft_gmres::{ft_gmres_with_policies, FtGmresConfig, FtGmresReport}
 /// the wants-dots negotiation: it supplies the two pairs through
 /// [`ResiliencePolicy::check_pairs`], receives the reduced scalars before
 /// its hook runs, and `after_spmv` only computes the O(n) tolerance scale.
-/// Immediate-dot strategies (`MgsOrtho`, `PcgStep`) never negotiate and
+/// Immediate-dot strategies (`MgsOrtho`) never negotiate and
 /// keep the legacy direct verification. On pipelined schedules the fused
 /// scalars refer to the most recent *completed* product (the usual one-step
 /// wants-dots lag), and the tolerance scale uses the hook's current input —

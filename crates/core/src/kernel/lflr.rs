@@ -121,7 +121,12 @@ pub struct KrylovLflrReport {
     /// plus the final attempt's kernel iterations.
     pub iterations: usize,
     /// Snapshots written to the persistent store, across all attempts.
+    /// Counts the part of a dead epoch this rank ran before it noticed the
+    /// death, which follows real thread timing.
     pub snapshots_persisted: usize,
+    /// Snapshots written by the attempt that completed the solve: with the
+    /// agreed resume step, a count that does not depend on thread timing.
+    pub final_attempt_snapshots: usize,
     /// Recoveries in which this rank's snapshot at the agreed step was
     /// missing and the local part fell back to zeros (still a valid warm
     /// start — any iterate is an initial guess — but costs iterations;
@@ -206,6 +211,7 @@ pub fn lflr_solve<C: CommBackend>(
         // Count snapshots even when the attempt died mid-solve: the store
         // traffic happened either way.
         report.snapshots_persisted += rollback.snapshots_persisted();
+        report.final_attempt_snapshots = rollback.snapshots_persisted();
         let (outcome, kernel_report) = result?;
         report.policy = kernel_report.policy_overhead;
         report.iterations = resume_step + outcome.iterations;

@@ -13,8 +13,12 @@
 //!    modified Gram–Schmidt with immediate dots ([`MgsOrtho`]), classical
 //!    Gram–Schmidt with one fused blocking reduction ([`CgsOrtho`]), or the
 //!    p(1)-pipelined formulation that overlaps a single nonblocking
-//!    reduction with the next SpMV ([`PipelinedOrtho`]); for CG the analogous
-//!    [`PcgStep`], [`FusedCgStep`] and [`PipelinedCgStep`].
+//!    reduction with the next SpMV ([`PipelinedOrtho`]). CG has one kernel,
+//!    [`run_block_cg`], whose [`Schedule`] is the same choice — two blocking
+//!    reductions or one nonblocking one — for `k ≥ 1` right-hand sides; a
+//!    single-RHS CG solve is its `k = 1` case ([`run_cg`] with
+//!    [`FusedCgStep`] / [`PipelinedCgStep`] names it under the old strategy
+//!    names).
 //! 3. **Resilience policies** ([`ResiliencePolicy`], [`PolicyStack`]) —
 //!    skeptical invariant checks, ABFT checksum verification, iterate
 //!    rollback — attached through hooks (`before_spmv`, `after_spmv`,
@@ -23,10 +27,10 @@
 //! 4. **Preconditioner** ([`SpacePreconditioner`]) — applied through the
 //!    space so its cost is charged like any other kernel arithmetic:
 //!    [`IdentityPrecond`] (bit-identical to no preconditioning) and the
-//!    collective-free distributed [`BlockJacobi`]. CG
-//!    strategies hold it directly (`PcgStep`, and the preconditioned
-//!    variants of `FusedCgStep`/`PipelinedCgStep`); GMRES strategies take
-//!    it through the flexible right-preconditioning slot ([`RightPrecond`]).
+//!    collective-free distributed [`BlockJacobi`]. The CG kernel applies it
+//!    column by column and treats the identity as no preconditioner at all
+//!    (no images stored, reduced or charged); GMRES strategies take it
+//!    through the flexible right-preconditioning slot ([`RightPrecond`]).
 //!
 //! Over a [`DistSpace`] the composition is a value: [`solve`] runs a
 //! [`SolveSpec`] (method × reduction schedule) with an optional
@@ -36,10 +40,10 @@
 //! products — impossible before the kernel) and the [`lflr`] protocol
 //! ([`IterateRollbackPolicy`] snapshots through `Comm::persist`,
 //! [`lflr_solve`] resumes mid-stream after a rank is killed and replaced)
-//! all dispatch through it. The serial entry points
-//! (`solvers::{cg,gmres,fgmres}`, `srp::ft_gmres`, `skeptical::sdc_gmres`)
-//! call [`run_cg`] / [`run_gmres`] over a 1-rank [`DistSpace`] with the
-//! immediate-dot strategies ([`PcgStep`], [`MgsOrtho`]) and the
+//! all dispatch through it. The serial entry points run over a 1-rank
+//! [`DistSpace`]: `solvers::cg` is the fused CG spec there, and
+//! `solvers::{gmres,fgmres}`, `srp::ft_gmres` and `skeptical::sdc_gmres`
+//! call [`run_gmres`] with the immediate-dot [`MgsOrtho`] and the
 //! [`GmresFlavor`] control flows they always had.
 //!
 //! One intentional accounting deviation from the legacy silos: when a solve
@@ -61,7 +65,7 @@ pub mod spec;
 
 pub use block::{run_block_cg, BlockOutcome};
 pub use cache::SetupCache;
-pub use cg::{run_cg, CgOutcome, CgStrategy, FusedCgStep, PcgStep, PipelinedCgStep};
+pub use cg::{run_cg, CgStep, FusedCgStep, PipelinedCgStep};
 pub use compose::{
     ft_gmres_abft, pipelined_skeptical, pipelined_skeptical_cg, pipelined_skeptical_gmres,
     pipelined_skeptical_pcg, pipelined_skeptical_pgmres, AbftSpmvPolicy, ComposedDistReport,

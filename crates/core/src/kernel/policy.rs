@@ -333,7 +333,7 @@ pub trait ResiliencePolicy<S: KrylovSpace> {
     /// the detection hooks run, so the hooks can decide from already-global
     /// quantities instead of posting their own collectives.
     ///
-    /// Immediate-dot strategies (`MgsOrtho`, `PcgStep`) have no fused
+    /// Immediate-dot strategies (`MgsOrtho`) have no fused
     /// reduction and never call this; policies must keep a direct
     /// (self-reducing) fallback path in their hooks for those schedules.
     fn check_dots(&mut self, ctx: &IterCtx) -> Vec<CheckDot> {

@@ -15,12 +15,13 @@
 //!   bit-identical to their unpreconditioned counterparts (pinned by
 //!   `crates/core/tests/preconditioning.rs`). It is the one preconditioner
 //!   whose [`SpacePreconditioner::is_identity`] is `true`: its apply is a
-//!   bitwise copy that charges nothing, so the block kernel
+//!   bitwise copy that charges nothing, so the CG kernel
 //!   ([`run_block_cg`](super::run_block_cg)) stores no `M⁻¹` images under
-//!   it, reads `r`/`w`/`s` where it would read `u`/`mw`/`q`, and runs the
-//!   six-vector sweep per column — same bits, same charges, fewer bytes. A
-//!   preconditioner that copies but does not say so (a tracing wrapper)
-//!   takes the general eight-vector route to the same result.
+//!   it, reads `r`/`w`/`s` where it would read `u`/`mw`/`q`, reduces no
+//!   duplicate slot and runs the six-vector sweep per column — it is the
+//!   unpreconditioned solve, bits and charges alike. A preconditioner that
+//!   copies but does not say so (a tracing wrapper) takes the general
+//!   eight-vector route to the same bits at the general route's charges.
 //! * [`BlockJacobi`] — the distributed workhorse: each rank factors its
 //!   own diagonal block of the [`DistCsr`] once (partial-pivot LU clipped
 //!   to the block's band — `≈ 2·n·kl·(kl+ku)` FLOPs, dense being the
@@ -36,13 +37,13 @@
 //!
 //! # Example
 //!
-//! Any `SpacePreconditioner` drops into any CG strategy — here block-Jacobi
+//! Any `SpacePreconditioner` drops into any CG schedule — here block-Jacobi
 //! drives the unified kernel directly on a 1-rank space, where the one
 //! diagonal block is the whole matrix and PCG converges in one step:
 //!
 //! ```
 //! use resilience::distributed::{DistCsr, DistVector};
-//! use resilience::kernel::{run_cg, BlockJacobi, DistSpace, PcgStep, PolicyStack};
+//! use resilience::kernel::{solve, BlockJacobi, DistSpace, PolicyStack, SolveSpec};
 //! use resilience::solvers::{SolveOptions, StopReason};
 //! use resilient_linalg::poisson2d;
 //! use resilient_runtime::{Comm, RuntimeConfig};
@@ -52,12 +53,13 @@
 //! let b = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
 //! let mut m = BlockJacobi::new(&a);
 //! let mut space = DistSpace::new(&mut comm, &a);
-//! let (out, _report) = run_cg(
+//! let (out, _report) = solve(
 //!     &mut space,
 //!     &b,
 //!     None,
 //!     &SolveOptions::default().with_tol(1e-8).with_max_iters(200),
-//!     &mut PcgStep::new(&mut m),
+//!     SolveSpec::FUSED_CG,
+//!     Some(&mut m),
 //!     &mut PolicyStack::empty(),
 //! )
 //! .unwrap();

@@ -19,8 +19,8 @@
 //! fused scalars refer to the most recent *completed* product/basis pair,
 //! so detection lags one step — still recovered by a corrective restart,
 //! since the iterate is only committed at cycle boundaries (GMRES) or can
-//! be re-seeded (CG). Immediate-dot strategies (`MgsOrtho`, `PcgStep`)
-//! never negotiate; there the policy keeps the legacy direct reductions,
+//! be re-seeded (CG). The immediate-dot strategy (`MgsOrtho`) never
+//! negotiates; there the policy keeps the legacy direct reductions,
 //! charging exactly the reductions that actually run.
 
 use super::policy::{

@@ -23,30 +23,32 @@ use crate::distributed::{DistCsr, DistMultiVector, DistVector, HaloScratch};
 use resilient_faults::bitflip::flip_bit_f64;
 use resilient_faults::campaign::StrikePlan;
 
-/// The operands of one [`KrylovSpace::pipelined_sweep`] (`V` a space
-/// vector) or [`DistSpace::pipelined_sweep_block`] (`V` a
-/// [`DistMultiVector`], swept column by column): this iteration's SpMV
-/// product, the six state vectors every pipelined-CG recurrence updates in
-/// place, and the preconditioned recurrence's extra chain (see [`CgSweep`]
-/// / [`PcgSweep`] for the roles).
-pub struct PipelinedSweep<'v, V> {
-    /// `A·w` (preconditioned: `A·mw`), this iteration's SpMV product.
-    pub aw: &'v V,
+/// The operands of one [`DistSpace::pipelined_sweep_block`], swept column
+/// by column: this iteration's SpMM product, the six state vectors every
+/// pipelined-CG recurrence updates in place, and the preconditioned
+/// recurrence's extra chain (see [`CgSweep`] / [`PcgSweep`] for the roles).
+pub struct PipelinedSweep<'v> {
+    /// `A·w` (preconditioned: `A·mw`), this iteration's SpMM product.
+    pub aw: &'v DistMultiVector,
     /// `(mw, q, u)` — this iteration's `M⁻¹w`, `q = M⁻¹s` and `u = M⁻¹r` —
     /// when a preconditioner is bound.
-    pub precond: Option<(&'v V, &'v mut V, &'v mut V)>,
+    pub precond: Option<(
+        &'v DistMultiVector,
+        &'v mut DistMultiVector,
+        &'v mut DistMultiVector,
+    )>,
     /// Tracks `A·q` (unpreconditioned: `A·s`).
-    pub z: &'v mut V,
+    pub z: &'v mut DistMultiVector,
     /// Tracks `A·p`.
-    pub s: &'v mut V,
+    pub s: &'v mut DistMultiVector,
     /// Search direction.
-    pub p: &'v mut V,
+    pub p: &'v mut DistMultiVector,
     /// Iterate.
-    pub x: &'v mut V,
+    pub x: &'v mut DistMultiVector,
     /// Residual.
-    pub r: &'v mut V,
+    pub r: &'v mut DistMultiVector,
     /// `w = A·u` (unpreconditioned: `A·r`).
-    pub w: &'v mut V,
+    pub w: &'v mut DistMultiVector,
 }
 
 /// The execution environment of one Krylov solve: bound operator, vector
@@ -144,55 +146,6 @@ pub trait KrylovSpace {
         }
     }
 
-    /// Post the pipelined strategy's fused reduction from **carried** local
-    /// partials: `carried` holds the solver pairs' partials over `n` local
-    /// entries, left behind by the previous
-    /// [`KrylovSpace::pipelined_sweep`] (or computed by
-    /// [`KrylovSpace::dot_partials`]), so posting re-reads no state vector;
-    /// only the `checks` tail (policy check dots) is reduced from its
-    /// vectors. Charged and attributed exactly like
-    /// [`KrylovSpace::start_dots_tagged`] over the same pairs, so virtual
-    /// time does not depend on where the partials were computed. Complete
-    /// it with [`KrylovSpace::finish_dots`].
-    fn start_carried_dots(
-        &mut self,
-        carried: &[f64],
-        n: usize,
-        checks: &[(&Self::Vector, &Self::Vector)],
-    ) -> Result<Self::Pending>;
-
-    /// One pipelined-CG sweep: every recurrence update of the iteration in
-    /// one backend pass ([`LocalOps::pipelined_cg_sweep`], or
-    /// [`LocalOps::pipelined_pcg_sweep`] when `v.precond` is given), whose
-    /// dot partials — `[r·r, w·r]`, or `[r·u, w·u, r·r]` preconditioned —
-    /// land in `dots`, the layout [`KrylovSpace::start_carried_dots`]
-    /// posts. Charges the recurrence's twelve (sixteen) flops per row in
-    /// one piece.
-    fn pipelined_sweep(
-        &mut self,
-        alpha: f64,
-        beta: f64,
-        v: PipelinedSweep<'_, Self::Vector>,
-        dots: &mut [f64],
-    ) {
-        let aw = Self::local(v.aw);
-        let flops_per_row = if v.precond.is_some() { 16 } else { 12 };
-        let precond = v
-            .precond
-            .map(|(mw, q, u)| (Self::local(mw), Self::local_mut(q), Self::local_mut(u)));
-        let col = CgSweep {
-            z: Self::local_mut(v.z),
-            s: Self::local_mut(v.s),
-            p: Self::local_mut(v.p),
-            x: Self::local_mut(v.x),
-            r: Self::local_mut(v.r),
-            w: Self::local_mut(v.w),
-        };
-        let d = sweep_column(self.ops(), alpha, beta, aw, precond, col);
-        dots.copy_from_slice(&d[..dots.len()]);
-        self.charge_flops(flops_per_row * aw.len());
-    }
-
     /// `y ← y + alpha·x` (local, not charged — call sites charge explicitly
     /// to preserve each preset's legacy cost model).
     fn axpy(&mut self, alpha: f64, x: &Self::Vector, y: &mut Self::Vector) {
@@ -256,7 +209,7 @@ pub trait KrylovSpace {
 }
 
 /// One column of a pipelined-CG sweep on local slices, uncharged (the
-/// callers charge): the six-vector [`LocalOps::pipelined_cg_sweep`], or
+/// caller charges): the six-vector [`LocalOps::pipelined_cg_sweep`], or
 /// the eight-vector [`LocalOps::pipelined_pcg_sweep`] when `precond` gives
 /// `(mw, q, u)`. Returns the partials `[r·u, w·u, r·r]` — `[r·r, w·r, r·r]`
 /// without a preconditioner, the same bits with `u = r`.
@@ -340,8 +293,6 @@ pub struct DistSpace<'a, 'b, C: CommBackend = Comm> {
     /// Reused ghost-exchange buffers: the SpMV/SpMM input (owned + ghost
     /// entries) is assembled here instead of allocating per application.
     halo: HaloScratch,
-    /// Reused local-partials buffer of [`KrylovSpace::start_carried_dots`].
-    partials: Vec<f64>,
 }
 
 /// [`DistSpace`] over the real-threads backend: same kernels, wall-clock
@@ -365,7 +316,6 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
             precond_applications: 0,
             ops: auto_ops(),
             halo: HaloScratch::default(),
-            partials: Vec::new(),
         }
     }
 
@@ -458,18 +408,19 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     }
 
     /// SpMV strike point: counts the application and fires the planned
-    /// single-event upset and any due campaign strikes into its product.
-    fn strike_product(&mut self, y: &mut DistVector) {
+    /// single-event upset and any due campaign strikes into its product
+    /// (column 0 of an SpMM's).
+    fn strike_product(&mut self, y: &mut [f64]) {
         let app = self.applications;
         self.applications += 1;
         if let Some(f) = self.fault {
             if f.at_application == app
                 && f.rank == self.comm.world_rank()
                 && self.comm.incarnation() == 0
-                && !y.local.is_empty()
+                && !y.is_empty()
             {
-                let i = f.local_element.min(y.local.len() - 1);
-                y.local[i] = flip_bit_f64(y.local[i], f.bit);
+                let i = f.local_element.min(y.len() - 1);
+                y[i] = flip_bit_f64(y[i], f.bit);
                 self.injections += 1;
             }
         }
@@ -478,7 +429,7 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
                 self.comm.world_rank(),
                 self.comm.incarnation(),
                 app as u64,
-                &mut y.local,
+                y,
             );
         }
     }
@@ -511,7 +462,9 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     /// Batched operator application `y = A·x`: one ghost exchange per
     /// neighbour and one matrix sweep feed all `k` columns; charges
     /// `flops_per_apply × active`. `y` is the caller's (reused) output —
-    /// nothing is allocated per application.
+    /// nothing is allocated per application. Counts one application and
+    /// fires its strikes into column 0 of the product, like
+    /// [`KrylovSpace::apply_into`] into its one.
     pub fn apply_block_into(
         &mut self,
         x: &DistMultiVector,
@@ -519,7 +472,9 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         y: &mut DistMultiVector,
     ) -> Result<()> {
         self.a
-            .apply_block_into(self.comm, x, self.ops, &mut self.halo, active, y)
+            .apply_block_into(self.comm, x, self.ops, &mut self.halo, active, y)?;
+        self.strike_product(y.col_mut(0));
+        Ok(())
     }
 
     /// Batched blocking reduction: per multivector pair, all `k` per-column
@@ -543,8 +498,26 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         self.comm.allreduce(ReduceOp::Sum, partials)
     }
 
-    /// The nonblocking batched reduction of the pipelined block kernel,
-    /// posted from **carried** local partials: `carried` holds the
+    /// [`DistSpace::block_dots`] from **carried** solver partials: the
+    /// `carried.len() / k` per-column groups already computed over columns
+    /// of `n` local rows (by [`DistSpace::block_dot_partials`]), plus the
+    /// `checks` tail reduced from its vectors, in one blocking allreduce
+    /// charged exactly like `block_dots` over the same pairs.
+    pub(crate) fn reduce_carried_block_dots(
+        &mut self,
+        k: usize,
+        carried: &[f64],
+        n: usize,
+        checks: &[(&DistVector, &DistVector)],
+        active: usize,
+        partials: &mut Vec<f64>,
+    ) -> Result<Vec<f64>> {
+        self.carried_partials(k, carried, n, checks, active, partials);
+        self.comm.allreduce(ReduceOp::Sum, partials)
+    }
+
+    /// The nonblocking batched reduction of the pipelined kernel, posted
+    /// from **carried** local partials: `carried` holds the
     /// `carried.len() / k` per-column partial groups a previous
     /// [`DistSpace::pipelined_sweep_block`] (or
     /// [`DistSpace::block_dot_partials`]) already computed over columns of
@@ -563,10 +536,23 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         active: usize,
         partials: &mut Vec<f64>,
     ) -> Result<C::Pending> {
+        self.carried_partials(k, carried, n, checks, active, partials);
+        self.comm.iallreduce(ReduceOp::Sum, partials)
+    }
+
+    /// `partials` ← `carried` followed by the check tail, charged.
+    fn carried_partials(
+        &mut self,
+        k: usize,
+        carried: &[f64],
+        n: usize,
+        checks: &[(&DistVector, &DistVector)],
+        active: usize,
+        partials: &mut Vec<f64>,
+    ) {
         partials.clear();
         partials.extend_from_slice(carried);
         self.append_check_partials(n, active * (carried.len() / k), checks, partials);
-        self.comm.iallreduce(ReduceOp::Sum, partials)
     }
 
     /// Local halves of a batched reduction, uncharged (the reduction that
@@ -606,29 +592,23 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         self.comm.record_check_flops(2 * n * checks.len());
     }
 
-    /// One pipelined block-CG sweep — the multi-column
-    /// [`KrylovSpace::pipelined_sweep`]: for every column `c` with `live(c)`,
-    /// the recurrence updates of the single-RHS step with that column's
+    /// One pipelined-CG sweep: for every column `c` with `live(c)`, the
+    /// recurrence updates of one iteration with that column's
     /// `alphas[c]`/`betas[c]`, in one backend pass. With `v.precond` that
     /// is the eight-vector [`LocalOps::pipelined_pcg_sweep`], whose dot
     /// partials `[r·u, w·u, r·r]` land in `dots[c]`, `dots[k + c]`,
     /// `dots[2k + c]` — the layout [`DistSpace::start_carried_block_dots`]
-    /// posts. Without it (an identity preconditioner: `u = r`, `mw = w`,
-    /// `q = s`) it is the six-vector [`LocalOps::pipelined_cg_sweep`], and
-    /// its `[r·r, w·r]` fill the same layout as `[r·r | w·r | r·r]` — the
-    /// bits the eight-vector sweep computes under the identity. Columns
-    /// that are not live are untouched, vectors and slots alike.
-    ///
-    /// Charges sixteen flops per row of every swept column in one piece,
-    /// either way: the block kernel is always the preconditioned
-    /// composition, identity included, so its virtual time does not depend
-    /// on which sweep streamed the bytes.
+    /// posts — charged sixteen flops per row. Without it (the identity:
+    /// `u = r`, `mw = w`, `q = s`) it is the six-vector
+    /// [`LocalOps::pipelined_cg_sweep`], whose `[r·r, w·r]` land in
+    /// `dots[c]`, `dots[k + c]`, charged twelve. Columns that are not live
+    /// are untouched, vectors and slots alike; the charge is one piece.
     pub fn pipelined_sweep_block(
         &mut self,
         live: impl Fn(usize) -> bool,
         alphas: &[f64],
         betas: &[f64],
-        v: PipelinedSweep<'_, DistMultiVector>,
+        v: PipelinedSweep<'_>,
         dots: &mut [f64],
     ) {
         let k = alphas.len();
@@ -642,6 +622,7 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
             r,
             w,
         } = v;
+        let flops_per_row = if precond.is_some() { 16 } else { 12 };
         let mut swept = 0;
         for c in (0..k).filter(|&c| live(c)) {
             let images = precond
@@ -656,10 +637,14 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
                 w: w.col_mut(c),
             };
             let d = sweep_column(self.ops, alphas[c], betas[c], aw.col(c), images, col);
-            (dots[c], dots[k + c], dots[2 * k + c]) = (d[0], d[1], d[2]);
+            (dots[c], dots[k + c]) = (d[0], d[1]);
+            if flops_per_row == 16 {
+                dots[2 * k + c] = d[2];
+            }
             swept += 1;
         }
-        self.comm.charge_flops(16 * aw.local_rows() * swept);
+        self.comm
+            .charge_flops(flops_per_row * aw.local_rows() * swept);
     }
 
     /// Single-column `y[c] ← y[c] + alpha·x[c]` (local, not charged — the
@@ -692,14 +677,14 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
 
     fn apply(&mut self, x: &Self::Vector) -> Result<Self::Vector> {
         let mut y = self.a.apply_with(self.comm, x, self.ops, &mut self.halo)?;
-        self.strike_product(&mut y);
+        self.strike_product(&mut y.local);
         Ok(y)
     }
 
     fn apply_into(&mut self, x: &Self::Vector, y: &mut Self::Vector) -> Result<()> {
         self.a
             .apply_into(self.comm, x, self.ops, &mut self.halo, y)?;
-        self.strike_product(y);
+        self.strike_product(&mut y.local);
         Ok(())
     }
 
@@ -748,20 +733,6 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
             self.comm.charge_flops(2 * x.local_len() * pairs.len());
         }
         self.comm.iallreduce(ReduceOp::Sum, &local)
-    }
-
-    fn start_carried_dots(
-        &mut self,
-        carried: &[f64],
-        n: usize,
-        checks: &[(&Self::Vector, &Self::Vector)],
-    ) -> Result<Self::Pending> {
-        // The one-column, fully active case of the block kernel's post, on
-        // the space's own partials buffer.
-        let mut partials = std::mem::take(&mut self.partials);
-        let pending = self.start_carried_block_dots(1, carried, n, checks, 1, &mut partials);
-        self.partials = partials;
-        pending
     }
 
     fn finish_dots(&mut self, pending: Self::Pending) -> Result<Vec<f64>> {

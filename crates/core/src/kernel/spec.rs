@@ -10,13 +10,13 @@
 
 use resilient_runtime::{CommBackend, Result};
 
-use super::cg::{run_cg, FusedCgStep, PipelinedCgStep};
+use super::block::run_block_cg;
 use super::gmres::{run_gmres, CgsOrtho, FlexibleRight, GmresFlavor, PipelinedOrtho};
 use super::policy::PolicyStack;
-use super::precond::{RightPrecond, SpacePreconditioner};
+use super::precond::{IdentityPrecond, RightPrecond, SpacePreconditioner};
 use super::space::DistSpace;
 use super::{KernelOutcome, KernelReport};
-use crate::distributed::DistVector;
+use crate::distributed::{DistMultiVector, DistVector};
 use crate::solvers::common::SolveOptions;
 
 /// The Krylov method.
@@ -30,15 +30,15 @@ pub enum Method {
 
 /// The reduction schedule of one iteration — the axis along which the
 /// bulk-synchronous and the latency-hiding solvers differ. Also the mode
-/// argument of [`run_block_cg`](super::run_block_cg).
+/// argument of [`run_block_cg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Schedule {
-    /// Two blocking fused reductions per iteration: [`FusedCgStep`] for CG,
-    /// [`CgsOrtho`] (classical Gram–Schmidt) for GMRES.
+    /// Two blocking fused reductions per iteration: the bulk-synchronous
+    /// recurrence for CG, [`CgsOrtho`] (classical Gram–Schmidt) for GMRES.
     Fused,
     /// One nonblocking fused reduction per iteration, overlapped with the
-    /// operator (and preconditioner) application: [`PipelinedCgStep`]
-    /// (Ghysels & Vanroose) for CG, [`PipelinedOrtho`] (p(1)) for GMRES.
+    /// operator (and preconditioner) application: Ghysels & Vanroose for
+    /// CG, [`PipelinedOrtho`] (p(1)) for GMRES.
     Pipelined,
 }
 
@@ -89,11 +89,13 @@ impl SolveSpec {
     }
 }
 
-/// Run `spec` on a caller-built [`DistSpace`]: CG holds the preconditioner
-/// in its strategy, GMRES takes it through the right-preconditioning slot
-/// ([`RightPrecond`]) under the [`GmresFlavor::distributed`] control flow.
-/// With `m = None` (or [`IdentityPrecond`](super::IdentityPrecond), bit for
-/// bit) the solve is unpreconditioned.
+/// Run `spec` on a caller-built [`DistSpace`]: CG is the one-column case of
+/// [`run_block_cg`] (`b` and `x0` go in as one-column blocks, the iterate
+/// comes back out without a copy), GMRES takes the preconditioner through
+/// the right-preconditioning slot ([`RightPrecond`]) under the
+/// [`GmresFlavor::distributed`] control flow. With `m = None` (or
+/// [`IdentityPrecond`], bit for bit — and for CG charge for charge) the
+/// solve is unpreconditioned.
 ///
 /// # Errors
 /// [`RuntimeError::InvalidArgument`](resilient_runtime::RuntimeError),
@@ -113,12 +115,14 @@ pub fn solve<'a, 'b, C: CommBackend>(
         space.operator().check_operand("`x0`", x0)?;
     }
     match spec.method {
-        Method::Cg => match spec.schedule {
-            Schedule::Fused => run_cg(space, b, x0, opts, &mut FusedCgStep::with(m), policies),
-            Schedule::Pipelined => {
-                run_cg(space, b, x0, opts, &mut PipelinedCgStep::with(m), policies)
-            }
-        },
+        Method::Cg => {
+            let mut identity = IdentityPrecond;
+            let m = m.unwrap_or(&mut identity);
+            let b = DistMultiVector::from_columns(std::slice::from_ref(b));
+            let x0 = x0.map(DistMultiVector::from_vector);
+            let (out, report) = run_block_cg(space, &b, x0, opts, spec.schedule, m, policies)?;
+            Ok((out.into_single(), report))
+        }
         Method::Gmres => {
             let mut right = m.map(RightPrecond);
             let right = right.as_mut().map(|r| r as &mut dyn FlexibleRight<_>);

@@ -1,13 +1,14 @@
 //! Distributed conjugate gradients: bulk-synchronous vs. pipelined.
 //!
-//! Every entry point names one composition of the unified kernel
-//! ([`crate::kernel`]) and runs it through [`solve_dist`]: the
-//! bulk-synchronous variants are [`SolveSpec::FUSED_CG`] (the
-//! [`FusedCgStep`](crate::kernel::FusedCgStep) recurrence, two blocking
-//! all-reduces per iteration), the pipelined variants
-//! [`SolveSpec::PIPELINED_CG`] (the
-//! [`PipelinedCgStep`](crate::kernel::PipelinedCgStep) recurrence, one
-//! nonblocking fused all-reduce overlapped with the SpMV).
+//! Every entry point runs the one CG kernel, [`run_block_cg`]: the
+//! single-RHS presets as its one-column case through [`solve_dist`], the
+//! block presets directly. The bulk-synchronous variants are
+//! [`Schedule::Fused`] ([`SolveSpec::FUSED_CG`]: two blocking all-reduces
+//! per iteration), the pipelined variants [`Schedule::Pipelined`]
+//! ([`SolveSpec::PIPELINED_CG`]: one nonblocking fused all-reduce
+//! overlapped with the SpMV). Without a preconditioner — or with
+//! [`IdentityPrecond`](crate::kernel::IdentityPrecond), bit for bit and
+//! charge for charge — a solve is unpreconditioned.
 
 use resilient_runtime::{CommBackend, Result};
 
@@ -48,12 +49,11 @@ pub fn pipelined_cg<C: CommBackend>(
     solve_dist(comm, a, b, SolveSpec::PIPELINED_CG, None, opts)
 }
 
-/// Preconditioned distributed CG: the z-shifted
-/// [`FusedCgStep`](crate::kernel::FusedCgStep) recurrence with `r·z` and
-/// `r·r` fused into its second reduction, so the schedule stays at **two
-/// blocking all-reduces per iteration** — preconditioning
-/// (e.g. [`BlockJacobi`](crate::kernel::BlockJacobi), whose applies are
-/// purely local) adds zero collectives. Under
+/// Preconditioned distributed CG: the z-shifted fused recurrence with
+/// `r·z` and `r·r` fused into its second reduction, so the schedule stays
+/// at **two blocking all-reduces per iteration** — preconditioning (e.g.
+/// [`BlockJacobi`](crate::kernel::BlockJacobi), whose applies are purely
+/// local) adds zero collectives. Under
 /// [`IdentityPrecond`](crate::kernel::IdentityPrecond) the solve is
 /// bit-identical to [`dist_cg`].
 ///
@@ -115,7 +115,7 @@ fn block_pcg<'a, 'b, C: CommBackend>(
 /// right-hand sides advance in lockstep, with **one** SpMM sweep and the
 /// same **two blocking all-reduces per iteration** as [`dist_pcg`] —
 /// batched payloads make the collective count independent of `k`. At
-/// `k = 1` the solve is bit-identical to [`dist_pcg`]. Converged columns
+/// `k = 1` it is [`dist_pcg`]. Converged columns
 /// freeze (no further arithmetic charges) but keep their payload slots, so
 /// the collective schedule stays rank-symmetric.
 ///
@@ -134,8 +134,8 @@ pub fn dist_block_pcg<'a, 'b, C: CommBackend>(
 /// Block (multi-RHS) preconditioned pipelined CG: the batched twin of
 /// [`pipelined_pcg`] — a **single nonblocking all-reduce** per iteration
 /// carries every column's recurrence scalars and overlaps the
-/// preconditioner applies and the SpMM sweep. At `k = 1` the solve is
-/// bit-identical to [`pipelined_pcg`].
+/// preconditioner applies and the SpMM sweep. At `k = 1` it is
+/// [`pipelined_pcg`].
 ///
 /// Preset: block kernel ([`run_block_cg`], [`Schedule::Pipelined`]) ×
 /// empty policy stack over a [`DistSpace`].

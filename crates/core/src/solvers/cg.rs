@@ -1,30 +1,24 @@
 //! The conjugate gradient method for SPD systems.
 //!
 //! The solver entry point is a preset of the unified kernel
-//! ([`crate::kernel`]): 1-rank space, [`PcgStep`] recurrence under the
-//! identity, empty policy stack.
+//! ([`crate::kernel`]): 1-rank space, the fused CG spec (the one-column
+//! case of the CG kernel), no preconditioner, empty policy stack.
 
 use resilient_linalg::CsrMatrix;
 
-use crate::kernel::{run_cg, IdentityPrecond, PcgStep, PolicyStack};
+use crate::kernel::{solve, PolicyStack, SolveSpec};
 
 use super::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
 
 /// Solve `A·x = b` with CG starting from `x0` (zero vector if `None`).
 ///
-/// Preset: unified kernel × [`PcgStep`] (immediate dots) × empty policy
-/// stack over a 1-rank [`DistSpace`](crate::kernel::DistSpace).
+/// Preset: [`SolveSpec::FUSED_CG`] × empty policy stack over a 1-rank
+/// [`DistSpace`](crate::kernel::DistSpace). A breakdown (`p·Ap ≤ 0`, NaN
+/// included) stops with [`StopReason::Breakdown`](super::StopReason).
 pub fn cg(a: &CsrMatrix, b: &[f64], x0: Option<&[f64]>, opts: &SolveOptions) -> SolveOutcome {
     let (out, _report) = solve_on_one_rank(a, b, x0, None, |space, b, x0| {
         let policies = &mut PolicyStack::empty();
-        run_cg(
-            space,
-            b,
-            x0,
-            opts,
-            &mut PcgStep::new(&mut IdentityPrecond),
-            policies,
-        )
+        solve(space, b, x0, opts, SolveSpec::FUSED_CG, None, policies)
     });
     out
 }

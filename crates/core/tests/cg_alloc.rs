@@ -1,4 +1,5 @@
-//! No CG strategy — single-RHS or block — allocates a vector per iteration.
+//! No CG solve — single-RHS or block, guarded or not — allocates a vector
+//! per iteration.
 //!
 //! A counting global allocator tallies, per thread, the allocations at
 //! least one local vector long (`8·n_local` bytes). Two simulator ranks run
@@ -7,7 +8,9 @@
 //! vectors of `init`, the product buffer, the outcome — it allocates once,
 //! so the two tallies must be *equal*: zero per iteration. (Halo payloads,
 //! reduction partials and the residual history are all far below one
-//! vector.) The block presets run at k = 4 under the identity and under
+//! vector.) `pipelined_skeptical_cg` runs a policy on every hook: its views
+//! of the one column must be the kernel's own buffers, not copies. The
+//! block presets run at k = 4 under the identity and under
 //! block-Jacobi; the identity stores no `M⁻¹` images, so its tally is
 //! lower by the three pipelined (`u`, `mw`, `q`) or one fused (`z`)
 //! multi-vectors.
@@ -109,6 +112,12 @@ fn vector_allocations(preset: &'static str, max_iters: usize) -> Vec<u64> {
                 "pipelined_cg" => pipelined_cg(comm, &da, &bv, &opts)?.iterations,
                 "pipelined_pcg" => pipelined_pcg(comm, &da, &bv, &mut bj, &opts)?.iterations,
                 "dist_cg" => dist_cg(comm, &da, &bv, &opts)?.iterations,
+                "pipelined_skeptical_cg" => {
+                    let skeptic = SkepticalConfig::default();
+                    pipelined_skeptical_cg(comm, &da, &bv, &opts, &skeptic, None)?
+                        .0
+                        .iterations
+                }
                 "pipelined_block_pcg/identity" => {
                     pipelined_block_pcg(comm, &da, &bk, id, &opts)?.iterations
                 }
@@ -138,6 +147,7 @@ fn cg_iterations_allocate_no_vectors() {
         "pipelined_cg",
         "pipelined_pcg",
         "dist_cg",
+        "pipelined_skeptical_cg",
         "pipelined_block_pcg/identity",
         "pipelined_block_pcg/block-jacobi",
         "dist_block_pcg/identity",

@@ -15,8 +15,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use resilience::kernel::{
-    run_cg, run_gmres, FusedCgStep, GmresFlavor, MgsOrtho, NoopPolicy, PcgStep, PipelinedOrtho,
-    PolicyStack,
+    run_cg, run_gmres, FusedCgStep, GmresFlavor, MgsOrtho, NoopPolicy, PipelinedOrtho, PolicyStack,
 };
 use resilience::prelude::*;
 use resilient_linalg::{diag_dominant_random, random_vector, spd_random, CsrMatrix};
@@ -213,7 +212,7 @@ proptest! {
         let bare = {
             let mut space = DistSpace::new(&mut comm, &da);
             let mut m = IdentityPrecond;
-            run_cg(&mut space, &db, None, &opts, &mut PcgStep::new(&mut m), &mut PolicyStack::empty())
+            run_cg(&mut space, &db, None, &opts, &mut FusedCgStep::preconditioned(&mut m), &mut PolicyStack::empty())
                 .unwrap().0
         };
         let hooked = {
@@ -221,7 +220,7 @@ proptest! {
             let mut noop = NoopPolicy::new();
             let mut stack = PolicyStack::new(vec![&mut noop]);
             let mut m = IdentityPrecond;
-            run_cg(&mut space, &db, None, &opts, &mut PcgStep::new(&mut m), &mut stack)
+            run_cg(&mut space, &db, None, &opts, &mut FusedCgStep::preconditioned(&mut m), &mut stack)
                 .unwrap().0
         };
         prop_assert_eq!(bare.iterations, hooked.iterations);
