@@ -82,7 +82,6 @@ const COLLECTIVES: &[&str] = &[
     "wait_vector",
     "recovery_rendezvous",
     "shrink",
-    "fused_dots",
     "start_dots",
     "start_dots_tagged",
     "finish_dots",

@@ -167,12 +167,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Builder: Poisson grid edge.
-    pub fn with_nx(mut self, nx: usize) -> Self {
-        self.nx = nx.max(2);
-        self
-    }
-
     /// Builder: stack the preconditioner guard on kernel-preset runs.
     pub fn with_guard(mut self, guard: bool) -> Self {
         self.guard = guard;

@@ -2,8 +2,9 @@
 //! core parameterized by an orthogonalization (dot) strategy, an optional
 //! flexible right preconditioner and a resilience-policy stack.
 //!
-//! The three [`OrthoStrategy`] implementations reproduce, operation for
-//! operation, the arithmetic of the legacy silos they replaced:
+//! The three [`OrthoStrategy`] implementations differ only in when their
+//! reductions happen, and each charges `2n` per dot, norm and projection
+//! update of an Arnoldi step:
 //!
 //! * [`MgsOrtho`] — modified Gram–Schmidt with immediate (blocking) dots:
 //!   the serial `gmres`/`fgmres`/`skeptical_gmres` inner loop;
@@ -14,11 +15,8 @@
 //!   & Vanroose: a single nonblocking fused reduction overlapped with the
 //!   *speculative* next product, basis and products recovered by linearity.
 //!
-//! Control-flow details in which the legacy solvers differed (where
-//! divergence is detected, whether a happy breakdown terminates the solve,
-//! whether the cycle-end residual is verified against the operator) are
-//! captured by [`GmresFlavor`] so each preset keeps its exact observable
-//! behaviour.
+//! Every preset runs one control flow ([`run_gmres`]): one stop decision at
+//! each cycle start and one at each cycle end.
 
 use resilient_linalg::HessenbergLsq;
 use resilient_runtime::Result;
@@ -109,71 +107,17 @@ pub trait OrthoStrategy<S: KrylovSpace> {
     ) -> Result<StepOutcome>;
 }
 
-/// Control-flow profile of a GMRES preset (where the legacy solvers place
-/// their divergence / breakdown / verification decisions).
+/// A field-less shim: every GMRES solve runs one control flow, and
+/// [`run_gmres`] does not read its `_flavor` argument. It exists only
+/// because the frozen `perf_ledger` benchmark calls
+/// `run_gmres(…, &GmresFlavor::distributed())`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GmresFlavor {
-    /// Check `x` and the cycle-start residual for NaN/Inf and stop with
-    /// `Diverged` (the skeptical solver's guard).
-    pub check_start_divergence: bool,
-    /// Evaluate tolerance / iteration cap / finiteness at the cycle start
-    /// and stop there, with no cycle-end verification (the distributed
-    /// solvers' loop shape).
-    pub break_at_cycle_start: bool,
-    /// Stop with `Diverged` as soon as the recurrence residual goes
-    /// non-finite mid-cycle (the serial `gmres` guard).
-    pub diverge_mid_cycle: bool,
-    /// A happy breakdown ends the solve (serial) rather than just the cycle
-    /// (distributed, where the outer loop recomputes and restarts).
-    pub breakdown_is_terminal: bool,
-    /// Recompute the true residual after each cycle and use it for the
-    /// convergence decision (serial presets).
-    pub verify_cycle_end: bool,
-    /// Charge `2n·k` FLOPs for the cycle-end solution update (distributed
-    /// presets).
-    pub charge_solution_update: bool,
-}
+pub struct GmresFlavor;
 
 impl GmresFlavor {
-    /// The serial `gmres` profile.
-    pub fn serial() -> Self {
-        Self {
-            check_start_divergence: false,
-            break_at_cycle_start: false,
-            diverge_mid_cycle: true,
-            breakdown_is_terminal: true,
-            verify_cycle_end: true,
-            charge_solution_update: false,
-        }
-    }
-
-    /// The serial flexible-GMRES profile.
-    pub fn serial_flexible() -> Self {
-        Self {
-            diverge_mid_cycle: false,
-            ..Self::serial()
-        }
-    }
-
-    /// The serial skeptical-GMRES profile.
-    pub fn serial_skeptical() -> Self {
-        Self {
-            check_start_divergence: true,
-            diverge_mid_cycle: false,
-            ..Self::serial()
-        }
-    }
-
-    /// The distributed profile (both bulk-synchronous and pipelined).
+    /// The one GMRES control flow.
     pub fn distributed() -> Self {
-        Self {
-            check_start_divergence: false,
-            break_at_cycle_start: true,
-            diverge_mid_cycle: false,
-            breakdown_is_terminal: false,
-            verify_cycle_end: false,
-            charge_solution_update: true,
-        }
+        Self
     }
 }
 
@@ -269,34 +213,13 @@ fn finish_extended_step<S: KrylovSpace>(
 // ---------------------------------------------------------------------------
 
 /// Modified Gram–Schmidt with immediate dots (the serial strategy).
-///
-/// `ortho_charge_extra` reproduces the legacy cost models: the plain solver
-/// charged `4n·(k+1)` per step, the flexible solver `4n·(k+2)`.
-pub struct MgsOrtho {
-    /// Extra basis-length units charged per step (0 for `gmres`, 1 for
-    /// `fgmres`).
-    pub ortho_charge_extra: usize,
-}
+#[derive(Debug, Default)]
+pub struct MgsOrtho;
 
 impl MgsOrtho {
-    /// The plain-GMRES cost profile.
+    /// New strategy.
     pub fn new() -> Self {
-        Self {
-            ortho_charge_extra: 0,
-        }
-    }
-
-    /// The flexible-GMRES cost profile.
-    pub fn flexible() -> Self {
-        Self {
-            ortho_charge_extra: 1,
-        }
-    }
-}
-
-impl Default for MgsOrtho {
-    fn default() -> Self {
-        Self::new()
+        Self
     }
 }
 
@@ -346,7 +269,6 @@ impl<S: KrylovSpace> OrthoStrategy<S> for MgsOrtho {
             StackOutcome::Recorded | StackOutcome::Continue => {}
         }
         let mut w = space.apply(&input)?;
-        space.charge_flops(4 * n * (cycle.basis.len() + self.ortho_charge_extra));
         match policies.after_spmv(space, &st.ctx(), &input, &w)? {
             StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
             StackOutcome::Recorded => return Ok(StepOutcome::Skipped),
@@ -361,6 +283,7 @@ impl<S: KrylovSpace> OrthoStrategy<S> for MgsOrtho {
             space.axpy(-hij, &cycle.basis[i], &mut w);
             h.push(hij);
         }
+        space.charge_flops(2 * n * cycle.basis.len());
         let h_next = space.norm(&w)?;
         h.push(h_next);
         let res_norm = cycle.lsq.push_column(&h);
@@ -387,7 +310,7 @@ impl<S: KrylovSpace> OrthoStrategy<S> for MgsOrtho {
 /// With a flexible right preconditioner bound, the strategy iterates on
 /// `A·M⁻¹` and stores the preconditioned vectors in the cycle's `z_basis`
 /// for the solution correction — right-preconditioned distributed GMRES.
-/// Unlike the serial flexible profile there is no validity-rejection of the
+/// Unlike [`MgsOrtho`] there is no validity-rejection of the
 /// preconditioned vector: a rejection decision from rank-local data would
 /// desynchronize rank control flow, so the distributed slot is reserved for
 /// deterministic total operators (see
@@ -444,51 +367,36 @@ impl<S: KrylovSpace> OrthoStrategy<S> for CgsOrtho {
         let mut w = space.apply(&input)?;
 
         // Projection coefficients: one fused blocking reduction, carrying
-        // any policy check dots (wants-dots negotiation). When checks are
-        // fused the after-SpMV hook runs after the reduction so the
-        // policies can decide from the already-global scalars; with no
-        // requests the legacy hook-first order is kept, so a detection
-        // still skips the reduction.
+        // any policy check dots (wants-dots negotiation). The after-SpMV
+        // hook runs after the reduction, so the policies decide from the
+        // already-global scalars.
         let len = cycle.basis.len();
-        let h_proj = {
+        let mut h = {
             let avail = CheckVectors {
                 spmv_input: Some(&input),
                 spmv_product: Some(&w),
                 basis_pair: (len >= 2).then(|| (&cycle.basis[len - 1], &cycle.basis[len - 2])),
             };
-            let mut check_pairs: Vec<(&S::Vector, &S::Vector)> = Vec::new();
-            let batch = policies.collect_check_dots(space, &st.ctx(), &avail, &mut check_pairs);
-            if batch.is_empty() {
-                // Legacy path, order and cost model untouched.
-                match policies.after_spmv(space, &st.ctx(), &input, &w)? {
-                    StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-                    StackOutcome::Recorded => return Ok(StepOutcome::Skipped),
-                    StackOutcome::Continue => {}
-                }
-                let basis_refs: Vec<&S::Vector> = cycle.basis.iter().collect();
-                space.fused_dots(&basis_refs, &w)?
-            } else {
-                let mut pairs: Vec<(&S::Vector, &S::Vector)> =
-                    cycle.basis.iter().map(|v| (v, &w)).collect();
-                pairs.append(&mut check_pairs);
-                let all = space.fused_pairs(&pairs, batch.len())?;
-                drop(pairs);
-                policies.consume_check_dots(&st.ctx(), &batch, &all[len..]);
-                match policies.after_spmv(space, &st.ctx(), &input, &w)? {
-                    StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-                    StackOutcome::Recorded => return Ok(StepOutcome::Skipped),
-                    StackOutcome::Continue => {}
-                }
-                all[..len].to_vec()
-            }
+            let mut pairs: Vec<(&S::Vector, &S::Vector)> =
+                cycle.basis.iter().map(|v| (v, &w)).collect();
+            let batch = policies.collect_check_dots(space, &st.ctx(), &avail, &mut pairs);
+            let mut all = space.fused_pairs(&pairs, batch.len())?;
+            drop(pairs);
+            policies.consume_check_dots(&st.ctx(), &batch, &all[len..]);
+            all.truncate(len);
+            all
         };
-        for (hij, v) in h_proj.iter().zip(&cycle.basis) {
+        match policies.after_spmv(space, &st.ctx(), &input, &w)? {
+            StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
+            StackOutcome::Recorded => return Ok(StepOutcome::Skipped),
+            StackOutcome::Continue => {}
+        }
+        for (hij, v) in h.iter().zip(&cycle.basis) {
             space.axpy(-hij, v, &mut w);
         }
         space.charge_flops(2 * n * cycle.basis.len());
         // Normalization: second blocking reduction.
         let h_next = space.norm(&w)?;
-        let mut h = h_proj;
         h.push(h_next);
         st.relres = cycle.lsq.push_column(&h) / st.bn;
         st.iterations += 1;
@@ -520,7 +428,7 @@ impl<S: KrylovSpace> OrthoStrategy<S> for CgsOrtho {
 /// This relies on `M⁻¹` being a *fixed linear operator* (true for
 /// [`RightPrecond`](super::precond::RightPrecond) over any
 /// [`SpacePreconditioner`](super::precond::SpacePreconditioner)); genuinely
-/// nonlinear inner solves belong to the MGS flexible profile.
+/// nonlinear inner solves belong to [`MgsOrtho`].
 #[derive(Debug, Default)]
 pub struct PipelinedOrtho;
 
@@ -694,12 +602,12 @@ impl<S: KrylovSpace> OrthoStrategy<S> for PipelinedOrtho {
 // Kernel
 // ---------------------------------------------------------------------------
 
+/// Commit the cycle's correction to `x`, charged `2n` per basis vector.
 fn update_solution<S: KrylovSpace>(
     space: &mut S,
     x: &mut S::Vector,
     cycle: &GmresCycle<S::Vector>,
     flexible: bool,
-    charge: bool,
 ) {
     if cycle.steps() == 0 && !flexible {
         return;
@@ -716,10 +624,20 @@ fn update_solution<S: KrylovSpace>(
     for (j, yj) in y.iter().enumerate() {
         space.axpy(*yj, &basis[j], x);
     }
-    if charge {
-        let n = space.local_len(x);
-        space.charge_flops(2 * n * y.len());
-    }
+    let n = space.local_len(x);
+    space.charge_flops(2 * n * y.len());
+}
+
+/// `‖b − A·x‖ / ‖b‖`: one operator application and one reduction.
+fn true_relres<S: KrylovSpace>(
+    space: &mut S,
+    b: &S::Vector,
+    x: &S::Vector,
+    bn: f64,
+) -> Result<f64> {
+    let ax = space.apply(x)?;
+    let r = space.residual(b, &ax);
+    Ok(space.norm(&r)? / bn)
 }
 
 /// Run the unified restarted-GMRES kernel.
@@ -727,7 +645,14 @@ fn update_solution<S: KrylovSpace>(
 /// Returns the solve outcome plus the kernel report (flexible and policy
 /// statistics). `flexible` switches the kernel into FGMRES mode: the inner
 /// solver is applied to every basis vector and the solution correction uses
-/// the preconditioned basis.
+/// the preconditioned basis. `_flavor` is not read (see [`GmresFlavor`]).
+///
+/// Every solve takes the same two decisions. At a cycle start, from the
+/// true residual: converged, then non-finite (a policy's recovery, or
+/// `Diverged`), then the iteration cap. At a cycle end, after committing
+/// the correction: a recurrence that claims convergence is checked against
+/// a charged true residual, then the iteration cap. A happy breakdown
+/// closes the cycle, not the solve.
 #[allow(clippy::too_many_arguments)]
 pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
     space: &mut S,
@@ -737,7 +662,7 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
     strategy: &mut T,
     policies: &mut PolicyStack<'_, S>,
     mut flexible: Option<&mut dyn FlexibleRight<S>>,
-    flavor: &GmresFlavor,
+    _flavor: &GmresFlavor,
 ) -> Result<(KernelOutcome<S::Vector>, KernelReport)> {
     let mut x = x0.unwrap_or_else(|| space.zeros_like(b));
     let bn = space.norm(b)?.max(f64::MIN_POSITIVE);
@@ -752,7 +677,7 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
     // skipped steps make no progress, so cap them like policy restarts.
     let mut skipped_steps = 0usize;
     'outer: loop {
-        // --- Cycle start: (true) residual --------------------------------
+        // --- Cycle start: true residual and stop decision -----------------
         let ax = space.apply(&x)?;
         let r0 = space.residual(b, &ax);
         let rnorm = space.norm(&r0)?;
@@ -760,38 +685,21 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
         if st.history.is_empty() {
             st.history.push(st.relres);
         }
-        if flavor.break_at_cycle_start {
-            if st.relres <= opts.tol {
-                reason = StopReason::Converged;
-                break 'outer;
+        if st.relres <= opts.tol {
+            reason = StopReason::Converged;
+            break 'outer;
+        }
+        if !st.relres.is_finite() {
+            if recover(policies, &mut st, &mut x, &mut report) {
+                st.cycle += 1;
+                continue 'outer;
             }
-            if !st.relres.is_finite() {
-                if recover(policies, &mut st, &mut x, &mut report) {
-                    st.cycle += 1;
-                    continue 'outer;
-                }
-                reason = StopReason::Diverged;
-                break 'outer;
-            }
-            if st.iterations >= opts.max_iters {
-                reason = StopReason::MaxIterations;
-                break 'outer;
-            }
-        } else {
-            if st.relres <= opts.tol {
-                reason = StopReason::Converged;
-                break 'outer;
-            }
-            if flavor.check_start_divergence
-                && (space.local_has_non_finite(&x) || !st.relres.is_finite())
-            {
-                if recover(policies, &mut st, &mut x, &mut report) {
-                    st.cycle += 1;
-                    continue 'outer;
-                }
-                reason = StopReason::Diverged;
-                break 'outer;
-            }
+            reason = StopReason::Diverged;
+            break 'outer;
+        }
+        if st.iterations >= opts.max_iters {
+            reason = StopReason::MaxIterations;
+            break 'outer;
         }
         policies.on_cycle_start(space, &st.ctx(), &x)?;
 
@@ -811,7 +719,7 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
         st.cycle_step = 0;
 
         // --- Inner (Arnoldi) loop ----------------------------------------
-        let mut breakdown = false;
+        let mut corrupted = false;
         for _ in 0..restart {
             if st.iterations >= opts.max_iters {
                 break;
@@ -827,64 +735,26 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
                 &mut report,
             )? {
                 StepOutcome::Extended => {
-                    if flavor.diverge_mid_cycle && !st.relres.is_finite() {
-                        update_solution(
-                            space,
-                            &mut x,
-                            &cycle,
-                            is_flexible,
-                            flavor.charge_solution_update,
-                        );
-                        if recover(policies, &mut st, &mut x, &mut report) {
-                            st.cycle += 1;
-                            continue 'outer;
-                        }
-                        reason = StopReason::Diverged;
-                        break 'outer;
-                    }
                     if st.relres <= opts.tol {
                         break;
                     }
                 }
-                StepOutcome::Breakdown => {
-                    breakdown = true;
-                    break;
-                }
+                StepOutcome::Breakdown => break,
                 StepOutcome::Skipped => {
                     skipped_steps += 1;
                     if skipped_steps > opts.max_iters.max(restart) {
-                        update_solution(
-                            space,
-                            &mut x,
-                            &cycle,
-                            is_flexible,
-                            flavor.charge_solution_update,
-                        );
-                        let ax = space.apply(&x)?;
-                        let r = space.residual(b, &ax);
-                        st.relres = space.norm(&r)? / bn;
-                        reason = StopReason::CorruptionDetected;
-                        break 'outer;
+                        corrupted = true;
+                        break;
                     }
                 }
                 StepOutcome::Detected(DetectionResponse::Restart) => {
                     report.policy_restarts += 1;
+                    // A detection that fires on every retry would restart
+                    // forever without consuming iterations; treat the
+                    // persistent corruption as terminal instead.
                     if report.policy_restarts > opts.max_iters.max(1) {
-                        // A detection that fires on every retry would restart
-                        // forever without consuming iterations; treat the
-                        // persistent corruption as terminal instead.
-                        update_solution(
-                            space,
-                            &mut x,
-                            &cycle,
-                            is_flexible,
-                            flavor.charge_solution_update,
-                        );
-                        let ax = space.apply(&x)?;
-                        let r = space.residual(b, &ax);
-                        st.relres = space.norm(&r)? / bn;
-                        reason = StopReason::CorruptionDetected;
-                        break 'outer;
+                        corrupted = true;
+                        break;
                     }
                     // Keep whatever progress preceded the corrupted step:
                     // the cycle is discarded and the outer loop recomputes
@@ -894,68 +764,35 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
                     continue 'outer;
                 }
                 StepOutcome::Detected(_) => {
-                    update_solution(
-                        space,
-                        &mut x,
-                        &cycle,
-                        is_flexible,
-                        flavor.charge_solution_update,
-                    );
-                    let ax = space.apply(&x)?;
-                    let r = space.residual(b, &ax);
-                    st.relres = space.norm(&r)? / bn;
-                    reason = StopReason::CorruptionDetected;
-                    break 'outer;
+                    corrupted = true;
+                    break;
                 }
             }
         }
 
         // --- Cycle end: solution update and stop decision ----------------
-        update_solution(
-            space,
-            &mut x,
-            &cycle,
-            is_flexible,
-            flavor.charge_solution_update,
-        );
-        if flavor.verify_cycle_end {
-            let ax = space.apply(&x)?;
-            let r = space.residual(b, &ax);
-            st.relres = space.norm(&r)? / bn;
+        update_solution(space, &mut x, &cycle, is_flexible);
+        if corrupted {
+            st.relres = true_relres(space, b, &x, bn)?;
+            reason = StopReason::CorruptionDetected;
+            break 'outer;
+        }
+        if st.relres <= opts.tol {
+            // The recurrence estimate can collapse to zero through roundoff
+            // while the iterate is nowhere near convergence (the pipelined
+            // zz-recurrence, found fault-free by the campaign oracle), so
+            // the claim is checked with a charged true residual. A refuted
+            // claim falls through: to an honest MaxIterations, or to a
+            // restart whose cycle-start residual governs as usual.
+            st.relres = true_relres(space, b, &x, bn)?;
             if st.relres <= opts.tol {
                 reason = StopReason::Converged;
                 break 'outer;
             }
-            if breakdown && flavor.breakdown_is_terminal {
-                reason = StopReason::Breakdown;
-                break 'outer;
-            }
-            if st.iterations >= opts.max_iters {
-                reason = StopReason::MaxIterations;
-                break 'outer;
-            }
-        } else {
-            if st.relres <= opts.tol {
-                // The distributed profiles reach this point on the
-                // *recurrence* estimate, and the pipelined zz-recurrence can
-                // collapse to zero through roundoff while the iterate is
-                // nowhere near convergence (found fault-free by the
-                // campaign oracle). Verify the claim with a charged true
-                // residual before reporting success; a refuted claim falls
-                // through — to an honest MaxIterations, or to a restart
-                // whose cycle-start residual governs as usual.
-                let ax = space.apply(&x)?;
-                let r = space.residual(b, &ax);
-                st.relres = space.norm(&r)? / bn;
-                if st.relres <= opts.tol {
-                    reason = StopReason::Converged;
-                    break 'outer;
-                }
-            }
-            if st.iterations >= opts.max_iters {
-                reason = StopReason::MaxIterations;
-                break 'outer;
-            }
+        }
+        if st.iterations >= opts.max_iters {
+            reason = StopReason::MaxIterations;
+            break 'outer;
         }
         st.cycle += 1;
     }
@@ -1062,7 +899,7 @@ mod tests {
             &mut MgsOrtho::new(),
             &mut stack,
             None,
-            &GmresFlavor::serial(),
+            &GmresFlavor::distributed(),
         )
         .unwrap();
         assert_eq!(out.reason, StopReason::CorruptionDetected);
@@ -1089,7 +926,7 @@ mod tests {
             &mut MgsOrtho::new(),
             &mut stack,
             None,
-            &GmresFlavor::serial(),
+            &GmresFlavor::distributed(),
         )
         .unwrap();
         assert_eq!(out.reason, StopReason::CorruptionDetected);

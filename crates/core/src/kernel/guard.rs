@@ -8,9 +8,10 @@
 //! [`PrecondGuardPolicy`] closes that hole through the
 //! [`after_precond`](ResiliencePolicy::after_precond) hook: one fused
 //! global reduction of `(‖z‖², ‖r‖²)` per guarded apply, detecting
-//! non-finite output and amplification beyond a configurable bound on
-//! `‖z‖²/‖r‖²` (for a fixed preconditioner `‖M⁻¹‖` bounds that ratio; an
-//! exponent-bit upset blows past any reasonable bound).
+//! non-finite output and amplification of `‖z‖²/‖r‖²` beyond
+//! [`PrecondGuardPolicy::DEFAULT_RATIO_BOUND`] (for a fixed preconditioner
+//! `‖M⁻¹‖` bounds that ratio; an exponent-bit upset blows past any
+//! reasonable bound).
 //!
 //! The decision is derived from globally reduced scalars, so every rank
 //! takes the same branch — the guard is rank-symmetric by construction and
@@ -24,8 +25,6 @@ use resilient_runtime::Result;
 /// finiteness/amplification check; see the module docs.
 #[derive(Debug, Clone)]
 pub struct PrecondGuardPolicy {
-    /// Detection bound on `‖z‖²/‖r‖²`.
-    ratio_bound: f64,
     response: DetectionResponse,
     overhead: PolicyOverhead,
 }
@@ -37,28 +36,21 @@ impl Default for PrecondGuardPolicy {
 }
 
 impl PrecondGuardPolicy {
-    /// Squared-amplification bound of the default guard: generous enough
+    /// Squared-amplification bound of the guard: generous enough
     /// that no legitimate block-Jacobi apply in the suite approaches it
     /// (the factored blocks are diagonally dominant), tight enough that an
     /// exponent-bit flip overshoots it by hundreds of orders of magnitude.
     pub const DEFAULT_RATIO_BOUND: f64 = 1e12;
 
-    /// A guard with the default amplification bound and `Restart` response.
+    /// A guard with the `Restart` response.
     pub fn new() -> Self {
         Self {
-            ratio_bound: Self::DEFAULT_RATIO_BOUND,
             response: DetectionResponse::Restart,
             overhead: PolicyOverhead {
                 name: "precond-guard",
                 ..PolicyOverhead::default()
             },
         }
-    }
-
-    /// Builder: custom bound on `‖z‖²/‖r‖²`.
-    pub fn with_ratio_bound(mut self, bound: f64) -> Self {
-        self.ratio_bound = bound;
-        self
     }
 
     /// Builder: custom detection response (default `Restart`).
@@ -99,7 +91,7 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for PrecondGuardPolicy {
         // Non-finite squared norms catch NaN/Inf anywhere in z or r; the
         // amplification test catches large-but-finite corruption, including
         // nonzero output from zero input (0 · bound = 0 < zz).
-        let corrupt = !zz.is_finite() || !rr.is_finite() || zz > self.ratio_bound * rr;
+        let corrupt = !zz.is_finite() || !rr.is_finite() || zz > Self::DEFAULT_RATIO_BOUND * rr;
         if corrupt {
             self.overhead.detections += 1;
             return Ok(PolicyAction::Detected);

@@ -13,7 +13,10 @@
 //!    modified Gram–Schmidt with immediate dots ([`MgsOrtho`]), classical
 //!    Gram–Schmidt with one fused blocking reduction ([`CgsOrtho`]), or the
 //!    p(1)-pipelined formulation that overlaps a single nonblocking
-//!    reduction with the next SpMV ([`PipelinedOrtho`]). CG has one kernel,
+//!    reduction with the next SpMV ([`PipelinedOrtho`]). All three run under
+//!    one control flow in [`run_gmres`] and charge the same arithmetic for
+//!    the same Arnoldi step; they differ only in when the reductions
+//!    happen. CG has one kernel,
 //!    [`run_block_cg`], whose [`Schedule`] is the same choice — two blocking
 //!    reductions or one nonblocking one — for `k ≥ 1` right-hand sides; a
 //!    single-RHS CG solve is its `k = 1` case ([`run_cg`] with
@@ -43,8 +46,8 @@
 //! all dispatch through it. The serial entry points run over a 1-rank
 //! [`DistSpace`]: `solvers::cg` is the fused CG spec there, and
 //! `solvers::{gmres,fgmres}`, `srp::ft_gmres` and `skeptical::sdc_gmres`
-//! call [`run_gmres`] with the immediate-dot [`MgsOrtho`] and the
-//! [`GmresFlavor`] control flows they always had.
+//! call [`run_gmres`] with the immediate-dot [`MgsOrtho`], under the same
+//! stop decisions as every distributed GMRES solve.
 //!
 //! One intentional accounting deviation from the legacy silos: when a solve
 //! aborts on a detected corruption, the final verification residual is now
@@ -115,8 +118,8 @@ pub struct KernelOutcome<V> {
     pub x: V,
     /// Iterations performed (total, across restarts).
     pub iterations: usize,
-    /// Final relative residual (true or recurrence estimate, matching the
-    /// preset's legacy semantics).
+    /// Final relative residual: the true one or the recurrence estimate,
+    /// whichever the method's last stop decision read.
     pub relative_residual: f64,
     /// Why the solve stopped.
     pub reason: StopReason,

@@ -75,7 +75,7 @@
 //!     &mut MgsOrtho::new(),
 //!     &mut stack,
 //!     None,
-//!     &GmresFlavor::serial(),
+//!     &GmresFlavor::distributed(),
 //! )?;
 //! assert!(out.relative_residual <= 1e-9);
 //! let overhead = &report.policy_overhead[0];

@@ -92,8 +92,6 @@ pub trait KrylovSpace {
     fn dot(&mut self, x: &Self::Vector, y: &Self::Vector) -> Result<f64>;
     /// Global 2-norm.
     fn norm(&mut self, x: &Self::Vector) -> Result<f64>;
-    /// Fused blocking reduction of `left[i]·right` for every `left[i]`.
-    fn fused_dots(&mut self, left: &[&Self::Vector], right: &Self::Vector) -> Result<Vec<f64>>;
     /// Post a fused reduction of arbitrary pairs that may complete later;
     /// operator applications issued before [`KrylovSpace::finish_dots`] are
     /// overlapped with it (the pipelined dot strategies' primitive).
@@ -705,19 +703,6 @@ impl<'a, 'b, C: CommBackend> KrylovSpace for DistSpace<'a, 'b, C> {
 
     fn norm(&mut self, x: &Self::Vector) -> Result<f64> {
         Ok(sqrt_nonneg(self.dot(x, x)?))
-    }
-
-    fn fused_dots(&mut self, left: &[&Self::Vector], right: &Self::Vector) -> Result<Vec<f64>> {
-        let pairs: Vec<(&[f64], &[f64])> = left
-            .iter()
-            .map(|l| (l.local.as_slice(), right.local.as_slice()))
-            .collect();
-        // lint:allow(hot-loop-alloc): O(#pairs) partials buffer handed to the
-        // allreduce — not an O(n) vector buffer (those live in scratch).
-        let mut local = vec![0.0; pairs.len()];
-        self.ops.dot_pairs(&pairs, &mut local);
-        self.comm.charge_flops(2 * right.local_len() * left.len());
-        self.comm.allreduce(ReduceOp::Sum, &local)
     }
 
     fn start_dots(&mut self, pairs: &[(&Self::Vector, &Self::Vector)]) -> Result<Self::Pending> {

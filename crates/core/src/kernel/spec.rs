@@ -126,15 +126,14 @@ pub fn solve<'a, 'b, C: CommBackend>(
         Method::Gmres => {
             let mut right = m.map(RightPrecond);
             let right = right.as_mut().map(|r| r as &mut dyn FlexibleRight<_>);
-            let flavor = GmresFlavor::distributed();
             match spec.schedule {
                 Schedule::Fused => {
                     let ortho = &mut CgsOrtho::new();
-                    run_gmres(space, b, x0, opts, ortho, policies, right, &flavor)
+                    run_gmres(space, b, x0, opts, ortho, policies, right, &GmresFlavor)
                 }
                 Schedule::Pipelined => {
                     let ortho = &mut PipelinedOrtho::new();
-                    run_gmres(space, b, x0, opts, ortho, policies, right, &flavor)
+                    run_gmres(space, b, x0, opts, ortho, policies, right, &GmresFlavor)
                 }
             }
         }

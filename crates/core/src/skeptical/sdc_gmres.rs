@@ -137,7 +137,6 @@ pub fn skeptical_gmres(
     let mut policy = SkepticalPolicy::new(*skeptic);
     let (out, _report) = solve_on_one_rank(a, b, x0, fault, |space, b, x0| {
         let policies = &mut PolicyStack::new(vec![&mut policy]);
-        let flavor = GmresFlavor::serial_skeptical();
         run_gmres(
             space,
             b,
@@ -146,7 +145,7 @@ pub fn skeptical_gmres(
             &mut MgsOrtho::new(),
             policies,
             None,
-            &flavor,
+            &GmresFlavor,
         )
     });
     (out, policy.report())

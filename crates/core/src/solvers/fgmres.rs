@@ -40,7 +40,7 @@ impl From<&KernelReport> for FgmresReport {
 /// Flexible GMRES with restart, applying `m` as a (possibly varying,
 /// possibly unreliable) right preconditioner.
 ///
-/// Preset: unified kernel × [`MgsOrtho::flexible`] × empty policy stack over
+/// Preset: unified kernel × [`MgsOrtho`] × empty policy stack over
 /// a 1-rank [`DistSpace`]. The outer iteration skeptically validates every
 /// inner result and falls back to the unpreconditioned direction on
 /// garbage, so convergence degrades gracefully instead of being destroyed.
@@ -57,16 +57,15 @@ where
     let (out, report) = solve_on_one_rank(a, b, x0, None, |space, b, x0| {
         let m = Some(m as &mut dyn FlexibleRight<_>);
         let policies = &mut PolicyStack::empty();
-        let flavor = GmresFlavor::serial_flexible();
         run_gmres(
             space,
             b,
             x0,
             opts,
-            &mut MgsOrtho::flexible(),
+            &mut MgsOrtho::new(),
             policies,
             m,
-            &flavor,
+            &GmresFlavor,
         )
     });
     (out, FgmresReport::from(&report))

@@ -31,7 +31,6 @@ pub(crate) fn gmres_on(
     opts: &SolveOptions,
 ) -> Result<(KernelOutcome<DistVector>, KernelReport)> {
     let policies = &mut PolicyStack::empty();
-    let flavor = GmresFlavor::serial();
     run_gmres(
         space,
         b,
@@ -40,7 +39,7 @@ pub(crate) fn gmres_on(
         &mut MgsOrtho::new(),
         policies,
         None,
-        &flavor,
+        &GmresFlavor,
     )
 }
 

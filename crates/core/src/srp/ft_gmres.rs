@@ -76,10 +76,12 @@ pub struct FtGmresReport {
     pub inner_iterations: usize,
 }
 
-/// Operator applications a [`gmres`](crate::solvers::gmres) solve under
-/// `opts` can make: one per iteration, plus a residual at the start and a
-/// check at the end of every restart cycle — how far ahead an unreliable
-/// tier draws its strikes.
+/// How far ahead an unreliable tier draws its strikes: a loose upper bound
+/// on the operator applications of a [`gmres`](crate::solvers::gmres)
+/// solve under `opts`, which makes one per iteration, one residual per
+/// cycle start and one check on a convergence claim. The formula is kept
+/// as it is because the strike streams draw from it: changing it moves
+/// every seeded fault.
 fn applications_bound(opts: &SolveOptions) -> u64 {
     let cycles = opts.max_iters / opts.restart.max(1) + 2;
     (opts.max_iters + 2 * cycles) as u64
@@ -164,16 +166,15 @@ pub fn ft_gmres_with_policies<'a, 'b>(
     }
     let (out, report) = measured(&mut space, |space| {
         let m = Some(&mut inner as &mut dyn FlexibleRight<_>);
-        let flavor = GmresFlavor::serial_flexible();
         run_gmres(
             space,
             b,
             None,
             &cfg.outer,
-            &mut MgsOrtho::flexible(),
+            &mut MgsOrtho::new(),
             policies,
             m,
-            &flavor,
+            &GmresFlavor,
         )
     })?;
     let mut ledger = SrpCostLedger::default();

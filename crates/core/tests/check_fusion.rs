@@ -321,7 +321,7 @@ fn abft_cgs_gmres(
         &mut CgsOrtho::new(),
         &mut stack,
         None,
-        &GmresFlavor::serial(),
+        &GmresFlavor::distributed(),
     )
     .unwrap();
     drop(stack);
@@ -426,7 +426,7 @@ fn abft_keeps_direct_path_on_immediate_dot_strategies() {
         &mut MgsOrtho::new(),
         &mut stack,
         None,
-        &GmresFlavor::serial(),
+        &GmresFlavor::distributed(),
     )
     .unwrap();
     drop(stack);

@@ -185,7 +185,7 @@ proptest! {
             run_gmres(
                 &mut space, &db, None, &opts,
                 &mut MgsOrtho::new(), &mut PolicyStack::empty(), None,
-                &GmresFlavor::serial(),
+                &GmresFlavor::distributed(),
             ).unwrap().0
         };
         let hooked = {
@@ -195,7 +195,7 @@ proptest! {
             run_gmres(
                 &mut space, &db, None, &opts,
                 &mut MgsOrtho::new(), &mut stack, None,
-                &GmresFlavor::serial(),
+                &GmresFlavor::distributed(),
             ).unwrap().0
         };
         prop_assert_eq!(bare.iterations, hooked.iterations);
