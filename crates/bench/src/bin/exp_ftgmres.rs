@@ -15,7 +15,6 @@ fn main() {
     let trials = 5u64;
     let model = ReliabilityModel {
         reliable_cost_factor: 2.0,
-        ..ReliabilityModel::default()
     };
 
     let mut table = Table::new(

@@ -13,7 +13,6 @@ fn main() {
     let x: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 5) as f64 * 0.2).collect();
     let model = ReliabilityModel {
         reliable_cost_factor: 3.0,
-        ..ReliabilityModel::default()
     };
     let mut table = Table::new(
         "E7: cost per correct SpMV (unreliable-FLOP equivalents), n=256, reliable cost factor 3x",

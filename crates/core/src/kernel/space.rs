@@ -9,10 +9,10 @@
 //! simulator's [`Comm`] by default, or the real-threads [`ThreadComm`] via
 //! the [`ThreadSpace`] alias). Reductions are real collectives, costs are
 //! charged to the backend's clock, and the space is the one fault injector:
-//! a single [`SpmvFault`] or a campaign [`StrikePlan`] corrupts chosen
-//! products. A serial solve is a 1-rank `DistSpace` over
-//! [`Comm::solo`](resilient_runtime::Comm::solo), where every reduction
-//! folds one value and so returns its local partial's bits.
+//! [`StrikePlan`]s corrupt chosen SpMV and preconditioner products (an
+//! [`SpmvFault`] is a one-strike SpMV plan). A serial solve is a 1-rank
+//! `DistSpace` over [`Comm::solo`](resilient_runtime::Comm::solo), where
+//! every reduction folds one value and so returns its local partial's bits.
 
 use resilient_linalg::ops::{auto_ops, CgSweep, LocalOps, PcgSweep};
 use resilient_runtime::{Comm, CommBackend, ReduceOp, Result, Stored, ThreadComm};
@@ -20,8 +20,7 @@ use resilient_runtime::{Comm, CommBackend, ReduceOp, Result, Stored, ThreadComm}
 use super::sqrt_nonneg;
 use crate::distributed::{DistCsr, DistMultiVector, DistVector, HaloScratch};
 
-use resilient_faults::bitflip::flip_bit_f64;
-use resilient_faults::campaign::StrikePlan;
+use resilient_faults::campaign::{Strike, StrikePlan};
 
 /// The operands of one [`DistSpace::pipelined_sweep_block`], swept column
 /// by column: this iteration's SpMM product, the six state vectors every
@@ -248,6 +247,8 @@ fn sweep_column(
 /// A planned single-event upset in a distributed SpMV: on `rank`, flip `bit`
 /// of local element `local_element` of the product of application number
 /// `at_application` (0-based, counted per space).
+/// [`DistSpace::with_fault`] installs it as one [`Strike`] pinned to
+/// incarnation 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpmvFault {
     /// *World* (launch-time) rank whose product is corrupted. Injection is
@@ -275,11 +276,10 @@ pub struct DistSpace<'a, 'b, C: CommBackend = Comm> {
     a: &'b DistCsr,
     extra_work_per_iter: f64,
     operator_norm: f64,
-    fault: Option<SpmvFault>,
     applications: usize,
     injections: usize,
-    /// Campaign multi-strike plan against the SpMV output (fires after the
-    /// legacy single-fault path, which stays bit-identical).
+    /// Strike plan against the SpMV output ([`DistSpace::with_fault`] and
+    /// [`DistSpace::with_spmv_plan`] both add to it).
     spmv_plan: Option<StrikePlan>,
     /// Campaign multi-strike plan against the preconditioner-apply output
     /// (fired by [`DistSpace::strike_precond_output`]).
@@ -306,7 +306,6 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
             a,
             extra_work_per_iter: 0.0,
             operator_norm: f64::INFINITY,
-            fault: None,
             applications: 0,
             injections: 0,
             spmv_plan: None,
@@ -342,19 +341,26 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         self
     }
 
-    /// Inject a single-event upset into one SpMV product (composed-scenario
-    /// experiments).
+    /// Inject a single-event upset into one SpMV product: its [`Strike`]
+    /// goes *ahead of* any strikes already in the SpMV plan.
     pub fn with_fault(mut self, fault: SpmvFault) -> Self {
-        self.fault = Some(fault);
+        let strike = StrikePlan::new(vec![Strike {
+            rank: fault.rank,
+            incarnation: 0,
+            at: fault.at_application as u64,
+            element: fault.local_element,
+            bit: fault.bit,
+        }]);
+        self.spmv_plan = Some(strike.chain(self.spmv_plan.take().unwrap_or_default()));
         self
     }
 
-    /// Install a campaign multi-strike plan against SpMV products. Strikes
-    /// are matched on the stable *world* rank, the pinned incarnation, and
-    /// the per-space application ordinal — so a plan composes with shrink
-    /// renumbering and replacement ranks, unlike ad-hoc wrappers.
+    /// Add a campaign multi-strike plan against SpMV products, *after* any
+    /// strikes already installed. Strikes are matched on the stable *world*
+    /// rank, the pinned incarnation, and the per-space application ordinal
+    /// — so a plan composes with shrink renumbering and replacement ranks.
     pub fn with_spmv_plan(mut self, plan: StrikePlan) -> Self {
-        self.spmv_plan = Some(plan);
+        self.spmv_plan = Some(self.spmv_plan.take().unwrap_or_default().chain(plan));
         self
     }
 
@@ -391,7 +397,6 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     pub fn disarm_plans(&mut self) {
         self.spmv_plan = None;
         self.precond_plan = None;
-        self.fault = None;
     }
 
     /// SpMV applications observed so far (the campaign driver reads this
@@ -405,23 +410,11 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
         self.precond_applications
     }
 
-    /// SpMV strike point: counts the application and fires the planned
-    /// single-event upset and any due campaign strikes into its product
-    /// (column 0 of an SpMM's).
+    /// SpMV strike point: counts the application and fires any due
+    /// strikes into its product (column 0 of an SpMM's).
     fn strike_product(&mut self, y: &mut [f64]) {
         let app = self.applications;
         self.applications += 1;
-        if let Some(f) = self.fault {
-            if f.at_application == app
-                && f.rank == self.comm.world_rank()
-                && self.comm.incarnation() == 0
-                && !y.is_empty()
-            {
-                let i = f.local_element.min(y.len() - 1);
-                y[i] = flip_bit_f64(y[i], f.bit);
-                self.injections += 1;
-            }
-        }
         if let Some(plan) = self.spmv_plan.as_mut() {
             self.injections += plan.strike_slice(
                 self.comm.world_rank(),

@@ -322,7 +322,6 @@ mod tests {
         assert_eq!(ledger.unreliable_flops, 0);
         let model = ReliabilityModel {
             reliable_cost_factor: 2.0,
-            ..ReliabilityModel::default()
         };
         assert!(ledger.weighted_cost(&model) > out.flops as f64 * 1.99);
     }

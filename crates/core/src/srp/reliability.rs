@@ -58,7 +58,6 @@ mod tests {
         ledger.charge(Reliability::Reliable, 10);
         let model = ReliabilityModel {
             reliable_cost_factor: 3.0,
-            ..ReliabilityModel::default()
         };
         assert_eq!(ledger.weighted_cost(&model), 130.0);
         assert!((ledger.reliable_fraction() - 10.0 / 110.0).abs() < 1e-12);

@@ -218,7 +218,6 @@ mod tests {
         let x = vec![1.0; a.nrows()];
         let model = ReliabilityModel {
             reliable_cost_factor: 3.0,
-            ..ReliabilityModel::default()
         };
         // At zero fault rate, a single unreliable execution is the cheapest.
         let at_zero = compare_tmr_strategies(&a, &x, 0.0, &model, 20, 1);

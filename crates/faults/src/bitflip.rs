@@ -7,9 +7,6 @@
 //! change, or a NaN/Inf — exactly the spectrum the skeptical-programming
 //! experiments (E1) sweep.
 
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
-
 /// Flip bit `bit` (0 = least-significant mantissa bit, 63 = sign bit) of an
 /// `f64` value.
 pub fn flip_bit_f64(value: f64, bit: u32) -> f64 {
@@ -17,72 +14,9 @@ pub fn flip_bit_f64(value: f64, bit: u32) -> f64 {
     f64::from_bits(value.to_bits() ^ (1u64 << bit))
 }
 
-/// Flip bit `bit` (0–31) of an `f32` value.
-pub fn flip_bit_f32(value: f32, bit: u32) -> f32 {
-    assert!(bit < 32, "f32 has 32 bits");
-    f32::from_bits(value.to_bits() ^ (1u32 << bit))
-}
-
-/// Flip a uniformly random bit of an `f64` value.
-pub fn flip_random_bit_f64(value: f64, rng: &mut ChaCha8Rng) -> (f64, u32) {
-    let bit = rng.gen_range(0..64);
-    (flip_bit_f64(value, bit), bit)
-}
-
-/// Flip a random bit of a random element of a slice, in place. Returns the
-/// `(index, bit, old_value)` that was corrupted, or `None` for an empty
-/// slice.
-pub fn flip_random_element(data: &mut [f64], rng: &mut ChaCha8Rng) -> Option<(usize, u32, f64)> {
-    if data.is_empty() {
-        return None;
-    }
-    let idx = rng.gen_range(0..data.len());
-    let old = data[idx];
-    let (new, bit) = flip_random_bit_f64(old, rng);
-    data[idx] = new;
-    Some((idx, bit, old))
-}
-
-/// Classification of the numerical severity of a bit flip, used when
-/// reporting detection coverage by bit position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlipSeverity {
-    /// The value did not change (flipping a bit of a NaN payload, or ±0).
-    NoChange,
-    /// Relative change below 1e-12: almost certainly harmless.
-    Negligible,
-    /// Relative change between 1e-12 and 1e-2: may slow convergence.
-    Moderate,
-    /// Relative change above 1e-2 (including sign flips): likely to corrupt
-    /// the result if undetected.
-    Severe,
-    /// The flip produced a NaN or infinity.
-    NonFinite,
-}
-
-/// Classify the severity of changing `old` into `new`.
-pub fn classify_flip(old: f64, new: f64) -> FlipSeverity {
-    if !new.is_finite() {
-        return FlipSeverity::NonFinite;
-    }
-    if new == old {
-        return FlipSeverity::NoChange;
-    }
-    let scale = old.abs().max(f64::MIN_POSITIVE);
-    let rel = (new - old).abs() / scale;
-    if rel < 1e-12 {
-        FlipSeverity::Negligible
-    } else if rel < 1e-2 {
-        FlipSeverity::Moderate
-    } else {
-        FlipSeverity::Severe
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn flip_is_an_involution() {
@@ -105,59 +39,6 @@ mod tests {
     #[test]
     fn sign_bit_flips_sign() {
         assert_eq!(flip_bit_f64(2.5, 63), -2.5);
-        assert_eq!(flip_bit_f32(2.5, 31), -2.5);
-    }
-
-    #[test]
-    fn low_mantissa_bit_is_tiny_perturbation() {
-        let v = 1.0;
-        let f = flip_bit_f64(v, 0);
-        assert!((f - v).abs() < 1e-15);
-        assert_eq!(classify_flip(v, f), FlipSeverity::Negligible);
-    }
-
-    #[test]
-    fn high_exponent_bit_is_severe_or_nonfinite() {
-        let v = 1.0;
-        let f = flip_bit_f64(v, 62);
-        assert!(matches!(
-            classify_flip(v, f),
-            FlipSeverity::Severe | FlipSeverity::NonFinite
-        ));
-    }
-
-    #[test]
-    fn classification_boundaries() {
-        assert_eq!(classify_flip(1.0, 1.0), FlipSeverity::NoChange);
-        assert_eq!(classify_flip(1.0, 1.0 + 1e-14), FlipSeverity::Negligible);
-        assert_eq!(classify_flip(1.0, 1.0 + 1e-6), FlipSeverity::Moderate);
-        assert_eq!(classify_flip(1.0, 2.0), FlipSeverity::Severe);
-        assert_eq!(classify_flip(1.0, f64::NAN), FlipSeverity::NonFinite);
-        assert_eq!(classify_flip(1.0, f64::INFINITY), FlipSeverity::NonFinite);
-    }
-
-    #[test]
-    fn random_flip_reports_position() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut data = vec![1.0, 2.0, 3.0, 4.0];
-        let original = data.clone();
-        let (idx, bit, old) = flip_random_element(&mut data, &mut rng).unwrap();
-        assert!(idx < 4);
-        assert!(bit < 64);
-        assert_eq!(old, original[idx]);
-        assert_ne!(data[idx].to_bits(), original[idx].to_bits());
-        // All other elements untouched.
-        for i in 0..4 {
-            if i != idx {
-                assert_eq!(data[i], original[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn empty_slice_returns_none() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        assert!(flip_random_element(&mut [], &mut rng).is_none());
     }
 
     #[test]

@@ -102,6 +102,14 @@ impl StrikePlan {
         Self::new(strikes)
     }
 
+    /// This plan's strikes followed by `later`'s, each keeping whether it
+    /// has fired.
+    pub fn chain(mut self, later: StrikePlan) -> Self {
+        self.strikes.extend(later.strikes);
+        self.fired.extend(later.fired);
+        self
+    }
+
     /// The planned strikes, in order.
     pub fn strikes(&self) -> &[Strike] {
         &self.strikes

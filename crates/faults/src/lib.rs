@@ -1,45 +1,30 @@
 //! # resilient-faults
 //!
-//! Fault models and injection machinery for the resilience suite:
+//! The fault vocabulary of the resilience suite. A silent corruption is a
+//! [`Strike`]: one bit of one element of one application of an operation,
+//! on one world rank and incarnation. A fail-stop death is a
+//! [`ThreadDeathPlan`] entry (real threads) or a [`DeathEvent`] (campaign).
 //!
-//! * [`bitflip`] — single-event-upset bit flips in floating-point data and a
-//!   severity classification of their numerical effect;
-//! * [`process`] — fault arrival processes (Bernoulli, Poisson, Weibull,
-//!   deterministic schedules);
-//! * [`injector`] — reproducible fault-injection campaigns and their
-//!   statistics (detected / benign / silent-corruption / loud-failure);
-//! * [`memory`] — unreliable memory regions and the two-tier reliability
-//!   cost model used by Selective Reliability Programming;
-//! * [`tmr`] — triple modular redundancy execution and voting;
-//! * [`detection`] — cheap "skeptical" validity checks (finiteness, norm
-//!   bounds, orthogonality, conservation, relative jumps);
+//! * [`bitflip`] — the single-event upset itself: flip one bit of an `f64`;
+//! * [`campaign`] — strike plans ([`StrikePlan`], fired by the kernel's
+//!   space into SpMV and preconditioner outputs), rank-death event lists, a
+//!   seeded adversarial family taxonomy, and a greedy schedule minimizer;
 //! * [`thread_death`] — deterministic rank-death plans for the real-threads
 //!   backend, delivered as `catch_unwind`-isolated panics;
-//! * [`campaign`] — adversarial multi-event fault schedules (composable
-//!   strike plans with per-event incarnation pinning, rank-death event
-//!   lists, a seeded family taxonomy, and a greedy schedule minimizer).
+//! * [`memory`] — the two-tier reliability cost model used by Selective
+//!   Reliability Programming;
+//! * [`tmr`] — triple-modular-redundancy voting and its tallies.
 
 #![warn(missing_docs)]
 
 pub mod bitflip;
 pub mod campaign;
-pub mod detection;
-pub mod injector;
 pub mod memory;
-pub mod process;
 pub mod thread_death;
 pub mod tmr;
 
-pub use bitflip::{
-    classify_flip, flip_bit_f64, flip_random_bit_f64, flip_random_element, FlipSeverity,
-};
+pub use bitflip::flip_bit_f64;
 pub use campaign::{DeathEvent, FaultFamily, FaultSchedule, ScheduleParams, Strike, StrikePlan};
-pub use detection::{
-    conservation_check, orthogonality_check, Detection, Detector, FiniteDetector,
-    NormBoundDetector, RelativeJumpDetector,
-};
-pub use injector::{CampaignStats, FaultInjector, InjectionRecord, SdcOutcome};
-pub use memory::{Reliability, ReliabilityModel, UnreliableRegion};
-pub use process::{FaultClock, FaultProcess};
+pub use memory::{Reliability, ReliabilityModel};
 pub use thread_death::{KillTrigger, ThreadDeathPlan};
-pub use tmr::{tmr_execute, tmr_vote_vectors, TmrOutcome, TmrStats};
+pub use tmr::{tmr_vote_vectors, TmrOutcome, TmrStats};

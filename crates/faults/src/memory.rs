@@ -1,35 +1,26 @@
-//! Unreliable memory regions — the substrate for Selective Reliability
-//! Programming (§II-D).
+//! The two-tier reliability cost model of Selective Reliability Programming
+//! (§II-D).
 //!
 //! SRP lets the programmer "declare specific data and compute regions to be
-//! more reliable than the bulk reliability of the underlying system". Real
-//! hardware would implement the cheap mode by dropping ECC or lowering
-//! DRAM refresh; here an [`UnreliableRegion`] corrupts stored values with a
-//! configurable probability per access, which exercises the same algorithmic
-//! code paths.
+//! more reliable than the bulk reliability of the underlying system". Work
+//! is placed in a [`Reliability`] class and priced by a
+//! [`ReliabilityModel`]; the corruption of the unreliable tier itself is a
+//! [`StrikePlan`](crate::StrikePlan) struck into a solver's products.
 
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::bitflip::flip_random_bit_f64;
 
 /// Reliability classes data and compute can be placed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Reliability {
     /// Never corrupted; costs `reliable_cost_factor` × the unreliable cost.
     Reliable,
-    /// May be corrupted at the configured rate; unit cost.
+    /// May be corrupted; unit cost.
     Unreliable,
 }
 
-/// Cost/fault model of a two-tier (reliable / unreliable) memory system.
+/// Cost model of a two-tier (reliable / unreliable) memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReliabilityModel {
-    /// Probability that a single unreliable *read* returns a corrupted value.
-    pub read_corruption_prob: f64,
-    /// Probability that a single unreliable *write* stores a corrupted value.
-    pub write_corruption_prob: f64,
     /// Relative cost of reliable storage/compute versus unreliable
     /// (≥ 1; e.g. 2.0 for dual modular redundancy, 3.0 for TMR-backed
     /// reliability).
@@ -39,202 +30,7 @@ pub struct ReliabilityModel {
 impl Default for ReliabilityModel {
     fn default() -> Self {
         Self {
-            read_corruption_prob: 0.0,
-            write_corruption_prob: 0.0,
             reliable_cost_factor: 2.0,
         }
-    }
-}
-
-impl ReliabilityModel {
-    /// A model with the given per-read corruption probability and default
-    /// costs.
-    pub fn with_read_rate(rate: f64) -> Self {
-        Self {
-            read_corruption_prob: rate,
-            ..Self::default()
-        }
-    }
-
-    /// Cost multiplier for the given reliability class.
-    pub fn cost_factor(&self, class: Reliability) -> f64 {
-        match class {
-            Reliability::Reliable => self.reliable_cost_factor,
-            Reliability::Unreliable => 1.0,
-        }
-    }
-}
-
-/// A vector of `f64` stored in unreliable memory: reads may return bit-flipped
-/// values, writes may store bit-flipped values, according to the model.
-///
-/// Every access consumes randomness from the caller-provided RNG so campaigns
-/// are reproducible.
-#[derive(Debug, Clone)]
-pub struct UnreliableRegion {
-    data: Vec<f64>,
-    model: ReliabilityModel,
-    corruptions: u64,
-}
-
-impl UnreliableRegion {
-    /// Wrap a vector in an unreliable region.
-    pub fn new(data: Vec<f64>, model: ReliabilityModel) -> Self {
-        Self {
-            data,
-            model,
-            corruptions: 0,
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if the region holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Read element `i`; with probability `read_corruption_prob` the
-    /// returned value (not the stored one) has a random bit flipped.
-    pub fn read(&mut self, i: usize, rng: &mut ChaCha8Rng) -> f64 {
-        let v = self.data[i];
-        if self.model.read_corruption_prob > 0.0
-            && rng.gen::<f64>() < self.model.read_corruption_prob
-        {
-            self.corruptions += 1;
-            flip_random_bit_f64(v, rng).0
-        } else {
-            v
-        }
-    }
-
-    /// Write element `i`; with probability `write_corruption_prob` the stored
-    /// value has a random bit flipped.
-    pub fn write(&mut self, i: usize, value: f64, rng: &mut ChaCha8Rng) {
-        let v = if self.model.write_corruption_prob > 0.0
-            && rng.gen::<f64>() < self.model.write_corruption_prob
-        {
-            self.corruptions += 1;
-            flip_random_bit_f64(value, rng).0
-        } else {
-            value
-        };
-        self.data[i] = v;
-    }
-
-    /// Read the whole region as a vector (each element goes through the
-    /// unreliable read path).
-    pub fn read_all(&mut self, rng: &mut ChaCha8Rng) -> Vec<f64> {
-        (0..self.len()).map(|i| self.read(i, rng)).collect()
-    }
-
-    /// Overwrite the whole region (each element goes through the unreliable
-    /// write path).
-    pub fn write_all(&mut self, values: &[f64], rng: &mut ChaCha8Rng) {
-        assert_eq!(values.len(), self.len(), "write_all: length mismatch");
-        for (i, &v) in values.iter().enumerate() {
-            self.write(i, v, rng);
-        }
-    }
-
-    /// Direct access to the underlying storage, bypassing the fault model
-    /// (models a privileged "scrub" or a reliable copy-out).
-    pub fn scrub(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Number of corruptions injected so far.
-    pub fn corruptions(&self) -> u64 {
-        self.corruptions
-    }
-
-    /// The reliability model in force.
-    pub fn model(&self) -> ReliabilityModel {
-        self.model
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::SeedableRng;
-
-    fn rng(seed: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(seed)
-    }
-
-    #[test]
-    fn zero_rate_region_is_faithful() {
-        let mut r = rng(1);
-        let mut region = UnreliableRegion::new(vec![1.0, 2.0, 3.0], ReliabilityModel::default());
-        assert_eq!(region.len(), 3);
-        assert!(!region.is_empty());
-        for i in 0..3 {
-            assert_eq!(region.read(i, &mut r), (i + 1) as f64);
-        }
-        region.write(1, 9.0, &mut r);
-        assert_eq!(region.read(1, &mut r), 9.0);
-        assert_eq!(region.corruptions(), 0);
-    }
-
-    #[test]
-    fn read_corruption_rate_is_approximately_respected() {
-        let mut r = rng(2);
-        let model = ReliabilityModel::with_read_rate(0.2);
-        let mut region = UnreliableRegion::new(vec![1.0; 1], model);
-        let n = 20_000;
-        let mut corrupted = 0;
-        for _ in 0..n {
-            if region.read(0, &mut r) != 1.0 {
-                corrupted += 1;
-            }
-        }
-        let rate = corrupted as f64 / n as f64;
-        // A flipped bit almost always changes the value (NaN-payload cases
-        // aside), so the observed rate tracks the configured one.
-        assert!((rate - 0.2).abs() < 0.02, "observed corruption rate {rate}");
-        assert!(region.corruptions() > 0);
-        // The stored value itself is never altered by reads.
-        assert_eq!(region.scrub(), &[1.0]);
-    }
-
-    #[test]
-    fn write_corruption_persists() {
-        let mut r = rng(3);
-        let model = ReliabilityModel {
-            read_corruption_prob: 0.0,
-            write_corruption_prob: 1.0,
-            reliable_cost_factor: 2.0,
-        };
-        let mut region = UnreliableRegion::new(vec![0.0; 4], model);
-        region.write_all(&[1.0, 2.0, 3.0, 4.0], &mut r);
-        assert_eq!(region.corruptions(), 4);
-        let stored = region.scrub().to_vec();
-        // Every stored value differs from what was written (bit flip).
-        let clean: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
-        let diffs = stored
-            .iter()
-            .zip(clean.iter())
-            .filter(|&(a, b)| a.to_bits() != b.to_bits())
-            .count();
-        assert_eq!(diffs, 4);
-    }
-
-    #[test]
-    fn cost_factors() {
-        let m = ReliabilityModel::default();
-        assert_eq!(m.cost_factor(Reliability::Unreliable), 1.0);
-        assert_eq!(m.cost_factor(Reliability::Reliable), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn write_all_length_mismatch_panics() {
-        let mut r = rng(1);
-        let mut region = UnreliableRegion::new(vec![0.0; 2], ReliabilityModel::default());
-        region.write_all(&[1.0], &mut r);
     }
 }

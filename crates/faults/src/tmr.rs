@@ -2,10 +2,11 @@
 //!
 //! §II-D notes that "even very expensive approaches such as triple modular
 //! redundancy can still be much faster than a fully unreliable approach".
-//! [`tmr_execute`] runs a fallible computation three times and majority-votes
-//! the results; [`TmrStats`] keeps the bookkeeping the E7 ablation reports.
+//! [`tmr_vote_vectors`] majority-votes three replicas of a vector element by
+//! element; [`TmrStats`] tallies the [`TmrOutcome`]s the E7 ablation
+//! reports.
 
-/// Outcome of a TMR-protected execution.
+/// Outcome of one TMR-protected execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TmrOutcome<T> {
     /// At least two replicas agreed.
@@ -21,51 +22,6 @@ pub enum TmrOutcome<T> {
         /// The three replica outputs, for diagnostics.
         replicas: [T; 3],
     },
-}
-
-impl<T> TmrOutcome<T> {
-    /// The agreed value, if any.
-    pub fn value(self) -> Option<T> {
-        match self {
-            TmrOutcome::Agreed { value, .. } => Some(value),
-            TmrOutcome::NoMajority { .. } => None,
-        }
-    }
-
-    /// Did the vote succeed?
-    pub fn is_agreed(&self) -> bool {
-        matches!(self, TmrOutcome::Agreed { .. })
-    }
-}
-
-/// Execute `f` three times and majority-vote the results using `eq` as the
-/// agreement predicate (exact equality is usually wrong for floating point;
-/// pass a tolerance-aware closure).
-pub fn tmr_execute<T, F, E>(mut f: F, eq: E) -> TmrOutcome<T>
-where
-    F: FnMut(usize) -> T,
-    E: Fn(&T, &T) -> bool,
-    T: Clone,
-{
-    let a = f(0);
-    let b = f(1);
-    let c = f(2);
-    if eq(&a, &b) || eq(&a, &c) {
-        let masked = !(eq(&a, &b) && eq(&a, &c));
-        TmrOutcome::Agreed {
-            value: a,
-            masked_error: masked,
-        }
-    } else if eq(&b, &c) {
-        TmrOutcome::Agreed {
-            value: b,
-            masked_error: true,
-        }
-    } else {
-        TmrOutcome::NoMajority {
-            replicas: [a, b, c],
-        }
-    }
 }
 
 /// Vote over three `f64` vectors element-wise with a relative tolerance.
@@ -122,59 +78,11 @@ impl TmrStats {
             TmrOutcome::NoMajority { .. } => self.failed += 1,
         }
     }
-
-    /// Fraction of executions whose error was masked or absent.
-    pub fn success_rate(&self) -> f64 {
-        if self.executions == 0 {
-            return 1.0;
-        }
-        (self.unanimous + self.masked) as f64 / self.executions as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unanimous_agreement() {
-        let out = tmr_execute(|_| 42, |a, b| a == b);
-        assert_eq!(
-            out,
-            TmrOutcome::Agreed {
-                value: 42,
-                masked_error: false
-            }
-        );
-        assert!(out.is_agreed());
-    }
-
-    #[test]
-    fn single_disagreement_is_masked() {
-        // Replica 1 is corrupted.
-        let out = tmr_execute(|i| if i == 1 { 99 } else { 7 }, |a, b| a == b);
-        assert_eq!(
-            out,
-            TmrOutcome::Agreed {
-                value: 7,
-                masked_error: true
-            }
-        );
-        // Replica 0 corrupted: majority is still found via b == c.
-        let out = tmr_execute(|i| if i == 0 { 99 } else { 7 }, |a, b| a == b);
-        assert_eq!(out.clone().value(), Some(7));
-        match out {
-            TmrOutcome::Agreed { masked_error, .. } => assert!(masked_error),
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn total_disagreement_fails() {
-        let out = tmr_execute(|i| i as i64 * 10, |a, b| a == b);
-        assert!(!out.is_agreed());
-        assert_eq!(out.value(), None);
-    }
 
     #[test]
     fn vector_vote_masks_elementwise() {
@@ -205,14 +113,20 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut stats = TmrStats::default();
-        stats.record(&tmr_execute(|_| 1, |a, b| a == b));
-        stats.record(&tmr_execute(|i| if i == 2 { 0 } else { 1 }, |a, b| a == b));
-        stats.record(&tmr_execute(|i| i, |a, b| a == b));
+        stats.record(&TmrOutcome::Agreed {
+            value: 1,
+            masked_error: false,
+        });
+        stats.record(&TmrOutcome::Agreed {
+            value: 1,
+            masked_error: true,
+        });
+        stats.record(&TmrOutcome::NoMajority {
+            replicas: [0, 1, 2],
+        });
         assert_eq!(stats.executions, 3);
         assert_eq!(stats.unanimous, 1);
         assert_eq!(stats.masked, 1);
         assert_eq!(stats.failed, 1);
-        assert!((stats.success_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(TmrStats::default().success_rate(), 1.0);
     }
 }

@@ -1,11 +1,7 @@
 //! Property-based tests for the fault models.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use resilient_faults::bitflip::{classify_flip, flip_bit_f64, FlipSeverity};
-use resilient_faults::memory::{ReliabilityModel, UnreliableRegion};
-use resilient_faults::process::{FaultClock, FaultProcess};
+use resilient_faults::bitflip::flip_bit_f64;
 use resilient_faults::tmr::tmr_vote_vectors;
 
 proptest! {
@@ -19,28 +15,6 @@ proptest! {
         let twice = flip_bit_f64(once, bit);
         prop_assert_eq!(twice.to_bits(), v.to_bits());
         prop_assert_ne!(once.to_bits(), v.to_bits());
-    }
-
-    /// Severity classification is consistent: NaN/Inf outputs are NonFinite,
-    /// identical values are NoChange, and everything else reports a severity
-    /// that matches the relative error ordering.
-    #[test]
-    fn flip_severity_is_consistent(v in prop::num::f64::NORMAL, bit in 0u32..64) {
-        let flipped = flip_bit_f64(v, bit);
-        match classify_flip(v, flipped) {
-            FlipSeverity::NonFinite => prop_assert!(!flipped.is_finite()),
-            FlipSeverity::NoChange => prop_assert_eq!(flipped, v),
-            FlipSeverity::Negligible => {
-                prop_assert!(((flipped - v) / v).abs() < 1e-12 || v == 0.0)
-            }
-            FlipSeverity::Moderate => {
-                let rel = ((flipped - v) / v).abs();
-                prop_assert!((1e-13..1e-1).contains(&rel));
-            }
-            FlipSeverity::Severe => {
-                prop_assert!(((flipped - v) / v).abs() >= 1e-3);
-            }
-        }
     }
 
     /// A TMR vote with at most one corrupted replica always returns the
@@ -63,49 +37,6 @@ proptest! {
         let voted = tmr_vote_vectors(&replicas[0], &replicas[1], &replicas[2], 1e-9).unwrap();
         for (v, c) in voted.iter().zip(&clean) {
             prop_assert!((v - c).abs() <= 1e-9 * c.abs().max(1.0));
-        }
-    }
-
-    /// The deterministic fault process fires exactly once per scheduled time
-    /// no matter how the exposure is chopped into intervals.
-    #[test]
-    fn deterministic_schedule_fires_once_regardless_of_stepping(
-        times in prop::collection::vec(0.01f64..10.0, 1..8),
-        chunks in 1usize..20,
-    ) {
-        let mut sorted = times.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        sorted.dedup();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut clock = FaultClock::new(FaultProcess::At { times: sorted.clone() }, &mut rng);
-        let total_exposure = 11.0;
-        let mut strikes = 0;
-        for _ in 0..chunks {
-            strikes += clock.advance(total_exposure / chunks as f64, &mut rng);
-        }
-        strikes += clock.advance(1.0, &mut rng);
-        prop_assert_eq!(strikes as usize, sorted.len());
-    }
-
-    /// Reads from an unreliable region never modify the stored data, and a
-    /// zero-rate region is always faithful.
-    #[test]
-    fn unreliable_region_reads_do_not_mutate_storage(
-        data in prop::collection::vec(-1e6f64..1e6, 1..32),
-        rate in 0.0f64..1.0,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut region =
-            UnreliableRegion::new(data.clone(), ReliabilityModel::with_read_rate(rate));
-        for i in 0..data.len() {
-            let _ = region.read(i, &mut rng);
-        }
-        prop_assert_eq!(region.scrub(), &data[..]);
-        let mut faithful =
-            UnreliableRegion::new(data.clone(), ReliabilityModel::with_read_rate(0.0));
-        for (i, expect) in data.iter().enumerate() {
-            prop_assert_eq!(faithful.read(i, &mut rng), *expect);
         }
     }
 }

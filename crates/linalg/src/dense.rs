@@ -109,11 +109,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Raw column-major data, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// y = A·x.
     pub fn gemv(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.ncols, "gemv: dimension mismatch");

@@ -68,15 +68,6 @@ impl<R> JobResult<R> {
             })
             .collect()
     }
-
-    /// The result of rank 0, panicking if it failed.
-    pub fn rank0(self) -> R {
-        self.results
-            .into_iter()
-            .next()
-            .flatten()
-            .expect("rank 0 did not produce a result")
-    }
 }
 
 enum RankExit<R> {

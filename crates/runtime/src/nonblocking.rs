@@ -23,8 +23,6 @@ use crate::error::Result;
 enum PendingKind {
     AllReduce(ReduceOp),
     Barrier,
-    Broadcast { root: usize },
-    AllGather,
 }
 
 /// A posted, not-yet-completed nonblocking collective.
@@ -101,18 +99,7 @@ impl<K: RankClock> Comm<K> {
         self.post_nonblocking(&[], 0, PendingKind::Barrier)
     }
 
-    /// Post a nonblocking broadcast from `root`.
-    pub fn ibroadcast(&mut self, root: usize, data: &[f64]) -> Result<PendingCollective> {
-        let contribution = if self.rank() == root { data } else { &[] };
-        self.post_nonblocking(contribution, 0, PendingKind::Broadcast { root })
-    }
-
-    /// Post a nonblocking allgather.
-    pub fn iallgather(&mut self, data: &[f64]) -> Result<PendingCollective> {
-        self.post_nonblocking(data, 0, PendingKind::AllGather)
-    }
-
-    /// Complete a nonblocking reduction or broadcast: see
+    /// Complete a nonblocking reduction: see
     /// [`PendingCollective::wait_vector`].
     pub fn wait_vector(&mut self, pending: PendingCollective) -> Result<Vec<f64>> {
         pending.wait_vector(self)
@@ -141,19 +128,10 @@ impl PendingCollective {
                 comm.complete_gather(self.key)?;
                 CollectiveOutcome::Done
             }
-            PendingKind::Broadcast { root } => {
-                let result = comm.complete_gather(self.key)?;
-                CollectiveOutcome::Vector(
-                    result.contributions.get(root).cloned().unwrap_or_default(),
-                )
-            }
-            PendingKind::AllGather => {
-                CollectiveOutcome::PerRank(comm.complete_gather(self.key)?.contributions)
-            }
         })
     }
 
-    /// Complete an allreduce/broadcast request and return its vector result.
+    /// Complete an allreduce request and return its vector result.
     pub fn wait_vector<K: RankClock>(self, comm: &mut Comm<K>) -> Result<Vec<f64>> {
         Ok(self.wait(comm)?.into_vector())
     }

@@ -150,24 +150,6 @@ impl ThreadConfig {
         self.seconds_per_flop = seconds;
         self
     }
-
-    /// Builder-style: set the checkpoint bandwidth cost.
-    pub fn with_checkpoint_seconds_per_byte(mut self, seconds: f64) -> Self {
-        self.checkpoint_seconds_per_byte = seconds;
-        self
-    }
-
-    /// Builder-style: set the replacement-spawn cost.
-    pub fn with_replacement_cost(mut self, seconds: f64) -> Self {
-        self.replacement_cost = seconds;
-        self
-    }
-
-    /// Builder-style: cap the number of injected deaths.
-    pub fn with_max_failures(mut self, max: usize) -> Self {
-        self.max_failures = max;
-        self
-    }
 }
 
 impl From<&ThreadConfig> for CostModel {

@@ -50,11 +50,6 @@ impl CartTopology {
         self.dims.iter().product()
     }
 
-    /// Number of dimensions (1 or 2).
-    pub fn ndims(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Coordinates of `rank` (row-major: the last dimension varies fastest).
     pub fn coords(&self, rank: usize) -> Vec<usize> {
         let mut c = vec![0; self.dims.len()];
