@@ -190,7 +190,7 @@ fn lflr_opts() -> DistSolveOptions {
 
 // -------------------------------------------------------------------- sdc
 
-/// `(converged, iterations, detections, corrective_restarts)` for the
+/// `(converged, iterations, detections, restarts)` for the
 /// pipelined skeptical GMRES under one injected bit flip.
 fn sdc_body<C: CommBackend>(
     comm: &mut C,
@@ -214,7 +214,7 @@ fn sdc_body<C: CommBackend>(
         out.converged,
         out.iterations,
         report.skeptical.detections,
-        report.skeptical.corrective_restarts,
+        report.skeptical.restarts,
     ))
 }
 

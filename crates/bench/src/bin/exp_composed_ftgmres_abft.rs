@@ -66,14 +66,11 @@ fn main() {
     for (label, fault) in faults {
         for abft in [false, true] {
             let (out, ft_report, detections, restarts, check_flops) = if abft {
-                let (out, ft, abft_report) = ft_gmres_abft(&a, &b, &cfg, abft_tol, fault);
-                (
-                    out,
-                    ft,
-                    abft_report.abft.detections,
-                    abft_report.policy_restarts,
-                    abft_report.abft.check_flops,
-                )
+                let (out, ft) = ft_gmres_abft(&a, &b, &cfg, abft_tol, fault);
+                let abft = &ft.outer.policy_overhead[0];
+                let (detections, check_flops) = (abft.detections, abft.check_flops);
+                let restarts = ft.outer.policy_restarts;
+                (out, ft, detections, restarts, check_flops)
             } else {
                 // Same outer/inner split as the ABFT run (the outer products
                 // struck by `fault`, inner solves corrupting at the
@@ -82,9 +79,8 @@ fn main() {
                 let da = DistCsr::from_global(&mut comm, &a).expect("one rank");
                 let bv = DistVector::from_global(&comm, &b);
                 let stack = &mut PolicyStack::empty();
-                let (out, ft, _restarts) =
-                    ft_gmres_with_policies(&mut comm, &da, &bv, &cfg, fault, stack)
-                        .expect("one rank");
+                let (out, ft) = ft_gmres_with_policies(&mut comm, &da, &bv, &cfg, fault, stack)
+                    .expect("one rank");
                 (out, ft, 0, 0, 0)
             };
             let err = true_relative_residual(&a, &b, &out.x);

@@ -99,7 +99,7 @@ fn main() {
                     (
                         out,
                         report.skeptical.detections,
-                        report.skeptical.corrective_restarts,
+                        report.skeptical.restarts,
                         per_policy,
                     )
                 } else {

@@ -78,8 +78,8 @@
 //! `Restart` the kernel rebuilds the recurrence from the current iterate
 //! (the residual recompute plus the schedule's set-up applications; a
 //! corrupted-but-finite iterate is just a worse initial guess), capped at
-//! `max_iters` rebuilds; `Abort` stops the solve with `CorruptionDetected`;
-//! `RecordOnly` detections are counted and ignored. A `Diverged` step
+//! `max_iters` rebuilds; `Abort` stops the solve with `CorruptionDetected`.
+//! A `Diverged` step
 //! consults the stack's `on_failure` hook before terminating — a rollback
 //! policy that restores a consistent iterate turns divergence into a
 //! rebuild, capped the same way.
@@ -105,8 +105,12 @@ use super::{sqrt_nonneg, KernelOutcome, KernelReport, SolveProgress};
 use crate::distributed::{DistMultiVector, DistVector};
 use crate::solvers::common::{SolveOptions, StopReason};
 
-/// Result of one block solve: the final block iterate plus per-column
-/// convergence data.
+/// Result of one block solve ([`run_block_cg`], the block presets
+/// [`dist_block_pcg`](crate::rbsp::cg::dist_block_pcg) and
+/// [`pipelined_block_pcg`](crate::rbsp::cg::pipelined_block_pcg)): the
+/// final block iterate plus per-column convergence data. Columns converge
+/// independently (masking), so each has its own iteration count, residual
+/// and history.
 #[derive(Debug, Clone)]
 pub struct BlockOutcome {
     /// Final block iterate (all `k` columns).
@@ -127,17 +131,41 @@ pub struct BlockOutcome {
 }
 
 impl BlockOutcome {
-    /// Convert into the distributed solvers' public block outcome type.
-    pub fn into_block_solve_outcome(self) -> crate::rbsp::BlockSolveOutcome {
-        crate::rbsp::BlockSolveOutcome {
-            x: self.x,
-            iterations: self.iterations,
-            column_iterations: self.column_iterations,
-            relative_residuals: self.relative_residuals,
-            converged: self.converged,
-            reason: self.reason,
-            histories: self.histories,
-        }
+    /// The outcome itself. Kept for the frozen `perf_ledger`, which calls it.
+    pub fn into_block_solve_outcome(self) -> Self {
+        self
+    }
+
+    /// Did every column meet the tolerance?
+    pub fn all_converged(&self) -> bool {
+        self.converged.iter().all(|&c| c)
+    }
+
+    /// Split into `k` single-RHS outcomes (consuming the block).
+    pub fn into_columns(self) -> Vec<KernelOutcome<DistVector>> {
+        let (x, reason) = (self.x, self.reason);
+        self.column_iterations
+            .into_iter()
+            .zip(self.relative_residuals)
+            .zip(self.converged)
+            .zip(self.histories)
+            .enumerate()
+            .map(
+                |(c, (((iterations, relative_residual), converged), history))| KernelOutcome {
+                    x: x.column(c),
+                    iterations,
+                    relative_residual,
+                    converged,
+                    // Columns short of the tolerance share the batch's.
+                    reason: if converged {
+                        StopReason::Converged
+                    } else {
+                        reason
+                    },
+                    history,
+                },
+            )
+            .collect()
     }
 
     /// A one-column outcome as a single-RHS kernel outcome, the iterate and
@@ -146,6 +174,7 @@ impl BlockOutcome {
         KernelOutcome {
             iterations: self.iterations,
             relative_residual: self.relative_residuals[0],
+            converged: self.converged[0],
             reason: self.reason,
             history: self.histories.swap_remove(0),
             x: self.x.into_vector(),
@@ -169,7 +198,7 @@ impl From<StackOutcome> for BlockStep {
     fn from(out: StackOutcome) -> Self {
         match out {
             StackOutcome::Act(resp) => BlockStep::Detected(resp),
-            StackOutcome::Recorded | StackOutcome::Continue => BlockStep::Continue,
+            StackOutcome::Continue => BlockStep::Continue,
         }
     }
 }
@@ -1058,8 +1087,8 @@ pub fn run_block_cg<'a, 'b, C: CommBackend>(
             drv.col_iters[c] = st.iterations;
         }
     }
-    // Per-column convergence mirrors `into_dist_outcome`: the final
-    // residual against the tolerance, whatever the stop reason.
+    // Per-column convergence: the final residual against the tolerance,
+    // whatever the stop reason.
     let converged: Vec<bool> = (0..k).map(|c| drv.relres[c] <= opts.tol).collect();
     Ok((
         BlockOutcome {

@@ -69,11 +69,7 @@ pub enum StepOutcome {
     /// Happy breakdown: the column was consumed but the subspace is
     /// invariant; the cycle is over.
     Breakdown,
-    /// A record-only policy detection consumed the step without extending
-    /// (the legacy skeptical "observe but keep going" semantics).
-    Skipped,
-    /// A policy detected corruption and demands the given response
-    /// (`Restart` or `Abort`; `RecordOnly` never surfaces here).
+    /// A policy detected corruption and demands the given response.
     Detected(DetectionResponse),
 }
 
@@ -167,8 +163,7 @@ impl<'a, S: KrylovSpace> SolutionProbe<S> for GmresProbe<'a, S> {
 /// Post-extension policy hooks shared by every orthogonalization strategy:
 /// skipped entirely once the recurrence reports convergence (at rounding
 /// level the newest basis vector is noise and orthogonality tests would
-/// false-positive); a record-only orthogonality detection skips the
-/// residual check, as the legacy skeptical solver did.
+/// false-positive).
 fn finish_extended_step<S: KrylovSpace>(
     space: &mut S,
     cycle: &GmresCycle<S::Vector>,
@@ -183,10 +178,10 @@ fn finish_extended_step<S: KrylovSpace>(
     }
     let len = cycle.basis.len();
     let (new_v, prev_v) = (&cycle.basis[len - 1], cycle.basis.get(len.wrapping_sub(2)));
-    match policies.after_orthogonalization(space, &st.ctx(), new_v, prev_v)? {
-        StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-        StackOutcome::Recorded => return Ok(StepOutcome::Extended),
-        StackOutcome::Continue => {}
+    if let StackOutcome::Act(r) =
+        policies.after_orthogonalization(space, &st.ctx(), new_v, prev_v)?
+    {
+        return Ok(StepOutcome::Detected(r));
     }
     let correction_basis: &[S::Vector] = if use_z_basis {
         &cycle.z_basis
@@ -201,11 +196,10 @@ fn finish_extended_step<S: KrylovSpace>(
         bn: st.bn,
         base_iteration: st.iterations - st.cycle_step,
     };
-    match policies.on_iteration(space, &st.ctx(), &mut probe)? {
-        StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-        StackOutcome::Recorded | StackOutcome::Continue => {}
-    }
-    Ok(StepOutcome::Extended)
+    Ok(match policies.on_iteration(space, &st.ctx(), &mut probe)? {
+        StackOutcome::Act(r) => StepOutcome::Detected(r),
+        StackOutcome::Continue => StepOutcome::Extended,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -258,21 +252,19 @@ impl<S: KrylovSpace> OrthoStrategy<S> for MgsOrtho {
         // any consistency check trivially.
         if flexible.is_some() {
             let vj_ref = cycle.basis.last().expect("basis is never empty");
-            match policies.after_precond(space, &st.ctx(), vj_ref, &input)? {
-                StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-                StackOutcome::Recorded | StackOutcome::Continue => {}
+            if let StackOutcome::Act(r) =
+                policies.after_precond(space, &st.ctx(), vj_ref, &input)?
+            {
+                return Ok(StepOutcome::Detected(r));
             }
         }
 
-        match policies.before_spmv(space, &st.ctx(), &input)? {
-            StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-            StackOutcome::Recorded | StackOutcome::Continue => {}
+        if let StackOutcome::Act(r) = policies.before_spmv(space, &st.ctx(), &input)? {
+            return Ok(StepOutcome::Detected(r));
         }
         let mut w = space.apply(&input)?;
-        match policies.after_spmv(space, &st.ctx(), &input, &w)? {
-            StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-            StackOutcome::Recorded => return Ok(StepOutcome::Skipped),
-            StackOutcome::Continue => {}
+        if let StackOutcome::Act(r) = policies.after_spmv(space, &st.ctx(), &input, &w)? {
+            return Ok(StepOutcome::Detected(r));
         }
 
         // Modified Gram–Schmidt against the existing basis: each coefficient
@@ -354,15 +346,15 @@ impl<S: KrylovSpace> OrthoStrategy<S> for CgsOrtho {
         // is a solve-wide constant, so rank control flow stays symmetric.
         if flexible.is_some() {
             let vj_ref = cycle.basis.last().expect("basis is never empty");
-            match policies.after_precond(space, &st.ctx(), vj_ref, &input)? {
-                StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-                StackOutcome::Recorded | StackOutcome::Continue => {}
+            if let StackOutcome::Act(r) =
+                policies.after_precond(space, &st.ctx(), vj_ref, &input)?
+            {
+                return Ok(StepOutcome::Detected(r));
             }
         }
 
-        match policies.before_spmv(space, &st.ctx(), &input)? {
-            StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-            StackOutcome::Recorded | StackOutcome::Continue => {}
+        if let StackOutcome::Act(r) = policies.before_spmv(space, &st.ctx(), &input)? {
+            return Ok(StepOutcome::Detected(r));
         }
         let mut w = space.apply(&input)?;
 
@@ -386,10 +378,8 @@ impl<S: KrylovSpace> OrthoStrategy<S> for CgsOrtho {
             all.truncate(len);
             all
         };
-        match policies.after_spmv(space, &st.ctx(), &input, &w)? {
-            StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-            StackOutcome::Recorded => return Ok(StepOutcome::Skipped),
-            StackOutcome::Continue => {}
+        if let StackOutcome::Act(r) = policies.after_spmv(space, &st.ctx(), &input, &w)? {
+            return Ok(StepOutcome::Detected(r));
         }
         for (hij, v) in h.iter().zip(&cycle.basis) {
             space.axpy(-hij, v, &mut w);
@@ -514,24 +504,19 @@ impl<S: KrylovSpace> OrthoStrategy<S> for PipelinedOrtho {
             None => None,
         };
         let spec_input: &S::Vector = mj.as_ref().unwrap_or(&zj);
-        match policies.before_spmv(space, &st.ctx(), spec_input)? {
-            StackOutcome::Act(r) => {
-                // Complete the posted reduction before abandoning the step
-                // (detections are rank-symmetric, so every rank drains it):
-                // an in-flight collective must be waited on, and the solve
-                // continues after a Restart-response detection.
-                space.finish_dots(pending)?;
-                return Ok(StepOutcome::Detected(r));
-            }
-            StackOutcome::Recorded | StackOutcome::Continue => {}
+        if let StackOutcome::Act(r) = policies.before_spmv(space, &st.ctx(), spec_input)? {
+            // Complete the posted reduction before abandoning the step
+            // (detections are rank-symmetric, so every rank drains it):
+            // an in-flight collective must be waited on, and the solve
+            // continues after a Restart-response detection.
+            space.finish_dots(pending)?;
+            return Ok(StepOutcome::Detected(r));
         }
         let azj = space.apply(spec_input)?;
         let reduced = space.finish_dots(pending)?;
         policies.consume_check_dots(&st.ctx(), &batch, &reduced[solver_len..]);
-        match policies.after_spmv(space, &st.ctx(), spec_input, &azj)? {
-            StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-            StackOutcome::Recorded => return Ok(StepOutcome::Skipped),
-            StackOutcome::Continue => {}
+        if let StackOutcome::Act(r) = policies.after_spmv(space, &st.ctx(), spec_input, &azj)? {
+            return Ok(StepOutcome::Detected(r));
         }
         // Guard the overlap-region preconditioner apply m_j = M⁻¹·z_j
         // *after* the fused reduction completed (a guard policy may post
@@ -540,9 +525,8 @@ impl<S: KrylovSpace> OrthoStrategy<S> for PipelinedOrtho {
         // the cycle with x — which only changes at cycle boundaries —
         // untouched.
         if let Some(mj) = mj.as_ref() {
-            match policies.after_precond(space, &st.ctx(), &zj, mj)? {
-                StackOutcome::Act(r) => return Ok(StepOutcome::Detected(r)),
-                StackOutcome::Recorded | StackOutcome::Continue => {}
+            if let StackOutcome::Act(r) = policies.after_precond(space, &st.ctx(), &zj, mj)? {
+                return Ok(StepOutcome::Detected(r));
             }
         }
         let (h_proj, zz) = reduced[..solver_len].split_at(cycle.basis.len());
@@ -673,9 +657,6 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
     policies.on_solve_start(space, b)?;
 
     let reason;
-    // Backstop against a record-only detection that fires on every product:
-    // skipped steps make no progress, so cap them like policy restarts.
-    let mut skipped_steps = 0usize;
     'outer: loop {
         // --- Cycle start: true residual and stop decision -----------------
         let ax = space.apply(&x)?;
@@ -740,13 +721,6 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
                     }
                 }
                 StepOutcome::Breakdown => break,
-                StepOutcome::Skipped => {
-                    skipped_steps += 1;
-                    if skipped_steps > opts.max_iters.max(restart) {
-                        corrupted = true;
-                        break;
-                    }
-                }
                 StepOutcome::Detected(DetectionResponse::Restart) => {
                     report.policy_restarts += 1;
                     // A detection that fires on every retry would restart
@@ -803,6 +777,7 @@ pub fn run_gmres<S: KrylovSpace, T: OrthoStrategy<S>>(
             x,
             iterations: st.iterations,
             relative_residual: st.relres,
+            converged: st.relres <= opts.tol,
             reason,
             history: st.history,
         },
@@ -905,31 +880,5 @@ mod tests {
         assert_eq!(out.reason, StopReason::CorruptionDetected);
         assert_eq!(out.iterations, 0, "no step ever extended the basis");
         assert!(report.policy_restarts > opts.max_iters);
-    }
-
-    #[test]
-    fn persistent_record_only_detection_terminates() {
-        // Same pathology through the record-only path: skipped steps make no
-        // progress, so the kernel must cap them rather than spin forever.
-        let mut comm = Comm::solo(&RuntimeConfig::fast());
-        let a = DistCsr::from_global(&mut comm, &poisson2d(6, 6)).unwrap();
-        let b = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
-        let mut space = DistSpace::new(&mut comm, &a);
-        let mut policy = AlwaysDetect::new(DetectionResponse::RecordOnly);
-        let mut stack = PolicyStack::new(vec![&mut policy]);
-        let opts = SolveOptions::default().with_tol(1e-9).with_max_iters(25);
-        let (out, _report) = run_gmres(
-            &mut space,
-            &b,
-            None,
-            &opts,
-            &mut MgsOrtho::new(),
-            &mut stack,
-            None,
-            &GmresFlavor::distributed(),
-        )
-        .unwrap();
-        assert_eq!(out.reason, StopReason::CorruptionDetected);
-        assert_eq!(out.iterations, 0);
     }
 }

@@ -215,7 +215,7 @@ pub fn lflr_solve<C: CommBackend>(
         let (outcome, kernel_report) = result?;
         report.policy = kernel_report.policy_overhead;
         report.iterations = resume_step + outcome.iterations;
-        Ok(outcome.into_dist_outcome(opts.tol))
+        Ok(outcome)
     };
     let (outcome, epochs) = recovery_epochs(comm, proposal, attempt)?;
     report.recoveries = epochs.recoveries;

@@ -25,8 +25,10 @@
 //! 3. **Resilience policies** ([`ResiliencePolicy`], [`PolicyStack`]) —
 //!    skeptical invariant checks, ABFT checksum verification, iterate
 //!    rollback — attached through hooks (`before_spmv`, `after_spmv`,
-//!    `after_orthogonalization`, `on_iteration`, `on_failure`) that every
-//!    iteration engine honours.
+//!    `after_precond`, `after_orthogonalization`, `on_iteration`,
+//!    `on_failure`) that every iteration engine honours. A detection is
+//!    answered with its policy's [`DetectionResponse`], a restart or a
+//!    stop.
 //! 4. **Preconditioner** ([`SpacePreconditioner`]) — applied through the
 //!    space so its cost is charged like any other kernel arithmetic:
 //!    [`IdentityPrecond`] (bit-identical to no preconditioning) and the
@@ -49,9 +51,13 @@
 //! call [`run_gmres`] with the immediate-dot [`MgsOrtho`], under the same
 //! stop decisions as every distributed GMRES solve.
 //!
-//! One intentional accounting deviation from the legacy silos: when a solve
-//! aborts on a detected corruption, the final verification residual is now
-//! charged to the solver (the legacy skeptical solver computed it for free).
+//! Every solve says what happened in one vocabulary: a single-RHS solve
+//! returns a [`KernelOutcome`] (over a [`DistSpace`], the
+//! [`DistSolveOutcome`](crate::rbsp::DistSolveOutcome) of every distributed
+//! preset), a block solve a [`BlockOutcome`], both with a [`KernelReport`]
+//! whose [`PolicyOverhead`] entries are each policy's only record. When a
+//! solve aborts on a detected corruption, the final verification residual
+//! is charged to the solver.
 
 pub mod block;
 pub mod cache;
@@ -72,7 +78,6 @@ pub use cg::{run_cg, CgStep, FusedCgStep, PipelinedCgStep};
 pub use compose::{
     ft_gmres_abft, pipelined_skeptical, pipelined_skeptical_cg, pipelined_skeptical_gmres,
     pipelined_skeptical_pcg, pipelined_skeptical_pgmres, AbftSpmvPolicy, ComposedDistReport,
-    FtGmresAbftReport,
 };
 pub use gmres::{
     run_gmres, CgsOrtho, FlexibleRight, GmresCycle, GmresFlavor, MgsOrtho, OrthoStrategy,
@@ -110,34 +115,34 @@ pub(crate) fn sqrt_nonneg(v: f64) -> f64 {
     }
 }
 
-/// Result of a kernel-level solve, generic over the vector type of the
-/// space it ran in.
+/// Result of a single-RHS kernel solve, generic over the vector type of
+/// the space it ran in; over a [`DistSpace`] it is
+/// [`DistSolveOutcome`](crate::rbsp::DistSolveOutcome), what every
+/// distributed preset returns.
 #[derive(Debug, Clone)]
 pub struct KernelOutcome<V> {
-    /// Final iterate.
+    /// Final iterate (per rank: this rank's part).
     pub x: V,
     /// Iterations performed (total, across restarts).
     pub iterations: usize,
     /// Final relative residual: the true one or the recurrence estimate,
     /// whichever the method's last stop decision read.
     pub relative_residual: f64,
+    /// Whether `relative_residual` met the solve's tolerance.
+    pub converged: bool,
     /// Why the solve stopped.
     pub reason: StopReason,
     /// Relative residual after each iteration.
     pub history: Vec<f64>,
 }
 
-impl KernelOutcome<crate::distributed::DistVector> {
-    /// Convert into the distributed solvers' public outcome type.
-    pub fn into_dist_outcome(self, tol: f64) -> crate::rbsp::DistSolveOutcome {
-        crate::rbsp::DistSolveOutcome {
-            converged: self.relative_residual <= tol,
-            x: self.x,
-            iterations: self.iterations,
-            relative_residual: self.relative_residual,
-            reason: self.reason,
-            history: self.history,
-        }
+impl<V> KernelOutcome<V> {
+    /// The outcome with `converged` judged against `tol` instead of the
+    /// solve's own tolerance. Kept for the frozen `perf_ledger`, which
+    /// calls it.
+    pub fn into_dist_outcome(mut self, tol: f64) -> Self {
+        self.converged = self.relative_residual <= tol;
+        self
     }
 }
 

@@ -3,18 +3,21 @@
 //! A [`ResiliencePolicy`] observes a Krylov solve through a fixed set of
 //! hooks — [`before_spmv`](ResiliencePolicy::before_spmv),
 //! [`after_spmv`](ResiliencePolicy::after_spmv),
+//! [`after_precond`](ResiliencePolicy::after_precond),
 //! [`after_orthogonalization`](ResiliencePolicy::after_orthogonalization),
 //! [`on_iteration`](ResiliencePolicy::on_iteration) and
 //! [`on_failure`](ResiliencePolicy::on_failure) — and reports detections.
 //! Policies are stacked in a [`PolicyStack`]; the kernel consults the stack
-//! at each hook point and reacts to the *first* detection according to the
-//! detecting policy's [`DetectionResponse`]. Because every policy sees the
-//! same hooks regardless of which iteration engine (CG or GMRES, blocking or
-//! pipelined dots, serial or distributed) is running, resilience strategies
-//! that used to live in separate solver silos now compose freely: a
-//! pipelined GMRES can run skeptical SDC checks, an FT-GMRES outer iteration
-//! can verify its SpMVs with ABFT checksums, and each policy's overhead is
-//! accounted individually.
+//! at each hook point and answers the *first* detection with the detecting
+//! policy's [`DetectionResponse`] — a restart from the last consistent
+//! iterate or a stop; a detection is never only recorded. Because every
+//! policy sees the same hooks regardless of which iteration engine (CG or
+//! GMRES, blocking or pipelined dots, serial or distributed) is running,
+//! resilience strategies that used to live in separate solver silos now
+//! compose freely: a pipelined GMRES can run skeptical SDC checks, an
+//! FT-GMRES outer iteration can verify its SpMVs with ABFT checksums, and
+//! each policy counts its checks, detections and check cost in one
+//! [`PolicyOverhead`].
 //!
 //! # Example
 //!
@@ -103,12 +106,10 @@ pub enum PolicyAction {
     Detected,
 }
 
-/// What the kernel should do when a policy detects corruption.
+/// What the kernel should do when a policy detects corruption: every
+/// detection is answered with a recovery or a stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectionResponse {
-    /// Record the detection but keep iterating (detection-coverage
-    /// measurements).
-    RecordOnly,
     /// Discard the current Arnoldi cycle / iteration and restart from the
     /// last consistent iterate (cheap local rollback).
     Restart,
@@ -274,7 +275,7 @@ impl CheckDotBatch {
     }
 }
 
-/// Per-policy overhead and detection accounting.
+/// Per-policy overhead and detection accounting: each policy's one record.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PolicyOverhead {
     /// Policy name.
@@ -448,23 +449,8 @@ pub trait ResiliencePolicy<S: KrylovSpace> {
 pub enum StackOutcome {
     /// No policy objected.
     Continue,
-    /// A record-only policy detected: noted, but the kernel should not
-    /// repair anything (though a pre-extension detection still skips the
-    /// corrupted product, matching the legacy record-only semantics).
-    Recorded,
-    /// A policy detected and demands the given response (`Restart` or
-    /// `Abort`).
+    /// A policy detected and demands its response.
     Act(DetectionResponse),
-}
-
-impl StackOutcome {
-    fn from_action(action: PolicyAction, response: DetectionResponse) -> Self {
-        match (action, response) {
-            (PolicyAction::Continue, _) => StackOutcome::Continue,
-            (PolicyAction::Detected, DetectionResponse::RecordOnly) => StackOutcome::Recorded,
-            (PolicyAction::Detected, r) => StackOutcome::Act(r),
-        }
-    }
 }
 
 /// An ordered stack of resilience policies consulted by the kernel.
@@ -601,39 +587,27 @@ impl<'p, S: KrylovSpace> PolicyStack<'p, S> {
         }
     }
 
-    /// Shared fold for the four detection hooks: run `hook` on every policy
-    /// in stack order, stop at the first actionable detection (noting a
-    /// restart on the detecting policy), and keep going past record-only
-    /// detections so later policies still observe the quantity.
+    /// Shared fold for the five detection hooks: run `hook` on every policy
+    /// in stack order and stop at the first detection, noting a restart on
+    /// the detecting policy when that is its response.
     fn run_detection_hook(
         &mut self,
         space: &mut S,
         mut hook: impl FnMut(&mut dyn ResiliencePolicy<S>, &mut S) -> Result<PolicyAction>,
     ) -> Result<StackOutcome> {
-        let mut recorded = false;
         for p in &mut self.policies {
-            let out = StackOutcome::from_action(hook(&mut **p, space)?, p.response());
-            match out {
-                StackOutcome::Continue => {}
-                StackOutcome::Recorded => recorded = true,
-                StackOutcome::Act(r) => {
-                    if r == DetectionResponse::Restart {
-                        p.note_restart();
-                    }
-                    return Ok(out);
+            if hook(&mut **p, space)? == PolicyAction::Detected {
+                let response = p.response();
+                if response == DetectionResponse::Restart {
+                    p.note_restart();
                 }
+                return Ok(StackOutcome::Act(response));
             }
         }
-        Ok(if recorded {
-            StackOutcome::Recorded
-        } else {
-            StackOutcome::Continue
-        })
+        Ok(StackOutcome::Continue)
     }
 
-    /// Run the before-SpMV hook; stops at the first actionable detection
-    /// (record-only detections are noted and the remaining policies still
-    /// run).
+    /// Run the before-SpMV hook; stops at the first detection.
     pub fn before_spmv(
         &mut self,
         space: &mut S,
@@ -643,7 +617,7 @@ impl<'p, S: KrylovSpace> PolicyStack<'p, S> {
         self.run_detection_hook(space, |p, space| p.before_spmv(space, ctx, v))
     }
 
-    /// Run the after-SpMV hook; stops at the first actionable detection.
+    /// Run the after-SpMV hook; stops at the first detection.
     pub fn after_spmv(
         &mut self,
         space: &mut S,
@@ -655,7 +629,7 @@ impl<'p, S: KrylovSpace> PolicyStack<'p, S> {
     }
 
     /// Run the after-preconditioner-apply hook; stops at the first
-    /// actionable detection.
+    /// detection.
     pub fn after_precond(
         &mut self,
         space: &mut S,

@@ -1,9 +1,9 @@
 //! The skeptical checks of §III-A as a composable [`ResiliencePolicy`].
 //!
-//! [`SkepticalPolicy`] reimplements the invariant tests of the legacy
-//! `skeptical_gmres` silo — finiteness/norm-bound on every product,
-//! orthogonality of the newest basis pair, periodic residual-consistency —
-//! generically over any [`KrylovSpace`], so the same checks now also guard
+//! [`SkepticalPolicy`] implements the invariant tests — finiteness/norm-bound
+//! on every product, orthogonality of the newest basis pair, periodic
+//! residual-consistency — generically over any [`KrylovSpace`], so the same
+//! checks guard the serial `skeptical_gmres` preset and the
 //! pipelined/distributed solves (every decision quantity is a *global* norm
 //! or dot, keeping rank control flow symmetric).
 //!
@@ -20,7 +20,7 @@
 //! so detection lags one step — still recovered by a corrective restart,
 //! since the iterate is only committed at cycle boundaries (GMRES) or can
 //! be re-seeded (CG). The immediate-dot strategy (`MgsOrtho`) never
-//! negotiates; there the policy keeps the legacy direct reductions,
+//! negotiates; there the policy keeps the direct reductions,
 //! charging exactly the reductions that actually run.
 
 use super::policy::{
@@ -29,8 +29,16 @@ use super::policy::{
 };
 use super::space::KrylovSpace;
 use super::sqrt_nonneg;
-use crate::skeptical::sdc_gmres::{SkepticalConfig, SkepticalReport, SkepticalResponse};
+use crate::skeptical::sdc_gmres::SkepticalConfig;
 use resilient_runtime::Result;
+
+/// Allowed overshoot of the true residual relative to the recurrence
+/// estimate: a detection fires when
+/// `true > estimate * (1 + MISMATCH_TOL) + 10·tol`.
+const MISMATCH_TOL: f64 = 10.0;
+
+/// Safety factor on the norm bound ‖A·v‖ ≤ factor·‖A‖∞·‖v‖.
+const NORM_SAFETY_FACTOR: f64 = 4.0;
 
 /// Globally reduced check scalars delivered by the current wants-dots round
 /// (cleared at each negotiation; `take`n by the detection hooks).
@@ -47,13 +55,13 @@ struct FusedCheckState {
     prev_basis_norm_sq: Option<f64>,
 }
 
-/// Skeptical invariant checks as a policy. Build from the legacy
-/// [`SkepticalConfig`]; after the solve, [`SkepticalPolicy::report`] returns
-/// the legacy [`SkepticalReport`].
+/// Skeptical invariant checks as a policy, built from a
+/// [`SkepticalConfig`]. Its checks, detections, restarts and check FLOPs
+/// are counted in one [`PolicyOverhead`].
 #[derive(Debug, Clone)]
 pub struct SkepticalPolicy {
     cfg: SkepticalConfig,
-    report: SkepticalReport,
+    overhead: PolicyOverhead,
     /// Operator ∞-norm estimate, captured at solve start from the space.
     norm_a: f64,
     fused: FusedCheckState,
@@ -64,15 +72,19 @@ impl SkepticalPolicy {
     pub fn new(cfg: SkepticalConfig) -> Self {
         Self {
             cfg,
-            report: SkepticalReport::default(),
+            overhead: PolicyOverhead {
+                name: "skeptical",
+                ..PolicyOverhead::default()
+            },
             norm_a: f64::INFINITY,
             fused: FusedCheckState::default(),
         }
     }
 
-    /// The accumulated legacy-format report.
-    pub fn report(&self) -> SkepticalReport {
-        self.report.clone()
+    /// The accumulated overhead, as [`overhead`](ResiliencePolicy::overhead)
+    /// returns it. Kept for the frozen `perf_ledger`, which calls it.
+    pub fn report(&self) -> PolicyOverhead {
+        self.overhead.clone()
     }
 }
 
@@ -82,11 +94,7 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
     }
 
     fn response(&self) -> DetectionResponse {
-        match self.cfg.response {
-            SkepticalResponse::RecordOnly => DetectionResponse::RecordOnly,
-            SkepticalResponse::Restart => DetectionResponse::Restart,
-            SkepticalResponse::Abort => DetectionResponse::Abort,
-        }
+        self.cfg.response
     }
 
     fn on_solve_start(&mut self, space: &mut S, _b: &S::Vector) -> Result<()> {
@@ -121,8 +129,8 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
 
     fn consume_check_dots(&mut self, _ctx: &IterCtx, local_n: usize, values: &[(CheckDot, f64)]) {
         // The tagged reduction already attributed these FLOPs in the space's
-        // check ledger; mirror them into the legacy-format report.
-        self.report.check_flops += 2 * local_n * values.len();
+        // check ledger; mirror them into this policy's.
+        self.overhead.check_flops += 2 * local_n * values.len();
         for (which, v) in values {
             let slot = match which {
                 CheckDot::ProductNormSq => &mut self.fused.product_norm_sq,
@@ -158,7 +166,7 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
                 Some(wn2) => wn2,
                 None => return Ok(PolicyAction::Continue),
             };
-            self.report.local_checks_run += 1;
+            self.overhead.checks_run += 1;
             let mut bad = !wn2.is_finite();
             if !bad && self.norm_a.is_finite() {
                 let vn = self
@@ -168,15 +176,15 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
                     .map(sqrt_nonneg)
                     .unwrap_or(1.0);
                 let wn = sqrt_nonneg(wn2);
-                bad = wn > self.cfg.norm_bound_factor * self.norm_a * vn.max(1.0);
+                bad = wn > NORM_SAFETY_FACTOR * self.norm_a * vn.max(1.0);
             }
             bad
         } else {
             // Direct path (immediate-dot strategies): post the reductions
             // here, charging exactly the ones that run.
-            self.report.local_checks_run += 1;
+            self.overhead.checks_run += 1;
             let n = space.local_len(w);
-            self.report.check_flops += 2 * n;
+            self.overhead.check_flops += 2 * n;
             space.record_check_flops(2 * n);
             let wn = space.norm(w)?;
             let mut bad = space.local_has_non_finite(w) || !wn.is_finite();
@@ -185,15 +193,15 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
                 // (When any rank holds a non-finite local value the *global*
                 // ‖w‖ is non-finite on every rank, so this branch stays
                 // rank-symmetric.)
-                self.report.check_flops += 2 * n;
+                self.overhead.check_flops += 2 * n;
                 space.record_check_flops(2 * n);
                 let vn = space.norm(v)?;
-                bad = wn > self.cfg.norm_bound_factor * self.norm_a * vn.max(1.0);
+                bad = wn > NORM_SAFETY_FACTOR * self.norm_a * vn.max(1.0);
             }
             bad
         };
         if suspicious {
-            self.report.detections += 1;
+            self.overhead.detections += 1;
             return Ok(PolicyAction::Detected);
         }
         Ok(PolicyAction::Continue)
@@ -219,7 +227,7 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
                 Some(d) => d.abs(),
                 None => return Ok(PolicyAction::Continue),
             };
-            self.report.local_checks_run += 1;
+            self.overhead.checks_run += 1;
             match (
                 self.cfg.orthogonality_tol.is_finite(),
                 self.fused.new_basis_norm_sq.take(),
@@ -237,9 +245,9 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
                 Some(p) => p,
                 None => return Ok(PolicyAction::Continue),
             };
-            self.report.local_checks_run += 1;
+            self.overhead.checks_run += 1;
             let n = space.local_len(new_v);
-            self.report.check_flops += 2 * n;
+            self.overhead.check_flops += 2 * n;
             space.record_check_flops(2 * n);
             let inner = space.dot(new_v, prev)?.abs();
             // With an infinite tolerance (how presets disable the test for
@@ -247,7 +255,7 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
             // p(1)-pipelined one) only the NaN test below can fire, so skip
             // the two norm reductions — and their cost.
             if self.cfg.orthogonality_tol.is_finite() {
-                self.report.check_flops += 4 * n;
+                self.overhead.check_flops += 4 * n;
                 space.record_check_flops(4 * n);
                 let scale = space.norm(new_v)? * space.norm(prev)?;
                 !inner.is_finite()
@@ -257,7 +265,7 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
             }
         };
         if suspicious {
-            self.report.detections += 1;
+            self.overhead.detections += 1;
             return Ok(PolicyAction::Detected);
         }
         Ok(PolicyAction::Continue)
@@ -278,34 +286,27 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for SkepticalPolicy {
         {
             return Ok(PolicyAction::Continue);
         }
-        self.report.residual_checks_run += 1;
+        self.overhead.checks_run += 1;
         // Cost against the *live* local length: a shrink recovery rebuilds
         // the communicator and changes local vector lengths mid-solve.
         let check_cost = space.flops_per_apply() + 4 * probe.local_len(space);
-        self.report.check_flops += check_cost;
+        self.overhead.check_flops += check_cost;
         space.record_check_flops(check_cost);
         let true_rr = probe.trial_true_relres(space)?;
-        let allowed = ctx.relres * (1.0 + self.cfg.residual_mismatch_tol) + 10.0 * ctx.tol;
+        let allowed = ctx.relres * (1.0 + MISMATCH_TOL) + 10.0 * ctx.tol;
         if !true_rr.is_finite() || true_rr > allowed {
-            self.report.detections += 1;
+            self.overhead.detections += 1;
             return Ok(PolicyAction::Detected);
         }
         Ok(PolicyAction::Continue)
     }
 
     fn overhead(&self) -> PolicyOverhead {
-        PolicyOverhead {
-            name: "skeptical",
-            checks_run: self.report.local_checks_run + self.report.residual_checks_run,
-            detections: self.report.detections,
-            restarts: self.report.corrective_restarts,
-            check_flops: self.report.check_flops,
-            persist_bytes: 0,
-        }
+        self.overhead.clone()
     }
 
     fn note_restart(&mut self) {
-        self.report.corrective_restarts += 1;
+        self.overhead.restarts += 1;
     }
 }
 
@@ -359,7 +360,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, PolicyAction::Continue);
-        assert_eq!(p.report.check_flops, 2 * n);
+        assert_eq!(p.overhead.check_flops, 2 * n);
 
         // With a finite estimate the bound test reduces ‖v‖ as well.
         let mut p = SkepticalPolicy::new(SkepticalConfig::default());
@@ -372,7 +373,7 @@ mod tests {
             &w,
         )
         .unwrap();
-        assert_eq!(p.report.check_flops, 4 * n);
+        assert_eq!(p.overhead.check_flops, 4 * n);
     }
 
     /// Satellite regression: the finite-tolerance orthogonality path runs
@@ -398,7 +399,7 @@ mod tests {
             Some(&prev_v),
         )
         .unwrap();
-        assert_eq!(finite.report.check_flops, 6 * n);
+        assert_eq!(finite.overhead.check_flops, 6 * n);
 
         let mut infinite = SkepticalPolicy::new(SkepticalConfig {
             orthogonality_tol: f64::INFINITY,
@@ -412,7 +413,7 @@ mod tests {
             Some(&prev_v),
         )
         .unwrap();
-        assert_eq!(infinite.report.check_flops, 2 * n);
+        assert_eq!(infinite.overhead.check_flops, 2 * n);
     }
 
     /// The fused after-SpMV decision consumes already-global scalars and
@@ -448,8 +449,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, PolicyAction::Detected);
-        // The fused pairs' cost was mirrored into the report (2n each).
-        assert_eq!(p.report.check_flops, 4 * n);
+        // The fused pairs' cost was mirrored into the overhead (2n each).
+        assert_eq!(p.overhead.check_flops, 4 * n);
 
         // Once consumed, a second hook invocation has nothing to check.
         let out = <SkepticalPolicy as ResiliencePolicy<Space<'_, '_>>>::after_spmv(

@@ -12,10 +12,10 @@
 
 use resilient_runtime::{CommBackend, Result};
 
-use super::{solve_dist, BlockSolveOutcome, DistSolveOptions, DistSolveOutcome};
+use super::{solve_dist, DistSolveOptions, DistSolveOutcome};
 use crate::distributed::{DistCsr, DistMultiVector, DistVector};
 use crate::kernel::{
-    run_block_cg, DistSpace, PolicyStack, Schedule, SolveSpec, SpacePreconditioner,
+    run_block_cg, BlockOutcome, DistSpace, PolicyStack, Schedule, SolveSpec, SpacePreconditioner,
 };
 
 /// Classical distributed CG. Each iteration performs one SpMV (neighborhood
@@ -97,7 +97,7 @@ fn block_pcg<'a, 'b, C: CommBackend>(
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     schedule: Schedule,
     opts: &DistSolveOptions,
-) -> Result<BlockSolveOutcome> {
+) -> Result<BlockOutcome> {
     let mut space = opts.space(comm, a);
     let (outcome, _report) = run_block_cg(
         &mut space,
@@ -108,7 +108,7 @@ fn block_pcg<'a, 'b, C: CommBackend>(
         m,
         &mut PolicyStack::empty(),
     )?;
-    Ok(outcome.into_block_solve_outcome())
+    Ok(outcome)
 }
 
 /// Block (multi-RHS) preconditioned distributed CG: all `k = b.k()`
@@ -127,7 +127,7 @@ pub fn dist_block_pcg<'a, 'b, C: CommBackend>(
     b: &DistMultiVector,
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     opts: &DistSolveOptions,
-) -> Result<BlockSolveOutcome> {
+) -> Result<BlockOutcome> {
     block_pcg(comm, a, b, m, Schedule::Fused, opts)
 }
 
@@ -145,7 +145,7 @@ pub fn pipelined_block_pcg<'a, 'b, C: CommBackend>(
     b: &DistMultiVector,
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     opts: &DistSolveOptions,
-) -> Result<BlockSolveOutcome> {
+) -> Result<BlockOutcome> {
     block_pcg(comm, a, b, m, Schedule::Pipelined, opts)
 }
 

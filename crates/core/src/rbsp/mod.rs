@@ -22,83 +22,12 @@ pub mod gmres;
 
 use resilient_runtime::{CommBackend, Result};
 
-use crate::distributed::{DistCsr, DistMultiVector, DistVector};
-use crate::kernel::{solve, DistSpace, PolicyStack, SolveSpec, SpacePreconditioner};
-use crate::solvers::common::StopReason;
+use crate::distributed::{DistCsr, DistVector};
+use crate::kernel::{solve, DistSpace, KernelOutcome, PolicyStack, SolveSpec, SpacePreconditioner};
 
-/// Outcome of a distributed solve (per rank; the solution is distributed).
-#[derive(Debug, Clone)]
-pub struct DistSolveOutcome {
-    /// This rank's part of the solution.
-    pub x: DistVector,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Final relative residual (recurrence estimate).
-    pub relative_residual: f64,
-    /// Whether the tolerance was met.
-    pub converged: bool,
-    /// Why the solve stopped.
-    pub reason: StopReason,
-    /// Relative residual history.
-    pub history: Vec<f64>,
-}
-
-/// Outcome of a batched multi-RHS solve ([`cg::dist_block_pcg`],
-/// [`cg::pipelined_block_pcg`]): the block iterate plus per-column
-/// convergence data. Columns converge independently (masking), so each has
-/// its own iteration count, residual and history.
-#[derive(Debug, Clone)]
-pub struct BlockSolveOutcome {
-    /// This rank's part of the block solution (all `k` columns).
-    pub x: DistMultiVector,
-    /// Iterations the batch performed (columns advance in lockstep).
-    pub iterations: usize,
-    /// Iteration at which each column converged (or froze on breakdown);
-    /// columns that never froze report the total count.
-    pub column_iterations: Vec<usize>,
-    /// Final relative residual of each column (recurrence estimate).
-    pub relative_residuals: Vec<f64>,
-    /// Whether each column met the tolerance.
-    pub converged: Vec<bool>,
-    /// Why the batch as a whole stopped.
-    pub reason: StopReason,
-    /// Per-column relative-residual history.
-    pub histories: Vec<Vec<f64>>,
-}
-
-impl BlockSolveOutcome {
-    /// Did every column meet the tolerance?
-    pub fn all_converged(&self) -> bool {
-        self.converged.iter().all(|&c| c)
-    }
-
-    /// Split into `k` single-RHS outcomes (consuming the block).
-    pub fn into_columns(self) -> Vec<DistSolveOutcome> {
-        let (x, reason) = (self.x, self.reason);
-        self.column_iterations
-            .into_iter()
-            .zip(self.relative_residuals)
-            .zip(self.converged)
-            .zip(self.histories)
-            .enumerate()
-            .map(
-                |(c, (((iterations, relative_residual), converged), history))| DistSolveOutcome {
-                    x: x.column(c),
-                    iterations,
-                    relative_residual,
-                    converged,
-                    // Columns short of the tolerance share the batch's.
-                    reason: if converged {
-                        StopReason::Converged
-                    } else {
-                        reason
-                    },
-                    history,
-                },
-            )
-            .collect()
-    }
-}
+/// Outcome of a distributed single-RHS solve (per rank; the solution is
+/// distributed). Kept for the frozen `perf_ledger`, which names it.
+pub type DistSolveOutcome = KernelOutcome<DistVector>;
 
 /// Options shared by the distributed solvers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -214,5 +143,5 @@ pub fn solve_dist<'a, 'b, C: CommBackend>(
         m,
         &mut PolicyStack::empty(),
     )?;
-    Ok(outcome.into_dist_outcome(opts.tol))
+    Ok(outcome)
 }

@@ -8,4 +8,4 @@ pub mod sdc_gmres;
 
 pub use abft::{abft_gemm_trial, abft_spmv_trial, encode_spmv, AbftOutcome, AbftStats};
 pub use faulty::random_spmv_fault;
-pub use sdc_gmres::{skeptical_gmres, SkepticalConfig, SkepticalReport, SkepticalResponse};
+pub use sdc_gmres::{skeptical_gmres, SkepticalConfig};

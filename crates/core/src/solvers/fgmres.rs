@@ -17,28 +17,9 @@ use crate::kernel::{
 
 use super::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
 
-/// Statistics of one FGMRES run beyond the generic outcome.
-#[derive(Debug, Clone, Default)]
-pub struct FgmresReport {
-    /// Number of inner (preconditioner) applications.
-    pub inner_applications: usize,
-    /// Number of inner applications whose result was rejected by the outer
-    /// skeptical check (non-finite values) and replaced by the unpreconditioned
-    /// residual direction.
-    pub rejected_inner_results: usize,
-}
-
-impl From<&KernelReport> for FgmresReport {
-    fn from(report: &KernelReport) -> Self {
-        Self {
-            inner_applications: report.inner_applications,
-            rejected_inner_results: report.rejected_inner_results,
-        }
-    }
-}
-
 /// Flexible GMRES with restart, applying `m` as a (possibly varying,
-/// possibly unreliable) right preconditioner.
+/// possibly unreliable) right preconditioner. The kernel report counts the
+/// inner applications and the inner results the outer check rejected.
 ///
 /// Preset: unified kernel × [`MgsOrtho`] × empty policy stack over
 /// a 1-rank [`DistSpace`]. The outer iteration skeptically validates every
@@ -50,11 +31,11 @@ pub fn fgmres<M>(
     b: &[f64],
     x0: Option<&[f64]>,
     opts: &SolveOptions,
-) -> (SolveOutcome, FgmresReport)
+) -> (SolveOutcome, KernelReport)
 where
     M: for<'x, 'y> FlexibleRight<DistSpace<'x, 'y>>,
 {
-    let (out, report) = solve_on_one_rank(a, b, x0, None, |space, b, x0| {
+    solve_on_one_rank(a, b, x0, None, |space, b, x0| {
         let m = Some(m as &mut dyn FlexibleRight<_>);
         let policies = &mut PolicyStack::empty();
         run_gmres(
@@ -67,8 +48,7 @@ where
             m,
             &GmresFlavor,
         )
-    });
-    (out, FgmresReport::from(&report))
+    })
 }
 
 #[cfg(test)]

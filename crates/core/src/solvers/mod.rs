@@ -8,5 +8,5 @@ pub mod gmres;
 
 pub use cg::cg;
 pub use common::{true_relative_residual, SolveOptions, SolveOutcome, StopReason};
-pub use fgmres::{fgmres, FgmresReport};
+pub use fgmres::fgmres;
 pub use gmres::gmres;

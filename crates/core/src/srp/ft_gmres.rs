@@ -27,10 +27,10 @@ use resilient_runtime::{Comm, Result};
 use super::reliability::SrpCostLedger;
 use crate::distributed::{DistCsr, DistVector};
 use crate::kernel::{
-    run_gmres, DistSpace, FlexibleRight, GmresFlavor, MgsOrtho, PolicyStack, SpmvFault,
+    run_gmres, DistSpace, FlexibleRight, GmresFlavor, KernelReport, MgsOrtho, PolicyStack,
+    SpmvFault,
 };
 use crate::solvers::common::{measured, one_rank, SolveOptions, SolveOutcome, ONE_RANK};
-use crate::solvers::fgmres::FgmresReport;
 use crate::solvers::gmres::{gmres, gmres_on};
 
 /// Configuration of the FT-GMRES inner/outer split.
@@ -66,8 +66,9 @@ impl Default for FtGmresConfig {
 /// Report of an FT-GMRES run.
 #[derive(Debug, Clone, Default)]
 pub struct FtGmresReport {
-    /// Flexible-GMRES level report (inner applications, rejected results).
-    pub outer: FgmresReport,
+    /// The outer flexible-GMRES solve's report: inner applications,
+    /// rejected inner results, policy restarts and per-policy overhead.
+    pub outer: KernelReport,
     /// Cost ledger split by reliability tier.
     pub ledger: SrpCostLedger,
     /// Corrupted elements produced by the unreliable tier.
@@ -126,9 +127,7 @@ pub fn ft_gmres(a: &CsrMatrix, b: &[f64], cfg: &FtGmresConfig) -> (SolveOutcome,
     let (mut comm, a) = one_rank(a);
     let b = DistVector::from_global(&comm, b);
     let stack = &mut PolicyStack::empty();
-    let (out, report, _restarts) =
-        ft_gmres_with_policies(&mut comm, &a, &b, cfg, None, stack).expect(ONE_RANK);
-    (out, report)
+    ft_gmres_with_policies(&mut comm, &a, &b, cfg, None, stack).expect(ONE_RANK)
 }
 
 /// FT-GMRES over `a` on `comm`, with an explicit resilience-policy stack
@@ -136,8 +135,9 @@ pub fn ft_gmres(a: &CsrMatrix, b: &[f64], cfg: &FtGmresConfig) -> (SolveOutcome,
 /// behind [`crate::kernel::compose::ft_gmres_abft`]. `fault` optionally
 /// strikes one outer product (the reliable tier's blind spot). Returns the
 /// outcome — its `flops` are the whole solve's, inner solves included, and
-/// its `injections` the outer strikes — the FT-GMRES report and the number
-/// of policy-triggered outer-cycle restarts.
+/// its `injections` the outer strikes — and the FT-GMRES report, whose
+/// `outer` carries the policy-triggered outer-cycle restarts and the
+/// stack's overhead.
 ///
 /// # Errors
 /// Whatever the communicator reports; never on one rank.
@@ -148,7 +148,7 @@ pub fn ft_gmres_with_policies<'a, 'b>(
     cfg: &FtGmresConfig,
     fault: Option<SpmvFault>,
     policies: &mut PolicyStack<'_, DistSpace<'a, 'b>>,
-) -> Result<(SolveOutcome, FtGmresReport, usize)> {
+) -> Result<(SolveOutcome, FtGmresReport)> {
     let mut inner = UnreliableInner {
         opts: SolveOptions::default()
             .with_tol(cfg.inner_tol)
@@ -183,12 +183,12 @@ pub fn ft_gmres_with_policies<'a, 'b>(
     // reliable mode.
     ledger.charge(Reliability::Reliable, out.flops - inner.flops);
     let ft = FtGmresReport {
-        outer: FgmresReport::from(&report),
+        outer: report,
         ledger,
         corruptions: inner.corruptions,
         inner_iterations: inner.inner_iterations,
     };
-    Ok((out, ft, report.policy_restarts))
+    Ok((out, ft))
 }
 
 /// The all-unreliable baseline: plain GMRES whose every product is struck
