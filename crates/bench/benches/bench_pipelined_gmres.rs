@@ -26,8 +26,8 @@ fn solve(pipelined: bool, use_gmres: bool) -> f64 {
         let out = match (pipelined, use_gmres) {
             (false, false) => dist_cg(comm, &da, &b, &opts)?,
             (true, false) => pipelined_cg(comm, &da, &b, &opts)?,
-            (false, true) => dist_gmres(comm, &da, &b, &opts)?,
-            (true, true) => pipelined_gmres(comm, &da, &b, &opts)?,
+            (false, true) => solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, None, &opts)?,
+            (true, true) => solve_dist(comm, &da, &b, SolveSpec::PIPELINED_GMRES, None, &opts)?,
         };
         Ok(out.iterations as f64)
     });

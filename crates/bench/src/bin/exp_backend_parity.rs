@@ -27,7 +27,6 @@
 
 use std::sync::Arc;
 
-use resilience::kernel::compose::pipelined_skeptical_gmres;
 use resilience::kernel::{lflr_pipelined_pcg, KrylovLflrConfig};
 use resilience::prelude::*;
 use resilient_bench::{fmt_g, fmt_ratio, Table};
@@ -79,7 +78,7 @@ fn latency_body<C: CommBackend>(
     let b = DistVector::from_fn(comm, n, |i| 1.0 + (i % 3) as f64);
     let t0 = comm.now();
     let mut bj = BlockJacobi::new(&da);
-    let blocking = dist_pcg(comm, &da, &b, &mut bj, &opts)?;
+    let blocking = solve_dist(comm, &da, &b, SolveSpec::FUSED_CG, Some(&mut bj), &opts)?;
     let t1 = comm.now();
     let mut bj = BlockJacobi::new(&da);
     let pipelined = pipelined_pcg(comm, &da, &b, &mut bj, &opts)?;
@@ -202,10 +201,12 @@ fn sdc_body<C: CommBackend>(
     let n = a.nrows();
     let da = DistCsr::from_global(comm, &a)?;
     let b = DistVector::from_fn(comm, n, |i| 1.0 + (i % 3) as f64);
-    let (out, report) = pipelined_skeptical_gmres(
+    let (out, report) = pipelined_skeptical(
         comm,
         &da,
         &b,
+        Method::Gmres,
+        None,
         &opts,
         &SkepticalConfig::default(),
         Some(fault),

@@ -74,7 +74,7 @@ fn measure(pipelined: bool, ranks: usize, k: usize, nx: usize) -> (f64, f64, f64
                 let out = if pipelined {
                     pipelined_pcg(comm, &da, &bc, &mut m, &opts)?
                 } else {
-                    dist_pcg(comm, &da, &bc, &mut m, &opts)?
+                    solve_dist(comm, &da, &bc, SolveSpec::FUSED_CG, Some(&mut m), &opts)?
                 };
                 assert!(out.converged, "sequential solve {c} must converge");
             }
@@ -87,7 +87,7 @@ fn measure(pipelined: bool, ranks: usize, k: usize, nx: usize) -> (f64, f64, f64
             let cold = if pipelined {
                 pipelined_block_pcg(comm, &da, &bk, &mut m, &opts)?
             } else {
-                dist_block_pcg(comm, &da, &bk, &mut m, &opts)?
+                solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut m, &opts)?
             };
             let t2 = comm.now();
 
@@ -97,7 +97,7 @@ fn measure(pipelined: bool, ranks: usize, k: usize, nx: usize) -> (f64, f64, f64
             let warm = if pipelined {
                 pipelined_block_pcg(comm, &da, &bk, &mut m, &opts)?
             } else {
-                dist_block_pcg(comm, &da, &bk, &mut m, &opts)?
+                solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut m, &opts)?
             };
             let t3 = comm.now();
 
@@ -138,7 +138,7 @@ fn allreduces_per_iter(pipelined: bool, ranks: usize, k: usize) -> u64 {
             let out = if pipelined {
                 pipelined_block_pcg(comm, &da, &bk, &mut m, &opts)?
             } else {
-                dist_block_pcg(comm, &da, &bk, &mut m, &opts)?
+                solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut m, &opts)?
             };
             assert_eq!(out.iterations, max_iters, "pinned run must not converge");
             Ok(comm.snapshot_stats().collectives - before)

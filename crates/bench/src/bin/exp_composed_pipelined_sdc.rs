@@ -18,7 +18,6 @@
 //!
 //! Pass `--smoke` for a CI-sized run.
 
-use resilience::kernel::compose::pipelined_skeptical_gmres;
 use resilience::prelude::*;
 use resilient_bench::{fmt_g, Table};
 use resilient_linalg::poisson2d;
@@ -93,8 +92,16 @@ fn main() {
                 let t0 = comm.now();
                 let c0 = comm.snapshot_stats().collectives;
                 let (out, detections, restarts, check_flops) = if let Some(skeptic) = skeptic {
-                    let (out, report) =
-                        pipelined_skeptical_gmres(comm, &da, &b, &opts2, &skeptic, fault)?;
+                    let (out, report) = pipelined_skeptical(
+                        comm,
+                        &da,
+                        &b,
+                        Method::Gmres,
+                        None,
+                        &opts2,
+                        &skeptic,
+                        fault,
+                    )?;
                     let per_policy: usize = report.policies.iter().map(|p| p.check_flops).sum();
                     (
                         out,
@@ -103,7 +110,8 @@ fn main() {
                         per_policy,
                     )
                 } else {
-                    (pipelined_gmres(comm, &da, &b, &opts2)?, 0, 0, 0)
+                    let out = solve_dist(comm, &da, &b, SolveSpec::PIPELINED_GMRES, None, &opts2)?;
+                    (out, 0, 0, 0)
                 };
                 let elapsed = comm.now() - t0;
                 let collectives = comm.snapshot_stats().collectives - c0;

@@ -2,7 +2,7 @@
 //! vs. pipelined CG and GMRES under sweeps of rank count and collective
 //! latency, with and without per-rank noise — and, since preconditioning
 //! became a kernel axis, the same blocking-vs-pipelined comparison for the
-//! block-Jacobi preconditioned CG presets (`dist_pcg` vs `pipelined_pcg`):
+//! block-Jacobi preconditioned CG specs (`FUSED_CG` vs `PIPELINED_CG`):
 //! the preconditioner's local work is overlap-friendly, so latency hiding
 //! keeps paying off at production-like iteration counts.
 

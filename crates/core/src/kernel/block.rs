@@ -105,9 +105,8 @@ use super::{sqrt_nonneg, KernelOutcome, KernelReport, SolveProgress};
 use crate::distributed::{DistMultiVector, DistVector};
 use crate::solvers::common::{SolveOptions, StopReason};
 
-/// Result of one block solve ([`run_block_cg`], the block presets
-/// [`dist_block_pcg`](crate::rbsp::cg::dist_block_pcg) and
-/// [`pipelined_block_pcg`](crate::rbsp::cg::pipelined_block_pcg)): the
+/// Result of one block solve ([`run_block_cg`],
+/// [`rbsp::solve_dist_block`](crate::rbsp::solve_dist_block)): the
 /// final block iterate plus per-column convergence data. Columns converge
 /// independently (masking), so each has its own iteration count, residual
 /// and history.

@@ -1,21 +1,12 @@
 //! Composed resilience scenarios — combinations the pre-kernel silos could
 //! not express.
 //!
-//! * [`pipelined_skeptical`] — the one body behind the next four: a
-//!   pipelined [`Method`] × optional preconditioner under the skeptical stack.
-//! * [`pipelined_skeptical_gmres`] — **RBSP × SkP**: the p(1)-pipelined
-//!   GMRES (latency hiding via a nonblocking fused reduction) running under
-//!   the full skeptical SDC-detection stack, over the distributed runtime.
-//!   With the wants-dots negotiation the checks ride the strategy's own
-//!   reduction: one allreduce per iteration, detection included.
-//! * [`pipelined_skeptical_cg`] — **RBSP × SkP** over the CG recurrence:
-//!   pipelined CG whose single fused reduction carries the skeptical check
-//!   dots, with recurrence-rebuild recovery on detection.
-//! * [`pipelined_skeptical_pcg`] / [`pipelined_skeptical_pgmres`] —
-//!   **RBSP × preconditioning × SkP**: the same compositions over the
-//!   *preconditioned* pipelined recurrences (block-Jacobi or any other
-//!   [`SpacePreconditioner`]), so fault scenarios run at production-like
-//!   iteration counts with detection still off the critical path.
+//! * [`pipelined_skeptical`] — **RBSP × SkP**, optionally × preconditioning:
+//!   a pipelined [`Method`] (p(1) GMRES or Ghysels–Vanroose CG) with an
+//!   optional preconditioner under the full skeptical SDC-detection stack,
+//!   over the distributed runtime. With the wants-dots negotiation the
+//!   checks ride the strategy's own reduction: one allreduce per iteration,
+//!   detection included.
 //! * [`ft_gmres_abft`] — **SRP × ABFT**: FT-GMRES (reliable outer /
 //!   unreliable inner iterations) whose *outer* products are additionally
 //!   verified against Huang–Abraham checksums, so corruption of the
@@ -254,7 +245,7 @@ impl AbftSpmvPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 1: pipelined GMRES × skeptical SDC detection (RBSP × SkP)
+// Pipelined solvers × skeptical SDC detection (RBSP × SkP)
 // ---------------------------------------------------------------------------
 
 /// Report of one composed pipelined-skeptical solve.
@@ -273,12 +264,27 @@ pub struct ComposedDistReport {
 
 /// One pipelined method under the skeptical SDC-detection stack — latency
 /// hiding *and* corruption detection in one solve, which the rbsp/skeptical
-/// silos could not combine; the four named scenarios below are its
-/// `method` × preconditioner matrix. The skeptical check dots ride the
-/// strategy's single nonblocking reduction (wants-dots negotiation), so
-/// detection adds zero collectives per iteration. `fault` optionally
-/// injects a single-event upset into a chosen SpMV product (see
-/// [`SpmvFault`]).
+/// silos could not combine. `fault` optionally injects a single-event upset
+/// into a chosen SpMV product (see [`SpmvFault`]).
+///
+/// The skeptical check dots ride the strategy's single nonblocking
+/// reduction (wants-dots negotiation), so detection adds zero collectives
+/// per iteration:
+///
+/// * [`Method::Gmres`]: p(1)-pipelined GMRES. The pairwise-orthogonality
+///   test is disabled — the p(1) basis is recovered by linearity and drifts
+///   legitimately.
+/// * [`Method::Cg`]: pipelined CG, whose fused reduction carries the check
+///   dots (the recurrence maintains `w = A·r`, so the fused norm-bound /
+///   finiteness decision lags the overlapped product by one step). On a
+///   `Restart`-response detection the kernel rebuilds the recurrence from
+///   the current iterate — CG's analogue of discarding a corrupted Arnoldi
+///   cycle.
+/// * With `m` (block-Jacobi or any other [`SpacePreconditioner`]) the same
+///   stacks run over the *preconditioned* recurrences: the apply joins the
+///   overlap region (GMRES on `A·M⁻¹` with the correction basis maintained
+///   by linearity), so fault scenarios run at production-like iteration
+///   counts with detection still off the critical path.
 ///
 /// # Errors
 /// [`RuntimeError::InvalidArgument`](resilient_runtime::RuntimeError),
@@ -342,37 +348,9 @@ pub fn pipelined_skeptical<'a, 'b, C: CommBackend>(
     ))
 }
 
-/// p(1)-pipelined GMRES with the skeptical SDC-detection stack:
-/// [`pipelined_skeptical`] × [`Method::Gmres`], pairwise-orthogonality
-/// test disabled (the p(1) basis is recovered by linearity and drifts
-/// legitimately).
-pub fn pipelined_skeptical_gmres<C: CommBackend>(
-    comm: &mut C,
-    a: &DistCsr,
-    b: &DistVector,
-    opts: &DistSolveOptions,
-    skeptic: &SkepticalConfig,
-    fault: Option<SpmvFault>,
-) -> Result<(DistSolveOutcome, ComposedDistReport)> {
-    pipelined_skeptical(comm, a, b, Method::Gmres, None, opts, skeptic, fault)
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 1b: pipelined CG × skeptical SDC detection (RBSP × SkP)
-// ---------------------------------------------------------------------------
-
-/// Pipelined CG (Ghysels–Vanroose) with the skeptical SDC-detection stack —
-/// the first ROADMAP follow-on composition over the unified kernel.
-///
-/// The CG recurrence's single nonblocking fused reduction carries the
-/// skeptical check dots via the wants-dots negotiation, so SDC detection
-/// adds **zero** collectives per iteration: one reduction per step, checks
-/// included (the recurrence maintains `w = A·r`, so the fused norm-bound /
-/// finiteness decision lags the overlapped product by one step). On a
-/// `Restart`-response detection the kernel rebuilds the recurrence from the
-/// current iterate — CG's analogue of discarding a corrupted Arnoldi cycle.
-/// `fault` optionally injects a single-event upset into a chosen SpMV
-/// product (see [`SpmvFault`]).
+/// Pipelined CG under the skeptical SDC stack: [`pipelined_skeptical`]
+/// with [`Method::Cg`] and no preconditioner. Kept for the frozen
+/// `perf_ledger`.
 pub fn pipelined_skeptical_cg<C: CommBackend>(
     comm: &mut C,
     a: &DistCsr,
@@ -385,49 +363,7 @@ pub fn pipelined_skeptical_cg<C: CommBackend>(
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 1c: preconditioned pipelined solvers × skeptical SDC detection
-// (RBSP × preconditioning × SkP)
-// ---------------------------------------------------------------------------
-
-/// Preconditioned pipelined CG under the skeptical SDC stack — all three
-/// latency levers at once: one nonblocking fused reduction per iteration,
-/// carrying γ, δ, ‖r‖² *and* the skeptical check dots, overlapped with both
-/// the SpMV and the (collective-free) preconditioner apply. With
-/// [`BlockJacobi`](super::precond::BlockJacobi) this runs an
-/// ill-conditioned problem at production-like iteration counts while SDC
-/// detection still adds zero collectives.
-pub fn pipelined_skeptical_pcg<'a, 'b, C: CommBackend>(
-    comm: &'a mut C,
-    a: &'b DistCsr,
-    b: &DistVector,
-    m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    opts: &DistSolveOptions,
-    skeptic: &SkepticalConfig,
-    fault: Option<SpmvFault>,
-) -> Result<(DistSolveOutcome, ComposedDistReport)> {
-    pipelined_skeptical(comm, a, b, Method::Cg, Some(m), opts, skeptic, fault)
-}
-
-/// Right-preconditioned p(1)-pipelined GMRES under the skeptical SDC stack:
-/// the pipelined Arnoldi runs on `A·M⁻¹`, the preconditioned correction
-/// basis is maintained by linearity, and the skeptical check dots ride the
-/// strategy's single reduction. The pairwise-orthogonality test is disabled
-/// exactly as in [`pipelined_skeptical_gmres`] (the p(1) basis is recovered
-/// by linearity and drifts legitimately).
-pub fn pipelined_skeptical_pgmres<'a, 'b, C: CommBackend>(
-    comm: &'a mut C,
-    a: &'b DistCsr,
-    b: &DistVector,
-    m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    opts: &DistSolveOptions,
-    skeptic: &SkepticalConfig,
-    fault: Option<SpmvFault>,
-) -> Result<(DistSolveOutcome, ComposedDistReport)> {
-    pipelined_skeptical(comm, a, b, Method::Gmres, Some(m), opts, skeptic, fault)
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 2: FT-GMRES × ABFT-checked outer products (SRP × ABFT)
+// FT-GMRES × ABFT-checked outer products (SRP × ABFT)
 // ---------------------------------------------------------------------------
 
 /// FT-GMRES on one rank whose outer (reliable-tier) products are verified
@@ -473,10 +409,12 @@ mod tests {
                 let n = a.nrows();
                 let da = DistCsr::from_global(comm, &a)?;
                 let b = DistVector::from_fn(comm, n, |i| 1.0 + (i % 2) as f64);
-                let (out, report) = pipelined_skeptical_gmres(
+                let (out, report) = pipelined_skeptical(
                     comm,
                     &da,
                     &b,
+                    Method::Gmres,
+                    None,
                     &dist_opts(),
                     &SkepticalConfig::default(),
                     None,
@@ -520,10 +458,12 @@ mod tests {
                     local_element: 3,
                     bit: 62,
                 };
-                let (out, report) = pipelined_skeptical_gmres(
+                let (out, report) = pipelined_skeptical(
                     comm,
                     &da,
                     &b,
+                    Method::Gmres,
+                    None,
                     &dist_opts(),
                     &SkepticalConfig::default(),
                     Some(fault),
@@ -674,21 +614,23 @@ mod tests {
                 // Clean baselines: no false positives at block-Jacobi
                 // iteration counts.
                 let mut bj = BlockJacobi::new(&da);
-                let (cg_clean, cg_clean_rep) = pipelined_skeptical_pcg(
+                let (cg_clean, cg_clean_rep) = pipelined_skeptical(
                     comm,
                     &da,
                     &b,
-                    &mut bj,
+                    Method::Cg,
+                    Some(&mut bj),
                     &opts,
                     &SkepticalConfig::default(),
                     None,
                 )?;
                 let mut bj = BlockJacobi::new(&da);
-                let (gm_clean, gm_clean_rep) = pipelined_skeptical_pgmres(
+                let (gm_clean, gm_clean_rep) = pipelined_skeptical(
                     comm,
                     &da,
                     &b,
-                    &mut bj,
+                    Method::Gmres,
+                    Some(&mut bj),
                     &opts,
                     &SkepticalConfig::default(),
                     None,
@@ -697,11 +639,12 @@ mod tests {
                 let plain = crate::rbsp::cg::pipelined_cg(comm, &da, &b, &opts)?;
                 // Faulted runs.
                 let mut bj = BlockJacobi::new(&da);
-                let (cg_hit, cg_hit_rep) = pipelined_skeptical_pcg(
+                let (cg_hit, cg_hit_rep) = pipelined_skeptical(
                     comm,
                     &da,
                     &b,
-                    &mut bj,
+                    Method::Cg,
+                    Some(&mut bj),
                     &opts,
                     &SkepticalConfig::default(),
                     Some(fault),

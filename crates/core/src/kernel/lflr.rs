@@ -41,11 +41,10 @@
 //! [`Comm::persist`]: resilient_runtime::Comm::persist
 //!
 //! [`lflr_solve`] runs any block-Jacobi preconditioned [`SolveSpec`] under
-//! this protocol (the named presets [`lflr_dist_pcg`],
-//! [`lflr_pipelined_pcg`], [`lflr_dist_pgmres`], [`lflr_pipelined_pgmres`]
-//! are its four values) and opens the failure × latency × preconditioning
-//! scenario grid measured by `exp_krylov_lflr`, which compares mid-solve
-//! resume against the restart-from-zero baseline
+//! this protocol — the caller names the composition, e.g.
+//! [`SolveSpec::PIPELINED_GMRES`] — and opens the failure × latency ×
+//! preconditioning scenario grid measured by `exp_krylov_lflr`, which
+//! compares mid-solve resume against the restart-from-zero baseline
 //! ([`KrylovLflrConfig::restart_from_zero`]).
 
 use resilient_linalg::CsrMatrix;
@@ -228,24 +227,9 @@ pub fn lflr_solve<C: CommBackend>(
     Ok((outcome, report))
 }
 
-/// Block-Jacobi preconditioned bulk-synchronous CG
-/// ([`rbsp::dist_pcg`](crate::rbsp::cg::dist_pcg)) that survives process
-/// failure mid-solve: per-rank snapshots through `Comm::persist`, agreed
-/// rollback, replacement-rank resume.
-pub fn lflr_dist_pcg<C: CommBackend>(
-    comm: &mut C,
-    a_global: &CsrMatrix,
-    b_global: &[f64],
-    opts: &DistSolveOptions,
-    cfg: &KrylovLflrConfig,
-) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
-    lflr_solve(comm, a_global, b_global, SolveSpec::FUSED_CG, opts, cfg)
-}
-
-/// Block-Jacobi preconditioned pipelined CG
-/// ([`rbsp::pipelined_pcg`](crate::rbsp::cg::pipelined_pcg)) under the
-/// process-failure recovery protocol — latency hiding, preconditioning and
-/// mid-solve failure survival composed.
+/// Block-Jacobi preconditioned pipelined CG under the process-failure
+/// recovery protocol: [`lflr_solve`] with [`SolveSpec::PIPELINED_CG`]. Kept
+/// for the frozen `perf_ledger`.
 pub fn lflr_pipelined_pcg<C: CommBackend>(
     comm: &mut C,
     a_global: &CsrMatrix,
@@ -254,39 +238,4 @@ pub fn lflr_pipelined_pcg<C: CommBackend>(
     cfg: &KrylovLflrConfig,
 ) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
     lflr_solve(comm, a_global, b_global, SolveSpec::PIPELINED_CG, opts, cfg)
-}
-
-/// Right-preconditioned bulk-synchronous GMRES
-/// ([`rbsp::dist_pgmres`](crate::rbsp::gmres::dist_pgmres)) under the
-/// process-failure recovery protocol: the restart iterate is the persisted
-/// unit of progress, so a resumed solve re-enters at the last snapshotted
-/// cycle boundary.
-pub fn lflr_dist_pgmres<C: CommBackend>(
-    comm: &mut C,
-    a_global: &CsrMatrix,
-    b_global: &[f64],
-    opts: &DistSolveOptions,
-    cfg: &KrylovLflrConfig,
-) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
-    lflr_solve(comm, a_global, b_global, SolveSpec::FUSED_GMRES, opts, cfg)
-}
-
-/// Right-preconditioned p(1)-pipelined GMRES
-/// ([`rbsp::pipelined_pgmres`](crate::rbsp::gmres::pipelined_pgmres)) under
-/// the process-failure recovery protocol.
-pub fn lflr_pipelined_pgmres<C: CommBackend>(
-    comm: &mut C,
-    a_global: &CsrMatrix,
-    b_global: &[f64],
-    opts: &DistSolveOptions,
-    cfg: &KrylovLflrConfig,
-) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
-    lflr_solve(
-        comm,
-        a_global,
-        b_global,
-        SolveSpec::PIPELINED_GMRES,
-        opts,
-        cfg,
-    )
 }

@@ -40,21 +40,26 @@
 //! Over a [`DistSpace`] the composition is a value: [`solve`] runs a
 //! [`SolveSpec`] (method × reduction schedule) with an optional
 //! preconditioner and a policy stack, and is the one place a spec becomes a
-//! strategy type. The `rbsp::{cg,gmres}` presets, the [`compose`] scenarios
-//! (pipelined solvers *with* SDC detection; FT-GMRES *with* ABFT-checked
-//! products — impossible before the kernel) and the [`lflr`] protocol
-//! ([`IterateRollbackPolicy`] snapshots through `Comm::persist`,
-//! [`lflr_solve`] resumes mid-stream after a rank is killed and replaced)
-//! all dispatch through it. The serial entry points run over a 1-rank
-//! [`DistSpace`]: `solvers::cg` is the fused CG spec there, and
-//! `solvers::{gmres,fgmres}`, `srp::ft_gmres` and `skeptical::sdc_gmres`
-//! call [`run_gmres`] with the immediate-dot [`MgsOrtho`], under the same
-//! stop decisions as every distributed GMRES solve.
+//! strategy type. Every distributed solve names its composition as data at
+//! an entry point that dispatches through it:
+//! [`rbsp::solve_dist`](crate::rbsp::solve_dist), the [`compose`] scenarios
+//! ([`pipelined_skeptical`]: pipelined solvers *with* SDC detection;
+//! FT-GMRES *with* ABFT-checked products — impossible before the kernel)
+//! and the [`lflr`] protocol ([`IterateRollbackPolicy`] snapshots through
+//! `Comm::persist`, [`lflr_solve`] resumes mid-stream after a rank is
+//! killed and replaced). A block solve,
+//! [`rbsp::solve_dist_block`](crate::rbsp::solve_dist_block), names a
+//! [`Schedule`] for `solve`'s CG arm, [`run_block_cg`]. The serial entry
+//! points run over a 1-rank [`DistSpace`]: `solvers::cg` is the fused CG
+//! spec there, and `solvers::{gmres,fgmres}`, `srp::ft_gmres` and
+//! `skeptical::sdc_gmres` call [`run_gmres`] with the immediate-dot
+//! [`MgsOrtho`], under the same stop decisions as every distributed GMRES
+//! solve.
 //!
 //! Every solve says what happened in one vocabulary: a single-RHS solve
 //! returns a [`KernelOutcome`] (over a [`DistSpace`], the
 //! [`DistSolveOutcome`](crate::rbsp::DistSolveOutcome) of every distributed
-//! preset), a block solve a [`BlockOutcome`], both with a [`KernelReport`]
+//! solve), a block solve a [`BlockOutcome`], both with a [`KernelReport`]
 //! whose [`PolicyOverhead`] entries are each policy's only record. When a
 //! solve aborts on a detected corruption, the final verification residual
 //! is charged to the solver.
@@ -76,18 +81,14 @@ pub use block::{run_block_cg, BlockOutcome};
 pub use cache::SetupCache;
 pub use cg::{run_cg, CgStep, FusedCgStep, PipelinedCgStep};
 pub use compose::{
-    ft_gmres_abft, pipelined_skeptical, pipelined_skeptical_cg, pipelined_skeptical_gmres,
-    pipelined_skeptical_pcg, pipelined_skeptical_pgmres, AbftSpmvPolicy, ComposedDistReport,
+    ft_gmres_abft, pipelined_skeptical, pipelined_skeptical_cg, AbftSpmvPolicy, ComposedDistReport,
 };
 pub use gmres::{
     run_gmres, CgsOrtho, FlexibleRight, GmresCycle, GmresFlavor, MgsOrtho, OrthoStrategy,
     PipelinedOrtho, StepOutcome,
 };
 pub use guard::PrecondGuardPolicy;
-pub use lflr::{
-    lflr_dist_pcg, lflr_dist_pgmres, lflr_pipelined_pcg, lflr_pipelined_pgmres, lflr_solve,
-    KrylovLflrConfig, KrylovLflrReport,
-};
+pub use lflr::{lflr_pipelined_pcg, lflr_solve, KrylovLflrConfig, KrylovLflrReport};
 pub use policy::{
     snapshot_key, snapshot_ring, CheckDot, CheckDotBatch, CheckOperand, CheckVectors,
     DetectionResponse, FailureEvent, IterCtx, IterateRollbackPolicy, NoopPolicy, PolicyAction,

@@ -68,7 +68,7 @@
 //! ```
 //!
 //! On more ranks the blocks decouple and the same code takes more steps —
-//! see the `rbsp::dist_pcg` preset and `crates/core/tests/preconditioning.rs`.
+//! see `rbsp::solve_dist` with this spec and `crates/core/tests/preconditioning.rs`.
 
 use std::sync::Arc;
 

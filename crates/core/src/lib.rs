@@ -63,20 +63,19 @@ pub mod prelude {
     pub use crate::distributed::{DistCsr, DistMultiVector, DistVector};
     pub use crate::diversity::{diversity_vote, DiversityMember, DiversityReport};
     pub use crate::kernel::{
-        ft_gmres_abft, lflr_dist_pcg, lflr_dist_pgmres, lflr_pipelined_pcg, lflr_pipelined_pgmres,
-        lflr_solve, pipelined_skeptical, pipelined_skeptical_cg, pipelined_skeptical_gmres,
-        pipelined_skeptical_pcg, pipelined_skeptical_pgmres, run_block_cg, AbftSpmvPolicy,
-        BlockJacobi, BlockOutcome, DetectionResponse, DistSpace, IdentityPrecond,
-        IterateRollbackPolicy, KrylovLflrConfig, KrylovLflrReport, KrylovSpace, Method, NoopPolicy,
-        PolicyOverhead, PolicyStack, PrecondGuardPolicy, ResiliencePolicy, RightPrecond, Schedule,
-        SetupCache, SkepticalPolicy, SolveSpec, SpacePreconditioner, SpmvFault,
+        ft_gmres_abft, lflr_pipelined_pcg, lflr_solve, pipelined_skeptical, pipelined_skeptical_cg,
+        run_block_cg, AbftSpmvPolicy, BlockJacobi, BlockOutcome, DetectionResponse, DistSpace,
+        IdentityPrecond, IterateRollbackPolicy, KrylovLflrConfig, KrylovLflrReport, KrylovSpace,
+        Method, NoopPolicy, PolicyOverhead, PolicyStack, PrecondGuardPolicy, ResiliencePolicy,
+        RightPrecond, Schedule, SetupCache, SkepticalPolicy, SolveSpec, SpacePreconditioner,
+        SpmvFault,
     };
     pub use crate::lflr::{run_cpr, run_lflr, CprApp, CprConfig, CprReport, LflrApp, LflrReport};
     pub use crate::models::ProgrammingModel;
     pub use crate::rbsp::{
-        cg::{dist_block_pcg, dist_cg, dist_pcg, pipelined_block_pcg, pipelined_cg, pipelined_pcg},
-        gmres::{dist_gmres, dist_pgmres, pipelined_gmres, pipelined_pgmres},
-        solve_dist, DistSolveOptions, DistSolveOutcome,
+        cg::{dist_cg, pipelined_block_pcg, pipelined_cg, pipelined_pcg},
+        gmres::pipelined_pgmres,
+        solve_dist, solve_dist_block, DistSolveOptions, DistSolveOutcome,
     };
     pub use crate::skeptical::{random_spmv_fault, skeptical_gmres, SkepticalConfig};
     pub use crate::solvers::{

@@ -1,29 +1,28 @@
 //! Distributed conjugate gradients: bulk-synchronous vs. pipelined.
 //!
-//! Every entry point runs the one CG kernel, [`run_block_cg`]: the
-//! single-RHS presets as its one-column case through [`solve_dist`], the
-//! block presets directly. The bulk-synchronous variants are
-//! [`Schedule::Fused`] ([`SolveSpec::FUSED_CG`]: two blocking all-reduces
-//! per iteration), the pipelined variants [`Schedule::Pipelined`]
-//! ([`SolveSpec::PIPELINED_CG`]: one nonblocking fused all-reduce
-//! overlapped with the SpMV). Without a preconditioner — or with
+//! Every CG solve runs the one CG kernel,
+//! [`run_block_cg`](crate::kernel::run_block_cg): a single right-hand side
+//! as its one-column case through [`solve_dist`] with
+//! [`SolveSpec::FUSED_CG`] (two blocking all-reduces per iteration) or
+//! [`SolveSpec::PIPELINED_CG`] (one nonblocking fused all-reduce overlapped
+//! with the SpMV), a block of right-hand sides through [`solve_dist_block`]
+//! under the matching [`Schedule`]. Without a preconditioner — or with
 //! [`IdentityPrecond`](crate::kernel::IdentityPrecond), bit for bit and
 //! charge for charge — a solve is unpreconditioned.
+//!
+//! The four functions here are those compositions under the names the
+//! frozen `perf_ledger` imports.
 
 use resilient_runtime::{CommBackend, Result};
 
-use super::{solve_dist, DistSolveOptions, DistSolveOutcome};
+use super::{solve_dist, solve_dist_block, DistSolveOptions, DistSolveOutcome};
 use crate::distributed::{DistCsr, DistMultiVector, DistVector};
-use crate::kernel::{
-    run_block_cg, BlockOutcome, DistSpace, PolicyStack, Schedule, SolveSpec, SpacePreconditioner,
-};
+use crate::kernel::{BlockOutcome, DistSpace, Schedule, SolveSpec, SpacePreconditioner};
 
-/// Classical distributed CG. Each iteration performs one SpMV (neighborhood
-/// communication) and **two blocking all-reduces** — the structure whose
-/// latency sensitivity §II-B describes.
-///
-/// Preset: [`SolveSpec::FUSED_CG`] × empty policy stack over a
-/// [`DistSpace`].
+/// Classical distributed CG: [`solve_dist`] with [`SolveSpec::FUSED_CG`]
+/// and no preconditioner — one SpMV and **two blocking all-reduces** per
+/// iteration, the structure whose latency sensitivity §II-B describes. Kept
+/// for the frozen `perf_ledger`.
 pub fn dist_cg<C: CommBackend>(
     comm: &mut C,
     a: &DistCsr,
@@ -33,13 +32,10 @@ pub fn dist_cg<C: CommBackend>(
     solve_dist(comm, a, b, SolveSpec::FUSED_CG, None, opts)
 }
 
-/// Pipelined CG (Ghysels & Vanroose): algebraically equivalent to CG but with
-/// a **single nonblocking fused all-reduce** per iteration, posted before the
-/// SpMV and completed after it, so the global reduction's latency is hidden
-/// behind the matrix-vector product and the extra per-iteration work.
-///
-/// Preset: [`SolveSpec::PIPELINED_CG`] × empty policy stack over a
-/// [`DistSpace`].
+/// Pipelined CG (Ghysels & Vanroose): [`solve_dist`] with
+/// [`SolveSpec::PIPELINED_CG`] and no preconditioner — a **single
+/// nonblocking fused all-reduce** per iteration, posted before the SpMV and
+/// completed after it. Kept for the frozen `perf_ledger`.
 pub fn pipelined_cg<C: CommBackend>(
     comm: &mut C,
     a: &DistCsr,
@@ -49,35 +45,10 @@ pub fn pipelined_cg<C: CommBackend>(
     solve_dist(comm, a, b, SolveSpec::PIPELINED_CG, None, opts)
 }
 
-/// Preconditioned distributed CG: the z-shifted fused recurrence with
-/// `r·z` and `r·r` fused into its second reduction, so the schedule stays
-/// at **two blocking all-reduces per iteration** — preconditioning (e.g.
-/// [`BlockJacobi`](crate::kernel::BlockJacobi), whose applies are purely
-/// local) adds zero collectives. Under
-/// [`IdentityPrecond`](crate::kernel::IdentityPrecond) the solve is
-/// bit-identical to [`dist_cg`].
-///
-/// Preset: [`SolveSpec::FUSED_CG`] × preconditioner × empty policy stack
-/// over a [`DistSpace`].
-pub fn dist_pcg<'a, 'b, C: CommBackend>(
-    comm: &'a mut C,
-    a: &'b DistCsr,
-    b: &DistVector,
-    m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    opts: &DistSolveOptions,
-) -> Result<DistSolveOutcome> {
-    solve_dist(comm, a, b, SolveSpec::FUSED_CG, Some(m), opts)
-}
-
-/// Preconditioned pipelined CG (Ghysels & Vanroose): the preconditioner
-/// apply joins the SpMV in the overlap region of the **single nonblocking
-/// fused all-reduce** (which additionally carries ‖r‖², keeping the
-/// convergence test on the true residual). Under
-/// [`IdentityPrecond`](crate::kernel::IdentityPrecond) the solve is
-/// bit-identical to [`pipelined_cg`].
-///
-/// Preset: [`SolveSpec::PIPELINED_CG`] × preconditioner × empty policy
-/// stack over a [`DistSpace`].
+/// Preconditioned pipelined CG: [`solve_dist`] with
+/// [`SolveSpec::PIPELINED_CG`] and `m` — the preconditioner apply joins the
+/// SpMV in the overlap region of the single nonblocking reduction (which
+/// additionally carries ‖r‖²). Kept for the frozen `perf_ledger`.
 pub fn pipelined_pcg<'a, 'b, C: CommBackend>(
     comm: &'a mut C,
     a: &'b DistCsr,
@@ -88,57 +59,10 @@ pub fn pipelined_pcg<'a, 'b, C: CommBackend>(
     solve_dist(comm, a, b, SolveSpec::PIPELINED_CG, Some(m), opts)
 }
 
-/// The two block presets: [`run_block_cg`] under `schedule` × empty policy
-/// stack over [`DistSolveOptions::space`].
-fn block_pcg<'a, 'b, C: CommBackend>(
-    comm: &'a mut C,
-    a: &'b DistCsr,
-    b: &DistMultiVector,
-    m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    schedule: Schedule,
-    opts: &DistSolveOptions,
-) -> Result<BlockOutcome> {
-    let mut space = opts.space(comm, a);
-    let (outcome, _report) = run_block_cg(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        schedule,
-        m,
-        &mut PolicyStack::empty(),
-    )?;
-    Ok(outcome)
-}
-
-/// Block (multi-RHS) preconditioned distributed CG: all `k = b.k()`
-/// right-hand sides advance in lockstep, with **one** SpMM sweep and the
-/// same **two blocking all-reduces per iteration** as [`dist_pcg`] —
-/// batched payloads make the collective count independent of `k`. At
-/// `k = 1` it is [`dist_pcg`]. Converged columns
-/// freeze (no further arithmetic charges) but keep their payload slots, so
-/// the collective schedule stays rank-symmetric.
-///
-/// Preset: block kernel ([`run_block_cg`], [`Schedule::Fused`]) × empty
-/// policy stack over a [`DistSpace`].
-pub fn dist_block_pcg<'a, 'b, C: CommBackend>(
-    comm: &'a mut C,
-    a: &'b DistCsr,
-    b: &DistMultiVector,
-    m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    opts: &DistSolveOptions,
-) -> Result<BlockOutcome> {
-    block_pcg(comm, a, b, m, Schedule::Fused, opts)
-}
-
-/// Block (multi-RHS) preconditioned pipelined CG: the batched twin of
-/// [`pipelined_pcg`] — a **single nonblocking all-reduce** per iteration
-/// carries every column's recurrence scalars and overlaps the
-/// preconditioner applies and the SpMM sweep. At `k = 1` it is
-/// [`pipelined_pcg`].
-///
-/// Preset: block kernel ([`run_block_cg`], [`Schedule::Pipelined`]) ×
-/// empty policy stack over a [`DistSpace`].
+/// Block preconditioned pipelined CG: [`solve_dist_block`] under
+/// [`Schedule::Pipelined`] — one nonblocking all-reduce per iteration
+/// carries every column's recurrence scalars. Kept for the frozen
+/// `perf_ledger`.
 pub fn pipelined_block_pcg<'a, 'b, C: CommBackend>(
     comm: &'a mut C,
     a: &'b DistCsr,
@@ -146,7 +70,7 @@ pub fn pipelined_block_pcg<'a, 'b, C: CommBackend>(
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
     opts: &DistSolveOptions,
 ) -> Result<BlockOutcome> {
-    block_pcg(comm, a, b, m, Schedule::Pipelined, opts)
+    solve_dist_block(comm, a, b, Schedule::Pipelined, m, opts)
 }
 
 #[cfg(test)]

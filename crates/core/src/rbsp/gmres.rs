@@ -1,14 +1,17 @@
 //! Distributed GMRES: bulk-synchronous vs. p(1)-pipelined.
 //!
-//! Every entry point names one composition of the unified kernel
+//! Every GMRES solve names one composition of the unified kernel
 //! ([`crate::kernel`]) and runs it through [`solve_dist`]: the
-//! bulk-synchronous variants are [`SolveSpec::FUSED_GMRES`] (the
+//! bulk-synchronous one is [`SolveSpec::FUSED_GMRES`] (the
 //! [`CgsOrtho`](crate::kernel::CgsOrtho) dot strategy — classical
-//! Gram–Schmidt, two blocking all-reduces per iteration), the pipelined
-//! variants [`SolveSpec::PIPELINED_GMRES`] (the
-//! [`PipelinedOrtho`](crate::kernel::PipelinedOrtho) strategy — one
-//! nonblocking fused all-reduce overlapped with the speculative next
-//! product).
+//! Gram–Schmidt, two blocking all-reduces per iteration), the pipelined one
+//! [`SolveSpec::PIPELINED_GMRES`] (the
+//! [`PipelinedOrtho`](crate::kernel::PipelinedOrtho) strategy after
+//! Ghysels, Ashby, Meerbergen & Vanroose — one nonblocking fused all-reduce
+//! overlapped with the speculative next product, the orthogonalised basis
+//! vector and its product recovered by linearity). A preconditioner runs
+//! through the flexible right-preconditioning slot
+//! ([`RightPrecond`](crate::kernel::RightPrecond)) over `A·M⁻¹`.
 
 use resilient_runtime::{CommBackend, Result};
 
@@ -16,72 +19,10 @@ use super::{solve_dist, DistSolveOptions, DistSolveOutcome};
 use crate::distributed::{DistCsr, DistVector};
 use crate::kernel::{DistSpace, SolveSpec, SpacePreconditioner};
 
-/// Classical distributed GMRES with classical Gram–Schmidt orthogonalisation:
-/// per iteration one SpMV, one **blocking** all-reduce for the projection
-/// coefficients and one **blocking** all-reduce for the normalisation — the
-/// two global synchronisation points per iteration that limit strong
-/// scaling.
-/// Preset: [`SolveSpec::FUSED_GMRES`] × empty policy stack over a
-/// [`DistSpace`].
-pub fn dist_gmres<C: CommBackend>(
-    comm: &mut C,
-    a: &DistCsr,
-    b: &DistVector,
-    opts: &DistSolveOptions,
-) -> Result<DistSolveOutcome> {
-    solve_dist(comm, a, b, SolveSpec::FUSED_GMRES, None, opts)
-}
-
-/// p(1)-pipelined GMRES (after Ghysels, Ashby, Meerbergen & Vanroose): the
-/// reduction for the Gram–Schmidt coefficients and the norm is posted as a
-/// **single nonblocking all-reduce** and overlapped with the *next*
-/// matrix-vector product, which is applied to the still-unorthogonalised
-/// vector; the orthogonalised basis vector and its product are then
-/// recovered by linearity. One global synchronisation per iteration, fully
-/// overlapped.
-/// Preset: [`SolveSpec::PIPELINED_GMRES`] × empty policy stack over a
-/// [`DistSpace`]. Composing the same strategy with an SDC-detection stack
-/// is [`crate::kernel::compose::pipelined_skeptical_gmres`].
-pub fn pipelined_gmres<C: CommBackend>(
-    comm: &mut C,
-    a: &DistCsr,
-    b: &DistVector,
-    opts: &DistSolveOptions,
-) -> Result<DistSolveOutcome> {
-    solve_dist(comm, a, b, SolveSpec::PIPELINED_GMRES, None, opts)
-}
-
-/// Right-preconditioned distributed GMRES: classical Gram–Schmidt over the
-/// composite operator `A·M⁻¹`, with the solution corrected through the
-/// preconditioned basis. The schedule keeps the two blocking all-reduces of
-/// [`dist_gmres`] — a collective-free preconditioner such as
-/// [`BlockJacobi`](crate::kernel::BlockJacobi) adds zero synchronization.
-/// Under [`IdentityPrecond`](crate::kernel::IdentityPrecond) the solve is
-/// bit-identical to [`dist_gmres`].
-///
-/// Preset: [`SolveSpec::FUSED_GMRES`] ×
-/// [`RightPrecond`](crate::kernel::RightPrecond) × empty policy stack over
-/// a [`DistSpace`].
-pub fn dist_pgmres<'a, 'b, C: CommBackend>(
-    comm: &'a mut C,
-    a: &'b DistCsr,
-    b: &DistVector,
-    m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    opts: &DistSolveOptions,
-) -> Result<DistSolveOutcome> {
-    solve_dist(comm, a, b, SolveSpec::FUSED_GMRES, Some(m), opts)
-}
-
-/// Right-preconditioned p(1)-pipelined GMRES: the pipelined Arnoldi runs on
-/// `A·M⁻¹`, the preconditioner apply joins the speculative product in the
-/// overlap region, and the preconditioned correction basis is maintained by
-/// linearity — still **one nonblocking all-reduce per iteration**, fully
-/// overlapped. Under [`IdentityPrecond`](crate::kernel::IdentityPrecond)
-/// the solve is bit-identical to [`pipelined_gmres`].
-///
-/// Preset: [`SolveSpec::PIPELINED_GMRES`] ×
-/// [`RightPrecond`](crate::kernel::RightPrecond) × empty policy stack over
-/// a [`DistSpace`].
+/// Right-preconditioned p(1)-pipelined GMRES: [`solve_dist`] with
+/// [`SolveSpec::PIPELINED_GMRES`] and `m` — the preconditioner apply joins
+/// the speculative product in the overlap region, still **one nonblocking
+/// all-reduce per iteration**. Kept for the frozen `perf_ledger`.
 pub fn pipelined_pgmres<'a, 'b, C: CommBackend>(
     comm: &'a mut C,
     a: &'b DistCsr,
@@ -112,8 +53,8 @@ mod tests {
                     .with_tol(1e-8)
                     .with_max_iters(300)
                     .with_restart(40);
-                let classic = dist_gmres(comm, &da, &b, &opts)?;
-                let pipelined = pipelined_gmres(comm, &da, &b, &opts)?;
+                let classic = solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, None, &opts)?;
+                let pipelined = solve_dist(comm, &da, &b, SolveSpec::PIPELINED_GMRES, None, &opts)?;
                 Ok((
                     classic.x.gather_global(comm)?,
                     pipelined.x.gather_global(comm)?,
@@ -157,9 +98,9 @@ mod tests {
                     .with_max_iters(120)
                     .with_restart(40);
                 let t0 = comm.now();
-                let classic = dist_gmres(comm, &da, &b, &opts)?;
+                let classic = solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, None, &opts)?;
                 let t1 = comm.now();
-                let pipelined = pipelined_gmres(comm, &da, &b, &opts)?;
+                let pipelined = solve_dist(comm, &da, &b, SolveSpec::PIPELINED_GMRES, None, &opts)?;
                 let t2 = comm.now();
                 assert!(classic.converged && pipelined.converged);
                 Ok((t1 - t0, t2 - t1))

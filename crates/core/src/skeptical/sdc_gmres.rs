@@ -92,7 +92,7 @@ impl SkepticalConfig {
 /// struck by `fault` when one is planned (see
 /// [`random_spmv_fault`](super::random_spmv_fault)). The same policy
 /// composes with any other dot strategy — see
-/// [`crate::kernel::compose::pipelined_skeptical_gmres`] for the
+/// [`crate::kernel::compose::pipelined_skeptical`] for the
 /// pipelined/distributed combination.
 pub fn skeptical_gmres(
     a: &CsrMatrix,

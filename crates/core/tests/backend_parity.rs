@@ -3,7 +3,7 @@
 //!
 //! Pins for the `CommBackend` boundary under `kernel::space`:
 //!
-//! 1. **Bit-parity** — failure-free `dist_pcg` and `pipelined_pgmres`
+//! 1. **Bit-parity** — failure-free `FUSED_CG` and `pipelined_pgmres`
 //!    produce bit-identical solutions and identical iteration counts on the
 //!    threaded backend and the simulator across 1–8 ranks. Both backends
 //!    share the rendezvous engine's ascending-rank reduction fold, so this
@@ -116,7 +116,7 @@ fn run_threaded_lflr(
         let (out, report) = if pipelined {
             lflr_pipelined_pcg(comm, &a, &b, &opts(), &cfg)?
         } else {
-            lflr_dist_pgmres(comm, &a, &b, &opts(), &cfg)?
+            lflr_solve(comm, &a, &b, SolveSpec::FUSED_GMRES, &opts(), &cfg)?
         };
         let collectives = comm.snapshot_stats().collectives;
         Ok((

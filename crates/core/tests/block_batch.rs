@@ -1,12 +1,12 @@
 //! Integration pins for the block multi-RHS CG kernel
 //! ([`run_block_cg`](resilience::kernel::run_block_cg) via the
-//! [`dist_block_pcg`] / [`pipelined_block_pcg`] presets).
+//! [`solve_dist_block`] under either [`Schedule`]).
 //!
 //! Four pins:
 //!
 //! 1. **k = 1 degeneracy** — a one-column block solve is *bitwise*
-//!    identical to the corresponding single-RHS preset ([`dist_pcg`] /
-//!    [`pipelined_pcg`]): same iterates, same iteration count, same
+//!    identical to the corresponding single-RHS solve ([`solve_dist`] with
+//!    the matching CG spec): same iterates, same iteration count, same
 //!    residual history, and the same exact collective count.
 //! 2. **Columns are single-RHS recurrences** — each column of a k-RHS
 //!    block solve is bitwise identical to solving that RHS alone, at every
@@ -74,7 +74,7 @@ fn k1_parity(ranks: usize, pipelined: bool) -> Vec<K1Parity> {
         let single = if pipelined {
             pipelined_pcg(comm, &da, &b1, &mut m, &opts)?
         } else {
-            dist_pcg(comm, &da, &b1, &mut m, &opts)?
+            solve_dist(comm, &da, &b1, SolveSpec::FUSED_CG, Some(&mut m), &opts)?
         };
         let single_coll = comm.snapshot_stats().collectives - before;
 
@@ -83,7 +83,7 @@ fn k1_parity(ranks: usize, pipelined: bool) -> Vec<K1Parity> {
         let block = if pipelined {
             pipelined_block_pcg(comm, &da, &bk, &mut m, &opts)?
         } else {
-            dist_block_pcg(comm, &da, &bk, &mut m, &opts)?
+            solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut m, &opts)?
         };
         let block_coll = comm.snapshot_stats().collectives - before;
 
@@ -152,7 +152,7 @@ fn columns_match_sequential(ranks: usize, pipelined: bool) {
         let block = if pipelined {
             pipelined_block_pcg(comm, &da, &bk, &mut m, &opts)?
         } else {
-            dist_block_pcg(comm, &da, &bk, &mut m, &opts)?
+            solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut m, &opts)?
         };
         assert!(block.all_converged(), "block solve must converge");
         assert_eq!(
@@ -168,7 +168,7 @@ fn columns_match_sequential(ranks: usize, pipelined: bool) {
             let solo = if pipelined {
                 pipelined_pcg(comm, &da, &bc, &mut m, &opts)?
             } else {
-                dist_pcg(comm, &da, &bc, &mut m, &opts)?
+                solve_dist(comm, &da, &bc, SolveSpec::FUSED_CG, Some(&mut m), &opts)?
             };
             assert!(solo.converged, "sequential solve {c} must converge");
             cols.push((
@@ -239,7 +239,7 @@ fn block_collectives(pipelined: bool, k: usize, max_iters: usize) -> (u64, usize
         let out = if pipelined {
             pipelined_block_pcg(comm, &da, &bk, &mut m, &opts)?
         } else {
-            dist_block_pcg(comm, &da, &bk, &mut m, &opts)?
+            solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut m, &opts)?
         };
         let after = comm.snapshot_stats().collectives;
         Ok((after - before, out.iterations))
@@ -317,10 +317,10 @@ fn cached_setup_solves_bit_identically_and_skips_the_factorization_cost() {
         let mut cache = SetupCache::new();
         let t0 = comm.now();
         let mut m = cache.block_jacobi(&da);
-        let cold = dist_block_pcg(comm, &da, &bk, &mut m, &opts)?;
+        let cold = solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut m, &opts)?;
         let t1 = comm.now();
         let mut m = cache.block_jacobi(&da);
-        let warm = dist_block_pcg(comm, &da, &bk, &mut m, &opts)?;
+        let warm = solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut m, &opts)?;
         let t2 = comm.now();
 
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
@@ -537,7 +537,7 @@ fn staggered_freezes_keep_columns_sequential_and_virtual_time_unchanged() {
             let block = if pipelined {
                 pipelined_block_pcg(comm, &da, &bk, &mut m, &opts)?
             } else {
-                dist_block_pcg(comm, &da, &bk, &mut m, &opts)?
+                solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut m, &opts)?
             };
             let elapsed = comm.now() - t0;
             assert!(block.all_converged(), "block solve must converge");
@@ -553,7 +553,7 @@ fn staggered_freezes_keep_columns_sequential_and_virtual_time_unchanged() {
                 let solo = if pipelined {
                     pipelined_pcg(comm, &da, &bc, &mut m, &opts)?
                 } else {
-                    dist_pcg(comm, &da, &bc, &mut m, &opts)?
+                    solve_dist(comm, &da, &bc, SolveSpec::FUSED_CG, Some(&mut m), &opts)?
                 };
                 cols.push((
                     out.x.gather_global(comm)?,
@@ -758,8 +758,16 @@ fn outcomes_report_why_the_solve_stopped() {
         let indefinite = dist_cg(comm, &dneg, &b, &opts)?;
         let short = dist_cg(comm, &da, &b, &capped)?;
         let done = dist_cg(comm, &da, &b, &opts)?;
-        let block_short = dist_block_pcg(comm, &da, &bk, &mut IdentityPrecond, &capped)?;
-        let block_done = dist_block_pcg(comm, &da, &bk, &mut IdentityPrecond, &opts)?;
+        let block_short = solve_dist_block(
+            comm,
+            &da,
+            &bk,
+            Schedule::Fused,
+            &mut IdentityPrecond,
+            &capped,
+        )?;
+        let block_done =
+            solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut IdentityPrecond, &opts)?;
         let columns: Vec<_> = block_short
             .clone()
             .into_columns()
@@ -917,7 +925,7 @@ fn identity_block_columns_equal_their_unpreconditioned_and_identity_solves() {
                 let block = if pipelined {
                     pipelined_block_pcg(comm, &da, &bk, id, &opts)?
                 } else {
-                    dist_block_pcg(comm, &da, &bk, id, &opts)?
+                    solve_dist_block(comm, &da, &bk, Schedule::Fused, id, &opts)?
                 };
                 let elapsed = comm.now() - t0;
                 assert!(block.all_converged(), "block solve must converge");
@@ -934,7 +942,10 @@ fn identity_block_columns_equal_their_unpreconditioned_and_identity_solves() {
                         (plain, pipelined_pcg(comm, &da, &bc, id, &opts)?)
                     } else {
                         let plain = dist_cg(comm, &da, &bc, &opts)?;
-                        (plain, dist_pcg(comm, &da, &bc, id, &opts)?)
+                        (
+                            plain,
+                            solve_dist(comm, &da, &bc, SolveSpec::FUSED_CG, Some(id), &opts)?,
+                        )
                     };
                     cols.push([
                         (
@@ -1009,7 +1020,7 @@ fn identity_and_a_silently_copying_preconditioner_are_one_program() {
                         let out = if pipelined {
                             pipelined_block_pcg(comm, &da, &bk, m, &opts)?
                         } else {
-                            dist_block_pcg(comm, &da, &bk, m, &opts)?
+                            solve_dist_block(comm, &da, &bk, Schedule::Fused, m, &opts)?
                         };
                         assert!(out.all_converged());
                         let histories: Vec<_> = out.histories.iter().map(|h| bits(h)).collect();

@@ -124,9 +124,11 @@ fn vector_allocations(preset: &'static str, max_iters: usize) -> Vec<u64> {
                 "pipelined_block_pcg/block-jacobi" => {
                     pipelined_block_pcg(comm, &da, &bk, &mut bj, &opts)?.iterations
                 }
-                "dist_block_pcg/identity" => dist_block_pcg(comm, &da, &bk, id, &opts)?.iterations,
+                "dist_block_pcg/identity" => {
+                    solve_dist_block(comm, &da, &bk, Schedule::Fused, id, &opts)?.iterations
+                }
                 "dist_block_pcg/block-jacobi" => {
-                    dist_block_pcg(comm, &da, &bk, &mut bj, &opts)?.iterations
+                    solve_dist_block(comm, &da, &bk, Schedule::Fused, &mut bj, &opts)?.iterations
                 }
                 other => unreachable!("{other}"),
             };

@@ -1,7 +1,8 @@
 //! Parity pins for the single-RHS CG presets.
 //!
-//! `dist_cg`, `pipelined_cg`, `dist_pcg`, `pipelined_pcg` and
-//! `pipelined_skeptical_cg` (clean and with a bit-62 SpMV flip) on 1 and 3
+//! `dist_cg`, `pipelined_cg`, preconditioned `solve_dist` with `FUSED_CG`,
+//! `pipelined_pcg` and `pipelined_skeptical_cg` (clean and with a bit-62
+//! SpMV flip) on 1 and 3
 //! ranks of the virtual-time simulator, whose clock sees every charged
 //! flop (and, on one rank, every collective and every `charge_flops` call).
 //! These constants were recorded while each preset still ran a single-RHS
@@ -110,11 +111,21 @@ fn run(preset: &'static str, ranks: usize) -> Pin {
         let (out, detections, injections, restarts) = match preset {
             "dist_cg" => (dist_cg(comm, &da, &b, &opts)?, 0, 0, 0),
             "pipelined_cg" => (pipelined_cg(comm, &da, &b, &opts)?, 0, 0, 0),
-            "dist_pcg/block-jacobi" => (dist_pcg(comm, &da, &b, &mut bj, &opts)?, 0, 0, 0),
+            "dist_pcg/block-jacobi" => (
+                solve_dist(comm, &da, &b, SolveSpec::FUSED_CG, Some(&mut bj), &opts)?,
+                0,
+                0,
+                0,
+            ),
             "pipelined_pcg/block-jacobi" => {
                 (pipelined_pcg(comm, &da, &b, &mut bj, &opts)?, 0, 0, 0)
             }
-            "dist_pcg/identity" => (dist_pcg(comm, &da, &b, id, &opts)?, 0, 0, 0),
+            "dist_pcg/identity" => (
+                solve_dist(comm, &da, &b, SolveSpec::FUSED_CG, Some(id), &opts)?,
+                0,
+                0,
+                0,
+            ),
             "pipelined_pcg/identity" => (pipelined_pcg(comm, &da, &b, id, &opts)?, 0, 0, 0),
             "pipelined_skeptical_cg" | "pipelined_skeptical_cg/bit-62" => {
                 let fault = preset.ends_with("bit-62").then_some(fault);

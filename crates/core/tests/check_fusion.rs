@@ -54,8 +54,16 @@ fn gmres_collectives(cfg: SkepticalConfig, max_iters: usize) -> (u64, usize) {
             let da = DistCsr::from_global(comm, &a)?;
             let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 3) as f64);
             let before = comm.snapshot_stats().collectives;
-            let (out, _report) =
-                pipelined_skeptical_gmres(comm, &da, &b, &pinned_opts(max_iters), &cfg, None)?;
+            let (out, _report) = pipelined_skeptical(
+                comm,
+                &da,
+                &b,
+                Method::Gmres,
+                None,
+                &pinned_opts(max_iters),
+                &cfg,
+                None,
+            )?;
             let after = comm.snapshot_stats().collectives;
             Ok((after - before, out.iterations))
         })
@@ -157,18 +165,22 @@ fn fused_and_unfused_agree_bitwise_on_clean_solves() {
                     .with_tol(1e-8)
                     .with_max_iters(400)
                     .with_restart(30);
-                let (g_f, rg_f) = pipelined_skeptical_gmres(
+                let (g_f, rg_f) = pipelined_skeptical(
                     comm,
                     &da,
                     &b,
+                    Method::Gmres,
+                    None,
                     &opts,
                     &SkepticalConfig::default(),
                     None,
                 )?;
-                let (g_u, rg_u) = pipelined_skeptical_gmres(
+                let (g_u, rg_u) = pipelined_skeptical(
                     comm,
                     &da,
                     &b,
+                    Method::Gmres,
+                    None,
                     &opts,
                     &SkepticalConfig::default().unfused(),
                     None,
@@ -236,13 +248,23 @@ fn fusion_hides_check_latency() {
                 .with_max_iters(400)
                 .with_restart(30);
             let t0 = comm.now();
-            let (out_f, _) =
-                pipelined_skeptical_gmres(comm, &da, &b, &opts, &SkepticalConfig::default(), None)?;
-            let t1 = comm.now();
-            let (out_u, _) = pipelined_skeptical_gmres(
+            let (out_f, _) = pipelined_skeptical(
                 comm,
                 &da,
                 &b,
+                Method::Gmres,
+                None,
+                &opts,
+                &SkepticalConfig::default(),
+                None,
+            )?;
+            let t1 = comm.now();
+            let (out_u, _) = pipelined_skeptical(
+                comm,
+                &da,
+                &b,
+                Method::Gmres,
+                None,
                 &opts,
                 &SkepticalConfig::default().unfused(),
                 None,

@@ -43,7 +43,7 @@ fn pipelined_gmres_cycle_end_claim_is_verified() {
     let job = rt.run(cfg.ranks, move |comm| {
         let da = DistCsr::from_global(comm, &a)?;
         let db = DistVector::from_global(comm, &b);
-        let out = pipelined_gmres(comm, &da, &db, &opts)?;
+        let out = solve_dist(comm, &da, &db, SolveSpec::PIPELINED_GMRES, None, &opts)?;
         let x = out.x.gather_global(comm)?;
         Ok((out.converged, out.iterations, x))
     });

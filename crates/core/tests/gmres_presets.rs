@@ -1,8 +1,9 @@
 //! Parity pins for the distributed GMRES presets.
 //!
-//! `dist_gmres`, `pipelined_gmres`, `dist_pgmres` and `pipelined_pgmres`
-//! (block-Jacobi), `pipelined_skeptical_gmres` (clean and with a bit-62
-//! SpMV flip), and classical-Gram–Schmidt GMRES under a fused
+//! `solve_dist` with `FUSED_GMRES` (plain and block-Jacobi) and
+//! `PIPELINED_GMRES`, `pipelined_pgmres` (block-Jacobi),
+//! `pipelined_skeptical` with `Method::Gmres` (clean and with a bit-62 SpMV
+//! flip), and classical-Gram–Schmidt GMRES under a fused
 //! `SkepticalPolicy` with the same flip, on 1 and 3 ranks of the
 //! virtual-time simulator. These constants were recorded while `run_gmres`
 //! still carried a control-flow profile per preset family; now that every
@@ -104,16 +105,39 @@ fn run(preset: &'static str, ranks: usize) -> Pin {
             bit: 62,
         };
         let (out, detections, injections, restarts) = match preset {
-            "dist_gmres" => (dist_gmres(comm, &da, &b, &opts)?, 0, 0, 0),
-            "pipelined_gmres" => (pipelined_gmres(comm, &da, &b, &opts)?, 0, 0, 0),
-            "dist_pgmres/block-jacobi" => (dist_pgmres(comm, &da, &b, &mut bj, &opts)?, 0, 0, 0),
+            "dist_gmres" => (
+                solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, None, &opts)?,
+                0,
+                0,
+                0,
+            ),
+            "pipelined_gmres" => (
+                solve_dist(comm, &da, &b, SolveSpec::PIPELINED_GMRES, None, &opts)?,
+                0,
+                0,
+                0,
+            ),
+            "dist_pgmres/block-jacobi" => (
+                solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, Some(&mut bj), &opts)?,
+                0,
+                0,
+                0,
+            ),
             "pipelined_pgmres/block-jacobi" => {
                 (pipelined_pgmres(comm, &da, &b, &mut bj, &opts)?, 0, 0, 0)
             }
             "pipelined_skeptical_gmres" | "pipelined_skeptical_gmres/bit-62" => {
                 let fault = preset.ends_with("bit-62").then_some(fault);
-                let (out, report) =
-                    pipelined_skeptical_gmres(comm, &da, &b, &opts, &skeptic, fault)?;
+                let (out, report) = pipelined_skeptical(
+                    comm,
+                    &da,
+                    &b,
+                    Method::Gmres,
+                    None,
+                    &opts,
+                    &skeptic,
+                    fault,
+                )?;
                 let detections = report.skeptical.detections;
                 (out, detections, report.injections, report.policy_restarts)
             }

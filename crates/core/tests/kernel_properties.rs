@@ -141,9 +141,9 @@ proptest! {
                 let pipe_cg = pipelined_cg(comm, &da, &db, &opts)?;
                 let dg = DistCsr::from_global(comm, &gen2)?;
                 let dgb = DistVector::from_global(comm, &gen_b2);
-                let classic_gm = dist_gmres(comm, &dg, &dgb, &opts)?;
+                let classic_gm = solve_dist(comm, &dg, &dgb, SolveSpec::FUSED_GMRES, None, &opts)?;
                 let pipe_opts = opts.with_tol(1e-7);
-                let pipe_gm = pipelined_gmres(comm, &dg, &dgb, &pipe_opts)?;
+                let pipe_gm = solve_dist(comm, &dg, &dgb, SolveSpec::PIPELINED_GMRES, None, &pipe_opts)?;
                 Ok((
                     (classic_cg.converged, classic_cg.x.gather_global(comm)?),
                     (pipe_cg.converged, pipe_cg.x.gather_global(comm)?),

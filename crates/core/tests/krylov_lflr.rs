@@ -3,9 +3,10 @@
 //! Pins for `kernel::lflr` (persisted `IterateRollbackPolicy` over
 //! `Comm::persist`):
 //!
-//! 1. **Persistence is free arithmetic** — a failure-free LFLR solve runs
-//!    the same iterations to the same bitwise solution as the plain preset
-//!    (snapshots cost checkpoint bandwidth, never numerics).
+//! 1. **Persistence is free arithmetic** — for every `SolveSpec`, a
+//!    failure-free LFLR solve runs the same iterations to the same bitwise
+//!    solution as the plain preconditioned solve of that spec (snapshots
+//!    cost checkpoint bandwidth, never numerics).
 //! 2. **Mid-solve survival** — with a rank killed mid-solve, the CG and
 //!    GMRES presets converge to the same tolerance as the failure-free run
 //!    across 2–8 ranks, resuming from a persisted step > 0 rather than
@@ -74,43 +75,44 @@ fn run_scenario(
 
 #[test]
 fn failure_free_lflr_solve_matches_plain_preset() {
-    // Persistence must be arithmetically invisible: same iterations, same
-    // bitwise solution as the plain preconditioned preset.
-    let rt = Runtime::new(RuntimeConfig::fast().with_seed(11));
-    let plain = rt
-        .run(4, move |comm| {
-            let (a, b) = problem();
-            let da = DistCsr::from_global(comm, &a)?;
-            let bv = DistVector::from_global(comm, &b);
-            let mut bj = BlockJacobi::new(&da);
-            let out = pipelined_pcg(comm, &da, &bv, &mut bj, &opts())?;
-            Ok((out.iterations, out.x.gather_global(comm)?))
-        })
-        .unwrap_all();
+    // Persistence must be arithmetically invisible for every composition:
+    // same iterations, same bitwise solution as the plain preconditioned
+    // solve of the same spec.
+    for spec in SolveSpec::ALL {
+        let rt = Runtime::new(RuntimeConfig::fast().with_seed(11));
+        let plain = rt
+            .run(4, move |comm| {
+                let (a, b) = problem();
+                let da = DistCsr::from_global(comm, &a)?;
+                let bv = DistVector::from_global(comm, &b);
+                let mut bj = BlockJacobi::new(&da);
+                let out = solve_dist(comm, &da, &bv, spec, Some(&mut bj), &opts())?;
+                Ok((out.iterations, out.x.gather_global(comm)?))
+            })
+            .unwrap_all();
 
-    let (_, failures, lflr) = run_scenario(
-        4,
-        SolveSpec::PIPELINED_CG,
-        KrylovLflrConfig::default(),
-        vec![],
-    );
-    assert_eq!(failures, 0);
-    let (a, b) = problem();
-    for ((plain_iters, plain_x), (converged, x, report)) in plain.iter().zip(&lflr) {
-        assert!(converged, "failure-free LFLR solve must converge");
-        assert_eq!(report.recoveries, 0);
-        assert!(report.snapshots_persisted > 0, "snapshots must be written");
-        assert_eq!(report.fallback_restores, 0);
-        assert_eq!(
-            report.iterations, *plain_iters,
-            "persistence must not change the iteration count"
-        );
-        assert_eq!(
-            x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            plain_x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "persistence must not change the arithmetic"
-        );
-        assert!(true_relative_residual(&a, &b, x) < 1e-7);
+        let (_, failures, lflr) = run_scenario(4, spec, KrylovLflrConfig::default(), vec![]);
+        assert_eq!(failures, 0, "{spec:?}");
+        let (a, b) = problem();
+        for ((plain_iters, plain_x), (converged, x, report)) in plain.iter().zip(&lflr) {
+            assert!(converged, "{spec:?}: failure-free LFLR solve must converge");
+            assert_eq!(report.recoveries, 0, "{spec:?}");
+            assert!(
+                report.snapshots_persisted > 0,
+                "{spec:?}: snapshots must be written"
+            );
+            assert_eq!(report.fallback_restores, 0, "{spec:?}");
+            assert_eq!(
+                report.iterations, *plain_iters,
+                "{spec:?}: persistence must not change the iteration count"
+            );
+            assert_eq!(
+                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                plain_x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "{spec:?}: persistence must not change the arithmetic"
+            );
+            assert!(true_relative_residual(&a, &b, x) < 1e-7, "{spec:?}");
+        }
     }
 }
 

@@ -80,7 +80,7 @@ fn block_presets_never_converge_the_nan_column() {
                     } else {
                         &mut identity
                     };
-                    outcomes.push(dist_block_pcg(comm, &da, &b, m, &opts)?);
+                    outcomes.push(solve_dist_block(comm, &da, &b, Schedule::Fused, m, &opts)?);
                     let m: &mut dyn SpacePreconditioner<_> = if preconditioned {
                         &mut bj
                     } else {

@@ -163,7 +163,7 @@ proptest! {
                 }
                 let bv = DistVector::from_global(comm, &b);
                 let mut bj = BlockJacobi::new(&da);
-                let out = dist_pcg(comm, &da, &bv, &mut bj, &o)?;
+                let out = solve_dist(comm, &da, &bv, SolveSpec::FUSED_CG, Some(&mut bj), &o)?;
                 let xbits = out
                     .x
                     .gather_global(comm)?

@@ -98,17 +98,26 @@ fn identity_preconditioned_presets_are_bit_identical() {
 
                 let plain_cg = dist_cg(comm, &da, &b, &opts)?;
                 let mut id = IdentityPrecond;
-                let pre_cg = dist_pcg(comm, &da, &b, &mut id, &opts)?;
+                let pre_cg = solve_dist(comm, &da, &b, SolveSpec::FUSED_CG, Some(&mut id), &opts)?;
 
                 let plain_pcg = pipelined_cg(comm, &da, &b, &opts)?;
                 let mut id = IdentityPrecond;
                 let pre_pcg = pipelined_pcg(comm, &da, &b, &mut id, &opts)?;
 
-                let plain_gm = dist_gmres(comm, &da, &b, &gmres_opts)?;
+                let plain_gm =
+                    solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, None, &gmres_opts)?;
                 let mut id = IdentityPrecond;
-                let pre_gm = dist_pgmres(comm, &da, &b, &mut id, &gmres_opts)?;
+                let pre_gm = solve_dist(
+                    comm,
+                    &da,
+                    &b,
+                    SolveSpec::FUSED_GMRES,
+                    Some(&mut id),
+                    &gmres_opts,
+                )?;
 
-                let plain_pg = pipelined_gmres(comm, &da, &b, &pgm_opts)?;
+                let plain_pg =
+                    solve_dist(comm, &da, &b, SolveSpec::PIPELINED_GMRES, None, &pgm_opts)?;
                 let mut id = IdentityPrecond;
                 let pre_pg = pipelined_pgmres(comm, &da, &b, &mut id, &pgm_opts)?;
 
@@ -203,13 +212,13 @@ proptest! {
                 let da = DistCsr::from_global(comm, &spd2)?;
                 let db = DistVector::from_global(comm, &spd_b2);
                 let mut bj = BlockJacobi::new(&da);
-                let fused = dist_pcg(comm, &da, &db, &mut bj, &opts)?;
+                let fused = solve_dist(comm, &da, &db, SolveSpec::FUSED_CG, Some(&mut bj), &opts)?;
                 let mut bj = BlockJacobi::new(&da);
                 let piped = pipelined_pcg(comm, &da, &db, &mut bj, &opts)?;
                 let dg = DistCsr::from_global(comm, &gen2)?;
                 let dgb = DistVector::from_global(comm, &gen_b2);
                 let mut bj = BlockJacobi::new(&dg);
-                let gm = dist_pgmres(comm, &dg, &dgb, &mut bj, &opts)?;
+                let gm = solve_dist(comm, &dg, &dgb, SolveSpec::FUSED_GMRES, Some(&mut bj), &opts)?;
                 let mut bj = BlockJacobi::new(&dg);
                 let pgm = pipelined_pgmres(comm, &dg, &dgb, &mut bj, &opts.with_tol(1e-7))?;
                 Ok((
@@ -263,19 +272,19 @@ fn collectives(which: usize, bj: bool, max_iters: usize) -> (u64, usize) {
                 (0, false) => dist_cg(comm, &da, &b, &opts)?,
                 (0, true) => {
                     let mut m = BlockJacobi::new(&da);
-                    dist_pcg(comm, &da, &b, &mut m, &opts)?
+                    solve_dist(comm, &da, &b, SolveSpec::FUSED_CG, Some(&mut m), &opts)?
                 }
                 (1, false) => pipelined_cg(comm, &da, &b, &opts)?,
                 (1, true) => {
                     let mut m = BlockJacobi::new(&da);
                     pipelined_pcg(comm, &da, &b, &mut m, &opts)?
                 }
-                (2, false) => dist_gmres(comm, &da, &b, &opts)?,
+                (2, false) => solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, None, &opts)?,
                 (2, true) => {
                     let mut m = BlockJacobi::new(&da);
-                    dist_pgmres(comm, &da, &b, &mut m, &opts)?
+                    solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, Some(&mut m), &opts)?
                 }
-                (3, false) => pipelined_gmres(comm, &da, &b, &opts)?,
+                (3, false) => solve_dist(comm, &da, &b, SolveSpec::PIPELINED_GMRES, None, &opts)?,
                 (3, true) => {
                     let mut m = BlockJacobi::new(&da);
                     pipelined_pgmres(comm, &da, &b, &mut m, &opts)?
@@ -339,10 +348,11 @@ fn block_jacobi_reduces_iterations_at_every_rank_count() {
                     .with_restart(60);
                 let plain_cg = dist_cg(comm, &da, &b, &opts)?;
                 let mut bj = BlockJacobi::new(&da);
-                let pre_cg = dist_pcg(comm, &da, &b, &mut bj, &opts)?;
-                let plain_gm = dist_gmres(comm, &da, &b, &opts)?;
+                let pre_cg = solve_dist(comm, &da, &b, SolveSpec::FUSED_CG, Some(&mut bj), &opts)?;
+                let plain_gm = solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, None, &opts)?;
                 let mut bj = BlockJacobi::new(&da);
-                let pre_gm = dist_pgmres(comm, &da, &b, &mut bj, &opts)?;
+                let pre_gm =
+                    solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, Some(&mut bj), &opts)?;
                 assert!(plain_cg.converged && pre_cg.converged);
                 assert!(plain_gm.converged && pre_gm.converged);
                 Ok((
@@ -375,7 +385,7 @@ fn block_jacobi_reduces_iterations_at_every_rank_count() {
                     let opts = DistSolveOptions::default()
                         .with_tol(1e-8)
                         .with_max_iters(50);
-                    let out = dist_pcg(comm, &da, &b, &mut bj, &opts)?;
+                    let out = solve_dist(comm, &da, &b, SolveSpec::FUSED_CG, Some(&mut bj), &opts)?;
                     assert!(out.converged);
                     Ok(out.iterations)
                 })
@@ -414,9 +424,23 @@ fn block_jacobi_iteration_counts_on_poisson2d_are_pinned() {
                     .with_tol(1e-8)
                     .with_max_iters(400)
                     .with_restart(30);
-                let fused = dist_pcg(comm, &da, &b, &mut BlockJacobi::new(&da), &opts)?;
+                let fused = solve_dist(
+                    comm,
+                    &da,
+                    &b,
+                    SolveSpec::FUSED_CG,
+                    Some(&mut BlockJacobi::new(&da)),
+                    &opts,
+                )?;
                 let piped = pipelined_pcg(comm, &da, &b, &mut BlockJacobi::new(&da), &opts)?;
-                let gm = dist_pgmres(comm, &da, &b, &mut BlockJacobi::new(&da), &opts)?;
+                let gm = solve_dist(
+                    comm,
+                    &da,
+                    &b,
+                    SolveSpec::FUSED_GMRES,
+                    Some(&mut BlockJacobi::new(&da)),
+                    &opts,
+                )?;
                 let pgm = pipelined_pgmres(
                     comm,
                     &da,

@@ -27,10 +27,9 @@ enum PendingKind {
 
 /// A posted, not-yet-completed nonblocking collective.
 ///
-/// Must be completed with [`wait`](Self::wait) (or discarded explicitly with
-/// [`cancel`](Self::cancel), which still participates in the rendezvous so
-/// that peers are not left hanging — matching MPI semantics where a posted
-/// collective must complete on all ranks).
+/// Must be completed with [`wait`](Self::wait) (or one of its typed forms)
+/// even when the result is not needed: matching MPI semantics, a posted
+/// collective must complete on all ranks, or its peers are left hanging.
 #[must_use = "a posted nonblocking collective must be completed with wait()"]
 #[derive(Debug)]
 pub struct PendingCollective {
@@ -140,11 +139,6 @@ impl PendingCollective {
     pub fn wait_scalar<K: RankClock>(self, comm: &mut Comm<K>) -> Result<f64> {
         let v = self.wait_vector(comm)?;
         Ok(v.first().copied().unwrap_or(0.0))
-    }
-
-    /// Participate in the rendezvous but discard the result.
-    pub fn cancel<K: RankClock>(self, comm: &mut Comm<K>) -> Result<()> {
-        self.wait(comm).map(|_| ())
     }
 }
 

@@ -6,8 +6,12 @@
 //! learns of the failure, *agree* on how to proceed, and either *shrink* the
 //! communicator or (with a process-management layer) spawn a replacement.
 //!
-//! This module provides those operations on top of the health board and the
-//! collective engine:
+//! There is no application-called `MPI_Comm_revoke` here: under the
+//! resilient failure policies the health board marks the communicator
+//! revoked itself when it records a failure, so every survivor's next
+//! operation returns [`Revoked`](crate::error::RuntimeError::Revoked). This module
+//! provides the agreement and the two ways forward, on top of the health
+//! board and the collective engine:
 //!
 //! * [`Comm::recovery_rendezvous`] — used with
 //!   [`FailurePolicy::ReplaceRank`](crate::config::FailurePolicy): all world
@@ -174,22 +178,6 @@ impl<K: RankClock> Comm<K> {
         self.seq = 0;
         self.recoveries += 1;
         Ok(result.contributions)
-    }
-
-    /// Explicitly revoke the communicator: every rank's next operation fails
-    /// with [`Revoked`](crate::error::RuntimeError::Revoked) until it
-    /// participates in recovery. Mirrors `MPI_Comm_revoke`, which an
-    /// application calls when *it* (rather than the runtime) detects an
-    /// unrecoverable inconsistency.
-    pub fn revoke(&mut self) {
-        // Reuse the failure machinery with a synthetic "failure" of no rank:
-        // bump the generation so peers observe Revoked, but keep everyone
-        // alive. We model this by recording a failure of an out-of-range
-        // rank, which marks nobody dead.
-        self.world
-            .health
-            .record_failure(usize::MAX, self.incarnation, self.clock.now());
-        self.world.interrupt_all();
     }
 
     /// Number of failures observed so far in this job.

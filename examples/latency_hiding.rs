@@ -36,9 +36,9 @@ fn main() {
             let t1 = comm.now();
             let p = pipelined_cg(comm, &da, &b, &opts)?;
             let t2 = comm.now();
-            let g = dist_gmres(comm, &da, &b, &opts)?;
+            let g = solve_dist(comm, &da, &b, SolveSpec::FUSED_GMRES, None, &opts)?;
             let t3 = comm.now();
-            let pg = pipelined_gmres(comm, &da, &b, &opts)?;
+            let pg = solve_dist(comm, &da, &b, SolveSpec::PIPELINED_GMRES, None, &opts)?;
             let t4 = comm.now();
             Ok((
                 t1 - t0,
