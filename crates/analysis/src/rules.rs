@@ -458,8 +458,8 @@ const CHARGING_FILES: &[&str] = &[
 ];
 
 /// Files additionally allowed to call the backend constructors (the
-/// documented selection seam of `DistSolveOptions::local_ops`).
-const OPS_CTOR_FILES: &[&str] = &["crates/core/src/rbsp/mod.rs"];
+/// documented selection seam of `SolveOptions::local_ops`).
+const OPS_CTOR_FILES: &[&str] = &["crates/core/src/kernel/spec.rs"];
 
 impl Rule for ChargedArithmetic {
     fn name(&self) -> &'static str {

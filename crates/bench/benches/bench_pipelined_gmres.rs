@@ -19,7 +19,7 @@ fn solve(pipelined: bool, use_gmres: bool) -> f64 {
         let a = poisson2d(12, 12);
         let da = DistCsr::from_global(comm, &a)?;
         let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 3) as f64);
-        let opts = DistSolveOptions::default()
+        let opts = SolveOptions::default()
             .with_tol(1e-7)
             .with_max_iters(150)
             .with_restart(40);

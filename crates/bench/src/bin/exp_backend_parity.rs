@@ -67,11 +67,7 @@ fn thread_config() -> ThreadConfig {
 
 /// Per-rank body: time blocking then pipelined block-Jacobi PCG, returning
 /// `(t_blocking, t_pipelined)` in the backend's own clock.
-fn latency_body<C: CommBackend>(
-    comm: &mut C,
-    nx: usize,
-    opts: DistSolveOptions,
-) -> Result<(f64, f64)> {
+fn latency_body<C: CommBackend>(comm: &mut C, nx: usize, opts: SolveOptions) -> Result<(f64, f64)> {
     let a = poisson2d(nx, nx);
     let n = a.nrows();
     let da = DistCsr::from_global(comm, &a)?;
@@ -89,7 +85,7 @@ fn latency_body<C: CommBackend>(
 
 /// `(blocking, pipelined, speedup)` on one backend.
 fn latency_scenario(ranks: usize, nx: usize, threaded: bool) -> (f64, f64, f64) {
-    let mut opts = DistSolveOptions::default()
+    let mut opts = SolveOptions::default()
         .with_tol(1e-7)
         .with_max_iters(300)
         .with_restart(30);
@@ -178,8 +174,8 @@ fn lflr_rhs(nx: usize) -> Vec<f64> {
     (0..nx * nx).map(|i| 1.0 + (i % 5) as f64).collect()
 }
 
-fn lflr_opts() -> DistSolveOptions {
-    let mut o = DistSolveOptions::default()
+fn lflr_opts() -> SolveOptions {
+    let mut o = SolveOptions::default()
         .with_tol(1e-8)
         .with_max_iters(1000)
         .with_restart(10);
@@ -194,7 +190,7 @@ fn lflr_opts() -> DistSolveOptions {
 fn sdc_body<C: CommBackend>(
     comm: &mut C,
     nx: usize,
-    opts: DistSolveOptions,
+    opts: SolveOptions,
     fault: SpmvFault,
 ) -> Result<(bool, usize, usize, usize)> {
     let a = poisson2d(nx, nx);
@@ -220,7 +216,7 @@ fn sdc_body<C: CommBackend>(
 }
 
 fn sdc_scenario(ranks: usize, nx: usize, threaded: bool) -> (bool, usize, usize, usize) {
-    let opts = DistSolveOptions::default()
+    let opts = SolveOptions::default()
         .with_tol(1e-7)
         .with_max_iters(300)
         .with_restart(30);

@@ -61,9 +61,7 @@ fn measure(pipelined: bool, ranks: usize, k: usize, nx: usize) -> (f64, f64, f64
             let n = a.nrows();
             let da = DistCsr::from_global(comm, &a)?;
             let bk = DistMultiVector::from_fn(comm, n, k, rhs);
-            let opts = DistSolveOptions::default()
-                .with_tol(1e-8)
-                .with_max_iters(400);
+            let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(400);
 
             // Baseline: k sequential single-RHS solves, each paying its own
             // allreduce schedule and its own block-Jacobi factorization.
@@ -130,7 +128,7 @@ fn allreduces_per_iter(pipelined: bool, ranks: usize, k: usize) -> u64 {
             let n = a.nrows();
             let da = DistCsr::from_global(comm, &a)?;
             let bk = DistMultiVector::from_fn(comm, n, k, rhs);
-            let opts = DistSolveOptions::default()
+            let opts = SolveOptions::default()
                 .with_tol(1e-30)
                 .with_max_iters(max_iters);
             let mut m = BlockJacobi::new(&da);

@@ -54,9 +54,7 @@ fn main() {
                 let a = DistCsr::from_global(comm, &a_global)?;
                 let init = solver.problem.initial();
                 let u = DistVector::from_fn(comm, solver.problem.n, |i| init[i]);
-                let opts = DistSolveOptions::default()
-                    .with_tol(1e-10)
-                    .with_max_iters(500);
+                let opts = SolveOptions::default().with_tol(1e-10).with_max_iters(500);
                 let clean_iters = dist_cg(comm, &a, &u, &opts)?.iterations;
                 let bytes = solver.redundant_bytes(u.local_len());
                 Ok((err, bytes, clean_iters))

@@ -32,7 +32,7 @@ fn main() {
     };
     cfg.seconds_per_flop = 1.0e-9;
 
-    let opts = DistSolveOptions::default()
+    let opts = SolveOptions::default()
         .with_tol(1e-7)
         .with_max_iters(if smoke { 200 } else { 500 });
 

@@ -35,12 +35,12 @@ fn main() {
     };
     let presets: Vec<CampaignPreset> = if smoke {
         vec![
-            CampaignPreset::FusedCg,
-            CampaignPreset::PipelinedCg,
-            CampaignPreset::FusedPcg,
-            CampaignPreset::PipelinedPcg,
-            CampaignPreset::CgsGmres,
-            CampaignPreset::PipelinedPgmres,
+            CampaignPreset::new(SolveSpec::FUSED_CG, false),
+            CampaignPreset::new(SolveSpec::PIPELINED_CG, false),
+            CampaignPreset::new(SolveSpec::FUSED_CG, true),
+            CampaignPreset::new(SolveSpec::PIPELINED_CG, true),
+            CampaignPreset::new(SolveSpec::FUSED_GMRES, false),
+            CampaignPreset::new(SolveSpec::PIPELINED_GMRES, true),
         ]
     } else {
         CampaignPreset::ALL.to_vec()
@@ -124,9 +124,9 @@ fn main() {
             bit: 50,
         }]);
         let members = vec![
-            DiversityMember::poisoned(CampaignPreset::FusedCg, plan),
-            DiversityMember::clean(CampaignPreset::CgsGmres),
-            DiversityMember::clean(CampaignPreset::PipelinedPcg),
+            DiversityMember::poisoned(CampaignPreset::new(SolveSpec::FUSED_CG, false), plan),
+            DiversityMember::clean(CampaignPreset::new(SolveSpec::FUSED_GMRES, false)),
+            DiversityMember::clean(CampaignPreset::new(SolveSpec::PIPELINED_CG, true)),
         ];
         diversity_vote(comm, &a, &b, members, &opts, 1e-5)
     });

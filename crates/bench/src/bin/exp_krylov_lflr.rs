@@ -54,11 +54,11 @@ fn base_config() -> RuntimeConfig {
     cfg
 }
 
-fn solve_opts() -> DistSolveOptions {
+fn solve_opts() -> SolveOptions {
     // The restart length is also the GMRES presets' persistence
     // granularity: snapshots are labelled with the cycle-base step, the
     // only iterate GMRES commits.
-    let mut o = DistSolveOptions::default()
+    let mut o = SolveOptions::default()
         .with_tol(1e-8)
         .with_max_iters(2000)
         .with_restart(10);

@@ -36,9 +36,7 @@ fn solve_times(ranks: usize, alpha: f64, noise: bool) -> SolveTimes {
         let n = a.nrows();
         let da = DistCsr::from_global(comm, &a)?;
         let b = DistVector::from_fn(comm, n, |i| 1.0 + (i % 3) as f64);
-        let mut opts = DistSolveOptions::default()
-            .with_tol(1e-7)
-            .with_max_iters(250);
+        let mut opts = SolveOptions::default().with_tol(1e-7).with_max_iters(250);
         opts.restart = 40;
         opts.extra_work_per_iter = 5.0e-5;
         let plain = SolveSpec::ALL.map(|spec| (spec, false));

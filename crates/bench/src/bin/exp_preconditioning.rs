@@ -74,7 +74,7 @@ fn sweep(ranks: usize, nx: usize, eps: f64, jump: f64, band: usize, smoke: bool)
         let n = a.nrows();
         let da = DistCsr::from_global(comm, &a)?;
         let b = DistVector::from_fn(comm, n, |i| 1.0 + (i % 5) as f64);
-        let opts = DistSolveOptions::default()
+        let opts = SolveOptions::default()
             .with_tol(1e-7)
             .with_max_iters(if smoke { 3000 } else { 20000 })
             .with_restart(60);

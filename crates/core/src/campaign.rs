@@ -50,76 +50,48 @@ use resilient_runtime::{
 use crate::distributed::{DistCsr, DistVector};
 use crate::kernel::{
     lflr_solve, solve, BlockJacobi, KernelOutcome, KernelReport, KrylovLflrConfig, KrylovSpace,
-    PolicyStack, PrecondGuardPolicy, SolveSpec, SpacePreconditioner,
+    PolicyStack, PrecondGuardPolicy, SolveOptions, SolveSpec, SpacePreconditioner, StopReason,
 };
-use crate::rbsp::DistSolveOptions;
-use crate::solvers::common::{true_relative_residual, StopReason};
+use crate::solvers::common::true_relative_residual;
 
-/// The kernel composition a campaign case runs: dot-schedule × method ×
-/// preconditioning, the preset matrix of the sweep.
+/// The kernel composition a campaign case runs — a [`SolveSpec`], plain or
+/// block-Jacobi preconditioned: one cell of the sweep's preset matrix.
+/// Death-family cases run `spec` under [`lflr_solve`], which always
+/// preconditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CampaignPreset {
-    /// Bulk-synchronous CG (two blocking all-reduces per iteration).
-    FusedCg,
-    /// Pipelined CG (one nonblocking fused all-reduce).
-    PipelinedCg,
-    /// Block-Jacobi preconditioned bulk-synchronous CG.
-    FusedPcg,
-    /// Block-Jacobi preconditioned pipelined CG.
-    PipelinedPcg,
-    /// Bulk-synchronous GMRES (classical Gram–Schmidt).
-    CgsGmres,
-    /// p(1)-pipelined GMRES.
-    PipelinedGmres,
-    /// Right-preconditioned bulk-synchronous GMRES.
-    CgsPgmres,
-    /// Right-preconditioned p(1)-pipelined GMRES.
-    PipelinedPgmres,
+pub struct CampaignPreset {
+    /// Method × reduction schedule.
+    pub spec: SolveSpec,
+    /// Block-Jacobi preconditioned — the half of the matrix whose
+    /// preconditioner-apply path the `precond-flips` family can strike.
+    pub preconditioned: bool,
 }
 
 impl CampaignPreset {
-    /// The full preset matrix, in sweep order.
-    pub const ALL: [CampaignPreset; 8] = [
-        CampaignPreset::FusedCg,
-        CampaignPreset::PipelinedCg,
-        CampaignPreset::FusedPcg,
-        CampaignPreset::PipelinedPcg,
-        CampaignPreset::CgsGmres,
-        CampaignPreset::PipelinedGmres,
-        CampaignPreset::CgsPgmres,
-        CampaignPreset::PipelinedPgmres,
+    /// The full preset matrix, [`SolveSpec::ALL`] × {plain,
+    /// preconditioned}, in sweep order.
+    pub const ALL: [Self; 8] = [
+        Self::new(SolveSpec::FUSED_CG, false),
+        Self::new(SolveSpec::PIPELINED_CG, false),
+        Self::new(SolveSpec::FUSED_CG, true),
+        Self::new(SolveSpec::PIPELINED_CG, true),
+        Self::new(SolveSpec::FUSED_GMRES, false),
+        Self::new(SolveSpec::PIPELINED_GMRES, false),
+        Self::new(SolveSpec::FUSED_GMRES, true),
+        Self::new(SolveSpec::PIPELINED_GMRES, true),
     ];
 
-    /// The preconditioned half of the matrix — the presets whose
-    /// preconditioner-apply path the `precond-flips` family can strike.
-    pub const PRECONDITIONED: [CampaignPreset; 4] = [
-        CampaignPreset::FusedPcg,
-        CampaignPreset::PipelinedPcg,
-        CampaignPreset::CgsPgmres,
-        CampaignPreset::PipelinedPgmres,
-    ];
-
-    /// The composition behind the name — the preset matrix's one table:
-    /// the [`SolveSpec`] and whether it runs block-Jacobi preconditioned.
-    /// Death-family cases run the spec under [`lflr_solve`], which always
-    /// preconditions.
-    pub fn spec(&self) -> (SolveSpec, bool) {
-        match self {
-            CampaignPreset::FusedCg => (SolveSpec::FUSED_CG, false),
-            CampaignPreset::PipelinedCg => (SolveSpec::PIPELINED_CG, false),
-            CampaignPreset::FusedPcg => (SolveSpec::FUSED_CG, true),
-            CampaignPreset::PipelinedPcg => (SolveSpec::PIPELINED_CG, true),
-            CampaignPreset::CgsGmres => (SolveSpec::FUSED_GMRES, false),
-            CampaignPreset::PipelinedGmres => (SolveSpec::PIPELINED_GMRES, false),
-            CampaignPreset::CgsPgmres => (SolveSpec::FUSED_GMRES, true),
-            CampaignPreset::PipelinedPgmres => (SolveSpec::PIPELINED_GMRES, true),
+    /// `spec`, block-Jacobi preconditioned or not.
+    pub const fn new(spec: SolveSpec, preconditioned: bool) -> Self {
+        Self {
+            spec,
+            preconditioned,
         }
     }
 
     /// Stable short name for reports and repro lines.
     pub fn name(&self) -> &'static str {
-        let (spec, preconditioned) = self.spec();
-        spec.name(preconditioned)
+        self.spec.name(self.preconditioned)
     }
 }
 
@@ -174,8 +146,8 @@ impl CampaignConfig {
     }
 
     /// The solver options every run uses.
-    pub fn solve_opts(&self) -> DistSolveOptions {
-        DistSolveOptions::default()
+    pub fn solve_opts(&self) -> SolveOptions {
+        SolveOptions::default()
             .with_tol(self.tol)
             .with_max_iters(self.max_iters)
             .with_restart(self.restart)
@@ -349,12 +321,11 @@ pub fn run_kernel_preset<C: CommBackend>(
     a: &DistCsr,
     b: &DistVector,
     preset: CampaignPreset,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
     guard: bool,
     spmv_plan: Option<StrikePlan>,
     precond_plan: Option<StrikePlan>,
 ) -> Result<(KernelOutcome<DistVector>, KernelReport, PresetProbe)> {
-    let (spec, preconditioned) = preset.spec();
     let mut space = opts.space(comm, a);
     if let Some(plan) = spmv_plan {
         space = space.with_spmv_plan(plan);
@@ -367,17 +338,9 @@ pub fn run_kernel_preset<C: CommBackend>(
     if guard {
         policies.push(&mut guard_policy);
     }
-    let mut bj = preconditioned.then(|| BlockJacobi::new(a));
+    let mut bj = preset.preconditioned.then(|| BlockJacobi::new(a));
     let m = bj.as_mut().map(|m| m as &mut dyn SpacePreconditioner<_>);
-    let result = solve(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        spec,
-        m,
-        &mut policies,
-    );
+    let result = solve(&mut space, b, None, opts, preset.spec, m, &mut policies);
     drop(policies);
     let (outcome, report) = result?;
     // Geometry is read before the verification apply so the probe reports
@@ -462,9 +425,8 @@ pub fn clean_baseline(
 
     let rt = Runtime::new(RuntimeConfig::fast().with_seed(seed));
     let job = if family.is_death_family() {
-        let (spec, _) = preset.spec();
         rt.run(cfg.ranks, move |comm| {
-            run_death_rank(comm, &a, &b_global, spec, &cfgc)
+            run_death_rank(comm, &a, &b_global, preset.spec, &cfgc)
         })
     } else {
         rt.run(cfg.ranks, move |comm| {
@@ -597,9 +559,8 @@ pub fn run_schedule(
                 .with_seed(schedule.seed)
                 .with_failures(FailureConfig::scheduled(FailurePolicy::ReplaceRank, deaths)),
         );
-        let (spec, _) = preset.spec();
         rt.run(cfg.ranks, move |comm| {
-            run_death_rank(comm, &a, &b_global, spec, &cfgc)
+            run_death_rank(comm, &a, &b_global, preset.spec, &cfgc)
         })
     } else {
         let rt = Runtime::new(RuntimeConfig::fast().with_seed(schedule.seed));
@@ -701,8 +662,11 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 8, "preset names must be distinct");
-        for p in CampaignPreset::ALL {
-            assert_eq!(CampaignPreset::PRECONDITIONED.contains(&p), p.spec().1);
+        for spec in SolveSpec::ALL {
+            for preconditioned in [false, true] {
+                let p = CampaignPreset::new(spec, preconditioned);
+                assert!(CampaignPreset::ALL.contains(&p), "{}", p.name());
+            }
         }
     }
 
@@ -712,7 +676,7 @@ mod tests {
         let base = clean_baseline(
             FaultFamily::CorrelatedSpmvFlips,
             7,
-            CampaignPreset::FusedCg,
+            CampaignPreset::new(SolveSpec::FUSED_CG, false),
             &cfg,
         )
         .expect("clean baseline");
@@ -720,8 +684,13 @@ mod tests {
         assert!(base.makespan > 0.0);
         assert!(base.params.max_applications as usize >= base.iterations);
         assert_eq!(base.params.max_precond_applications, 0, "unpreconditioned");
-        let pre = clean_baseline(FaultFamily::PrecondFlips, 7, CampaignPreset::FusedPcg, &cfg)
-            .expect("clean baseline");
+        let pre = clean_baseline(
+            FaultFamily::PrecondFlips,
+            7,
+            CampaignPreset::new(SolveSpec::FUSED_CG, true),
+            &cfg,
+        )
+        .expect("clean baseline");
         assert!(pre.params.max_precond_applications > 0);
     }
 

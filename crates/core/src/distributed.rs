@@ -307,9 +307,18 @@ impl DistCsr {
     /// Build the local part of `global` for this rank and negotiate the
     /// ghost-exchange pattern with the other ranks (collective call: every
     /// rank must call it with the same matrix).
+    ///
+    /// # Errors
+    /// [`RuntimeError::InvalidArgument`], on every rank and before any
+    /// collective, if `global` is not square.
     pub fn from_global<C: CommBackend>(comm: &mut C, global: &CsrMatrix) -> Result<Self> {
         let n = global.nrows();
-        assert_eq!(global.ncols(), n, "distributed matrices must be square");
+        if global.ncols() != n {
+            return Err(RuntimeError::InvalidArgument(format!(
+                "distributed matrices must be square, got {n} × {}",
+                global.ncols()
+            )));
+        }
         let dist = BlockDistribution::new(n, comm.size());
         let rank = comm.rank();
         let my_range = dist.range(rank);
@@ -1099,6 +1108,35 @@ mod tests {
         });
         for layout in result.unwrap_all() {
             assert_eq!(layout, "csr", "sub-64-row blocks keep the CSR path");
+        }
+    }
+
+    #[test]
+    fn non_square_matrix_is_an_invalid_argument_on_every_rank() {
+        let mut coo = CooMatrix::new(4, 5);
+        for i in 0..4 {
+            coo.push(i, i, 2.0);
+            coo.push(i, i + 1, -1.0);
+        }
+        let a = coo.to_csr();
+        for ranks in [1, 3] {
+            let rt = Runtime::new(RuntimeConfig::fast());
+            let a = a.clone();
+            let result = rt.run(ranks, move |comm| {
+                let built = DistCsr::from_global(comm, &a).map(|_| ());
+                Ok((built, comm.snapshot_stats().collectives))
+            });
+            let per_rank = result.unwrap_all();
+            assert_eq!(per_rank.len(), ranks);
+            for (built, collectives) in per_rank {
+                match built {
+                    Err(RuntimeError::InvalidArgument(msg)) => {
+                        assert!(msg.contains("square"), "{msg}")
+                    }
+                    other => panic!("{ranks} ranks: expected InvalidArgument, got {other:?}"),
+                }
+                assert_eq!(collectives, 0, "the check posts no collective");
+            }
         }
     }
 

@@ -24,8 +24,7 @@ use resilient_runtime::{CommBackend, Result};
 
 use crate::campaign::{run_kernel_preset, CampaignPreset};
 use crate::distributed::{DistCsr, DistVector};
-use crate::rbsp::DistSolveOptions;
-use crate::solvers::common::StopReason;
+use crate::kernel::{SolveOptions, StopReason};
 
 /// One voting member: a kernel preset plus (for campaign experiments) the
 /// strike plans poisoning exactly this member's run.
@@ -105,7 +104,7 @@ pub fn diversity_vote<C: CommBackend>(
     a_global: &CsrMatrix,
     b_global: &[f64],
     members: Vec<DiversityMember>,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
     agree_tol: f64,
 ) -> Result<DiversityReport> {
     let total = members.len();
@@ -204,6 +203,7 @@ fn relative_l2(x: &[f64], y: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::SolveSpec;
 
     #[test]
     fn relative_l2_is_zero_on_identical_and_infinite_on_nan() {
@@ -215,10 +215,11 @@ mod tests {
 
     #[test]
     fn member_builders_shape_the_run() {
-        let clean = DiversityMember::clean(CampaignPreset::FusedCg);
+        let clean = DiversityMember::clean(CampaignPreset::new(SolveSpec::FUSED_CG, false));
         assert!(clean.spmv_plan.is_none() && !clean.guard);
         let plan = StrikePlan::new(vec![]);
-        let poisoned = DiversityMember::poisoned(CampaignPreset::PipelinedCg, plan);
+        let poisoned =
+            DiversityMember::poisoned(CampaignPreset::new(SolveSpec::PIPELINED_CG, false), plan);
         assert!(poisoned.spmv_plan.is_some());
     }
 }

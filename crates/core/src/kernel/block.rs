@@ -100,10 +100,9 @@ use super::policy::{
 };
 use super::precond::SpacePreconditioner;
 use super::space::{DistSpace, KrylovSpace, PipelinedSweep};
-use super::spec::Schedule;
+use super::spec::{Schedule, SolveOptions, StopReason};
 use super::{sqrt_nonneg, KernelOutcome, KernelReport, SolveProgress};
 use crate::distributed::{DistMultiVector, DistVector};
-use crate::solvers::common::{SolveOptions, StopReason};
 
 /// Result of one block solve ([`run_block_cg`],
 /// [`rbsp::solve_dist_block`](crate::rbsp::solve_dist_block)): the

@@ -12,10 +12,9 @@ use resilient_runtime::{CommBackend, Result};
 use super::policy::PolicyStack;
 use super::precond::SpacePreconditioner;
 use super::space::{DistSpace, KrylovSpace};
-use super::spec::{solve, Method, Schedule, SolveSpec};
+use super::spec::{solve, Method, Schedule, SolveOptions, SolveSpec};
 use super::{KernelOutcome, KernelReport};
 use crate::distributed::DistVector;
-use crate::solvers::common::SolveOptions;
 
 /// A CG reduction schedule — pipelined if `PIPELINED`, fused otherwise —
 /// with its optional preconditioner.

@@ -27,12 +27,11 @@ use super::policy::{
     ResiliencePolicy,
 };
 use super::precond::SpacePreconditioner;
-use super::skeptic::SkepticalPolicy;
+use super::skeptic::{SkepticalConfig, SkepticalPolicy};
 use super::space::{DistSpace, KrylovSpace, SpmvFault};
-use super::spec::{solve, Method, Schedule, SolveSpec};
+use super::spec::{solve, Method, Schedule, SolveOptions, SolveSpec};
+use super::KernelOutcome;
 use crate::distributed::{DistCsr, DistVector};
-use crate::rbsp::{DistSolveOptions, DistSolveOutcome};
-use crate::skeptical::sdc_gmres::SkepticalConfig;
 use crate::solvers::common::{one_rank, SolveOutcome, ONE_RANK};
 use crate::srp::ft_gmres::{ft_gmres_with_policies, FtGmresConfig, FtGmresReport};
 
@@ -296,10 +295,10 @@ pub fn pipelined_skeptical<'a, 'b, C: CommBackend>(
     b: &DistVector,
     method: Method,
     m: Option<&mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>>,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
     skeptic: &SkepticalConfig,
     fault: Option<SpmvFault>,
-) -> Result<(DistSolveOutcome, ComposedDistReport)> {
+) -> Result<(KernelOutcome<DistVector>, ComposedDistReport)> {
     // `solve` validates too, but only after the ‖A‖∞ allreduce below.
     a.check_operand("`b`", b)?;
     let mut skeptic = *skeptic;
@@ -327,15 +326,7 @@ pub fn pipelined_skeptical<'a, 'b, C: CommBackend>(
     let mut skeptical = SkepticalPolicy::new(skeptic);
     let mut policies = PolicyStack::new(vec![&mut skeptical]);
     let spec = SolveSpec::new(method, Schedule::Pipelined);
-    let (outcome, report) = solve(
-        &mut space,
-        b,
-        None,
-        &opts.solve_options(),
-        spec,
-        m,
-        &mut policies,
-    )?;
+    let (outcome, report) = solve(&mut space, b, None, opts, spec, m, &mut policies)?;
     let injections = space.injections();
     Ok((
         outcome,
@@ -355,10 +346,10 @@ pub fn pipelined_skeptical_cg<C: CommBackend>(
     comm: &mut C,
     a: &DistCsr,
     b: &DistVector,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
     skeptic: &SkepticalConfig,
     fault: Option<SpmvFault>,
-) -> Result<(DistSolveOutcome, ComposedDistReport)> {
+) -> Result<(KernelOutcome<DistVector>, ComposedDistReport)> {
     pipelined_skeptical(comm, a, b, Method::Cg, None, opts, skeptic, fault)
 }
 
@@ -388,16 +379,13 @@ pub fn ft_gmres_abft(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeptical::sdc_gmres::skeptical_gmres;
-    use crate::solvers::common::{true_relative_residual, SolveOptions};
+    use crate::skeptical::skeptical_gmres;
+    use crate::solvers::common::true_relative_residual;
     use resilient_linalg::poisson2d;
     use resilient_runtime::{Runtime, RuntimeConfig};
 
-    fn dist_opts() -> DistSolveOptions {
-        DistSolveOptions::default()
-            .with_tol(1e-9)
-            .with_max_iters(400)
-            .with_restart(30)
+    fn dist_opts() -> SolveOptions {
+        SolveOptions::default().with_tol(1e-9).with_max_iters(400)
     }
 
     #[test]
@@ -601,7 +589,7 @@ mod tests {
                 let a = anisotropic2d(12, 12, 0.1, 100.0, 3);
                 let da = DistCsr::from_global(comm, &a)?;
                 let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 4) as f64);
-                let opts = DistSolveOptions::default()
+                let opts = SolveOptions::default()
                     .with_tol(1e-8)
                     .with_max_iters(2000)
                     .with_restart(40);
@@ -694,7 +682,10 @@ mod tests {
             &a,
             &b,
             None,
-            &SolveOptions::default().with_tol(1e-9).with_max_iters(400),
+            &SolveOptions::default()
+                .with_tol(1e-9)
+                .with_max_iters(400)
+                .with_restart(50),
             &SkepticalConfig::default(),
             None,
         );
@@ -764,7 +755,10 @@ mod tests {
         let a = poisson2d(7, 7);
         let b = vec![1.0; a.nrows()];
         let cfg = FtGmresConfig {
-            outer: SolveOptions::default().with_tol(1e-8).with_max_iters(60),
+            outer: SolveOptions::default()
+                .with_tol(1e-8)
+                .with_max_iters(60)
+                .with_restart(50),
             ..FtGmresConfig::default()
         };
         let (out, report) = ft_gmres_abft(&a, &b, &cfg, 1e-9, None);

@@ -26,8 +26,8 @@ use super::policy::{
     StackOutcome,
 };
 use super::space::KrylovSpace;
+use super::spec::{SolveOptions, StopReason};
 use super::{sqrt_nonneg, KernelOutcome, KernelReport, SolveProgress};
-use crate::solvers::common::{SolveOptions, StopReason};
 
 /// A possibly nonlinear, possibly unreliable right preconditioner
 /// `z ≈ A⁻¹·v` applied through a space (the flexible-GMRES inner solve).

@@ -52,10 +52,10 @@ use resilient_runtime::{CommBackend, Result};
 
 use super::policy::{snapshot_ring, IterateRollbackPolicy, PolicyOverhead, PolicyStack};
 use super::precond::BlockJacobi;
-use super::spec::{solve, SolveSpec};
+use super::spec::{solve, SolveOptions, SolveSpec};
+use super::KernelOutcome;
 use crate::distributed::{DistCsr, DistVector};
 use crate::lflr::recovery_epochs;
-use crate::rbsp::{DistSolveOptions, DistSolveOutcome};
 
 /// Configuration of a process-failure-recovering Krylov solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,9 +145,9 @@ pub fn lflr_solve<C: CommBackend>(
     a_global: &CsrMatrix,
     b_global: &[f64],
     spec: SolveSpec,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
     cfg: &KrylovLflrConfig,
-) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
+) -> Result<(KernelOutcome<DistVector>, KrylovLflrReport)> {
     let mut report = KrylovLflrReport::default();
     let ring = snapshot_ring(cfg.persist_every, cfg.keep_last);
     // This rank's newest snapshot, or 0 — "I can only start over" — in
@@ -192,9 +192,7 @@ pub fn lflr_solve<C: CommBackend>(
 
         // Steps already in the bank shrink the remaining iteration budget so
         // a resumed solve honours the caller's original cap.
-        let sopts = opts
-            .solve_options()
-            .with_max_iters(opts.max_iters.saturating_sub(resume_step).max(1));
+        let sopts = opts.with_max_iters(opts.max_iters.saturating_sub(resume_step).max(1));
         let mut space = opts.space(comm, &da);
         let mut policies = PolicyStack::new(vec![&mut rollback]);
         let result = solve(
@@ -234,8 +232,8 @@ pub fn lflr_pipelined_pcg<C: CommBackend>(
     comm: &mut C,
     a_global: &CsrMatrix,
     b_global: &[f64],
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
     cfg: &KrylovLflrConfig,
-) -> Result<(DistSolveOutcome, KrylovLflrReport)> {
+) -> Result<(KernelOutcome<DistVector>, KrylovLflrReport)> {
     lflr_solve(comm, a_global, b_global, SolveSpec::PIPELINED_CG, opts, cfg)
 }

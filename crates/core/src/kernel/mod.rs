@@ -56,10 +56,10 @@
 //! [`MgsOrtho`], under the same stop decisions as every distributed GMRES
 //! solve.
 //!
-//! Every solve says what happened in one vocabulary: a single-RHS solve
-//! returns a [`KernelOutcome`] (over a [`DistSpace`], the
-//! [`DistSolveOutcome`](crate::rbsp::DistSolveOutcome) of every distributed
-//! solve), a block solve a [`BlockOutcome`], both with a [`KernelReport`]
+//! Every solve is configured by one [`SolveOptions`] and says what happened
+//! in one vocabulary: a single-RHS solve returns a [`KernelOutcome`] (over
+//! a [`DistSpace`], the outcome of every distributed solve), a block solve
+//! a [`BlockOutcome`], both with a [`KernelReport`]
 //! whose [`PolicyOverhead`] entries are each policy's only record. When a
 //! solve aborts on a detected corruption, the final verification residual
 //! is charged to the solver.
@@ -95,14 +95,13 @@ pub use policy::{
     PolicyOverhead, PolicyStack, RecoveryAction, ResiliencePolicy, SolutionProbe, StackOutcome,
 };
 pub use precond::{BlockJacobi, IdentityPrecond, RightPrecond, SpacePreconditioner};
-pub use skeptic::SkepticalPolicy;
+pub use skeptic::{SkepticalConfig, SkepticalPolicy};
 pub use space::{DistSpace, KrylovSpace, PipelinedSweep, SpmvFault, ThreadSpace};
 /// [`Schedule`] under the name the block kernel introduced it by; kept for
 /// the frozen `perf_ledger` benchmark, which imports it.
 pub use spec::Schedule as BlockCgMode;
-pub use spec::{solve, Method, Schedule, SolveSpec};
+pub use spec::{solve, Method, Schedule, SolveOptions, SolveSpec, StopReason};
 
-use crate::solvers::common::StopReason;
 use policy::IterCtx as Ctx;
 
 /// `√v` of a reduced sum of squares, with roundoff below zero read as zero
@@ -117,9 +116,8 @@ pub(crate) fn sqrt_nonneg(v: f64) -> f64 {
 }
 
 /// Result of a single-RHS kernel solve, generic over the vector type of
-/// the space it ran in; over a [`DistSpace`] it is
-/// [`DistSolveOutcome`](crate::rbsp::DistSolveOutcome), what every
-/// distributed preset returns.
+/// the space it ran in; over a [`DistSpace`] it is what every distributed
+/// solve returns.
 #[derive(Debug, Clone)]
 pub struct KernelOutcome<V> {
     /// Final iterate (per rank: this rank's part).

@@ -28,9 +28,8 @@
 //! use resilience::distributed::{DistCsr, DistVector};
 //! use resilience::kernel::{
 //!     run_gmres, DistSpace, GmresFlavor, IterCtx, KrylovSpace, MgsOrtho, PolicyAction,
-//!     PolicyOverhead, PolicyStack, ResiliencePolicy,
+//!     PolicyOverhead, PolicyStack, ResiliencePolicy, SolveOptions,
 //! };
-//! use resilience::solvers::SolveOptions;
 //! use resilient_linalg::poisson2d;
 //! use resilient_runtime::{Comm, Result, RuntimeConfig};
 //!
@@ -114,7 +113,7 @@ pub enum DetectionResponse {
     /// last consistent iterate (cheap local rollback).
     Restart,
     /// Stop the solve with
-    /// [`StopReason::CorruptionDetected`](crate::solvers::StopReason::CorruptionDetected).
+    /// [`StopReason::CorruptionDetected`](super::StopReason::CorruptionDetected).
     Abort,
 }
 

@@ -43,8 +43,9 @@
 //!
 //! ```
 //! use resilience::distributed::{DistCsr, DistVector};
-//! use resilience::kernel::{solve, BlockJacobi, DistSpace, PolicyStack, SolveSpec};
-//! use resilience::solvers::{SolveOptions, StopReason};
+//! use resilience::kernel::{
+//!     solve, BlockJacobi, DistSpace, PolicyStack, SolveOptions, SolveSpec, StopReason,
+//! };
 //! use resilient_linalg::poisson2d;
 //! use resilient_runtime::{Comm, RuntimeConfig};
 //!

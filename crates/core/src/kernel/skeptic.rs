@@ -29,7 +29,6 @@ use super::policy::{
 };
 use super::space::KrylovSpace;
 use super::sqrt_nonneg;
-use crate::skeptical::sdc_gmres::SkepticalConfig;
 use resilient_runtime::Result;
 
 /// Allowed overshoot of the true residual relative to the recurrence
@@ -39,6 +38,61 @@ const MISMATCH_TOL: f64 = 10.0;
 
 /// Safety factor on the norm bound ‖A·v‖ ≤ factor·‖A‖∞·‖v‖.
 const NORM_SAFETY_FACTOR: f64 = 4.0;
+
+/// Configuration of the skeptical checks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SkepticalConfig {
+    /// Enable the per-iteration finiteness / norm-bound / orthogonality
+    /// checks.
+    pub local_checks: bool,
+    /// Recompute the true residual every this many iterations and compare
+    /// with the recurrence estimate (0 disables the check).
+    pub residual_check_interval: usize,
+    /// Orthogonality tolerance for the newest basis pair.
+    pub orthogonality_tol: f64,
+    /// Response on detection: restart the cycle from the current iterate
+    /// (local rollback — the recommended response) or stop the solve.
+    pub response: DetectionResponse,
+    /// Fuse the check reductions into the dot strategy's own fused
+    /// reduction via the wants-dots negotiation (the policy requests check
+    /// pairs, the strategy appends them to the reduction it already posts),
+    /// instead of posting up to three extra blocking allreduces per
+    /// iteration. Only strategies with a fused reduction negotiate;
+    /// immediate-dot (serial) schedules always use the direct checks.
+    /// Disable to force the legacy unfused schedule (comparison runs).
+    pub fuse_checks: bool,
+}
+
+impl Default for SkepticalConfig {
+    fn default() -> Self {
+        Self {
+            local_checks: true,
+            residual_check_interval: 10,
+            orthogonality_tol: 1e-8,
+            response: DetectionResponse::Restart,
+            fuse_checks: true,
+        }
+    }
+}
+
+impl SkepticalConfig {
+    /// A configuration with every check disabled (the "trusting" baseline).
+    pub fn trusting() -> Self {
+        Self {
+            local_checks: false,
+            residual_check_interval: 0,
+            ..Self::default()
+        }
+    }
+
+    /// The same checks on the legacy unfused schedule: every distributed
+    /// check posts its own blocking allreduce instead of riding the
+    /// strategy's fused reduction (comparison experiments).
+    pub fn unfused(mut self) -> Self {
+        self.fuse_checks = false;
+        self
+    }
+}
 
 /// Globally reduced check scalars delivered by the current wants-dots round
 /// (cleared at each negotiation; `take`n by the detection hooks).

@@ -326,9 +326,9 @@ impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     }
 
     /// Charge `seconds` of overlappable application work per iteration
-    /// (forwarded from [`DistSolveOptions::extra_work_per_iter`]).
+    /// (forwarded from [`SolveOptions::extra_work_per_iter`]).
     ///
-    /// [`DistSolveOptions::extra_work_per_iter`]: crate::rbsp::DistSolveOptions
+    /// [`SolveOptions::extra_work_per_iter`]: super::SolveOptions::extra_work_per_iter
     pub fn with_extra_work(mut self, seconds_per_iter: f64) -> Self {
         self.extra_work_per_iter = seconds_per_iter;
         self

@@ -1,13 +1,15 @@
 //! The composition as a value: which Krylov method runs under which
-//! reduction schedule.
+//! reduction schedule, with which options.
 //!
 //! Every distributed solve in the suite is *method × schedule (× optional
 //! preconditioner)*. [`SolveSpec`] names the first two as data — `Copy`, so
 //! it can be stored, iterated over ([`SolveSpec::ALL`]) and captured by an
 //! `Fn` rank closure — and [`solve`] is the one place it becomes a strategy
 //! type. "Preconditioned" is not a field: it is whether a preconditioner
-//! was passed.
+//! was passed. [`SolveOptions`] is the one options type of every solve,
+//! serial or distributed, and [`StopReason`] says why it ended.
 
+use resilient_linalg::LocalOps;
 use resilient_runtime::{CommBackend, Result};
 
 use super::block::run_block_cg;
@@ -16,8 +18,107 @@ use super::policy::PolicyStack;
 use super::precond::{IdentityPrecond, RightPrecond, SpacePreconditioner};
 use super::space::DistSpace;
 use super::{KernelOutcome, KernelReport};
-use crate::distributed::{DistMultiVector, DistVector};
-use crate::solvers::common::SolveOptions;
+use crate::distributed::{DistCsr, DistMultiVector, DistVector};
+
+/// Options of a solve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SolveOptions {
+    /// Relative residual tolerance: stop when ‖r‖ ≤ tol·‖b‖.
+    pub tol: f64,
+    /// Maximum total iterations.
+    pub max_iters: usize,
+    /// Restart length of GMRES (ignored by CG).
+    pub restart: usize,
+    /// Virtual seconds of local work charged per iteration *in addition to*
+    /// the solver's own arithmetic; models the application work (e.g. a
+    /// nonlinear residual evaluation) that latency hiding can overlap.
+    pub extra_work_per_iter: f64,
+    /// Run node-local arithmetic on the portable scalar backend instead of
+    /// the default [`resilient_linalg::auto_ops`] selection. Results are
+    /// bit-identical either way; this is a speed/debugging knob (the
+    /// scalar-fallback CI job forces it process-wide via
+    /// `RESILIENT_FORCE_SCALAR`).
+    pub force_scalar_ops: bool,
+}
+
+impl Default for SolveOptions {
+    fn default() -> Self {
+        Self {
+            tol: 1e-8,
+            max_iters: 500,
+            restart: 30,
+            extra_work_per_iter: 0.0,
+            force_scalar_ops: false,
+        }
+    }
+}
+
+impl SolveOptions {
+    /// Builder-style tolerance.
+    pub fn with_tol(mut self, tol: f64) -> Self {
+        self.tol = tol;
+        self
+    }
+    /// Builder-style iteration cap.
+    pub fn with_max_iters(mut self, max_iters: usize) -> Self {
+        self.max_iters = max_iters;
+        self
+    }
+    /// Builder-style restart length.
+    pub fn with_restart(mut self, restart: usize) -> Self {
+        self.restart = restart;
+        self
+    }
+    /// Builder-style scalar-backend selection (see
+    /// [`SolveOptions::force_scalar_ops`]).
+    pub fn with_scalar_ops(mut self) -> Self {
+        self.force_scalar_ops = true;
+        self
+    }
+
+    /// The node-local compute backend the entry points hand their spaces.
+    pub fn local_ops(&self) -> &'static dyn LocalOps {
+        if self.force_scalar_ops {
+            resilient_linalg::scalar_ops()
+        } else {
+            resilient_linalg::auto_ops()
+        }
+    }
+
+    /// The space every distributed solve over `a` runs in: this backend
+    /// choice and `extra_work_per_iter` bound to the communicator.
+    pub fn space<'a, 'b, C: CommBackend>(
+        &self,
+        comm: &'a mut C,
+        a: &'b DistCsr,
+    ) -> DistSpace<'a, 'b, C> {
+        DistSpace::new(comm, a)
+            .with_ops(self.local_ops())
+            .with_extra_work(self.extra_work_per_iter)
+    }
+
+    /// These options, unchanged. Kept for the frozen `perf_ledger`, which
+    /// calls it.
+    pub fn solve_options(&self) -> Self {
+        *self
+    }
+}
+
+/// Why a solve stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StopReason {
+    /// The residual tolerance was met.
+    Converged,
+    /// The iteration limit was reached.
+    MaxIterations,
+    /// A breakdown occurred (zero denominator / happy breakdown handled
+    /// separately by GMRES).
+    Breakdown,
+    /// The iteration produced NaN/Inf values.
+    Diverged,
+    /// A skeptical check detected corruption and the solver chose to stop.
+    CorruptionDetected,
+}
 
 /// The Krylov method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

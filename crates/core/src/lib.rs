@@ -14,10 +14,17 @@
 //! * [`srp`] — **SRP**, Selective Reliability Programming: reliable /
 //!   unreliable execution tiers, FT-GMRES and TMR ablations.
 //!
+//! All four run on one Krylov kernel, [`kernel`]: a solve is a
+//! [`SolveSpec`](kernel::SolveSpec) composition configured by one
+//! [`SolveOptions`](kernel::SolveOptions), and ends with a
+//! [`StopReason`](kernel::StopReason).
+//!
 //! Supporting modules: [`solvers`] (serial CG/GMRES/FGMRES — 1-rank solves
 //! of the same kernel), [`distributed`] (block-distributed vectors and
-//! sparse matrices over the simulated runtime), and [`models`] (the
-//! programming-model taxonomy).
+//! sparse matrices over the simulated runtime), [`campaign`] and
+//! [`diversity`] (the fault campaign and N-version voting over
+//! [`CampaignPreset`](campaign::CampaignPreset) values), and [`models`]
+//! (the programming-model taxonomy).
 //!
 //! ## Quick start
 //!
@@ -32,7 +39,10 @@
 //! let fault = random_spmv_fault(a.nrows(), 5, Some(61), 42);
 //! let (outcome, report) = skeptical_gmres(
 //!     &a, &b, None,
-//!     &SolveOptions::default().with_tol(1e-8).with_max_iters(500),
+//!     &SolveOptions::default()
+//!         .with_tol(1e-8)
+//!         .with_max_iters(500)
+//!         .with_restart(50),
 //!     &SkepticalConfig::default(),
 //!     Some(fault),
 //! );
@@ -67,8 +77,8 @@ pub mod prelude {
         run_block_cg, AbftSpmvPolicy, BlockJacobi, BlockOutcome, DetectionResponse, DistSpace,
         IdentityPrecond, IterateRollbackPolicy, KrylovLflrConfig, KrylovLflrReport, KrylovSpace,
         Method, NoopPolicy, PolicyOverhead, PolicyStack, PrecondGuardPolicy, ResiliencePolicy,
-        RightPrecond, Schedule, SetupCache, SkepticalPolicy, SolveSpec, SpacePreconditioner,
-        SpmvFault,
+        RightPrecond, Schedule, SetupCache, SkepticalConfig, SkepticalPolicy, SolveOptions,
+        SolveSpec, SpacePreconditioner, SpmvFault, StopReason,
     };
     pub use crate::lflr::{run_cpr, run_lflr, CprApp, CprConfig, CprReport, LflrApp, LflrReport};
     pub use crate::models::ProgrammingModel;
@@ -77,10 +87,8 @@ pub mod prelude {
         gmres::pipelined_pgmres,
         solve_dist, solve_dist_block, DistSolveOptions, DistSolveOutcome,
     };
-    pub use crate::skeptical::{random_spmv_fault, skeptical_gmres, SkepticalConfig};
-    pub use crate::solvers::{
-        cg, fgmres, gmres, true_relative_residual, SolveOptions, SolveOutcome, StopReason,
-    };
+    pub use crate::skeptical::{random_spmv_fault, skeptical_gmres};
+    pub use crate::solvers::{cg, fgmres, gmres, true_relative_residual, SolveOutcome};
     pub use crate::srp::{
         compare_tmr_strategies, ft_gmres, reliable_gmres, unreliable_gmres, FtGmresConfig,
         FtGmresReport, SrpCostLedger,

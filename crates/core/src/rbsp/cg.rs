@@ -15,9 +15,11 @@
 
 use resilient_runtime::{CommBackend, Result};
 
-use super::{solve_dist, solve_dist_block, DistSolveOptions, DistSolveOutcome};
+use super::{solve_dist, solve_dist_block, DistSolveOutcome};
 use crate::distributed::{DistCsr, DistMultiVector, DistVector};
-use crate::kernel::{BlockOutcome, DistSpace, Schedule, SolveSpec, SpacePreconditioner};
+use crate::kernel::{
+    BlockOutcome, DistSpace, Schedule, SolveOptions, SolveSpec, SpacePreconditioner,
+};
 
 /// Classical distributed CG: [`solve_dist`] with [`SolveSpec::FUSED_CG`]
 /// and no preconditioner — one SpMV and **two blocking all-reduces** per
@@ -27,7 +29,7 @@ pub fn dist_cg<C: CommBackend>(
     comm: &mut C,
     a: &DistCsr,
     b: &DistVector,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
 ) -> Result<DistSolveOutcome> {
     solve_dist(comm, a, b, SolveSpec::FUSED_CG, None, opts)
 }
@@ -40,7 +42,7 @@ pub fn pipelined_cg<C: CommBackend>(
     comm: &mut C,
     a: &DistCsr,
     b: &DistVector,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
 ) -> Result<DistSolveOutcome> {
     solve_dist(comm, a, b, SolveSpec::PIPELINED_CG, None, opts)
 }
@@ -54,7 +56,7 @@ pub fn pipelined_pcg<'a, 'b, C: CommBackend>(
     a: &'b DistCsr,
     b: &DistVector,
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
 ) -> Result<DistSolveOutcome> {
     solve_dist(comm, a, b, SolveSpec::PIPELINED_CG, Some(m), opts)
 }
@@ -68,7 +70,7 @@ pub fn pipelined_block_pcg<'a, 'b, C: CommBackend>(
     a: &'b DistCsr,
     b: &DistMultiVector,
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
 ) -> Result<BlockOutcome> {
     solve_dist_block(comm, a, b, Schedule::Pipelined, m, opts)
 }
@@ -86,9 +88,7 @@ mod tests {
             let n = a.nrows();
             let da = DistCsr::from_global(comm, &a)?;
             let b = DistVector::from_fn(comm, n, |i| 1.0 + (i % 3) as f64);
-            let opts = DistSolveOptions::default()
-                .with_tol(1e-9)
-                .with_max_iters(400);
+            let opts = SolveOptions::default().with_tol(1e-9).with_max_iters(400);
             let classic = dist_cg(comm, &da, &b, &opts)?;
             let pipelined = pipelined_cg(comm, &da, &b, &opts)?;
             assert!(classic.converged, "classic CG must converge");
@@ -140,9 +140,7 @@ mod tests {
                 let n = a.nrows();
                 let da = DistCsr::from_global(comm, &a)?;
                 let b = DistVector::from_fn(comm, n, |i| (i as f64 * 0.1).cos());
-                let opts = DistSolveOptions::default()
-                    .with_tol(1e-8)
-                    .with_max_iters(200);
+                let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(200);
                 let t0 = comm.now();
                 let classic = dist_cg(comm, &da, &b, &opts)?;
                 let t1 = comm.now();

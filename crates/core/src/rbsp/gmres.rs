@@ -15,9 +15,9 @@
 
 use resilient_runtime::{CommBackend, Result};
 
-use super::{solve_dist, DistSolveOptions, DistSolveOutcome};
+use super::{solve_dist, DistSolveOutcome};
 use crate::distributed::{DistCsr, DistVector};
-use crate::kernel::{DistSpace, SolveSpec, SpacePreconditioner};
+use crate::kernel::{DistSpace, SolveOptions, SolveSpec, SpacePreconditioner};
 
 /// Right-preconditioned p(1)-pipelined GMRES: [`solve_dist`] with
 /// [`SolveSpec::PIPELINED_GMRES`] and `m` — the preconditioner apply joins
@@ -28,7 +28,7 @@ pub fn pipelined_pgmres<'a, 'b, C: CommBackend>(
     a: &'b DistCsr,
     b: &DistVector,
     m: &mut dyn SpacePreconditioner<DistSpace<'a, 'b, C>>,
-    opts: &DistSolveOptions,
+    opts: &SolveOptions,
 ) -> Result<DistSolveOutcome> {
     solve_dist(comm, a, b, SolveSpec::PIPELINED_GMRES, Some(m), opts)
 }
@@ -49,7 +49,7 @@ mod tests {
                 let n = a.nrows();
                 let da = DistCsr::from_global(comm, &a)?;
                 let b = DistVector::from_fn(comm, n, |i| 1.0 + (i % 2) as f64);
-                let opts = DistSolveOptions::default()
+                let opts = SolveOptions::default()
                     .with_tol(1e-8)
                     .with_max_iters(300)
                     .with_restart(40);
@@ -93,7 +93,7 @@ mod tests {
                 let n = a.nrows();
                 let da = DistCsr::from_global(comm, &a)?;
                 let b = DistVector::from_fn(comm, n, |i| (i as f64 * 0.05).sin() + 1.0);
-                let opts = DistSolveOptions::default()
+                let opts = SolveOptions::default()
                     .with_tol(1e-7)
                     .with_max_iters(120)
                     .with_restart(40);

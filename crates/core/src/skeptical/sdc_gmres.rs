@@ -18,70 +18,16 @@
 //!
 //! On detection the solver either restarts the Arnoldi cycle from the
 //! current (still valid) iterate — cheap local recovery — or aborts,
-//! according to the configured [`DetectionResponse`].
+//! according to the configured
+//! [`DetectionResponse`](crate::kernel::DetectionResponse).
 
 use resilient_linalg::CsrMatrix;
 
 use crate::kernel::{
-    run_gmres, DetectionResponse, GmresFlavor, MgsOrtho, PolicyOverhead, PolicyStack,
-    SkepticalPolicy, SpmvFault,
+    run_gmres, GmresFlavor, MgsOrtho, PolicyOverhead, PolicyStack, SkepticalConfig,
+    SkepticalPolicy, SolveOptions, SpmvFault,
 };
-use crate::solvers::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
-
-/// Configuration of the skeptical checks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SkepticalConfig {
-    /// Enable the per-iteration finiteness / norm-bound / orthogonality
-    /// checks.
-    pub local_checks: bool,
-    /// Recompute the true residual every this many iterations and compare
-    /// with the recurrence estimate (0 disables the check).
-    pub residual_check_interval: usize,
-    /// Orthogonality tolerance for the newest basis pair.
-    pub orthogonality_tol: f64,
-    /// Response on detection: restart the cycle from the current iterate
-    /// (local rollback — the recommended response) or stop the solve.
-    pub response: DetectionResponse,
-    /// Fuse the check reductions into the dot strategy's own fused
-    /// reduction via the wants-dots negotiation (the policy requests check
-    /// pairs, the strategy appends them to the reduction it already posts),
-    /// instead of posting up to three extra blocking allreduces per
-    /// iteration. Only strategies with a fused reduction negotiate;
-    /// immediate-dot (serial) schedules always use the direct checks.
-    /// Disable to force the legacy unfused schedule (comparison runs).
-    pub fuse_checks: bool,
-}
-
-impl Default for SkepticalConfig {
-    fn default() -> Self {
-        Self {
-            local_checks: true,
-            residual_check_interval: 10,
-            orthogonality_tol: 1e-8,
-            response: DetectionResponse::Restart,
-            fuse_checks: true,
-        }
-    }
-}
-
-impl SkepticalConfig {
-    /// A configuration with every check disabled (the "trusting" baseline).
-    pub fn trusting() -> Self {
-        Self {
-            local_checks: false,
-            residual_check_interval: 0,
-            ..Self::default()
-        }
-    }
-
-    /// The same checks on the legacy unfused schedule: every distributed
-    /// check posts its own blocking allreduce instead of riding the
-    /// strategy's fused reduction (comparison experiments).
-    pub fn unfused(mut self) -> Self {
-        self.fuse_checks = false;
-        self
-    }
-}
+use crate::solvers::common::{solve_on_one_rank, SolveOutcome};
 
 /// GMRES with skeptical checks. Returns the solver outcome (whose
 /// `injections` count the flips `fault` landed) plus the policy's checks,
@@ -122,7 +68,8 @@ pub fn skeptical_gmres(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::common::{true_relative_residual, StopReason};
+    use crate::kernel::{DetectionResponse, StopReason};
+    use crate::solvers::common::true_relative_residual;
     use resilient_linalg::poisson2d;
 
     /// A flip of `bit` in element `element` of product `at` on the one rank.

@@ -6,15 +6,15 @@
 
 use resilient_linalg::CsrMatrix;
 
-use crate::kernel::{solve, PolicyStack, SolveSpec};
+use crate::kernel::{solve, PolicyStack, SolveOptions, SolveSpec};
 
-use super::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
+use super::common::{solve_on_one_rank, SolveOutcome};
 
 /// Solve `A·x = b` with CG starting from `x0` (zero vector if `None`).
 ///
 /// Preset: [`SolveSpec::FUSED_CG`] × empty policy stack over a 1-rank
 /// [`DistSpace`](crate::kernel::DistSpace). A breakdown (`p·Ap ≤ 0`, NaN
-/// included) stops with [`StopReason::Breakdown`](super::StopReason).
+/// included) stops with [`StopReason::Breakdown`](crate::kernel::StopReason::Breakdown).
 pub fn cg(a: &CsrMatrix, b: &[f64], x0: Option<&[f64]>, opts: &SolveOptions) -> SolveOutcome {
     let (out, _report) = solve_on_one_rank(a, b, x0, None, |space, b, x0| {
         let policies = &mut PolicyStack::empty();
@@ -26,7 +26,8 @@ pub fn cg(a: &CsrMatrix, b: &[f64], x0: Option<&[f64]>, opts: &SolveOptions) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::common::{true_relative_residual, StopReason};
+    use crate::kernel::StopReason;
+    use crate::solvers::common::true_relative_residual;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use resilient_linalg::{poisson1d, poisson2d, random_vector, spd_random};

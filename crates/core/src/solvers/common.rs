@@ -1,70 +1,15 @@
-//! Shared solver types — options, outcomes, stop reasons — and the 1-rank
-//! execution space every serial preset runs in.
+//! The serial presets' outcome type and the 1-rank execution space every
+//! serial preset runs in.
 
 use resilient_linalg::CsrMatrix;
 use resilient_runtime::{Comm, Result, RuntimeConfig};
 
 use crate::distributed::{DistCsr, DistVector};
-use crate::kernel::{DistSpace, KernelOutcome, KernelReport, SpmvFault};
+use crate::kernel::{DistSpace, KernelOutcome, KernelReport, SpmvFault, StopReason};
 
 /// Why a 1-rank solve cannot fail: it has no peer to lose and no
 /// collective partner to wait for.
 pub(crate) const ONE_RANK: &str = "a 1-rank solve has no peer to fail";
-
-/// Solver configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveOptions {
-    /// Relative residual tolerance: stop when ‖r‖ ≤ tol·‖b‖.
-    pub tol: f64,
-    /// Maximum total iterations.
-    pub max_iters: usize,
-    /// Restart length for restarted GMRES (ignored by CG).
-    pub restart: usize,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        Self {
-            tol: 1e-8,
-            max_iters: 1000,
-            restart: 50,
-        }
-    }
-}
-
-impl SolveOptions {
-    /// Builder-style tolerance.
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
-    }
-    /// Builder-style iteration cap.
-    pub fn with_max_iters(mut self, max_iters: usize) -> Self {
-        self.max_iters = max_iters;
-        self
-    }
-    /// Builder-style restart length.
-    pub fn with_restart(mut self, restart: usize) -> Self {
-        self.restart = restart;
-        self
-    }
-}
-
-/// Why a solve stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopReason {
-    /// The residual tolerance was met.
-    Converged,
-    /// The iteration limit was reached.
-    MaxIterations,
-    /// A breakdown occurred (zero denominator / happy breakdown handled
-    /// separately by GMRES).
-    Breakdown,
-    /// The iteration produced NaN/Inf values.
-    Diverged,
-    /// A skeptical check detected corruption and the solver chose to stop.
-    CorruptionDetected,
-}
 
 /// Result of a linear solve.
 #[derive(Debug, Clone)]
@@ -169,6 +114,7 @@ pub fn true_relative_residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::SolveOptions;
     use resilient_linalg::poisson1d;
 
     #[test]

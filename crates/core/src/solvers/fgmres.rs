@@ -13,9 +13,10 @@ use resilient_linalg::CsrMatrix;
 
 use crate::kernel::{
     run_gmres, DistSpace, FlexibleRight, GmresFlavor, KernelReport, MgsOrtho, PolicyStack,
+    SolveOptions,
 };
 
-use super::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
+use super::common::{solve_on_one_rank, SolveOutcome};
 
 /// Flexible GMRES with restart, applying `m` as a (possibly varying,
 /// possibly unreliable) right preconditioner. The kernel report counts the
@@ -77,7 +78,10 @@ mod tests {
             &mut Identity,
             &b,
             None,
-            &SolveOptions::default().with_tol(1e-9).with_max_iters(400),
+            &SolveOptions::default()
+                .with_tol(1e-9)
+                .with_max_iters(400)
+                .with_restart(50),
         );
         assert!(out.converged());
         assert!(report.inner_applications >= out.iterations);
@@ -151,7 +155,10 @@ mod tests {
             &mut FlakyInner { calls: 0 },
             &b,
             None,
-            &SolveOptions::default().with_tol(1e-8).with_max_iters(400),
+            &SolveOptions::default()
+                .with_tol(1e-8)
+                .with_max_iters(400)
+                .with_restart(50),
         );
         assert!(
             out.converged(),

@@ -10,9 +10,10 @@ use resilient_runtime::Result;
 use crate::distributed::DistVector;
 use crate::kernel::{
     run_gmres, DistSpace, GmresFlavor, KernelOutcome, KernelReport, MgsOrtho, PolicyStack,
+    SolveOptions,
 };
 
-use super::common::{solve_on_one_rank, SolveOptions, SolveOutcome};
+use super::common::{solve_on_one_rank, SolveOutcome};
 
 /// Restarted GMRES(m): solve `A·x = b` with restart length `opts.restart`.
 ///
@@ -46,7 +47,8 @@ pub(crate) fn gmres_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::common::{true_relative_residual, StopReason};
+    use crate::kernel::StopReason;
+    use crate::solvers::common::true_relative_residual;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use resilient_linalg::{diag_dominant_random, poisson1d, poisson2d, random_vector};
@@ -59,7 +61,10 @@ mod tests {
             &a,
             &b,
             None,
-            &SolveOptions::default().with_tol(1e-10).with_max_iters(500),
+            &SolveOptions::default()
+                .with_tol(1e-10)
+                .with_max_iters(500)
+                .with_restart(50),
         );
         assert!(out.converged(), "{:?}", out.reason);
         assert!(true_relative_residual(&a, &b, &out.x) < 1e-9);
@@ -75,7 +80,10 @@ mod tests {
             &a,
             &b,
             None,
-            &SolveOptions::default().with_tol(1e-10).with_max_iters(300),
+            &SolveOptions::default()
+                .with_tol(1e-10)
+                .with_max_iters(300)
+                .with_restart(50),
         );
         assert!(out.converged());
         let err: f64 = out
@@ -154,7 +162,10 @@ mod tests {
             &a,
             &b,
             None,
-            &SolveOptions::default().with_tol(1e-9).with_restart(100),
+            &SolveOptions::default()
+                .with_tol(1e-9)
+                .with_max_iters(1000)
+                .with_restart(100),
         );
         // The recurrence-estimated final residual should match the true one.
         let true_res = true_relative_residual(&a, &b, &out.x);

@@ -28,9 +28,9 @@ use super::reliability::SrpCostLedger;
 use crate::distributed::{DistCsr, DistVector};
 use crate::kernel::{
     run_gmres, DistSpace, FlexibleRight, GmresFlavor, KernelReport, MgsOrtho, PolicyStack,
-    SpmvFault,
+    SolveOptions, SpmvFault,
 };
-use crate::solvers::common::{measured, one_rank, SolveOptions, SolveOutcome, ONE_RANK};
+use crate::solvers::common::{measured, one_rank, SolveOutcome, ONE_RANK};
 use crate::solvers::gmres::{gmres, gmres_on};
 
 /// Configuration of the FT-GMRES inner/outer split.
@@ -53,7 +53,7 @@ pub struct FtGmresConfig {
 impl Default for FtGmresConfig {
     fn default() -> Self {
         Self {
-            outer: SolveOptions::default().with_restart(30).with_max_iters(60),
+            outer: SolveOptions::default().with_max_iters(60),
             inner_iters: 20,
             inner_tol: 1e-2,
             fault_rate: 0.0,
@@ -239,7 +239,10 @@ mod tests {
         let a = poisson2d(8, 8);
         let b = vec![1.0; a.nrows()];
         let cfg = FtGmresConfig {
-            outer: SolveOptions::default().with_tol(1e-8).with_max_iters(40),
+            outer: SolveOptions::default()
+                .with_tol(1e-8)
+                .with_max_iters(40)
+                .with_restart(50),
             ..FtGmresConfig::default()
         };
         let (out, report) = ft_gmres(&a, &b, &cfg);
@@ -316,7 +319,10 @@ mod tests {
     fn reliable_baseline_costs_more_per_flop() {
         let a = poisson2d(6, 6);
         let b = vec![1.0; a.nrows()];
-        let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(200);
+        let opts = SolveOptions::default()
+            .with_tol(1e-8)
+            .with_max_iters(200)
+            .with_restart(50);
         let (out, ledger) = reliable_gmres(&a, &b, &opts);
         assert!(out.converged());
         assert_eq!(ledger.unreliable_flops, 0);

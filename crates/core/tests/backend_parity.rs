@@ -28,8 +28,8 @@ fn problem() -> (CsrMatrix, Vec<f64>) {
     (a, b)
 }
 
-fn opts() -> DistSolveOptions {
-    DistSolveOptions::default()
+fn opts() -> SolveOptions {
+    SolveOptions::default()
         .with_tol(1e-8)
         .with_max_iters(600)
         .with_restart(8)

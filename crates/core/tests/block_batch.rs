@@ -65,9 +65,7 @@ fn k1_parity(ranks: usize, pipelined: bool) -> Vec<K1Parity> {
         let da = DistCsr::from_global(comm, &a)?;
         let b1 = DistVector::from_fn(comm, n, |i| rhs(0, i));
         let bk = DistMultiVector::from_columns(std::slice::from_ref(&b1));
-        let opts = DistSolveOptions::default()
-            .with_tol(1e-9)
-            .with_max_iters(300);
+        let opts = SolveOptions::default().with_tol(1e-9).with_max_iters(300);
 
         let mut m = BlockJacobi::new(&da);
         let before = comm.snapshot_stats().collectives;
@@ -144,9 +142,7 @@ fn columns_match_sequential(ranks: usize, pipelined: bool) {
         let n = a.nrows();
         let da = DistCsr::from_global(comm, &a)?;
         let bk = DistMultiVector::from_fn(comm, n, K, rhs);
-        let opts = DistSolveOptions::default()
-            .with_tol(1e-8)
-            .with_max_iters(300);
+        let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(300);
 
         let mut m = BlockJacobi::new(&da);
         let block = if pipelined {
@@ -231,7 +227,7 @@ fn block_collectives(pipelined: bool, k: usize, max_iters: usize) -> (u64, usize
         let da = DistCsr::from_global(comm, &a)?;
         // No zero column here: pinned runs must keep every lane active.
         let bk = DistMultiVector::from_fn(comm, n, k, |c, i| rhs(c.min(2), i));
-        let opts = DistSolveOptions::default()
+        let opts = SolveOptions::default()
             .with_tol(1e-30)
             .with_max_iters(max_iters);
         let mut m = BlockJacobi::new(&da);
@@ -310,9 +306,7 @@ fn cached_setup_solves_bit_identically_and_skips_the_factorization_cost() {
         let n = a.nrows();
         let da = DistCsr::from_global(comm, &a)?;
         let bk = DistMultiVector::from_fn(comm, n, 2, rhs);
-        let opts = DistSolveOptions::default()
-            .with_tol(1e-8)
-            .with_max_iters(300);
+        let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(300);
 
         let mut cache = SetupCache::new();
         let t0 = comm.now();
@@ -528,9 +522,7 @@ fn staggered_freezes_keep_columns_sequential_and_virtual_time_unchanged() {
             let n = a.nrows();
             let da = DistCsr::from_global(comm, &a)?;
             let bk = DistMultiVector::from_fn(comm, n, K, staggered_rhs);
-            let opts = DistSolveOptions::default()
-                .with_tol(1e-8)
-                .with_max_iters(300);
+            let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(300);
 
             let mut m = BlockJacobi::new(&da);
             let t0 = comm.now();
@@ -672,7 +664,7 @@ fn malformed_single_rhs_calls<C: CommBackend>(
         ("`x0` has global length", b.clone(), Some(long.clone())),
         ("`x0` has global length", b.clone(), Some(misplaced)),
     ];
-    let opts = DistSolveOptions::default();
+    let opts = SolveOptions::default();
     let skeptic = SkepticalConfig::default();
     let before = collectives(comm);
     let mut errors: Rejections = Vec::new();
@@ -753,7 +745,7 @@ fn outcomes_report_why_the_solve_stopped() {
         let dneg = DistCsr::from_global(comm, &neg)?;
         let b = DistVector::from_fn(comm, n, |i| rhs(0, i));
         let bk = DistMultiVector::from_fn(comm, n, 2, rhs);
-        let opts = DistSolveOptions::default().with_tol(1e-12);
+        let opts = SolveOptions::default().with_tol(1e-12);
         let capped = opts.with_max_iters(3);
         let indefinite = dist_cg(comm, &dneg, &b, &opts)?;
         let short = dist_cg(comm, &da, &b, &capped)?;
@@ -829,9 +821,7 @@ fn vector_only_preconditioner_is_staged_bit_identically() {
                 let n = a.nrows();
                 let da = DistCsr::from_global(comm, &a)?;
                 let bk = DistMultiVector::from_fn(comm, n, 3, rhs);
-                let opts = DistSolveOptions::default()
-                    .with_tol(1e-8)
-                    .with_max_iters(300);
+                let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(300);
                 let bj = BlockJacobi::new(&da);
                 let out = if staged {
                     pipelined_block_pcg(comm, &da, &bk, &mut VectorOnly(bj), &opts)?
@@ -917,9 +907,7 @@ fn identity_block_columns_equal_their_unpreconditioned_and_identity_solves() {
                 let n = a.nrows();
                 let da = DistCsr::from_global(comm, &a)?;
                 let bk = DistMultiVector::from_fn(comm, n, K, staggered_rhs);
-                let opts = DistSolveOptions::default()
-                    .with_tol(1e-8)
-                    .with_max_iters(300);
+                let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(300);
                 let id = &mut IdentityPrecond;
                 let t0 = comm.now();
                 let block = if pipelined {
@@ -1009,9 +997,7 @@ fn identity_and_a_silently_copying_preconditioner_are_one_program() {
                         let n = a.nrows();
                         let da = DistCsr::from_global(comm, &a)?;
                         let bk = DistMultiVector::from_fn(comm, n, k, staggered_rhs);
-                        let opts = DistSolveOptions::default()
-                            .with_tol(1e-8)
-                            .with_max_iters(300);
+                        let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(300);
                         let m: &mut dyn SpacePreconditioner<DistSpace<'_, '_>> = if silent {
                             &mut SilentIdentity
                         } else {

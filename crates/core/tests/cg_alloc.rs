@@ -104,7 +104,7 @@ fn vector_allocations(preset: &'static str, max_iters: usize) -> Vec<u64> {
             let bk = DistMultiVector::from_fn(comm, n, K, rhs);
             let mut bj = BlockJacobi::new(&da);
             let id = &mut IdentityPrecond;
-            let opts = DistSolveOptions::default()
+            let opts = SolveOptions::default()
                 .with_tol(0.0)
                 .with_max_iters(max_iters);
             let before = VECTOR_ALLOCATIONS.with(Cell::get);

@@ -263,13 +263,11 @@ fn a_policy_restart_recomputes_the_carried_partials() {
 #[test]
 fn lflr_resume_is_backend_invariant() {
     let opts = || {
-        let mut o = DistSolveOptions::default()
-            .with_tol(1e-8)
-            .with_max_iters(600);
+        let mut o = SolveOptions::default().with_tol(1e-8).with_max_iters(600);
         o.extra_work_per_iter = 2e-3;
         o
     };
-    let run = |o: DistSolveOptions, failures: Vec<(usize, f64)>| {
+    let run = |o: SolveOptions, failures: Vec<(usize, f64)>| {
         let mut rc = RuntimeConfig::fast().with_seed(11);
         if !failures.is_empty() {
             rc = rc.with_failures(FailureConfig::scheduled(

@@ -30,8 +30,8 @@ use resilient_runtime::{
 
 /// Options that never converge (so iteration counts are exactly
 /// `max_iters`) and never trigger the priced residual probe.
-fn pinned_opts(max_iters: usize) -> DistSolveOptions {
-    DistSolveOptions::default()
+fn pinned_opts(max_iters: usize) -> SolveOptions {
+    SolveOptions::default()
         .with_tol(1e-30)
         .with_max_iters(max_iters)
         .with_restart(30)
@@ -161,7 +161,7 @@ fn fused_and_unfused_agree_bitwise_on_clean_solves() {
                 let a = poisson2d(9, 9);
                 let da = DistCsr::from_global(comm, &a)?;
                 let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 2) as f64);
-                let opts = DistSolveOptions::default()
+                let opts = SolveOptions::default()
                     .with_tol(1e-8)
                     .with_max_iters(400)
                     .with_restart(30);
@@ -243,7 +243,7 @@ fn fusion_hides_check_latency() {
             let a = poisson2d(16, 16);
             let da = DistCsr::from_global(comm, &a)?;
             let b = DistVector::from_fn(comm, a.nrows(), |i| (i as f64 * 0.1).cos());
-            let opts = DistSolveOptions::default()
+            let opts = SolveOptions::default()
                 .with_tol(1e-7)
                 .with_max_iters(400)
                 .with_restart(30);

@@ -23,6 +23,11 @@ fn campaign_cases() -> u32 {
         .unwrap_or(2)
 }
 
+/// The preconditioned half of the preset matrix, in sweep order.
+fn preconditioned() -> impl Iterator<Item = CampaignPreset> {
+    CampaignPreset::ALL.into_iter().filter(|p| p.preconditioned)
+}
+
 /// Run one campaign case and assert the oracle. On a contract violation,
 /// greedily minimize the schedule (re-running the case after each
 /// candidate drop) and panic with both the full repro line and the shrunk
@@ -62,7 +67,7 @@ proptest! {
                 assert_case(family, seed, preset, &cfg);
             }
         }
-        for preset in CampaignPreset::PRECONDITIONED {
+        for preset in preconditioned() {
             assert_case(FaultFamily::PrecondFlips, seed, preset, &cfg);
         }
     }
@@ -73,7 +78,7 @@ proptest! {
     #[test]
     fn guarded_precond_flips_uphold_the_oracle(seed in 0u64..(1u64 << 32)) {
         let cfg = CampaignConfig::default().with_guard(true);
-        for preset in CampaignPreset::PRECONDITIONED {
+        for preset in preconditioned() {
             assert_case(FaultFamily::PrecondFlips, seed, preset, &cfg);
             assert_case(FaultFamily::MixedFlipStorm, seed, preset, &cfg);
         }
@@ -90,12 +95,7 @@ proptest! {
             FaultFamily::RendezvousDeath,
             FaultFamily::PersistBoundaryDeath,
         ] {
-            for preset in [
-                CampaignPreset::FusedPcg,
-                CampaignPreset::PipelinedPcg,
-                CampaignPreset::CgsPgmres,
-                CampaignPreset::PipelinedPgmres,
-            ] {
+            for preset in preconditioned() {
                 assert_case(family, seed, preset, &cfg);
             }
         }
@@ -146,7 +146,10 @@ fn threaded_backend_flip_case_upholds_the_oracle() {
             bit: 44,
         },
     ];
-    for preset in [CampaignPreset::FusedCg, CampaignPreset::CgsGmres] {
+    for preset in [
+        CampaignPreset::new(SolveSpec::FUSED_CG, false),
+        CampaignPreset::new(SolveSpec::FUSED_GMRES, false),
+    ] {
         let a = a.clone();
         let b_global = b_global.clone();
         let strikes = strikes.clone();
@@ -209,9 +212,9 @@ fn diversity_vote_certifies_clean_agreement() {
     let rt = Runtime::new(RuntimeConfig::fast().with_seed(11));
     let job = rt.run(cfg.ranks, move |comm| {
         let members = vec![
-            DiversityMember::clean(CampaignPreset::FusedCg),
-            DiversityMember::clean(CampaignPreset::CgsGmres),
-            DiversityMember::clean(CampaignPreset::PipelinedPcg),
+            DiversityMember::clean(CampaignPreset::new(SolveSpec::FUSED_CG, false)),
+            DiversityMember::clean(CampaignPreset::new(SolveSpec::FUSED_GMRES, false)),
+            DiversityMember::clean(CampaignPreset::new(SolveSpec::PIPELINED_CG, true)),
         ];
         diversity_vote(comm, &a, &b, members, &opts, 1e-5)
     });
@@ -247,9 +250,9 @@ fn diversity_vote_outvotes_a_silently_corrupted_member() {
             bit: 50,
         }]);
         let members = vec![
-            DiversityMember::poisoned(CampaignPreset::FusedCg, plan),
-            DiversityMember::clean(CampaignPreset::CgsGmres),
-            DiversityMember::clean(CampaignPreset::PipelinedPcg),
+            DiversityMember::poisoned(CampaignPreset::new(SolveSpec::FUSED_CG, false), plan),
+            DiversityMember::clean(CampaignPreset::new(SolveSpec::FUSED_GMRES, false)),
+            DiversityMember::clean(CampaignPreset::new(SolveSpec::PIPELINED_CG, true)),
         ];
         diversity_vote(comm, &a, &b, members, &opts, 1e-5)
     });

@@ -88,8 +88,9 @@ fn fused_cg_silent_wrong_answer_is_refuted_by_verification() {
         }],
         vec![],
     );
-    let base = clean_baseline(schedule.family, 0, CampaignPreset::FusedCg, &cfg).unwrap();
-    let report = run_schedule(&schedule, CampaignPreset::FusedCg, &cfg, &base).unwrap();
+    let preset = CampaignPreset::new(SolveSpec::FUSED_CG, false);
+    let base = clean_baseline(schedule.family, 0, preset, &cfg).unwrap();
+    let report = run_schedule(&schedule, preset, &cfg, &base).unwrap();
     assert_eq!(report.outcome, CaseOutcome::DetectedByVerification);
     assert_eq!(report.injections, 1, "the strike must land exactly once");
     assert!(
@@ -121,9 +122,10 @@ fn precond_amplification_unguarded_breaks_down_guarded_recovers() {
         }],
     );
 
+    let preset = CampaignPreset::new(SolveSpec::FUSED_CG, true);
     let unguarded = CampaignConfig::default();
-    let base = clean_baseline(schedule.family, 0, CampaignPreset::FusedPcg, &unguarded).unwrap();
-    let report = run_schedule(&schedule, CampaignPreset::FusedPcg, &unguarded, &base).unwrap();
+    let base = clean_baseline(schedule.family, 0, preset, &unguarded).unwrap();
+    let report = run_schedule(&schedule, preset, &unguarded, &base).unwrap();
     assert_eq!(report.injections, 1);
     assert_eq!(
         report.outcome,
@@ -132,8 +134,8 @@ fn precond_amplification_unguarded_breaks_down_guarded_recovers() {
     );
 
     let guarded = CampaignConfig::default().with_guard(true);
-    let base = clean_baseline(schedule.family, 0, CampaignPreset::FusedPcg, &guarded).unwrap();
-    let report = run_schedule(&schedule, CampaignPreset::FusedPcg, &guarded, &base).unwrap();
+    let base = clean_baseline(schedule.family, 0, preset, &guarded).unwrap();
+    let report = run_schedule(&schedule, preset, &guarded, &base).unwrap();
     assert_eq!(report.injections, 1);
     assert_eq!(
         report.outcome,
@@ -167,10 +169,11 @@ fn precond_shrink_flip_stalls_honestly_past_the_guard() {
             bit: 55,
         }],
     );
+    let preset = CampaignPreset::new(SolveSpec::FUSED_CG, true);
     for guard in [false, true] {
         let cfg = CampaignConfig::default().with_guard(guard);
-        let base = clean_baseline(schedule.family, 0, CampaignPreset::FusedPcg, &cfg).unwrap();
-        let report = run_schedule(&schedule, CampaignPreset::FusedPcg, &cfg, &base).unwrap();
+        let base = clean_baseline(schedule.family, 0, preset, &cfg).unwrap();
+        let report = run_schedule(&schedule, preset, &cfg, &base).unwrap();
         assert_eq!(report.injections, 1);
         assert_eq!(
             report.outcome,
@@ -199,7 +202,7 @@ fn overlapping_death_during_rendezvous_must_not_deadlock() {
         std::thread::spawn(move || {
             let cfg = CampaignConfig::default();
             let family = FaultFamily::RendezvousDeath;
-            let preset = CampaignPreset::FusedPcg;
+            let preset = CampaignPreset::new(SolveSpec::FUSED_CG, true);
             let base = clean_baseline(family, 6, preset, &cfg).unwrap();
             let schedule = FaultSchedule::generate(family, 6, &base.params);
             let _ = tx.send(run_schedule(&schedule, preset, &cfg, &base));

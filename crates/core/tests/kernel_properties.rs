@@ -133,7 +133,7 @@ proptest! {
             .run(ranks, move |comm| {
                 let da = DistCsr::from_global(comm, &spd2)?;
                 let db = DistVector::from_global(comm, &spd_b2);
-                let opts = DistSolveOptions::default()
+                let opts = SolveOptions::default()
                     .with_tol(1e-11)
                     .with_max_iters(60 * n)
                     .with_restart(30);

@@ -28,11 +28,11 @@ fn problem() -> (CsrMatrix, Vec<f64>) {
     (a, b)
 }
 
-fn opts() -> DistSolveOptions {
+fn opts() -> SolveOptions {
     // Short restart cycles: GMRES snapshots are labelled with the cycle-base
     // step (the only iterate it commits), so the restart length is the
     // effective persistence granularity for the GMRES presets.
-    let mut o = DistSolveOptions::default()
+    let mut o = SolveOptions::default()
         .with_tol(1e-8)
         .with_max_iters(600)
         .with_restart(6);

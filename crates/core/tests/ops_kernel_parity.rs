@@ -43,7 +43,7 @@ const PRESETS: [Preset; 5] = [
 fn observe(
     ranks: usize,
     preset: Preset,
-    opts: DistSolveOptions,
+    opts: SolveOptions,
     sell_sigma: Option<usize>,
 ) -> Vec<Observation> {
     let rt = Runtime::new(RuntimeConfig::fast().with_seed(11));
@@ -72,8 +72,8 @@ fn observe(
     r.unwrap_all()
 }
 
-fn opts() -> DistSolveOptions {
-    DistSolveOptions::default()
+fn opts() -> SolveOptions {
+    SolveOptions::default()
         .with_tol(1e-8)
         .with_max_iters(500)
         .with_restart(10)
@@ -152,7 +152,7 @@ proptest! {
         eps_exp in -2i32..2,
     ) {
         let eps = 10f64.powi(eps_exp);
-        let run = |o: DistSolveOptions, sell: Option<usize>| {
+        let run = |o: SolveOptions, sell: Option<usize>| {
             let rt = Runtime::new(RuntimeConfig::fast().with_seed(5));
             let r = rt.run(ranks, move |comm: &mut Comm| -> Result<Observation> {
                 let a = anisotropic2d(nx, ny, eps, 1.0, 3);

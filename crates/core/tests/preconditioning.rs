@@ -89,7 +89,7 @@ fn identity_preconditioned_presets_are_bit_identical() {
                 let a = resilient_linalg::poisson2d(9, 9);
                 let da = DistCsr::from_global(comm, &a)?;
                 let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 3) as f64);
-                let opts = DistSolveOptions::default()
+                let opts = SolveOptions::default()
                     .with_tol(1e-8)
                     .with_max_iters(400)
                     .with_restart(30);
@@ -205,7 +205,7 @@ proptest! {
         let rt = Runtime::new(RuntimeConfig::fast());
         let results = rt
             .run(ranks, move |comm| {
-                let opts = DistSolveOptions::default()
+                let opts = SolveOptions::default()
                     .with_tol(1e-11)
                     .with_max_iters(60 * n)
                     .with_restart(30);
@@ -249,8 +249,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Options that never converge (iteration counts exactly `max_iters`).
-fn pinned_opts(max_iters: usize) -> DistSolveOptions {
-    DistSolveOptions::default()
+fn pinned_opts(max_iters: usize) -> SolveOptions {
+    SolveOptions::default()
         .with_tol(1e-30)
         .with_max_iters(max_iters)
         .with_restart(30)
@@ -342,7 +342,7 @@ fn block_jacobi_reduces_iterations_at_every_rank_count() {
                 let a = anisotropic2d(16, 16, 0.1, 100.0, 4);
                 let da = DistCsr::from_global(comm, &a)?;
                 let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 5) as f64);
-                let opts = DistSolveOptions::default()
+                let opts = SolveOptions::default()
                     .with_tol(1e-8)
                     .with_max_iters(2000)
                     .with_restart(60);
@@ -382,9 +382,7 @@ fn block_jacobi_reduces_iterations_at_every_rank_count() {
                     let da = DistCsr::from_global(comm, &a)?;
                     let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 5) as f64);
                     let mut bj = BlockJacobi::new(&da);
-                    let opts = DistSolveOptions::default()
-                        .with_tol(1e-8)
-                        .with_max_iters(50);
+                    let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(50);
                     let out = solve_dist(comm, &da, &b, SolveSpec::FUSED_CG, Some(&mut bj), &opts)?;
                     assert!(out.converged);
                     Ok(out.iterations)
@@ -420,7 +418,7 @@ fn block_jacobi_iteration_counts_on_poisson2d_are_pinned() {
                 let a = resilient_linalg::poisson2d(24, 24);
                 let da = DistCsr::from_global(comm, &a)?;
                 let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 3) as f64);
-                let opts = DistSolveOptions::default()
+                let opts = SolveOptions::default()
                     .with_tol(1e-8)
                     .with_max_iters(400)
                     .with_restart(30);

@@ -3,8 +3,8 @@
 //! "Redundant storage of coarse model", experiment E5).
 
 use resilience::distributed::{DistCsr, DistVector};
+use resilience::kernel::SolveOptions;
 use resilience::rbsp::cg::dist_cg;
-use resilience::rbsp::DistSolveOptions;
 use resilient_linalg::{CooMatrix, CsrMatrix};
 use resilient_runtime::{Comm, Result};
 
@@ -60,7 +60,7 @@ impl ImplicitHeat {
     /// `(I + r·L)·u_{k+1} = u_k` with distributed CG. Returns the CG
     /// iteration count.
     pub fn step(&self, comm: &mut Comm, a: &DistCsr, u: &mut DistVector) -> Result<usize> {
-        let opts = DistSolveOptions::default()
+        let opts = SolveOptions::default()
             .with_tol(self.cg_tol)
             .with_max_iters(400);
         let out = dist_cg(comm, a, u, &opts)?;

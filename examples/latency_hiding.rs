@@ -27,9 +27,7 @@ fn main() {
             let a = poisson2d(24, 24);
             let da = DistCsr::from_global(comm, &a)?;
             let b = DistVector::from_fn(comm, a.nrows(), |i| 1.0 + (i % 3) as f64);
-            let mut opts = DistSolveOptions::default()
-                .with_tol(1e-7)
-                .with_max_iters(300);
+            let mut opts = SolveOptions::default().with_tol(1e-7).with_max_iters(300);
             opts.extra_work_per_iter = 1.0e-4;
             let t0 = comm.now();
             let c = dist_cg(comm, &da, &b, &opts)?;

@@ -21,7 +21,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a = poisson2d(12, 12);
     let b = vec![1.0; a.nrows()];
     let fault = random_spmv_fault(a.nrows(), 4, Some(61), 7);
-    let opts = SolveOptions::default().with_tol(1e-8).with_max_iters(400);
+    let opts = SolveOptions::default()
+        .with_tol(1e-8)
+        .with_max_iters(400)
+        .with_restart(50);
     let cfg = SkepticalConfig::default();
     let (out, report) = skeptical_gmres(&a, &b, None, &opts, &cfg, Some(fault));
     println!(

@@ -94,9 +94,7 @@ fn pipelined_solvers_hide_latency_and_match_solutions() {
             let a = poisson2d(14, 14);
             let da = DistCsr::from_global(comm, &a)?;
             let b = DistVector::from_fn(comm, a.nrows(), |i| (i % 4) as f64 + 1.0);
-            let opts = DistSolveOptions::default()
-                .with_tol(1e-7)
-                .with_max_iters(250);
+            let opts = SolveOptions::default().with_tol(1e-7).with_max_iters(250);
             let t0 = comm.now();
             let classic = dist_cg(comm, &da, &b, &opts)?;
             let t1 = comm.now();
