@@ -117,8 +117,10 @@ impl DistVector {
 ///
 /// Local storage is packed column-major — column `c` occupies
 /// `local[c * n_local..(c + 1) * n_local]` — exactly the layout the blocked
-/// [`LocalOps`] kernels (`spmm_*`, `dot_blocks`, `*_blocks`) are specified
-/// over, so the multi-vector can be handed to them without copies.
+/// [`LocalOps`] kernels (`dot_blocks`, `*_blocks`, the `spmm_*` output) are
+/// specified over, so the multi-vector can be handed to them without
+/// copies. The `spmm_*` input is row-interleaved; [`DistCsr::apply_block_into`]
+/// writes it while copying the block into its ghosted buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistMultiVector {
     /// Locally owned entries, packed column-major (`k` columns of length
@@ -267,13 +269,17 @@ impl DistMultiVector {
 }
 
 /// The reusable buffers of a distributed operator application: the ghosted
-/// input (owned entries followed by ghost entries, per column) and one
-/// neighbour's outgoing boundary values.
+/// input (owned rows followed by ghost rows) and one neighbour's outgoing
+/// boundary values.
 #[derive(Debug, Default)]
 pub struct HaloScratch {
-    /// Ghost-assembled input of the local sweep.
+    /// Ghost-assembled input of the local sweep. A block of `k` columns is
+    /// stored row-interleaved, entry `j` of column `c` at `j·k + c` (the
+    /// `spmm_*` input layout of [`LocalOps`]); at `k = 1` that is the
+    /// column itself.
     pub ghosted: Vec<f64>,
-    /// Packing buffer for the message to one neighbour.
+    /// Packing buffer for the message to one neighbour: its send-list rows,
+    /// `k` values each.
     pub payload: Vec<f64>,
 }
 
@@ -673,6 +679,13 @@ impl DistCsr {
     /// matrix sweep feeding all `k` outputs. Each output column is
     /// bit-identical to [`DistCsr::apply_with`] on that column alone.
     ///
+    /// The sweep reads `scratch.ghosted` row-interleaved — owned rows, then
+    /// ghost rows, entry `j` of column `c` at `j·k + c` — the input layout
+    /// of [`LocalOps::spmm_csr`]: the copy of `x` into it writes `k`-wide
+    /// rows, and each halo message is packed and unpacked as `k`-wide rows
+    /// (same length as `k` column runs). At `k = 1` this is the single-RHS
+    /// copy and SpMV.
+    ///
     /// Nothing is allocated here: the product lands in the caller's `y`
     /// (every entry overwritten) and the [`HaloScratch`] buffers keep their
     /// capacity across calls. A block solve calls this once per iteration.
@@ -684,8 +697,8 @@ impl DistCsr {
     ///
     /// # Errors
     /// [`RuntimeError::InvalidArgument`], before anything is sent, if `x`
-    /// is not distributed like the operator's columns or `y` is not shaped
-    /// like `x`.
+    /// or `y` is not distributed like the operator's rows, or `y` does not
+    /// hold as many columns as `x`.
     pub fn apply_block_into<C: CommBackend>(
         &self,
         comm: &mut C,
@@ -696,6 +709,7 @@ impl DistCsr {
         y: &mut DistMultiVector,
     ) -> Result<()> {
         self.check_layout("spmm: input `x`", x.distribution(), x.local_rows())?;
+        self.check_layout("spmm: output `y`", y.distribution(), y.local_rows())?;
         if y.k() != x.k() || y.local.len() != x.local.len() {
             return Err(RuntimeError::InvalidArgument(format!(
                 "spmm: output `y` holds {} columns of {} local rows, input `x` {} of {}",
@@ -706,37 +720,36 @@ impl DistCsr {
             )));
         }
         let k = x.k();
-        let stride = self.n_local + self.ghost_globals.len();
+        let n = self.n_local;
         let HaloScratch {
             ghosted: scratch,
             payload,
         } = scratch;
-        // Every entry is overwritten below (owned rows here, each ghost slot
+        // Every entry is overwritten below (owned rows here, each ghost row
         // by exactly one neighbour's message), so stale contents are fine.
-        scratch.resize(k * stride, 0.0);
-        for c in 0..k {
-            scratch[c * stride..c * stride + self.n_local].copy_from_slice(x.col(c));
+        scratch.resize(k * (n + self.ghost_globals.len()), 0.0);
+        if k <= 1 {
+            // One column is its own interleaving: the single-RHS copy.
+            scratch[..k * n].copy_from_slice(&x.local);
+        } else {
+            interleave_rows(&x.local, k, &mut scratch[..k * n]);
         }
         // One message per neighbour for the whole block: the payload packs
-        // the send-list values column-major, k × |send_list| long.
+        // each send-list row's k values together, k × |send_list| long.
         let my_rank = comm.rank();
         for (idx, &peer) in self.neighbors.iter().enumerate() {
-            let list = &self.send_lists[idx];
             payload.clear();
-            for c in 0..k {
-                let col = x.col(c);
-                payload.extend(list.iter().map(|&i| col[i]));
-            }
+            let rows = self.send_lists[idx].iter();
+            payload.extend(rows.flat_map(|&i| scratch[i * k..(i + 1) * k].iter().copied()));
             comm.send_f64(peer, GHOST_TAG + my_rank as i32, payload)?;
         }
         for (idx, &peer) in self.neighbors.iter().enumerate() {
             let (_, data) = comm.recv_f64(peer, GHOST_TAG + peer as i32)?;
             let list = &self.recv_lists[idx];
             debug_assert_eq!(data.len(), k * list.len());
-            for c in 0..k {
-                let chunk = &data[c * list.len()..(c + 1) * list.len()];
-                for (&pos, &v) in list.iter().zip(chunk) {
-                    scratch[c * stride + self.n_local + pos] = v;
+            for (t, &pos) in list.iter().enumerate() {
+                for c in 0..k {
+                    scratch[(n + pos) * k + c] = data[t * k + c];
                 }
             }
         }
@@ -746,6 +759,27 @@ impl DistCsr {
             None => ops.spmm_csr(&self.local, k, scratch, &mut y.local),
         }
         Ok(())
+    }
+}
+
+/// Rows of the row-interleaved copy of a column-major block written per
+/// pass: a pass reads [`INTERLEAVE_ROWS`] contiguous entries of each column
+/// and writes an L1-resident `k`-row block, so neither side strides through
+/// memory.
+const INTERLEAVE_ROWS: usize = 16;
+
+/// Copy the `k` columns of the column-major `cols` (`out.len()` entries in
+/// all) into `out` row-interleaved: entry `j` of column `c` to `out[j·k + c]`.
+fn interleave_rows(cols: &[f64], k: usize, out: &mut [f64]) {
+    let n = out.len() / k;
+    for (b, block) in out.chunks_mut(INTERLEAVE_ROWS * k).enumerate() {
+        let j0 = b * INTERLEAVE_ROWS;
+        for c in 0..k {
+            let src = &cols[c * n + j0..c * n + j0 + block.len() / k];
+            for (row, &v) in block.chunks_exact_mut(k).zip(src) {
+                row[c] = v;
+            }
+        }
     }
 }
 
@@ -911,31 +945,61 @@ mod tests {
         }
     }
 
+    /// Every column of a block product is bit-identical to the single-RHS
+    /// product of that column — on both backends and both layouts, at
+    /// k = 1, 3 and 8 (a scalar tail only; full 4-wide quads), on 1–3 ranks
+    /// of at least 64 rows each (SELL's auto-selection floor, so both SpMMs
+    /// run through the halo). A NaN planted in column 2 of rank 0's last
+    /// row, a ghost row of rank 1, reaches column 2 of rank 1's product and
+    /// no other column: the k-wide ghost rows do not mix columns.
     #[test]
     fn apply_block_columns_match_single_rhs_apply_bitwise() {
         let rt = Runtime::new(RuntimeConfig::fast());
-        for ranks in [1usize, 3, 5] {
-            let result = rt.run(ranks, move |comm| {
-                let a = poisson2d(7, 6);
-                let n = a.nrows();
-                let da = DistCsr::from_global(comm, &a)?;
-                let k = 4;
-                let xb =
-                    DistMultiVector::from_fn(comm, n, k, |c, i| ((i + 3 * c) as f64 * 0.29).sin());
-                let ops = resilient_linalg::scalar_ops();
-                let mut yb = DistMultiVector::zeros(comm, n, k);
-                da.apply_block_into(comm, &xb, ops, &mut HaloScratch::default(), k, &mut yb)?;
-                let mut singles = Vec::new();
-                for c in 0..k {
-                    let y = da.apply_with(comm, &xb.column(c), ops, &mut HaloScratch::default())?;
-                    singles.push(y.local);
-                }
-                Ok((yb, singles))
-            });
-            for (yb, singles) in result.unwrap_all() {
-                for (c, want) in singles.iter().enumerate() {
-                    let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(yb.col(c)), bits(want), "ranks={ranks} c={c}");
+        for ranks in 1..=3usize {
+            for k in [1usize, 3, 8] {
+                let result = rt.run(ranks, move |comm| {
+                    let a = poisson2d(15, 15);
+                    let n = a.nrows();
+                    let planted = BlockDistribution::new(n, comm.size()).range(0).end - 1;
+                    let xb = DistMultiVector::from_fn(comm, n, k, |c, i| {
+                        if c == 2 && i == planted {
+                            f64::NAN
+                        } else {
+                            ((i + 3 * c) as f64 * 0.29).sin()
+                        }
+                    });
+                    let mut runs = Vec::new();
+                    for ops in [resilient_linalg::scalar_ops(), resilient_linalg::simd_ops()] {
+                        for da in [
+                            DistCsr::from_global(comm, &a)?.with_sell_layout(4),
+                            DistCsr::from_global(comm, &a)?.with_csr_layout(),
+                        ] {
+                            assert!(da.local_rows() >= 64, "{} rows", da.local_rows());
+                            // Stale contents of the caller's buffer must not survive.
+                            let mut yb = DistMultiVector::from_fn(comm, n, k, |_, _| f64::NAN);
+                            let mut halo = HaloScratch::default();
+                            da.apply_block_into(comm, &xb, ops, &mut halo, k, &mut yb)?;
+                            let mut singles = Vec::new();
+                            for c in 0..k {
+                                let y = da.apply_with(comm, &xb.column(c), ops, &mut halo)?;
+                                singles.push(y.local);
+                            }
+                            runs.push((format!("{} {}", ops.name(), da.layout()), yb, singles));
+                        }
+                    }
+                    Ok((comm.rank(), runs))
+                });
+                for (rank, runs) in result.unwrap_all() {
+                    for (what, yb, singles) in runs {
+                        for (c, want) in singles.iter().enumerate() {
+                            let bits =
+                                |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                            let at = format!("{what} ranks={ranks} k={k} rank={rank} c={c}");
+                            assert_eq!(bits(yb.col(c)), bits(want), "{at}");
+                            let poisoned = yb.col(c).iter().any(|v| v.is_nan());
+                            assert_eq!(poisoned, c == 2 && rank <= 1, "{at}");
+                        }
+                    }
                 }
             }
         }
@@ -957,14 +1021,21 @@ mod tests {
             let as_input = da.apply_block_into(comm, &wrong_x, ops, &mut scratch, 2, &mut y);
             let mut wrong_y = DistMultiVector::zeros(comm, n, 3);
             let as_output = da.apply_block_into(comm, &x, ops, &mut scratch, 2, &mut wrong_y);
+            // Rank 1 owns as many rows of `n + 1` as of `n`: only the
+            // distribution tells this `y` apart on every rank.
+            let mut unlike_y = DistMultiVector::zeros(comm, n + 1, 2);
+            let as_unlike = da.apply_block_into(comm, &x, ops, &mut scratch, 2, &mut unlike_y);
             Ok((
-                as_input,
-                as_output,
+                [as_input, as_output, as_unlike],
                 comm.snapshot_stats().messages_sent - sent,
             ))
         });
-        for (as_input, as_output, sent) in result.unwrap_all() {
-            for (what, res) in [("input `x`", as_input), ("output `y`", as_output)] {
+        for ([as_input, as_output, as_unlike], sent) in result.unwrap_all() {
+            for (what, res) in [
+                ("input `x`", as_input),
+                ("output `y`", as_output),
+                ("output `y`", as_unlike),
+            ] {
                 match res {
                     Err(RuntimeError::InvalidArgument(msg)) => assert!(msg.contains(what), "{msg}"),
                     other => panic!("{what}: expected InvalidArgument, got {other:?}"),

@@ -37,6 +37,7 @@
 //! supports it, unless the `RESILIENT_FORCE_SCALAR` environment variable
 //! is set to `1`/`true` (the scalar-fallback CI job sets it).
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::sell::{SellMatrix, SELL_C};
@@ -286,39 +287,38 @@ pub trait LocalOps: Sync {
     // -- blocked (multi-RHS) kernels ---------------------------------------
     //
     // Multi-vectors are packed column-major: `k` columns of equal length,
-    // column `c` occupying `v[c*n..(c+1)*n]`. Every blocked kernel is
-    // **specified** as k independent single-RHS runs — column `c` of the
-    // output must be bit-identical to calling the single-RHS kernel on
-    // column `c` alone — so backends may only amortize *memory traffic*
-    // (one matrix sweep, one pass over shared operands), never reassociate
-    // across columns. The default implementations below are that spec,
-    // literally: they loop the single-RHS methods, so parity holds by
-    // construction for any backend that does not override them.
+    // column `c` occupying `v[c*n..(c+1)*n]`. The one exception is the SpMM
+    // *input*, which is row-interleaved: entry `j` of column `c` sits at
+    // `x[j*k + c]`, so the `k` inputs one stored entry `a_ij` multiplies are
+    // one contiguous row `x[j*k..(j+1)*k]` (at k = 1 the two layouts are the
+    // same vector). Every blocked kernel is **specified** as k independent
+    // single-RHS runs — column `c` of the output must be bit-identical to
+    // calling the single-RHS kernel on column `c` alone — so backends may
+    // only amortize *memory traffic* (one matrix sweep, one pass over shared
+    // operands), never reassociate across columns. The default
+    // implementations below are that spec, literally: they loop the
+    // single-RHS methods, so parity holds by construction for any backend
+    // that does not override them.
 
-    /// Blocked CSR SpMM: `y[c] = A·x[c]` for each of the `k` column-major
-    /// columns (`x.len() == k·ncols`, `y.len() == k·nrows`). One matrix
-    /// sweep feeds all `k` output columns; per-row accumulation stays
-    /// sequential in entry order per column (the [`LocalOps::spmv_csr`]
-    /// spec).
+    /// Blocked CSR SpMM: `y[c] = A·x[c]` for each of the `k` columns, the
+    /// input row-interleaved (`x[j·k + c]`, `x.len() == k·ncols`) and the
+    /// output column-major (`y[c·nrows + i]`, `y.len() == k·nrows`). Per
+    /// column the accumulation is the sequential entry-order sum of
+    /// [`LocalOps::spmv_csr`]. The default body de-interleaves each column
+    /// into a buffer and runs `spmv_csr` on it; backends instead sweep the
+    /// matrix once, reading each stored entry's `k` inputs as one row.
     fn spmm_csr(&self, a: &CsrMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), k * a.ncols(), "spmm: input dimension mismatch");
-        assert_eq!(y.len(), k * a.nrows(), "spmm: output dimension mismatch");
-        let (nr, nc) = (a.nrows(), a.ncols());
-        for c in 0..k {
-            self.spmv_csr(a, &x[c * nc..(c + 1) * nc], &mut y[c * nr..(c + 1) * nr]);
-        }
+        check_spmm(k, a.nrows(), a.ncols(), x, y);
+        spmm_per_column(k, x, y, |xc, yc| self.spmv_csr(a, xc, yc));
     }
 
-    /// Blocked SELL-C-σ SpMM, bit-identical to [`LocalOps::spmm_csr`] on
-    /// the equivalent matrix (column `c` is exactly one
-    /// [`LocalOps::spmv_sell`] run).
+    /// Blocked SELL-C-σ SpMM over the same layouts, bit-identical to
+    /// [`LocalOps::spmm_csr`] on the equivalent matrix (column `c` is
+    /// exactly one [`LocalOps::spmv_sell`] run, which the default body
+    /// performs on each de-interleaved column).
     fn spmm_sell(&self, a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), k * a.ncols(), "spmm: input dimension mismatch");
-        assert_eq!(y.len(), k * a.nrows(), "spmm: output dimension mismatch");
-        let (nr, nc) = (a.nrows(), a.ncols());
-        for c in 0..k {
-            self.spmv_sell(a, &x[c * nc..(c + 1) * nc], &mut y[c * nr..(c + 1) * nr]);
-        }
+        check_spmm(k, a.nrows(), a.ncols(), x, y);
+        spmm_per_column(k, x, y, |xc, yc| self.spmv_sell(a, xc, yc));
     }
 
     /// Blocked fused multi-dot: for each of the `m = pairs.len()`
@@ -405,49 +405,74 @@ pub trait LocalOps: Sync {
 // Blocked one-sweep kernels (sequential spec, shared by both backends)
 // ---------------------------------------------------------------------------
 
-/// One-sweep blocked CSR SpMM: each matrix row is read once and feeds all
-/// `k` output columns (the row's entries stay in L1 across the column
-/// loop), so matrix memory traffic is paid once instead of `k` times. Per
-/// column the accumulation is the sequential entry-order sum of the
-/// single-RHS spec — column `c` is bit-identical to `spmv_into` on column
-/// `c` alone.
-fn spmm_csr_sweep(a: &CsrMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-    let (nr, nc) = (a.nrows(), a.ncols());
+/// Validate an SpMM call: a `k`-column input of `ncols` rows and a
+/// `k`-column output of `nrows` rows.
+fn check_spmm(k: usize, nrows: usize, ncols: usize, x: &[f64], y: &[f64]) {
+    assert_eq!(x.len(), k * ncols, "spmm: input dimension mismatch");
+    assert_eq!(y.len(), k * nrows, "spmm: output dimension mismatch");
+}
+
+/// The blocked-SpMM spec over a single-RHS kernel: column `c` of the
+/// row-interleaved `x` is gathered into a buffer and `spmv` writes it into
+/// column `c` of the column-major `y`. At `k = 1` `x` is the column.
+fn spmm_per_column(k: usize, x: &[f64], y: &mut [f64], mut spmv: impl FnMut(&[f64], &mut [f64])) {
+    if k == 1 {
+        return spmv(x, y);
+    }
+    if k == 0 {
+        return;
+    }
+    let nr = y.len() / k;
+    let mut col = vec![0.0; x.len() / k];
+    for c in 0..k {
+        for (v, row) in col.iter_mut().zip(x.chunks_exact(k)) {
+            *v = row[c];
+        }
+        spmv(&col, &mut y[c * nr..(c + 1) * nr]);
+    }
+}
+
+/// One-sweep blocked CSR SpMM over the output columns `cols` of a
+/// row-interleaved input (the [`LocalOps::spmm_csr`] layouts): each matrix
+/// row is read once and feeds all of them. Per column the accumulation is
+/// the sequential entry-order sum of the single-RHS spec — column `c` is
+/// bit-identical to `spmv_into` on column `c` alone.
+fn spmm_csr_sweep(a: &CsrMatrix, k: usize, cols: Range<usize>, x: &[f64], y: &mut [f64]) {
+    let nr = a.nrows();
     for i in 0..nr {
-        let (cols, vals) = a.row(i);
-        for c in 0..k {
-            let xc = &x[c * nc..(c + 1) * nc];
+        let (idx, vals) = a.row(i);
+        for c in cols.clone() {
             let mut sum = 0.0;
-            for (&j, &v) in cols.iter().zip(vals) {
-                sum += v * xc[j];
+            for (&j, &v) in idx.iter().zip(vals) {
+                sum += v * x[j * k + c];
             }
             y[c * nr + i] = sum;
         }
     }
 }
 
-/// One-sweep blocked SELL-C-σ SpMM: each chunk's packed values and column
-/// indices are read once per chunk and feed all `k` columns; per column
-/// and lane the accumulation is exactly the scalar single-RHS SELL kernel.
-fn spmm_sell_sweep(a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
+/// One-sweep blocked SELL-C-σ SpMM over the output columns `cols`, in the
+/// layouts of [`spmm_csr_sweep`]: each chunk's packed values and column
+/// indices are read once per chunk and feed all of them; per column and
+/// lane the accumulation is exactly the scalar single-RHS SELL kernel.
+fn spmm_sell_sweep(a: &SellMatrix, k: usize, cols: Range<usize>, x: &[f64], y: &mut [f64]) {
     let chunk_ptr = a.chunk_ptr();
-    let cols = a.cols();
+    let idx = a.cols();
     let vals = a.vals();
     let perm = a.perm();
     let lens = a.lens();
-    let (nr, nc) = (a.nrows(), a.ncols());
+    let nr = a.nrows();
     for (ch, &base) in chunk_ptr[..chunk_ptr.len() - 1].iter().enumerate() {
-        for c in 0..k {
-            let xc = &x[c * nc..(c + 1) * nc];
-            for lane in 0..SELL_C {
-                let p = ch * SELL_C + lane;
-                if p >= nr {
-                    break;
-                }
+        for lane in 0..SELL_C {
+            let p = ch * SELL_C + lane;
+            if p >= nr {
+                break;
+            }
+            for c in cols.clone() {
                 let mut sum = 0.0;
                 for step in 0..lens[p] as usize {
                     let slot = base + step * SELL_C + lane;
-                    sum += vals[slot] * xc[cols[slot] as usize];
+                    sum += vals[slot] * x[idx[slot] as usize * k + c];
                 }
                 y[c * nr + perm[p] as usize] = sum;
             }
@@ -681,23 +706,21 @@ impl LocalOps for ScalarOps {
     }
 
     fn spmm_csr(&self, a: &CsrMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), k * a.ncols(), "spmm: input dimension mismatch");
-        assert_eq!(y.len(), k * a.nrows(), "spmm: output dimension mismatch");
+        check_spmm(k, a.nrows(), a.ncols(), x, y);
         if k == 1 {
             // A one-column SpMM is an SpMV by the blocked-kernel spec; the
             // single-RHS kernel has no column loop to pay for.
             return self.spmv_csr(a, x, y);
         }
-        spmm_csr_sweep(a, k, x, y);
+        spmm_csr_sweep(a, k, 0..k, x, y);
     }
 
     fn spmm_sell(&self, a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), k * a.ncols(), "spmm: input dimension mismatch");
-        assert_eq!(y.len(), k * a.nrows(), "spmm: output dimension mismatch");
+        check_spmm(k, a.nrows(), a.ncols(), x, y);
         if k == 1 {
             return self.spmv_sell(a, x, y);
         }
-        spmm_sell_sweep(a, k, x, y);
+        spmm_sell_sweep(a, k, 0..k, x, y);
     }
 }
 
@@ -716,7 +739,8 @@ mod x86 {
     use std::arch::x86_64::*;
 
     use super::{
-        cg_sweep_finish, dot_blocks_rows, pcg_sweep_finish, CgSweep, LocalOps, PcgSweep, ScalarOps,
+        cg_sweep_finish, check_spmm, dot_blocks_rows, pcg_sweep_finish, spmm_csr_sweep,
+        spmm_sell_sweep, CgSweep, LocalOps, PcgSweep, ScalarOps,
     };
     use crate::sell::{SellMatrix, SELL_C};
     use crate::sparse::CsrMatrix;
@@ -1142,83 +1166,144 @@ mod x86 {
         }
     }
 
-    /// How many output columns one blocked SELL sweep carries per chunk
-    /// visit: enough to amortize the per-step index/value loads without
-    /// spilling the 4 accumulator registers the group needs.
-    const SPMM_COLS: usize = 4;
+    /// A column index as the k-wide SpMM row routine reads it: `usize` in
+    /// CSR, the gather-ready `i32` in SELL (validated `0 ≤ j < ncols` at
+    /// construction, so the cast is exact).
+    trait ColIndex: Copy {
+        fn index(self) -> usize;
+    }
 
-    /// Blocked SELL-C-4 SpMM: one true matrix sweep (chunks outermost)
-    /// amortizes the `cols`/`vals` loads over up to [`SPMM_COLS`] output
-    /// columns at a time; each column's accumulator runs exactly
-    /// [`spmv_sell_avx2`]'s masked lane arithmetic, so every column is
-    /// bit-identical to a standalone single-RHS sweep.
-    // SAFETY: contract — AVX2 must be available (runtime-detected by
-    // `simd_ops`); `x.len() == k * a.ncols()` and `y.len() == k * a.nrows()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn spmm_sell_avx2(a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-        // SAFETY: `chunk_ptr` brackets the padded `cols`/`vals` arrays, so
-        // every `slot` access is in bounds; the masked gather reads
-        // `xc[idx]` only for active lanes whose column indices were
-        // validated `< ncols` at construction, and each column's base
-        // pointer `x.as_ptr().add(c * ncols)` stays inside the
-        // `k * ncols`-long input (caller-checked).
+    impl ColIndex for usize {
+        fn index(self) -> usize {
+            self
+        }
+    }
+
+    impl ColIndex for i32 {
+        fn index(self) -> usize {
+            self as usize
+        }
+    }
+
+    /// The operands of one interleaved SpMM (the [`LocalOps::spmm_csr`]
+    /// layouts): input rows of `k` entries, output columns of `nrows`.
+    struct SpmmBlock<'a> {
+        k: usize,
+        nrows: usize,
+        x: &'a [f64],
+        y: &'a mut [f64],
+    }
+
+    /// The most 4-wide column quads one pass of the k-wide SpMM carries in
+    /// registers; wider blocks take several passes over the matrix.
+    const QUADS: usize = 2;
+
+    /// The k-wide row routine both SpMM layouts share: output row `out` of
+    /// the columns `c0..c0 + 4·Q`, from a stored row of `len` entries at
+    /// `vals[e·stride]` / `cols[e·stride]`. Per entry it broadcasts `a_ij`,
+    /// does `Q` contiguous 4-wide loads of the interleaved input row `x_j`
+    /// and a mul-then-add (no FMA) into `Q` accumulators, so lane by lane
+    /// each column is the sequential entry-order sum of the single-RHS
+    /// spec.
+    // SAFETY: contract — AVX must be available (runtime-detected by
+    // `simd_ops`); `b.x.len() == b.k · ncols` and `b.y.len() == b.k ·
+    // b.nrows`; every `cols[e·stride]` (`e < len`) is `< ncols`, and
+    // `vals`/`cols` hold at least `(len − 1)·stride + 1` entries;
+    // `c0 + 4·Q ≤ b.k` and `out < b.nrows`.
+    #[target_feature(enable = "avx")]
+    #[inline]
+    unsafe fn spmm_row_avx<const Q: usize, I: ColIndex>(
+        b: &mut SpmmBlock<'_>,
+        c0: usize,
+        (vals, cols, stride, len): (&[f64], &[I], usize, usize),
+        out: usize,
+    ) {
+        // Unchecked on purpose: bounds checks on these per-entry accesses
+        // cost about a quarter of a k = 8 block application
+        // (`exp_kernel_speed`'s `spmm8_vs_8spmv` row).
+        // SAFETY: slot `e·stride` is in bounds of `vals`/`cols` for
+        // `e < len` (the row's extent in its CSR row or SELL chunk); input
+        // row `j < ncols` (checked when the matrix was built) spans
+        // `x[j·k..(j + 1)·k]` of the `k·ncols` entries `check_spmm`
+        // verified, so the loads at `j·k + c0 + 4q` (`q < Q`,
+        // `c0 + 4Q ≤ k`) stay inside it; output slot
+        // `(c0 + 4q + l)·nrows + out` is below `k·nrows`, `y`'s checked
+        // length.
         unsafe {
-            let chunk_ptr = a.chunk_ptr();
-            let cols = a.cols();
-            let vals = a.vals();
-            let perm = a.perm();
-            let lens = a.lens();
-            let nrows = a.nrows();
-            let ncols = a.ncols();
-            for ch in 0..chunk_ptr.len() - 1 {
-                let base = chunk_ptr[ch];
-                let width = (chunk_ptr[ch + 1] - base) / SELL_C;
-                let p0 = ch * SELL_C;
-                let len4 = _mm256_set_epi64x(
-                    lens[p0 + 3] as i64,
-                    lens[p0 + 2] as i64,
-                    lens[p0 + 1] as i64,
-                    lens[p0] as i64,
-                );
-                let mut c0 = 0;
-                while c0 < k {
-                    let g = SPMM_COLS.min(k - c0);
-                    let mut acc = [_mm256_setzero_pd(); SPMM_COLS];
-                    for step in 0..width {
-                        let slot = base + step * SELL_C;
-                        let active = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
-                            len4,
-                            _mm256_set1_epi64x(step as i64),
-                        ));
-                        let idx = _mm_loadu_si128(cols.as_ptr().add(slot) as *const __m128i);
-                        let av = _mm256_loadu_pd(vals.as_ptr().add(slot));
-                        for (t, a_t) in acc.iter_mut().enumerate().take(g) {
-                            // Masked gather: inactive lanes never touch
-                            // memory, so padding column 0 is never read.
-                            let xg = _mm256_mask_i32gather_pd::<8>(
-                                _mm256_setzero_pd(),
-                                x.as_ptr().add((c0 + t) * ncols),
-                                idx,
-                                active,
-                            );
-                            let prod = _mm256_mul_pd(av, xg);
-                            *a_t = _mm256_blendv_pd(*a_t, _mm256_add_pd(*a_t, prod), active);
-                        }
-                    }
-                    for (t, a_t) in acc.iter().enumerate().take(g) {
-                        let mut lanes = [0.0f64; 4];
-                        _mm256_storeu_pd(lanes.as_mut_ptr(), *a_t);
-                        for (lane, &sum) in lanes.iter().enumerate() {
-                            let p = p0 + lane;
-                            if p < nrows {
-                                y[(c0 + t) * nrows + perm[p] as usize] = sum;
-                            }
-                        }
-                    }
-                    c0 += g;
+            let mut acc = [_mm256_setzero_pd(); Q];
+            let xp = b.x.as_ptr().add(c0);
+            for e in 0..len {
+                let s = e * stride;
+                let av = _mm256_set1_pd(*vals.get_unchecked(s));
+                let xr = xp.add(cols.get_unchecked(s).index() * b.k);
+                for (q, acc_q) in acc.iter_mut().enumerate() {
+                    let prod = _mm256_mul_pd(av, _mm256_loadu_pd(xr.add(4 * q)));
+                    *acc_q = _mm256_add_pd(*acc_q, prod);
+                }
+            }
+            for (q, acc_q) in acc.iter().enumerate() {
+                let mut lanes = [0.0f64; 4];
+                _mm256_storeu_pd(lanes.as_mut_ptr(), *acc_q);
+                for (l, v) in lanes.into_iter().enumerate() {
+                    *b.y.get_unchecked_mut((c0 + 4 * q + l) * b.nrows + out) = v;
                 }
             }
         }
+    }
+
+    /// One pass of the k-wide CSR SpMM over the columns `c0..c0 + 4·Q`:
+    /// rows in order, each row's entries contiguous.
+    // SAFETY: contract — AVX must be available (runtime-detected by
+    // `simd_ops`); `b` holds `a`'s operands and `c0 + 4·Q ≤ b.k`.
+    #[target_feature(enable = "avx")]
+    unsafe fn spmm_csr_avx<const Q: usize>(a: &CsrMatrix, b: &mut SpmmBlock<'_>, c0: usize) {
+        for i in 0..a.nrows() {
+            let (cols, vals) = a.row(i);
+            // SAFETY: a CSR row's column indices are `< ncols` (checked at
+            // construction) and its two slices both hold `len` entries.
+            unsafe { spmm_row_avx::<Q, usize>(b, c0, (vals, cols, 1, cols.len()), i) }
+        }
+    }
+
+    /// One pass of the k-wide SELL-C-σ SpMM over the columns
+    /// `c0..c0 + 4·Q`: chunk by chunk, lane by lane, each row's entries
+    /// `SELL_C` slots apart, its output at the row's original position.
+    // SAFETY: contract — AVX must be available (runtime-detected by
+    // `simd_ops`); `b` holds `a`'s operands and `c0 + 4·Q ≤ b.k`.
+    #[target_feature(enable = "avx")]
+    unsafe fn spmm_sell_avx<const Q: usize>(a: &SellMatrix, b: &mut SpmmBlock<'_>, c0: usize) {
+        let chunk_ptr = a.chunk_ptr();
+        let (cols, vals, perm, lens) = (a.cols(), a.vals(), a.perm(), a.lens());
+        for (ch, &base) in chunk_ptr[..chunk_ptr.len() - 1].iter().enumerate() {
+            for lane in 0..SELL_C {
+                let p = ch * SELL_C + lane;
+                if p >= a.nrows() {
+                    break;
+                }
+                // A chunk of empty rows stores no slots at all.
+                let from = (base + lane).min(vals.len());
+                let row = (&vals[from..], &cols[from..], SELL_C, lens[p] as usize);
+                // SAFETY: the chunk holds `lens[p]` real slots of this lane,
+                // `SELL_C` apart, inside `chunk_ptr[ch]..chunk_ptr[ch + 1]`;
+                // their column indices were validated `< ncols`; `perm[p]`
+                // is a row index `< nrows`.
+                unsafe { spmm_row_avx::<Q, i32>(b, c0, row, perm[p] as usize) }
+            }
+        }
+    }
+
+    /// Run `pass(c0, q)` over the full 4-wide column quads of a `k`-column
+    /// SpMM, at most [`QUADS`] per pass, and return where the `k mod 4`
+    /// columns of the scalar tail start.
+    fn quad_passes(k: usize, mut pass: impl FnMut(usize, usize)) -> usize {
+        let end = k - k % 4;
+        let mut c0 = 0;
+        while c0 < end {
+            let q = QUADS.min((end - c0) / 4);
+            pass(c0, q);
+            c0 += 4 * q;
+        }
+        end
     }
 
     impl LocalOps for SimdOps {
@@ -1313,23 +1398,46 @@ mod x86 {
         }
 
         fn spmm_csr(&self, a: &CsrMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-            // Sequential by spec — same one-sweep code as the scalar
-            // backend (CSR row accumulation has no SIMD reassociation
-            // budget under the bit-parity contract).
-            ScalarOps.spmm_csr(a, k, x, y);
+            check_spmm(k, a.nrows(), a.ncols(), x, y);
+            if k == 1 {
+                // A one-column SpMM is an SpMV by the blocked-kernel spec.
+                return self.spmv_csr(a, x, y);
+            }
+            let nrows = a.nrows();
+            let mut b = SpmmBlock { k, nrows, x, y };
+            let tail = quad_passes(k, |c0, q| {
+                // SAFETY: feature-gated; dimensions checked above and
+                // `c0 + 4q ≤ k` by `quad_passes`.
+                unsafe {
+                    match q {
+                        1 => spmm_csr_avx::<1>(a, &mut b, c0),
+                        _ => spmm_csr_avx::<QUADS>(a, &mut b, c0),
+                    }
+                }
+            });
+            spmm_csr_sweep(a, k, tail..k, x, y);
         }
 
         fn spmm_sell(&self, a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-            assert_eq!(x.len(), k * a.ncols(), "spmm: input dimension mismatch");
-            assert_eq!(y.len(), k * a.nrows(), "spmm: output dimension mismatch");
+            check_spmm(k, a.nrows(), a.ncols(), x, y);
             if k == 1 {
                 // A one-column SpMM is an SpMV by the blocked-kernel spec;
-                // the single-RHS kernel has no column-group loop to pay for.
+                // the single-RHS kernel gathers its one input column.
                 return self.spmv_sell(a, x, y);
             }
-            // SAFETY: feature-gated; dimensions checked just above, and
-            // slot accesses are bounded by the layout invariants.
-            unsafe { spmm_sell_avx2(a, k, x, y) }
+            let nrows = a.nrows();
+            let mut b = SpmmBlock { k, nrows, x, y };
+            let tail = quad_passes(k, |c0, q| {
+                // SAFETY: feature-gated; dimensions checked above and
+                // `c0 + 4q ≤ k` by `quad_passes`.
+                unsafe {
+                    match q {
+                        1 => spmm_sell_avx::<1>(a, &mut b, c0),
+                        _ => spmm_sell_avx::<QUADS>(a, &mut b, c0),
+                    }
+                }
+            });
+            spmm_sell_sweep(a, k, tail..k, x, y);
         }
 
         fn dot_blocks(&self, k: usize, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
@@ -1552,6 +1660,12 @@ mod tests {
         (0..k).flat_map(|c| vecs(n, seed + c as u64).0).collect()
     }
 
+    /// The row-interleaved SpMM input holding the columns of the
+    /// column-major `x`: entry `j` of column `c` at `j*k + c`.
+    fn interleaved(x: &[f64], n: usize, k: usize) -> Vec<f64> {
+        (0..n * k).map(|t| x[(t % k) * n + t / k]).collect()
+    }
+
     #[test]
     fn spmm_columns_match_independent_spmv_runs() {
         let a = crate::generators::poisson2d(9, 7);
@@ -1560,10 +1674,11 @@ mod tests {
         for backend in [scalar_ops(), simd_ops()] {
             for k in [0usize, 1, 2, 3, 4, 5, 8, 9] {
                 let x = multivec(n, k, 11);
+                let xi = interleaved(&x, n, k);
                 let mut yc = vec![0.0; k * n];
                 let mut ys = vec![0.0; k * n];
-                backend.spmm_csr(&a, k, &x, &mut yc);
-                backend.spmm_sell(&s, k, &x, &mut ys);
+                backend.spmm_csr(&a, k, &xi, &mut yc);
+                backend.spmm_sell(&s, k, &xi, &mut ys);
                 for c in 0..k {
                     let mut want = vec![0.0; n];
                     backend.spmv_csr(&a, &x[c * n..(c + 1) * n], &mut want);

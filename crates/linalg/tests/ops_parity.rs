@@ -389,6 +389,50 @@ proptest! {
         }
     }
 
+    /// The blocked SpMM reads a row-interleaved input (entry `j` of column
+    /// `c` at `x[j·k + c]`): every backend's `spmm_csr` and `spmm_sell`,
+    /// and the trait's default bodies, give on each column exactly the bits
+    /// of `spmv_csr` on that column alone — at every width k = 1..=9 (full
+    /// 4-wide quads, a scalar tail, both), on ragged matrices with empty
+    /// rows, at σ = 1, 4 and 256, and through NaN, ±∞ and −0.0 inputs.
+    /// Only a row where an input NaN meets the NaN of `∞ − ∞` may end in
+    /// either NaN (see [`bits_one_nan`]; the k = 1 SELL kernel already
+    /// does), so NaNs compare as one pattern.
+    #[test]
+    fn spmm_interleaved_matches_per_column_spmv(
+        n in 1usize..40,
+        entries in prop::collection::vec((0usize..40, 0usize..40, -10.0f64..10.0), 0..200),
+        sigma in prop::sample::select(vec![1usize, 4, 256]),
+        k in 1usize..=9,
+        finite in any_vec(40 * 9),
+        tags in prop::collection::vec(0u8..24, 40 * 9..=40 * 9),
+    ) {
+        let a = ragged_csr(n, &entries);
+        let sell = SellMatrix::from_csr(&a, sigma);
+        let x = with_specials(&finite[..n * k], &tags[..n * k]);
+        let want: Vec<Vec<f64>> = (0..k)
+            .map(|c| {
+                let col: Vec<f64> = x.iter().skip(c).step_by(k).copied().collect();
+                let mut y = vec![0.0; n];
+                scalar_ops().spmv_csr(&a, &col, &mut y);
+                y
+            })
+            .collect();
+        let backends: [&dyn LocalOps; 3] = [scalar_ops(), simd_ops(), &SpecOps(simd_ops())];
+        for ops in backends {
+            let mut y_csr = vec![0.0; k * n];
+            ops.spmm_csr(&a, k, &x, &mut y_csr);
+            let mut y_sell = vec![0.0; k * n];
+            ops.spmm_sell(&sell, k, &x, &mut y_sell);
+            for (c, w) in want.iter().enumerate() {
+                let col = c * n..(c + 1) * n;
+                let (csr, sell) = (&y_csr[col.clone()], &y_sell[col]);
+                prop_assert_eq!(bits_one_nan(csr), bits_one_nan(w), "{} csr k={} c={}", ops.name(), k, c);
+                prop_assert_eq!(bits_one_nan(sell), bits_one_nan(w), "{} sell k={} c={}", ops.name(), k, c);
+            }
+        }
+    }
+
     /// `LuFactors::solve_with` (op-layer triangular solves, either backend)
     /// is bit-identical to the legacy `solve_into` reference.
     #[test]
