@@ -4,8 +4,9 @@
 //! views every rule needs — code-token indices, per-line classes, the
 //! `#[cfg(test)]` regions, waiver comments, and the fixture `analysis-as:`
 //! directive. [`analyze_tree`] walks the repository (skipping `target/`,
-//! `vendor/` and the analyzer's own `tests/fixtures/`) and runs every rule
-//! over every file, then strips findings covered by a well-formed waiver
+//! `vendor/` and the analyzer's own `tests/fixtures/`), runs every rule
+//! over every file and then the cross-file pass over all of them, and
+//! strips findings covered by a well-formed waiver
 //! comment — `lint:allow`, rule name in parentheses, mandatory reason — on
 //! the finding line or on the comment/attribute run immediately above it.
 
@@ -363,26 +364,54 @@ impl Analysis {
     }
 }
 
-/// Analyze one file's source under its (effective) repo-relative path.
-/// Returns surviving findings and the number waived.
-pub fn analyze_source(disk_path: &str, src: &str) -> (Vec<Diagnostic>, usize) {
-    let file = SourceFile::parse(disk_path, src);
-    let mut raw: Vec<Diagnostic> = file.engine_diags.clone();
-    for rule in all_rules() {
-        rule.check(&file, &mut raw);
+/// Run every rule over `files` — the per-file checks, then the cross-file
+/// pass — and strip the findings a well-formed waiver covers. `context`
+/// holds the rest of the tree: the cross-file pass reads it, but nothing in
+/// it is reported.
+fn analyze(files: &[SourceFile], context: &[SourceFile]) -> Analysis {
+    let rules = all_rules();
+    let mut raw: Vec<Vec<Diagnostic>> = files
+        .iter()
+        .map(|file| {
+            let mut diags = file.engine_diags.clone();
+            for rule in &rules {
+                rule.check(file, &mut diags);
+            }
+            diags
+        })
+        .collect();
+    raw.resize(files.len() + context.len(), Vec::new());
+    let tree: Vec<&SourceFile> = files.iter().chain(context).collect();
+    for rule in &rules {
+        rule.check_tree(&tree, &mut raw);
     }
-    let mut kept = Vec::new();
-    let mut waived = 0;
-    for d in raw {
-        // `waiver-syntax` findings are not themselves waivable.
-        if d.rule != "waiver-syntax" && file.waived(d.rule, d.line) {
-            waived += 1;
-        } else {
-            kept.push(d);
+    raw.truncate(files.len());
+    let mut analysis = Analysis {
+        files: files.len(),
+        ..Analysis::default()
+    };
+    for (file, diags) in files.iter().zip(raw) {
+        for d in diags {
+            // `waiver-syntax` findings are not themselves waivable.
+            if d.rule != "waiver-syntax" && file.waived(d.rule, d.line) {
+                analysis.waived += 1;
+            } else {
+                analysis.findings.push(d);
+            }
         }
     }
-    kept.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    (kept, waived)
+    analysis
+        .findings
+        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    analysis
+}
+
+/// Analyze one file's source under its (effective) repo-relative path, as
+/// the only file of the tree. Returns surviving findings and the number
+/// waived.
+pub fn analyze_source(disk_path: &str, src: &str) -> (Vec<Diagnostic>, usize) {
+    let analysis = analyze(&[SourceFile::parse(disk_path, src)], &[]);
+    (analysis.findings, analysis.waived)
 }
 
 /// Should `path` (relative, `/`-separated) be analyzed at all?
@@ -429,43 +458,40 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Parse every tracked `.rs` file under `root` whose canonical path is not
+/// in `skip`, under its root-relative path.
+fn parse_tree(root: &Path, skip: &[PathBuf]) -> Vec<SourceFile> {
+    let mut paths = Vec::new();
+    collect_rs_files(root, root, &mut paths);
+    paths
+        .iter()
+        .filter(|p| p.canonicalize().map_or(true, |c| !skip.contains(&c)))
+        .filter_map(|p| {
+            let src = std::fs::read_to_string(p).ok()?;
+            let rel = p.strip_prefix(root).unwrap_or(p).to_string_lossy();
+            Some(SourceFile::parse(&rel.replace('\\', "/"), &src))
+        })
+        .collect()
+}
+
 /// Analyze every tracked `.rs` file under `root`.
 pub fn analyze_tree(root: &Path) -> Analysis {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files);
-    let mut analysis = Analysis::default();
-    for p in files {
-        let Ok(src) = std::fs::read_to_string(&p) else {
-            continue;
-        };
-        let rel = p
-            .strip_prefix(root)
-            .unwrap_or(&p)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let (mut findings, waived) = analyze_source(&rel, &src);
-        analysis.findings.append(&mut findings);
-        analysis.waived += waived;
-        analysis.files += 1;
-    }
-    analysis
-        .findings
-        .sort_by(|a, b| (a.path.clone(), a.line, a.rule).cmp(&(b.path.clone(), b.line, b.rule)));
-    analysis
+    analyze(&parse_tree(root, &[]), &[])
 }
 
 /// Analyze an explicit list of files (fixture `analysis-as:` directives are
-/// honored). Paths are used as given.
-pub fn analyze_files(paths: &[String]) -> Result<Analysis, String> {
-    let mut analysis = Analysis::default();
+/// honored; other paths are used as given). Only these files are reported,
+/// but cross-file rules judge them against the tree under `root`, so a
+/// `pub fn` that another file of that tree calls is not an orphan.
+pub fn analyze_files(root: &Path, paths: &[String]) -> Result<Analysis, String> {
+    let mut files = Vec::new();
+    let mut listed = Vec::new();
     for p in paths {
         let src = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
-        let (mut findings, waived) = analyze_source(&p.replace('\\', "/"), &src);
-        analysis.findings.append(&mut findings);
-        analysis.waived += waived;
-        analysis.files += 1;
+        files.push(SourceFile::parse(&p.replace('\\', "/"), &src));
+        listed.extend(Path::new(p).canonicalize().ok());
     }
-    Ok(analysis)
+    Ok(analyze(&files, &parse_tree(root, &listed)))
 }
 
 #[cfg(test)]

@@ -5,7 +5,8 @@
 //! engine that machine-checks the contracts the rest of the suite only
 //! enforces dynamically — collective-order symmetry, `// SAFETY:` coverage
 //! on unsafe sites, virtual-time purity, FLOP-ledger charging discipline,
-//! and the hot-loop allocation audit.
+//! the hot-loop allocation audit, and a public surface every item of which
+//! has a caller.
 //!
 //! The crate is both a library (so `cargo test` runs the analyzer over the
 //! live tree as a plain `#[test]`) and a binary (`resilient-analysis`) for

@@ -4,13 +4,13 @@
 //!
 //! ```text
 //! resilient-analysis [--root <dir>]     # analyze the whole tree (default: cwd)
-//! resilient-analysis <file.rs>...       # analyze specific files
+//! resilient-analysis <file.rs>...       # analyze specific files, judged against the cwd tree
 //! resilient-analysis --list-rules       # print the rule catalogue
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use resilient_analysis::{all_rules, analyze_files, analyze_tree};
@@ -19,8 +19,10 @@ fn usage() -> &'static str {
     "usage: resilient-analysis [--list-rules] [--root <dir>] [<file.rs>...]\n\
      \n\
      With no arguments, analyzes every .rs file under the current directory\n\
-     (skipping target/, vendor/ and the self-test fixtures). Exit code 0 on a\n\
-     clean tree, 1 on findings, 2 on usage or I/O errors."
+     (skipping target/, vendor/ and the self-test fixtures). With files, reports\n\
+     only those, judging orphan-pub against the tree under the current\n\
+     directory. Exit code 0 on a clean tree, 1 on findings, 2 on usage or I/O\n\
+     errors."
 }
 
 fn main() -> ExitCode {
@@ -74,7 +76,7 @@ fn main() -> ExitCode {
         }
         analyze_tree(&dir)
     } else {
-        match analyze_files(&files) {
+        match analyze_files(Path::new("."), &files) {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("{e}");

@@ -1,4 +1,4 @@
-//! The repo-specific rules: five invariants clippy cannot express, each
+//! The repo-specific rules: six invariants clippy cannot express, each
 //! grounded in a bug class this repository has already hit (see
 //! `docs/analysis.md` for the catalogue).
 //!
@@ -9,6 +9,8 @@
 //! per-site waiver comment — `lint:allow`, rule name in parentheses,
 //! mandatory reason — is the documented escape hatch for the sanctioned
 //! exceptions.
+
+use std::collections::HashMap;
 
 use crate::engine::{Diagnostic, SourceFile};
 use crate::lexer::{Tok, TokKind};
@@ -22,7 +24,10 @@ pub trait Rule {
     /// Human description of where the rule applies.
     fn scope(&self) -> &'static str;
     /// Scan `f` and append findings.
-    fn check(&self, f: &SourceFile, out: &mut Vec<Diagnostic>);
+    fn check(&self, _f: &SourceFile, _out: &mut Vec<Diagnostic>) {}
+    /// Cross-file pass, run after every per-file `check`: `out[i]` collects
+    /// the findings located in `files[i]`.
+    fn check_tree(&self, _files: &[&SourceFile], _out: &mut [Vec<Diagnostic>]) {}
 }
 
 /// Every shipped rule, in reporting order.
@@ -33,6 +38,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(VirtualTimePurity),
         Box::new(ChargedArithmetic),
         Box::new(HotLoopAllocation),
+        Box::new(OrphanPub),
     ]
 }
 
@@ -416,7 +422,6 @@ const VECTOR_FNS: &[&str] = &[
     "dot",
     "dot_pairs",
     "nrm2",
-    "norm_inf",
     "axpy",
     "scale",
     "xpby",
@@ -700,6 +705,161 @@ impl Rule for HotLoopAllocation {
                         "`{what}` allocates in a per-iteration module — reuse a \
                          scratch buffer or move the allocation to a setup path \
                          (PR 7 allocation audit)"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 6: orphan-pub
+// ---------------------------------------------------------------------------
+
+/// A `pub fn`, `pub const` or `pub static` of a library crate must be named
+/// by code in some other file. Uses in the item's own file do not count (a
+/// private item serves them, its unit tests included), and neither do
+/// comments, strings, a same-named `fn`/`const`/`static` definition or a
+/// `pub use` re-export list. Types are exempt: a type is often public only
+/// because a public signature names it.
+pub struct OrphanPub;
+
+/// Files whose public functions and constants must have a caller.
+const ORPHAN_SCOPE: &[&str] = &[
+    "crates/core/src/",
+    "crates/linalg/src/",
+    "crates/runtime/src/",
+    "crates/faults/src/",
+    "crates/pde/src/",
+    "crates/bench/src/lib.rs",
+];
+
+/// Which files name an identifier: one, or more than one.
+#[derive(Clone, Copy)]
+enum Seen {
+    One(usize),
+    Many,
+}
+
+/// The identifier index of the whole analyzed tree, built in one token
+/// pass: for every identifier used as code, which files use it.
+fn use_index<'a>(files: &[&'a SourceFile]) -> HashMap<&'a str, Seen> {
+    let mut index = HashMap::new();
+    for (fi, f) in files.iter().enumerate() {
+        let mut ci = 0;
+        while let Some(t) = ct(f, ci) {
+            if let Some(after) = pub_prefix_end(f, ci) {
+                if is_ident(f, after, "use") {
+                    // A re-export list names items; it does not use them.
+                    while ct(f, ci).is_some_and(|t| !t.is(TokKind::Punct, ";")) {
+                        ci += 1;
+                    }
+                    continue;
+                }
+            }
+            let defines = ["fn", "const", "static"]
+                .iter()
+                .any(|d| is_ident_behind(f, ci, d));
+            if t.kind == TokKind::Ident && !defines {
+                index
+                    .entry(t.text.as_str())
+                    .and_modify(|s| {
+                        if matches!(*s, Seen::One(o) if o != fi) {
+                            *s = Seen::Many;
+                        }
+                    })
+                    .or_insert(Seen::One(fi));
+            }
+            ci += 1;
+        }
+    }
+    index
+}
+
+/// If code position `ci` is `pub` or `pub(…)`, the position just after it.
+fn pub_prefix_end(f: &SourceFile, ci: usize) -> Option<usize> {
+    if !is_ident(f, ci, "pub") {
+        return None;
+    }
+    if !is_punct(f, ci + 1, "(") {
+        return Some(ci + 1);
+    }
+    let mut cj = ci + 1;
+    while ct(f, cj).is_some_and(|t| !t.is(TokKind::Punct, ")")) {
+        cj += 1;
+    }
+    Some(cj + 1)
+}
+
+/// The public items a file declares outside its tests: `(kind, name token)`.
+/// Bare `pub` only: `pub(crate)` and narrower are not public surface.
+fn public_items(f: &SourceFile) -> Vec<(&'static str, &Tok)> {
+    let mut items = Vec::new();
+    for ci in 0..f.code.len() {
+        if !is_ident(f, ci, "pub") || is_punct(f, ci + 1, "(") || f.in_test(f.code[ci]) {
+            continue;
+        }
+        // Skip fn qualifiers: `const fn`, `unsafe`, `async`, `extern "C"`.
+        let mut cj = ci + 1;
+        while ["unsafe", "async", "extern"]
+            .iter()
+            .any(|q| is_ident(f, cj, q))
+            || ct(f, cj).is_some_and(|t| t.kind == TokKind::Str)
+            || (is_ident(f, cj, "const")
+                && !ct(f, cj + 2).is_some_and(|t| t.is(TokKind::Punct, ":")))
+        {
+            cj += 1;
+        }
+        let kind = match ct(f, cj) {
+            Some(t) if t.is(TokKind::Ident, "fn") => "pub fn",
+            Some(t) if t.is(TokKind::Ident, "const") => "pub const",
+            Some(t) if t.is(TokKind::Ident, "static") => "pub static",
+            _ => continue,
+        };
+        if is_ident(f, cj + 1, "mut") {
+            cj += 1;
+        }
+        if let Some(name) = ct(f, cj + 1).filter(|n| n.kind == TokKind::Ident) {
+            items.push((kind, name));
+        }
+    }
+    items
+}
+
+impl Rule for OrphanPub {
+    fn name(&self) -> &'static str {
+        "orphan-pub"
+    }
+    fn summary(&self) -> &'static str {
+        "every pub fn/const/static is named by code outside its own file"
+    }
+    fn scope(&self) -> &'static str {
+        "crates/{core,linalg,runtime,faults,pde}/src/**, crates/bench/src/lib.rs (non-test items)"
+    }
+
+    fn check_tree(&self, files: &[&SourceFile], out: &mut [Vec<Diagnostic>]) {
+        let index = use_index(files);
+        for (fi, f) in files.iter().enumerate() {
+            if !ORPHAN_SCOPE.iter().any(|p| f.path.starts_with(p)) {
+                continue;
+            }
+            for (kind, name) in public_items(f) {
+                let used_elsewhere = match index.get(name.text.as_str()) {
+                    Some(Seen::Many) => true,
+                    Some(&Seen::One(o)) => o != fi,
+                    None => false,
+                };
+                if used_elsewhere {
+                    continue;
+                }
+                out[fi].push(diag(
+                    self.name(),
+                    f,
+                    name.line,
+                    format!(
+                        "`{kind} {}` is named by no code outside this file — drop \
+                         `pub`, or delete it if nothing here uses it either",
+                        name.text
                     ),
                 ));
             }

@@ -5,7 +5,7 @@
 
 use resilient_linalg::vector::{dot, nrm2};
 
-pub fn uncharged(x: &[f64], y: &[f64]) -> f64 {
+fn uncharged(x: &[f64], y: &[f64]) -> f64 {
     let d = resilient_linalg::vector::dot(x, y);
     let ops = scalar_ops();
     d + ops.nrm2(x) + dot(x, y)

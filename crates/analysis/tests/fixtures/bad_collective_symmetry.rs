@@ -3,7 +3,7 @@
 // below must fire `collective-symmetry` — rank 0 enters a barrier the other
 // ranks never reach, and the else-arm is just as asymmetric.
 
-pub fn desync(comm: &Comm, my_rank: usize, buf: &mut [f64]) {
+fn desync(comm: &Comm, my_rank: usize, buf: &mut [f64]) {
     if my_rank == 0 {
         comm.barrier();
     } else {
@@ -17,7 +17,7 @@ pub fn desync(comm: &Comm, my_rank: usize, buf: &mut [f64]) {
     }
 }
 
-pub fn symmetric_is_fine(comm: &Comm, buf: &mut [f64]) {
+fn symmetric_is_fine(comm: &Comm, buf: &mut [f64]) {
     comm.barrier();
     comm.allreduce(buf);
 }

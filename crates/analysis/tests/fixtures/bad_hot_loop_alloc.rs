@@ -3,7 +3,7 @@
 // All four allocation forms must fire `hot-loop-alloc`; the constructor
 // below is exempt by function name.
 
-pub fn apply(x: &[f64], out: &mut Vec<f64>) {
+fn apply(x: &[f64], out: &mut Vec<f64>) {
     let mut scratch = Vec::new();
     scratch.extend_from_slice(x);
     let copy = x.to_vec();
@@ -13,7 +13,7 @@ pub fn apply(x: &[f64], out: &mut Vec<f64>) {
     out.extend(again);
 }
 
-pub fn new(n: usize) -> Vec<f64> {
+fn new(n: usize) -> Vec<f64> {
     // Exempt: `new` is a sanctioned allocation site.
     vec![0.0; n]
 }

@@ -8,7 +8,7 @@ unsafe fn kernel(x: &[f64]) -> f64 {
     x[0] + x[1]
 }
 
-pub fn call_without_detection(x: &[f64]) -> f64 {
+fn call_without_detection(x: &[f64]) -> f64 {
     unsafe { kernel(x) }
 }
 

@@ -4,7 +4,7 @@
 
 use std::time::{Instant, SystemTime};
 
-pub fn leak() -> u128 {
+fn leak() -> u128 {
     let t0 = Instant::now();
     let _epoch = SystemTime::now();
     t0.elapsed().as_nanos()

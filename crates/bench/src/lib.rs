@@ -73,7 +73,7 @@ impl Table {
     }
 
     /// Render the table as CSV (header row included).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.headers.join(","));
         for row in &self.rows {
@@ -113,11 +113,6 @@ pub fn fmt_ratio(v: f64) -> String {
     format!("{v:.2}x")
 }
 
-/// Geometric series of `count` values from `start`, multiplying by `step`.
-pub fn geometric_sweep(start: f64, step: f64, count: usize) -> Vec<f64> {
-    (0..count).map(|i| start * step.powi(i as i32)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,11 +147,5 @@ mod tests {
         assert!(fmt_g(123456.0).contains('e'));
         assert_eq!(fmt_ratio(2.0), "2.00x");
         assert_eq!(fmt_g(f64::INFINITY), "inf");
-    }
-
-    #[test]
-    fn sweeps() {
-        assert_eq!(geometric_sweep(1.0, 10.0, 3), vec![1.0, 10.0, 100.0]);
-        assert!(geometric_sweep(1.0, 2.0, 0).is_empty());
     }
 }

@@ -164,7 +164,7 @@ impl CampaignConfig {
     /// generous enough for max-iteration stalls and repeated LFLR
     /// recoveries, finite so a runaway schedule is a contract breach
     /// rather than a silent slowdown.
-    pub fn budget(&self, clean_makespan: f64) -> f64 {
+    fn budget(&self, clean_makespan: f64) -> f64 {
         5.0 + 50.0 * clean_makespan
     }
 

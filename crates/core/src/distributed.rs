@@ -18,7 +18,7 @@ const GHOST_TAG: i32 = 1 << 18;
 
 /// Sort scope σ used when [`DistCsr::from_global`] auto-selects the
 /// SELL-C-σ layout (matches the `exp_kernel_speed` sweet spot).
-pub const DEFAULT_SELL_SIGMA: usize = 256;
+const DEFAULT_SELL_SIGMA: usize = 256;
 
 /// One FNV-1a step (64-bit) over an 8-byte word.
 fn fnv1a(h: &mut u64, v: u64) {
@@ -74,7 +74,7 @@ impl DistVector {
     }
 
     /// Local partial dot product (no communication).
-    pub fn local_dot(&self, other: &DistVector) -> f64 {
+    fn local_dot(&self, other: &DistVector) -> f64 {
         resilient_linalg::vector::dot(&self.local, &other.local)
     }
 
@@ -227,11 +227,6 @@ impl DistMultiVector {
             dist: self.dist,
             rank: self.rank,
         }
-    }
-
-    /// Overwrite column `c` from a single vector of the same distribution.
-    pub fn set_column(&mut self, c: usize, v: &DistVector) {
-        self.col_mut(c).copy_from_slice(&v.local);
     }
 
     /// A vector distributed like the columns, holding no entries: the
@@ -498,11 +493,6 @@ impl DistCsr {
     /// Global dimension.
     pub fn global_dim(&self) -> usize {
         self.dist.n
-    }
-
-    /// Number of ghost entries exchanged per SpMV.
-    pub fn ghost_count(&self) -> usize {
-        self.ghost_globals.len()
     }
 
     /// Ranks this rank communicates with during SpMV.
@@ -835,7 +825,7 @@ mod tests {
             let y = da.apply(comm, &x)?;
             Ok((
                 y.gather_global(comm)?,
-                da.ghost_count(),
+                da.ghost_globals.len(),
                 da.neighbors().len(),
             ))
         });
@@ -1111,7 +1101,7 @@ mod tests {
                 assert_eq!(&mv.column(c), want);
             }
             let replacement = DistVector::from_fn(comm, 14, |i| -(i as f64));
-            mv.set_column(1, &replacement);
+            mv.col_mut(1).copy_from_slice(&replacement.local);
             Ok(mv.column(1) == replacement)
         });
         assert!(result.unwrap_all().into_iter().all(|ok| ok));
@@ -1218,7 +1208,7 @@ mod tests {
             let a = poisson2d(5, 5);
             let da = DistCsr::from_global(comm, &a)?;
             Ok((
-                da.ghost_count(),
+                da.ghost_globals.len(),
                 da.neighbors().len(),
                 da.local_rows(),
                 da.global_dim(),

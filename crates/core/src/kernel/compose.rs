@@ -23,8 +23,7 @@ use resilient_linalg::CsrMatrix;
 use resilient_runtime::{CommBackend, ReduceOp, Result, RuntimeError};
 
 use super::policy::{
-    CheckDot, CheckOperand, DetectionResponse, IterCtx, PolicyAction, PolicyOverhead, PolicyStack,
-    ResiliencePolicy,
+    CheckDot, CheckOperand, IterCtx, PolicyAction, PolicyOverhead, PolicyStack, ResiliencePolicy,
 };
 use super::precond::SpacePreconditioner;
 use super::skeptic::{SkepticalConfig, SkepticalPolicy};
@@ -66,7 +65,6 @@ pub struct AbftSpmvPolicy {
     /// out at solve start.
     operands: Option<(DistVector, DistVector)>,
     tol: f64,
-    response: DetectionResponse,
     overhead: PolicyOverhead,
     /// Participate in wants-dots fusion (default); disable for comparison
     /// runs pinning the direct schedule.
@@ -86,7 +84,6 @@ impl AbftSpmvPolicy {
             encoded: ChecksummedCsr::encode(a.clone()),
             operands: None,
             tol,
-            response: DetectionResponse::Restart,
             overhead: PolicyOverhead {
                 name: "abft-spmv",
                 ..PolicyOverhead::default()
@@ -96,12 +93,6 @@ impl AbftSpmvPolicy {
             pending: None,
             fused_decisions: 0,
         }
-    }
-
-    /// Override the detection response (default: restart the cycle).
-    pub fn with_response(mut self, response: DetectionResponse) -> Self {
-        self.response = response;
-        self
     }
 
     /// Decline the wants-dots negotiation and verify directly in the hook
@@ -130,10 +121,6 @@ impl AbftSpmvPolicy {
 impl<'a, 'b, C: CommBackend> ResiliencePolicy<DistSpace<'a, 'b, C>> for AbftSpmvPolicy {
     fn name(&self) -> &'static str {
         "abft-spmv"
-    }
-
-    fn response(&self) -> DetectionResponse {
-        self.response
     }
 
     fn on_solve_start(&mut self, space: &mut DistSpace<'a, 'b, C>, b: &DistVector) -> Result<()> {

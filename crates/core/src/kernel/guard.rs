@@ -8,16 +8,15 @@
 //! [`PrecondGuardPolicy`] closes that hole through the
 //! [`after_precond`](ResiliencePolicy::after_precond) hook: one fused
 //! global reduction of `(‖z‖², ‖r‖²)` per guarded apply, detecting
-//! non-finite output and amplification of `‖z‖²/‖r‖²` beyond
-//! [`PrecondGuardPolicy::DEFAULT_RATIO_BOUND`] (for a fixed preconditioner
-//! `‖M⁻¹‖` bounds that ratio; an exponent-bit upset blows past any
-//! reasonable bound).
+//! non-finite output and amplification of `‖z‖²/‖r‖²` beyond a fixed
+//! bound of `1e12` (for a fixed preconditioner `‖M⁻¹‖` bounds that ratio;
+//! an exponent-bit upset blows past any reasonable bound).
 //!
 //! The decision is derived from globally reduced scalars, so every rank
 //! takes the same branch — the guard is rank-symmetric by construction and
 //! composes with shrink recovery and replacement ranks.
 
-use super::policy::{DetectionResponse, IterCtx, PolicyAction, PolicyOverhead, ResiliencePolicy};
+use super::policy::{IterCtx, PolicyAction, PolicyOverhead, ResiliencePolicy};
 use super::space::KrylovSpace;
 use resilient_runtime::Result;
 
@@ -25,7 +24,6 @@ use resilient_runtime::Result;
 /// finiteness/amplification check; see the module docs.
 #[derive(Debug, Clone)]
 pub struct PrecondGuardPolicy {
-    response: DetectionResponse,
     overhead: PolicyOverhead,
 }
 
@@ -40,23 +38,16 @@ impl PrecondGuardPolicy {
     /// that no legitimate block-Jacobi apply in the suite approaches it
     /// (the factored blocks are diagonally dominant), tight enough that an
     /// exponent-bit flip overshoots it by hundreds of orders of magnitude.
-    pub const DEFAULT_RATIO_BOUND: f64 = 1e12;
+    const DEFAULT_RATIO_BOUND: f64 = 1e12;
 
-    /// A guard with the `Restart` response.
+    /// A guard; a detection restarts the cycle.
     pub fn new() -> Self {
         Self {
-            response: DetectionResponse::Restart,
             overhead: PolicyOverhead {
                 name: "precond-guard",
                 ..PolicyOverhead::default()
             },
         }
-    }
-
-    /// Builder: custom detection response (default `Restart`).
-    pub fn with_response(mut self, response: DetectionResponse) -> Self {
-        self.response = response;
-        self
     }
 
     /// Detections reported so far.
@@ -68,10 +59,6 @@ impl PrecondGuardPolicy {
 impl<S: KrylovSpace> ResiliencePolicy<S> for PrecondGuardPolicy {
     fn name(&self) -> &'static str {
         "precond-guard"
-    }
-
-    fn response(&self) -> DetectionResponse {
-        self.response
     }
 
     fn after_precond(

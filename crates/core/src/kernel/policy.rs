@@ -820,11 +820,6 @@ impl<V> IterateRollbackPolicy<V> {
         self
     }
 
-    /// Number of rollbacks performed.
-    pub fn restores(&self) -> usize {
-        self.overhead.restarts
-    }
-
     /// Snapshots written to the persistent store by this instance (total
     /// writes — pruning does not shrink this count).
     pub fn snapshots_persisted(&self) -> usize {

@@ -77,7 +77,7 @@ impl SolveOptions {
     }
 
     /// The node-local compute backend the entry points hand their spaces.
-    pub fn local_ops(&self) -> &'static dyn LocalOps {
+    fn local_ops(&self) -> &'static dyn LocalOps {
         if self.force_scalar_ops {
             resilient_linalg::scalar_ops()
         } else {

@@ -23,4 +23,4 @@ pub mod protocol;
 
 pub use cpr::{run_cpr, CprApp, CprConfig, CprReport};
 pub use driver::{run_lflr, LflrApp, LflrReport};
-pub use protocol::{recovery_epochs, Epochs, SnapshotRing, MAX_RECOVERIES};
+pub use protocol::{recovery_epochs, Epochs, SnapshotRing};

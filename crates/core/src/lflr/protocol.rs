@@ -15,7 +15,7 @@ use resilient_runtime::{CommBackend, ReduceOp, Result};
 /// [`recovery_epochs`] call before it gives up and returns the failure error
 /// (a backstop against pathological failure schedules; the runtime's
 /// `max_failures` usually binds first).
-pub const MAX_RECOVERIES: usize = 8;
+const MAX_RECOVERIES: usize = 8;
 
 /// What the recovery protocol did on this rank during one
 /// [`recovery_epochs`] call.
@@ -41,7 +41,7 @@ pub struct Epochs {
 /// "anything the others can" — the minimum wins, and `attempt` runs again
 /// from there. That includes failures inside recovery itself (a restore or
 /// a re-executed step interrupted by the next death). Any other error, or
-/// a failure past [`MAX_RECOVERIES`], is returned.
+/// a failure past `MAX_RECOVERIES`, is returned.
 ///
 /// The rendezvous itself can be interrupted by a *further* failure — a
 /// rank dying while the agreement for the previous death is still in
@@ -50,7 +50,7 @@ pub struct Epochs {
 /// the newer failure generation; letting the error escape instead makes
 /// this rank abandon the job while its peers block in a collective that
 /// can never complete — a deadlock, the one outcome the protocol exists
-/// to prevent. Retries are bounded by the same [`MAX_RECOVERIES`].
+/// to prevent. Retries are bounded by the same `MAX_RECOVERIES`.
 pub fn recovery_epochs<C: CommBackend, T>(
     comm: &mut C,
     mut proposal: impl FnMut(&mut C) -> Option<usize>,

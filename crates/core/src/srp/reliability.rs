@@ -39,12 +39,6 @@ impl SrpCostLedger {
             self.reliable_flops as f64 / total as f64
         }
     }
-
-    /// Merge another ledger into this one.
-    pub fn merge(&mut self, other: &SrpCostLedger) {
-        self.unreliable_flops += other.unreliable_flops;
-        self.reliable_flops += other.reliable_flops;
-    }
 }
 
 #[cfg(test)]
@@ -61,10 +55,6 @@ mod tests {
         };
         assert_eq!(ledger.weighted_cost(&model), 130.0);
         assert!((ledger.reliable_fraction() - 10.0 / 110.0).abs() < 1e-12);
-        let mut other = SrpCostLedger::default();
-        other.charge(Reliability::Reliable, 5);
-        ledger.merge(&other);
-        assert_eq!(ledger.reliable_flops, 15);
         assert_eq!(SrpCostLedger::default().reliable_fraction(), 0.0);
     }
 }

@@ -392,7 +392,7 @@ impl FaultSchedule {
     }
 
     /// Total event count across all three lists.
-    pub fn event_count(&self) -> usize {
+    fn event_count(&self) -> usize {
         self.spmv.len() + self.precond.len() + self.deaths.len()
     }
 
@@ -413,7 +413,7 @@ impl FaultSchedule {
 
     /// Every schedule obtainable by dropping exactly one event — the
     /// shrink neighbourhood of the greedy minimizer.
-    pub fn shrink_candidates(&self) -> Vec<FaultSchedule> {
+    fn shrink_candidates(&self) -> Vec<FaultSchedule> {
         let mut out = Vec::with_capacity(self.event_count());
         for i in 0..self.spmv.len() {
             let mut s = self.clone();

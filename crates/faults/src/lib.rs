@@ -26,5 +26,5 @@ pub mod tmr;
 pub use bitflip::flip_bit_f64;
 pub use campaign::{DeathEvent, FaultFamily, FaultSchedule, ScheduleParams, Strike, StrikePlan};
 pub use memory::{Reliability, ReliabilityModel};
-pub use thread_death::{KillTrigger, ThreadDeathPlan};
+pub use thread_death::ThreadDeathPlan;
 pub use tmr::{tmr_vote_vectors, TmrOutcome, TmrStats};

@@ -5,41 +5,23 @@
 //! (`FailureConfig::scheduled`). The real-threads backend instead asks an
 //! externally supplied [`DeathInjector`] at every failure point; this module
 //! provides the standard implementation: a deterministic per-rank plan of
-//! *kill triggers*, each pinned to a world rank's original incarnation so a
-//! planned death can never replay on the replacement thread.
+//! kills, each pinned to a world rank's incarnation so a planned death can
+//! never replay on the replacement thread.
 //!
-//! Triggers come in two flavours:
-//!
-//! * [`KillTrigger::AtCollective`] — die when the rank has completed the
-//!   given number of collectives. This is the deterministic progress axis
-//!   (the threaded analogue of "die at virtual time *t*"): it hits the same
-//!   algorithmic location on every run regardless of host scheduling, which
-//!   is what kill-mid-solve tests and the backend-parity experiments need.
-//! * [`KillTrigger::AfterSeconds`] — die at the first failure point after
-//!   the given wall-clock time, for asynchronous-failure campaigns where
-//!   the strike location is *supposed* to be scheduling-dependent
-//!   (Heroux's faults-are-asynchronous premise).
+//! A kill fires when the rank has completed the given number of
+//! collectives. This is the deterministic progress axis (the threaded
+//! analogue of "die at virtual time *t*"): it hits the same algorithmic
+//! location on every run regardless of host scheduling, which is what
+//! kill-mid-solve tests and the backend-parity experiments need.
 
 use std::sync::Mutex;
 
 use resilient_runtime::{DeathContext, DeathInjector};
 
-/// When a planned rank death fires.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KillTrigger {
-    /// Die once the rank's completed-collective count reaches this value
-    /// (deterministic across runs).
-    AtCollective(u64),
-    /// Die at the first failure point after this many wall-clock seconds
-    /// since job start (scheduling-dependent, deliberately).
-    AfterSeconds(f64),
-}
-
 /// A deterministic plan of rank deaths for a [`ThreadRuntime`] job. Each
-/// entry is pinned to a world rank *and an incarnation* — the plain
-/// builders pin incarnation 0 (a planned death never replays on the
-/// replacement thread), while campaign schedules can pin later
-/// incarnations to kill a replacement mid-recovery.
+/// entry is pinned to a world rank *and an incarnation*; the public
+/// builder pins incarnation 0, so a planned death never replays on the
+/// replacement thread.
 ///
 /// [`ThreadRuntime`]: resilient_runtime::ThreadRuntime
 ///
@@ -54,9 +36,9 @@ pub enum KillTrigger {
 /// ```
 #[derive(Debug, Default)]
 pub struct ThreadDeathPlan {
-    /// `(world_rank, incarnation, trigger, fired)` entries; each fires at
-    /// most once, only on the pinned incarnation.
-    kills: Mutex<Vec<(usize, u64, KillTrigger, bool)>>,
+    /// `(world_rank, incarnation, nth_collective, fired)` entries; each
+    /// fires at most once, only on the pinned incarnation.
+    kills: Mutex<Vec<(usize, u64, u64, bool)>>,
 }
 
 impl ThreadDeathPlan {
@@ -77,25 +59,11 @@ impl ThreadDeathPlan {
     /// replacement *during* its recovery re-execution, the compound
     /// failure single-kill plans cannot express. Collective counts are
     /// per-lifetime (a replacement starts again from zero).
-    pub fn kill_incarnation_at_collective(self, rank: usize, incarnation: u64, nth: u64) -> Self {
-        self.kills.lock().expect("death plan lock poisoned").push((
-            rank,
-            incarnation,
-            KillTrigger::AtCollective(nth),
-            false,
-        ));
-        self
-    }
-
-    /// Plan `rank`'s death at the first failure point after `seconds` of
-    /// wall-clock time (original incarnation only).
-    pub fn kill_after_seconds(self, rank: usize, seconds: f64) -> Self {
-        self.kills.lock().expect("death plan lock poisoned").push((
-            rank,
-            0,
-            KillTrigger::AfterSeconds(seconds),
-            false,
-        ));
+    fn kill_incarnation_at_collective(self, rank: usize, incarnation: u64, nth: u64) -> Self {
+        self.kills
+            .lock()
+            .expect("death plan lock poisoned")
+            .push((rank, incarnation, nth, false));
         self
     }
 
@@ -113,18 +81,15 @@ impl ThreadDeathPlan {
 impl DeathInjector for ThreadDeathPlan {
     fn should_die(&self, ctx: &DeathContext) -> bool {
         let mut kills = self.kills.lock().expect("death plan lock poisoned");
-        for (rank, incarnation, trigger, fired) in kills.iter_mut() {
+        for (rank, incarnation, nth, fired) in kills.iter_mut() {
             // Each entry is pinned to one incarnation: an entry for the
-            // original thread can never replay on its replacement, and a
-            // campaign entry for incarnation 1 waits for the replacement.
+            // original thread can never replay on its replacement, and an
+            // entry that `kill_incarnation_at_collective` pins to
+            // incarnation 1 waits for the replacement.
             if *fired || *rank != ctx.world_rank || *incarnation != ctx.incarnation {
                 continue;
             }
-            let due = match *trigger {
-                KillTrigger::AtCollective(nth) => ctx.collectives >= nth,
-                KillTrigger::AfterSeconds(seconds) => ctx.elapsed >= seconds,
-            };
-            if due {
+            if ctx.collectives >= *nth {
                 *fired = true;
                 return true;
             }
@@ -212,13 +177,13 @@ mod tests {
         assert!(r.failures.is_empty());
     }
 
-    /// Rank 0 dies at its first failure point; everyone re-runs four
-    /// barriers after the recovery rendezvous — the replacement's first act,
-    /// as the protocol requires. With `hold_rank0`, rank 0's original waits
-    /// until rank 1 is inside the closure, i.e. certainly running when the
-    /// death happens.
-    fn wall_clock_kill_job(hold_rank0: bool) {
-        let plan = Arc::new(ThreadDeathPlan::new().kill_after_seconds(0, 0.0));
+    /// Rank 0 dies at its first failure point (its 0th collective);
+    /// everyone re-runs four barriers after the recovery rendezvous — the
+    /// replacement's first act, as the protocol requires. With `hold_rank0`,
+    /// rank 0's original waits until rank 1 is inside the closure, i.e.
+    /// certainly running when the death happens.
+    fn first_point_kill_job(hold_rank0: bool) {
+        let plan = Arc::new(ThreadDeathPlan::new().kill_at_collective(0, 0));
         let rt = ThreadRuntime::new(ThreadConfig::fast()).with_injector(plan.clone() as _);
         let rank1_running = Arc::new(AtomicBool::new(!hold_rank0));
         let r = rt.run(2, move |comm| {
@@ -250,8 +215,8 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_trigger_fires_after_deadline() {
-        wall_clock_kill_job(false);
+    fn death_at_the_first_failure_point_is_recovered() {
+        first_point_kill_job(false);
     }
 
     #[test]
@@ -261,7 +226,7 @@ mod tests {
         // the survivor's recovery rendezvous every time; unforced it passed
         // only when rank 1's thread started late enough to acknowledge, at
         // start-up, a death it never saw.
-        wall_clock_kill_job(true);
+        first_point_kill_job(true);
     }
 
     #[test]
@@ -270,8 +235,8 @@ mod tests {
         for _ in 0..200 {
             kill_fires_once_and_only_on_incarnation_zero();
             incarnation_pinned_kill_waits_for_the_replacement();
-            wall_clock_kill_job(false);
-            wall_clock_kill_job(true);
+            first_point_kill_job(false);
+            first_point_kill_job(true);
         }
     }
 }

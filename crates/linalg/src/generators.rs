@@ -2,7 +2,7 @@
 //!
 //! The resilient-solver experiments all run on the standard model problems
 //! of the papers the position paper cites: finite-difference Laplacians in
-//! one, two and three dimensions, plus random diagonally dominant and SPD
+//! one and two dimensions, plus random diagonally dominant and SPD
 //! matrices for stress tests.
 
 use rand::Rng;
@@ -96,41 +96,6 @@ pub fn poisson2d(nx: usize, ny: usize) -> CsrMatrix {
                 rows.push(row + ny, -1.0);
             }
             rows.end_row();
-        }
-    }
-    rows.finish()
-}
-
-/// 3-D Poisson matrix for an `nx × ny × nz` grid with the 7-point stencil
-/// (Dirichlet boundary). Symmetric positive definite.
-pub fn poisson3d(nx: usize, ny: usize, nz: usize) -> CsrMatrix {
-    let n = nx * ny * nz;
-    let mut rows = CsrRows::with_capacity(n, n, 7 * n);
-    for i in 0..nx {
-        for j in 0..ny {
-            for k in 0..nz {
-                let row = (i * ny + j) * nz + k;
-                if i > 0 {
-                    rows.push(row - ny * nz, -1.0);
-                }
-                if j > 0 {
-                    rows.push(row - nz, -1.0);
-                }
-                if k > 0 {
-                    rows.push(row - 1, -1.0);
-                }
-                rows.push(row, 6.0);
-                if k + 1 < nz {
-                    rows.push(row + 1, -1.0);
-                }
-                if j + 1 < ny {
-                    rows.push(row + nz, -1.0);
-                }
-                if i + 1 < nx {
-                    rows.push(row + ny * nz, -1.0);
-                }
-                rows.end_row();
-            }
         }
     }
     rows.finish()
@@ -306,13 +271,6 @@ mod tests {
                 "2d {nx}x{ny}"
             );
         }
-        for dims in [[1, 1, 1], [3, 4, 5], [1, 6, 2], [5, 1, 3]] {
-            assert_eq!(
-                poisson3d(dims[0], dims[1], dims[2]),
-                coo_stencil(dims, |_| 6.0, minus_one),
-                "3d {dims:?}"
-            );
-        }
         // The anisotropic stencil, coefficient by coefficient as its doc
         // states them (`dir` 0/1 = the edge to line i−1 / i+1, 2 = along
         // the line).
@@ -379,17 +337,9 @@ mod tests {
     }
 
     #[test]
-    fn poisson3d_structure() {
-        let a = poisson3d(2, 3, 2);
-        assert_eq!(a.nrows(), 12);
-        assert_eq!(a.diagonal(), vec![6.0; 12]);
-        assert_eq!(a.to_dense(), a.transpose().to_dense());
-    }
-
-    #[test]
     fn poisson_matrices_are_positive_definite_on_samples() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        for a in [poisson1d(10), poisson2d(4, 4), poisson3d(2, 2, 3)] {
+        for a in [poisson1d(10), poisson2d(4, 4)] {
             for _ in 0..5 {
                 let x = random_vector(a.nrows(), &mut rng);
                 if nrm2(&x) < 1e-12 {

@@ -34,7 +34,7 @@ impl Givens {
     }
 
     /// Apply the rotation in place to two entries of a column.
-    pub fn apply_to(&self, column: &mut [f64], i: usize, k: usize) {
+    fn apply_to(&self, column: &mut [f64], i: usize, k: usize) {
         let (x, y) = (column[i], column[k]);
         let (nx, ny) = self.apply(x, y);
         column[i] = nx;
@@ -102,7 +102,7 @@ impl HessenbergLsq {
     }
 
     /// Current least-squares residual norm `|g[k]|`.
-    pub fn residual_norm(&self) -> f64 {
+    fn residual_norm(&self) -> f64 {
         self.g[self.k].abs()
     }
 

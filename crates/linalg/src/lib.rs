@@ -22,8 +22,7 @@ pub mod vector;
 pub use checksum::{checksummed_gemm, ChecksumVerdict, ChecksummedCsr, ChecksummedMatrix};
 pub use dense::{DenseMatrix, LuFactors};
 pub use generators::{
-    anisotropic2d, diag_dominant_random, ones, poisson1d, poisson2d, poisson3d, random_vector,
-    spd_random,
+    anisotropic2d, diag_dominant_random, ones, poisson1d, poisson2d, random_vector, spd_random,
 };
 pub use givens::{Givens, HessenbergLsq};
 pub use ops::{auto_ops, scalar_ops, simd_ops, CgSweep, LocalOps, PcgSweep, ScalarOps};

@@ -173,11 +173,6 @@ impl SellMatrix {
         self.sigma
     }
 
-    /// Stored slots including padding (the layout's memory footprint).
-    pub fn padded_slots(&self) -> usize {
-        *self.chunk_ptr.last().unwrap()
-    }
-
     /// FLOPs of one SpMV: `2·nnz`, identical to the CSR accounting —
     /// padding slots are masked out, not computed.
     pub fn spmv_flops(&self) -> usize {

@@ -153,13 +153,6 @@ impl CsrMatrix {
         (&self.col_idx[range.clone()], &self.values[range])
     }
 
-    /// Mutable values of row `i` (used by fault injection to corrupt matrix
-    /// entries in place).
-    pub fn row_values_mut(&mut self, i: usize) -> &mut [f64] {
-        let range = self.row_ptr[i]..self.row_ptr[i + 1];
-        &mut self.values[range]
-    }
-
     /// All stored values (immutable view).
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -228,20 +221,6 @@ impl CsrMatrix {
             let (cols, vals) = self.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
                 coo.push(j, i, v);
-            }
-        }
-        coo.to_csr()
-    }
-
-    /// Extract the sub-matrix of rows `rows` (keeping all columns), used to
-    /// build row-block distributed matrices.
-    pub fn row_block(&self, rows: std::ops::Range<usize>) -> CsrMatrix {
-        assert!(rows.end <= self.nrows);
-        let mut coo = CooMatrix::new(rows.len(), self.ncols);
-        for (local_i, i) in rows.clone().enumerate() {
-            let (cols, vals) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                coo.push(local_i, j, v);
             }
         }
         coo.to_csr()
@@ -353,15 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn row_block_extraction() {
-        let a = small();
-        let block = a.row_block(1..3);
-        assert_eq!(block.nrows(), 2);
-        assert_eq!(block.ncols(), 3);
-        assert_eq!(block.spmv(&[1.0, 1.0, 1.0]), vec![0.0, 1.0]);
-    }
-
-    #[test]
     fn row_sums_and_norm() {
         let a = small();
         assert_eq!(a.row_sums(), vec![1.0, 0.0, 1.0]);
@@ -371,8 +341,6 @@ mod tests {
     #[test]
     fn values_mut_allows_corruption() {
         let mut a = small();
-        a.row_values_mut(0)[0] = 100.0;
-        assert_eq!(a.diagonal()[0], 100.0);
         a.values_mut()[1] = -7.0;
         assert_eq!(a.row(0).1[1], -7.0);
         assert_eq!(a.values().len(), 7);

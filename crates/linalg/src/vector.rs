@@ -34,30 +34,6 @@ pub fn nrm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// Infinity norm ‖x‖∞.
-///
-/// NaN-propagating: any NaN entry makes the result NaN. (IEEE `max`
-/// silently prefers the non-NaN operand, so a `fold(0.0, f64::max)` would
-/// report a finite norm for a corrupted vector — exactly the wrong
-/// behavior under the skeptical finiteness checks that sit downstream.)
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |m, v| {
-        let a = v.abs();
-        if a.is_nan() || m.is_nan() {
-            f64::NAN
-        } else {
-            m.max(a)
-        }
-    })
-}
-
-/// One norm ‖x‖₁.
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// y ← a·x + y.
 #[inline]
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
@@ -81,14 +57,6 @@ pub fn waxpby_into(a: f64, x: &[f64], b: f64, y: &[f64], w: &mut [f64]) {
     }
 }
 
-/// w ← a·x + b·y (thin allocating wrapper around [`waxpby_into`]).
-#[inline]
-pub fn waxpby(a: f64, x: &[f64], b: f64, y: &[f64]) -> Vec<f64> {
-    let mut w = vec![0.0; x.len()];
-    waxpby_into(a, x, b, y, &mut w);
-    w
-}
-
 /// y ← x + b·y (the CG direction update `p ← z + β·p`).
 ///
 /// # Panics
@@ -109,36 +77,6 @@ pub fn scale(a: f64, x: &mut [f64]) {
     }
 }
 
-/// Copy `src` into `dst`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn copy(src: &[f64], dst: &mut [f64]) {
-    assert_eq!(src.len(), dst.len(), "copy: length mismatch");
-    dst.copy_from_slice(src);
-}
-
-/// Sum of all elements.
-#[inline]
-pub fn asum(x: &[f64]) -> f64 {
-    x.iter().sum()
-}
-
-/// Element-wise subtraction `x - y` into a fresh vector.
-#[inline]
-pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
-    assert_eq!(x.len(), y.len(), "sub: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a - b).collect()
-}
-
-/// Relative difference ‖x − y‖₂ / max(‖y‖₂, ε): a scale-free error measure
-/// used throughout the experiment harness.
-pub fn rel_diff(x: &[f64], y: &[f64]) -> f64 {
-    let denom = nrm2(y).max(f64::EPSILON);
-    nrm2(&sub(x, y)) / denom
-}
-
 /// Does the vector contain any NaN or infinite entry?
 #[inline]
 pub fn has_non_finite(x: &[f64]) -> bool {
@@ -154,9 +92,6 @@ mod tests {
         let x = [1.0, 2.0, 2.0];
         assert_eq!(dot(&x, &x), 9.0);
         assert_eq!(nrm2(&x), 3.0);
-        assert_eq!(norm_inf(&[-5.0, 3.0]), 5.0);
-        assert_eq!(norm1(&[-1.0, 2.0, -3.0]), 6.0);
-        assert_eq!(asum(&[1.0, -1.0, 4.0]), 4.0);
     }
 
     #[test]
@@ -165,47 +100,15 @@ mod tests {
         let mut y = vec![10.0, 20.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, vec![12.0, 24.0]);
-        let w = waxpby(1.0, &x, -1.0, &[1.0, 1.0]);
+        let mut w = vec![9.0, 9.0];
+        waxpby_into(1.0, &x, -1.0, &[1.0, 1.0], &mut w);
         assert_eq!(w, vec![0.0, 1.0]);
-        let mut w2 = vec![9.0, 9.0];
-        waxpby_into(1.0, &x, -1.0, &[1.0, 1.0], &mut w2);
-        assert_eq!(w2, w);
         let mut z = vec![3.0, -6.0];
         scale(0.5, &mut z);
         assert_eq!(z, vec![1.5, -3.0]);
         let mut p = vec![2.0, 4.0];
         xpby(&[1.0, 1.0], 0.5, &mut p);
         assert_eq!(p, vec![2.0, 3.0]);
-    }
-
-    #[test]
-    fn norm_inf_propagates_nan() {
-        assert!(norm_inf(&[1.0, f64::NAN, 3.0]).is_nan());
-        // NaN anywhere — including positions after larger finite entries,
-        // where a max-fold would have already locked in the finite value.
-        assert!(norm_inf(&[5.0, 1.0, f64::NAN]).is_nan());
-        assert!(norm_inf(&[f64::NAN]).is_nan());
-        assert_eq!(norm_inf(&[]), 0.0);
-        assert_eq!(norm_inf(&[-2.0, 1.0]), 2.0);
-        assert_eq!(norm_inf(&[f64::NEG_INFINITY]), f64::INFINITY);
-    }
-
-    #[test]
-    fn copy_and_sub() {
-        let mut dst = vec![0.0; 3];
-        copy(&[1.0, 2.0, 3.0], &mut dst);
-        assert_eq!(dst, vec![1.0, 2.0, 3.0]);
-        assert_eq!(sub(&[3.0, 2.0], &[1.0, 5.0]), vec![2.0, -3.0]);
-    }
-
-    #[test]
-    fn rel_diff_scale_free() {
-        let x = [1.0, 1.0];
-        let y = [1.0, 1.0];
-        assert_eq!(rel_diff(&x, &y), 0.0);
-        let x2 = [1.0e6, 0.0];
-        let y2 = [1.0e6 * (1.0 + 1e-8), 0.0];
-        assert!(rel_diff(&x2, &y2) < 1e-7);
     }
 
     #[test]

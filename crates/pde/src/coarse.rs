@@ -44,23 +44,23 @@ pub fn prolongate(coarse: &[f64], factor: usize, fine_len: usize) -> Vec<f64> {
     fine
 }
 
-/// Relative L2 error introduced by a restrict-then-prolongate round trip —
-/// the "recovery error" of the coarse-model strategy for a given field.
-pub fn round_trip_error(fine: &[f64], factor: usize) -> f64 {
-    let coarse = restrict(fine, factor);
-    let back = prolongate(&coarse, factor, fine.len());
-    let num: f64 = fine.iter().zip(&back).map(|(a, b)| (a - b) * (a - b)).sum();
-    let den: f64 = fine.iter().map(|a| a * a).sum();
-    if den == 0.0 {
-        num.sqrt()
-    } else {
-        (num / den).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Relative L2 error introduced by a restrict-then-prolongate round trip —
+    /// the "recovery error" of the coarse-model strategy for a given field.
+    fn round_trip_error(fine: &[f64], factor: usize) -> f64 {
+        let coarse = restrict(fine, factor);
+        let back = prolongate(&coarse, factor, fine.len());
+        let num: f64 = fine.iter().zip(&back).map(|(a, b)| (a - b) * (a - b)).sum();
+        let den: f64 = fine.iter().map(|a| a * a).sum();
+        if den == 0.0 {
+            num.sqrt()
+        } else {
+            (num / den).sqrt()
+        }
+    }
 
     #[test]
     fn restrict_averages_groups() {

@@ -60,7 +60,7 @@ impl ExplicitHeat {
     }
 
     /// Build the local initial condition.
-    pub fn local_initial<K: RankClock>(&self, comm: &Comm<K>) -> LocalField {
+    fn local_initial<K: RankClock>(&self, comm: &Comm<K>) -> LocalField {
         let dist = BlockDistribution::new(self.problem.n, comm.size());
         let u = dist
             .range(comm.rank())
@@ -76,11 +76,7 @@ impl ExplicitHeat {
     /// One distributed explicit step: halo exchange with the left/right
     /// neighbours, then the local stencil update. Charged `work_per_step` of
     /// extra virtual time plus the stencil FLOPs.
-    pub fn local_step<K: RankClock>(
-        &self,
-        comm: &mut Comm<K>,
-        field: &mut LocalField,
-    ) -> Result<()> {
+    fn local_step<K: RankClock>(&self, comm: &mut Comm<K>, field: &mut LocalField) -> Result<()> {
         let topo = CartTopology::line(comm.size(), false);
         let n_local = field.u.len();
         let left_value = field.u.first().copied().unwrap_or(0.0);

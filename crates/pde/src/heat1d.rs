@@ -47,7 +47,7 @@ impl HeatProblem {
     }
 
     /// Exact solution at time `t` on the interior grid.
-    pub fn exact(&self, t: f64) -> Vec<f64> {
+    fn exact(&self, t: f64) -> Vec<f64> {
         let pi = std::f64::consts::PI;
         let decay = (-self.kappa * pi * pi * t).exp();
         (0..self.n)
@@ -62,7 +62,7 @@ impl HeatProblem {
 
     /// One explicit (forward-Euler) step applied in place, with Dirichlet
     /// zero boundaries.
-    pub fn explicit_step(&self, u: &mut Vec<f64>) {
+    fn explicit_step(&self, u: &mut Vec<f64>) {
         let r = self.courant();
         let n = u.len();
         let mut next = vec![0.0; n];
@@ -93,12 +93,6 @@ impl HeatProblem {
             .map(|(a, b)| (a - b) * (a - b) * dx)
             .sum::<f64>()
             .sqrt()
-    }
-
-    /// Total heat content (the conserved-ish quantity used by the skeptical
-    /// conservation check; it decays smoothly and never jumps).
-    pub fn total_heat(u: &[f64]) -> f64 {
-        u.iter().sum()
     }
 }
 
@@ -147,10 +141,10 @@ mod tests {
     fn heat_decays_monotonically() {
         let p = HeatProblem::stable(32, 1.0);
         let mut u = p.initial();
-        let mut prev = HeatProblem::total_heat(&u);
+        let mut prev: f64 = u.iter().sum();
         for _ in 0..50 {
             p.explicit_step(&mut u);
-            let now = HeatProblem::total_heat(&u);
+            let now: f64 = u.iter().sum();
             assert!(now <= prev + 1e-12, "total heat must not grow");
             prev = now;
         }

@@ -69,7 +69,7 @@ impl ImplicitHeat {
     }
 
     /// Persist this rank's redundant copy according to the recovery strategy.
-    pub fn persist_redundant(&self, comm: &mut Comm, u_local: &[f64]) -> Result<()> {
+    fn persist_redundant(&self, comm: &mut Comm, u_local: &[f64]) -> Result<()> {
         match self.recovery {
             ImplicitRecovery::CoarseModel { factor } => {
                 comm.persist("implicit/coarse", restrict(u_local, factor))?;
@@ -83,7 +83,7 @@ impl ImplicitHeat {
     }
 
     /// Reconstruct this rank's local field after its state was lost.
-    pub fn recover_local(&self, comm: &mut Comm, n_local: usize) -> Result<Vec<f64>> {
+    fn recover_local(&self, comm: &mut Comm, n_local: usize) -> Result<Vec<f64>> {
         match self.recovery {
             ImplicitRecovery::CoarseModel { factor } => {
                 let me = comm.rank();

@@ -19,7 +19,7 @@ pub mod explicit;
 pub mod heat1d;
 pub mod implicit;
 
-pub use coarse::{prolongate, restrict, round_trip_error};
+pub use coarse::{prolongate, restrict};
 pub use explicit::{ExplicitHeat, LocalField};
 pub use heat1d::HeatProblem;
 pub use implicit::{

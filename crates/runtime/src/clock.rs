@@ -144,7 +144,7 @@ impl VirtualClock {
 
     /// Advance the clock by `dt` seconds of injected noise.
     #[inline]
-    pub fn advance_noise(&mut self, dt: f64) {
+    fn advance_noise(&mut self, dt: f64) {
         if dt.is_finite() && dt > 0.0 {
             self.now += dt;
             self.noise += dt;
@@ -153,7 +153,7 @@ impl VirtualClock {
 
     /// Advance the clock by `dt` seconds of recovery work.
     #[inline]
-    pub fn advance_recovery(&mut self, dt: f64) {
+    fn advance_recovery(&mut self, dt: f64) {
         if dt.is_finite() && dt > 0.0 {
             self.now += dt;
             self.recovery += dt;

@@ -26,7 +26,7 @@ pub enum ReduceOp {
 
 impl ReduceOp {
     /// Combine `b` into `a` element-wise.
-    pub fn fold_into(self, a: &mut [f64], b: &[f64]) {
+    fn fold_into(self, a: &mut [f64], b: &[f64]) {
         debug_assert_eq!(a.len(), b.len());
         match self {
             ReduceOp::Sum => a.iter_mut().zip(b).for_each(|(x, y)| *x += *y),
@@ -173,13 +173,6 @@ impl<K: RankClock> Comm<K> {
         Ok(reduced.expect("a scalar reduction folds at least this rank's value"))
     }
 
-    /// Reduce to `root`: `root` receives the combined vector, other ranks
-    /// receive `None`.
-    pub fn reduce(&mut self, root: usize, op: ReduceOp, data: &[f64]) -> Result<Option<Vec<f64>>> {
-        let reduced = self.allreduce(op, data)?;
-        Ok((self.rank() == root).then_some(reduced))
-    }
-
     /// Broadcast `data` from `root` to all ranks. Non-root ranks pass their
     /// (ignored) local buffer, typically empty.
     pub fn broadcast(&mut self, root: usize, data: &[f64]) -> Result<Vec<f64>> {
@@ -214,12 +207,6 @@ impl<K: RankClock> Comm<K> {
     /// target.
     pub fn global_dot(&mut self, local_partial: f64) -> Result<f64> {
         self.allreduce_scalar(ReduceOp::Sum, local_partial)
-    }
-
-    /// ULFM-style agreement: all alive ranks agree on the minimum of their
-    /// proposed values.
-    pub fn agree(&mut self, value: f64) -> Result<f64> {
-        self.allreduce_scalar(ReduceOp::Min, value)
     }
 }
 

@@ -364,39 +364,6 @@ impl<K: RankClock> Comm<K> {
         Ok((src, payload.into_f64()?))
     }
 
-    /// Send a slice of `u64` values.
-    pub fn send_u64(&mut self, dest: usize, tag: i32, data: &[u64]) -> Result<()> {
-        self.send_payload(dest, tag, Payload::U64(data.to_vec()))
-    }
-
-    /// Receive a `u64` vector.
-    pub fn recv_u64(&mut self, source: usize, tag: i32) -> Result<(usize, Vec<u64>)> {
-        let (src, payload) = self.recv_payload(source, tag)?;
-        Ok((src, payload.into_u64()?))
-    }
-
-    /// Send raw bytes.
-    pub fn send_bytes(&mut self, dest: usize, tag: i32, data: &[u8]) -> Result<()> {
-        self.send_payload(dest, tag, Payload::Bytes(data.to_vec()))
-    }
-
-    /// Receive raw bytes.
-    pub fn recv_bytes(&mut self, source: usize, tag: i32) -> Result<(usize, Vec<u8>)> {
-        let (src, payload) = self.recv_payload(source, tag)?;
-        Ok((src, payload.into_bytes()?))
-    }
-
-    /// Send an empty (synchronisation-only) message.
-    pub fn send_empty(&mut self, dest: usize, tag: i32) -> Result<()> {
-        self.send_payload(dest, tag, Payload::Empty)
-    }
-
-    /// Receive an empty message (any payload is accepted and discarded).
-    pub fn recv_empty(&mut self, source: usize, tag: i32) -> Result<usize> {
-        let (src, _) = self.recv_payload(source, tag)?;
-        Ok(src)
-    }
-
     /// Combined send to `dest` and receive from `source` of `f64` data,
     /// ordered to avoid deadlock regardless of rank ordering.
     pub fn sendrecv_f64(
@@ -598,17 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_send_recv_u64_bytes_empty() {
-        let mut c = Comm::solo(&RuntimeConfig::fast());
-        c.send_u64(0, 1, &[9, 8]).unwrap();
-        assert_eq!(c.recv_u64(0, 1).unwrap().1, vec![9, 8]);
-        c.send_bytes(0, 2, &[1, 2, 3]).unwrap();
-        assert_eq!(c.recv_bytes(0, 2).unwrap().1, vec![1, 2, 3]);
-        c.send_empty(0, 3).unwrap();
-        assert_eq!(c.recv_empty(0, 3).unwrap(), 0);
-    }
-
-    #[test]
     fn recv_charges_latency() {
         let mut cfg = RuntimeConfig::default();
         cfg.latency.alpha = 1.0;
@@ -633,7 +589,7 @@ mod tests {
     #[test]
     fn type_mismatch_on_recv() {
         let mut c = Comm::solo(&RuntimeConfig::fast());
-        c.send_u64(0, 0, &[1]).unwrap();
+        c.send_payload(0, 0, Payload::U64(vec![1])).unwrap();
         assert!(matches!(
             c.recv_f64(0, 0),
             Err(RuntimeError::TypeMismatch { .. })

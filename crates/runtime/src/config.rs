@@ -51,7 +51,7 @@ impl LatencyModel {
     }
 
     /// Number of tree stages for a collective over `p` ranks.
-    pub fn tree_depth(p: usize) -> u32 {
+    fn tree_depth(p: usize) -> u32 {
         if p <= 1 {
             0
         } else {

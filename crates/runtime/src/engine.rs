@@ -474,12 +474,6 @@ impl CollectiveEngine {
             }
         }
     }
-
-    /// Number of in-flight slots (diagnostics / tests).
-    pub fn in_flight(&self) -> usize {
-        let table = self.table.lock();
-        table.slots.iter().filter(|s| s.key.is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -490,6 +484,12 @@ mod tests {
     use std::thread;
 
     impl CollectiveEngine {
+        /// Number of in-flight slots.
+        fn in_flight(&self) -> usize {
+            let table = self.table.lock();
+            table.slots.iter().filter(|s| s.key.is_some()).count()
+        }
+
         /// [`wait_until`](Self::wait_until) without a deadline.
         fn wait(
             &self,

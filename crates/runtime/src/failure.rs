@@ -55,16 +55,6 @@ impl FailureSchedule {
         }
     }
 
-    /// A schedule that never fails.
-    pub fn never() -> Self {
-        Self {
-            enabled: false,
-            scheduled: Vec::new(),
-            next_random: None,
-            mtbf: f64::INFINITY,
-        }
-    }
-
     /// Should the rank fail now, given its current virtual time? If so,
     /// returns the virtual time of the triggering event and consumes it.
     pub fn due(&mut self, now: f64, rng: &mut ChaCha8Rng) -> Option<f64> {
@@ -86,16 +76,6 @@ impl FailureSchedule {
             }
         }
         None
-    }
-
-    /// The earliest pending failure time, if any (diagnostics / tests).
-    pub fn next_pending(&self) -> Option<f64> {
-        let s = self.scheduled.first().copied();
-        match (s, self.next_random) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
     }
 
     /// Whether failure injection is active for this rank.
@@ -128,8 +108,6 @@ mod tests {
         let mut s = FailureSchedule::for_rank(&cfg, 0, 0.0, &mut rng(1));
         assert!(!s.enabled());
         assert!(s.due(1e9, &mut rng(1)).is_none());
-        let mut never = FailureSchedule::never();
-        assert!(never.due(f64::MAX, &mut rng(2)).is_none());
     }
 
     #[test]
@@ -180,8 +158,10 @@ mod tests {
         let mut total = 0.0;
         for i in 0..n {
             let mut seed_rng = rng(1000 + i);
-            let s = FailureSchedule::for_rank(&cfg, 0, 0.0, &mut seed_rng);
-            total += s.next_pending().expect("random failure must be armed");
+            let mut s = FailureSchedule::for_rank(&cfg, 0, 0.0, &mut seed_rng);
+            total += s
+                .due(f64::MAX, &mut seed_rng)
+                .expect("random failure must be armed");
         }
         let mean = total / n as f64;
         assert!(
@@ -198,7 +178,7 @@ mod tests {
             ..FailureConfig::none()
         };
         let mut r = rng(2);
-        let s = FailureSchedule::for_rank(&cfg, 0, 0.0, &mut r);
-        assert!(s.next_pending().is_none());
+        let mut s = FailureSchedule::for_rank(&cfg, 0, 0.0, &mut r);
+        assert!(s.due(f64::MAX, &mut r).is_none());
     }
 }

@@ -35,8 +35,6 @@ struct HealthState {
     /// recovery has not completed yet).
     revoked: bool,
     events: Vec<FailureEvent>,
-    /// Time of the most recent failure, on the failed rank's clock.
-    last_failure_time: f64,
 }
 
 /// Shared, thread-safe health board for one job.
@@ -70,7 +68,6 @@ impl HealthBoard {
                 epoch: 0,
                 revoked: false,
                 events: Vec::new(),
-                last_failure_time: 0.0,
             }),
             alive: (0..size).map(|_| AtomicBool::new(true)).collect(),
             generation: AtomicU64::new(0),
@@ -103,7 +100,6 @@ impl HealthBoard {
         if let Some(alive) = self.alive.get(rank) {
             alive.store(false, Ordering::Release);
         }
-        s.last_failure_time = s.last_failure_time.max(time);
         s.events.push(FailureEvent {
             rank,
             incarnation,
@@ -193,11 +189,6 @@ impl HealthBoard {
         self.aborted.store(true, Ordering::Release);
     }
 
-    /// Is the communicator currently revoked?
-    pub fn is_revoked(&self) -> bool {
-        self.state.lock().revoked
-    }
-
     /// Total number of failure events recorded.
     pub fn failure_count(&self) -> usize {
         self.state.lock().events.len()
@@ -206,11 +197,6 @@ impl HealthBoard {
     /// Copy of the failure-event log.
     pub fn events(&self) -> Vec<FailureEvent> {
         self.state.lock().events.clone()
-    }
-
-    /// Time of the most recent failure, on the failed rank's clock.
-    pub fn last_failure_time(&self) -> f64 {
-        self.state.lock().last_failure_time
     }
 
     /// Current incarnation number of `rank`.
@@ -261,7 +247,6 @@ mod tests {
         assert_eq!(h.generation(), 0);
         assert_eq!(h.epoch(), 0);
         assert!(!h.is_aborted());
-        assert!(!h.is_revoked());
         assert!(h.check(0).is_ok());
     }
 
@@ -284,7 +269,6 @@ mod tests {
     fn replace_policy_revokes_until_recovery() {
         let h = HealthBoard::new(4, FailurePolicy::ReplaceRank);
         let generation = h.record_failure(1, 0, 2.0);
-        assert!(h.is_revoked());
         assert!(matches!(
             h.check(0),
             Err(RuntimeError::Revoked { generation: 1 })
@@ -296,7 +280,6 @@ mod tests {
         assert!(h.is_alive(1));
         let epoch = h.complete_recovery(generation);
         assert_eq!(epoch, 1);
-        assert!(!h.is_revoked());
         assert!(h.check(1).is_ok());
     }
 
@@ -320,7 +303,6 @@ mod tests {
         assert_eq!(h.failure_count(), 2);
         assert_eq!(h.failed_ranks(), vec![3, 5]);
         assert_eq!(h.alive_ranks(), vec![0, 1, 2, 4, 6, 7]);
-        assert!((h.last_failure_time() - 2.0).abs() < 1e-15);
     }
 
     #[test]

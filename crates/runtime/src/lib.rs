@@ -31,7 +31,7 @@
 //! | what time is | a number, advanced by charging work to it | wall seconds since the job started |
 //! | how a cost is paid | added to the number (plus sampled noise on compute) | slept, or spun below 100 µs |
 //! | when a rank dies | a [`FailureConfig`] schedule in virtual seconds | a [`DeathInjector`] asked at failure points |
-//! | how long a parked wait may last | for ever — only completion or a failure ends it | [`threads::WAIT_DEADLINE`], then `Timeout` |
+//! | how long a parked wait may last | for ever — only completion or a failure ends it | `WAIT_DEADLINE` (60 s), then `Timeout` |
 //! | whether to poll before parking | never (ranks outnumber cores) | iff `size ≤ available_parallelism` |
 //!
 //! Under the virtual clock results do not depend on the host's core count

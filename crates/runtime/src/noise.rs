@@ -17,8 +17,6 @@ use crate::config::{NoiseConfig, NoiseDistribution};
 #[derive(Debug, Clone)]
 pub struct NoiseModel {
     config: NoiseConfig,
-    /// Total noise injected so far (seconds).
-    total_injected: f64,
     /// Number of events injected so far.
     events: u64,
 }
@@ -26,11 +24,7 @@ pub struct NoiseModel {
 impl NoiseModel {
     /// Create a noise model from a configuration.
     pub fn new(config: NoiseConfig) -> Self {
-        Self {
-            config,
-            total_injected: 0.0,
-            events: 0,
-        }
+        Self { config, events: 0 }
     }
 
     /// Amount of noise (virtual seconds) to add to a compute interval of
@@ -71,13 +65,7 @@ impl NoiseModel {
             };
         }
         self.events += n;
-        self.total_injected += extra;
         extra
-    }
-
-    /// Total noise injected so far, in seconds.
-    pub fn total_injected(&self) -> f64 {
-        self.total_injected
     }
 
     /// Total number of noise events injected so far.
@@ -95,7 +83,7 @@ impl NoiseModel {
 ///
 /// Uses Knuth's product method for small `lambda` and a normal approximation
 /// for large `lambda` (where the distinction is invisible at our precision).
-pub fn sample_poisson(lambda: f64, rng: &mut ChaCha8Rng) -> u64 {
+fn sample_poisson(lambda: f64, rng: &mut ChaCha8Rng) -> u64 {
     if lambda <= 0.0 {
         return 0;
     }
@@ -200,7 +188,6 @@ mod tests {
             total > 100.0 && total < 350.0,
             "total {total} outside plausible range"
         );
-        assert!((m.total_injected() - total).abs() < 1e-9);
     }
 
     #[test]

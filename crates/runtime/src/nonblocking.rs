@@ -57,15 +57,6 @@ impl CollectiveOutcome {
             CollectiveOutcome::Done => Vec::new(),
         }
     }
-
-    /// Extract the per-rank result (allgather).
-    pub fn into_per_rank(self) -> Vec<Vec<f64>> {
-        match self {
-            CollectiveOutcome::PerRank(v) => v,
-            CollectiveOutcome::Vector(v) => vec![v],
-            CollectiveOutcome::Done => Vec::new(),
-        }
-    }
 }
 
 impl<K: RankClock> Comm<K> {
@@ -154,17 +145,8 @@ mod tests {
         );
         assert_eq!(CollectiveOutcome::Done.into_vector(), Vec::<f64>::new());
         assert_eq!(
-            CollectiveOutcome::PerRank(vec![vec![1.0], vec![2.0]]).into_per_rank(),
-            vec![vec![1.0], vec![2.0]]
-        );
-        assert_eq!(
-            CollectiveOutcome::Vector(vec![3.0]).into_per_rank(),
-            vec![vec![3.0]]
-        );
-        assert_eq!(
             CollectiveOutcome::PerRank(vec![vec![9.0]]).into_vector(),
             vec![9.0]
         );
-        assert!(CollectiveOutcome::Done.into_per_rank().is_empty());
     }
 }

@@ -189,13 +189,6 @@ impl PersistentStore {
         }
     }
 
-    /// Total bytes stored for `rank` (models NVRAM footprint).
-    pub fn bytes_for(&self, rank: usize) -> usize {
-        self.partition(rank)
-            .map(|p| p.read().values().map(Stored::byte_len).sum())
-            .unwrap_or(0)
-    }
-
     /// Clear every partition (used between job restarts, since node-local
     /// persistent memory does not survive a full job teardown in this model).
     pub fn clear(&self) {
@@ -297,7 +290,6 @@ mod tests {
         assert!(store.contains(2, "state"));
         assert!(!store.contains(1, "state"));
         assert_eq!(store.keys(2), vec!["state".to_string()]);
-        assert_eq!(store.bytes_for(2), 16);
     }
 
     #[test]
@@ -315,7 +307,6 @@ mod tests {
         let store = PersistentStore::new(2);
         assert!(store.put(5, "x", 1.0.into()).is_err());
         assert!(store.get(5, "x").is_err());
-        assert_eq!(store.bytes_for(5), 0);
         assert!(store.keys(5).is_empty());
     }
 

@@ -45,7 +45,7 @@ pub struct RankStats {
 
 impl RankStats {
     /// Fraction of virtual time spent waiting on communication.
-    pub fn comm_fraction(&self) -> f64 {
+    fn comm_fraction(&self) -> f64 {
         if self.virtual_time > 0.0 {
             self.comm_wait_time / self.virtual_time
         } else {

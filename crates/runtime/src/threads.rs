@@ -7,7 +7,7 @@
 //! machine rather than a model of one: collectives are real rendezvous,
 //! a modelled cost is really slept or spun away, a wait that nobody ends is
 //! a [`Timeout`](crate::error::RuntimeError::Timeout) after
-//! [`WAIT_DEADLINE`], and "a rank dies" means a [`DeathInjector`] had its
+//! `WAIT_DEADLINE`, and "a rank dies" means a [`DeathInjector`] had its
 //! thread unwind with `panic_any(RankKilled)` through the launcher's
 //! [`catch_unwind`](std::panic::catch_unwind) mid-solve. This is the
 //! measurement substrate that turns the simulator's predicted speedups into
@@ -43,7 +43,7 @@ use crate::world::World;
 /// rendezvous); it gets [`RuntimeError::Timeout`](crate::error::RuntimeError::Timeout)
 /// instead of a hang. Far above any legitimate wait: emulated costs are
 /// milliseconds, and a peer's death interrupts a wait at once.
-pub const WAIT_DEADLINE: Duration = Duration::from_secs(60);
+const WAIT_DEADLINE: Duration = Duration::from_secs(60);
 
 /// Poll budget for a job of `size` rank threads on `cores` cores. Waiters
 /// poll before parking only when every rank thread can own a core: a
@@ -176,8 +176,6 @@ pub struct DeathContext {
     /// Collectives this incarnation has completed so far — a deterministic
     /// per-rank progress counter, unlike wall time.
     pub collectives: u64,
-    /// Real seconds since the job started.
-    pub elapsed: f64,
 }
 
 /// Decides, at each failure point of a rank under the wall clock, whether
@@ -273,7 +271,6 @@ impl RankClock for WallClock {
                 world_rank,
                 incarnation,
                 collectives,
-                elapsed: self.now(),
             })
         })
     }

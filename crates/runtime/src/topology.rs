@@ -34,17 +34,6 @@ impl CartTopology {
         }
     }
 
-    /// Choose a near-square 2-D factorization of `p` ranks (like
-    /// `MPI_Dims_create`).
-    pub fn square_ish(p: usize, periodic: bool) -> Self {
-        let mut px = (p as f64).sqrt().floor() as usize;
-        while px > 1 && p % px != 0 {
-            px -= 1;
-        }
-        let px = px.max(1);
-        Self::grid2d(px, p / px, periodic)
-    }
-
     /// Total number of ranks in the topology.
     pub fn size(&self) -> usize {
         self.dims.iter().product()
@@ -223,14 +212,6 @@ mod tests {
         let t = CartTopology::grid2d(3, 3, false);
         assert_eq!(t.shift(0, 0, -1), None);
         assert_eq!(t.shift(0, 5, 1), None, "bad dimension returns None");
-    }
-
-    #[test]
-    fn square_ish_factorizations() {
-        assert_eq!(CartTopology::square_ish(16, false).dims, vec![4, 4]);
-        assert_eq!(CartTopology::square_ish(12, false).dims, vec![3, 4]);
-        assert_eq!(CartTopology::square_ish(7, false).dims, vec![1, 7]);
-        assert_eq!(CartTopology::square_ish(1, false).size(), 1);
     }
 
     #[test]
