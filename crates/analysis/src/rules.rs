@@ -716,59 +716,74 @@ impl Rule for HotLoopAllocation {
 // Rule 6: orphan-pub
 // ---------------------------------------------------------------------------
 
-/// A `pub fn`, `pub const` or `pub static` of a library crate must be named
-/// by code in some other file. Uses in the item's own file do not count (a
-/// private item serves them, its unit tests included), and neither do
-/// comments, strings, a same-named `fn`/`const`/`static` definition or a
-/// `pub use` re-export list. Types are exempt: a type is often public only
-/// because a public signature names it.
+/// The public surface of a library crate must be named by code outside
+/// that crate. The surface is what rustc cannot judge, because its user may
+/// be another crate: every name a `pub use` list of a public module
+/// re-exports (the crate root, `prelude`, `kernel`), and every `pub fn`,
+/// `pub const` and `pub static` of a public module. Items of private
+/// modules are rustc's business: `dead_code` and `unreachable_pub` see them,
+/// fields, variants and methods included. Uses inside the crate do not
+/// count (its unit tests included), and neither do comments, strings,
+/// same-named definitions or another re-export list. Types a public module
+/// defines are exempt: a public signature may be what needs them.
 pub struct OrphanPub;
 
-/// Files whose public functions and constants must have a caller.
+/// The library crates whose public surface must have users.
 const ORPHAN_SCOPE: &[&str] = &[
     "crates/core/src/",
     "crates/linalg/src/",
     "crates/runtime/src/",
     "crates/faults/src/",
     "crates/pde/src/",
-    "crates/bench/src/lib.rs",
+    "crates/bench/src/",
 ];
 
-/// Which files name an identifier: one, or more than one.
+/// Keywords whose next identifier is a definition, not a use.
+const DEFINERS: &[&str] = &["fn", "const", "static", "struct", "enum", "trait", "type"];
+
+/// Which crates name an identifier: one, or more than one.
 #[derive(Clone, Copy)]
-enum Seen {
-    One(usize),
+enum Seen<'a> {
+    One(&'a str),
     Many,
 }
 
+/// The crate a file belongs to, as a key: a library's `src/` directory, or
+/// the file itself (a binary, test, example or bench is a crate of its own).
+fn crate_of(path: &str) -> &str {
+    match path.find("/src/") {
+        Some(i) if path.starts_with("crates/") && !path[i..].starts_with("/src/bin/") => {
+            &path[..i + "/src/".len()]
+        }
+        _ => path,
+    }
+}
+
 /// The identifier index of the whole analyzed tree, built in one token
-/// pass: for every identifier used as code, which files use it.
-fn use_index<'a>(files: &[&'a SourceFile]) -> HashMap<&'a str, Seen> {
+/// pass: for every identifier used as code, which crates use it.
+fn use_index<'a>(files: &[&'a SourceFile]) -> HashMap<&'a str, Seen<'a>> {
     let mut index = HashMap::new();
-    for (fi, f) in files.iter().enumerate() {
+    for f in files {
+        let krate = crate_of(&f.path);
         let mut ci = 0;
         while let Some(t) = ct(f, ci) {
-            if let Some(after) = pub_prefix_end(f, ci) {
-                if is_ident(f, after, "use") {
-                    // A re-export list names items; it does not use them.
-                    while ct(f, ci).is_some_and(|t| !t.is(TokKind::Punct, ";")) {
-                        ci += 1;
-                    }
-                    continue;
+            if is_ident(f, ci, "pub") && is_ident(f, pub_prefix_end(f, ci), "use") {
+                // A re-export list names items; it does not use them.
+                while ct(f, ci).is_some_and(|t| !t.is(TokKind::Punct, ";")) {
+                    ci += 1;
                 }
+                continue;
             }
-            let defines = ["fn", "const", "static"]
-                .iter()
-                .any(|d| is_ident_behind(f, ci, d));
+            let defines = DEFINERS.iter().any(|d| is_ident_behind(f, ci, d));
             if t.kind == TokKind::Ident && !defines {
                 index
                     .entry(t.text.as_str())
                     .and_modify(|s| {
-                        if matches!(*s, Seen::One(o) if o != fi) {
+                        if matches!(*s, Seen::One(k) if k != krate) {
                             *s = Seen::Many;
                         }
                     })
-                    .or_insert(Seen::One(fi));
+                    .or_insert(Seen::One(krate));
             }
             ci += 1;
         }
@@ -776,27 +791,74 @@ fn use_index<'a>(files: &[&'a SourceFile]) -> HashMap<&'a str, Seen> {
     index
 }
 
-/// If code position `ci` is `pub` or `pub(…)`, the position just after it.
-fn pub_prefix_end(f: &SourceFile, ci: usize) -> Option<usize> {
-    if !is_ident(f, ci, "pub") {
-        return None;
-    }
+/// The position just after a `pub` or `pub(…)` at code position `ci`.
+fn pub_prefix_end(f: &SourceFile, ci: usize) -> usize {
     if !is_punct(f, ci + 1, "(") {
-        return Some(ci + 1);
+        return ci + 1;
     }
     let mut cj = ci + 1;
     while ct(f, cj).is_some_and(|t| !t.is(TokKind::Punct, ")")) {
         cj += 1;
     }
-    Some(cj + 1)
+    cj + 1
 }
 
-/// The public items a file declares outside its tests: `(kind, name token)`.
-/// Bare `pub` only: `pub(crate)` and narrower are not public surface.
+/// Is bare `pub` (not `pub(…)`) at code position `ci`, outside the tests?
+fn bare_pub(f: &SourceFile, ci: usize) -> bool {
+    is_ident(f, ci, "pub") && !is_punct(f, ci + 1, "(") && !f.in_test(f.code[ci])
+}
+
+/// Is the file at `path` a public module of its crate: the crate root, or
+/// declared `pub mod` by a parent that is itself public?
+fn public_module(path: &str, files: &[&SourceFile]) -> bool {
+    let krate = crate_of(path);
+    let Some(rel) = path.strip_prefix(krate).filter(|_| krate != path) else {
+        return false;
+    };
+    if rel == "lib.rs" {
+        return true;
+    }
+    let Some(module) = rel.strip_suffix("/mod.rs").or(rel.strip_suffix(".rs")) else {
+        return false;
+    };
+    let (dir, name) = module.rsplit_once('/').unwrap_or(("", module));
+    let parents = if dir.is_empty() {
+        vec![format!("{krate}lib.rs")]
+    } else {
+        vec![format!("{krate}{dir}.rs"), format!("{krate}{dir}/mod.rs")]
+    };
+    files.iter().any(|p| {
+        parents.contains(&p.path)
+            && (0..p.code.len()).any(|ci| {
+                bare_pub(p, ci)
+                    && is_ident(p, ci + 1, "mod")
+                    && is_ident(p, ci + 2, name)
+                    && is_punct(p, ci + 3, ";")
+            })
+            && public_module(&p.path, files)
+    })
+}
+
+/// The surface a public module declares outside its tests, as
+/// `(kind, name token)`: every name its `pub use` lists export, and its
+/// `pub fn`, `pub const` and `pub static` items.
 fn public_items(f: &SourceFile) -> Vec<(&'static str, &Tok)> {
     let mut items = Vec::new();
     for ci in 0..f.code.len() {
-        if !is_ident(f, ci, "pub") || is_punct(f, ci + 1, "(") || f.in_test(f.code[ci]) {
+        if !bare_pub(f, ci) {
+            continue;
+        }
+        if is_ident(f, ci + 1, "use") {
+            // The exported name of each leaf path: `a`, `b` in
+            // `pub use m::{a, x as b};`.
+            let mut cj = ci + 2;
+            while let Some(t) = ct(f, cj).filter(|t| !t.is(TokKind::Punct, ";")) {
+                let leaf = [",", "}", ";"].iter().any(|p| is_punct(f, cj + 1, p));
+                if t.kind == TokKind::Ident && leaf && t.text != "self" {
+                    items.push(("re-export", t));
+                }
+                cj += 1;
+            }
             continue;
         }
         // Skip fn qualifiers: `const fn`, `unsafe`, `async`, `extern "C"`.
@@ -816,7 +878,7 @@ fn public_items(f: &SourceFile) -> Vec<(&'static str, &Tok)> {
             Some(t) if t.is(TokKind::Ident, "static") => "pub static",
             _ => continue,
         };
-        if is_ident(f, cj + 1, "mut") {
+        if is_ident(f, cj, "static") && is_ident(f, cj + 1, "mut") {
             cj += 1;
         }
         if let Some(name) = ct(f, cj + 1).filter(|n| n.kind == TokKind::Ident) {
@@ -831,37 +893,44 @@ impl Rule for OrphanPub {
         "orphan-pub"
     }
     fn summary(&self) -> &'static str {
-        "every pub fn/const/static is named by code outside its own file"
+        "every re-exported name and public-module pub fn/const/static is named outside its crate"
     }
     fn scope(&self) -> &'static str {
-        "crates/{core,linalg,runtime,faults,pde}/src/**, crates/bench/src/lib.rs (non-test items)"
+        "public modules of crates/{core,linalg,runtime,faults,pde,bench}/src (non-test items)"
     }
 
     fn check_tree(&self, files: &[&SourceFile], out: &mut [Vec<Diagnostic>]) {
         let index = use_index(files);
         for (fi, f) in files.iter().enumerate() {
-            if !ORPHAN_SCOPE.iter().any(|p| f.path.starts_with(p)) {
+            if !ORPHAN_SCOPE.iter().any(|p| f.path.starts_with(p)) || !public_module(&f.path, files)
+            {
                 continue;
             }
+            let krate = crate_of(&f.path);
             for (kind, name) in public_items(f) {
                 let used_elsewhere = match index.get(name.text.as_str()) {
                     Some(Seen::Many) => true,
-                    Some(&Seen::One(o)) => o != fi,
+                    Some(&Seen::One(k)) => k != krate,
                     None => false,
                 };
                 if used_elsewhere {
                     continue;
                 }
-                out[fi].push(diag(
-                    self.name(),
-                    f,
-                    name.line,
+                let message = if kind == "re-export" {
                     format!(
-                        "`{kind} {}` is named by no code outside this file — drop \
-                         `pub`, or delete it if nothing here uses it either",
+                        "`{}` is re-exported, but no code outside this crate names \
+                         it — drop it from the list",
                         name.text
-                    ),
-                ));
+                    )
+                } else {
+                    format!(
+                        "`{kind} {}` is public surface that no code outside this \
+                         crate names — make it `pub(crate)`, or delete it if the \
+                         crate does not use it either",
+                        name.text
+                    )
+                };
+                out[fi].push(diag(self.name(), f, name.line, message));
             }
         }
     }

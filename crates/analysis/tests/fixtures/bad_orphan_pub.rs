@@ -1,9 +1,16 @@
-// analysis-as: crates/runtime/src/fixture_orphan.rs
-// Fixture: public surface that no other file names. The four items marked
-// "fires" must each fire `orphan-pub`: a use in this file (its unit tests
-// included), in a comment or in a string is no reason to be `pub`. The
-// type and the `pub(crate)` helper must not fire. The names are unique to
-// this fixture, so the tree it is judged against never uses them.
+// analysis-as: crates/runtime/src/lib.rs
+// Fixture: public surface that no other crate names. Judged as a crate
+// root, so its `pub use` list and its public items are the crate's API.
+// The five items marked "fires" must each fire `orphan-pub`: a use inside
+// the crate (this file's unit tests included), in a comment or in a string
+// is no reason to be on the surface. The type and the `pub(crate)` helper
+// must not fire. The names are unique to this fixture, so the tree it is
+// judged against never uses them.
+
+mod orphan_inner;
+
+/// Fires: re-exported, but no other crate names it.
+pub use orphan_inner::OrphanReexported;
 
 /// Fires: only this file's unit test calls it.
 pub fn only_tested() -> u32 {
@@ -21,7 +28,8 @@ pub const fn orphan_quota() -> u32 {
     ORPHAN_LIMIT
 }
 
-/// Types are exempt: a public signature may be what needs them.
+/// Types a public module defines are exempt: a public signature may be
+/// what needs them.
 pub struct Exported;
 
 pub(crate) fn crate_visible() -> &'static str {

@@ -67,7 +67,7 @@ fn every_fixture_fires_exactly_its_rule() {
         ("bad_virtual_time.rs", "virtual-time", 4),
         ("bad_charged_arithmetic.rs", "charged-arithmetic", 5),
         ("bad_hot_loop_alloc.rs", "hot-loop-alloc", 4),
-        ("bad_orphan_pub.rs", "orphan-pub", 4),
+        ("bad_orphan_pub.rs", "orphan-pub", 5),
     ];
     for (file, rule, expected) in cases {
         let analysis = analyze_files(&repo_root(), &[fixture(file)]).expect("fixture readable");
@@ -204,18 +204,21 @@ fn orphan_pub_used_only_by_its_own_unit_test_fires() {
         "{HELPER}#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        \
          assert_eq!(super::helper(), 1);\n    }}\n}}\n"
     );
-    let a = analyze_mini_tree("orphan_own_test", &[("crates/linalg/src/a.rs", &own_test)]);
+    let a = analyze_mini_tree(
+        "orphan_own_test",
+        &[("crates/linalg/src/lib.rs", &own_test)],
+    );
     assert_eq!(
         orphans(&a),
-        [("crates/linalg/src/a.rs", 1)],
+        [("crates/linalg/src/lib.rs", 1)],
         "{}",
         a.report()
     );
 }
 
 /// Listing a file keeps its own-test-only item an orphan (the tree's copy of
-/// the file is not read a second time) while a caller elsewhere in the tree
-/// still counts.
+/// the file is not read a second time) while a caller in another crate of
+/// the tree still counts.
 #[test]
 fn orphan_pub_in_a_listed_file_is_judged_against_the_rest_of_the_tree() {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("orphan_listed");
@@ -226,17 +229,20 @@ fn orphan_pub_in_a_listed_file_is_judged_against_the_rest_of_the_tree() {
         "{HELPER}pub fn shared() {{}}\n#[cfg(test)]\nmod tests {{\n    #[test]\n    \
          fn t() {{\n        assert_eq!(super::helper(), 1);\n    }}\n}}\n"
     );
-    std::fs::write(src.join("a.rs"), own_test).expect("write");
-    std::fs::write(src.join("b.rs"), "fn f() {\n    super::a::shared();\n}\n").expect("write");
+    std::fs::write(src.join("lib.rs"), own_test).expect("write");
+    let caller = root.join("crates/core/src");
+    std::fs::create_dir_all(&caller).expect("mkdir");
+    let call = "fn f() {\n    resilient_linalg::shared();\n}\n";
+    std::fs::write(caller.join("b.rs"), call).expect("write");
     let out = Command::new(env!("CARGO_BIN_EXE_resilient-analysis"))
         .current_dir(&root)
-        .arg("crates/linalg/src/a.rs")
+        .arg("crates/linalg/src/lib.rs")
         .output()
         .expect("run");
     let _ = std::fs::remove_dir_all(&root);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.starts_with("crates/linalg/src/a.rs:1: [orphan-pub] `pub fn helper`"),
+        stdout.starts_with("crates/linalg/src/lib.rs:1: [orphan-pub] `pub fn helper`"),
         "{stdout}"
     );
     assert!(
@@ -245,33 +251,60 @@ fn orphan_pub_in_a_listed_file_is_judged_against_the_rest_of_the_tree() {
     );
 }
 
+/// Another crate's unit tests are a user of the surface.
 #[test]
 fn orphan_pub_used_only_by_another_files_tests_does_not_fire() {
     let other = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
-                 assert_eq!(crate::a::helper(), 1);\n    }\n}\n";
+                 assert_eq!(resilient_linalg::helper(), 1);\n    }\n}\n";
     let a = analyze_mini_tree(
         "orphan_other_test",
         &[
-            ("crates/linalg/src/a.rs", HELPER),
-            ("crates/linalg/src/b.rs", other),
+            ("crates/linalg/src/lib.rs", HELPER),
+            ("crates/core/src/b.rs", other),
         ],
     );
     assert!(a.findings.is_empty(), "{}", a.report());
 }
 
+/// A re-exported name is surface; another crate's re-export list naming it
+/// is not a use of it.
 #[test]
 fn orphan_pub_re_export_is_not_a_use() {
     let a = analyze_mini_tree(
         "orphan_re_export",
         &[
             ("crates/core/src/a.rs", HELPER),
-            (
-                "crates/core/src/lib.rs",
-                "pub mod a;\npub use a::{helper};\n",
-            ),
+            ("crates/core/src/lib.rs", "mod a;\npub use a::{helper};\n"),
+            ("src/lib.rs", "pub use resilience::helper;\n"),
         ],
     );
-    assert_eq!(orphans(&a), [("crates/core/src/a.rs", 1)], "{}", a.report());
+    assert_eq!(
+        orphans(&a),
+        [("crates/core/src/lib.rs", 2)],
+        "{}",
+        a.report()
+    );
+}
+
+/// The public items of a private module are rustc's business
+/// (`dead_code`, `unreachable_pub`); those of a `pub mod` are surface.
+#[test]
+fn orphan_pub_judges_only_public_modules() {
+    let a = analyze_mini_tree(
+        "orphan_private_module",
+        &[
+            ("crates/core/src/lib.rs", "mod hidden;\npub mod shown;\n"),
+            ("crates/core/src/hidden.rs", HELPER),
+            ("crates/core/src/shown/mod.rs", "pub mod deep;\n"),
+            ("crates/core/src/shown/deep.rs", HELPER),
+        ],
+    );
+    assert_eq!(
+        orphans(&a),
+        [("crates/core/src/shown/deep.rs", 1)],
+        "{}",
+        a.report()
+    );
 }
 
 #[test]
@@ -279,13 +312,16 @@ fn orphan_pub_same_named_definitions_do_not_hide_each_other() {
     let a = analyze_mini_tree(
         "orphan_same_name",
         &[
-            ("crates/core/src/a.rs", HELPER),
-            ("crates/faults/src/b.rs", HELPER),
+            ("crates/core/src/lib.rs", HELPER),
+            ("crates/faults/src/lib.rs", HELPER),
         ],
     );
     assert_eq!(
         orphans(&a),
-        [("crates/core/src/a.rs", 1), ("crates/faults/src/b.rs", 1)],
+        [
+            ("crates/core/src/lib.rs", 1),
+            ("crates/faults/src/lib.rs", 1)
+        ],
         "{}",
         a.report()
     );
@@ -296,9 +332,17 @@ fn orphan_pub_mentioned_in_a_comment_or_string_fires() {
     let mention = "// helper() is documented here.\nfn f() -> &'static str {\n    \"helper\"\n}\n";
     let a = analyze_mini_tree(
         "orphan_mention",
-        &[("crates/pde/src/a.rs", HELPER), ("examples/b.rs", mention)],
+        &[
+            ("crates/pde/src/lib.rs", HELPER),
+            ("examples/b.rs", mention),
+        ],
     );
-    assert_eq!(orphans(&a), [("crates/pde/src/a.rs", 1)], "{}", a.report());
+    assert_eq!(
+        orphans(&a),
+        [("crates/pde/src/lib.rs", 1)],
+        "{}",
+        a.report()
+    );
 }
 
 #[test]
@@ -308,7 +352,7 @@ fn orphan_pub_never_fires_on_types_or_outside_the_library_crates() {
     let a = analyze_mini_tree(
         "orphan_types",
         &[
-            ("crates/runtime/src/a.rs", types),
+            ("crates/runtime/src/lib.rs", types),
             ("crates/bench/src/bin/tool.rs", HELPER),
             ("crates/analysis/src/lib.rs", HELPER),
         ],

@@ -31,7 +31,7 @@ fn simulator_allreduces(ranks: usize) -> f64 {
         }
         Ok(acc)
     });
-    r.job.makespan
+    r.makespan()
 }
 
 fn threaded_allreduces(ranks: usize) -> f64 {
@@ -43,7 +43,7 @@ fn threaded_allreduces(ranks: usize) -> f64 {
         }
         Ok(acc)
     });
-    r.job.makespan
+    r.makespan()
 }
 
 fn bench_backend_overhead(c: &mut Criterion) {
@@ -83,7 +83,7 @@ fn rendezvous_job(
         Ok(acc)
     });
     assert!(r.all_ok(), "errors: {:?}", r.errors);
-    r.job.makespan
+    r.makespan()
 }
 
 fn bench_threads_rendezvous(c: &mut Criterion) {

@@ -21,7 +21,7 @@ fn run_steps(ranks: usize, blocking: bool) -> f64 {
         }
         Ok(comm.now())
     });
-    result.job.makespan
+    result.makespan()
 }
 
 fn bench_collectives(c: &mut Criterion) {

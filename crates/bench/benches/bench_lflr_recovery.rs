@@ -3,7 +3,7 @@
 //! virtual-time results are in exp_lflr_heat).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use resilience::lflr::{run_cpr, run_lflr, CprConfig};
+use resilience::prelude::{run_cpr, run_lflr, CprConfig};
 use resilient_pde::{ExplicitHeat, HeatProblem};
 use resilient_runtime::{FailureConfig, FailurePolicy, Runtime, RuntimeConfig};
 use std::sync::Arc;
@@ -29,7 +29,7 @@ fn lflr(with_failure: bool) -> f64 {
     let r = rt.run(4, move |comm| {
         run_lflr(comm, &app).map(|(rep, _)| rep.finished_at)
     });
-    r.job.makespan
+    r.makespan()
 }
 
 fn cpr(with_failure: bool) -> f64 {

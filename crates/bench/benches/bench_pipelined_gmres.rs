@@ -31,7 +31,7 @@ fn solve(pipelined: bool, use_gmres: bool) -> f64 {
         };
         Ok(out.iterations as f64)
     });
-    r.job.makespan
+    r.makespan()
 }
 
 fn bench_pipelined(c: &mut Criterion) {

@@ -4,9 +4,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use resilience::prelude::*;
-use resilience::srp::tmr_apply;
-use resilient_faults::tmr::TmrStats;
+use resilience::tmr_apply;
 use resilient_faults::StrikePlan;
+use resilient_faults::TmrStats;
 use resilient_linalg::poisson2d;
 use resilient_runtime::{Comm, RuntimeConfig};
 use std::time::Duration;

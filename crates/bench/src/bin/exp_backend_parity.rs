@@ -129,7 +129,7 @@ fn lflr_threaded(
     });
     assert!(r.all_ok(), "threaded LFLR: {:?}", r.errors);
     let failures = r.failures.len();
-    let makespan = r.job.makespan;
+    let makespan = r.makespan();
     let per_rank = r.unwrap_all();
     let resumed = per_rank.iter().map(|x| x.0).max().unwrap_or(0);
     let collectives = per_rank.iter().map(|x| x.1).max().unwrap_or(0);
@@ -162,7 +162,7 @@ fn lflr_simulated(
     });
     assert!(r.all_ok(), "simulated LFLR: {:?}", r.errors);
     let failures = r.failures.len();
-    let makespan = r.job.makespan;
+    let makespan = r.makespan();
     let resumed = r.unwrap_all().into_iter().max().unwrap_or(0);
     (makespan, resumed, failures)
 }

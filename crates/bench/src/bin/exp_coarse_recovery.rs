@@ -4,8 +4,8 @@
 
 use resilience::prelude::*;
 use resilient_bench::{fmt_g, Table};
-use resilient_pde::implicit::{lost_state_recovery_error, ImplicitHeat, ImplicitRecovery};
 use resilient_pde::HeatProblem;
+use resilient_pde::{lost_state_recovery_error, ImplicitHeat, ImplicitRecovery};
 use resilient_runtime::{Runtime, RuntimeConfig};
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
                 // How much extra Krylov work does the perturbed state cost?
                 // Re-solve one implicit step from the recovered state and
                 // count iterations, compared against a clean state.
-                let a_global = resilient_pde::implicit::backward_euler_matrix(&solver.problem);
+                let a_global = resilient_pde::backward_euler_matrix(&solver.problem);
                 let a = DistCsr::from_global(comm, &a_global)?;
                 let init = solver.problem.initial();
                 let u = DistVector::from_fn(comm, solver.problem.n, |i| init[i]);

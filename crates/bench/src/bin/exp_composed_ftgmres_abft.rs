@@ -11,9 +11,9 @@
 //!
 //! Pass `--smoke` for a CI-sized run.
 
-use resilience::kernel::compose::ft_gmres_abft;
+use resilience::ft_gmres_with_policies;
+use resilience::kernel::ft_gmres_abft;
 use resilience::prelude::*;
-use resilience::srp::ft_gmres_with_policies;
 use resilient_bench::{fmt_g, Table};
 use resilient_linalg::poisson2d;
 use resilient_runtime::{Comm, RuntimeConfig};

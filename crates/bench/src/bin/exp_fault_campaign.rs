@@ -22,7 +22,7 @@
 
 use resilience::prelude::*;
 use resilient_bench::{fmt_g, Table};
-use resilient_faults::campaign::{FaultFamily, Strike, StrikePlan};
+use resilient_faults::{FaultFamily, Strike, StrikePlan};
 use resilient_linalg::poisson2d;
 use resilient_runtime::{Runtime, RuntimeConfig};
 

@@ -4,7 +4,7 @@
 
 use resilience::prelude::*;
 use resilient_bench::{fmt_g, Table};
-use resilient_faults::memory::ReliabilityModel;
+use resilient_faults::ReliabilityModel;
 use resilient_linalg::poisson2d;
 
 fn main() {

@@ -99,7 +99,7 @@ fn run_once(
     let r = rt.run(ranks, run);
     assert!(r.all_ok(), "{name} failed: {:?}", r.errors);
     let failures_seen = r.failures.len();
-    let makespan = r.job.makespan;
+    let makespan = r.makespan();
     let results = r.unwrap_all();
     let converged = results.iter().all(|(c, _, _)| *c);
     let resumed = results.iter().map(|(_, s, _)| *s).max().unwrap_or(0);

@@ -3,7 +3,7 @@
 //! rank failures, as the rank count grows (weak scaling of the recovery
 //! cost).
 
-use resilience::lflr::{run_cpr, run_lflr, CprConfig};
+use resilience::prelude::{run_cpr, run_lflr, CprConfig};
 use resilient_bench::{fmt_g, fmt_ratio, Table};
 use resilient_pde::{ExplicitHeat, HeatProblem};
 use resilient_runtime::{FailureConfig, FailurePolicy, LatencyModel, Runtime, RuntimeConfig};
@@ -43,7 +43,7 @@ fn lflr_time(ranks: usize, n: usize, steps: usize, failures: Vec<(usize, f64)>) 
         Ok(report)
     });
     assert!(r.all_ok(), "LFLR run failed: {:?}", r.errors);
-    (r.job.makespan, r.failures.len())
+    (r.makespan(), r.failures.len())
 }
 
 fn cpr_time(ranks: usize, n: usize, steps: usize, failures: Vec<(usize, f64)>) -> (f64, usize) {

@@ -3,7 +3,7 @@
 //! Sweeps the per-rank failure rate and compares total time to solution for
 //! a CPR-only application versus an LFLR application on the same machine.
 
-use resilience::lflr::{run_cpr, run_lflr, CprConfig};
+use resilience::prelude::{run_cpr, run_lflr, CprConfig};
 use resilient_bench::{fmt_g, fmt_ratio, Table};
 use resilient_pde::{ExplicitHeat, HeatProblem};
 use resilient_runtime::{FailureConfig, FailurePolicy, LatencyModel, Runtime, RuntimeConfig};
@@ -69,7 +69,7 @@ fn main() {
             Ok(report.recoveries)
         });
         let lflr_ok = lflr.all_ok();
-        let lflr_time = lflr.job.makespan;
+        let lflr_time = lflr.makespan();
         let recoveries = lflr.failures.len();
         let cpr_time = if cpr_report.completed {
             cpr_report.total_virtual_time

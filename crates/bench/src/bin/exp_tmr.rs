@@ -3,9 +3,9 @@
 //! across fault rates ("even TMR can be much faster than a fully unreliable
 //! approach").
 
-use resilience::srp::compare_tmr_strategies;
+use resilience::prelude::compare_tmr_strategies;
 use resilient_bench::{fmt_g, Table};
-use resilient_faults::memory::ReliabilityModel;
+use resilient_faults::ReliabilityModel;
 use resilient_linalg::poisson2d;
 
 fn main() {

@@ -41,7 +41,7 @@
 //! builds its spaces internally, so for death families the delivered
 //! payload is the death events themselves.
 
-use resilient_faults::campaign::{FaultFamily, FaultSchedule, ScheduleParams, StrikePlan};
+use resilient_faults::{FaultFamily, FaultSchedule, ScheduleParams, StrikePlan};
 use resilient_linalg::poisson2d;
 use resilient_runtime::{
     CommBackend, FailureConfig, FailurePolicy, Result, Runtime, RuntimeConfig,
@@ -52,7 +52,7 @@ use crate::kernel::{
     lflr_solve, solve, BlockJacobi, KernelOutcome, KernelReport, KrylovLflrConfig, KrylovSpace,
     PolicyStack, PrecondGuardPolicy, SolveOptions, SolveSpec, SpacePreconditioner, StopReason,
 };
-use crate::solvers::common::true_relative_residual;
+use crate::solvers::true_relative_residual;
 
 /// The kernel composition a campaign case runs — a [`SolveSpec`], plain or
 /// block-Jacobi preconditioned: one cell of the sweep's preset matrix.
@@ -109,7 +109,7 @@ pub struct CampaignConfig {
     pub max_iters: usize,
     /// GMRES restart length.
     pub restart: usize,
-    /// Stack a [`PrecondGuardPolicy`] on kernel-preset runs.
+    /// Stack a `PrecondGuardPolicy` on kernel-preset runs.
     pub guard: bool,
     /// LFLR snapshot cadence (death families).
     pub persist_every: usize,
@@ -310,7 +310,7 @@ pub struct PresetProbe {
 }
 
 /// Run one kernel preset on an already-distributed system, with optional
-/// campaign strike plans and optional [`PrecondGuardPolicy`], and verify
+/// campaign strike plans and optional `PrecondGuardPolicy`, and verify
 /// the result with a charged true-residual probe. This is the shared
 /// engine of the campaign driver, the diversity voter and the
 /// threaded-backend campaign tests; it is generic over the communication
@@ -439,7 +439,7 @@ pub fn clean_baseline(
             job.errors
         )));
     }
-    let makespan = job.job.makespan;
+    let makespan = job.makespan();
     let verdicts = job.unwrap_all();
     let v0 = verdicts[0];
     if v0.outcome != CaseOutcome::ConvergedVerified {
@@ -581,10 +581,12 @@ pub fn run_schedule(
 
     // Oracle clause: bounded virtual time (the stand-in for "never hangs").
     let budget = cfg.budget(baseline.makespan);
-    if job.job.makespan > budget {
+    if job.makespan() > budget {
         return Err(violation(format!(
             "virtual-time budget exceeded: makespan {:.3} > budget {:.3} (clean {:.3})",
-            job.job.makespan, budget, baseline.makespan
+            job.makespan(),
+            budget,
+            baseline.makespan
         )));
     }
 
@@ -632,14 +634,14 @@ pub fn run_schedule(
         recoveries,
         detections,
         injections,
-        makespan: job.job.makespan,
+        makespan: job.makespan(),
         clean_makespan: baseline.makespan,
     })
 }
 
 /// Run one full campaign case: clean baseline, schedule generation from
 /// `(family, seed)`, faulty run, oracle assertion. Returns the classified
-/// report, or the [`ContractViolation`] whose `Display` is the repro line.
+/// report, or the `ContractViolation` whose `Display` is the repro line.
 pub fn campaign_case(
     family: FaultFamily,
     seed: u64,

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use resilient_linalg::ops::LocalOps;
+use resilient_linalg::LocalOps;
 use resilient_linalg::{CooMatrix, CsrMatrix, SellMatrix};
 use resilient_runtime::{BlockDistribution, CommBackend, Result, RuntimeError};
 
@@ -58,11 +58,6 @@ impl DistVector {
         Self::from_fn(comm, n, |_| 0.0)
     }
 
-    /// Global length.
-    pub fn global_len(&self) -> usize {
-        self.dist.n
-    }
-
     /// Locally owned length.
     pub fn local_len(&self) -> usize {
         self.local.len()
@@ -84,14 +79,6 @@ impl DistVector {
     pub fn dot<C: CommBackend>(&self, comm: &mut C, other: &DistVector) -> Result<f64> {
         comm.charge_flops(2 * self.local.len());
         comm.global_dot(self.local_dot(other))
-    }
-
-    /// Global 2-norm (one allreduce). A norm is the same `2n` FLOPs as the
-    /// dot it delegates to, so it must **not** charge again on top of
-    /// [`DistVector::dot`] — pinned by the `norm_costs_exactly_one_dot`
-    /// test.
-    pub fn norm<C: CommBackend>(&self, comm: &mut C) -> Result<f64> {
-        Ok(crate::kernel::sqrt_nonneg(self.dot(comm, self)?))
     }
 
     /// `self ← self + alpha · other` (local only).
@@ -161,7 +148,7 @@ impl DistMultiVector {
 
     /// A zero multi-vector with the shape and distribution of `proto`,
     /// allocated zeroed (not copied from `proto`, then overwritten).
-    pub fn zeros_like(proto: &DistMultiVector) -> Self {
+    pub(crate) fn zeros_like(proto: &DistMultiVector) -> Self {
         Self {
             local: vec![0.0; proto.local.len()],
             ..*proto
@@ -194,7 +181,7 @@ impl DistMultiVector {
     }
 
     /// Global length of each column.
-    pub fn global_len(&self) -> usize {
+    pub(crate) fn global_len(&self) -> usize {
         self.dist.n
     }
 
@@ -461,7 +448,7 @@ impl DistCsr {
     /// numerical change — or a different row partition — changes it. The
     /// [`SetupCache`](crate::kernel::SetupCache) keys preconditioner setup
     /// off this.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         fnv1a(&mut h, self.dist.n as u64);
         fnv1a(&mut h, self.n_local as u64);
@@ -491,7 +478,7 @@ impl DistCsr {
     }
 
     /// Global dimension.
-    pub fn global_dim(&self) -> usize {
+    pub(crate) fn global_dim(&self) -> usize {
         self.dist.n
     }
 
@@ -509,7 +496,7 @@ impl DistCsr {
     /// rows restricted to the locally owned columns (ghost couplings
     /// dropped). This is the sub-operator a block-Jacobi preconditioner
     /// factors — extracting it is purely local, no communication.
-    pub fn local_diagonal_block(&self) -> CsrMatrix {
+    pub(crate) fn local_diagonal_block(&self) -> CsrMatrix {
         let mut coo = CooMatrix::new(self.n_local, self.n_local);
         for i in 0..self.local.nrows() {
             let (cols, vals) = self.local.row(i);
@@ -582,7 +569,7 @@ impl DistCsr {
     /// [`RuntimeError::InvalidArgument`] naming `what` unless `v` is
     /// distributed like this operator's rows — the check every solve entry
     /// point runs on its vector arguments before posting anything.
-    pub fn check_operand(&self, what: &str, v: &DistVector) -> Result<()> {
+    pub(crate) fn check_operand(&self, what: &str, v: &DistVector) -> Result<()> {
         self.check_layout(what, v.distribution(), v.local_len())
     }
 
@@ -618,7 +605,7 @@ impl DistCsr {
     }
 
     /// [`DistCsr::apply_into`] into a freshly allocated product vector.
-    pub fn apply_with<C: CommBackend>(
+    pub(crate) fn apply_with<C: CommBackend>(
         &self,
         comm: &mut C,
         x: &DistVector,
@@ -667,7 +654,7 @@ impl DistCsr {
     /// [`DistMultiVector`] with **one** ghost exchange per neighbour (each
     /// message carries all `k` columns' boundary values) and one local
     /// matrix sweep feeding all `k` outputs. Each output column is
-    /// bit-identical to [`DistCsr::apply_with`] on that column alone.
+    /// bit-identical to `DistCsr::apply_with` on that column alone.
     ///
     /// The sweep reads `scratch.ghosted` row-interleaved — owned rows, then
     /// ghost rows, entry `j` of column `c` at `j·k + c` — the input layout
@@ -770,6 +757,18 @@ fn interleave_rows(cols: &[f64], k: usize, out: &mut [f64]) {
                 row[c] = v;
             }
         }
+    }
+}
+
+/// What only the unit tests use.
+#[cfg(test)]
+impl DistVector {
+    /// Global 2-norm (one allreduce). A norm is the same `2n` FLOPs as the
+    /// dot it delegates to, so it must **not** charge again on top of
+    /// [`DistVector::dot`] — pinned by the `norm_costs_exactly_one_dot`
+    /// test.
+    fn norm<C: CommBackend>(&self, comm: &mut C) -> Result<f64> {
+        Ok(crate::kernel::sqrt_nonneg(self.dot(comm, self)?))
     }
 }
 

@@ -18,7 +18,7 @@
 //! vectors, so every rank reaches the same verdict without an extra
 //! collective.
 
-use resilient_faults::campaign::StrikePlan;
+use resilient_faults::StrikePlan;
 use resilient_linalg::CsrMatrix;
 use resilient_runtime::{CommBackend, Result};
 
@@ -36,8 +36,7 @@ pub struct DiversityMember {
     pub spmv_plan: Option<StrikePlan>,
     /// Strikes against this member's preconditioner path.
     pub precond_plan: Option<StrikePlan>,
-    /// Stack a [`PrecondGuardPolicy`](crate::kernel::PrecondGuardPolicy)
-    /// on this member.
+    /// Stack a `PrecondGuardPolicy` on this member.
     pub guard: bool,
 }
 

@@ -55,7 +55,7 @@
 //! the general route to the same bits, at the general route's charges.
 //!
 //! [`IdentityPrecond`]: super::IdentityPrecond
-//! [`LocalOps::pipelined_cg_sweep`]: resilient_linalg::ops::LocalOps::pipelined_cg_sweep
+//! [`LocalOps::pipelined_cg_sweep`]: resilient_linalg::LocalOps::pipelined_cg_sweep
 //!
 //! **Policy integration.** The [`PolicyStack`] hooks run at fixed points of
 //! each step (`before_spmv`, `after_spmv`, `after_precond` for every
@@ -941,7 +941,7 @@ impl<'s, 'a, 'b, 'm, C: CommBackend> BlockCg<'s, 'a, 'b, 'm, C> {
 /// [`IdentityPrecond`](super::IdentityPrecond) for none). At any `k` the
 /// collective count per iteration is that of a single-RHS solve, and each
 /// column is its own single-RHS solve, bit for bit. See the
-/// [module docs](self) for the masking, symmetry, identity and
+/// module docs of `kernel/block.rs` for the masking, symmetry, identity and
 /// policy-view contracts.
 ///
 /// # Errors

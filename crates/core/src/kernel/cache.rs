@@ -26,7 +26,7 @@ use super::precond::BlockJacobi;
 use crate::distributed::DistCsr;
 
 /// A keyed cache of [`BlockJacobi`] local LU factors. See the
-/// [module docs](self) for the keying.
+/// module docs of `kernel/cache.rs` for the keying.
 #[derive(Debug, Default)]
 pub struct SetupCache {
     entries: HashMap<u64, Arc<LuFactors>>,

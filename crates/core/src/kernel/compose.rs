@@ -18,7 +18,7 @@
 //! (`RankStats::check_flops`), while the time cost of the checks is charged
 //! by the reductions that perform them.
 
-use resilient_linalg::checksum::ChecksummedCsr;
+use resilient_linalg::ChecksummedCsr;
 use resilient_linalg::CsrMatrix;
 use resilient_runtime::{CommBackend, ReduceOp, Result, RuntimeError};
 
@@ -31,8 +31,8 @@ use super::space::{DistSpace, KrylovSpace, SpmvFault};
 use super::spec::{solve, Method, Schedule, SolveOptions, SolveSpec};
 use super::KernelOutcome;
 use crate::distributed::{DistCsr, DistVector};
-use crate::solvers::common::{one_rank, SolveOutcome, ONE_RANK};
-use crate::srp::ft_gmres::{ft_gmres_with_policies, FtGmresConfig, FtGmresReport};
+use crate::solvers::{one_rank, SolveOutcome, ONE_RANK};
+use crate::srp::{ft_gmres_with_policies, FtGmresConfig, FtGmresReport};
 
 // ---------------------------------------------------------------------------
 // ABFT SpMV policy
@@ -367,7 +367,7 @@ pub fn ft_gmres_abft(
 mod tests {
     use super::*;
     use crate::skeptical::skeptical_gmres;
-    use crate::solvers::common::true_relative_residual;
+    use crate::solvers::true_relative_residual;
     use resilient_linalg::poisson2d;
     use resilient_runtime::{Runtime, RuntimeConfig};
 

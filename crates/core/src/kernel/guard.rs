@@ -23,7 +23,7 @@ use resilient_runtime::Result;
 /// Guards every in-iteration preconditioner apply with a fused
 /// finiteness/amplification check; see the module docs.
 #[derive(Debug, Clone)]
-pub struct PrecondGuardPolicy {
+pub(crate) struct PrecondGuardPolicy {
     overhead: PolicyOverhead,
 }
 
@@ -41,18 +41,13 @@ impl PrecondGuardPolicy {
     const DEFAULT_RATIO_BOUND: f64 = 1e12;
 
     /// A guard; a detection restarts the cycle.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             overhead: PolicyOverhead {
                 name: "precond-guard",
                 ..PolicyOverhead::default()
             },
         }
-    }
-
-    /// Detections reported so far.
-    pub fn detections(&self) -> usize {
-        self.overhead.detections
     }
 }
 
@@ -136,7 +131,7 @@ mod tests {
             assert_eq!(act, PolicyAction::Detected);
         }
 
-        assert_eq!(guard.detections(), 3);
+        assert_eq!(guard.overhead.detections, 3);
         let oh = ResiliencePolicy::<DistSpace<'_, '_>>::overhead(&guard);
         assert_eq!(oh.checks_run, 4);
         assert_eq!(oh.name, "precond-guard");

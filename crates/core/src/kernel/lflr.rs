@@ -67,7 +67,7 @@ pub struct KrylovLflrConfig {
     /// [`Comm::unpersist`](resilient_runtime::Comm::unpersist). Three is the
     /// proven floor (one point of collective-bounded iteration skew plus one
     /// point of die-before-persist lag — see
-    /// [`IterateRollbackPolicy::with_persistence`]); the default keeps one
+    /// `IterateRollbackPolicy::with_persistence`); the default keeps one
     /// extra point of slack.
     pub keep_last: usize,
     /// `true` (default): resume from the agreed persisted snapshot.

@@ -42,12 +42,12 @@
 //! preconditioner and a policy stack, and is the one place a spec becomes a
 //! strategy type. Every distributed solve names its composition as data at
 //! an entry point that dispatches through it:
-//! [`rbsp::solve_dist`](crate::rbsp::solve_dist), the [`compose`] scenarios
+//! [`rbsp::solve_dist`](crate::rbsp::solve_dist), the composed scenarios
 //! ([`pipelined_skeptical`]: pipelined solvers *with* SDC detection;
-//! FT-GMRES *with* ABFT-checked products — impossible before the kernel)
-//! and the [`lflr`] protocol ([`IterateRollbackPolicy`] snapshots through
-//! `Comm::persist`, [`lflr_solve`] resumes mid-stream after a rank is
-//! killed and replaced). A block solve,
+//! [`ft_gmres_abft`]: FT-GMRES *with* ABFT-checked products — impossible
+//! before the kernel) and the LFLR protocol (an iterate-rollback policy
+//! snapshots through `Comm::persist`, [`lflr_solve`] resumes mid-stream
+//! after a rank is killed and replaced). A block solve,
 //! [`rbsp::solve_dist_block`](crate::rbsp::solve_dist_block), names a
 //! [`Schedule`] for `solve`'s CG arm, [`run_block_cg`]. The serial entry
 //! points run over a 1-rank [`DistSpace`]: `solvers::cg` is the fused CG
@@ -59,44 +59,41 @@
 //! Every solve is configured by one [`SolveOptions`] and says what happened
 //! in one vocabulary: a single-RHS solve returns a [`KernelOutcome`] (over
 //! a [`DistSpace`], the outcome of every distributed solve), a block solve
-//! a [`BlockOutcome`], both with a [`KernelReport`]
+//! a `BlockOutcome`, both with a [`KernelReport`]
 //! whose [`PolicyOverhead`] entries are each policy's only record. When a
 //! solve aborts on a detected corruption, the final verification residual
 //! is charged to the solver.
 
-pub mod block;
-pub mod cache;
-pub mod cg;
-pub mod compose;
-pub mod gmres;
-pub mod guard;
-pub mod lflr;
-pub mod policy;
-pub mod precond;
-pub mod skeptic;
-pub mod space;
-pub mod spec;
+mod block;
+mod cache;
+mod cg;
+mod compose;
+mod gmres;
+mod guard;
+mod lflr;
+mod policy;
+mod precond;
+mod skeptic;
+mod space;
+mod spec;
 
-pub use block::{run_block_cg, BlockOutcome};
+pub use block::run_block_cg;
+pub(crate) use block::BlockOutcome;
 pub use cache::SetupCache;
-pub use cg::{run_cg, CgStep, FusedCgStep, PipelinedCgStep};
-pub use compose::{
-    ft_gmres_abft, pipelined_skeptical, pipelined_skeptical_cg, AbftSpmvPolicy, ComposedDistReport,
-};
+pub use cg::{run_cg, FusedCgStep, PipelinedCgStep};
+pub use compose::{ft_gmres_abft, pipelined_skeptical, pipelined_skeptical_cg, AbftSpmvPolicy};
 pub use gmres::{
-    run_gmres, CgsOrtho, FlexibleRight, GmresCycle, GmresFlavor, MgsOrtho, OrthoStrategy,
-    PipelinedOrtho, StepOutcome,
+    run_gmres, CgsOrtho, FlexibleRight, GmresFlavor, MgsOrtho, OrthoStrategy, PipelinedOrtho,
 };
-pub use guard::PrecondGuardPolicy;
+pub(crate) use guard::PrecondGuardPolicy;
 pub use lflr::{lflr_pipelined_pcg, lflr_solve, KrylovLflrConfig, KrylovLflrReport};
 pub use policy::{
-    snapshot_key, snapshot_ring, CheckDot, CheckDotBatch, CheckOperand, CheckVectors,
-    DetectionResponse, FailureEvent, IterCtx, IterateRollbackPolicy, NoopPolicy, PolicyAction,
-    PolicyOverhead, PolicyStack, RecoveryAction, ResiliencePolicy, SolutionProbe, StackOutcome,
+    snapshot_key, CheckDot, CheckOperand, DetectionResponse, FailureEvent, IterCtx, NoopPolicy,
+    PolicyAction, PolicyOverhead, PolicyStack, RecoveryAction, ResiliencePolicy, SolutionProbe,
 };
 pub use precond::{BlockJacobi, IdentityPrecond, RightPrecond, SpacePreconditioner};
 pub use skeptic::{SkepticalConfig, SkepticalPolicy};
-pub use space::{DistSpace, KrylovSpace, PipelinedSweep, SpmvFault, ThreadSpace};
+pub use space::{DistSpace, KrylovSpace, SpmvFault};
 /// [`Schedule`] under the name the block kernel introduced it by; kept for
 /// the frozen `perf_ledger` benchmark, which imports it.
 pub use spec::Schedule as BlockCgMode;

@@ -65,7 +65,7 @@
 //!
 //! let mut comm = Comm::solo(&RuntimeConfig::fast());
 //! let a = DistCsr::from_global(&mut comm, &poisson2d(6, 6))?;
-//! let b = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
+//! let b = DistVector::from_fn(&comm, 36, |_| 1.0);
 //! let mut monitor = NormMonitor::default();
 //! let mut stack = PolicyStack::new(vec![&mut monitor]);
 //! let mut space = DistSpace::new(&mut comm, &a);
@@ -185,7 +185,7 @@ pub trait SolutionProbe<S: KrylovSpace> {
 /// A check inner product a policy asks the dot strategy to fuse into the
 /// reduction it already posts, identified by the *role* of its operands
 /// rather than by reference. The strategy resolves roles against the
-/// vectors it holds at its reduction point (see [`CheckVectors`]); requests
+/// vectors it holds at its reduction point (see `CheckVectors`); requests
 /// it cannot resolve are dropped, and the policy learns what resolved from
 /// the `(CheckDot, value)` pairs handed back through
 /// [`ResiliencePolicy::consume_check_dots`].
@@ -211,7 +211,7 @@ pub enum CheckDot {
 
 /// The strategy-side operand a policy-supplied check pair
 /// ([`ResiliencePolicy::check_pairs`]) is dotted against, resolved from the
-/// [`CheckVectors`] the strategy offers at its reduction point.
+/// `CheckVectors` the strategy offers at its reduction point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckOperand {
     /// The input of the most recent resolved SpMV.
@@ -343,7 +343,7 @@ pub trait ResiliencePolicy<S: KrylovSpace> {
     /// Wants-dots negotiation, policy-vector form: check pairs whose *left*
     /// vector the policy owns (an ABFT checksum vector, an all-ones vector)
     /// and whose right operand is resolved from the strategy's
-    /// [`CheckVectors`]. Resolved pairs ride the strategy's reduction like
+    /// `CheckVectors`. Resolved pairs ride the strategy's reduction like
     /// role-based requests; the reduced scalars come back through
     /// [`consume_check_dots`](ResiliencePolicy::consume_check_dots) tagged
     /// [`CheckDot::PolicyPair`] with the index into the returned list.
@@ -728,7 +728,7 @@ impl<S: KrylovSpace> ResiliencePolicy<S> for NoopPolicy {
 /// under `klflr/last` (read back by replacement ranks when agreeing on a
 /// resume point): one at most every `every` iterations, the newest
 /// `keep_last` retained per rank.
-pub fn snapshot_ring(every: usize, keep_last: usize) -> SnapshotRing {
+pub(super) fn snapshot_ring(every: usize, keep_last: usize) -> SnapshotRing {
     SnapshotRing::new("klflr/x", "klflr/last", every, keep_last)
 }
 
@@ -752,7 +752,7 @@ pub fn snapshot_key(step: usize) -> String {
 /// snapshot as the warm start of the resumed solve (see
 /// [`kernel::lflr`](crate::kernel::lflr)).
 #[derive(Debug)]
-pub struct IterateRollbackPolicy<V> {
+pub(super) struct IterateRollbackPolicy<V> {
     saved: Option<V>,
     /// Kernel iteration `saved` corresponds to. The kernel's iteration
     /// counter keeps running across rollbacks, so after a restore the next
@@ -777,7 +777,7 @@ pub struct IterateRollbackPolicy<V> {
 
 impl<V> IterateRollbackPolicy<V> {
     /// Roll back at most `max_restores` times.
-    pub fn new(max_restores: usize) -> Self {
+    pub(super) fn new(max_restores: usize) -> Self {
         Self {
             saved: None,
             saved_step: 0,
@@ -806,7 +806,7 @@ impl<V> IterateRollbackPolicy<V> {
     /// floor. The default presets use 4, keeping one extra point of slack
     /// for schedules that interleave cycle-boundary and cadence snapshots
     /// (pinned by `crates/core/tests/krylov_lflr.rs`).
-    pub fn with_persistence(mut self, every: usize, keep_last: usize) -> Self {
+    pub(super) fn with_persistence(mut self, every: usize, keep_last: usize) -> Self {
         self.persist = Some(snapshot_ring(every, keep_last));
         self
     }
@@ -814,7 +814,7 @@ impl<V> IterateRollbackPolicy<V> {
     /// Mark this instance as driving a solve resumed at global step `step`:
     /// snapshot keys continue the pre-failure numbering, and the cadence
     /// counts from the resume point.
-    pub fn resuming_from(mut self, step: usize) -> Self {
+    pub(super) fn resuming_from(mut self, step: usize) -> Self {
         self.persist = self.persist.map(|ring| ring.resuming_from(step));
         self.base_step = step;
         self
@@ -822,7 +822,7 @@ impl<V> IterateRollbackPolicy<V> {
 
     /// Snapshots written to the persistent store by this instance (total
     /// writes — pruning does not shrink this count).
-    pub fn snapshots_persisted(&self) -> usize {
+    pub(super) fn snapshots_persisted(&self) -> usize {
         self.writes
     }
 }

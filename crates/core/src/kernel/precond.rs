@@ -51,7 +51,7 @@
 //!
 //! let mut comm = Comm::solo(&RuntimeConfig::fast());
 //! let a = DistCsr::from_global(&mut comm, &poisson2d(8, 8)).unwrap();
-//! let b = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
+//! let b = DistVector::from_fn(&comm, 64, |_| 1.0);
 //! let mut m = BlockJacobi::new(&a);
 //! let mut space = DistSpace::new(&mut comm, &a);
 //! let (out, _report) = solve(
@@ -123,7 +123,7 @@ pub trait SpacePreconditioner<S: KrylovSpace> {
     /// Is this the identity? `true` promises that `apply_into` (and
     /// `apply_local_into`) is a bitwise copy that charges nothing, so a
     /// caller may read `r` wherever it would read `M⁻¹r` and skip storing
-    /// the images — see the [module docs](self). A property of the
+    /// the images — see the module docs of `kernel/precond.rs`. A property of the
     /// preconditioner, not an option: only [`IdentityPrecond`] says yes,
     /// and a wrapper that does not forward it simply takes the general
     /// path, with the same bits.
@@ -168,7 +168,7 @@ impl<S: KrylovSpace> SpacePreconditioner<S> for IdentityPrecond {
 
 /// Block-Jacobi over a [`DistCsr`]: `M = diag(A₀₀, A₁₁, …)` where `Aᵢᵢ` is
 /// rank *i*'s diagonal block. Each rank LU-factors its own block once at
-/// construction ([`DistCsr::local_diagonal_block`], purely local) and
+/// construction (`DistCsr::local_diagonal_block`, purely local) and
 /// back-substitutes per apply — **no collectives and no neighbor exchange**,
 /// so preconditioning adds zero synchronization per iteration while the
 /// strong couplings inside each block (and, on one rank, the whole matrix)

@@ -6,21 +6,22 @@
 //! reductions with operator applications) and cost accounting. There is one
 //! implementation, [`DistSpace`]: [`DistVector`] arithmetic over a
 //! [`DistCsr`] and any [`CommBackend`] communicator (the virtual-time
-//! simulator's [`Comm`] by default, or the real-threads [`ThreadComm`] via
-//! the [`ThreadSpace`] alias). Reductions are real collectives, costs are
-//! charged to the backend's clock, and the space is the one fault injector:
+//! simulator's [`Comm`] by default, or the real-threads
+//! [`ThreadComm`](resilient_runtime::ThreadComm)). Reductions are real
+//! collectives, costs are charged to the backend's clock, and the space is
+//! the one fault injector:
 //! [`StrikePlan`]s corrupt chosen SpMV and preconditioner products (an
 //! [`SpmvFault`] is a one-strike SpMV plan). A serial solve is a 1-rank
 //! `DistSpace` over [`Comm::solo`](resilient_runtime::Comm::solo), where
 //! every reduction folds one value and so returns its local partial's bits.
 
-use resilient_linalg::ops::{auto_ops, CgSweep, LocalOps, PcgSweep};
-use resilient_runtime::{Comm, CommBackend, ReduceOp, Result, Stored, ThreadComm};
+use resilient_linalg::{auto_ops, CgSweep, LocalOps, PcgSweep};
+use resilient_runtime::{Comm, CommBackend, ReduceOp, Result, Stored};
 
 use super::sqrt_nonneg;
 use crate::distributed::{DistCsr, DistMultiVector, DistVector, HaloScratch};
 
-use resilient_faults::campaign::{Strike, StrikePlan};
+use resilient_faults::{Strike, StrikePlan};
 
 /// The operands of one [`DistSpace::pipelined_sweep_block`], swept column
 /// by column: this iteration's SpMM product, the six state vectors every
@@ -64,7 +65,7 @@ pub trait KrylovSpace {
     type Pending;
 
     /// The node-local compute backend this space performs its arithmetic
-    /// with (see [`resilient_linalg::ops`]): preconditioners and other
+    /// with (see [`LocalOps`]): preconditioners and other
     /// kernel-side code that does local arithmetic *outside* the space's
     /// own methods must route it through this handle so one backend choice
     /// governs the whole solve.
@@ -270,7 +271,7 @@ pub struct SpmvFault {
 /// and any [`CommBackend`] communicator. The default backend is the
 /// virtual-time simulator's [`Comm`], so existing concrete uses keep
 /// compiling (and behaving) exactly as before; instantiate with
-/// [`ThreadComm`] (alias [`ThreadSpace`]) for real-threads wall-clock runs.
+/// [`ThreadComm`](resilient_runtime::ThreadComm) for real-threads wall-clock runs.
 pub struct DistSpace<'a, 'b, C: CommBackend = Comm> {
     comm: &'a mut C,
     a: &'b DistCsr,
@@ -292,10 +293,6 @@ pub struct DistSpace<'a, 'b, C: CommBackend = Comm> {
     /// entries) is assembled here instead of allocating per application.
     halo: HaloScratch,
 }
-
-/// [`DistSpace`] over the real-threads backend: same kernels, wall-clock
-/// time, real `catch_unwind` rank death.
-pub type ThreadSpace<'a, 'b> = DistSpace<'a, 'b, ThreadComm>;
 
 impl<'a, 'b, C: CommBackend> DistSpace<'a, 'b, C> {
     /// Bind the communicator and operator (local arithmetic through the

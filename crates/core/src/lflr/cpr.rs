@@ -143,7 +143,7 @@ pub fn run_cpr<A: CprApp>(
             .iter()
             .map(|s| s.virtual_time)
             .fold(0.0, f64::max)
-            .max(result.job.makespan);
+            .max(result.makespan());
         report.total_virtual_time += makespan;
         report.failures += result.failures.len();
         report.checkpoint_bytes += result.stats.iter().map(|s| s.checkpoint_bytes).sum::<u64>();

@@ -15,12 +15,13 @@
 //!   argues stops scaling.
 //! * [`protocol`] holds the LFLR protocol itself — [`recovery_epochs`] and
 //!   the [`SnapshotRing`] — under both [`run_lflr`] and the Krylov client
-//!   [`kernel::lflr_solve`](crate::kernel::lflr::lflr_solve).
+//!   [`kernel::lflr_solve`](crate::kernel::lflr_solve).
 
-pub mod cpr;
-pub mod driver;
-pub mod protocol;
+mod cpr;
+mod driver;
+mod protocol;
 
-pub use cpr::{run_cpr, CprApp, CprConfig, CprReport};
-pub use driver::{run_lflr, LflrApp, LflrReport};
-pub use protocol::{recovery_epochs, Epochs, SnapshotRing};
+pub use cpr::{run_cpr, CprApp, CprConfig};
+pub use driver::{run_lflr, LflrApp};
+pub(crate) use protocol::recovery_epochs;
+pub use protocol::SnapshotRing;

@@ -1,6 +1,6 @@
 //! The LFLR protocol, written once: the recovery-epoch driver and the
 //! snapshot ring under both [`run_lflr`](super::run_lflr) (time-stepping
-//! applications) and [`lflr_solve`](crate::kernel::lflr::lflr_solve)
+//! applications) and [`lflr_solve`](crate::kernel::lflr_solve)
 //! (distributed Krylov solves).
 //!
 //! *Detect → every rank joins the rendezvous proposing its newest snapshot →
@@ -20,7 +20,7 @@ const MAX_RECOVERIES: usize = 8;
 /// What the recovery protocol did on this rank during one
 /// [`recovery_epochs`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Epochs {
+pub(crate) struct Epochs {
     /// Recovery rendezvous completed.
     pub recoveries: usize,
     /// Agreed resume step of the most recent one (`None`: no recovery).
@@ -51,7 +51,7 @@ pub struct Epochs {
 /// this rank abandon the job while its peers block in a collective that
 /// can never complete — a deadlock, the one outcome the protocol exists
 /// to prevent. Retries are bounded by the same `MAX_RECOVERIES`.
-pub fn recovery_epochs<C: CommBackend, T>(
+pub(crate) fn recovery_epochs<C: CommBackend, T>(
     comm: &mut C,
     mut proposal: impl FnMut(&mut C) -> Option<usize>,
     mut attempt: impl FnMut(&mut C, Option<usize>) -> Result<T>,

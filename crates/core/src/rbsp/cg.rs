@@ -110,8 +110,8 @@ mod tests {
         for (classic_x, pipelined_x, classic_iters, pipelined_iters) in results {
             // Verify against the serial solution via the residual.
             let b: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 3) as f64).collect();
-            let res_c = crate::solvers::common::true_relative_residual(&a, &b, &classic_x);
-            let res_p = crate::solvers::common::true_relative_residual(&a, &b, &pipelined_x);
+            let res_c = crate::solvers::true_relative_residual(&a, &b, &classic_x);
+            let res_p = crate::solvers::true_relative_residual(&a, &b, &pipelined_x);
             assert!(res_c < 1e-7, "classic residual {res_c}");
             assert!(res_p < 1e-7, "pipelined residual {res_p}");
             // Same mathematics: iteration counts agree to within a couple.

@@ -36,7 +36,7 @@ pub fn pipelined_pgmres<'a, 'b, C: CommBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::common::true_relative_residual;
+    use crate::solvers::true_relative_residual;
     use resilient_linalg::poisson2d;
     use resilient_runtime::{LatencyModel, Runtime, RuntimeConfig};
 

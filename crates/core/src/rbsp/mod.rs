@@ -15,6 +15,7 @@
 //! The named functions left in [`cg`] and [`gmres`] are one-line calls of
 //! these two entry points, kept for the frozen `perf_ledger`.
 
+// Public by path: the frozen `perf_ledger` imports the presets from them.
 pub mod cg;
 pub mod gmres;
 

@@ -5,8 +5,8 @@
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use resilient_faults::bitflip::flip_bit_f64;
-use resilient_linalg::checksum::{checksummed_gemm, ChecksumVerdict, ChecksummedCsr};
+use resilient_faults::flip_bit_f64;
+use resilient_linalg::{checksummed_gemm, ChecksumVerdict, ChecksummedCsr};
 use resilient_linalg::{CsrMatrix, DenseMatrix};
 
 /// Outcome of one ABFT-protected kernel execution under injection.

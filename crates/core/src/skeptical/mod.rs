@@ -2,9 +2,9 @@
 //! that detect silent data corruption, plus ABFT checksum kernels and a
 //! bit-flip-resilient GMRES.
 
-pub mod abft;
-pub mod faulty;
-pub mod sdc_gmres;
+mod abft;
+mod faulty;
+mod sdc_gmres;
 
 /// The configuration of [`SkepticalPolicy`](crate::kernel::SkepticalPolicy),
 /// defined beside it; re-exported here because the frozen `perf_ledger`

@@ -27,7 +27,7 @@ use crate::kernel::{
     run_gmres, GmresFlavor, MgsOrtho, PolicyOverhead, PolicyStack, SkepticalConfig,
     SkepticalPolicy, SolveOptions, SpmvFault,
 };
-use crate::solvers::common::{solve_on_one_rank, SolveOutcome};
+use crate::solvers::{solve_on_one_rank, SolveOutcome};
 
 /// GMRES with skeptical checks. Returns the solver outcome (whose
 /// `injections` count the flips `fault` landed) plus the policy's checks,
@@ -38,7 +38,7 @@ use crate::solvers::common::{solve_on_one_rank, SolveOutcome};
 /// struck by `fault` when one is planned (see
 /// [`random_spmv_fault`](super::random_spmv_fault)). The same policy
 /// composes with any other dot strategy — see
-/// [`crate::kernel::compose::pipelined_skeptical`] for the
+/// [`crate::kernel::pipelined_skeptical`] for the
 /// pipelined/distributed combination.
 pub fn skeptical_gmres(
     a: &CsrMatrix,
@@ -69,7 +69,7 @@ pub fn skeptical_gmres(
 mod tests {
     use super::*;
     use crate::kernel::{DetectionResponse, StopReason};
-    use crate::solvers::common::true_relative_residual;
+    use crate::solvers::true_relative_residual;
     use resilient_linalg::poisson2d;
 
     /// A flip of `bit` in element `element` of product `at` on the one rank.

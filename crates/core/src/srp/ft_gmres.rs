@@ -19,8 +19,8 @@
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use resilient_faults::memory::{Reliability, ReliabilityModel};
 use resilient_faults::StrikePlan;
+use resilient_faults::{Reliability, ReliabilityModel};
 use resilient_linalg::CsrMatrix;
 use resilient_runtime::{Comm, Result};
 
@@ -30,8 +30,8 @@ use crate::kernel::{
     run_gmres, DistSpace, FlexibleRight, GmresFlavor, KernelReport, MgsOrtho, PolicyStack,
     SolveOptions, SpmvFault,
 };
-use crate::solvers::common::{measured, one_rank, SolveOutcome, ONE_RANK};
-use crate::solvers::gmres::{gmres, gmres_on};
+use crate::solvers::{gmres, gmres_on};
+use crate::solvers::{measured, one_rank, SolveOutcome, ONE_RANK};
 
 /// Configuration of the FT-GMRES inner/outer split.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,7 +132,7 @@ pub fn ft_gmres(a: &CsrMatrix, b: &[f64], cfg: &FtGmresConfig) -> (SolveOutcome,
 
 /// FT-GMRES over `a` on `comm`, with an explicit resilience-policy stack
 /// guarding the *outer* (reliable-tier) iteration — the composable form
-/// behind [`crate::kernel::compose::ft_gmres_abft`]. `fault` optionally
+/// behind [`crate::kernel::ft_gmres_abft`]. `fault` optionally
 /// strikes one outer product (the reliable tier's blind spot). Returns the
 /// outcome — its `flops` are the whole solve's, inner solves included, and
 /// its `injections` the outer strikes — and the FT-GMRES report, whose
@@ -231,7 +231,7 @@ pub fn reliable_gmres(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solvers::common::true_relative_residual;
+    use crate::solvers::true_relative_residual;
     use resilient_linalg::poisson2d;
 
     #[test]

@@ -2,13 +2,12 @@
 //! unreliable execution tiers, FT-GMRES (reliable outer, unreliable inner)
 //! and the TMR cost ablation.
 
-pub mod ft_gmres;
-pub mod reliability;
-pub mod tmr_solve;
+mod ft_gmres;
+mod reliability;
+mod tmr_solve;
 
+pub(crate) use ft_gmres::FtGmresReport;
 pub use ft_gmres::{
     ft_gmres, ft_gmres_with_policies, reliable_gmres, unreliable_gmres, FtGmresConfig,
-    FtGmresReport,
 };
-pub use reliability::SrpCostLedger;
-pub use tmr_solve::{compare_tmr_strategies, tmr_apply, TmrApplyResult, TmrCostComparison};
+pub use tmr_solve::{compare_tmr_strategies, tmr_apply};

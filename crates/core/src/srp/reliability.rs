@@ -4,7 +4,7 @@
 //! [`StrikePlan::random_flips`](resilient_faults::StrikePlan::random_flips)
 //! plan corrupts.
 
-use resilient_faults::memory::{Reliability, ReliabilityModel};
+use resilient_faults::{Reliability, ReliabilityModel};
 
 /// Tracks how much work was executed in each reliability class and converts
 /// it to a cost-weighted total.

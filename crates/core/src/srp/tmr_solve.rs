@@ -9,28 +9,19 @@
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use resilient_faults::memory::{Reliability, ReliabilityModel};
-use resilient_faults::tmr::{tmr_vote_vectors, TmrStats};
+use resilient_faults::ReliabilityModel;
 use resilient_faults::StrikePlan;
+use resilient_faults::{tmr_vote_vectors, TmrStats};
 use resilient_linalg::CsrMatrix;
 use resilient_runtime::Result;
 
-use super::reliability::SrpCostLedger;
 use crate::distributed::DistVector;
 use crate::kernel::{DistSpace, KrylovSpace};
-use crate::solvers::common::{one_rank, ONE_RANK};
+use crate::solvers::{one_rank, ONE_RANK};
 
-/// Result of one TMR-protected operator application.
-#[derive(Debug, Clone)]
-pub struct TmrApplyResult {
-    /// The voted output — this rank's entries — (None if all three replicas
-    /// disagreed).
-    pub value: Option<Vec<f64>>,
-    /// Cost ledger for the three unreliable applications.
-    pub ledger: SrpCostLedger,
-}
-
-/// Apply `space`'s (unreliable) operator to `x` three times and vote.
+/// Apply `space`'s (unreliable) operator to `x` three times and vote:
+/// the voted output — this rank's entries — or `None` if all three
+/// replicas disagreed.
 ///
 /// # Errors
 /// Whatever the operator apply reports.
@@ -39,12 +30,10 @@ pub fn tmr_apply(
     x: &DistVector,
     rel_tol: f64,
     stats: &mut TmrStats,
-) -> Result<TmrApplyResult> {
+) -> Result<Option<Vec<f64>>> {
     let a = space.apply(x)?.local;
     let b = space.apply(x)?.local;
     let c = space.apply(x)?.local;
-    let mut ledger = SrpCostLedger::default();
-    ledger.charge(Reliability::Unreliable, 3 * space.flops_per_apply());
     let voted = tmr_vote_vectors(&a, &b, &c, rel_tol);
     // Record the outcome in TMR statistics terms.
     let outcome = match &voted {
@@ -56,20 +45,17 @@ pub fn tmr_apply(
                 })
             };
             let unanimous = close(&a, &b) && close(&a, &c);
-            resilient_faults::tmr::TmrOutcome::Agreed {
+            resilient_faults::TmrOutcome::Agreed {
                 value: v.clone(),
                 masked_error: !unanimous,
             }
         }
-        None => resilient_faults::tmr::TmrOutcome::NoMajority {
+        None => resilient_faults::TmrOutcome::NoMajority {
             replicas: [a.clone(), b.clone(), c.clone()],
         },
     };
     stats.record(&outcome);
-    Ok(TmrApplyResult {
-        value: voted,
-        ledger,
-    })
+    Ok(voted)
 }
 
 /// Cost (in unreliable-FLOP equivalents) per *correct* SpMV under three
@@ -139,8 +125,8 @@ pub fn compare_tmr_strategies(
     let mut tmr_stats = TmrStats::default();
     let mut tmr_correct = 0usize;
     for _ in 0..trials {
-        let r = tmr_apply(&mut tmr_space, &x, 1e-12, &mut tmr_stats).expect(ONE_RANK);
-        if let Some(v) = r.value {
+        let voted = tmr_apply(&mut tmr_space, &x, 1e-12, &mut tmr_stats).expect(ONE_RANK);
+        if let Some(v) = voted {
             if close(&v) {
                 tmr_correct += 1;
             }
@@ -168,8 +154,14 @@ mod tests {
     use resilient_linalg::poisson2d;
     use resilient_runtime::Comm;
 
-    /// `poisson2d(nx, nx)` applied to ones, on an unreliable tier at `rate`.
-    fn tmr_runs(nx: usize, rate: f64, seed: u64, runs: usize) -> (Vec<TmrApplyResult>, TmrStats) {
+    /// `poisson2d(nx, nx)` applied to ones, on an unreliable tier at `rate`:
+    /// the voted outputs, the vote tallies and the FLOPs charged.
+    fn tmr_runs(
+        nx: usize,
+        rate: f64,
+        seed: u64,
+        runs: usize,
+    ) -> (Vec<Option<Vec<f64>>>, TmrStats, u64) {
         let (mut comm, a): (Comm, _) = one_rank(&poisson2d(nx, nx));
         let x = DistVector::from_fn(&comm, a.global_dim(), |_| 1.0);
         let rng = &mut ChaCha8Rng::seed_from_u64(seed);
@@ -179,7 +171,8 @@ mod tests {
         let results = (0..runs)
             .map(|_| tmr_apply(&mut space, &x, 1e-12, &mut stats).unwrap())
             .collect();
-        (results, stats)
+        drop(space);
+        (results, stats, comm.snapshot_stats().flops)
     }
 
     #[test]
@@ -187,10 +180,10 @@ mod tests {
         // Moderate rate: most triples have at most one corrupted replica.
         let a = poisson2d(6, 6);
         let clean = a.spmv(&vec![1.0; a.nrows()]);
-        let (results, stats) = tmr_runs(6, 0.002, 1, 50);
+        let (results, stats, _) = tmr_runs(6, 0.002, 1, 50);
         let correct = results
             .iter()
-            .filter_map(|r| r.value.as_ref())
+            .flatten()
             .filter(|v| v.iter().zip(&clean).all(|(a, b)| (a - b).abs() < 1e-9))
             .count();
         assert_eq!(stats.executions, 50);
@@ -203,13 +196,10 @@ mod tests {
     #[test]
     fn zero_fault_rate_is_always_unanimous() {
         let a = poisson2d(4, 4);
-        let (results, stats) = tmr_runs(4, 0.0, 2, 1);
-        assert_eq!(
-            results[0].value.as_ref().unwrap(),
-            &a.spmv(&vec![1.0; a.nrows()])
-        );
+        let (results, stats, flops) = tmr_runs(4, 0.0, 2, 1);
+        assert_eq!(results[0].as_ref().unwrap(), &a.spmv(&vec![1.0; a.nrows()]));
         assert_eq!(stats.unanimous, 1);
-        assert_eq!(results[0].ledger.unreliable_flops, 3 * a.spmv_flops());
+        assert_eq!(flops, 3 * a.spmv_flops() as u64);
     }
 
     #[test]

@@ -285,7 +285,7 @@ fn lflr_resume_is_backend_invariant() {
             Ok((report.resumed_from, report.iterations, x))
         });
         assert!(r.all_ok(), "{:?}", r.errors);
-        (r.job.makespan, r.failures.len(), r.unwrap_all())
+        (r.makespan(), r.failures.len(), r.unwrap_all())
     };
     let (clean_time, _, _) = run(opts(), vec![]);
     let kill = vec![(1, 0.5 * clean_time)];

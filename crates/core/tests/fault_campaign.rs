@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use resilience::prelude::*;
-use resilient_faults::campaign::{FaultFamily, Strike, StrikePlan};
+use resilient_faults::{FaultFamily, Strike, StrikePlan};
 use resilient_linalg::poisson2d;
 use resilient_runtime::{Runtime, RuntimeConfig, ThreadConfig, ThreadRuntime};
 

@@ -9,7 +9,7 @@
 //! would otherwise hold.
 
 use resilience::prelude::*;
-use resilient_faults::campaign::{FaultFamily, FaultSchedule, Strike};
+use resilient_faults::{FaultFamily, FaultSchedule, Strike};
 use resilient_linalg::poisson2d;
 use resilient_runtime::{Runtime, RuntimeConfig};
 

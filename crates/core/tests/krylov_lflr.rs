@@ -70,7 +70,7 @@ fn run_scenario(
     });
     assert!(r.all_ok(), "{preset:?} on {ranks} ranks: {:?}", r.errors);
     let failures_seen = r.failures.len();
-    (r.job.makespan, failures_seen, r.unwrap_all())
+    (r.makespan(), failures_seen, r.unwrap_all())
 }
 
 #[test]

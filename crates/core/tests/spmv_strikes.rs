@@ -3,8 +3,8 @@
 //! compose in either order.
 
 use resilience::prelude::*;
-use resilient_faults::campaign::{Strike, StrikePlan};
 use resilient_faults::flip_bit_f64;
+use resilient_faults::{Strike, StrikePlan};
 use resilient_linalg::poisson2d;
 use resilient_runtime::{Comm, RuntimeConfig};
 

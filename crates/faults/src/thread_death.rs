@@ -26,7 +26,7 @@ use resilient_runtime::{DeathContext, DeathInjector};
 /// [`ThreadRuntime`]: resilient_runtime::ThreadRuntime
 ///
 /// ```
-/// use resilient_faults::thread_death::ThreadDeathPlan;
+/// use resilient_faults::ThreadDeathPlan;
 /// use resilient_runtime::{ThreadConfig, ThreadRuntime};
 /// use std::sync::Arc;
 ///

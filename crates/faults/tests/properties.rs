@@ -1,8 +1,8 @@
 //! Property-based tests for the fault models.
 
 use proptest::prelude::*;
-use resilient_faults::bitflip::flip_bit_f64;
-use resilient_faults::tmr::tmr_vote_vectors;
+use resilient_faults::flip_bit_f64;
+use resilient_faults::tmr_vote_vectors;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -10,13 +10,17 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod checksum;
-pub mod dense;
-pub mod generators;
-pub mod givens;
-pub mod ops;
-pub mod sell;
-pub mod sparse;
+mod checksum;
+mod dense;
+mod generators;
+mod givens;
+mod ops;
+mod sell;
+mod sparse;
+// Public by path, the one module that is: it is the namespace of the
+// serial level-1 kernels (`vector::dot`, `vector::axpy`, …), whose bare
+// names at the crate root would read as the `LocalOps` methods of the same
+// names.
 pub mod vector;
 
 pub use checksum::{checksummed_gemm, ChecksumVerdict, ChecksummedCsr, ChecksummedMatrix};
@@ -25,6 +29,6 @@ pub use generators::{
     anisotropic2d, diag_dominant_random, ones, poisson1d, poisson2d, random_vector, spd_random,
 };
 pub use givens::{Givens, HessenbergLsq};
-pub use ops::{auto_ops, scalar_ops, simd_ops, CgSweep, LocalOps, PcgSweep, ScalarOps};
-pub use sell::{SellMatrix, SELL_C, SELL_DEFAULT_SIGMA};
+pub use ops::{auto_ops, scalar_ops, simd_ops, CgSweep, LocalOps, PcgSweep};
+pub use sell::{SellMatrix, SELL_DEFAULT_SIGMA};
 pub use sparse::{CooMatrix, CsrMatrix};

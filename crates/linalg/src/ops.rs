@@ -644,7 +644,7 @@ fn cg_sweep_scalar(alpha: f64, beta: f64, aw: &[f64], v: CgSweep<'_>) -> [f64; 2
 /// The portable reference backend: delegates to the original kernels in
 /// [`crate::vector`] / [`crate::sparse`] / [`crate::sell`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarOps;
+pub(crate) struct ScalarOps;
 
 impl LocalOps for ScalarOps {
     fn name(&self) -> &'static str {

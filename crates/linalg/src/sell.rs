@@ -29,7 +29,7 @@ use crate::sparse::CooMatrix;
 
 /// The chunk height of the layout: fixed at 4 rows, the same width as the
 /// crate's level-1 lane spec, so one AVX register covers one chunk.
-pub const SELL_C: usize = 4;
+pub(crate) const SELL_C: usize = 4;
 
 /// Default sorting-window size: large enough to group similar row lengths
 /// in the model problems, small enough to keep the output permutation

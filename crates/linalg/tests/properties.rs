@@ -1,8 +1,8 @@
 //! Property-based tests for the linear-algebra substrate.
 
 use proptest::prelude::*;
-use resilient_linalg::checksum::{ChecksumVerdict, ChecksummedCsr, ChecksummedMatrix};
 use resilient_linalg::vector::{dot, nrm2};
+use resilient_linalg::{ChecksumVerdict, ChecksummedCsr, ChecksummedMatrix};
 use resilient_linalg::{CooMatrix, DenseMatrix, Givens};
 
 fn small_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {

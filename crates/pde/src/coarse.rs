@@ -11,7 +11,7 @@
 
 /// Restrict a fine field to a coarse one by averaging groups of `factor`
 /// adjacent values (the last group may be shorter).
-pub fn restrict(fine: &[f64], factor: usize) -> Vec<f64> {
+pub(crate) fn restrict(fine: &[f64], factor: usize) -> Vec<f64> {
     assert!(factor >= 1, "coarsening factor must be at least 1");
     fine.chunks(factor)
         .map(|c| c.iter().sum::<f64>() / c.len() as f64)
@@ -20,7 +20,7 @@ pub fn restrict(fine: &[f64], factor: usize) -> Vec<f64> {
 
 /// Prolongate a coarse field back to `fine_len` values by piecewise-linear
 /// interpolation of the coarse cell centres.
-pub fn prolongate(coarse: &[f64], factor: usize, fine_len: usize) -> Vec<f64> {
+pub(crate) fn prolongate(coarse: &[f64], factor: usize, fine_len: usize) -> Vec<f64> {
     assert!(factor >= 1);
     if coarse.is_empty() {
         return vec![0.0; fine_len];

@@ -2,7 +2,8 @@
 //! (§III-C "Explicit methods: … can be easily implemented to recover
 //! locally, given the LFLR features").
 
-use resilience::lflr::{CprApp, LflrApp, SnapshotRing};
+use resilience::prelude::{CprApp, LflrApp};
+use resilience::SnapshotRing;
 use resilient_runtime::{BlockDistribution, CartTopology, Comm, RankClock, Result, Stored};
 
 use crate::heat1d::HeatProblem;
@@ -195,8 +196,8 @@ impl CprApp for ExplicitHeat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resilience::lflr::{run_cpr, run_lflr, CprConfig};
-    use resilient_faults::thread_death::ThreadDeathPlan;
+    use resilience::prelude::{run_cpr, run_lflr, CprConfig};
+    use resilient_faults::ThreadDeathPlan;
     use resilient_runtime::{
         FailureConfig, FailurePolicy, Runtime, RuntimeConfig, ThreadConfig, ThreadRuntime,
     };

@@ -40,7 +40,7 @@ pub trait RankClock: Sized {
     fn start(job: &Self::Job, rank: usize, incarnation: u64, at: f64) -> Self;
 
     /// How many rounds a waiter of a `size`-rank job polls before it parks
-    /// (see [`POLL_ROUNDS`](crate::engine::POLL_ROUNDS)); 0 parks at once.
+    /// (see `engine::POLL_ROUNDS`); 0 parks at once.
     fn poll_rounds(size: usize) -> u32;
 
     /// Current time of this rank, in seconds.

@@ -27,7 +27,7 @@ use crate::clock::{park_deadline, RankClock, VirtualClock};
 use crate::config::{CostModel, RuntimeConfig};
 use crate::error::{Result, RuntimeError};
 use crate::mailbox::PollOutcome;
-use crate::message::{Message, Payload, ANY_SOURCE};
+use crate::message::{Message, ANY_SOURCE};
 use crate::persistent::{StableStore, Stored};
 use crate::stats::RankStats;
 use crate::world::World;
@@ -37,11 +37,9 @@ use crate::world::World;
 /// failed process, and (under the `ReplaceRank` policy) spawns a
 /// replacement.
 #[derive(Debug, Clone, Copy)]
-pub struct RankKilled {
+pub(crate) struct RankKilled {
     /// Rank that was killed.
     pub rank: usize,
-    /// Incarnation that was killed.
-    pub incarnation: u64,
     /// Time of death on the rank's clock.
     pub time: f64,
     /// Failure generation assigned to the event.
@@ -274,7 +272,6 @@ impl<K: RankClock> Comm<K> {
         self.world.interrupt_all();
         panic::panic_any(RankKilled {
             rank: self.world_rank,
-            incarnation: self.incarnation,
             time,
             generation,
         });
@@ -284,7 +281,8 @@ impl<K: RankClock> Comm<K> {
     // Point-to-point messaging
     // ------------------------------------------------------------------
 
-    fn send_payload(&mut self, dest: usize, tag: i32, payload: Payload) -> Result<()> {
+    /// Send a slice of `f64` values to `dest` with the given tag.
+    pub fn send_f64(&mut self, dest: usize, tag: i32, data: &[f64]) -> Result<()> {
         self.maybe_die();
         self.check_health()?;
         let dest_world = self.to_world(dest)?;
@@ -294,15 +292,14 @@ impl<K: RankClock> Comm<K> {
                 generation: self.world.health.generation(),
             });
         }
-        let bytes = payload.byte_len();
+        let bytes = std::mem::size_of_val(data);
         let cost = self.world.model.latency.p2p_cost(bytes);
         let msg = Message {
             source: self.world_rank,
-            dest: dest_world,
             tag,
             epoch: self.epoch,
             sent_at: self.clock.window_opens(cost),
-            payload,
+            payload: data.to_vec(),
         };
         self.world.mailboxes[dest_world].deposit(msg);
         self.messages_sent += 1;
@@ -310,7 +307,9 @@ impl<K: RankClock> Comm<K> {
         Ok(())
     }
 
-    fn recv_payload(&mut self, source: usize, tag: i32) -> Result<(usize, Payload)> {
+    /// Receive an `f64` vector from `source` (or any source, `usize::MAX`)
+    /// with the given tag (or any tag, `-1`). Returns `(source_rank, data)`.
+    pub fn recv_f64(&mut self, source: usize, tag: i32) -> Result<(usize, Vec<f64>)> {
         self.maybe_die();
         let source_world = self.to_world(source)?;
         let mailbox = &self.world.mailboxes[self.world_rank];
@@ -349,19 +348,6 @@ impl<K: RankClock> Comm<K> {
         let arrival = msg.sent_at + self.world.model.latency.p2p_cost(msg.byte_len());
         self.clock.wait_until(arrival);
         Ok((self.to_group(msg.source), msg.payload))
-    }
-
-    /// Send a slice of `f64` values to `dest` with the given tag.
-    pub fn send_f64(&mut self, dest: usize, tag: i32, data: &[f64]) -> Result<()> {
-        self.send_payload(dest, tag, Payload::F64(data.to_vec()))
-    }
-
-    /// Receive an `f64` vector from `source` (or [`ANY_SOURCE`]) with the
-    /// given tag (or [`ANY_TAG`](crate::message::ANY_TAG)). Returns
-    /// `(source_rank, data)`.
-    pub fn recv_f64(&mut self, source: usize, tag: i32) -> Result<(usize, Vec<f64>)> {
-        let (src, payload) = self.recv_payload(source, tag)?;
-        Ok((src, payload.into_f64()?))
     }
 
     /// Combined send to `dest` and receive from `source` of `f64` data,
@@ -508,9 +494,6 @@ impl Comm<VirtualClock> {
     }
 }
 
-/// Re-export of the wildcard constants for convenience.
-pub use crate::message::{ANY_SOURCE as ANY_SRC, ANY_TAG as ANY};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,16 +567,6 @@ mod tests {
             Err(RuntimeError::InvalidRank { rank: 3, size: 1 })
         ));
         assert!(c.recv_f64(9, 0).is_err());
-    }
-
-    #[test]
-    fn type_mismatch_on_recv() {
-        let mut c = Comm::solo(&RuntimeConfig::fast());
-        c.send_payload(0, 0, Payload::U64(vec![1])).unwrap();
-        assert!(matches!(
-            c.recv_f64(0, 0),
-            Err(RuntimeError::TypeMismatch { .. })
-        ));
     }
 
     #[test]

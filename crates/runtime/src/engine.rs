@@ -39,7 +39,7 @@ use crate::health::HealthBoard;
 /// of microseconds in all) before it parks. A rendezvous between two ranks
 /// that each own a core completes well inside it; a rank whose partner is
 /// busy for longer gives its core back.
-pub const POLL_ROUNDS: u32 = 2_000;
+pub(crate) const POLL_ROUNDS: u32 = 2_000;
 
 /// How long a parked waiter sleeps before re-checking health and the
 /// caller's deadline on its own (it is woken earlier by completion or
@@ -59,7 +59,7 @@ const MAX_RETAINED_WIDTH: usize = 1024;
 /// Kind discriminator for slot keys, separating the ordinary collective
 /// sequence space from recovery rendezvous and shrink agreements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SlotKind {
+pub(crate) enum SlotKind {
     /// Ordinary collective posted by application code.
     Collective,
     /// Recovery rendezvous after a failure (keyed by generation).
@@ -70,7 +70,7 @@ pub enum SlotKind {
 
 /// Unique identifier of one collective instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SlotKey {
+pub(crate) struct SlotKey {
     /// Communication epoch the collective belongs to.
     pub epoch: u64,
     /// Communicator id (0 = world; shrunk/split communicators get fresh ids).
@@ -194,7 +194,7 @@ impl Table {
 
 /// Result of a completed collective, as seen by one participant.
 #[derive(Debug, Clone)]
-pub struct CollectiveResult {
+pub(crate) struct CollectiveResult {
     /// Contributions of every participant, indexed by participant index
     /// (rank index within the participating group).
     pub contributions: Vec<Vec<f64>>,
@@ -203,7 +203,7 @@ pub struct CollectiveResult {
 }
 
 /// The shared engine holding in-flight collective slots for a job.
-pub struct CollectiveEngine {
+pub(crate) struct CollectiveEngine {
     table: Mutex<Table>,
     signal: Condvar,
     /// Waiters currently parked on `signal` (changed only under the table
@@ -218,28 +218,32 @@ impl Default for CollectiveEngine {
     }
 }
 
+/// What only the unit tests use.
+#[cfg(test)]
+impl CollectiveEngine {
+    /// Poll rounds a waiter spends before parking (0 = parks at once).
+    pub(crate) fn poll_rounds(&self) -> u32 {
+        self.poll_rounds
+    }
+}
+
 impl CollectiveEngine {
     /// Create an empty engine whose waiters park at once: the right choice
     /// whenever rank threads may outnumber cores (the simulator always).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_poll_rounds(0)
     }
 
     /// Create an empty engine whose waiters poll the completion flag up to
     /// `rounds` times before parking. Only for worlds in which every rank
     /// thread owns a core; pass [`POLL_ROUNDS`].
-    pub fn with_poll_rounds(rounds: u32) -> Self {
+    pub(crate) fn with_poll_rounds(rounds: u32) -> Self {
         Self {
             table: Mutex::new(Table::default()),
             signal: Condvar::new(),
             parked: AtomicUsize::new(0),
             poll_rounds: rounds,
         }
-    }
-
-    /// Poll rounds a waiter spends before parking (0 = parks at once).
-    pub fn poll_rounds(&self) -> u32 {
-        self.poll_rounds
     }
 
     /// Post a contribution to the slot identified by `key`.
@@ -261,7 +265,7 @@ impl CollectiveEngine {
     /// model. Posting is nonblocking and copies `contribution` into the
     /// slot's own buffer.
     #[allow(clippy::too_many_arguments)]
-    pub fn post_slice(
+    pub(crate) fn post_slice(
         &self,
         key: SlotKey,
         index: usize,
@@ -318,7 +322,7 @@ impl CollectiveEngine {
 
     /// [`post_slice`](Self::post_slice) of an owned contribution that is
     /// gathered, not reduced.
-    pub fn post(
+    pub(crate) fn post(
         &self,
         key: SlotKey,
         index: usize,
@@ -331,7 +335,7 @@ impl CollectiveEngine {
     }
 
     /// Has the slot completed (all participants posted)?
-    pub fn is_complete(&self, key: &SlotKey) -> bool {
+    pub(crate) fn is_complete(&self, key: &SlotKey) -> bool {
         self.table
             .lock()
             .find(key)
@@ -351,7 +355,7 @@ impl CollectiveEngine {
     /// about to park (never during the poll phase), and a `true` turns the
     /// wait into [`RuntimeError::Timeout`] naming the slot and the
     /// participants that have not posted.
-    pub fn wait_until(
+    pub(crate) fn wait_until(
         &self,
         key: SlotKey,
         health: &HealthBoard,
@@ -370,7 +374,7 @@ impl CollectiveEngine {
     /// blocks like [`wait_until`](Self::wait_until), then copies the folded
     /// vector into `out` (cleared first) and returns the completion time.
     /// Nothing is allocated when `out` has the capacity.
-    pub fn wait_reduced(
+    pub(crate) fn wait_reduced(
         &self,
         key: SlotKey,
         health: &HealthBoard,
@@ -457,14 +461,14 @@ impl CollectiveEngine {
 
     /// Wake every waiter so they can re-check health (called on failure,
     /// after the failure is on the health board).
-    pub fn interrupt(&self) {
+    pub(crate) fn interrupt(&self) {
         drop(self.table.lock());
         self.signal.notify_all();
     }
 
     /// Drop every slot belonging to an epoch older than `epoch` (called at
     /// the end of a recovery rendezvous so stale collectives cannot leak).
-    pub fn purge_older_than(&self, epoch: u64) {
+    pub(crate) fn purge_older_than(&self, epoch: u64) {
         for slot in &mut self.table.lock().slots {
             if slot
                 .key

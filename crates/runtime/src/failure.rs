@@ -14,7 +14,7 @@ use crate::config::FailureConfig;
 
 /// The failure plan for one rank incarnation.
 #[derive(Debug, Clone)]
-pub struct FailureSchedule {
+pub(crate) struct FailureSchedule {
     enabled: bool,
     /// Deterministic failure times for this rank, sorted ascending, not yet
     /// consumed.
@@ -30,7 +30,12 @@ impl FailureSchedule {
     /// the job-wide failure configuration. Random failure times are drawn
     /// from the provided RNG so they are reproducible per rank and
     /// incarnation.
-    pub fn for_rank(config: &FailureConfig, rank: usize, start: f64, rng: &mut ChaCha8Rng) -> Self {
+    pub(crate) fn for_rank(
+        config: &FailureConfig,
+        rank: usize,
+        start: f64,
+        rng: &mut ChaCha8Rng,
+    ) -> Self {
         if !config.enabled {
             return Self {
                 enabled: false,
@@ -57,7 +62,7 @@ impl FailureSchedule {
 
     /// Should the rank fail now, given its current virtual time? If so,
     /// returns the virtual time of the triggering event and consumes it.
-    pub fn due(&mut self, now: f64, rng: &mut ChaCha8Rng) -> Option<f64> {
+    pub(crate) fn due(&mut self, now: f64, rng: &mut ChaCha8Rng) -> Option<f64> {
         if !self.enabled {
             return None;
         }
@@ -79,7 +84,7 @@ impl FailureSchedule {
     }
 
     /// Whether failure injection is active for this rank.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 }

@@ -48,7 +48,7 @@ struct HealthState {
 /// the dead rank marked dead, and every method that reads them under the
 /// lock sees one consistent failure.
 #[derive(Debug)]
-pub struct HealthBoard {
+pub(crate) struct HealthBoard {
     state: Mutex<HealthState>,
     alive: Vec<AtomicBool>,
     /// Number of failures observed so far; doubles as the current generation.
@@ -59,9 +59,18 @@ pub struct HealthBoard {
     size: usize,
 }
 
+/// What only the unit tests use.
+#[cfg(test)]
+impl HealthBoard {
+    /// The configured failure policy.
+    pub(crate) fn policy(&self) -> FailurePolicy {
+        self.policy
+    }
+}
+
 impl HealthBoard {
     /// Create a health board for `size` ranks under the given failure policy.
-    pub fn new(size: usize, policy: FailurePolicy) -> Self {
+    pub(crate) fn new(size: usize, policy: FailurePolicy) -> Self {
         Self {
             state: Mutex::new(HealthState {
                 incarnation: vec![0; size],
@@ -77,16 +86,6 @@ impl HealthBoard {
         }
     }
 
-    /// Number of ranks in the job.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The configured failure policy.
-    pub fn policy(&self) -> FailurePolicy {
-        self.policy
-    }
-
     /// Record the failure of `rank` (incarnation `incarnation`) at time
     /// `time` on that rank's clock. Returns the generation assigned to the
     /// event.
@@ -94,7 +93,7 @@ impl HealthBoard {
     /// Under [`FailurePolicy::AbortJob`] this also marks the job aborted;
     /// under the resilient policies it revokes the communicator so pending
     /// operations are interrupted and survivors learn about the failure.
-    pub fn record_failure(&self, rank: usize, incarnation: u64, time: f64) -> u64 {
+    pub(crate) fn record_failure(&self, rank: usize, incarnation: u64, time: f64) -> u64 {
         let mut s = self.state.lock();
         let generation = self.generation.load(Ordering::Relaxed) + 1;
         if let Some(alive) = self.alive.get(rank) {
@@ -116,7 +115,7 @@ impl HealthBoard {
 
     /// Mark `rank` alive again with a new incarnation number (replacement
     /// spawned). Returns the new incarnation.
-    pub fn record_replacement(&self, rank: usize) -> u64 {
+    pub(crate) fn record_replacement(&self, rank: usize) -> u64 {
         let mut s = self.state.lock();
         match self.alive.get(rank) {
             Some(alive) => {
@@ -132,7 +131,7 @@ impl HealthBoard {
     /// revoked flag. Returns the new epoch. Idempotent per generation: the
     /// caller passes the generation it recovered from, and the epoch is only
     /// bumped if it has not already been bumped for that generation.
-    pub fn complete_recovery(&self, generation: u64) -> u64 {
+    pub(crate) fn complete_recovery(&self, generation: u64) -> u64 {
         let mut s = self.state.lock();
         if s.epoch < generation {
             s.epoch = generation;
@@ -142,12 +141,12 @@ impl HealthBoard {
     }
 
     /// Current communication epoch.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.state.lock().epoch
     }
 
     /// Current failure generation (number of failures so far).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         // Under the lock, so a caller that just saw a rank dead through the
         // lock-free `is_alive` gets the generation that death was assigned.
         let _s = self.state.lock();
@@ -155,14 +154,14 @@ impl HealthBoard {
     }
 
     /// Is the given rank currently alive? Lock-free.
-    pub fn is_alive(&self, rank: usize) -> bool {
+    pub(crate) fn is_alive(&self, rank: usize) -> bool {
         self.alive
             .get(rank)
             .is_some_and(|alive| alive.load(Ordering::Acquire))
     }
 
     /// Ranks currently alive, in ascending order.
-    pub fn alive_ranks(&self) -> Vec<usize> {
+    pub(crate) fn alive_ranks(&self) -> Vec<usize> {
         let _s = self.state.lock();
         (0..self.size)
             .filter(|&r| self.alive[r].load(Ordering::Relaxed))
@@ -170,7 +169,7 @@ impl HealthBoard {
     }
 
     /// Ranks that have ever failed (deduplicated, ascending).
-    pub fn failed_ranks(&self) -> Vec<usize> {
+    pub(crate) fn failed_ranks(&self) -> Vec<usize> {
         let s = self.state.lock();
         let mut out: Vec<usize> = s.events.iter().map(|e| e.rank).collect();
         out.sort_unstable();
@@ -179,30 +178,24 @@ impl HealthBoard {
     }
 
     /// Has the job been aborted?
-    pub fn is_aborted(&self) -> bool {
+    pub(crate) fn is_aborted(&self) -> bool {
         self.aborted.load(Ordering::Acquire)
     }
 
     /// Abort the job explicitly (used by drivers that decide to give up).
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         let _s = self.state.lock();
         self.aborted.store(true, Ordering::Release);
     }
 
     /// Total number of failure events recorded.
-    pub fn failure_count(&self) -> usize {
+    pub(crate) fn failure_count(&self) -> usize {
         self.state.lock().events.len()
     }
 
     /// Copy of the failure-event log.
-    pub fn events(&self) -> Vec<FailureEvent> {
+    pub(crate) fn events(&self) -> Vec<FailureEvent> {
         self.state.lock().events.clone()
-    }
-
-    /// Current incarnation number of `rank`.
-    pub fn incarnation(&self, rank: usize) -> u64 {
-        let s = self.state.lock();
-        s.incarnation.get(rank).copied().unwrap_or(0)
     }
 
     /// Health check used by communication operations of the rank that has
@@ -216,7 +209,7 @@ impl HealthBoard {
     ///
     /// Lock-free: a rank blocked in a collective or a receive calls this on
     /// every poll round.
-    pub fn check(&self, acked_generation: u64) -> Result<()> {
+    pub(crate) fn check(&self, acked_generation: u64) -> Result<()> {
         if self.aborted.load(Ordering::Acquire) {
             return Err(RuntimeError::JobAborted {
                 generation: self.generation.load(Ordering::Acquire),
@@ -314,7 +307,7 @@ mod tests {
         let ev = h.events();
         assert_eq!(ev.len(), 2);
         assert_eq!(ev[1].incarnation, 1);
-        assert_eq!(h.incarnation(1), 1);
+        assert_eq!(h.state.lock().incarnation[1], 1);
     }
 
     #[test]

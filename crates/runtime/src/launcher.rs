@@ -16,7 +16,7 @@ use crate::config::{CostModel, FailurePolicy, RuntimeConfig};
 use crate::error::{Result, RuntimeError};
 use crate::health::FailureEvent;
 use crate::persistent::StableStore;
-use crate::stats::{JobStats, RankStats};
+use crate::stats::RankStats;
 use crate::world::World;
 
 /// Upper bound on replacement incarnations per rank, as a safety net against
@@ -42,14 +42,15 @@ pub struct JobResult<R> {
     /// True if the job was aborted (AbortJob policy and a failure occurred,
     /// or a rank called abort).
     pub aborted: bool,
-    /// Aggregated job statistics.
-    pub job: JobStats,
 }
 
 impl<R> JobResult<R> {
     /// Maximum final time over all final incarnations (the job makespan).
     pub fn makespan(&self) -> f64 {
-        self.job.makespan
+        self.stats
+            .iter()
+            .map(|s| s.virtual_time)
+            .fold(0.0, f64::max)
     }
 
     /// True if every rank completed with an `Ok` result.
@@ -235,7 +236,6 @@ where
     let aborted = world.health.is_aborted();
     let mut all_stats = world.lost_stats.lock().clone();
     all_stats.extend(final_stats.iter().cloned());
-    let job = JobStats::aggregate(&final_stats, failures.len());
     JobResult {
         results,
         errors,
@@ -243,7 +243,6 @@ where
         all_stats,
         failures,
         aborted,
-        job,
     }
 }
 
@@ -449,7 +448,7 @@ mod tests {
                 }
                 Ok(comm.now())
             });
-            r.job.makespan
+            r.makespan()
         };
         let t_quiet = run(&quiet);
         let t_noisy = run(&noisy);
@@ -508,11 +507,41 @@ mod tests {
             Ok(())
         });
         assert!(r.all_ok());
-        assert_eq!(r.job.total_messages, 3);
-        assert_eq!(r.job.total_bytes, 48);
-        assert_eq!(r.job.total_collectives, 3);
-        assert!(r.job.makespan >= 1.0);
-        assert!(r.job.mean_virtual_time > 0.0);
+        assert_eq!(r.stats.iter().map(|s| s.messages_sent).sum::<u64>(), 3);
+        assert_eq!(r.stats.iter().map(|s| s.bytes_sent).sum::<u64>(), 48);
+        assert_eq!(r.stats.iter().map(|s| s.collectives).sum::<u64>(), 3);
+        assert!(r.makespan() >= 1.0);
+        assert!(r.stats.iter().map(|s| s.virtual_time).sum::<f64>() > 0.0);
+    }
+
+    /// A finished job whose final incarnations ended at `times`.
+    fn job_ending_at(times: &[f64]) -> JobResult<()> {
+        let stats = times
+            .iter()
+            .enumerate()
+            .map(|(rank, &virtual_time)| RankStats {
+                rank,
+                virtual_time,
+                ..RankStats::default()
+            });
+        JobResult {
+            results: Vec::new(),
+            errors: Vec::new(),
+            stats: stats.collect(),
+            all_stats: Vec::new(),
+            failures: Vec::new(),
+            aborted: false,
+        }
+    }
+
+    #[test]
+    fn makespan_is_the_slowest_rank() {
+        assert_eq!(job_ending_at(&[10.0, 12.0, 8.0]).makespan(), 12.0);
+    }
+
+    #[test]
+    fn makespan_of_no_ranks_is_zero() {
+        assert_eq!(job_ending_at(&[]).makespan(), 0.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! Ranks are OS threads; messages travel over in-process mailboxes. There is
 //! **one communicator, [`Comm<K>`](Comm), under two clocks**: the
-//! communicator, the job's shared [`World`](world::World), the launcher
+//! communicator, the job's shared `World`, the launcher
 //! loop, the collectives, the recovery protocol and the [`CommBackend`] impl
 //! the kernels consume are written once, generic over a [`RankClock`] that
 //! answers the only questions on which the backends differ:
@@ -58,44 +58,40 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod clock;
-pub mod collective;
-pub mod comm;
-pub mod config;
-pub mod engine;
-pub mod error;
-pub mod failure;
-pub mod health;
-pub mod launcher;
-pub mod mailbox;
-pub mod message;
-pub mod neighborhood;
-pub mod noise;
-pub mod nonblocking;
-pub mod persistent;
-pub mod stats;
-pub mod threads;
-pub mod topology;
-pub mod ulfm;
-pub mod world;
+mod backend;
+mod clock;
+mod collective;
+mod comm;
+mod config;
+mod engine;
+mod error;
+mod failure;
+mod health;
+mod launcher;
+mod mailbox;
+mod message;
+mod neighborhood;
+mod noise;
+mod nonblocking;
+mod persistent;
+mod stats;
+mod threads;
+mod topology;
+mod ulfm;
+mod world;
 
 pub use backend::CommBackend;
 pub use clock::{RankClock, VirtualClock};
 pub use collective::ReduceOp;
-pub use comm::{Comm, RankKilled};
-pub use config::{
-    FailureConfig, FailurePolicy, LatencyModel, NoiseConfig, NoiseDistribution, RuntimeConfig,
-};
+pub use comm::Comm;
+pub use config::{FailureConfig, FailurePolicy, LatencyModel, NoiseConfig, RuntimeConfig};
 pub use error::{Result, RuntimeError};
 pub use health::FailureEvent;
 pub use launcher::{JobResult, Runtime};
-pub use message::{ANY_SOURCE, ANY_TAG};
-pub use nonblocking::{CollectiveOutcome, PendingCollective};
-pub use persistent::{PersistentStore, StableStore, Stored};
-pub use stats::{JobStats, RankStats};
+pub use persistent::{StableStore, Stored};
+pub use stats::RankStats;
 pub use threads::{
-    DeathContext, DeathInjector, ThreadComm, ThreadConfig, ThreadPending, ThreadRuntime, WallClock,
+    DeathContext, DeathInjector, ThreadComm, ThreadConfig, ThreadRuntime, WallClock,
 };
 pub use topology::{BlockDistribution, CartTopology};
 pub use ulfm::{RecoveryInfo, ShrinkInfo};

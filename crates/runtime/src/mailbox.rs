@@ -21,7 +21,7 @@ use std::time::Duration;
 use crate::message::Message;
 
 /// Outcome of a single poll of the mailbox.
-pub enum PollOutcome {
+pub(crate) enum PollOutcome {
     /// A matching message was found and removed.
     Found(Message),
     /// No matching message is currently queued.
@@ -45,7 +45,7 @@ impl Queue {
 
 /// A mailbox holding undelivered messages for one rank.
 #[derive(Default)]
-pub struct Mailbox {
+pub(crate) struct Mailbox {
     queue: Mutex<Queue>,
     signal: Condvar,
     /// Deposits plus interrupts so far. Bumped under the queue lock.
@@ -57,15 +57,10 @@ pub struct Mailbox {
 }
 
 impl Mailbox {
-    /// Create an empty mailbox whose receiver parks at once.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Create an empty mailbox whose receiver watches the event counter for
     /// up to `rounds` rounds before parking (see
     /// [`POLL_ROUNDS`](crate::engine::POLL_ROUNDS)).
-    pub fn with_poll_rounds(rounds: u32) -> Self {
+    pub(crate) fn with_poll_rounds(rounds: u32) -> Self {
         Self {
             poll_rounds: rounds,
             ..Self::default()
@@ -73,7 +68,7 @@ impl Mailbox {
     }
 
     /// Deposit a message and wake the receiver if it is parked.
-    pub fn deposit(&self, msg: Message) {
+    pub(crate) fn deposit(&self, msg: Message) {
         let mut q = self.queue.lock();
         q.messages.push(msg);
         self.events.fetch_add(1, Ordering::Release);
@@ -91,7 +86,7 @@ impl Mailbox {
     /// an older one: they belong to a communication epoch that ended with a
     /// recovery rendezvous and must not satisfy post-recovery receives (nor
     /// pile up across many recoveries).
-    pub fn poll(&self, source: usize, tag: i32, epoch: u64) -> PollOutcome {
+    pub(crate) fn poll(&self, source: usize, tag: i32, epoch: u64) -> PollOutcome {
         let mut q = self.queue.lock();
         if epoch > q.purged_below {
             q.purge_older_than(epoch);
@@ -108,7 +103,7 @@ impl Mailbox {
 
     /// The event counter: read it *before* polling and hand it to
     /// [`wait_since`](Self::wait_since).
-    pub fn ticket(&self) -> u64 {
+    pub(crate) fn ticket(&self) -> u64 {
         self.events.load(Ordering::Acquire)
     }
 
@@ -116,7 +111,7 @@ impl Mailbox {
     /// `ticket` was read (returns `true`), or `timeout` elapses once parked
     /// (`false`). The caller re-polls afterwards; this is a pure wakeup
     /// mechanism and makes no promise about which message arrived.
-    pub fn wait_since(&self, ticket: u64, timeout: Duration) -> bool {
+    pub(crate) fn wait_since(&self, ticket: u64, timeout: Duration) -> bool {
         for _ in 0..self.poll_rounds {
             if self.ticket() != ticket {
                 return true;
@@ -132,33 +127,17 @@ impl Mailbox {
         self.ticket() != ticket
     }
 
-    /// [`wait_since`](Self::wait_since) from now: anything deposited before
-    /// the call is not waited for.
-    pub fn wait(&self, timeout: Duration) {
-        self.wait_since(self.ticket(), timeout);
-    }
-
     /// Wake the receiver without depositing a message (used when a failure
     /// or revocation must interrupt a blocked receive).
-    pub fn interrupt(&self) {
+    pub(crate) fn interrupt(&self) {
         let q = self.queue.lock();
         self.events.fetch_add(1, Ordering::Release);
         drop(q);
         self.signal.notify_all();
     }
 
-    /// Number of queued messages (diagnostics / tests).
-    pub fn len(&self) -> usize {
-        self.queue.lock().messages.len()
-    }
-
-    /// True if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Discard every queued message from an epoch earlier than `epoch`.
-    pub fn purge_older_than(&self, epoch: u64) {
+    pub(crate) fn purge_older_than(&self, epoch: u64) {
         self.queue.lock().purge_older_than(epoch);
     }
 }
@@ -166,35 +145,34 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Payload, ANY_SOURCE, ANY_TAG};
+    use crate::message::{ANY_SOURCE, ANY_TAG};
     use std::sync::Arc;
     use std::thread;
 
     fn msg(source: usize, tag: i32, epoch: u64, val: f64) -> Message {
         Message {
             source,
-            dest: 0,
             tag,
             epoch,
             sent_at: 0.0,
-            payload: Payload::F64(vec![val]),
+            payload: vec![val],
         }
     }
 
     #[test]
     fn deposit_then_poll() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         mb.deposit(msg(1, 5, 0, 1.0));
         match mb.poll(1, 5, 0) {
-            PollOutcome::Found(m) => assert_eq!(m.payload, Payload::F64(vec![1.0])),
+            PollOutcome::Found(m) => assert_eq!(m.payload, vec![1.0]),
             PollOutcome::Empty => panic!("expected a message"),
         }
-        assert!(mb.is_empty());
+        assert!(mb.queue.lock().messages.is_empty());
     }
 
     #[test]
     fn poll_respects_source_and_tag() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         mb.deposit(msg(1, 5, 0, 1.0));
         assert!(matches!(mb.poll(2, 5, 0), PollOutcome::Empty));
         assert!(matches!(mb.poll(1, 6, 0), PollOutcome::Empty));
@@ -206,16 +184,16 @@ mod tests {
 
     #[test]
     fn fifo_within_matches() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         mb.deposit(msg(1, 5, 0, 1.0));
         mb.deposit(msg(1, 5, 0, 2.0));
         if let PollOutcome::Found(m) = mb.poll(1, 5, 0) {
-            assert_eq!(m.payload, Payload::F64(vec![1.0]));
+            assert_eq!(m.payload, vec![1.0]);
         } else {
             panic!();
         }
         if let PollOutcome::Found(m) = mb.poll(1, 5, 0) {
-            assert_eq!(m.payload, Payload::F64(vec![2.0]));
+            assert_eq!(m.payload, vec![2.0]);
         } else {
             panic!();
         }
@@ -223,38 +201,38 @@ mod tests {
 
     #[test]
     fn stale_epochs_are_dropped() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         mb.deposit(msg(1, 5, 0, 1.0));
         mb.deposit(msg(1, 5, 1, 2.0));
         // Polling at epoch 1 must not return the epoch-0 message, and must
         // discard it.
         if let PollOutcome::Found(m) = mb.poll(1, 5, 1) {
-            assert_eq!(m.payload, Payload::F64(vec![2.0]));
+            assert_eq!(m.payload, vec![2.0]);
         } else {
             panic!();
         }
-        assert!(mb.is_empty());
+        assert!(mb.queue.lock().messages.is_empty());
     }
 
     #[test]
     fn purge_removes_old_epochs_only() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         mb.deposit(msg(0, 0, 0, 1.0));
         mb.deposit(msg(0, 0, 3, 2.0));
         mb.purge_older_than(2);
-        assert_eq!(mb.len(), 1);
+        assert_eq!(mb.queue.lock().messages.len(), 1);
     }
 
     #[test]
     fn waiters_are_woken_by_deposit() {
-        let mb = Arc::new(Mailbox::new());
+        let mb = Arc::new(Mailbox::default());
         let mb2 = Arc::clone(&mb);
         let handle = thread::spawn(move || {
             for _ in 0..200 {
                 if let PollOutcome::Found(m) = mb2.poll(ANY_SOURCE, ANY_TAG, 0) {
-                    return m.payload.into_f64().unwrap()[0];
+                    return m.payload[0];
                 }
-                mb2.wait(Duration::from_millis(10));
+                mb2.wait_since(mb2.ticket(), Duration::from_millis(10));
             }
             panic!("never received");
         });
@@ -265,21 +243,21 @@ mod tests {
 
     #[test]
     fn interrupt_wakes_without_message() {
-        let mb = Arc::new(Mailbox::new());
+        let mb = Arc::new(Mailbox::default());
         let mb2 = Arc::clone(&mb);
         let handle = thread::spawn(move || {
-            mb2.wait(Duration::from_secs(5));
+            mb2.wait_since(mb2.ticket(), Duration::from_secs(5));
             true
         });
         thread::sleep(Duration::from_millis(20));
         mb.interrupt();
         assert!(handle.join().unwrap());
-        assert!(mb.is_empty());
+        assert!(mb.queue.lock().messages.is_empty());
     }
 
     #[test]
     fn message_deposited_between_poll_and_park_is_not_slept_through() {
-        for mb in [Mailbox::new(), Mailbox::with_poll_rounds(100)] {
+        for mb in [Mailbox::default(), Mailbox::with_poll_rounds(100)] {
             let ticket = mb.ticket();
             assert!(matches!(mb.poll(1, 5, 0), PollOutcome::Empty));
             mb.deposit(msg(1, 5, 0, 7.0));
@@ -291,7 +269,7 @@ mod tests {
 
     #[test]
     fn interrupt_between_poll_and_park_is_not_slept_through() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         let ticket = mb.ticket();
         mb.interrupt();
         assert!(mb.wait_since(ticket, Duration::from_secs(60)));
@@ -305,23 +283,23 @@ mod tests {
 
     #[test]
     fn first_poll_of_a_new_epoch_drops_every_stale_message() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         mb.deposit(msg(1, 5, 0, 1.0));
         mb.deposit(msg(2, 6, 0, 2.0));
         // Same epoch: an unmatched poll leaves the queue alone.
         assert!(matches!(mb.poll(3, 7, 0), PollOutcome::Empty));
-        assert_eq!(mb.len(), 2);
+        assert_eq!(mb.queue.lock().messages.len(), 2);
         // New epoch: nothing matches, and the stale messages are gone.
         assert!(matches!(
             mb.poll(ANY_SOURCE, ANY_TAG, 1),
             PollOutcome::Empty
         ));
-        assert!(mb.is_empty());
+        assert!(mb.queue.lock().messages.is_empty());
         // A straggler from the old epoch can never satisfy a receive.
         mb.deposit(msg(1, 5, 0, 3.0));
         assert!(matches!(mb.poll(1, 5, 1), PollOutcome::Empty));
         mb.purge_older_than(1);
-        assert!(mb.is_empty());
+        assert!(mb.queue.lock().messages.is_empty());
     }
 
     #[test]
@@ -331,7 +309,7 @@ mod tests {
         let receiver = thread::spawn(move || loop {
             let ticket = mb2.ticket();
             if let PollOutcome::Found(m) = mb2.poll(3, 9, 0) {
-                return m.payload.into_f64().unwrap()[0];
+                return m.payload[0];
             }
             mb2.wait_since(ticket, Duration::from_secs(60));
         });

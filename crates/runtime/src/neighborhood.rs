@@ -27,7 +27,7 @@ const _: () = assert!(HALO_TAG_BASE.checked_add(1_000_000).is_some());
 
 /// `(from_left, from_right)` halo values returned by
 /// [`Comm::exchange_boundaries_1d`]; `None` at a non-periodic boundary.
-pub type BoundaryPair = (Option<Vec<f64>>, Option<Vec<f64>>);
+pub(crate) type BoundaryPair = (Option<Vec<f64>>, Option<Vec<f64>>);
 
 impl<K: RankClock> Comm<K> {
     /// Halo exchange on a Cartesian topology: sends `sends[i]` to the `i`-th

@@ -15,7 +15,7 @@ use crate::config::{NoiseConfig, NoiseDistribution};
 
 /// Stateful per-rank noise generator.
 #[derive(Debug, Clone)]
-pub struct NoiseModel {
+pub(crate) struct NoiseModel {
     config: NoiseConfig,
     /// Number of events injected so far.
     events: u64,
@@ -23,7 +23,7 @@ pub struct NoiseModel {
 
 impl NoiseModel {
     /// Create a noise model from a configuration.
-    pub fn new(config: NoiseConfig) -> Self {
+    pub(crate) fn new(config: NoiseConfig) -> Self {
         Self { config, events: 0 }
     }
 
@@ -33,7 +33,7 @@ impl NoiseModel {
     /// The number of events in the interval is Poisson with mean
     /// `rate_hz * dt`; each event's duration follows the configured
     /// distribution. Returns `0.0` when noise is disabled.
-    pub fn sample(&mut self, dt: f64, rng: &mut ChaCha8Rng) -> f64 {
+    pub(crate) fn sample(&mut self, dt: f64, rng: &mut ChaCha8Rng) -> f64 {
         if !self.config.enabled || dt <= 0.0 || self.config.rate_hz <= 0.0 {
             return 0.0;
         }
@@ -66,16 +66,6 @@ impl NoiseModel {
         }
         self.events += n;
         extra
-    }
-
-    /// Total number of noise events injected so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// The underlying configuration.
-    pub fn config(&self) -> &NoiseConfig {
-        &self.config
     }
 }
 
@@ -129,7 +119,7 @@ mod tests {
         let mut m = NoiseModel::new(NoiseConfig::off());
         let mut r = rng(1);
         assert_eq!(m.sample(10.0, &mut r), 0.0);
-        assert_eq!(m.events(), 0);
+        assert_eq!(m.events, 0);
     }
 
     #[test]
@@ -145,8 +135,8 @@ mod tests {
         let mut m = NoiseModel::new(NoiseConfig::fixed(1000.0, 0.5));
         let mut r = rng(7);
         let extra = m.sample(1.0, &mut r);
-        assert!(m.events() > 0);
-        assert!((extra - 0.5 * m.events() as f64).abs() < 1e-9);
+        assert!(m.events > 0);
+        assert!((extra - 0.5 * m.events as f64).abs() < 1e-9);
     }
 
     #[test]
@@ -200,7 +190,7 @@ mod tests {
         let mut m = NoiseModel::new(cfg);
         let mut r = rng(13);
         let extra = m.sample(5.0, &mut r);
-        let events = m.events() as f64;
+        let events = m.events as f64;
         assert!(extra >= 0.001 * events - 1e-12);
         assert!(extra <= 0.002 * events + 1e-12);
     }

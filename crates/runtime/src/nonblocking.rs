@@ -89,8 +89,7 @@ impl<K: RankClock> Comm<K> {
         self.post_nonblocking(&[], 0, PendingKind::Barrier)
     }
 
-    /// Complete a nonblocking reduction: see
-    /// [`PendingCollective::wait_vector`].
+    /// Complete a nonblocking reduction: see `PendingCollective::wait_vector`.
     pub fn wait_vector(&mut self, pending: PendingCollective) -> Result<Vec<f64>> {
         pending.wait_vector(self)
     }

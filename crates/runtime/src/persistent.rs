@@ -127,32 +127,27 @@ impl From<Vec<u8>> for Stored {
 
 /// Per-rank persistent storage surviving rank failure.
 #[derive(Debug)]
-pub struct PersistentStore {
+pub(crate) struct PersistentStore {
     partitions: Vec<RwLock<HashMap<String, Stored>>>,
 }
 
 impl PersistentStore {
     /// Create a store with one partition per rank.
-    pub fn new(size: usize) -> Self {
+    pub(crate) fn new(size: usize) -> Self {
         Self {
             partitions: (0..size).map(|_| RwLock::new(HashMap::new())).collect(),
         }
     }
 
-    /// Number of rank partitions.
-    pub fn size(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Store `value` under `key` in `rank`'s partition.
-    pub fn put(&self, rank: usize, key: &str, value: Stored) -> Result<()> {
+    pub(crate) fn put(&self, rank: usize, key: &str, value: Stored) -> Result<()> {
         let part = self.partition(rank)?;
         part.write().insert(key.to_string(), value);
         Ok(())
     }
 
     /// Fetch a copy of the value stored under `key` in `rank`'s partition.
-    pub fn get(&self, rank: usize, key: &str) -> Result<Stored> {
+    pub(crate) fn get(&self, rank: usize, key: &str) -> Result<Stored> {
         let part = self.partition(rank)?;
         part.read()
             .get(key)
@@ -164,37 +159,17 @@ impl PersistentStore {
     }
 
     /// Does `rank`'s partition contain `key`?
-    pub fn contains(&self, rank: usize, key: &str) -> bool {
+    pub(crate) fn contains(&self, rank: usize, key: &str) -> bool {
         self.partition(rank)
             .map(|p| p.read().contains_key(key))
             .unwrap_or(false)
     }
 
     /// Remove `key` from `rank`'s partition, returning the previous value.
-    pub fn remove(&self, rank: usize, key: &str) -> Option<Stored> {
+    pub(crate) fn remove(&self, rank: usize, key: &str) -> Option<Stored> {
         self.partition(rank)
             .ok()
             .and_then(|p| p.write().remove(key))
-    }
-
-    /// Keys stored for `rank`, sorted.
-    pub fn keys(&self, rank: usize) -> Vec<String> {
-        match self.partition(rank) {
-            Ok(p) => {
-                let mut k: Vec<String> = p.read().keys().cloned().collect();
-                k.sort();
-                k
-            }
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Clear every partition (used between job restarts, since node-local
-    /// persistent memory does not survive a full job teardown in this model).
-    pub fn clear(&self) {
-        for p in &self.partitions {
-            p.write().clear();
-        }
     }
 
     fn partition(&self, rank: usize) -> Result<&RwLock<HashMap<String, Stored>>> {
@@ -202,6 +177,22 @@ impl PersistentStore {
             rank,
             size: self.partitions.len(),
         })
+    }
+}
+
+/// What only the unit tests use.
+#[cfg(test)]
+impl PersistentStore {
+    /// Number of rank partitions.
+    pub(crate) fn size(&self) -> usize {
+        self.partitions.len()
+    }
+
+    /// Clear every partition.
+    pub(crate) fn clear(&self) {
+        for p in &self.partitions {
+            p.write().clear();
+        }
     }
 }
 
@@ -289,7 +280,8 @@ mod tests {
         assert_eq!(store.get(2, "state").unwrap(), Stored::F64(vec![1.0, 2.0]));
         assert!(store.contains(2, "state"));
         assert!(!store.contains(1, "state"));
-        assert_eq!(store.keys(2), vec!["state".to_string()]);
+        let keys: Vec<String> = store.partitions[2].read().keys().cloned().collect();
+        assert_eq!(keys, vec!["state".to_string()]);
     }
 
     #[test]
@@ -307,7 +299,7 @@ mod tests {
         let store = PersistentStore::new(2);
         assert!(store.put(5, "x", 1.0.into()).is_err());
         assert!(store.get(5, "x").is_err());
-        assert!(store.keys(5).is_empty());
+        assert!(store.partitions.get(5).is_none());
     }
 
     #[test]

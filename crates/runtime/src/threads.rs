@@ -31,10 +31,8 @@ use crate::config::{CostModel, FailurePolicy, LatencyModel};
 use crate::engine::POLL_ROUNDS;
 use crate::error::Result;
 use crate::launcher::{run_job, JobResult};
-use crate::nonblocking::PendingCollective;
 use crate::persistent::StableStore;
 use crate::stats::RankStats;
-use crate::world::World;
 
 /// The one bound on every blocking wait under this clock — collective,
 /// recovery rendezvous, shrink agreement, receive. A rank that has been
@@ -296,13 +294,6 @@ impl RankClock for WallClock {
 /// The communicator of a rank thread under wall-clock time.
 pub type ThreadComm = Comm<WallClock>;
 
-/// Handle to an in-flight nonblocking reduction (the same one under either
-/// clock).
-pub type ThreadPending = PendingCollective;
-
-/// Shared state of one job under wall-clock time.
-pub type ThreadWorld = World<WallClock>;
-
 /// The real-threads job launcher: ranks run under [`WallClock`]s.
 ///
 /// ```
@@ -369,6 +360,7 @@ mod tests {
     use crate::collective::ReduceOp;
     use crate::conformance::{instantiate, KillOnceAtCollective, Threaded};
     use crate::error::RuntimeError;
+    use crate::world::World;
 
     impl ThreadRuntime {
         /// Shorten the bound on blocking waits so a test of the timeout path
@@ -380,7 +372,7 @@ mod tests {
 
         /// The shared state of a `size`-rank job, for tests that build
         /// communicators by hand.
-        pub(crate) fn world(&self, size: usize) -> Arc<ThreadWorld> {
+        pub(crate) fn world(&self, size: usize) -> Arc<World<WallClock>> {
             let model = CostModel::from(&self.config);
             World::new(model, self.job(), size, StableStore::new())
         }

@@ -15,7 +15,7 @@ use crate::stats::RankStats;
 /// Shared, reference-counted state of a running job. One `World` is created
 /// per launch and shared by every rank thread (original and replacement
 /// incarnations).
-pub struct World<K: RankClock> {
+pub(crate) struct World<K: RankClock> {
     /// The machine model costs are charged against.
     pub(crate) model: CostModel,
     /// What the ranks' clocks are started from.
@@ -66,7 +66,7 @@ impl<K: RankClock> World<K> {
 
     /// Wake every blocked receiver and collective waiter so they observe a
     /// failure or abort promptly.
-    pub fn interrupt_all(&self) {
+    pub(crate) fn interrupt_all(&self) {
         for mb in &self.mailboxes {
             mb.interrupt();
         }

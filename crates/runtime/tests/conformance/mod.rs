@@ -28,7 +28,7 @@ use crate::error::{Result, RuntimeError};
 use crate::launcher::{JobResult, Runtime};
 use crate::persistent::StableStore;
 use crate::threads::{
-    DeathContext, DeathInjector, ThreadComm, ThreadConfig, ThreadRuntime, ThreadWorld, WallClock,
+    DeathContext, DeathInjector, ThreadComm, ThreadConfig, ThreadRuntime, WallClock,
 };
 use crate::world::World;
 
@@ -53,7 +53,7 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    pub fn of(size: usize) -> Self {
+    pub(crate) fn of(size: usize) -> Self {
         Self {
             size,
             policy: FailurePolicy::ReplaceRank,
@@ -151,7 +151,7 @@ impl Fixture for Threaded {
         runtime.run(job.size, f)
     }
 
-    fn world(size: usize) -> Arc<ThreadWorld> {
+    fn world(size: usize) -> Arc<World<WallClock>> {
         ThreadRuntime::new(ThreadConfig::fast()).world(size)
     }
 }
@@ -360,9 +360,9 @@ pub(crate) fn stats_count_messages_and_collectives<Fx: Fixture>() {
         Ok(())
     });
     assert!(r.all_ok());
-    assert_eq!(r.job.total_messages, 2);
-    assert_eq!(r.job.total_bytes, 32);
-    assert_eq!(r.job.total_collectives, 2);
+    assert_eq!(r.stats.iter().map(|s| s.messages_sent).sum::<u64>(), 2);
+    assert_eq!(r.stats.iter().map(|s| s.bytes_sent).sum::<u64>(), 32);
+    assert_eq!(r.stats.iter().map(|s| s.collectives).sum::<u64>(), 2);
 }
 
 /// Every `charge_flops` is counted in `RankStats::flops`, whatever the clock

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example heat_lflr`
 
-use resilience::lflr::{run_cpr, run_lflr, CprConfig};
+use resilience::prelude::{run_cpr, run_lflr, CprConfig};
 use resilient_pde::{ExplicitHeat, HeatProblem};
 use resilient_runtime::{FailureConfig, FailurePolicy, Runtime, RuntimeConfig};
 use std::sync::Arc;

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: each exercises one of the paper's
 //! programming models end-to-end through the public API of the suite.
 
-use resilience::lflr::{run_cpr, run_lflr, CprConfig};
 use resilience::prelude::*;
+use resilience::prelude::{run_cpr, run_lflr, CprConfig};
 use resilient_linalg::{poisson2d, CsrMatrix};
 use resilient_pde::{ExplicitHeat, HeatProblem};
 use resilient_runtime::{
