@@ -17,7 +17,10 @@
 //! trade is priced, not assumed: on a single rank block-Jacobi is a direct
 //! band solve in disguise (one iteration), and at every rank count the
 //! collapsed iteration counts pay for the local work many times over under
-//! a realistic latency model.
+//! a realistic latency model. Those are the `(kl, ku)` band model's
+//! counts: the LU executes only each row's reach (`≈ 2·n_local·kl·ku` to
+//! factor and a `ku`-long chain per row when no row swaps), and charging
+//! the model instead keeps this table's seconds independent of that trim.
 //!
 //! Pass `--smoke` for a CI-sized run.
 

@@ -2,9 +2,10 @@
 //!
 //! The "millions of users" workload solves many right-hand sides against a
 //! small set of operators, so the dominant repeated cost after the SpMVs is
-//! [`BlockJacobi`] setup: a band LU factorization (`≈ 2·n·kl·(kl+ku)`
-//! FLOPs; `2n³⁄3` when the block has no band to exploit) per rank per
-//! solve. [`SetupCache`] memoizes those local factors keyed by the
+//! [`BlockJacobi`] setup: a band LU factorization per rank per solve,
+//! charged `≈ 2·n·kl·(kl+ku)` FLOPs (`2n³⁄3` when the block has no band to
+//! exploit) and executing `≈ 2·n·kl·ku` when no row swaps, since each
+//! row is updated only to its reach. [`SetupCache`] memoizes those local factors keyed by the
 //! operator's per-rank [`DistCsr::fingerprint`] — a checksum over structure
 //! *and* values, so any drift in the matrix (new nonzeros, updated
 //! coefficients, a different row partition after shrink recovery) misses

@@ -23,9 +23,12 @@
 //!   (`r = b − A·x`, the same rebuild hook policy restarts use), the GMRES
 //!   cycle from the restart iterate, and the [`BlockJacobi`]
 //!   preconditioner locally from [`DistCsr::local_diagonal_block`] — zero
-//!   extra collectives, and a band factorization (`≈ 2·n·kl·(kl+ku)`
-//!   FLOPs; `2n³⁄3` only for a block with no band) that is cheap next to
-//!   the iterations a resume saves.
+//!   extra collectives, and a band factorization (charged
+//!   `≈ 2·n·kl·(kl+ku)` FLOPs, `2n³⁄3` only for a block with no band;
+//!   executing `≈ 2·n·kl·ku` when no row swaps, as each row is updated
+//!   only to its reach) that is cheap next to the iterations a resume
+//!   saves. A replacement rank's factorization is on the critical path of
+//!   its recovery, so that executed work is what the wall clock sees.
 //! * **Proposal.** The newest step that ring holds in this rank's partition
 //!   — for a replacement, the dead incarnation's *inherited* one (the
 //!   kernel-level analogue of

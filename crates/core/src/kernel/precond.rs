@@ -24,9 +24,10 @@
 //!   eight-vector route to the same bits at the general route's charges.
 //! * [`BlockJacobi`] — the distributed workhorse: each rank factors its
 //!   own diagonal block of the [`DistCsr`] once (partial-pivot LU clipped
-//!   to the block's band — `≈ 2·n·kl·(kl+ku)` FLOPs, dense being the
-//!   degenerate `kl = ku = n−1`) and back-substitutes per apply
-//!   (`≈ 2·n·(2kl+ku)`). Both setup and apply are purely local —
+//!   to the block's band and trimmed to each row's reach — charged
+//!   `≈ 2·n·kl·(kl+ku)` FLOPs, dense being the degenerate `kl = ku = n−1`)
+//!   and back-substitutes per apply (charged `≈ 2·n·(2kl+ku)`). Both setup
+//!   and apply are purely local —
 //!   block-Jacobi adds **zero** collectives per iteration, which is exactly
 //!   why it is the preconditioner of choice for the latency-sensitive RBSP
 //!   solvers.
@@ -176,14 +177,23 @@ impl<S: KrylovSpace> SpacePreconditioner<S> for IdentityPrecond {
 ///
 /// The factorization is clipped to the block's band `(kl, ku)`
 /// ([`LuFactors`]; a block without band structure is the degenerate
-/// `kl = ku = n_local − 1`). Each apply charges the multiply–adds it
-/// performs (`≈ 2·n_local·(2kl+ku)` FLOPs) through the space, and the
-/// one-time factorization cost (`≈ 2·n_local·kl·(kl+ku)` FLOPs, as counted
-/// by [`LuFactors::factor_flops`]) is charged through the space at the
+/// `kl = ku = n_local − 1`). Each apply charges the band model's
+/// multiply–adds (`≈ 2·n_local·(2kl+ku)` FLOPs,
+/// [`LuFactors::flops_per_solve`]) through the space, and the one-time
+/// factorization cost (`≈ 2·n_local·kl·(kl+ku)` FLOPs,
+/// [`LuFactors::factor_flops`]) is charged through the space at the
 /// *first* apply — so a solve's virtual time honestly includes setup, while
 /// re-solves with the same instance (multiple right-hand sides, time
 /// stepping) amortize it: the trade the paper's §II-B describes, local work
 /// bought for global synchronization.
+///
+/// The executed work follows each row's reach instead: when no row swaps
+/// (a diagonally dominant block) the factor runs `≈ 2·n_local·kl·ku`
+/// FLOPs and each apply a `ku`-long back-substitution chain per row, not
+/// the `kl + ku` the pivot fill might need. The charges stay the band
+/// model, so virtual time does not depend on whether a pivot happened to
+/// swap; re-deriving them from the executed work is a calibration
+/// question, not this type's.
 #[derive(Debug, Clone)]
 pub struct BlockJacobi {
     /// Shared with the [`SetupCache`](crate::kernel::SetupCache) entry it
