@@ -13,10 +13,16 @@
 //! unpreconditioned recurrence: 13 streams per row instead of 20), and
 //! `block_sweep_identity` (the block kernel's sweep under the identity at
 //! the `block_rhs8` per-rank shape: a `w → mw` copy plus the eight-vector
-//! sweep per column against the six-vector one).
+//! sweep per column against the six-vector one), and `band_lu` (block-
+//! Jacobi's band LU on the per-rank diagonal blocks of the `lflr_kill` and
+//! `bj_pcg` ledger workloads: the factorization, whose working rows are a
+//! `kl + 1`-row window, and one `solve_with` per backend).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use resilient_linalg::{poisson2d, scalar_ops, simd_ops, CgSweep, LocalOps, PcgSweep, SellMatrix};
+use resilient_linalg::{
+    poisson2d, scalar_ops, simd_ops, CgSweep, CooMatrix, CsrMatrix, LocalOps, LuFactors, PcgSweep,
+    SellMatrix,
+};
 use std::time::Duration;
 
 const SIZES: [usize; 3] = [1_000, 100_000, 1_000_000];
@@ -336,12 +342,57 @@ fn bench_spmv_layouts(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rows `0..m` of `a` restricted to columns `0..m`: rank 0's diagonal
+/// block when `a` is split into equal row blocks of `m`.
+fn leading_block(a: &CsrMatrix, m: usize) -> CsrMatrix {
+    let mut coo = CooMatrix::new(m, m);
+    for i in 0..m {
+        let (cols, vals) = a.row(i);
+        for (&j, &v) in cols.iter().zip(vals).filter(|(&j, _)| j < m) {
+            coo.push(i, j, v);
+        }
+    }
+    coo.to_csr()
+}
+
+fn bench_band_lu(c: &mut Criterion) {
+    let mut group = c.benchmark_group("local_ops/band_lu");
+    group
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_millis(800))
+        .sample_size(10);
+    // lflr_kill: poisson2d(68, 68) on 2 ranks, band 68; bj_pcg:
+    // poisson2d(72, 72) on 2 ranks, band 72.
+    for (name, side) in [("lflr_kill", 68usize), ("bj_pcg", 72)] {
+        let m = side * side / 2;
+        let block = leading_block(&poisson2d(side, side), m);
+        let id = format!("factor_csr/{name}");
+        group.bench_with_input(BenchmarkId::new(&id, m), &m, |b, _| {
+            b.iter(|| std::hint::black_box(LuFactors::factor_csr(&block)))
+        });
+        let lu = LuFactors::factor_csr(&block);
+        let rhs: Vec<f64> = (0..m).map(|i| 1.0 + (i % 7) as f64).collect();
+        let mut x = vec![0.0; m];
+        for (backend, ops) in backends() {
+            let id = format!("solve_with/{name}/{backend}");
+            group.bench_with_input(BenchmarkId::new(&id, m), &m, |b, _| {
+                b.iter(|| {
+                    lu.solve_with(ops, &rhs, &mut x);
+                    std::hint::black_box(x[m / 2])
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_level1,
     bench_pcg_sweep,
     bench_cg_sweep,
     bench_block_sweep_identity,
-    bench_spmv_layouts
+    bench_spmv_layouts,
+    bench_band_lu
 );
 criterion_main!(benches);

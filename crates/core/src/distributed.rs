@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use resilient_linalg::LocalOps;
-use resilient_linalg::{CooMatrix, CsrMatrix, SellMatrix};
+use resilient_linalg::{CooMatrix, CsrMatrix, LuFactors, SellMatrix};
 use resilient_runtime::{BlockDistribution, CommBackend, Result, RuntimeError};
 
 /// Tag space used by the SpMV ghost exchange.
@@ -492,10 +492,19 @@ impl DistCsr {
         self.flops
     }
 
-    /// This rank's `n_local × n_local` diagonal block: the locally owned
-    /// rows restricted to the locally owned columns (ghost couplings
-    /// dropped). This is the sub-operator a block-Jacobi preconditioner
-    /// factors — extracting it is purely local, no communication.
+    /// The LU factors of this rank's `n_local × n_local` diagonal block —
+    /// the locally owned rows restricted to the locally owned columns
+    /// (ghost couplings dropped), read straight from the owned rows. This
+    /// is what a block-Jacobi preconditioner applies; factoring it is
+    /// purely local, no communication.
+    pub(crate) fn factor_diagonal_block(&self) -> LuFactors {
+        // Local columns `n_local..` are the ghosts.
+        LuFactors::factor_csr_leading(&self.local, self.n_local)
+    }
+
+    /// This rank's diagonal block as a matrix of its own: what
+    /// [`DistCsr::factor_diagonal_block`] factors, copied out.
+    #[cfg(test)]
     pub(crate) fn local_diagonal_block(&self) -> CsrMatrix {
         let mut coo = CooMatrix::new(self.n_local, self.n_local);
         for i in 0..self.local.nrows() {

@@ -22,13 +22,17 @@
 //!   restored: the CG recurrence vectors from one operator application
 //!   (`r = b − A·x`, the same rebuild hook policy restarts use), the GMRES
 //!   cycle from the restart iterate, and the [`BlockJacobi`]
-//!   preconditioner locally from [`DistCsr::local_diagonal_block`] — zero
-//!   extra collectives, and a band factorization (charged
-//!   `≈ 2·n·kl·(kl+ku)` FLOPs, `2n³⁄3` only for a block with no band;
-//!   executing `≈ 2·n·kl·ku` when no row swaps, as each row is updated
-//!   only to its reach) that is cheap next to the iterations a resume
-//!   saves. A replacement rank's factorization is on the critical path of
-//!   its recovery, so that executed work is what the wall clock sees.
+//!   preconditioner locally from the rank's owned rows of the [`DistCsr`]
+//!   (ghost columns dropped) — zero extra collectives, and a band
+//!   factorization (charged `≈ 2·n·kl·(kl+ku)` FLOPs, `2n³⁄3` only for a
+//!   block with no band; executing `≈ 2·n·kl·ku` when no row swaps, as
+//!   each row is updated only to its reach) that is cheap next to the
+//!   iterations a resume saves. Its working memory is a window of the
+//!   `kl + 1` rows one elimination step touches (113 KB on a 2312-row
+//!   block with `kl = ku = 68`, `n²` only for a block with no band), plus
+//!   the factors it keeps. A replacement rank's factorization is on the
+//!   critical path of its recovery, so that executed work and that memory
+//!   are what the wall clock and the peak RSS see.
 //! * **Proposal.** The newest step that ring holds in this rank's partition
 //!   — for a replacement, the dead incarnation's *inherited* one (the
 //!   kernel-level analogue of

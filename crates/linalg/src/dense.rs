@@ -212,40 +212,134 @@ impl DenseMatrix {
     }
 }
 
-/// Row-wise working storage of the band elimination: row `i` holds columns
-/// `i−kl ..= i+kl+ku` clipped to the matrix — the input band plus the `kl`
-/// super-diagonals of fill that partial pivoting can create. A full matrix
-/// (`kl = ku = n−1`) clips to exactly `n²` entries.
-struct BandRows {
-    n: usize,
-    kl: usize,
-    ku: usize,
-    /// Row `i` is `data[off[i]..off[i + 1]]`.
-    off: Vec<usize>,
-    data: Vec<f64>,
+/// The rows a band LU reads, one at a time: what [`LuFactors::factor`],
+/// [`LuFactors::factor_csr`] and [`LuFactors::factor_csr_leading`] hand the
+/// elimination, which loads each row only when a step first needs it.
+trait LuRows {
+    /// Order of the square matrix factored.
+    fn order(&self) -> usize;
+
+    /// Calls `f(i, j)` for every entry that can hold a nonzero, in any
+    /// order: what the band `(kl, ku)` and each row's first reach come from.
+    fn for_each_entry(&self, f: impl FnMut(usize, usize));
+
+    /// Writes row `i` into `slot`, which is zeroed and holds the row's
+    /// columns `base..` (every entry of the row lies inside it).
+    fn load(&self, i: usize, base: usize, slot: &mut [f64]);
 }
 
-impl BandRows {
-    fn zeros(n: usize, kl: usize, ku: usize) -> Self {
-        let mut off = Vec::with_capacity(n + 1);
-        off.push(0);
-        for i in 0..n {
-            let hi = (i + kl + ku).min(n - 1);
-            off.push(off[i] + hi + 1 - i.saturating_sub(kl));
-        }
-        let data = vec![0.0; off[n]];
-        Self {
-            n,
-            kl,
-            ku,
-            off,
-            data,
+impl LuRows for DenseMatrix {
+    fn order(&self) -> usize {
+        self.nrows
+    }
+
+    fn for_each_entry(&self, mut f: impl FnMut(usize, usize)) {
+        for j in 0..self.ncols {
+            for (i, v) in self.col(j).iter().enumerate() {
+                // Anything but `+0.0` is in the band, so the clipped region
+                // holds only what the skipped updates leave unchanged.
+                if v.to_bits() != 0 {
+                    f(i, j);
+                }
+            }
         }
     }
 
-    /// Position of the in-band element (i, j) in `data`.
-    fn idx(&self, i: usize, j: usize) -> usize {
-        self.off[i] + j - i.saturating_sub(self.kl)
+    fn load(&self, i: usize, base: usize, slot: &mut [f64]) {
+        // Outside the band every entry is `+0.0`, which the slot holds
+        // already; inside it the entry is copied as is, `−0.0` included.
+        for (x, j) in slot.iter_mut().zip(base..self.ncols) {
+            *x = self.get(i, j);
+        }
+    }
+}
+
+/// The leading `n × n` block of a CSR matrix: rows `0..n`, entries in
+/// columns `n..` dropped.
+struct CsrLeading<'a> {
+    a: &'a CsrMatrix,
+    n: usize,
+}
+
+impl LuRows for CsrLeading<'_> {
+    fn order(&self) -> usize {
+        self.n
+    }
+
+    fn for_each_entry(&self, mut f: impl FnMut(usize, usize)) {
+        for i in 0..self.n {
+            for &j in self.a.row(i).0.iter().filter(|&&j| j < self.n) {
+                f(i, j);
+            }
+        }
+    }
+
+    fn load(&self, i: usize, base: usize, slot: &mut [f64]) {
+        let (cols, vals) = self.a.row(i);
+        for (&j, &v) in cols.iter().zip(vals).filter(|(&j, _)| j < self.n) {
+            // Accumulate like `CsrMatrix::to_dense`: duplicates sum. Every
+            // entry is `+=` onto `+0.0`, so no `−0.0` enters the band.
+            slot[j - base] += v;
+        }
+    }
+}
+
+/// Working rows of the band elimination: `min(kl+1, n)` slots, each
+/// `min(2·kl+ku+1, n)` columns wide — the input band plus the `kl`
+/// super-diagonals of fill a row swap can create. Row `i` lives in slot
+/// `i mod (kl+1)` and holds its columns from `i − kl` (clipped to 0). A full
+/// matrix (`kl = ku = n−1`) is the degenerate window of `n` slots of `n`.
+struct BandWindow {
+    kl: usize,
+    slots: usize,
+    stride: usize,
+    data: Vec<f64>,
+}
+
+impl BandWindow {
+    fn zeros(n: usize, kl: usize, ku: usize) -> Self {
+        let slots = (kl + 1).min(n);
+        let stride = (2 * kl + ku + 1).min(n);
+        Self {
+            kl,
+            slots,
+            stride,
+            data: vec![0.0; slots * stride],
+        }
+    }
+
+    /// The slot after `s`: the elimination steps through the slots in
+    /// order instead of taking a remainder per row.
+    fn next(&self, s: usize) -> usize {
+        if s + 1 == self.slots {
+            0
+        } else {
+            s + 1
+        }
+    }
+
+    /// Position of column `j` of row `i`, held in slot `s`, in `data`.
+    fn at(&self, s: usize, i: usize, j: usize) -> usize {
+        s * self.stride + j - i.saturating_sub(self.kl)
+    }
+
+    /// Zero slot `s` and load row `i` of `rows` into it.
+    fn load(&mut self, rows: &impl LuRows, s: usize, i: usize) {
+        let slot = &mut self.data[s * self.stride..(s + 1) * self.stride];
+        slot.fill(0.0);
+        rows.load(i, i.saturating_sub(self.kl), slot);
+    }
+}
+
+/// `len` entries of `data` at `a` and at `b`, two ranges that do not
+/// overlap, in that order whichever lies first.
+fn pair_mut(data: &mut [f64], a: usize, b: usize, len: usize) -> (&mut [f64], &mut [f64]) {
+    if a < b {
+        let (head, tail) = data.split_at_mut(b);
+        (&mut head[a..a + len], &mut tail[..len])
+    } else {
+        let (head, tail) = data.split_at_mut(a);
+        (&mut tail[..len], &mut head[b..b + len])
     }
 }
 
@@ -283,6 +377,15 @@ impl BandRows {
 /// of `L` to `kl` entries — so the solves apply swap `k` just before
 /// eliminating with column `k`.
 ///
+/// Memory: the elimination works in a window of the `kl + 1` rows one step
+/// touches, each `2·kl + ku + 1` wide, instead of the whole band — row
+/// `k + kl` is loaded from the input when step `k` needs it, row `k` packed
+/// into `U` when step `k` ends. On a 2312-row block with `kl = ku = 68`
+/// that is 69 × 205 values (113 KB) where the band was 3.8 MB; a full
+/// matrix still needs `n²`. The factors keep `L` (≤ `kl` per column) and
+/// `U` to each row's reach, in a buffer reserved once at the band model's
+/// count.
+///
 /// Built once, then applied repeatedly through the allocation-free
 /// [`LuFactors::solve_into`] — the shape a block-Jacobi preconditioner
 /// needs: factor the local diagonal block at setup, back-substitute every
@@ -318,30 +421,7 @@ impl LuFactors {
     /// Panics if `a` is not square.
     pub fn factor(a: &DenseMatrix) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "LU requires a square matrix");
-        let n = a.nrows();
-        let (mut kl, mut ku) = (0, 0);
-        // Row `i` reaches at least its diagonal (a unit pivot may land
-        // there) and past its last entry that is not `+0.0`.
-        let mut reach: Vec<usize> = (1..=n).collect();
-        for j in 0..n {
-            for (i, v) in a.col(j).iter().enumerate() {
-                // Anything but `+0.0` is in the band, so the clipped region
-                // holds only what the skipped updates leave unchanged.
-                if v.to_bits() != 0 {
-                    kl = kl.max(i.saturating_sub(j));
-                    ku = ku.max(j.saturating_sub(i));
-                    reach[i] = reach[i].max(j + 1);
-                }
-            }
-        }
-        let mut w = BandRows::zeros(n, kl, ku);
-        for i in 0..n {
-            for j in i.saturating_sub(kl)..(i + ku + 1).min(n) {
-                let at = w.idx(i, j);
-                w.data[at] = a.get(i, j);
-            }
-        }
-        Self::eliminate(w, reach)
+        Self::eliminate(a)
     }
 
     /// Factor a square sparse matrix straight from its rows, taking the
@@ -352,36 +432,45 @@ impl LuFactors {
     /// Panics if `a` is not square.
     pub fn factor_csr(a: &CsrMatrix) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "LU requires a square matrix");
-        let n = a.nrows();
-        let (mut kl, mut ku) = (0, 0);
-        let mut reach: Vec<usize> = (1..=n).collect();
-        for (i, r) in reach.iter_mut().enumerate() {
-            for &j in a.row(i).0 {
-                kl = kl.max(i.saturating_sub(j));
-                ku = ku.max(j.saturating_sub(i));
-                *r = (*r).max(j + 1);
-            }
-        }
-        let mut w = BandRows::zeros(n, kl, ku);
-        for i in 0..n {
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                // Accumulate like `CsrMatrix::to_dense`: duplicates sum.
-                // Every entry is `+=` onto `+0.0`, so no `−0.0` enters the
-                // band.
-                let at = w.idx(i, j);
-                w.data[at] += v;
-            }
-        }
-        Self::eliminate(w, reach)
+        Self::factor_csr_leading(a, a.nrows())
+    }
+
+    /// Factor the leading `n × n` block of `a` — rows `0..n`, every entry
+    /// in a column `≥ n` dropped — straight from `a`'s rows: a distributed
+    /// matrix's diagonal block without copying it out of the owned rows.
+    ///
+    /// # Panics
+    /// Panics if `a` has fewer than `n` rows.
+    pub fn factor_csr_leading(a: &CsrMatrix, n: usize) -> Self {
+        assert!(n <= a.nrows(), "LU block larger than the matrix");
+        Self::eliminate(&CsrLeading { a, n })
     }
 
     /// Partial-pivot Gaussian elimination inside the band, each row updated
     /// only up to the pivot row's reach (`reach[i]`: one past the last
     /// column of row `i` that can hold a nonzero, and at least `i + 1`;
     /// everything beyond it is `+0.0`).
-    fn eliminate(mut w: BandRows, mut reach: Vec<usize>) -> Self {
-        let (n, kl, ku) = (w.n, w.kl, w.ku);
+    ///
+    /// Step `k` touches only rows `k..=k+kl`, so the working rows are a
+    /// [`BandWindow`] of `kl + 1` slots: step `k` loads row `k + kl` into
+    /// the slot row `k − 1` left, and packs row `k` into `U` when it ends —
+    /// no later step touches that row, so its reach is final.
+    fn eliminate(rows: &impl LuRows) -> Self {
+        let n = rows.order();
+        let (mut kl, mut ku) = (0, 0);
+        // Row `i` reaches at least its diagonal (a unit pivot may land
+        // there) and past its last entry.
+        let mut reach: Vec<usize> = (1..=n).collect();
+        rows.for_each_entry(|i, j| {
+            kl = kl.max(i.saturating_sub(j));
+            ku = ku.max(j.saturating_sub(i));
+            reach[i] = reach[i].max(j + 1);
+        });
+        let mut w = BandWindow::zeros(n, kl, ku);
+        // Rows 0..kl; step k loads row k + kl itself.
+        for i in 0..kl.min(n) {
+            w.load(rows, i, i);
+        }
         // The row update is `solve_with`'s forward-sweep `axpy`: unfused
         // multiply then add on every backend, and `(−m)·u ≡ −(m·u)`.
         let ops = auto_ops();
@@ -389,29 +478,44 @@ impl LuFactors {
         let mut l_cols = Vec::with_capacity((0..n).map(|j| kl.min(n - 1 - j)).sum());
         let mut l_off = Vec::with_capacity(n + 1);
         l_off.push(0);
+        // The band model's `U`: no reach passes `i + kl + ku + 1`, so `U`
+        // fills this without regrowing.
+        let band_u: usize = (0..n).map(|i| (kl + ku).min(n - 1 - i) + 1).sum();
+        let mut u_rows = Vec::with_capacity(band_u);
+        let mut u_off = Vec::with_capacity(n + 1);
+        u_off.push(0);
         let mut factor_flops = 0;
+        // Slots of row k and of row k + kl (the slot row k − 1 left).
+        let (mut slot_k, mut slot_in) = (0, w.slots.saturating_sub(1));
         for (k, pivot_slot) in pivots.iter_mut().enumerate() {
+            if k + kl < n {
+                w.load(rows, slot_in, k + kl);
+            }
             let last_row = (k + kl).min(n - 1);
             // Rows k..=last_row, each from column k to the last one any of
-            // them reaches: `width` entries starting at `w.idx(i, k)`.
+            // them reaches: `width` entries starting at column k.
             let width = (k + kl + ku).min(n - 1) - k + 1;
             // Partial pivoting: largest |entry| in column k; below
             // `last_row` the column is structurally zero.
-            let start_k = w.idx(k, k);
-            let mut piv = k;
+            let start_k = w.at(slot_k, k, k);
+            let (mut piv, mut slot_piv) = (k, slot_k);
             let mut best = w.data[start_k].abs();
+            let mut s = slot_k;
             for i in k + 1..=last_row {
-                let v = w.data[w.idx(i, k)].abs();
+                s = w.next(s);
+                let v = w.data[w.at(s, i, k)].abs();
                 if v > best {
                     best = v;
-                    piv = i;
+                    (piv, slot_piv) = (i, s);
                 }
             }
             *pivot_slot = piv;
             if piv != k {
-                let start_piv = w.idx(piv, k);
-                let (head, tail) = w.data.split_at_mut(start_piv);
-                head[start_k..start_k + width].swap_with_slice(&mut tail[..width]);
+                // Row `piv`'s slot lies after row k's, or before it once
+                // the window has wrapped.
+                let start_piv = w.at(slot_piv, piv, k);
+                let (row_k, row_piv) = pair_mut(&mut w.data, start_k, start_piv, width);
+                row_k.swap_with_slice(row_piv);
                 // The reach moves with its row; the row moving down still
                 // reaches its new diagonal (a unit pivot may land there).
                 reach.swap(k, piv);
@@ -423,10 +527,11 @@ impl LuFactors {
             }
             // Columns k..reach_k of the pivot row; past them it is `+0.0`.
             let span = reach[k] - k;
+            let mut s = slot_k;
             for i in k + 1..=last_row {
-                let start_i = w.idx(i, k);
-                let (head, tail) = w.data.split_at_mut(start_i);
-                let (row_k, row_i) = (&head[start_k..start_k + span], &mut tail[..span]);
+                s = w.next(s);
+                let start_i = w.at(s, i, k);
+                let (row_k, row_i) = pair_mut(&mut w.data, start_k, start_i, span);
                 let m = row_i[0] / row_k[0];
                 l_cols.push(m);
                 if m != 0.0 {
@@ -438,15 +543,11 @@ impl LuFactors {
                 }
             }
             l_off.push(l_cols.len());
-        }
-        let mut u_rows = Vec::with_capacity(reach.iter().enumerate().map(|(i, r)| r - i).sum());
-        let mut u_off = Vec::with_capacity(n + 1);
-        u_off.push(0);
-        for (i, &r) in reach.iter().enumerate() {
-            u_rows.extend_from_slice(&w.data[w.idx(i, i)..w.idx(i, r)]);
+            u_rows.extend_from_slice(&w.data[start_k..start_k + span]);
             u_off.push(u_rows.len());
+            slot_in = slot_k;
+            slot_k = w.next(slot_k);
         }
-        let band_u: usize = (0..n).map(|i| (kl + ku).min(n - 1 - i) + 1).sum();
         Self {
             n,
             pivots,
@@ -700,6 +801,153 @@ mod tests {
         // The dense route finds the same reaches.
         let dense = LuFactors::factor(&a.to_dense());
         assert_eq!(dense.u_off, lu.u_off);
+    }
+
+    /// The band model's `U` count, out of the stored solve charge.
+    fn band_u(lu: &LuFactors) -> usize {
+        lu.flops_per_solve() / 2 - lu.l_cols.len()
+    }
+
+    #[test]
+    fn lu_works_in_a_window_of_kl_plus_one_rows() {
+        // min(kl+1, n) slots of min(2kl+ku+1, n): lflr_kill's 2312-row
+        // blocks (kl = ku = 68) take 69 × 205 values, not 2312 rows; a full
+        // matrix is n².
+        for (n, kl, ku) in [
+            (2312, 68, 68),
+            (2592, 72, 72),
+            (64, 8, 8),
+            (64, 3, 0),
+            (5, 0, 4),
+        ] {
+            let w = BandWindow::zeros(n, kl, ku);
+            assert_eq!(w.data.len(), (kl + 1).min(n) * (2 * kl + ku + 1).min(n));
+        }
+        assert_eq!(BandWindow::zeros(2312, 68, 68).data.len() * 8, 113_160);
+        for n in [0usize, 1, 2, 17] {
+            let full = n.saturating_sub(1);
+            assert_eq!(BandWindow::zeros(n, full, full).data.len(), n * n);
+        }
+
+        // U is reserved once at the band model's count, with or without
+        // row swaps growing the reaches: no doubling slack. With kl = 1
+        // and ku = 6 a swap widens a reach by one, and a `U` grown from
+        // the stored reaches would double past the band model's count.
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut swapping = crate::CooMatrix::new(40, 40);
+        for i in 0..40usize {
+            for j in i.saturating_sub(1)..(i + 7).min(40) {
+                swapping.push(i, j, rng.gen_range(-1.0..1.0));
+            }
+        }
+        let swapping = LuFactors::factor_csr(&swapping.to_csr());
+        assert!(swapping.pivots.iter().enumerate().any(|(k, &p)| p != k));
+        for lu in [
+            swapping,
+            LuFactors::factor_csr(&crate::poisson2d(8, 8)),
+            LuFactors::factor(&DenseMatrix::random(17, 17, &mut rng)),
+        ] {
+            assert!(lu.u_rows.len() <= lu.u_rows.capacity());
+            assert!(
+                lu.u_rows.capacity() <= band_u(&lu),
+                "{} > {}",
+                lu.u_rows.capacity(),
+                band_u(&lu)
+            );
+        }
+    }
+
+    #[test]
+    fn lu_window_swaps_rows_across_the_wrap() {
+        // kl = 2: three slots. A dominant sub-diagonal makes every step
+        // take its pivot from the row below, so at k = 2 (slot 2) the pivot
+        // row 3 sits in slot 0, and at k = 5 row 6 again sits in slot 0.
+        let n = 9;
+        let mut a = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            a.set(i, i, 1.0 + 0.1 * i as f64);
+            if i >= 1 {
+                a.set(i, i - 1, 10.0 + i as f64);
+            }
+            if i >= 2 {
+                a.set(i, i - 2, 0.5);
+            }
+            if i + 1 < n {
+                a.set(i, i + 1, -0.25);
+            }
+        }
+        let lu = LuFactors::factor(&a);
+        for k in [2, 5] {
+            assert_eq!(lu.pivots[k], k + 1, "step {k}");
+            assert!(
+                (k + 1) % 3 < k % 3,
+                "the pivot row's slot lies before row {k}'s"
+            );
+        }
+        let x_true: Vec<f64> = (0..n).map(|i| 1.0 - 0.3 * i as f64).collect();
+        let x = lu.solve(&a.gemv(&x_true));
+        for (got, want) in x.iter().zip(&x_true) {
+            assert!((got - want).abs() < 1e-10, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn lu_factor_csr_leading_drops_the_columns_past_the_block() {
+        // A distributed matrix's owned rows: the block's own columns
+        // first, then couplings to other ranks' rows in columns `n..`.
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let owned_rows = |block: &DenseMatrix, ghosts: usize, rng: &mut ChaCha8Rng| {
+            let n = block.nrows();
+            let mut coo = crate::CooMatrix::new(n, n + ghosts);
+            for i in 0..n {
+                for j in 0..n {
+                    if block.get(i, j) != 0.0 {
+                        coo.push(i, j, block.get(i, j));
+                    }
+                }
+                for g in 0..ghosts {
+                    coo.push(i, n + g, rng.gen_range(-1.0..1.0));
+                }
+            }
+            coo.to_csr()
+        };
+        let diagonal = DenseMatrix::from_rows(&[
+            vec![2.0, 0.0, 0.0],
+            vec![0.0, -4.0, 0.0],
+            vec![0.0, 0.0, 0.5],
+        ]);
+        let mut full = DenseMatrix::random(6, 6, &mut rng);
+        full.set(0, 5, 3.0);
+        full.set(5, 0, -3.0);
+        for block in [
+            DenseMatrix::zeros(0, 0),
+            DenseMatrix::from_rows(&[vec![-3.0]]),
+            diagonal,
+            full,
+        ] {
+            let n = block.nrows();
+            let rows = owned_rows(&block, 3, &mut rng);
+            let lu = LuFactors::factor_csr_leading(&rows, n);
+            let want = LuFactors::factor(&block);
+            assert_eq!(lu.dim(), n);
+            assert_eq!(lu.pivots, want.pivots);
+            assert_eq!(lu.u_off, want.u_off);
+            assert_eq!(lu.factor_flops(), want.factor_flops());
+            assert_eq!(lu.flops_per_solve(), want.flops_per_solve());
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() + 2.0).collect();
+            assert_eq!(bits(lu.solve(&b)), bits(want.solve(&b)), "n = {n}");
+        }
+        // The single row and the diagonal factor without any elimination.
+        let one = LuFactors::factor_csr_leading(
+            &owned_rows(&DenseMatrix::from_rows(&[vec![-3.0]]), 2, &mut rng),
+            1,
+        );
+        assert_eq!(one.solve(&[6.0]), vec![-2.0]);
+        assert_eq!(one.factor_flops(), 0);
+        let diag =
+            LuFactors::factor_csr_leading(&owned_rows(&DenseMatrix::identity(4), 1, &mut rng), 4);
+        assert!(diag.l_cols.is_empty() && diag.u_off == [0, 1, 2, 3, 4]);
     }
 
     #[test]
