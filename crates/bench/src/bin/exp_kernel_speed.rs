@@ -15,7 +15,7 @@
 //!   instead of three times, so it beats three separate dots even at 1M.
 //! * One k = 8 block application (`spmm8_vs_8spmv`: the row-interleaved
 //!   copy plus one k-wide SELL SpMM) against eight single applications
-//!   (column copy plus SELL SpMV each) is the batching win the block
+//!   (one SELL SpMV each, reading the column in place) is the batching win the block
 //!   solver depends on; full mode asserts it stays at least 1.5×.
 //!
 //! Output: a table plus one `JSON:` line per measurement (hand-rolled —
@@ -223,8 +223,8 @@ fn main() {
 
     // SpMM at k = 8 against eight SpMVs, each as a solve pays for it: on
     // one rank (no halo) `apply_block_into` is the row-interleaved copy of
-    // the block plus one k-wide SELL sweep, `apply_into` a column copy plus
-    // one SELL SpMV.
+    // the block plus one k-wide SELL sweep, `apply_into` one SELL SpMV
+    // reading the column in place.
     let spmm_sides: &[usize] = if smoke { &[120] } else { &[180, 256] };
     let mut spmm_speedup_min = f64::INFINITY;
     for &side in spmm_sides {
@@ -233,9 +233,7 @@ fn main() {
         let k = 8;
         let ops = simd_ops();
         let mut comm = Comm::solo(&RuntimeConfig::fast());
-        let da = DistCsr::from_global(&mut comm, &a)
-            .expect("poisson2d is square")
-            .with_sell_layout(SELL_DEFAULT_SIGMA);
+        let da = DistCsr::from_global(&mut comm, &a).expect("poisson2d is square");
         let xb = DistMultiVector::from_fn(&comm, n, k, |c, i| 1.0 + ((i + c) % 7) as f64);
         let columns: Vec<DistVector> = (0..k).map(|c| xb.column(c)).collect();
         let mut yb = DistMultiVector::zeros(&comm, n, k);

@@ -10,15 +10,11 @@
 use std::collections::BTreeMap;
 
 use resilient_linalg::LocalOps;
-use resilient_linalg::{CooMatrix, CsrMatrix, LuFactors, SellMatrix};
+use resilient_linalg::{CooMatrix, CsrMatrix, LuFactors, SellMatrix, SELL_DEFAULT_SIGMA};
 use resilient_runtime::{BlockDistribution, CommBackend, Result, RuntimeError};
 
 /// Tag space used by the SpMV ghost exchange.
 const GHOST_TAG: i32 = 1 << 18;
-
-/// Sort scope σ used when [`DistCsr::from_global`] auto-selects the
-/// SELL-C-σ layout (matches the `exp_kernel_speed` sweet spot).
-const DEFAULT_SELL_SIGMA: usize = 256;
 
 /// One FNV-1a step (64-bit) over an 8-byte word.
 fn fnv1a(h: &mut u64, v: u64) {
@@ -107,7 +103,7 @@ impl DistVector {
 /// [`LocalOps`] kernels (`dot_blocks`, `*_blocks`, the `spmm_*` output) are
 /// specified over, so the multi-vector can be handed to them without
 /// copies. The `spmm_*` input is row-interleaved; [`DistCsr::apply_block_into`]
-/// writes it while copying the block into its ghosted buffer.
+/// writes that copy of the owned rows while its halo messages are in flight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistMultiVector {
     /// Locally owned entries, packed column-major (`k` columns of length
@@ -250,32 +246,43 @@ impl DistMultiVector {
     }
 }
 
-/// The reusable buffers of a distributed operator application: the ghosted
-/// input (owned rows followed by ghost rows) and one neighbour's outgoing
-/// boundary values.
+/// The reusable buffers of a distributed operator application. Nothing
+/// here is read across calls: each application overwrites what it uses, and
+/// the buffers only keep their capacity so the hot path allocates nothing.
 #[derive(Debug, Default)]
 pub struct HaloScratch {
-    /// Ghost-assembled input of the local sweep. A block of `k` columns is
-    /// stored row-interleaved, entry `j` of column `c` at `j·k + c` (the
-    /// `spmm_*` input layout of [`LocalOps`]); at `k = 1` that is the
-    /// column itself.
-    pub ghosted: Vec<f64>,
+    /// The row-interleaved copy of the owned rows of a block of `k > 1`
+    /// columns (entry `j` of column `c` at `j·k + c`, the `spmm_*` input
+    /// layout of [`LocalOps`]), which the interior rows read. A single
+    /// column is read in place and leaves this empty.
+    owned: Vec<f64>,
+    /// The compact input of the boundary rows, row-interleaved like
+    /// `owned`: first the owned rows those rows read, then the ghost rows
+    /// the neighbours' messages fill.
+    boundary: Vec<f64>,
     /// Packing buffer for the message to one neighbour: its send-list rows,
     /// `k` values each.
-    pub payload: Vec<f64>,
+    payload: Vec<f64>,
 }
 
 /// A block-row distributed CSR matrix with precomputed ghost-exchange lists.
+///
+/// The SpMV runs on two SELL-C-σ parts of the local rows, split once at
+/// construction: *interior* rows read only owned columns, and *boundary*
+/// rows read at least one ghost. Each part writes its rows straight into
+/// their slots of the product. The interior part reads the owned input in
+/// place while the halo messages are in flight; the boundary part reads a
+/// compact input of the owned columns it needs followed by the ghosts.
 #[derive(Debug, Clone)]
 pub struct DistCsr {
     /// Local rows, with columns renumbered: `0..n_local` are the locally
     /// owned columns (same order as the owned global range), `n_local..`
-    /// are ghost columns in the order of `ghost_globals`.
+    /// are ghost columns in ascending global order. Block
+    /// extraction, ABFT row access, norm bounds and the fingerprint read
+    /// it; the SpMV runs on the two parts below.
     local: CsrMatrix,
     dist: BlockDistribution,
     n_local: usize,
-    /// Global indices of ghost columns, sorted ascending.
-    ghost_globals: Vec<usize>,
     /// Ranks this rank exchanges with during SpMV (symmetric list).
     neighbors: Vec<usize>,
     /// For each neighbor (same order as `neighbors`): local indices of owned
@@ -285,16 +292,23 @@ pub struct DistCsr {
     recv_lists: Vec<Vec<usize>>,
     /// FLOPs per local SpMV.
     flops: usize,
-    /// Optional SELL-C-σ copy of `local`; when present, SpMV runs through
-    /// it (bit-identical results, SIMD-friendly layout). The CSR original
-    /// is kept: block extraction, ABFT row access and norm bounds read it.
-    sell: Option<SellMatrix>,
+    /// The rows reading only owned columns, over the `n_local` owned
+    /// inputs.
+    interior: SellMatrix,
+    /// The rows reading a ghost, over the compact input: entry `t <
+    /// boundary_owned.len()` is owned column `boundary_owned[t]`, entry
+    /// `boundary_owned.len() + g` is ghost `g`.
+    boundary: SellMatrix,
+    /// The owned columns the boundary rows read, ascending.
+    boundary_owned: Vec<usize>,
 }
 
 impl DistCsr {
     /// Build the local part of `global` for this rank and negotiate the
     /// ghost-exchange pattern with the other ranks (collective call: every
-    /// rank must call it with the same matrix).
+    /// rank must call it with the same matrix). The local rows are split
+    /// into the interior and boundary SELL-C-σ parts with the default
+    /// sort scope σ ([`DistCsr::with_sell_layout`] re-packs them).
     ///
     /// # Errors
     /// [`RuntimeError::InvalidArgument`], on every rank and before any
@@ -342,21 +356,8 @@ impl DistCsr {
         }
         let local = coo.to_csr();
         let flops = local.spmv_flops();
-        // Layout auto-selection (purely local, per rank): SELL-C-σ wins
-        // when rows are near-uniform — its per-chunk padding is then ~free
-        // and the SIMD sweep gets contiguous value loads — and loses on
-        // wildly ragged rows, where padding wastes bandwidth. Measure the
-        // local row-length dispersion and pick SELL when the squared
-        // coefficient of variation is small; tiny blocks stay CSR (the
-        // chunk machinery has fixed overhead). Results are bit-identical
-        // either way, so ranks need not agree on the choice.
-        // `with_sell_layout(σ)` / `with_csr_layout()` remain the manual
-        // overrides.
-        let sell = if Self::prefers_sell(&local) {
-            Some(SellMatrix::from_csr(&local, DEFAULT_SELL_SIGMA))
-        } else {
-            None
-        };
+        // Purely local, per rank: each rank packs its own rows.
+        let (interior, boundary, boundary_owned) = split_parts(&local, n_local, SELL_DEFAULT_SIGMA);
 
         // Tell every rank which global indices we need (allgather of index
         // lists encoded as f64; exact for indices < 2^53).
@@ -397,47 +398,25 @@ impl DistCsr {
             local,
             dist,
             n_local,
-            ghost_globals,
             neighbors,
             send_lists,
             recv_lists,
             flops,
-            sell,
+            interior,
+            boundary,
+            boundary_owned,
         })
     }
 
-    /// The row-length-variance heuristic behind layout auto-selection.
-    fn prefers_sell(local: &CsrMatrix) -> bool {
-        let nr = local.nrows();
-        if nr < 64 {
-            return false;
-        }
-        let mean = local.nnz() as f64 / nr as f64;
-        if mean <= 0.0 {
-            return false;
-        }
-        let var = (0..nr)
-            .map(|i| {
-                let d = local.row(i).0.len() as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / nr as f64;
-        var / (mean * mean) <= 0.25
-    }
-
-    /// Store the local rows in SELL-C-σ as well and run every SpMV through
-    /// that layout. Purely local (each rank repacks its own rows); results
-    /// are bit-identical to the CSR path, so ranks need not agree on it.
+    /// Re-pack both SpMV parts with sort scope `sigma`. Purely local (each
+    /// rank repacks its own rows); results are bit-identical for every σ,
+    /// so ranks need not agree on it.
+    ///
+    /// # Panics
+    /// If `sigma` is zero.
     pub fn with_sell_layout(mut self, sigma: usize) -> Self {
-        self.sell = Some(SellMatrix::from_csr(&self.local, sigma));
-        self
-    }
-
-    /// Force the CSR path, discarding any (auto- or manually-selected)
-    /// SELL copy. The manual override mirror of [`DistCsr::with_sell_layout`].
-    pub fn with_csr_layout(mut self) -> Self {
-        self.sell = None;
+        (self.interior, self.boundary, self.boundary_owned) =
+            split_parts(&self.local, self.n_local, sigma);
         self
     }
 
@@ -461,15 +440,6 @@ impl DistCsr {
             }
         }
         h
-    }
-
-    /// Name of the active local SpMV layout (`"csr"` or `"sell"`).
-    pub fn layout(&self) -> &'static str {
-        if self.sell.is_some() {
-            "sell"
-        } else {
-            "csr"
-        }
     }
 
     /// Number of locally owned rows.
@@ -526,42 +496,6 @@ impl DistCsr {
         (0..self.local.nrows())
             .map(|i| self.local.row(i).1.iter().map(|v| v.abs()).sum::<f64>())
             .fold(0.0, f64::max)
-    }
-
-    /// Exchange ghost values of `x` with the neighbours and assemble the
-    /// full local input vector (owned entries followed by ghosts) into
-    /// `scratch.ghosted`, packing each outgoing message in
-    /// `scratch.payload` — the hot path reuses both buffers across
-    /// iterations instead of allocating per SpMV.
-    fn assemble_input_into<C: CommBackend>(
-        &self,
-        comm: &mut C,
-        x: &DistVector,
-        scratch: &mut HaloScratch,
-    ) -> Result<()> {
-        let HaloScratch {
-            ghosted: full,
-            payload,
-        } = scratch;
-        full.clear();
-        full.reserve(self.n_local + self.ghost_globals.len());
-        full.extend_from_slice(&x.local);
-        full.resize(self.n_local + self.ghost_globals.len(), 0.0);
-        // Post all sends, then receive (tagged by sender to match order).
-        let my_rank = comm.rank();
-        for (idx, &peer) in self.neighbors.iter().enumerate() {
-            payload.clear();
-            payload.extend(self.send_lists[idx].iter().map(|&i| x.local[i]));
-            comm.send_f64(peer, GHOST_TAG + my_rank as i32, payload)?;
-        }
-        for (idx, &peer) in self.neighbors.iter().enumerate() {
-            let (_, data) = comm.recv_f64(peer, GHOST_TAG + peer as i32)?;
-            debug_assert_eq!(data.len(), self.recv_lists[idx].len());
-            for (&pos, &v) in self.recv_lists[idx].iter().zip(&data) {
-                full[self.n_local + pos] = v;
-            }
-        }
-        Ok(())
     }
 
     /// Distributed SpMV: `y = A·x`, with ghost exchange and virtual-time
@@ -634,12 +568,16 @@ impl DistCsr {
     /// reusable halo buffers, the product landing in the caller's `y`
     /// (every entry overwritten) — the form
     /// [`DistSpace`](crate::kernel::DistSpace) drives every iteration:
-    /// nothing is allocated here. Runs the SELL-C-σ layout when one was
-    /// built ([`DistCsr::with_sell_layout`]); bit-identical either way.
+    /// nothing is allocated here. The interior rows are swept from
+    /// `x.local` in place while the halo messages are in flight; see
+    /// [`DistCsr::apply_block_into`] for the order of the steps.
     ///
     /// # Errors
     /// [`RuntimeError::InvalidArgument`], before anything is sent, if `x`
-    /// or `y` is not distributed like the operator's rows.
+    /// or `y` is not distributed like the operator's rows. An `Err` from
+    /// the halo exchange itself comes after the interior rows of `y` were
+    /// written and before the boundary rows were: no caller reads `y`
+    /// after an `Err`.
     pub fn apply_into<C: CommBackend>(
         &self,
         comm: &mut C,
@@ -650,31 +588,33 @@ impl DistCsr {
     ) -> Result<()> {
         self.check_operand("spmv: input `x`", x)?;
         self.check_operand("spmv: output `y`", y)?;
-        self.assemble_input_into(comm, x, scratch)?;
-        comm.charge_flops(self.flops);
-        match &self.sell {
-            Some(sell) => ops.spmv_sell(sell, &scratch.ghosted, &mut y.local),
-            None => ops.spmv_csr(&self.local, &scratch.ghosted, &mut y.local),
-        }
-        Ok(())
+        let sweep = |a: &SellMatrix, x: &[f64], y: &mut [f64]| ops.spmv_sell(a, x, y);
+        self.apply_split(comm, &x.local, 1, self.flops, scratch, &mut y.local, sweep)
     }
 
     /// Batched distributed SpMM: `Y = A·X` over all `k` columns of a
     /// [`DistMultiVector`] with **one** ghost exchange per neighbour (each
-    /// message carries all `k` columns' boundary values) and one local
-    /// matrix sweep feeding all `k` outputs. Each output column is
+    /// message carries all `k` columns' boundary values) and one sweep of
+    /// each part feeding all `k` outputs. Each output column is
     /// bit-identical to `DistCsr::apply_with` on that column alone.
     ///
-    /// The sweep reads `scratch.ghosted` row-interleaved — owned rows, then
-    /// ghost rows, entry `j` of column `c` at `j·k + c` — the input layout
-    /// of [`LocalOps::spmm_csr`]: the copy of `x` into it writes `k`-wide
-    /// rows, and each halo message is packed and unpacked as `k`-wide rows
-    /// (same length as `k` column runs). At `k = 1` this is the single-RHS
-    /// copy and SpMV.
+    /// In order, one application:
+    /// 1. posts the halo sends, each message packed from `x` as `k`-wide
+    ///    rows;
+    /// 2. sweeps the interior part while the messages are in flight,
+    ///    reading `x.local` in place at `k = 1` and otherwise a
+    ///    row-interleaved copy of the owned rows (entry `j` of column `c`
+    ///    at `j·k + c`, the input layout of [`LocalOps::spmm_csr`]) made
+    ///    here, then gathers the owned rows the boundary part reads;
+    /// 3. receives each neighbour's ghost rows into the boundary part's
+    ///    compact input;
+    /// 4. charges the FLOPs;
+    /// 5. sweeps the boundary part.
     ///
     /// Nothing is allocated here: the product lands in the caller's `y`
-    /// (every entry overwritten) and the [`HaloScratch`] buffers keep their
-    /// capacity across calls. A block solve calls this once per iteration.
+    /// (every entry overwritten, by exactly one of the two parts) and the
+    /// [`HaloScratch`] buffers keep their capacity across calls. A block
+    /// solve calls this once per iteration.
     ///
     /// `active` is the number of columns still charged for arithmetic:
     /// converged columns in a masked block solve stop paying FLOPs but keep
@@ -684,7 +624,9 @@ impl DistCsr {
     /// # Errors
     /// [`RuntimeError::InvalidArgument`], before anything is sent, if `x`
     /// or `y` is not distributed like the operator's rows, or `y` does not
-    /// hold as many columns as `x`.
+    /// hold as many columns as `x`. An `Err` from the halo exchange itself
+    /// comes after the interior rows of `y` were written and before the
+    /// boundary rows were: no caller reads `y` after an `Err`.
     pub fn apply_block_into<C: CommBackend>(
         &self,
         comm: &mut C,
@@ -706,28 +648,60 @@ impl DistCsr {
             )));
         }
         let k = x.k();
+        let sweep = |a: &SellMatrix, x: &[f64], y: &mut [f64]| ops.spmm_sell(a, k, x, y);
+        let flops = self.flops * active;
+        self.apply_split(comm, &x.local, k, flops, scratch, &mut y.local, sweep)
+    }
+
+    /// The one operator application behind [`DistCsr::apply_into`] and
+    /// [`DistCsr::apply_block_into`], in the order the latter documents:
+    /// `x` and `y` hold `k` column-major columns of the owned rows, and
+    /// `sweep` runs one part over its row-interleaved input.
+    #[allow(clippy::too_many_arguments)]
+    fn apply_split<C: CommBackend>(
+        &self,
+        comm: &mut C,
+        x: &[f64],
+        k: usize,
+        flops: usize,
+        scratch: &mut HaloScratch,
+        y: &mut [f64],
+        sweep: impl Fn(&SellMatrix, &[f64], &mut [f64]),
+    ) -> Result<()> {
         let n = self.n_local;
         let HaloScratch {
-            ghosted: scratch,
+            owned,
+            boundary,
             payload,
         } = scratch;
-        // Every entry is overwritten below (owned rows here, each ghost row
-        // by exactly one neighbour's message), so stale contents are fine.
-        scratch.resize(k * (n + self.ghost_globals.len()), 0.0);
-        if k <= 1 {
-            // One column is its own interleaving: the single-RHS copy.
-            scratch[..k * n].copy_from_slice(&x.local);
-        } else {
-            interleave_rows(&x.local, k, &mut scratch[..k * n]);
-        }
         // One message per neighbour for the whole block: the payload packs
         // each send-list row's k values together, k × |send_list| long.
         let my_rank = comm.rank();
         for (idx, &peer) in self.neighbors.iter().enumerate() {
             payload.clear();
-            let rows = self.send_lists[idx].iter();
-            payload.extend(rows.flat_map(|&i| scratch[i * k..(i + 1) * k].iter().copied()));
+            for &i in &self.send_lists[idx] {
+                payload.extend((0..k).map(|c| x[c * n + i]));
+            }
             comm.send_f64(peer, GHOST_TAG + my_rank as i32, payload)?;
+        }
+        // One column is its own interleaving.
+        let input = if k <= 1 {
+            x
+        } else {
+            owned.resize(k * n, 0.0);
+            interleave_rows(x, k, owned);
+            &owned[..]
+        };
+        sweep(&self.interior, input, y);
+        // Every entry is overwritten below (the owned rows here, each ghost
+        // row by exactly one neighbour's message), so stale contents are
+        // fine.
+        let b_own = self.boundary_owned.len();
+        boundary.resize(k * self.boundary.ncols(), 0.0);
+        for (t, &j) in self.boundary_owned.iter().enumerate() {
+            for c in 0..k {
+                boundary[t * k + c] = input[j * k + c];
+            }
         }
         for (idx, &peer) in self.neighbors.iter().enumerate() {
             let (_, data) = comm.recv_f64(peer, GHOST_TAG + peer as i32)?;
@@ -735,17 +709,46 @@ impl DistCsr {
             debug_assert_eq!(data.len(), k * list.len());
             for (t, &pos) in list.iter().enumerate() {
                 for c in 0..k {
-                    scratch[(n + pos) * k + c] = data[t * k + c];
+                    boundary[(b_own + pos) * k + c] = data[t * k + c];
                 }
             }
         }
-        comm.charge_flops(self.flops * active);
-        match &self.sell {
-            Some(sell) => ops.spmm_sell(sell, k, scratch, &mut y.local),
-            None => ops.spmm_csr(&self.local, k, scratch, &mut y.local),
-        }
+        comm.charge_flops(flops);
+        sweep(&self.boundary, boundary, y);
         Ok(())
     }
+}
+
+/// Split the rows of `local` (owned columns `0..n_local`, ghosts after)
+/// into the interior and boundary SELL-C-σ parts of a [`DistCsr`], and
+/// list the owned columns the boundary rows read: what the
+/// `interior`/`boundary`/`boundary_owned` fields hold.
+fn split_parts(
+    local: &CsrMatrix,
+    n_local: usize,
+    sigma: usize,
+) -> (SellMatrix, SellMatrix, Vec<usize>) {
+    let reads_ghost = |i: usize| local.row(i).0.iter().any(|&j| j >= n_local);
+    let (boundary_rows, interior_rows): (Vec<usize>, Vec<usize>) =
+        (0..n_local).partition(|&i| reads_ghost(i));
+    let mut read = vec![false; n_local];
+    for &i in &boundary_rows {
+        for &j in local.row(i).0.iter().filter(|&&j| j < n_local) {
+            read[j] = true;
+        }
+    }
+    let owned: Vec<usize> = (0..n_local).filter(|&j| read[j]).collect();
+    let interior = SellMatrix::from_csr_rows(local, &interior_rows, n_local, |j| j, sigma);
+    let ghosts = local.ncols() - n_local;
+    let compact = |j: usize| match j.checked_sub(n_local) {
+        Some(g) => owned.len() + g,
+        None => owned
+            .binary_search(&j)
+            .expect("a column the boundary rows read"),
+    };
+    let boundary =
+        SellMatrix::from_csr_rows(local, &boundary_rows, owned.len() + ghosts, compact, sigma);
+    (interior, boundary, owned)
 }
 
 /// Rows of the row-interleaved copy of a column-major block written per
@@ -833,7 +836,7 @@ mod tests {
             let y = da.apply(comm, &x)?;
             Ok((
                 y.gather_global(comm)?,
-                da.ghost_globals.len(),
+                da.local.ncols() - da.n_local,
                 da.neighbors().len(),
             ))
         });
@@ -944,10 +947,10 @@ mod tests {
     }
 
     /// Every column of a block product is bit-identical to the single-RHS
-    /// product of that column — on both backends and both layouts, at
+    /// product of that column — on both backends and two sort scopes σ, at
     /// k = 1, 3 and 8 (a scalar tail only; full 4-wide quads), on 1–3 ranks
-    /// of at least 64 rows each (SELL's auto-selection floor, so both SpMMs
-    /// run through the halo). A NaN planted in column 2 of rank 0's last
+    /// of at least 64 rows each (so both parts of the split hold rows and
+    /// both SpMMs run through the halo). A NaN planted in column 2 of rank 0's last
     /// row, a ghost row of rank 1, reaches column 2 of rank 1's product and
     /// no other column: the k-wide ghost rows do not mix columns.
     #[test]
@@ -968,9 +971,9 @@ mod tests {
                     });
                     let mut runs = Vec::new();
                     for ops in [resilient_linalg::scalar_ops(), resilient_linalg::simd_ops()] {
-                        for da in [
-                            DistCsr::from_global(comm, &a)?.with_sell_layout(4),
-                            DistCsr::from_global(comm, &a)?.with_csr_layout(),
+                        for (sigma, da) in [
+                            (4, DistCsr::from_global(comm, &a)?.with_sell_layout(4)),
+                            (SELL_DEFAULT_SIGMA, DistCsr::from_global(comm, &a)?),
                         ] {
                             assert!(da.local_rows() >= 64, "{} rows", da.local_rows());
                             // Stale contents of the caller's buffer must not survive.
@@ -982,7 +985,7 @@ mod tests {
                                 let y = da.apply_with(comm, &xb.column(c), ops, &mut halo)?;
                                 singles.push(y.local);
                             }
-                            runs.push((format!("{} {}", ops.name(), da.layout()), yb, singles));
+                            runs.push((format!("{} σ={sigma}", ops.name()), yb, singles));
                         }
                     }
                     Ok((comm.rank(), runs))
@@ -1055,7 +1058,7 @@ mod tests {
                 let mut scratch = HaloScratch::default();
                 let mut products = Vec::new();
                 for da in [
-                    DistCsr::from_global(comm, &a)?.with_csr_layout(),
+                    DistCsr::from_global(comm, &a)?.with_sell_layout(1),
                     DistCsr::from_global(comm, &a)?.with_sell_layout(4),
                 ] {
                     let want = da.apply_with(comm, &x, ops, &mut scratch)?;
@@ -1141,42 +1144,37 @@ mod tests {
         }
     }
 
+    /// Rows reading a ghost go to the boundary part, the rest to the
+    /// interior part, and the boundary part's compact input is the owned
+    /// columns those rows read followed by every ghost.
     #[test]
-    fn layout_auto_selection_is_bit_identical_to_forced_layouts() {
-        // Poisson rows are near-uniform, so big-enough local blocks
-        // auto-select SELL; the override must still force either layout and
-        // all three must agree bitwise.
+    fn rows_split_into_interior_and_boundary_parts() {
         let rt = Runtime::new(RuntimeConfig::fast());
-        let result = rt.run(2, move |comm| {
-            let a = poisson2d(16, 16);
-            let n = a.nrows();
-            let auto = DistCsr::from_global(comm, &a)?;
-            let forced_sell = DistCsr::from_global(comm, &a)?.with_sell_layout(DEFAULT_SELL_SIGMA);
-            let forced_csr = DistCsr::from_global(comm, &a)?.with_csr_layout();
-            assert_eq!(auto.layout(), "sell", "near-uniform rows select SELL");
-            assert_eq!(forced_csr.layout(), "csr");
-            let x = DistVector::from_fn(comm, n, |i| (i as f64 * 0.17).cos());
-            let ya = auto.apply(comm, &x)?;
-            let ys = forced_sell.apply(comm, &x)?;
-            let yc = forced_csr.apply(comm, &x)?;
-            Ok((ya.local, ys.local, yc.local))
-        });
-        for (ya, ys, yc) in result.unwrap_all() {
-            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&ya), bits(&ys));
-            assert_eq!(bits(&ya), bits(&yc));
-        }
-    }
-
-    #[test]
-    fn tiny_blocks_stay_csr() {
-        let rt = Runtime::new(RuntimeConfig::fast());
-        let result = rt.run(2, move |comm| {
-            let a = poisson1d(23);
-            Ok(DistCsr::from_global(comm, &a)?.layout())
-        });
-        for layout in result.unwrap_all() {
-            assert_eq!(layout, "csr", "sub-64-row blocks keep the CSR path");
+        for ranks in [1usize, 3] {
+            let result = rt.run(ranks, move |comm| {
+                let da = DistCsr::from_global(comm, &poisson1d(23))?;
+                let ghosts = da.local.ncols() - da.n_local;
+                Ok((
+                    da.n_local,
+                    da.interior.nrows(),
+                    da.boundary.nrows(),
+                    da.boundary_owned.clone(),
+                    da.boundary.ncols() - ghosts,
+                ))
+            });
+            for (n_local, interior, boundary, owned, compact_owned) in result.unwrap_all() {
+                assert_eq!(interior + boundary, n_local);
+                assert_eq!(owned.len(), compact_owned);
+                if ranks == 1 {
+                    assert_eq!((boundary, owned.len()), (0, 0), "one rank has no ghosts");
+                } else {
+                    // A 1-D Laplacian row reads its two neighbours: only the
+                    // end rows of a block read a ghost, and between them they
+                    // read the two end rows and the rows next to them.
+                    assert!((1..=2).contains(&boundary), "{boundary} boundary rows");
+                    assert_eq!(owned.len(), 2 * boundary);
+                }
+            }
         }
     }
 
@@ -1216,7 +1214,7 @@ mod tests {
             let a = poisson2d(5, 5);
             let da = DistCsr::from_global(comm, &a)?;
             Ok((
-                da.ghost_globals.len(),
+                da.local.ncols() - da.n_local,
                 da.neighbors().len(),
                 da.local_rows(),
                 da.global_dim(),

@@ -289,8 +289,9 @@ pub struct DistSpace<'a, 'b, C: CommBackend = Comm> {
     /// `precond_plan` strikes).
     precond_applications: u64,
     ops: &'static dyn LocalOps,
-    /// Reused ghost-exchange buffers: the SpMV/SpMM input (owned + ghost
-    /// entries) is assembled here instead of allocating per application.
+    /// Reused halo buffers of the SpMV/SpMM (the boundary rows' compact
+    /// input, the interleaved owned rows at `k > 1`, one outgoing message),
+    /// so an application allocates nothing.
     halo: HaloScratch,
 }
 

@@ -125,11 +125,7 @@ fn observe(
     let r = rt.run(ranks, move |comm: &mut Comm| -> Result<Observation> {
         let (a, b) = problem();
         let da = DistCsr::from_global(comm, &a)?;
-        let da = if sell {
-            da.with_sell_layout(4)
-        } else {
-            da.with_csr_layout()
-        };
+        let da = if sell { da.with_sell_layout(4) } else { da };
         let bv = DistVector::from_global(comm, &b);
         let norm_a = comm.allreduce_scalar(ReduceOp::Max, da.local_norm_inf())?;
         let mut bj = BlockJacobi::new(&da);

@@ -281,7 +281,9 @@ pub trait LocalOps: Sync {
     /// Local SELL-C-σ SpMV `y = A·x`, bit-identical to
     /// [`LocalOps::spmv_csr`] on the equivalent matrix: rows keep their
     /// CSR-order sequential accumulation, and padding slots are masked
-    /// out of the accumulator rather than added as zeros.
+    /// out of the accumulator rather than added as zeros. `y` has
+    /// [`SellMatrix::out_rows`] entries; only the stored rows' slots are
+    /// written.
     fn spmv_sell(&self, a: &SellMatrix, x: &[f64], y: &mut [f64]);
 
     // -- blocked (multi-RHS) kernels ---------------------------------------
@@ -315,9 +317,11 @@ pub trait LocalOps: Sync {
     /// Blocked SELL-C-σ SpMM over the same layouts, bit-identical to
     /// [`LocalOps::spmm_csr`] on the equivalent matrix (column `c` is
     /// exactly one [`LocalOps::spmv_sell`] run, which the default body
-    /// performs on each de-interleaved column).
+    /// performs on each de-interleaved column). Output columns are
+    /// [`SellMatrix::out_rows`] long, and only the stored rows' slots of
+    /// each are written.
     fn spmm_sell(&self, a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-        check_spmm(k, a.nrows(), a.ncols(), x, y);
+        check_spmm(k, a.out_rows(), a.ncols(), x, y);
         spmm_per_column(k, x, y, |xc, yc| self.spmv_sell(a, xc, yc));
     }
 
@@ -461,11 +465,11 @@ fn spmm_sell_sweep(a: &SellMatrix, k: usize, cols: Range<usize>, x: &[f64], y: &
     let vals = a.vals();
     let perm = a.perm();
     let lens = a.lens();
-    let nr = a.nrows();
+    let nr = a.out_rows();
     for (ch, &base) in chunk_ptr[..chunk_ptr.len() - 1].iter().enumerate() {
         for lane in 0..SELL_C {
             let p = ch * SELL_C + lane;
-            if p >= nr {
+            if p >= a.nrows() {
                 break;
             }
             for c in cols.clone() {
@@ -716,7 +720,7 @@ impl LocalOps for ScalarOps {
     }
 
     fn spmm_sell(&self, a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-        check_spmm(k, a.nrows(), a.ncols(), x, y);
+        check_spmm(k, a.out_rows(), a.ncols(), x, y);
         if k == 1 {
             return self.spmv_sell(a, x, y);
         }
@@ -1109,19 +1113,22 @@ mod x86 {
     }
 
     /// SELL-C-4 SpMV: per chunk, one gather + one contiguous value load
-    /// per step feeds a 4-lane accumulator; lanes whose row has ended are
-    /// kept out of the accumulator with a blend — computing the padding
-    /// (0.0 · gathered `x[0]`) would already NaN-poison short rows
-    /// whenever `x[0]` is non-finite — so each lane performs exactly the
-    /// scalar kernel's sequential sum.
+    /// per step feeds a 4-lane accumulator. The steps every lane of the
+    /// chunk still has (up to its shortest row) take a plain gather and
+    /// add. In the ragged tail past it, lanes whose row has ended are kept
+    /// out of the accumulator with a masked gather and a blend — computing
+    /// the padding (0.0 · gathered `x[0]`) would already NaN-poison short
+    /// rows whenever `x[0]` is non-finite — so each lane performs exactly
+    /// the scalar kernel's sequential sum.
     // SAFETY: contract — AVX2 must be available (runtime-detected by
-    // `simd_ops`); `x.len() == a.ncols()` and `y.len() == a.nrows()`.
+    // `simd_ops`); `x.len() == a.ncols()` and `y.len() == a.out_rows()`.
     #[target_feature(enable = "avx2")]
     unsafe fn spmv_sell_avx2(a: &SellMatrix, x: &[f64], y: &mut [f64]) {
         // SAFETY: `chunk_ptr` brackets the padded `cols`/`vals` arrays, so
-        // every `slot` access is in bounds; the masked gather only reads
-        // `x[idx]` for active lanes whose column indices were validated
-        // `< ncols` at construction.
+        // every `slot` access is in bounds; the gathers only read `x[idx]`
+        // for lanes whose row is still running (every lane below the
+        // shortest row's length, the active lanes past it), whose column
+        // indices were validated `< ncols` at construction.
         unsafe {
             let chunk_ptr = a.chunk_ptr();
             let cols = a.cols();
@@ -1133,26 +1140,41 @@ mod x86 {
                 let base = chunk_ptr[k];
                 let width = (chunk_ptr[k + 1] - base) / SELL_C;
                 let p0 = k * SELL_C;
-                let len4 = _mm256_set_epi64x(
-                    lens[p0 + 3] as i64,
-                    lens[p0 + 2] as i64,
-                    lens[p0 + 1] as i64,
-                    lens[p0] as i64,
-                );
+                let chunk_lens = &lens[p0..p0 + SELL_C];
+                let full = chunk_lens.iter().copied().min().unwrap_or(0) as usize;
                 let mut acc = _mm256_setzero_pd();
-                for step in 0..width {
+                for step in 0..full {
                     let slot = base + step * SELL_C;
-                    let active = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
-                        len4,
-                        _mm256_set1_epi64x(step as i64),
-                    ));
                     let idx = _mm_loadu_si128(cols.as_ptr().add(slot) as *const __m128i);
-                    // Masked gather: inactive lanes never touch memory, so the
-                    // padding column 0 is never even read.
-                    let xg =
-                        _mm256_mask_i32gather_pd::<8>(_mm256_setzero_pd(), x.as_ptr(), idx, active);
+                    let xg = _mm256_i32gather_pd::<8>(x.as_ptr(), idx);
                     let prod = _mm256_mul_pd(_mm256_loadu_pd(vals.as_ptr().add(slot)), xg);
-                    acc = _mm256_blendv_pd(acc, _mm256_add_pd(acc, prod), active);
+                    acc = _mm256_add_pd(acc, prod);
+                }
+                if full < width {
+                    let len4 = _mm256_set_epi64x(
+                        chunk_lens[3] as i64,
+                        chunk_lens[2] as i64,
+                        chunk_lens[1] as i64,
+                        chunk_lens[0] as i64,
+                    );
+                    for step in full..width {
+                        let slot = base + step * SELL_C;
+                        let active = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
+                            len4,
+                            _mm256_set1_epi64x(step as i64),
+                        ));
+                        let idx = _mm_loadu_si128(cols.as_ptr().add(slot) as *const __m128i);
+                        // Masked gather: inactive lanes never touch memory, so
+                        // the padding column 0 is never even read.
+                        let xg = _mm256_mask_i32gather_pd::<8>(
+                            _mm256_setzero_pd(),
+                            x.as_ptr(),
+                            idx,
+                            active,
+                        );
+                        let prod = _mm256_mul_pd(_mm256_loadu_pd(vals.as_ptr().add(slot)), xg);
+                        acc = _mm256_blendv_pd(acc, _mm256_add_pd(acc, prod), active);
+                    }
                 }
                 let mut lanes = [0.0f64; 4];
                 _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
@@ -1267,7 +1289,7 @@ mod x86 {
 
     /// One pass of the k-wide SELL-C-σ SpMM over the columns
     /// `c0..c0 + 4·Q`: chunk by chunk, lane by lane, each row's entries
-    /// `SELL_C` slots apart, its output at the row's original position.
+    /// `SELL_C` slots apart, its output at the row's mapped position.
     // SAFETY: contract — AVX must be available (runtime-detected by
     // `simd_ops`); `b` holds `a`'s operands and `c0 + 4·Q ≤ b.k`.
     #[target_feature(enable = "avx")]
@@ -1286,7 +1308,7 @@ mod x86 {
                 // SAFETY: the chunk holds `lens[p]` real slots of this lane,
                 // `SELL_C` apart, inside `chunk_ptr[ch]..chunk_ptr[ch + 1]`;
                 // their column indices were validated `< ncols`; `perm[p]`
-                // is a row index `< nrows`.
+                // is an output row `< out_rows`.
                 unsafe { spmm_row_avx::<Q, i32>(b, c0, row, perm[p] as usize) }
             }
         }
@@ -1390,7 +1412,7 @@ mod x86 {
 
         fn spmv_sell(&self, a: &SellMatrix, x: &[f64], y: &mut [f64]) {
             assert_eq!(x.len(), a.ncols(), "spmv: dimension mismatch");
-            assert_eq!(y.len(), a.nrows(), "spmv: output dimension mismatch");
+            assert_eq!(y.len(), a.out_rows(), "spmv: output dimension mismatch");
             // SAFETY: feature-gated; slot accesses are bounded by the
             // layout invariants (`chunk_ptr` brackets the padded arrays,
             // column indices were validated < ncols at construction).
@@ -1419,13 +1441,13 @@ mod x86 {
         }
 
         fn spmm_sell(&self, a: &SellMatrix, k: usize, x: &[f64], y: &mut [f64]) {
-            check_spmm(k, a.nrows(), a.ncols(), x, y);
+            check_spmm(k, a.out_rows(), a.ncols(), x, y);
             if k == 1 {
                 // A one-column SpMM is an SpMV by the blocked-kernel spec;
                 // the single-RHS kernel gathers its one input column.
                 return self.spmv_sell(a, x, y);
             }
-            let nrows = a.nrows();
+            let nrows = a.out_rows();
             let mut b = SpmmBlock { k, nrows, x, y };
             let tail = quad_passes(k, |c0, q| {
                 // SAFETY: feature-gated; dimensions checked above and

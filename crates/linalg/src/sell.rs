@@ -19,6 +19,11 @@
 //!   accumulator), so [`SellMatrix::spmv_into`] returns `f64`s
 //!   bit-identical to [`CsrMatrix::spmv_into`], whichever backend runs it.
 //!
+//! A matrix can also hold a subset of its source's rows, each writing its
+//! own slot of the full-length output, with the columns renumbered into a
+//! compact input ([`SellMatrix::from_csr_rows`]): the distributed operator
+//! stores its interior and boundary rows as two such parts.
+//!
 //! `C` is fixed at 4 to match the crate-wide 4-lane reassociation spec
 //! (see [`crate::ops`]); `σ` is a per-matrix construction parameter.
 
@@ -37,9 +42,18 @@ pub(crate) const SELL_C: usize = 4;
 pub const SELL_DEFAULT_SIGMA: usize = 256;
 
 /// A sparse matrix in SELL-C-σ format (`C = 4`). See the module docs.
+///
+/// A matrix may store only some rows of its source ([`SellMatrix::from_csr_rows`]):
+/// each stored row still writes its own slot of an output vector of
+/// [`SellMatrix::out_rows`] entries, and the slots of rows it does not store
+/// are left untouched. Several such parts over disjoint row sets together
+/// overwrite the whole output, each reading its own input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SellMatrix {
+    /// Stored rows.
     nrows: usize,
+    /// Length of the output vector the stored rows are written into.
+    out_rows: usize,
     ncols: usize,
     sigma: usize,
     nnz: usize,
@@ -51,7 +65,8 @@ pub struct SellMatrix {
     cols: Vec<i32>,
     /// Value per slot; padding slots hold 0.0 and are never accumulated.
     vals: Vec<f64>,
-    /// `perm[p]` = original row stored at sorted position `p` (`p < nrows`).
+    /// `perm[p]` = output row of the row stored at sorted position `p`
+    /// (`p < nrows`).
     perm: Vec<u32>,
     /// Row length at each sorted position, padded with zero-length virtual
     /// rows to a multiple of `C`.
@@ -67,15 +82,41 @@ impl SellMatrix {
     /// Panics if `sigma` is zero or the matrix has more than `i32::MAX`
     /// columns (the layout stores gather-ready `i32` column indices).
     pub fn from_csr(a: &CsrMatrix, sigma: usize) -> Self {
+        let rows: Vec<usize> = (0..a.nrows()).collect();
+        Self::from_csr_rows(a, &rows, a.ncols(), |j| j, sigma)
+    }
+
+    /// Store only the rows `rows` of `a`, row `i` writing output slot `i`
+    /// of an `a.nrows()`-long output, and read column `j` of `a` as input
+    /// entry `col(j)` of an `ncols`-long input. Sorting windows of `sigma`
+    /// run over the list in its order. Each row keeps its entries in CSR
+    /// order, so its sum is bit-identical to row `i` of
+    /// [`CsrMatrix::spmv_into`] over the renumbered input.
+    ///
+    /// # Panics
+    /// Panics if `sigma` is zero, `ncols` exceeds `i32::MAX`, `a` has more
+    /// than `u32::MAX` rows, a listed row is out of range, or `col` maps a
+    /// stored column outside `0..ncols`.
+    pub fn from_csr_rows(
+        a: &CsrMatrix,
+        rows: &[usize],
+        ncols: usize,
+        col: impl Fn(usize) -> usize,
+        sigma: usize,
+    ) -> Self {
         assert!(sigma > 0, "SELL-C-σ requires σ ≥ 1");
         assert!(
-            a.ncols() <= i32::MAX as usize,
+            ncols <= i32::MAX as usize,
             "SELL-C-σ stores i32 column indices"
         );
-        let nrows = a.nrows();
+        assert!(
+            a.nrows() <= u32::MAX as usize,
+            "SELL-C-σ stores u32 row indices"
+        );
+        let nrows = rows.len();
         let row_len = |i: usize| a.row(i).0.len();
 
-        let mut perm: Vec<u32> = (0..nrows as u32).collect();
+        let mut perm: Vec<u32> = rows.iter().map(|&i| i as u32).collect();
         for window in perm.chunks_mut(sigma) {
             window.sort_by_key(|&p| std::cmp::Reverse(row_len(p as usize)));
         }
@@ -99,26 +140,28 @@ impl SellMatrix {
         let slots = *chunk_ptr.last().unwrap();
         let mut cols = vec![0i32; slots];
         let mut vals = vec![0.0f64; slots];
-        for (k, &base) in chunk_ptr[..n_chunks].iter().enumerate() {
-            for lane in 0..SELL_C {
-                let p = k * SELL_C + lane;
-                if p >= nrows {
-                    continue;
-                }
-                let (rc, rv) = a.row(perm[p] as usize);
-                for (step, (&j, &v)) in rc.iter().zip(rv).enumerate() {
-                    let slot = base + step * SELL_C + lane;
-                    cols[slot] = j as i32;
-                    vals[slot] = v;
-                }
+        let mut nnz = 0;
+        for (p, &orig) in perm.iter().enumerate() {
+            let base = chunk_ptr[p / SELL_C] + p % SELL_C;
+            let (rc, rv) = a.row(orig as usize);
+            for (step, (&j, &v)) in rc.iter().zip(rv).enumerate() {
+                let jc = col(j);
+                assert!(
+                    jc < ncols,
+                    "SELL-C-σ: column {j} maps to {jc}, not below {ncols}"
+                );
+                cols[base + step * SELL_C] = jc as i32;
+                vals[base + step * SELL_C] = v;
             }
+            nnz += rc.len();
         }
 
         Self {
             nrows,
-            ncols: a.ncols(),
+            out_rows: a.nrows(),
+            ncols,
             sigma,
-            nnz: a.nnz(),
+            nnz,
             chunk_ptr,
             cols,
             vals,
@@ -129,13 +172,14 @@ impl SellMatrix {
 
     /// Reconstruct the source CSR matrix exactly (inverse of
     /// [`SellMatrix::from_csr`], including within-row entry order and any
-    /// explicitly stored zeros).
+    /// explicitly stored zeros). A matrix of some rows comes back
+    /// [`SellMatrix::out_rows`] tall, its unstored rows empty.
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut row_ptr = vec![0usize; self.nrows + 1];
+        let mut row_ptr = vec![0usize; self.out_rows + 1];
         for (p, &orig) in self.perm.iter().enumerate() {
             row_ptr[orig as usize + 1] = self.lens[p] as usize;
         }
-        for i in 0..self.nrows {
+        for i in 0..self.out_rows {
             row_ptr[i + 1] += row_ptr[i];
         }
         let mut col_idx = vec![0usize; self.nnz];
@@ -150,12 +194,18 @@ impl SellMatrix {
                 values[start + step] = self.vals[slot];
             }
         }
-        CsrMatrix::from_raw(self.nrows, self.ncols, row_ptr, col_idx, values)
+        CsrMatrix::from_raw(self.out_rows, self.ncols, row_ptr, col_idx, values)
     }
 
-    /// Number of rows.
+    /// Number of stored rows.
     pub fn nrows(&self) -> usize {
         self.nrows
+    }
+
+    /// Length of the output vector: the source matrix's row count, of
+    /// which [`SellMatrix::nrows`] are stored and written.
+    pub fn out_rows(&self) -> usize {
+        self.out_rows
     }
 
     /// Number of columns.
@@ -194,7 +244,7 @@ impl SellMatrix {
         &self.vals
     }
 
-    /// Sorted-position → original-row permutation (layout accessor).
+    /// Sorted-position → output-row map (layout accessor).
     pub fn perm(&self) -> &[u32] {
         &self.perm
     }
@@ -205,19 +255,20 @@ impl SellMatrix {
         &self.lens
     }
 
-    /// y = A·x (allocating convenience wrapper).
+    /// y = A·x (allocating convenience wrapper; unstored rows read 0).
     pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.nrows];
+        let mut y = vec![0.0; self.out_rows];
         self.spmv_into(x, &mut y);
         y
     }
 
     /// y = A·x through the portable scalar kernel. Walks each chunk lane by
     /// lane, accumulating each row's products sequentially in CSR entry
-    /// order — bit-identical to [`CsrMatrix::spmv_into`].
+    /// order — bit-identical to [`CsrMatrix::spmv_into`]. Only the stored
+    /// rows' slots of `y` are written.
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: dimension mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv: output dimension mismatch");
+        assert_eq!(y.len(), self.out_rows, "spmv: output dimension mismatch");
         for k in 0..self.chunk_ptr.len() - 1 {
             let base = self.chunk_ptr[k];
             for lane in 0..SELL_C {
@@ -337,6 +388,38 @@ mod tests {
         for (p, &orig) in s.perm().iter().enumerate() {
             assert_eq!(p / 8, orig as usize / 8, "row {orig} left its σ-window");
         }
+    }
+
+    #[test]
+    fn row_mapped_parts_write_only_their_rows() {
+        // Rows 1, 4, 5 and 8 of a ragged 10 × 12 matrix, columns shifted
+        // down by 2 into a 10-long input: every stored row lands at its own
+        // output slot, bit-identical to the CSR row over the shifted input,
+        // and the other six slots keep what the caller left there.
+        let a = ragged(10, 12, 7);
+        let rows = [1usize, 4, 5, 8];
+        let shift = |j: usize| j.saturating_sub(2);
+        let xs: Vec<f64> = (0..10).map(|j| (j as f64 * 0.3).cos() - 0.2).collect();
+        let x_full: Vec<f64> = (0..12).map(|j| xs[shift(j)]).collect();
+        let want = a.spmv(&x_full);
+        for sigma in [1, 2, 4, 256] {
+            let s = SellMatrix::from_csr_rows(&a, &rows, 10, shift, sigma);
+            assert_eq!((s.nrows(), s.out_rows(), s.ncols()), (4, 10, 10));
+            let stored: usize = rows.iter().map(|&i| a.row(i).0.len()).sum();
+            assert_eq!(s.nnz(), stored);
+            let mut y = vec![-7.5; 10];
+            s.spmv_into(&xs, &mut y);
+            for (i, v) in y.iter().enumerate() {
+                let expect = if rows.contains(&i) { want[i] } else { -7.5 };
+                assert_eq!(v.to_bits(), expect.to_bits(), "row {i} sigma={sigma}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "maps to")]
+    fn row_mapped_column_out_of_range_panics() {
+        SellMatrix::from_csr_rows(&CsrMatrix::identity(3), &[2], 2, |j| j, 4);
     }
 
     #[test]

@@ -389,6 +389,55 @@ proptest! {
         }
     }
 
+    /// The SIMD SELL kernel takes the steps all four rows of a chunk still
+    /// have unmasked and masks only the ragged tail. Chunks of four rows
+    /// share a prefix of `prefix` entries and end at different steps; the
+    /// longest row of each reads column 0 as its last entry, so `x[0]`
+    /// (±∞ or NaN) lands in the tail, where every shorter row's padding
+    /// slot also names column 0. The product equals scalar CSR `to_bits`,
+    /// and no row that does not read column 0 is poisoned.
+    #[test]
+    fn sell_unmasked_prefix_keeps_short_rows_clean(
+        chunks in 1usize..5,
+        prefix in 0usize..6,
+        extra in prop::collection::vec(prop::collection::vec(0usize..5, 4..=4), 4..=4),
+        sigma in prop::sample::select(vec![1usize, 4]),
+        special in prop::sample::select(vec![f64::INFINITY, f64::NEG_INFINITY, f64::NAN]),
+        vals in any_vec(4 * 4 * 10),
+        x0 in any_vec(12),
+    ) {
+        let ncols = 12;
+        let (mut row_ptr, mut cols, mut values) = (vec![0], Vec::new(), Vec::new());
+        let mut reads_zero = Vec::new();
+        for extra in &extra[..chunks] {
+            let longest = (0..4).max_by_key(|&l| (extra[l], l)).unwrap();
+            for (lane, &e) in extra.iter().enumerate() {
+                let len = prefix + e;
+                let zero_last = lane == longest && len > 0;
+                for step in 0..len {
+                    let j = if zero_last && step + 1 == len { 0 } else { 1 + step % (ncols - 1) };
+                    cols.push(j);
+                    values.push(vals[values.len() % vals.len()] / 1e5);
+                }
+                reads_zero.push(zero_last);
+                row_ptr.push(cols.len());
+            }
+        }
+        let n = row_ptr.len() - 1;
+        let a = CsrMatrix::from_raw(n, ncols, row_ptr, cols, values);
+        let sell = SellMatrix::from_csr(&a, sigma);
+        let mut x = x0.clone();
+        x[0] = special;
+        let mut want = vec![0.0; n];
+        scalar_ops().spmv_csr(&a, &x, &mut want);
+        let mut got = vec![0.0; n];
+        simd_ops().spmv_sell(&sell, &x, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want));
+        for (i, (&v, &zero)) in got.iter().zip(&reads_zero).enumerate() {
+            prop_assert_eq!(v.is_finite(), !zero, "row {} reads x[0]: {}", i, zero);
+        }
+    }
+
     /// The blocked SpMM reads a row-interleaved input (entry `j` of column
     /// `c` at `x[j·k + c]`): every backend's `spmm_csr` and `spmm_sell`,
     /// and the trait's default bodies, give on each column exactly the bits
